@@ -1,35 +1,29 @@
-//! `repro` — regenerates every table and figure of the paper.
+//! `repro` — regenerates the paper's figures and inspects a run.
 //!
 //! ```text
-//! repro all                         # every experiment, CPU-scaled defaults
+//! repro matrix --tier full          # every figure at the paper's axes → BENCH_<scenario>.json
+//! repro matrix --smoke              # the committed (smoke-tier) anchors
+//! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
+//!                                   # Fig 9 at the paper's full 8 GiB heap
+//! repro gate --smoke                # rerun and compare against the anchors
+//! repro watch --scenario mixed      # one scenario under the live telemetry sampler
 //! repro table1                      # survey table (Table 1)
-//! repro init                        # §4.1 init + register requirements
-//! repro fig9  --num 10000           # Fig 9a/b  (thread-based alloc/free)
-//! repro fig9  --num 100000          # Fig 9c/d
-//! repro fig9  --num 100000 --device 2080ti   # Fig 9e/f
-//! repro fig9  --num 10000 --warp    # Fig 9g   (warp-based)
-//! repro perf  --heap-backend mmap   # Fig 9 at the paper's full 8 GiB heap
-//! repro mixed --num 100000          # Fig 9h   (mixed sizes)
-//! repro scaling --max-exp 20        # Fig 10a-h
-//! repro frag                        # Fig 11a
-//! repro oom                         # Fig 11b
-//! repro workgen --range 4-64        # Fig 11c  (4-4096 → Fig 11d)
-//! repro write                       # Fig 11e
-//! repro graph-init                  # Fig 11f
-//! repro graph-update                # Fig 11g
+//! repro contention                  # per-manager contention counters
+//! repro sanitize                    # shadow-heap sanitizer sweep
 //! repro trace -m scatter            # Perfetto trace + latency percentiles
+//! repro audit                       # memlint summary
 //! ```
 //!
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
-//! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--iter N`,
-//! `--timeout SECS`, `--out DIR`, `--heap-backend ram|mmap|numa`,
-//! `--pretouch auto|full|striped|lazy`, `--heap-mb MB`.
+//! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
+//! `--heap-backend ram|mmap|numa`, `--pretouch auto|full|striped|lazy`,
+//! `--heap-mb MB`. `--num`, `--iter`, `--cycles` and `--cached` size the
+//! diagnostic subcommands; `matrix`, `gate` and `watch` take their counts,
+//! iterations and per-cell timeouts from the tier and refuse them.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use gpu_sim::{Device, DeviceSpec};
-use gpu_workloads::{sizes, write_test::WritePattern};
 use gpumem_bench::anchor::Anchor;
 use gpumem_bench::csv::{ms, us, Csv};
 use gpumem_bench::gate::{self, Gates};
@@ -47,16 +41,8 @@ struct Opts {
     kinds: Vec<ManagerKind>,
     device: DeviceSpec,
     num: u32,
-    warp: bool,
-    dense: bool,
-    max_exp: u32,
-    range: (u64, u64),
     iterations: u32,
-    timeout: u64,
     cycles: u32,
-    edges: u32,
-    scale_div: u32,
-    oom_heap_mb: u64,
     manager: Option<String>,
     trace_cap: usize,
     /// `None` until `--heap-backend` (or a `-t …@backend` suffix) picks one;
@@ -66,9 +52,8 @@ struct Opts {
     /// `--heap-mb`: pins every cell's heap to this size instead of the
     /// demand-derived `heap_for` sizing.
     heap_mb: Option<u64>,
-    /// `--cached` (or a `-t …@cached` suffix): wrap every manager in the
-    /// `Cached` magazine decorator, with one untimed warm-up pass in the
-    /// perf runners so timed iterations measure the hot path.
+    /// `--cached` (or a `-t …+cached` suffix): wrap every manager in the
+    /// `Cached` magazine decorator.
     cached: bool,
     out: PathBuf,
     /// `matrix`/`gate` tier: `--smoke` or `--tier tiny|smoke|full`
@@ -86,7 +71,7 @@ struct Opts {
     candidate: Option<PathBuf>,
     /// `--scenario NAME` (repeatable): restrict matrix/gate to a subset.
     scenarios: Vec<String>,
-    /// `--telemetry`: run `perf`/`matrix` under the live sampler and write
+    /// `--telemetry`: run `matrix` under the live sampler and write
     /// the `telemetry_<cmd>.{json,csv,prom}` exports next to the results.
     telemetry: bool,
     /// `--telemetry-hz N`: sampler cadence (overrides `GMS_TELEMETRY_HZ`;
@@ -106,16 +91,8 @@ impl Default for Opts {
             kinds: DEFAULT_KINDS.to_vec(),
             device: DeviceSpec::titan_v(),
             num: 10_000,
-            warp: false,
-            dense: false,
-            max_exp: 14,
-            range: (4, 64),
             iterations: 2,
-            timeout: 20,
             cycles: 10,
-            edges: 20_000,
-            scale_div: 64,
-            oom_heap_mb: 64,
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
             heap_backend: None,
@@ -158,10 +135,21 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         *i += 1;
         args.get(*i - 1).cloned().ok_or_else(|| "missing option value".to_string())
     };
+    // `matrix`, `gate` and `watch` pin iterations to the tier and run the
+    // cached twins as scenarios, so anchors of one tier always compare; a
+    // flag that cannot take effect is an error, not a no-op.
+    let tier_pinned = matches!(cmd.as_str(), "matrix" | "gate" | "watch");
+    let pinned_error = |flag: &str| {
+        format!(
+            "{flag} does not apply to `{cmd}`: iterations and the cached twins \
+             (--scenario perf_thread_cached / mixed_cached) are fixed by the tier"
+        )
+    };
     while i < args.len() {
         let flag = args[i].clone();
         i += 1;
         match flag.as_str() {
+            "--iter" if tier_pinned => return Err(pinned_error(&flag)),
             "-t" => {
                 let raw = next(&mut i)?;
                 let sel: ManagerSelection = raw.parse()?;
@@ -181,24 +169,8 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
                     DeviceSpec::by_name(&name).ok_or_else(|| format!("unknown device: {name}"))?;
             }
             "--num" => opts.num = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--warp" => opts.warp = true,
-            "--dense" => opts.dense = true,
-            "--max-exp" => opts.max_exp = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--range" => {
-                let r = next(&mut i)?;
-                let (lo, hi) =
-                    r.split_once('-').ok_or_else(|| format!("range must be LO-HI: {r}"))?;
-                opts.range = (
-                    lo.parse().map_err(|e| format!("{e}"))?,
-                    hi.parse().map_err(|e| format!("{e}"))?,
-                );
-            }
             "--iter" => opts.iterations = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--timeout" => opts.timeout = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--cycles" => opts.cycles = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--edges" => opts.edges = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--scale-div" => opts.scale_div = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--oom-heap" => opts.oom_heap_mb = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "-m" | "--manager" => opts.manager = Some(next(&mut i)?),
             "--trace-cap" => opts.trace_cap = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--heap-backend" => opts.heap_backend = Some(next(&mut i)?.parse()?),
@@ -234,41 +206,41 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             other => return Err(format!("unknown option: {other}\n{}", usage())),
         }
     }
+    // After the loop: a `-t …+cached` selector sets it as well as `--cached`.
+    if tier_pinned && opts.cached {
+        return Err(pinned_error("--cached"));
+    }
     Ok((cmd, opts))
 }
 
 fn usage() -> String {
-    "usage: repro <table1|init|fig9|perf|mixed|scaling|frag|oom|workgen|write|graph-init|graph-update|churn|contention|sanitize|trace|audit|exec-bench|matrix|gate|watch|check|all> [options]\n\
-     (`repro --report contention` is an alias for `repro contention`;\n\
-      `repro perf` is fig9 at the paper's full 8 GiB heap, mmap-backed by default;\n\
-      `repro matrix` regenerates the committed BENCH_<scenario>.json anchors,\n\
-      `repro gate` reruns and compares them against gates.toml tolerances,\n\
-      `repro watch --scenario NAME` runs one scenario under the live telemetry\n\
-      sampler and writes telemetry_<scenario>.{json,csv,prom} into --out)\n\
-     options: -t SELECTOR[@ram|mmap|numa][+cached] --device D --num N --warp --dense --max-exp E\n\
-     --range LO-HI --iter N --timeout SECS --cycles N --edges N --scale-div N --oom-heap MB\n\
-     -m MANAGER --trace-cap EVENTS_PER_SM --out DIR --cached\n\
+    "usage: repro <matrix|gate|watch|trace|sanitize|audit|table1|contention> [options]\n\
+     (`repro matrix` runs the paper's figures as scenarios and writes one\n\
+      BENCH_<scenario>.json anchor each, `repro gate` reruns and compares them\n\
+      against gates.toml tolerances, `repro watch --scenario NAME` runs one\n\
+      scenario under the live telemetry sampler and writes\n\
+      telemetry_<scenario>.{json,csv,prom} into --out;\n\
+      `repro --report contention` is an alias for `repro contention`)\n\
+     options: -t SELECTOR[@ram|mmap|numa][+cached] -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap|numa --pretouch auto|full|striped|lazy --heap-mb MB\n\
-     matrix/gate: --smoke | --tier tiny|smoke|full, --seed HEX, --anchors DIR,\n\
-     --gates FILE, --candidate DIR, --scenario NAME (repeatable)\n\
-     telemetry (watch, or perf/matrix with --telemetry): --telemetry-hz N,\n\
+     trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
+     --trace-cap EVENTS_PER_SM\n\
+     matrix/gate/watch: --smoke | --tier tiny|smoke|full, --seed HEX, --anchors DIR,\n\
+     --gates FILE, --candidate DIR, --scenario NAME (repeatable); -t / -m restrict\n\
+     the managers; watch defaults to the smoke tier\n\
+     telemetry (watch, or matrix with --telemetry): --telemetry-hz N,\n\
      --telemetry-listen ADDR, --slo METRIC<THRESH@WINDOW (repeatable,\n\
-     e.g. --slo 'malloc_p99_ns<50000@500ms'); watch restricts managers\n\
-     with -m NAME or -t SELECTOR and defaults to the smoke tier"
+     e.g. --slo 'malloc_p99_ns<50000@500ms')"
         .to_string()
 }
 
 fn bench_of(opts: &Opts) -> Bench {
     let mut b = Bench::new(Device::new(opts.device));
     b.iterations = opts.iterations;
-    b.cell_timeout = Duration::from_secs(opts.timeout);
     b.heap_backend = opts.backend();
     b.pretouch = opts.pretouch;
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
     b.cached = opts.cached;
-    // Cached runs get one untimed warm-up pass so the timed iterations
-    // measure the magazine hot path, not the cold first fill.
-    b.warmup = opts.cached as u32;
     b
 }
 
@@ -291,96 +263,19 @@ fn main() {
         if std::env::var("GMS_WORKERS").is_ok() { " (GMS_WORKERS)" } else { "" }
     );
     match cmd.as_str() {
-        "table1" => table1(&opts),
-        "init" => init(&opts),
-        "fig9" => fig9(&opts),
-        "perf" => perf(opts),
-        "mixed" => mixed(&opts),
-        "scaling" => scaling(&opts),
-        "frag" => frag(&opts),
-        "oom" => oom(&opts),
-        "workgen" => workgen(&opts),
-        "write" => write_perf(&opts),
-        "graph-init" => graph_init(&opts),
-        "graph-update" => graph_update(&opts),
-        "churn" => churn(&opts),
-        "contention" => contention(&opts),
-        "sanitize" => sanitize(&opts),
-        "trace" => trace(&opts),
-        "audit" => audit(&opts),
-        "exec-bench" => exec_overhead(&opts),
         "matrix" => matrix_cmd(&opts),
         "gate" => gate_cmd(&opts),
         "watch" => watch_cmd(&opts),
-        "check" => check(&opts),
-        "all" => run_all(opts),
+        "trace" => trace(&opts),
+        "sanitize" => sanitize(&opts),
+        "audit" => audit(&opts),
+        "table1" => table1(&opts),
+        "contention" => contention(&opts),
         other => {
             eprintln!("unknown command: {other}\n{}", usage());
             std::process::exit(2);
         }
     }
-}
-
-/// `repro perf` — the Fig. 9 sweep at the paper's actual scale: an 8 GiB
-/// device heap (the TITAN V configuration of §4) instead of the
-/// demand-derived CPU-scaled sizing. Defaults to the mmap backend so the
-/// address space is reserved `MAP_NORESERVE` and only touched pages commit
-/// — a bare `repro perf` works on hosts with far less than 8 GiB free.
-/// `--heap-backend`/`--heap-mb` still override both choices.
-fn perf(opts: Opts) {
-    let opts = Opts {
-        heap_backend: Some(opts.heap_backend.unwrap_or(HeapBackendKind::Mmap)),
-        heap_mb: Some(opts.heap_mb.unwrap_or(8192)),
-        ..opts
-    };
-    println!(
-        "# perf: heap={} MiB backend={} pretouch={}",
-        opts.heap_mb.unwrap(),
-        opts.backend(),
-        opts.pretouch.resolve(opts.backend()),
-    );
-    let lt = start_live_telemetry(&opts, "perf");
-    fig9(&opts);
-    finish_live_telemetry(lt, &opts);
-}
-
-fn run_all(mut opts: Opts) {
-    // CPU-scaled defaults for a complete sweep.
-    opts.num = opts.num.min(10_000);
-    println!("== Table 1 ==");
-    table1(&opts);
-    println!("== Section 4.1: init & registers ==");
-    init(&opts);
-    println!("== Figure 9a/9b: thread-based alloc/free ({}) ==", opts.num);
-    fig9(&opts);
-    println!("== Figure 9g: warp-based alloc ==");
-    let mut warp = Opts { warp: true, ..opts.clone() };
-    warp.num = opts.num.min(4096) * 32 / 32;
-    fig9(&warp);
-    println!("== Figure 9h: mixed allocation ==");
-    mixed(&opts);
-    println!("== Figure 10: scaling ==");
-    scaling(&opts);
-    println!("== Figure 11a: fragmentation ==");
-    frag(&opts);
-    println!("== Figure 11b: out-of-memory ==");
-    oom(&opts);
-    println!("== Figure 11c: work generation 4-64 B ==");
-    workgen(&opts);
-    println!("== Figure 11d: work generation 4-4096 B ==");
-    let wide = Opts { range: (4, 4096), ..opts.clone() };
-    workgen(&wide);
-    println!("== Figure 11e: write performance ==");
-    write_perf(&opts);
-    println!("== Figure 11f: graph initialization ==");
-    graph_init(&opts);
-    println!("== Figure 11g: graph updates ==");
-    graph_update(&opts);
-    println!("== Contention report ==");
-    contention(&opts);
-    println!("== Sanitizer sweep ==");
-    sanitize(&opts);
-    println!("done; results in {}", opts.out.display());
 }
 
 fn table1(opts: &Opts) {
@@ -440,296 +335,6 @@ fn table1(opts: &Opts) {
         ]);
     }
     save(csv, opts, "table1.csv");
-}
-
-fn init(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "init_ms", "malloc_regs", "free_regs"]);
-    println!("{:<16}{:>12}{:>14}{:>12}", "manager", "init_ms", "malloc_regs", "free_regs");
-    for &kind in &opts.kinds {
-        let c = runners::init_performance(&bench, kind, 256 << 20);
-        println!("{:<16}{:>12}{:>14}{:>12}", c.manager, ms(c.init), c.malloc_regs, c.free_regs);
-        csv.row([
-            c.manager.to_string(),
-            ms(c.init),
-            c.malloc_regs.to_string(),
-            c.free_regs.to_string(),
-        ]);
-    }
-    save(csv, opts, "init_register.csv");
-}
-
-fn fig9(opts: &Opts) {
-    let bench = bench_of(opts);
-    let sweep = sizes::alloc_size_sweep(opts.dense.then_some(64));
-    let mode = if opts.warp { "warp" } else { "thread" };
-    let mut csv = Csv::new(["manager", "size", "alloc_ms", "free_ms", "failures", "timed_out"]);
-    for &kind in &opts.kinds {
-        let mut skipping = false;
-        for &size in &sweep {
-            if skipping {
-                csv.row([
-                    kind.label().to_string(),
-                    size.to_string(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "skipped".into(),
-                ]);
-                continue;
-            }
-            let c = runners::alloc_perf(&bench, kind, opts.num, size, opts.warp);
-            csv.row([
-                c.manager.to_string(),
-                size.to_string(),
-                ms(c.alloc),
-                c.free.map(ms).unwrap_or_default(),
-                c.failures.to_string(),
-                c.timed_out.to_string(),
-            ]);
-            skipping = c.timed_out;
-        }
-        println!("  {} done{}", kind.label(), if skipping { " (timed out)" } else { "" });
-    }
-    save(csv, opts, &format!("alloc_{mode}_{}_{}.csv", opts.num, opts.device.name));
-}
-
-fn mixed(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "upper", "alloc_ms", "free_ms", "failures"]);
-    for &kind in &opts.kinds {
-        for upper in sizes::mixed_upper_bounds() {
-            let c = runners::mixed_perf(&bench, kind, opts.num, upper);
-            csv.row([
-                c.manager.to_string(),
-                upper.to_string(),
-                ms(c.alloc),
-                c.free.map(ms).unwrap_or_default(),
-                c.failures.to_string(),
-            ]);
-            if c.timed_out {
-                break;
-            }
-        }
-        println!("  {} done", kind.label());
-    }
-    save(csv, opts, &format!("mixed_{}_{}.csv", opts.num, opts.device.name));
-}
-
-fn scaling(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "size", "threads", "alloc_ms", "free_ms"]);
-    for &size in &[16u64, 64, 512, 8192] {
-        for &kind in &opts.kinds {
-            for e in 0..=opts.max_exp {
-                let n = 1u32 << e;
-                let c = runners::alloc_perf(&bench, kind, n, size, false);
-                csv.row([
-                    c.manager.to_string(),
-                    size.to_string(),
-                    n.to_string(),
-                    ms(c.alloc),
-                    c.free.map(ms).unwrap_or_default(),
-                ]);
-                if c.timed_out {
-                    break;
-                }
-            }
-        }
-        println!("  size {size} done");
-    }
-    save(csv, opts, &format!("scaling_{}.csv", opts.device.name));
-}
-
-fn frag(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv =
-        Csv::new(["manager", "size", "address_range", "baseline", "expansion", "max_range_cycles"]);
-    for &kind in &opts.kinds {
-        for &size in &[4u64, 16, 64, 256, 1024, 4096, 8192] {
-            let c = runners::fragmentation(&bench, kind, opts.num, size, opts.cycles);
-            csv.row([
-                c.manager.to_string(),
-                size.to_string(),
-                c.initial.address_range.to_string(),
-                c.initial.baseline.to_string(),
-                format!("{:.3}", c.initial.expansion_factor()),
-                c.max_range_after_cycles.to_string(),
-            ]);
-        }
-        println!("  {} done", kind.label());
-    }
-    save(csv, opts, "fragmentation.csv");
-}
-
-fn oom(opts: &Opts) {
-    let bench = bench_of(opts);
-    let heap = opts.oom_heap_mb << 20;
-    let mut csv = Csv::new(["manager", "size", "allocations", "utilization", "timed_out"]);
-    for &kind in &opts.kinds {
-        for &size in &[4u64, 16, 64, 256, 1024, 4096, 8192] {
-            let c = runners::oom(&bench, kind, heap, size);
-            csv.row([
-                c.manager.to_string(),
-                size.to_string(),
-                c.allocations.to_string(),
-                format!("{:.4}", c.utilization),
-                c.timed_out.to_string(),
-            ]);
-        }
-        println!("  {} done", kind.label());
-    }
-    save(csv, opts, &format!("oom_{}mb.csv", opts.oom_heap_mb));
-}
-
-fn workgen(opts: &Opts) {
-    let bench = bench_of(opts);
-    let (lo, hi) = opts.range;
-    let mut csv = Csv::new(["manager", "threads", "elapsed_ms", "failures"]);
-    for e in 0..=opts.max_exp {
-        let n = 1u32 << e;
-        let base = runners::work_generation_baseline(&bench, n, lo, hi);
-        csv.row([
-            base.manager.to_string(),
-            n.to_string(),
-            ms(base.elapsed),
-            base.failures.to_string(),
-        ]);
-    }
-    for &kind in &opts.kinds {
-        for e in 0..=opts.max_exp {
-            let n = 1u32 << e;
-            let c = runners::work_generation(&bench, kind, n, lo, hi);
-            csv.row([c.manager.to_string(), n.to_string(), ms(c.elapsed), c.failures.to_string()]);
-        }
-        println!("  {} done", kind.label());
-    }
-    save(csv, opts, &format!("workgen_{lo}_{hi}.csv"));
-}
-
-fn write_perf(opts: &Opts) {
-    let bench = bench_of(opts);
-    let n = opts.num.max(1 << 14);
-    let mut csv = Csv::new(["manager", "pattern", "relative_cost", "failures"]);
-    println!("{:<16}{:>24}{:>16}", "manager", "pattern", "rel_cost");
-    for &kind in &opts.kinds {
-        for pattern in [
-            WritePattern::Uniform { bytes: 16 },
-            WritePattern::Uniform { bytes: 64 },
-            WritePattern::Uniform { bytes: 128 },
-            WritePattern::Mixed { lo: 16, hi: 128 },
-        ] {
-            let c = runners::write_performance(&bench, kind, n, pattern);
-            println!("{:<16}{:>24}{:>16.3}", c.manager, c.pattern, c.relative_cost);
-            csv.row([
-                c.manager.to_string(),
-                c.pattern.clone(),
-                format!("{:.4}", c.relative_cost),
-                c.failures.to_string(),
-            ]);
-        }
-    }
-    save(csv, opts, "write_performance.csv");
-}
-
-fn graph_init(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "graph", "vertices", "edges", "init_ms", "failures"]);
-    for name in dyn_graph::GRAPH_NAMES {
-        let csr = dyn_graph::generate(name, opts.scale_div, bench.seed);
-        for &kind in &opts.kinds {
-            if kind.warp_level_only() {
-                continue; // no general free → cannot run the graph cases
-            }
-            let c = runners::graph_init(&bench, kind, &csr).unwrap_or_else(|e| {
-                eprintln!("graph-init {name}: {e}");
-                std::process::exit(1);
-            });
-            csv.row([
-                c.manager.to_string(),
-                c.graph.clone(),
-                csr.vertices().to_string(),
-                csr.edges().to_string(),
-                ms(c.elapsed),
-                c.failures.to_string(),
-            ]);
-        }
-        println!("  {name} done");
-    }
-    save(csv, opts, &format!("graph_init_div{}.csv", opts.scale_div));
-}
-
-fn graph_update(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "graph", "scenario", "edges", "elapsed_ms", "failures"]);
-    for name in dyn_graph::GRAPH_NAMES {
-        let csr = dyn_graph::generate(name, opts.scale_div, bench.seed);
-        for &kind in &opts.kinds {
-            if kind.warp_level_only() || kind == ManagerKind::Atomic {
-                continue; // update requires general free
-            }
-            for focused in [false, true] {
-                let c = runners::graph_update(&bench, kind, &csr, opts.edges, focused)
-                    .unwrap_or_else(|e| {
-                        eprintln!("graph-update {name}: {e}");
-                        std::process::exit(1);
-                    });
-                csv.row([
-                    c.manager.to_string(),
-                    c.graph.clone(),
-                    if focused { "focused" } else { "uniform" }.to_string(),
-                    opts.edges.to_string(),
-                    ms(c.elapsed),
-                    c.failures.to_string(),
-                ]);
-            }
-        }
-        println!("  {name} done");
-    }
-    save(csv, opts, &format!("graph_update_div{}.csv", opts.scale_div));
-}
-
-/// Repeated alloc/free cycles: slowdown factors per manager (the paper's
-/// "slowing down significantly over time" observation, §4.2.1).
-fn churn(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new(["manager", "cycles", "first_alloc_ms", "last_alloc_ms", "slowdown"]);
-    println!(
-        "{:<16}{:>10}{:>16}{:>16}{:>10}",
-        "manager", "cycles", "first_ms", "last_ms", "slowdown"
-    );
-    for &kind in &opts.kinds {
-        let alloc = kind
-            .builder()
-            .heap_spec(bench.heap_spec(opts.num, 256))
-            .sms(opts.device.num_sms)
-            .build();
-        let r = gpu_workloads::churn::run(
-            alloc.as_ref(),
-            &bench.device,
-            opts.num,
-            256,
-            opts.cycles.max(8),
-        );
-        let first = r.cycles.first().map(|(a, _)| a.as_secs_f64() * 1e3).unwrap_or(0.0);
-        let last = r.cycles.last().map(|(a, _)| a.as_secs_f64() * 1e3).unwrap_or(0.0);
-        println!(
-            "{:<16}{:>10}{:>16.4}{:>16.4}{:>10.2}",
-            kind.label(),
-            r.cycles.len(),
-            first,
-            last,
-            r.slowdown_factor()
-        );
-        csv.row([
-            kind.label().to_string(),
-            r.cycles.len().to_string(),
-            format!("{first:.4}"),
-            format!("{last:.4}"),
-            format!("{:.3}", r.slowdown_factor()),
-        ]);
-    }
-    save(csv, opts, "churn.csv");
 }
 
 /// Contention report: per-manager counter activity of a `--num`-thread
@@ -826,52 +431,20 @@ fn contention(opts: &Opts) {
     save(csv, opts, &format!("contention_{}_{}.csv", opts.num, opts.device.name));
 }
 
-/// Launch-overhead microbenchmark: empty-kernel latency and warp throughput
-/// of the pooled executor vs the spawn-per-launch baseline. Alias for the
-/// matrix's `exec` scenario: refreshes `BENCH_exec.json` in `--anchors`
-/// (default: the repo root) in the schema-versioned anchor format. Use
-/// `--smoke` to regenerate the committed (smoke-tier) anchor.
-fn exec_overhead(opts: &Opts) {
-    let cfg = matrix_cfg(opts);
-    let spec = matrix::scenario("exec").expect("exec scenario registered");
-    let anchor = matrix::run_scenario(&cfg, spec).unwrap_or_else(|e| {
-        eprintln!("exec-bench: {e}");
-        std::process::exit(1);
-    });
-    let get = |k: &str| anchor.metric(k).map(|m| m.value).unwrap_or(f64::NAN);
-    println!(
-        "empty kernel: pooled {:.0} ns vs spawn {:.0} ns ({:.1}x); call cost {:.0} ns vs {:.0} ns",
-        get("empty_pooled_ns"),
-        get("empty_spawn_ns"),
-        get("launch_speedup"),
-        get("call_pooled_ns"),
-        get("call_spawn_ns"),
-    );
-    println!(
-        "throughput ({:.0} warps): pooled {:.0} warps/s vs spawn {:.0} warps/s",
-        get("throughput_warps"),
-        get("pooled_warps_per_sec"),
-        get("spawn_warps_per_sec"),
-    );
-    println!(
-        "small launch: {:.0}% of {:.0} workers used",
-        get("small_launch_worker_frac") * 100.0,
-        get("workers"),
-    );
-    write_anchor(&anchor, &opts.anchors, spec.name);
-}
-
-/// Matrix/gate configuration from the command line: tier (default full),
-/// seed, device, backend. Iteration counts and timeouts are tier-pinned so
-/// anchors of the same tier are always comparable.
-fn matrix_cfg(opts: &Opts) -> MatrixCfg {
-    let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(Tier::Full));
+/// Matrix/gate/watch configuration from the command line: tier, seed,
+/// device, heap (backend, pre-touch, `--heap-mb`) and the `-t`/`-m` manager
+/// restriction. Iteration counts and timeouts stay tier-pinned so anchors
+/// of the same tier are always comparable.
+fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
+    let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
     cfg.heap_backend = opts.backend();
     cfg.pretouch = opts.pretouch;
+    cfg.heap_override = opts.heap_mb.map(|mb| mb << 20);
+    cfg.kinds = selected_kinds(opts);
     cfg
 }
 
@@ -908,7 +481,7 @@ fn write_anchor(anchor: &Anchor, dir: &std::path::Path, name: &str) {
 /// `repro matrix` — run the scenario registry at the selected tier and
 /// write one `BENCH_<scenario>.json` anchor per scenario.
 fn matrix_cmd(opts: &Opts) {
-    let mut cfg = matrix_cfg(opts);
+    let mut cfg = matrix_cfg(opts, Tier::Full);
     let lt = start_live_telemetry(opts, "matrix");
     if let Some(lt) = &lt {
         let marker = lt.tel.boundary_marker();
@@ -962,10 +535,10 @@ fn telemetry_config(opts: &Opts) -> TelemetryConfig {
     cfg
 }
 
-/// The manager restriction `repro watch` applies to its scenario: `-m NAME`
-/// pins one manager, an explicit `-t` selector pins a set, and neither
-/// runs the scenario's natural set.
-fn watch_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
+/// The manager restriction `matrix`/`gate`/`watch` apply to their scenarios:
+/// `-m NAME` pins one manager, an explicit `-t` selector pins a set, and
+/// neither runs each scenario's natural set.
+fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
     if let Some(name) = &opts.manager {
         match resolve_manager(name) {
             Ok(k) => return Some(vec![k]),
@@ -994,16 +567,8 @@ fn watch_cmd(opts: &Opts) {
             std::process::exit(2);
         }
     };
-    let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(Tier::Smoke));
-    cfg.device = opts.device;
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
-    cfg.heap_backend = opts.backend();
-    cfg.pretouch = opts.pretouch;
-    cfg.kinds = watch_kinds(opts);
     let outcome = watch::watch(
-        cfg,
+        matrix_cfg(opts, Tier::Smoke),
         &scenario,
         telemetry_config(opts),
         opts.telemetry_listen.as_deref(),
@@ -1039,7 +604,7 @@ fn watch_cmd(opts: &Opts) {
     }
 }
 
-/// Live sampler attached to a `--telemetry` run of `perf`/`matrix` (the
+/// Live sampler attached to a `--telemetry` run of `matrix` (the
 /// `watch` subcommand manages its own). Holds the process-global sink
 /// installed; [`finish_live_telemetry`] clears it and writes the exports.
 struct LiveTelemetry {
@@ -1106,7 +671,7 @@ fn gate_cmd(opts: &Opts) {
             std::process::exit(2);
         }
     };
-    let cfg = matrix_cfg(opts);
+    let cfg = matrix_cfg(opts, Tier::Full);
     let load = |path: &std::path::Path| -> Result<Anchor, String> {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
         Anchor::parse(&text).map_err(|e| e.to_string())
@@ -1474,44 +1039,12 @@ fn trace(opts: &Opts) {
     );
 }
 
-/// Validates a finished run's CSVs against the paper's qualitative shapes.
-fn check(opts: &Opts) {
-    let results = gpumem_bench::shapes::check_all(&opts.out);
-    if results.is_empty() {
-        eprintln!("no result CSVs found in {} — run `repro all` first", opts.out.display());
-        std::process::exit(2);
-    }
-    let mut failed = 0;
-    for r in &results {
-        println!(
-            "[{}] {:<32} {} — {}",
-            if r.pass { "PASS" } else { "FAIL" },
-            r.id,
-            r.paper,
-            r.statement
-        );
-        if !r.pass {
-            failed += 1;
-        }
-    }
-    println!("\n{} of {} shape expectations hold", results.len() - failed, results.len());
-    if failed > 0 {
-        std::process::exit(1);
-    }
-}
-
 /// One-line provenance stamp attached to every CSV `repro` writes: enough
 /// to reproduce the run (git revision, worker configuration, seed) and to
 /// detect schema drift. Rendered as a `# ...` comment line above the
 /// header; `scripts/summarize_results.py` skips it.
 fn provenance(opts: &Opts) -> String {
-    let git = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
+    let git = gpumem_bench::git_rev();
     let backend = opts.backend();
     format!(
         "git={git} device={} workers={} gms_workers={} heap_backend={backend} pretouch={} \

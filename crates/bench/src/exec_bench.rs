@@ -1,4 +1,4 @@
-//! Launch-overhead microbenchmark (`repro exec-bench` → `BENCH_exec.json`).
+//! Launch-overhead microbenchmark (the matrix's `exec` scenario → `BENCH_exec.json`).
 //!
 //! Records the perf trajectory of the executor itself: empty-kernel launch
 //! latency and warp throughput on the pooled executor, side by side with

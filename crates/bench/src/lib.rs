@@ -9,24 +9,26 @@
 //!   (thread/warp), mixed sizes, scaling, fragmentation, out-of-memory,
 //!   work generation, write/access performance, graph initialisation and
 //!   graph updates, plus the §4.1 init/register measurements.
-//! * [`csv`] — result serialisation, consumed by `EXPERIMENTS.md`.
-//!
-//! * [`shapes`] — mechanical verification that a finished run exhibits the
-//!   paper's qualitative results (`repro check`).
+//! * [`matrix`] — the declarative scenario registry behind `repro matrix`,
+//!   the one producer of paper-figure results: every figure's grid at
+//!   tiny/smoke/full tier, one anchor per scenario.
 //! * [`anchor`] — the schema-versioned `BENCH_<scenario>.json` format
 //!   (provenance-stamped, classed metrics) with a dependency-free parser.
-//! * [`matrix`] — the declarative scenario registry behind `repro matrix`:
-//!   the whole paper grid at smoke/full tier, one anchor per scenario.
 //! * [`gate`] — the `repro gate` comparator: committed anchors vs a fresh
 //!   run, per-scenario tolerances from `gates.toml`.
 //! * [`watch`] — `repro watch`: any matrix scenario under the live
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
 //!   time-series as JSON, per-window CSV and OpenMetrics.
+//! * [`csv`] — the tables the diagnostic subcommands (`table1`,
+//!   `contention`, `sanitize`, `trace`, `audit`) and `watch` write.
 //!
-//! The `repro` binary (in `src/bin`) drives everything:
-//! `repro all` writes one CSV per figure into `results/`,
-//! `repro check` validates the shapes against the paper, and
-//! `repro matrix` / `repro gate` maintain the committed anchors.
+//! The `repro` binary (in `src/bin`) drives everything: `repro matrix`
+//! writes the anchors, `repro gate` checks their numbers, and the paper's
+//! qualitative shapes are asserted over the same runners by
+//! `tests/paper_shapes.rs`.
+
+use std::process::Command;
+use std::sync::OnceLock;
 
 pub mod anchor;
 pub mod csv;
@@ -35,5 +37,24 @@ pub mod gate;
 pub mod matrix;
 pub mod registry;
 pub mod runners;
-pub mod shapes;
 pub mod watch;
+
+/// The provenance stamp of the checkout a run came from: the short git
+/// revision, with `-dirty` appended when `git status --porcelain` lists
+/// anything, or `unknown` outside a checkout. Read once per process, so the
+/// anchors of one `repro matrix` run agree even though writing the first of
+/// them into the checkout dirties it.
+pub fn git_rev() -> &'static str {
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        let git = |args: &[&str]| {
+            let out = Command::new("git").args(args).output().ok()?;
+            out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        };
+        match (git(&["rev-parse", "--short", "HEAD"]), git(&["status", "--porcelain"])) {
+            (Some(rev), Some(changes)) if changes.is_empty() => rev,
+            (Some(rev), _) => format!("{rev}-dirty"),
+            (None, _) => "unknown".to_string(),
+        }
+    })
+}

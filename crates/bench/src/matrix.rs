@@ -3,12 +3,16 @@
 //!
 //! One [`ScenarioSpec`] per paper test-case family (scenario × manager
 //! family × thread/warp variant), each producing a schema-versioned
-//! [`Anchor`] with provenance stamps. Three tiers size the same grid:
+//! [`Anchor`] with provenance stamps. This is the only producer of
+//! paper-figure results; the tier ([`Axes`]) picks the grid:
 //!
-//! * `smoke` — small counts; the committed anchors and the PR-CI gate.
-//! * `full` — paper-scale counts (perf/mixed to 1M, scaling 2¹–2²⁰); the
-//!   main-branch CI job, uploaded as artifacts rather than committed.
-//! * `tiny` — test-only sizing so the golden-file tests stay fast.
+//! * `smoke` — a reduced grid at small counts; the committed anchors and the
+//!   PR-CI gate.
+//! * `full` — the paper's axes and counts (Fig. 9 size sweep at 100 K
+//!   threads, scaling 2⁰–2²⁰ at four sizes, every graph, …); the main-branch
+//!   CI job, uploaded as artifacts rather than committed.
+//! * `tiny` — the smoke grid at test-only counts so the golden-file tests
+//!   stay fast.
 //!
 //! Metric keys are `{manager}/{cell}/{measure}` and stable across runs of
 //! the same tier; the gate (`crate::gate`) treats a vanished key as a
@@ -16,17 +20,19 @@
 //! between runs must not become a metric.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::Duration;
 
 use gpu_sim::{Device, DeviceSpec, LaunchHook};
+use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
 use gpumem_core::{HeapBackendKind, Pretouch};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
 use crate::exec_bench;
-use crate::registry::ManagerKind;
+use crate::registry::{ManagerKind, DEFAULT_KINDS};
 use crate::runners::{self, Bench, SizingError};
 
 /// Which rung of the matrix ladder a run sizes for.
@@ -36,7 +42,7 @@ pub enum Tier {
     Tiny,
     /// Committed-anchor sizing: completes in minutes, gates every PR.
     Smoke,
-    /// Paper-scale sizing (1M allocations, 2¹–2²⁰ scaling): main branch.
+    /// The paper's axes and counts (see [`Axes`]): main branch.
     Full,
 }
 
@@ -46,15 +52,6 @@ impl Tier {
             Tier::Tiny => "tiny",
             Tier::Smoke => "smoke",
             Tier::Full => "full",
-        }
-    }
-
-    /// Tier-scaled allocation count: `(tiny, smoke, full)`.
-    fn pick(&self, tiny: u32, smoke: u32, full: u32) -> u32 {
-        match self {
-            Tier::Tiny => tiny,
-            Tier::Smoke => smoke,
-            Tier::Full => full,
         }
     }
 }
@@ -72,6 +69,115 @@ impl std::str::FromStr for Tier {
     }
 }
 
+/// The grid one tier runs: every count and swept axis of every scenario in
+/// one place. `tiny` and `smoke` share a reduced grid (so the golden tests
+/// run the cells the committed anchors hold) and differ only in counts;
+/// `full` takes the axes and counts of the paper's test table.
+#[derive(Debug, PartialEq)]
+struct Axes {
+    /// Fig. 9a-f and 9h: allocating threads per cell.
+    threads: u32,
+    /// Fig. 9a-f allocation sizes.
+    sizes: Vec<u64>,
+    /// Fig. 9g: warp allocations per cell, and their sizes.
+    warps: u32,
+    warp_sizes: Vec<u64>,
+    /// Fig. 9h: upper bounds of the per-thread size range.
+    mixed_uppers: Vec<u64>,
+    /// Fig. 10: sizes, and thread counts as exponents of two.
+    scaling_sizes: Vec<u64>,
+    scaling_exps: RangeInclusive<u32>,
+    /// Fig. 11a: allocations, alloc/free cycles, sizes.
+    frag_num: u32,
+    frag_cycles: u32,
+    frag_sizes: Vec<u64>,
+    /// Heap of the Fig. 11b storm and of the §4.1 construction.
+    heap: u64,
+    /// Fig. 11b: managers and sizes.
+    oom_kinds: Vec<ManagerKind>,
+    oom_sizes: Vec<u64>,
+    /// Fig. 11c/d: thread counts.
+    workgen_threads: Vec<u32>,
+    /// Fig. 11e: writing threads, and patterns with their key tags.
+    write_threads: u32,
+    write_patterns: Vec<(&'static str, WritePattern)>,
+    /// Fig. 11f/g: graphs, their scale divisor, inserted edges.
+    graphs: Vec<&'static str>,
+    graph_div: u32,
+    update_edges: u32,
+    /// §4.2.1 churn: threads per cycle.
+    churn_threads: u32,
+    /// Traced allocations of the latency scenario.
+    latency_num: u32,
+    /// Trials of the executor microbenchmark.
+    exec_trials: u32,
+}
+
+impl Tier {
+    fn axes(self) -> Axes {
+        const SIZES: [u64; 7] = [4, 16, 64, 256, 1024, 4096, 8192];
+        if self == Tier::Full {
+            return Axes {
+                threads: 100_000,
+                sizes: sizes::alloc_size_sweep(None),
+                warps: 10_000,
+                warp_sizes: sizes::alloc_size_sweep(None),
+                mixed_uppers: sizes::mixed_upper_bounds(),
+                scaling_sizes: vec![16, 64, 512, 8192],
+                scaling_exps: 0..=20,
+                frag_num: 100_000,
+                frag_cycles: 10,
+                frag_sizes: SIZES.to_vec(),
+                heap: 256 << 20,
+                oom_kinds: DEFAULT_KINDS.to_vec(),
+                oom_sizes: SIZES.to_vec(),
+                workgen_threads: (0..=20).map(|e| 1 << e).collect(),
+                write_threads: 65_536,
+                write_patterns: vec![
+                    ("u16", WritePattern::Uniform { bytes: 16 }),
+                    ("u64", WritePattern::Uniform { bytes: 64 }),
+                    ("u128", WritePattern::Uniform { bytes: 128 }),
+                    ("m16-128", WritePattern::Mixed { lo: 16, hi: 128 }),
+                ],
+                graphs: dyn_graph::GRAPH_NAMES.to_vec(),
+                graph_div: 64,
+                update_edges: 20_000,
+                churn_threads: 10_000,
+                latency_num: 100_000,
+                exec_trials: 16,
+            };
+        }
+        let pick = |tiny: u32, smoke: u32| if self == Tier::Tiny { tiny } else { smoke };
+        Axes {
+            threads: pick(256, 2048),
+            sizes: vec![16, 512],
+            warps: pick(128, 1024),
+            warp_sizes: vec![256],
+            mixed_uppers: vec![1024, 4096],
+            scaling_sizes: vec![16],
+            scaling_exps: 1..=pick(4, 8),
+            frag_num: pick(512, 2048),
+            frag_cycles: pick(2, 4),
+            frag_sizes: vec![64, 4096],
+            heap: 64 << 20,
+            oom_kinds: vec![ManagerKind::OuroSP, ManagerKind::ScatterAlloc, ManagerKind::Halloc],
+            oom_sizes: vec![1024],
+            workgen_threads: vec![pick(256, 2048)],
+            write_threads: pick(1024, 4096),
+            write_patterns: vec![
+                ("u16", WritePattern::Uniform { bytes: 16 }),
+                ("m16-128", WritePattern::Mixed { lo: 16, hi: 128 }),
+            ],
+            graphs: vec!["fe_body"],
+            graph_div: pick(512, 256),
+            update_edges: pick(500, 2000),
+            churn_threads: pick(256, 2048),
+            latency_num: pick(512, 2048),
+            exec_trials: 8,
+        }
+    }
+}
+
 /// Everything a scenario needs to size and seed itself.
 #[derive(Clone)]
 pub struct MatrixCfg {
@@ -82,7 +188,10 @@ pub struct MatrixCfg {
     pub timeout: Duration,
     pub heap_backend: HeapBackendKind,
     pub pretouch: Pretouch,
-    /// Restricts scenarios to these manager kinds (`repro watch -m`);
+    /// Pins every cell's heap to this many bytes instead of the
+    /// demand-derived sizing (`--heap-mb`: the paper's 8 GiB heap).
+    pub heap_override: Option<u64>,
+    /// Restricts scenarios to these manager kinds (`-t` / `-m`);
     /// `None` runs each scenario's natural set. Scenario bodies apply it
     /// through [`MatrixCfg::restrict`], so the anchors a restricted run
     /// produces are a key-subset of the unrestricted ones.
@@ -102,6 +211,7 @@ impl fmt::Debug for MatrixCfg {
             .field("timeout", &self.timeout)
             .field("heap_backend", &self.heap_backend)
             .field("pretouch", &self.pretouch)
+            .field("heap_override", &self.heap_override)
             .field("kinds", &self.kinds)
             .field("launch_hook", &self.launch_hook.as_ref().map(|_| "<hook>"))
             .finish()
@@ -123,6 +233,7 @@ impl MatrixCfg {
             timeout: Duration::from_secs(if tier == Tier::Full { 30 } else { 20 }),
             heap_backend: HeapBackendKind::env_default(),
             pretouch: Pretouch::Auto,
+            heap_override: None,
             kinds: None,
             launch_hook: None,
         }
@@ -151,6 +262,7 @@ impl MatrixCfg {
         b.cell_timeout = self.timeout;
         b.heap_backend = self.heap_backend;
         b.pretouch = self.pretouch;
+        b.heap_override = self.heap_override;
         b
     }
 
@@ -162,6 +274,16 @@ impl MatrixCfg {
         b.cached = true;
         b.warmup = 1;
         b
+    }
+
+    /// Metric-key cell `label`, or `label/axis` at the full tier: for the
+    /// axes tiny and smoke pin to one value, whose committed keys therefore
+    /// never named it.
+    fn cell(&self, label: &str, axis: impl fmt::Display) -> String {
+        match self.tier {
+            Tier::Full => format!("{label}/{axis}"),
+            Tier::Tiny | Tier::Smoke => label.to_string(),
+        }
     }
 }
 
@@ -213,77 +335,92 @@ pub struct ScenarioSpec {
 
 /// The paper grid, one anchor per scenario.
 pub const SCENARIOS: &[ScenarioSpec] = &[
+    // First, as in the paper, and while the process is fresh: after the other
+    // scenarios have churned the host allocator, constructing the
+    // static-queue Ouroboros variants reads 15-40x slower.
+    ScenarioSpec {
+        name: "init",
+        family: "Sec. 4.1 initialisation and registers",
+        variant: "construction time over a pre-built heap, register-footprint proxy",
+        run: init,
+    },
     ScenarioSpec {
         name: "perf_thread",
         family: "Fig. 9a-f alloc/free performance",
-        variant: "thread-based, sizes 16/512 B",
+        variant: "thread-based; 16/512 B, full: 4 B-8 KiB sweep at 100 K threads",
         run: perf_thread,
     },
     ScenarioSpec {
         name: "perf_warp",
         family: "Fig. 9g alloc/free performance",
-        variant: "warp-based, 256 B",
+        variant: "warp-based; 256 B, full: 4 B-8 KiB sweep at 10 K warps",
         run: perf_warp,
     },
     ScenarioSpec {
         name: "mixed",
         family: "Fig. 9h mixed allocation",
-        variant: "thread-based, uniform [4, 1024/4096] B",
+        variant: "thread-based, uniform [4, upper] B; upper 1024/4096, full: 4-8192",
         run: mixed,
     },
     ScenarioSpec {
         name: "perf_thread_cached",
         family: "Fig. 9a-f alloc/free performance",
-        variant: "thread-based, sizes 16/512 B, magazine-cached + warm-up",
+        variant: "perf_thread grid, magazine-cached + warm-up",
         run: perf_thread_cached,
     },
     ScenarioSpec {
         name: "mixed_cached",
         family: "Fig. 9h mixed allocation",
-        variant: "thread-based, uniform [4, 1024/4096] B, magazine-cached + warm-up",
+        variant: "mixed grid, magazine-cached + warm-up",
         run: mixed_cached,
     },
     ScenarioSpec {
         name: "scaling",
         family: "Fig. 10 scaling sweep",
-        variant: "thread counts 2^1..2^N, 16 B",
+        variant: "top of a 2^1..2^N sweep at 16 B; full: every 2^0..2^20 at 16/64/512/8192 B",
         run: scaling,
     },
     ScenarioSpec {
         name: "frag",
         family: "Fig. 11a fragmentation",
-        variant: "address-range expansion, 64/4096 B",
+        variant: "address-range expansion; 64/4096 B, full: 4 B-8 KiB",
         run: frag,
     },
     ScenarioSpec {
         name: "oom",
         family: "Fig. 11b out-of-memory",
-        variant: "1 KiB storm until first denial",
+        variant: "storm until first denial; 1 KiB on three managers, full: 4 B-8 KiB on all",
         run: oom,
     },
     ScenarioSpec {
         name: "workgen",
         family: "Fig. 11c/d work generation",
-        variant: "managed vs prefix-sum baseline, 4-64/4-4096 B",
+        variant: "managed vs prefix-sum baseline, 4-64/4-4096 B; full: 2^0..2^20 threads",
         run: workgen,
     },
     ScenarioSpec {
         name: "coalescing",
         family: "Fig. 11e write performance",
-        variant: "coalescing-model relative cost",
+        variant: "coalescing-model relative cost; full: all four write patterns",
         run: coalescing,
     },
     ScenarioSpec {
         name: "graph_init",
         family: "Fig. 11f dynamic graph init",
-        variant: "fe_body CSR build",
+        variant: "CSR build; fe_body, full: every graph",
         run: graph_init,
     },
     ScenarioSpec {
         name: "graph_update",
         family: "Fig. 11g dynamic graph updates",
-        variant: "focused + uniform edge inserts",
+        variant: "focused + uniform edge inserts; fe_body, full: every graph",
         run: graph_update,
+    },
+    ScenarioSpec {
+        name: "churn",
+        family: "Sec. 4.2.1 repeated alloc/free",
+        variant: "10 allocate-all/free-all cycles at 256 B, last over first quarter",
+        run: churn,
     },
     ScenarioSpec {
         name: "latency",
@@ -328,15 +465,8 @@ pub fn run_scenario(cfg: &MatrixCfg, spec: &ScenarioSpec) -> Result<Anchor, Matr
 /// compares provenance values (the git sha differs on every commit by
 /// design).
 fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
-    let git = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string());
-    vec![
-        ("git".to_string(), git),
+    let mut stamps = vec![
+        ("git".to_string(), crate::git_rev().to_string()),
         ("device".to_string(), cfg.device.name.to_string()),
         ("sms".to_string(), cfg.device.num_sms.to_string()),
         ("workers".to_string(), Device::configured_workers().to_string()),
@@ -348,7 +478,13 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
         ("heap_backend".to_string(), cfg.heap_backend.to_string()),
         ("pretouch".to_string(), cfg.pretouch.resolve(cfg.heap_backend).to_string()),
         ("iterations".to_string(), cfg.iterations.to_string()),
-    ]
+    ];
+    // Only an overridden run names its heap, so default anchors keep the
+    // stamp set the committed ones carry.
+    if let Some(bytes) = cfg.heap_override {
+        stamps.push(("heap_mb".to_string(), (bytes >> 20).to_string()));
+    }
+    stamps
 }
 
 /// Throughput in million operations per second; the duration is floored to
@@ -405,17 +541,23 @@ fn perf_thread_cached(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 }
 
 fn perf_thread_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError> {
-    let num = cfg.tier.pick(256, 2048, 1_000_000);
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&crate::registry::DEFAULT_KINDS) {
-        for size in [16u64, 512] {
-            let c = runners::alloc_perf(&bench, kind, num, size, false);
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        for &size in &ax.sizes {
+            let c = runners::alloc_perf(&bench, kind, ax.threads, size, false);
             let k = format!("{}/s{size}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(num, c.alloc)));
+            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             if let Some(free) = c.free {
-                metrics.push(Metric::time_hi(format!("{k}/free_mops"), mops(num, free)));
+                metrics.push(Metric::time_hi(format!("{k}/free_mops"), mops(ax.threads, free)));
             }
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            // A manager past its cliff skips its larger sizes (the
+            // artifact's per-process timeout); the gate reports the keys
+            // that vanish with them.
+            if c.timed_out {
+                break;
+            }
         }
     }
     Ok(metrics)
@@ -423,13 +565,18 @@ fn perf_thread_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, Matrix
 
 fn perf_warp(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let warps = cfg.tier.pick(128, 1024, 10_000);
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&crate::registry::DEFAULT_KINDS) {
-        let c = runners::alloc_perf(&bench, kind, warps, 256, true);
-        let k = format!("{}/w256", kind.label());
-        metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(warps, c.alloc)));
-        metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        for &size in &ax.warp_sizes {
+            let c = runners::alloc_perf(&bench, kind, ax.warps, size, true);
+            let k = format!("{}/w{size}", kind.label());
+            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.warps, c.alloc)));
+            metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            if c.timed_out {
+                break;
+            }
+        }
     }
     Ok(metrics)
 }
@@ -447,14 +594,17 @@ fn mixed_cached(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 }
 
 fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError> {
-    let num = cfg.tier.pick(256, 2048, 1_000_000);
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&crate::registry::DEFAULT_KINDS) {
-        for upper in [1024u64, 4096] {
-            let c = runners::mixed_perf(&bench, kind, num, upper);
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        for &upper in &ax.mixed_uppers {
+            let c = runners::mixed_perf(&bench, kind, ax.threads, upper);
             let k = format!("{}/u{upper}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(num, c.alloc)));
+            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            if c.timed_out {
+                break;
+            }
         }
     }
     Ok(metrics)
@@ -462,36 +612,35 @@ fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError>
 
 fn scaling(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let max_exp = match cfg.tier {
-        Tier::Tiny => 4,
-        Tier::Smoke => 8,
-        Tier::Full => 20,
-    };
+    let ax = cfg.tier.axes();
+    // Full reports every exponent, and the free side (Fig. 10e-h) with it;
+    // the reduced tiers report only the top of their sweep.
+    let every = cfg.tier == Tier::Full;
     let mut metrics = Vec::new();
     for kind in cfg.restrict(&CORE_KINDS) {
-        let mut failures = 0u64;
-        let mut top: Option<runners::AllocPerfCell> = None;
-        for e in 1..=max_exp {
-            let c = runners::alloc_perf(&bench, kind, 1u32 << e, 16, false);
-            failures += c.failures;
-            let timed_out = c.timed_out;
-            top = Some(c);
-            if timed_out {
-                break;
+        for &size in &ax.scaling_sizes {
+            let k = cfg.cell(kind.label(), format_args!("s{size}"));
+            let mut failures = 0u64;
+            for e in ax.scaling_exps.clone() {
+                let c = runners::alloc_perf(&bench, kind, 1u32 << e, size, false);
+                failures += c.failures;
+                // A cell that timed out ends the sweep unreported: a manager
+                // that stops scaling earlier than before loses keys, which
+                // the gate reports as missing metrics.
+                if c.timed_out {
+                    break;
+                }
+                if every || e == *ax.scaling_exps.end() {
+                    metrics.push(Metric::time_hi(
+                        format!("{k}/e{e}/alloc_mops"),
+                        mops(c.num, c.alloc),
+                    ));
+                }
+                if let Some(free) = c.free.filter(|_| every) {
+                    metrics.push(Metric::time_hi(format!("{k}/e{e}/free_mops"), mops(c.num, free)));
+                }
             }
-        }
-        // The top-of-sweep cell is the headline: if a manager stops scaling
-        // (times out earlier than before), the `e{max_exp}` key vanishes and
-        // the gate reports it as a missing metric.
-        if let Some(c) = top {
-            if !c.timed_out {
-                metrics.push(Metric::time_hi(
-                    format!("{}/e{max_exp}/alloc_mops", kind.label()),
-                    mops(c.num, c.alloc),
-                ));
-            }
-            metrics
-                .push(Metric::exact(format!("{}/failures_total", kind.label()), failures as f64));
+            metrics.push(Metric::exact(format!("{k}/failures_total"), failures as f64));
         }
     }
     Ok(metrics)
@@ -499,16 +648,11 @@ fn scaling(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 
 fn frag(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let num = cfg.tier.pick(512, 2048, 100_000);
-    let cycles = match cfg.tier {
-        Tier::Tiny => 2,
-        Tier::Smoke => 4,
-        Tier::Full => 10,
-    };
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&crate::registry::DEFAULT_KINDS) {
-        for size in [64u64, 4096] {
-            let c = runners::fragmentation(&bench, kind, num, size, cycles);
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        for &size in &ax.frag_sizes {
+            let c = runners::fragmentation(&bench, kind, ax.frag_num, size, ax.frag_cycles);
             let k = format!("{}/s{size}", kind.label());
             metrics.push(Metric::model_lo(format!("{k}/expansion"), c.initial.expansion_factor()));
             let growth = c.max_range_after_cycles as f64 / c.initial.address_range.max(1) as f64;
@@ -520,35 +664,38 @@ fn frag(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 
 fn oom(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let heap = if cfg.tier == Tier::Full { 256u64 << 20 } else { 64 << 20 };
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&[ManagerKind::OuroSP, ManagerKind::ScatterAlloc, ManagerKind::Halloc])
-    {
-        let c = runners::oom(&bench, kind, heap, 1024);
-        metrics.push(Metric::model_hi(format!("{}/utilization", kind.label()), c.utilization));
-        metrics.push(Metric::exact(
-            format!("{}/timed_out", kind.label()),
-            if c.timed_out { 1.0 } else { 0.0 },
-        ));
+    for kind in cfg.restrict(&ax.oom_kinds) {
+        for &size in &ax.oom_sizes {
+            let c = runners::oom(&bench, kind, ax.heap, size);
+            let k = cfg.cell(kind.label(), format_args!("s{size}"));
+            metrics.push(Metric::model_hi(format!("{k}/utilization"), c.utilization));
+            metrics.push(Metric::exact(format!("{k}/timed_out"), c.timed_out as u8 as f64));
+        }
     }
     Ok(metrics)
 }
 
 fn workgen(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let threads = cfg.tier.pick(256, 2048, 100_000);
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
     for (lo, hi) in [(4u64, 64u64), (4, 4096)] {
-        let base = runners::work_generation_baseline(&bench, threads, lo, hi);
-        metrics.push(Metric::time_hi(
-            format!("Baseline/r{lo}-{hi}/kops"),
-            kops(threads, base.elapsed),
-        ));
+        let cell =
+            |label: &str, n: u32| cfg.cell(&format!("{label}/r{lo}-{hi}"), format_args!("t{n}"));
+        for &n in &ax.workgen_threads {
+            let base = runners::work_generation_baseline(&bench, n, lo, hi);
+            let k = cell("Baseline", n);
+            metrics.push(Metric::time_hi(format!("{k}/kops"), kops(n, base.elapsed)));
+        }
         for kind in cfg.restrict(&CORE_KINDS) {
-            let c = runners::work_generation(&bench, kind, threads, lo, hi);
-            let k = format!("{}/r{lo}-{hi}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/kops"), kops(threads, c.elapsed)));
-            metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            for &n in &ax.workgen_threads {
+                let c = runners::work_generation(&bench, kind, n, lo, hi);
+                let k = cell(kind.label(), n);
+                metrics.push(Metric::time_hi(format!("{k}/kops"), kops(n, c.elapsed)));
+                metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            }
         }
     }
     Ok(metrics)
@@ -556,14 +703,11 @@ fn workgen(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 
 fn coalescing(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let threads = cfg.tier.pick(1024, 4096, 65_536);
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for (tag, pattern) in [
-        ("u16", WritePattern::Uniform { bytes: 16 }),
-        ("m16-128", WritePattern::Mixed { lo: 16, hi: 128 }),
-    ] {
+    for &(tag, pattern) in &ax.write_patterns {
         for kind in cfg.restrict(&CORE_KINDS) {
-            let c = runners::write_performance(&bench, kind, threads, pattern);
+            let c = runners::write_performance(&bench, kind, ax.write_threads, pattern);
             let k = format!("{}/{tag}", kind.label());
             metrics.push(Metric::model_lo(format!("{k}/relative_cost"), c.relative_cost));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
@@ -574,37 +718,14 @@ fn coalescing(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 
 fn graph_init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let div = match cfg.tier {
-        Tier::Tiny => 512,
-        Tier::Smoke => 256,
-        Tier::Full => 64,
-    };
-    let csr = dyn_graph::generate("fe_body", div, bench.seed);
-    let edges = csr.edges() as u32;
+    let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&GRAPH_KINDS) {
-        let c = runners::graph_init(&bench, kind, &csr)?;
-        let k = format!("{}/fe_body", kind.label());
-        metrics.push(Metric::time_hi(format!("{k}/edges_mops"), mops(edges, c.elapsed)));
-        metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
-    }
-    Ok(metrics)
-}
-
-fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
-    let bench = cfg.bench();
-    let div = match cfg.tier {
-        Tier::Tiny => 512,
-        Tier::Smoke => 256,
-        Tier::Full => 64,
-    };
-    let edges = cfg.tier.pick(500, 2000, 20_000);
-    let csr = dyn_graph::generate("fe_body", div, bench.seed);
-    let mut metrics = Vec::new();
-    for kind in cfg.restrict(&GRAPH_KINDS) {
-        for (mode, focused) in [("focused", true), ("uniform", false)] {
-            let c = runners::graph_update(&bench, kind, &csr, edges, focused)?;
-            let k = format!("{}/{mode}", kind.label());
+    for name in ax.graphs {
+        let csr = dyn_graph::generate(name, ax.graph_div, bench.seed);
+        let edges = csr.edges() as u32;
+        for kind in cfg.restrict(&GRAPH_KINDS) {
+            let c = runners::graph_init(&bench, kind, &csr)?;
+            let k = format!("{}/{name}", kind.label());
             metrics.push(Metric::time_hi(format!("{k}/edges_mops"), mops(edges, c.elapsed)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
         }
@@ -612,11 +733,87 @@ fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     Ok(metrics)
 }
 
+fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
+    let bench = cfg.bench();
+    let ax = cfg.tier.axes();
+    let mut metrics = Vec::new();
+    for name in ax.graphs {
+        let csr = dyn_graph::generate(name, ax.graph_div, bench.seed);
+        for kind in cfg.restrict(&GRAPH_KINDS) {
+            for (mode, focused) in [("focused", true), ("uniform", false)] {
+                let c = runners::graph_update(&bench, kind, &csr, ax.update_edges, focused)?;
+                let k = format!("{}/{mode}", cfg.cell(kind.label(), name));
+                metrics.push(Metric::time_hi(
+                    format!("{k}/edges_mops"),
+                    mops(ax.update_edges, c.elapsed),
+                ));
+                metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            }
+        }
+    }
+    Ok(metrics)
+}
+
+/// §4.1: manager construction time over a pre-built heap, and the
+/// register-footprint proxy of `malloc`/`free`.
+fn init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
+    let bench = cfg.bench();
+    let ax = cfg.tier.axes();
+    let mut metrics = Vec::new();
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        // Construction is one short run, so the reading is the fastest of
+        // the tier's iterations: the one the host disturbed least.
+        let c = (0..cfg.iterations)
+            .map(|_| runners::init_performance(&bench, kind, ax.heap))
+            .min_by_key(|c| c.init)
+            .expect("every tier runs at least one iteration");
+        let k = kind.label();
+        metrics
+            .push(Metric::time_lo(format!("{k}/init_ms"), lat_ns(c.init.as_nanos() as u64) / 1e6));
+        metrics.push(Metric::exact(format!("{k}/malloc_regs"), c.malloc_regs as f64));
+        metrics.push(Metric::exact(format!("{k}/free_regs"), c.free_regs as f64));
+    }
+    Ok(metrics)
+}
+
+/// §4.2.1 "slowing down significantly over time": the same allocate-all /
+/// free-all cycle repeated, reported as last-quarter over first-quarter
+/// allocation time. Managers that cannot free have no cycle to repeat.
+fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
+    const SIZE: u64 = 256;
+    const CYCLES: u32 = 10;
+    let bench = cfg.bench();
+    let ax = cfg.tier.axes();
+    let mut metrics = Vec::new();
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
+        let alloc = kind
+            .builder()
+            .heap_spec(bench.try_heap_spec(ax.churn_threads, SIZE)?)
+            .sms(cfg.device.num_sms)
+            .build();
+        let info = alloc.info();
+        if !info.supports_free && !info.warp_level_only {
+            continue;
+        }
+        let r = gpu_workloads::churn::run(
+            alloc.as_ref(),
+            &bench.device,
+            ax.churn_threads,
+            SIZE,
+            CYCLES,
+        );
+        let k = kind.label();
+        metrics.push(Metric::time_lo(format!("{k}/slowdown"), r.slowdown_factor()));
+        metrics.push(Metric::exact(format!("{k}/failures"), r.failures as f64));
+    }
+    Ok(metrics)
+}
+
 fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let num = cfg.tier.pick(512, 2048, 100_000);
+    let num = cfg.tier.axes().latency_num;
     let mut metrics = Vec::new();
-    for kind in cfg.restrict(&crate::registry::DEFAULT_KINDS) {
+    for kind in cfg.restrict(&DEFAULT_KINDS) {
         let r = runners::trace_profile(&bench, kind, num, DEFAULT_EVENTS_PER_SM);
         let k = kind.label();
         metrics
@@ -637,8 +834,7 @@ fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 
 fn exec(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
-    let trials = if cfg.tier == Tier::Full { 16 } else { 8 };
-    let r = exec_bench::run(&bench.device, trials);
+    let r = exec_bench::run(&bench.device, cfg.tier.axes().exec_trials);
     Ok(exec_metrics(&r))
 }
 
@@ -681,12 +877,66 @@ mod tests {
     }
 
     #[test]
-    fn tier_round_trips_and_scales() {
+    fn tier_round_trips() {
         for t in [Tier::Tiny, Tier::Smoke, Tier::Full] {
             assert_eq!(t.as_str().parse(), Ok(t));
         }
         assert_eq!("medium".parse::<Tier>(), Err(()));
-        assert_eq!(Tier::Smoke.pick(1, 2, 3), 2);
+    }
+
+    /// The reduced tiers keep the cells the committed anchors hold; `full`
+    /// sweeps what the paper's test table (and the retired per-figure
+    /// subcommands) swept.
+    #[test]
+    fn axes_are_pinned_per_tier() {
+        let uniform = |bytes| WritePattern::Uniform { bytes };
+        let mixed = WritePattern::Mixed { lo: 16, hi: 128 };
+        for (tier, exps, threads) in [(Tier::Tiny, 1..=4, 256), (Tier::Smoke, 1..=8, 2048)] {
+            let a = tier.axes();
+            assert_eq!(a.sizes, [16, 512]);
+            assert_eq!(a.warp_sizes, [256]);
+            assert_eq!(a.mixed_uppers, [1024, 4096]);
+            assert_eq!((a.scaling_sizes, a.scaling_exps), (vec![16], exps));
+            assert_eq!(a.frag_sizes, [64, 4096]);
+            assert_eq!(a.heap, 64 << 20);
+            assert_eq!(
+                a.oom_kinds,
+                [ManagerKind::OuroSP, ManagerKind::ScatterAlloc, ManagerKind::Halloc]
+            );
+            assert_eq!(a.oom_sizes, [1024]);
+            assert_eq!(a.workgen_threads, [threads]);
+            assert_eq!(a.write_patterns, [("u16", uniform(16)), ("m16-128", mixed)]);
+            assert_eq!(a.graphs, ["fe_body"]);
+            assert_eq!((a.threads, a.churn_threads), (threads, threads));
+        }
+        let s = Tier::Smoke.axes();
+        assert_eq!((s.warps, s.frag_num, s.frag_cycles, s.write_threads), (1024, 2048, 4, 4096));
+        assert_eq!(
+            (s.graph_div, s.update_edges, s.latency_num, s.exec_trials),
+            (256, 2000, 2048, 8)
+        );
+
+        let f = Tier::Full.axes();
+        assert_eq!((f.threads, f.warps), (100_000, 10_000));
+        assert_eq!(f.sizes, sizes::alloc_size_sweep(None));
+        assert_eq!(f.warp_sizes, sizes::alloc_size_sweep(None));
+        assert_eq!(f.mixed_uppers, sizes::mixed_upper_bounds());
+        assert_eq!((f.scaling_sizes, f.scaling_exps), (vec![16, 64, 512, 8192], 0..=20));
+        let seven = [4, 16, 64, 256, 1024, 4096, 8192];
+        assert_eq!((f.frag_sizes.as_slice(), f.oom_sizes.as_slice()), (&seven[..], &seven[..]));
+        assert_eq!(f.oom_kinds, DEFAULT_KINDS);
+        assert_eq!(f.workgen_threads.len(), 21);
+        assert_eq!((f.workgen_threads[0], f.workgen_threads[20]), (1, 1 << 20));
+        assert_eq!(
+            f.write_patterns,
+            [
+                ("u16", uniform(16)),
+                ("u64", uniform(64)),
+                ("u128", uniform(128)),
+                ("m16-128", mixed)
+            ]
+        );
+        assert_eq!(f.graphs, dyn_graph::GRAPH_NAMES);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Every runner creates a *fresh* manager per cell (as the artifact's
 //! scripts do between runs), executes the kernel(s) on the simulated
-//! device, and returns plain rows the `repro` binary serialises to CSV.
+//! device, and returns plain rows: the matrix scenarios turn them into anchor
+//! metrics, the diagnostic subcommands into CSV.
 
 use std::time::{Duration, Instant};
 
@@ -39,7 +40,7 @@ pub struct Bench {
     /// Page-commit policy for those heaps (default: backend-appropriate).
     pub pretouch: Pretouch,
     /// When set, overrides the demand-derived [`heap_for`] size for every
-    /// cell — how `repro perf` pins the paper's full 8 GiB heap.
+    /// cell — how `--heap-mb 8192` pins the paper's full 8 GiB heap.
     pub heap_override: Option<u64>,
     /// Wrap every manager in the `Cached` magazine decorator.
     pub cached: bool,

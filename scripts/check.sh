@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide quality gate. Offline-safe: every cargo invocation passes
 # --offline so the gate works without network access (the workspace has no
-# crates.io dependencies; shims/ vendors the bench/test scaffolding).
+# crates.io dependencies; shims/ vendors the test scaffolding).
 #
 # Usage: scripts/check.sh
 set -euo pipefail
@@ -44,12 +44,16 @@ HUGE_HEAP=1 cargo test --offline --release -q --test heap_backends
 echo "==> GMS_HEAP_BACKEND=mmap cargo test --release --test conformance"
 GMS_HEAP_BACKEND=mmap cargo test --offline --release -q --test conformance
 
-# End-to-end full-scale smoke: Fig. 9 at the paper's 8 GiB heap over the
-# mmap backend, trimmed to one manager/few cells so the gate stays fast.
-echo "==> repro perf --heap-backend mmap (8 GiB smoke)"
+# End-to-end full-scale smoke: a Fig. 9 scenario at the paper's 8 GiB heap
+# over the mmap backend, trimmed to one manager at the tiny tier so the gate
+# stays fast. The anchor's provenance must say what was asked for.
+echo "==> repro matrix --heap-backend mmap --heap-mb 8192 (8 GiB smoke)"
+rm -rf target/perf-smoke
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    perf --heap-backend mmap -t s --num 1000 --iter 1 --out target/perf-smoke
-grep -q 'heap_backend=mmap' target/perf-smoke/alloc_thread_1000_TITANV.csv
+    matrix --tier tiny --scenario perf_thread -t s --heap-backend mmap --heap-mb 8192 \
+    --anchors target/perf-smoke
+grep -q '"heap_backend": "mmap"' target/perf-smoke/BENCH_perf_thread.json
+grep -q '"heap_mb": "8192"' target/perf-smoke/BENCH_perf_thread.json
 
 # Repro-matrix smoke gate: regenerate every smoke-tier scenario into a
 # scratch dir, then compare against the committed BENCH_*.json anchors with
@@ -140,6 +144,13 @@ if [[ "${MIRI:-0}" == "1" ]]; then
         echo "==> MIRI=1 set but 'cargo miri' is unavailable; skipping"
     fi
 fi
+
+# The repo benchmark (BENCHMARK.json): its own package outside the
+# workspace, so the workspace test run above never sees it. Unit tests, then
+# every workload at tiny sizes with every output check on.
+echo "==> benchmark: cargo test + run.sh --selftest"
+(cd benchmark && cargo test --offline -q)
+bash benchmark/run.sh --selftest
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -1,42 +1,20 @@
 #!/usr/bin/env python3
-"""Summarize results/*.csv into the markdown tables EXPERIMENTS.md embeds.
+"""Summarize a directory of BENCH_<scenario>.json anchors as markdown tables.
 
-Usage: python3 scripts/summarize_results.py [results_dir]
-Prints markdown to stdout; EXPERIMENTS.md sections were generated with it.
-(The artifact's workflow is analogous: its scripts aggregate per-test CSVs
-that are then pasted into the paper's spreadsheets.)
+Usage: python3 scripts/summarize_results.py [anchor_dir]   (default: .)
+Prints one table per scenario to stdout: a row per manager, a column per
+cell/measure — the `manager/cell/measure` convention of the anchors' metric
+keys (`repro matrix`). The tables in EXPERIMENTS.md are regenerated with
+`repro matrix --tier full --anchors DIR` followed by this script. Telemetry
+series (`telemetry_*.csv` from `repro watch`) in the same directory get a
+per-run summary.
 """
 import csv
+import json
 import sys
-from collections import defaultdict
 from pathlib import Path
 
-DIR = Path(sys.argv[1] if len(sys.argv) > 1 else "results")
-
-MANAGER_ORDER = [
-    "Atomic", "ScatterAlloc", "Halloc", "Ouro-S-P", "Ouro-S-C", "Ouro-VA-P",
-    "Ouro-VA-C", "Ouro-VL-P", "Ouro-VL-C", "CUDA-Allocator", "XMalloc",
-    "Reg-Eff-C", "Reg-Eff-CF", "Reg-Eff-CM", "Reg-Eff-CFM", "Baseline",
-]
-
-
-def load(name):
-    path = DIR / name
-    if not path.exists():
-        return []
-    with open(path) as fh:
-        # Skip provenance comments (`# git=... workers=...`) the repro
-        # binary stamps above the header.
-        lines = (ln for ln in fh if not ln.lstrip().startswith("#"))
-        return list(csv.DictReader(lines))
-
-
-def fnum(row, key):
-    v = row.get(key, "")
-    try:
-        return float(v)
-    except ValueError:
-        return None
+DIR = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
 
 
 def table(headers, rows):
@@ -47,131 +25,39 @@ def table(headers, rows):
     return "\n".join(out)
 
 
-def pivot(rows, key_col, val_col, cols, fmt="{:.2f}"):
-    by = defaultdict(dict)
-    for r in rows:
-        v = fnum(r, val_col)
-        k = fnum(r, key_col)
-        if v is not None and k is not None:
-            by[r["manager"]][int(k)] = v
-    out = []
-    for m in MANAGER_ORDER:
-        if m not in by:
-            continue
-        cells = [m] + [
-            (fmt.format(by[m][c]) if c in by[m] else "—") for c in cols
-        ]
-        out.append(cells)
-    return out
-
-
-def section(title):
-    print(f"\n### {title}\n")
+def pivot(metrics):
+    """Rows by manager, columns by cell/measure, both in anchor order."""
+    rows, cols = {}, []
+    for m in metrics:
+        manager, sep, rest = m["key"].partition("/")
+        if not sep:
+            # The `exec` scenario's keys name no manager: one unnamed row.
+            manager, rest = "", manager
+        if rest not in cols:
+            cols.append(rest)
+        rows.setdefault(manager, {})[rest] = m["value"]
+    body = [[mgr] + [f"{vals[c]:.4g}" if c in vals else "—" for c in cols]
+            for mgr, vals in rows.items()]
+    return ["manager"] + cols, body
 
 
 def main():
-    sizes = [16, 64, 256, 1024, 2048, 4096, 8192]
-
-    section("Fig 9a (thread-based allocation, 10k, ms)")
-    rows = load("alloc_thread_10000_TITANV.csv")
-    print(table(["manager"] + [f"{s} B" for s in sizes],
-                pivot(rows, "size", "alloc_ms", sizes)))
-
-    section("Fig 9b (thread-based deallocation, 10k, ms)")
-    print(table(["manager"] + [f"{s} B" for s in sizes],
-                pivot(rows, "size", "free_ms", sizes)))
-
-    section("Fig 9g (warp-based allocation, ms)")
-    rows = load("alloc_warp_4096_TITANV.csv")
-    print(table(["manager"] + [f"{s} B" for s in sizes],
-                pivot(rows, "size", "alloc_ms", sizes)))
-
-    section("Fig 9h (mixed allocation 4 B–upper, 10k, ms)")
-    rows = load("mixed_10000_TITANV.csv")
-    uppers = [16, 64, 512, 2048, 8192]
-    print(table(["manager"] + [f"≤{u} B" for u in uppers],
-                pivot(rows, "upper", "alloc_ms", uppers)))
-
-    section("Fig 10 (scaling, 64 B alloc ms by thread count)")
-    rows = [r for r in load("scaling_TITANV.csv") if r.get("size") == "64"]
-    threads = [1, 64, 1024, 4096, 16384]
-    print(table(["manager"] + [str(t) for t in threads],
-                pivot(rows, "threads", "alloc_ms", threads, "{:.3f}")))
-
-    section("Fig 10d analogue (scaling, 8 KiB alloc ms by thread count)")
-    rows = [r for r in load("scaling_TITANV.csv") if r.get("size") == "8192"]
-    print(table(["manager"] + [str(t) for t in threads],
-                pivot(rows, "threads", "alloc_ms", threads, "{:.3f}")))
-
-    section("Fig 11a (fragmentation: address range ÷ packed demand)")
-    rows = load("fragmentation.csv")
-    fsizes = [16, 64, 256, 1024, 4096]
-    print(table(["manager"] + [f"{s} B" for s in fsizes],
-                pivot(rows, "size", "expansion", fsizes)))
-
-    section("Fig 11b (OOM heap utilization, 64 MiB heap)")
-    rows = load("oom_64mb.csv")
-    osizes = [4, 16, 64, 1024, 4096, 8192]
-    print(table(["manager"] + [f"{s} B" for s in osizes],
-                pivot(rows, "size", "utilization", osizes)))
-
-    for rng in ("4_64", "4_4096"):
-        section(f"Fig 11{'c' if rng == '4_64' else 'd'} (work generation "
-                f"{rng.replace('_', '–')} B, ms)")
-        rows = load(f"workgen_{rng}.csv")
-        threads = [16, 256, 1024, 4096, 16384]
-        print(table(["manager"] + [str(t) for t in threads],
-                    pivot(rows, "threads", "elapsed_ms", threads, "{:.3f}")))
-
-    section("Fig 11e (write cost relative to coalesced baseline)")
-    rows = load("write_performance.csv")
-    patterns = sorted({r["pattern"] for r in rows})
-    by = defaultdict(dict)
-    for r in rows:
-        by[r["manager"]][r["pattern"]] = fnum(r, "relative_cost")
-    body = []
-    for m in MANAGER_ORDER:
-        if m in by:
-            body.append([m] + [f"{by[m].get(p, 0):.2f}" for p in patterns])
-    print(table(["manager"] + patterns, body))
-
-    section("Fig 11f (graph initialization, ms)")
-    rows = load("graph_init_div64.csv")
-    graphs = sorted({r["graph"] for r in rows})
-    by = defaultdict(dict)
-    for r in rows:
-        by[r["manager"]][r["graph"]] = fnum(r, "init_ms")
-    body = []
-    for m in MANAGER_ORDER:
-        if m in by:
-            body.append([m] + [f"{by[m].get(g, 0):.2f}" for g in graphs])
-    print(table(["manager"] + graphs, body))
-
-    section("Fig 11g (graph updates, focused scenario, ms)")
-    rows = [r for r in load("graph_update_div64.csv") if r["scenario"] == "focused"]
-    by = defaultdict(dict)
-    for r in rows:
-        by[r["manager"]][r["graph"]] = fnum(r, "elapsed_ms")
-    body = []
-    for m in MANAGER_ORDER:
-        if m in by:
-            body.append([m] + [f"{by[m].get(g, 0):.2f}" for g in graphs])
-    print(table(["manager"] + graphs, body))
-
-    section("§4.1 (initialization & register proxy)")
-    rows = load("init_register.csv")
-    body = [
-        [r["manager"], r["init_ms"], r["malloc_regs"], r["free_regs"]]
-        for r in rows
-    ]
-    print(table(["manager", "init ms", "malloc regs", "free regs"], body))
+    for path in sorted(DIR.glob("BENCH_*.json")):
+        anchor = json.loads(path.read_text())
+        prov = anchor["provenance"]
+        print(f"\n### {anchor['scenario']} ({anchor['tier']} tier, "
+              f"git {prov.get('git', '?')}, {prov.get('workers', '?')} workers)\n")
+        print(table(*pivot(anchor["metrics"])))
 
     telemetry = sorted(DIR.glob("telemetry_*.csv"))
     if telemetry:
-        section("Telemetry (repro watch / --telemetry, per-window series)")
+        print("\n### Telemetry (repro watch / --telemetry, per-window series)\n")
         body = []
         for path in telemetry:
-            rows = load(path.name)
+            with open(path) as fh:
+                # Skip the provenance comment above the header.
+                rows = list(csv.DictReader(
+                    ln for ln in fh if not ln.lstrip().startswith("#")))
             if not rows:
                 continue
             label = path.stem[len("telemetry_"):]

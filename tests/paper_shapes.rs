@@ -1,7 +1,8 @@
 //! Shape tests: coarse, robust assertions that the reproduction exhibits
 //! the *relative* behaviours the paper reports. These deliberately use wide
 //! margins (≥ 2-3×) so they hold on any host; EXPERIMENTS.md records the
-//! exact measured values.
+//! exact measured values. Each test names the shape ids it asserts
+//! (`fig9.*`, `fig11*.*`, `sec41.*`), the ones EXPERIMENTS.md refers to.
 
 use std::time::Duration;
 
@@ -10,13 +11,26 @@ use gpumemsurvey::bench::runners::{self, Bench};
 use gpumemsurvey::gpu_workloads::write_test::WritePattern;
 use gpumemsurvey::prelude::*;
 
-fn bench() -> Bench {
-    let mut b = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 4));
+fn bench_on(workers: usize) -> Bench {
+    let mut b = Bench::new(Device::with_workers(DeviceSpec::titan_v(), workers));
     b.iterations = 2;
     b.cell_timeout = Duration::from_secs(30);
     b
 }
 
+/// The timing-ratio shapes run on a 4-worker pool, so atomics interleave.
+fn bench() -> Bench {
+    bench_on(4)
+}
+
+/// The layout-model shapes (address range, utilization, coalescing cost) run
+/// on the inline one-worker device: on a pool, which worker carves which
+/// chunk first changes the layout the model prices, and with it the verdict.
+fn inline_bench() -> Bench {
+    bench_on(1)
+}
+
+/// Shape `fig9.cuda-dealloc-slowest`.
 /// §4.2.1 / Fig. 9: for small thread-based allocations, the CUDA-Allocator
 /// model is consistently slower than ScatterAlloc and page-based Ouroboros,
 /// and its deallocation is the slowest in the field.
@@ -43,6 +57,7 @@ fn cuda_allocator_is_outperformed_for_small_sizes() {
     );
 }
 
+/// Shape `fig9.cuda-2048-split`.
 /// §4.2.1: the CUDA-Allocator model's characteristic spike right before its
 /// 2048 B unit split, with performance recovering after it.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
@@ -66,6 +81,7 @@ fn cuda_allocator_unit_split_at_2048() {
     );
 }
 
+/// Shape `fig9.scatter-cliff-ouro-flat`.
 /// §4.2.1: ScatterAlloc's steep drop once requests leave the single page
 /// (the search for contiguous free pages).
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
@@ -91,11 +107,29 @@ fn scatteralloc_multipage_cliff() {
     );
 }
 
+/// Shape `fig9.xmalloc-large-collapse`.
+/// §4.2.1 / §5: XMalloc collapses for large allocations (its memoryblock
+/// list walk); the port shows the same cliff instead of crashing.
+#[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
+#[test]
+fn xmalloc_collapses_for_large_sizes() {
+    let b = bench();
+    let small = runners::alloc_perf(&b, ManagerKind::XMalloc, 10_000, 64, false);
+    let large = runners::alloc_perf(&b, ManagerKind::XMalloc, 10_000, 4096, false);
+    assert!(
+        large.alloc > small.alloc * 10,
+        "list-walk cliff: 4096 B ({:?}) must dwarf 64 B ({:?})",
+        large.alloc,
+        small.alloc
+    );
+}
+
+/// Shape `fig11a.frag-ordering`.
 /// §4.3.1 / Fig. 11a: Ouroboros stays close to the packed baseline while
 /// the CUDA-Allocator model spans (nearly) its whole region.
 #[test]
 fn fragmentation_ordering() {
-    let b = bench();
+    let b = inline_bench();
     let ouro = runners::fragmentation(&b, ManagerKind::OuroVAC, 10_000, 256, 2);
     assert!(
         ouro.initial.expansion_factor() < 3.0,
@@ -114,11 +148,12 @@ fn fragmentation_ordering() {
     );
 }
 
+/// Shapes `fig11b.oom-ordering`, `fig11b.alignment-floor`.
 /// §4.3.2 / Fig. 11b: Ouroboros reaches ≥ 95 % utilization; Halloc is held
 /// back by its CUDA section; the 16 B alignment floor shows below 16 B.
 #[test]
 fn oom_utilization_ordering() {
-    let b = bench();
+    let b = inline_bench();
     let ouro = runners::oom(&b, ManagerKind::OuroSC, 64 << 20, 1024);
     assert!(ouro.utilization > 0.9, "ouroboros OOM utilization {}", ouro.utilization);
     let halloc = runners::oom(&b, ManagerKind::Halloc, 64 << 20, 1024);
@@ -137,6 +172,7 @@ fn oom_utilization_ordering() {
     );
 }
 
+/// Shape `fig11c.scatter-vs-baseline`.
 /// §4.4.1 / Fig. 11c: for small per-thread outputs at moderate thread
 /// counts, the recommended managers beat the prefix-sum baseline.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
@@ -160,11 +196,12 @@ fn workgen_beats_baseline_at_moderate_counts() {
     }
 }
 
+/// Shape `fig11e.coalescing-ordering`.
 /// §4.4.2 / Fig. 11e: well-packed allocators stay close to the coalesced
 /// baseline; Reg-Eff's unaligned headers cost extra transactions.
 #[test]
 fn write_coalescing_ordering() {
-    let b = bench();
+    let b = inline_bench();
     let n = 1 << 14;
     let pattern = WritePattern::Uniform { bytes: 32 };
     let ouro = runners::write_performance(&b, ManagerKind::OuroSP, n, pattern);
@@ -178,6 +215,43 @@ fn write_coalescing_ordering() {
     );
 }
 
+/// Shape `fig11f.cuda-worst-init`.
+/// §4.4.3 / Fig. 11f: building a sparse graph is many small allocations,
+/// the CUDA-Allocator model's worst case and ScatterAlloc's best. Asserted
+/// on `adaptive`, the largest stand-in, where the gap is ~2.5× on a 2-vCPU
+/// host; on `rgg_n_2_20_s0` it is ~1.25×, too close to the run-to-run spread
+/// for a test.
+#[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
+#[test]
+fn cuda_allocator_is_worst_at_graph_init() {
+    let b = bench();
+    let csr = gpumemsurvey::dyn_graph::generate("adaptive", 64, b.seed);
+    let init = |kind| {
+        // Min-of-2, as in the work-generation shape: one pass can absorb a
+        // whole scheduler timeslice on an oversubscribed host.
+        let run = || runners::graph_init(&b, kind, &csr).unwrap();
+        let (first, second) = (run(), run());
+        assert_eq!(first.failures + second.failures, 0, "{}", first.manager);
+        first.elapsed.min(second.elapsed)
+    };
+    let cuda = init(ManagerKind::CudaAllocator);
+    let scatter = init(ManagerKind::ScatterAlloc);
+    assert!(cuda > scatter, "graph init (adaptive): cuda {cuda:?} vs scatter {scatter:?}");
+}
+
+/// Shape `sec41.cuda-fastest-init`.
+/// §4.1: the CUDA-Allocator has next to nothing to set up, while Ouroboros
+/// pre-fills its queues.
+#[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
+#[test]
+fn cuda_allocator_initialises_fastest() {
+    let b = bench();
+    let cuda = runners::init_performance(&b, ManagerKind::CudaAllocator, 256 << 20);
+    let ouro = runners::init_performance(&b, ManagerKind::OuroSP, 256 << 20);
+    assert!(cuda.init <= ouro.init, "init: cuda {:?} vs ouro-s-p {:?}", cuda.init, ouro.init);
+}
+
+/// Shape `sec41.register-ordering`.
 /// §4.1: register-footprint proxy ordering — Reg-Eff least, CUDA close,
 /// Halloc/ScatterAlloc around 40 for malloc, Ouroboros at/above them,
 /// XMalloc's malloc the outlier, everyone's free modest.
