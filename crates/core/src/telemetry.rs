@@ -1158,8 +1158,10 @@ struct RecorderCursor {
     /// [`TraceRecorder::snapshot_since`] — each committed event is folded
     /// into exactly one window, with no per-tick full-ring re-decode.
     shard_cursors: Vec<u64>,
-    /// `recorded()` at the last fold — unchanged means even the
-    /// incremental drain can be skipped entirely this tick.
+    /// Events folded so far. `recorded()` counts a slot from its claim, so
+    /// equal means nothing is left to drain and the tick skips it; a slot
+    /// caught between claim and publication keeps the two apart until a
+    /// later tick folds it.
     seen: u64,
 }
 
@@ -1521,10 +1523,9 @@ fn take_sample(
         // Sole ownership checked *before* the drain: frozen-at-check means
         // this drain sees every event the recorder will ever hold.
         let sole = Arc::strong_count(&rc.recorder) == 1;
-        let recorded = rc.recorder.recorded();
-        if recorded != rc.seen {
-            rc.seen = recorded;
+        if rc.recorder.recorded() != rc.seen {
             let trace = rc.recorder.snapshot_since(&mut rc.shard_cursors);
+            rc.seen += trace.events.len() as u64;
             for ev in &trace.events {
                 match ev.kind {
                     EventKind::MallocEnd => {

@@ -28,17 +28,23 @@
 //! records zero events.
 //!
 //! Each shard is a fixed-capacity array of 6-word slots. A writer claims a
-//! slot with one `fetch_add` on the shard's `claimed` cursor; claims past
-//! capacity increment a `dropped` counter and write nothing, so memory stays
-//! bounded and loss is observable (drop-newest). Slot words are plain
-//! atomics written `Relaxed`; the writer then publishes with a `Release`
-//! `fetch_add` on `committed`. Because read-modify-writes continue each
-//! other's release sequences, a reader's `Acquire` load of the final
-//! `committed` value synchronises with *every* writer, making all committed
-//! slot payloads visible. [`TraceRecorder::snapshot`] is intended for
-//! quiescent points (after a launch returns); it tolerates a mid-flight
-//! writer by bounded spinning and skipping slots whose tag word is still
-//! zero.
+//! slot with one `Relaxed` `fetch_add` on the shard's claim word — the only
+//! read-modify-write a recorded event costs; a writer that finds the shard
+//! full bumps a `dropped` counter instead and writes nothing, so memory
+//! stays bounded and loss is observable (drop-newest). Slot words are plain
+//! atomics written `Relaxed`; the meta word, carrying a nonzero tag, is
+//! stored last with `Release` and is the slot's publication point: a reader
+//! that `Acquire`-loads a nonzero tag sees the whole slot. Nothing
+//! shard-wide says what is committed — commits land out of claim order, so
+//! only the slot itself can say it is whole — and readers wait (bounded) on
+//! the tag of a slot that is claimed but not yet published.
+//!
+//! A slot holds one point event (`emit`/`emit_at`) or one *op record*:
+//! [`Traced`] times a `malloc`/`free` with two clock reads and writes a
+//! single record when the call returns, which decodes to the `MallocBegin` +
+//! `MallocEnd` (or `FreeBegin` + `FreeEnd`) pair every consumer reads, with
+//! `begin.ts_ns == end.ts_ns - latency`. [`TraceRecorder::recorded`] and
+//! [`TraceRecorder::dropped`] stay in event units: an op record counts two.
 
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
@@ -50,19 +56,25 @@ use crate::ptr::DevicePtr;
 use crate::regs::RegisterFootprint;
 use crate::sync::{AtomicU64, Ordering};
 use crate::traits::DeviceAllocator;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Default ring capacity per SM shard, in events.
+/// Default ring capacity per SM shard, in slots.
 ///
 /// At 48 bytes per slot this bounds an 80-SM recorder to ~31 MiB. A
-/// contention run of 10 000 threads emits 4 events per thread (two
-/// begin/end pairs) spread over the SMs the threads land on, so the default
-/// holds a full default-scale run without drops.
+/// contention run of 10 000 threads writes 2 slots per thread (one op
+/// record each for its `malloc` and its `free`, four events decoded) spread
+/// over the SMs the threads land on, so the default holds a full
+/// default-scale run without drops.
 pub const DEFAULT_EVENTS_PER_SM: usize = 8192;
+
+/// Largest per-shard slot count the claim word can index: its low half
+/// counts slots claimed, its high half the events they hold (two per op
+/// record), so both stay below 2^32 with room for racing over-claims.
+const MAX_EVENTS_PER_SM: usize = 1 << 30;
 
 /// Number of log2 latency buckets — covers 1 ns ..= `u64::MAX` ns.
 pub const LATENCY_BUCKETS: usize = 64;
@@ -74,17 +86,22 @@ pub const LATENCY_BUCKETS: usize = 64;
 pub enum EventKind {
     /// An allocation request entered the manager.
     /// `args = [requested_bytes, thread_id, 0, 0]` (warp-collective calls
-    /// report the leader's thread id and the warp's total bytes).
+    /// report the leader's thread id and the warp's total bytes). Decoded,
+    /// with `ts_ns = end.ts_ns - latency_ns`, from the op record [`Traced`]
+    /// writes when the call returns; that record keeps at most 16 MiB of a
+    /// collective's bytes beyond its first lane's, larger totals saturate.
     MallocBegin = 0,
     /// An allocation request returned.
     /// `args = [ptr_raw (u64::MAX on failure), size_bytes, latency_ns,
     /// cas_retries]`. Warp-collective calls emit one `MallocEnd` per lane,
     /// each carrying the collective latency; retries are attributed to the
-    /// first lane only so sums stay correct.
+    /// first lane only so sums stay correct. An op record holds at most
+    /// `u32::MAX` retries.
     MallocEnd = 1,
     /// A free request entered the manager.
     /// `args = [ptr_raw (u64::MAX for collective frees), thread_id,
-    /// lane_count, 0]`.
+    /// lane_count, 0]`. Decoded from the op record like `MallocBegin`; a
+    /// `free_warp` that finds no live lane records nothing.
     FreeBegin = 2,
     /// A free request returned.
     /// `args = [ptr_raw, latency_ns, cas_retries, ok (1 = freed)]`.
@@ -197,7 +214,25 @@ pub struct TraceEvent {
 
 const SLOT_WORDS: usize = 6;
 
-/// One fixed slot: `[ts, tag<<32|sm, a0, a1, a2, a3]`.
+/// Slot tags past the event kinds: one *op record*, the Begin/End pair of a
+/// timed operation in a single slot. Malloc payload: `[ptr, size, latency,
+/// retries << 32 | thread_id]`, with the bytes the Begin reports beyond
+/// `size` in the meta word's aux bits. Free payload: `[ptr, latency,
+/// retries, ok << 63 | collective << 62 | lanes << 32 | thread_id]`.
+const TAG_MALLOC_OP: u64 = EVENT_KINDS as u64 + 1;
+const TAG_FREE_OP: u64 = EVENT_KINDS as u64 + 2;
+
+/// Field widths: the meta word is `aux << 40 | tag << 32 | sm`, a collective
+/// free's lane count has 30 bits.
+const TAG_MASK: u64 = 0xff;
+const AUX_MAX: u64 = (1 << 24) - 1;
+const LANES_MAX: u64 = (1 << 30) - 1;
+/// The claim word's low half (slots) and the unit of its high half (events);
+/// a packed payload word's low half is the thread id.
+const LOW_HALF: u64 = 0xffff_ffff;
+const EVENT_UNIT: u64 = 1 << 32;
+
+/// One fixed slot: `[ts, aux<<40|tag<<32|sm, a0, a1, a2, a3]`.
 struct Slot {
     words: [AtomicU64; SLOT_WORDS],
 }
@@ -207,25 +242,39 @@ impl Slot {
         Slot { words: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 
-    fn decode(&self) -> Option<TraceEvent> {
+    /// Appends the slot's event (or an op record's Begin/End pair) to `out`;
+    /// `None` when the slot is not yet published.
+    fn decode_into(&self, out: &mut Vec<TraceEvent>) -> Option<()> {
         // The meta word is the publication point: the writer stores it last
         // with Release, so once a valid tag is visible here, this Acquire
         // load synchronizes-with that store and every other word of the
         // slot is visible. An unpublished slot shows the reserved zero tag.
         let meta = self.words[1].load(Ordering::Acquire);
-        let kind = EventKind::from_tag((meta >> 32) as u32)?;
-        let ts = self.words[0].load(Ordering::Relaxed);
-        Some(TraceEvent {
-            ts_ns: ts,
-            kind,
-            sm: meta as u32,
-            args: [
-                self.words[2].load(Ordering::Relaxed),
-                self.words[3].load(Ordering::Relaxed),
-                self.words[4].load(Ordering::Relaxed),
-                self.words[5].load(Ordering::Relaxed),
-            ],
-        })
+        let tag = (meta >> 32) & TAG_MASK;
+        if tag == 0 {
+            return None;
+        }
+        let (ts_ns, sm) = (self.words[0].load(Ordering::Relaxed), meta as u32);
+        let args: [u64; 4] = std::array::from_fn(|i| self.words[i + 2].load(Ordering::Relaxed));
+        let mut push = |ts_ns, kind, args| out.push(TraceEvent { ts_ns, kind, sm, args });
+        match tag {
+            TAG_MALLOC_OP => {
+                let [ptr, size, latency, packed] = args;
+                let requested = size.saturating_add(meta >> 40);
+                let begin = [requested, packed & LOW_HALF, 0, 0];
+                push(ts_ns.saturating_sub(latency), EventKind::MallocBegin, begin);
+                push(ts_ns, EventKind::MallocEnd, [ptr, size, latency, packed >> 32]);
+            }
+            TAG_FREE_OP => {
+                let [ptr, latency, retries, info] = args;
+                let begin_ptr = if info >> 62 & 1 == 1 { u64::MAX } else { ptr };
+                let begin = [begin_ptr, info & LOW_HALF, info >> 32 & LANES_MAX, 0];
+                push(ts_ns.saturating_sub(latency), EventKind::FreeBegin, begin);
+                push(ts_ns, EventKind::FreeEnd, [ptr, latency, retries, info >> 63]);
+            }
+            _ => push(ts_ns, EventKind::from_tag(tag as u32)?, args),
+        }
+        Some(())
     }
 }
 
@@ -234,11 +283,11 @@ impl Slot {
 /// counter shards in `metrics`).
 #[repr(align(128))]
 struct TraceShard {
-    /// Slots ever claimed on this shard (monotonic; may exceed capacity).
+    /// The claim word. Low half: slots ever claimed (monotonic; exceeds
+    /// capacity only by writers that raced for the last slot). High half:
+    /// events held by the slots claimed within capacity.
     claimed: AtomicU64,
-    /// Slots fully written and published.
-    committed: AtomicU64,
-    /// Claims that found the ring full and were discarded (drop-newest).
+    /// Events discarded because the ring was full (drop-newest).
     dropped: AtomicU64,
     slots: Box<[Slot]>,
 }
@@ -247,25 +296,52 @@ impl TraceShard {
     fn new(capacity: usize) -> Self {
         TraceShard {
             claimed: AtomicU64::new(0),
-            committed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             slots: (0..capacity).map(|_| Slot::new()).collect(),
         }
+    }
+
+    /// Decodes the claimed slots from `start` on into `out`, waiting
+    /// (bounded, over the whole walk) on the tag of a slot a writer has
+    /// claimed but not yet published. A slot that stays unpublished ends the
+    /// walk when `stop_at_hole`, else it is skipped. Returns the index one
+    /// past the last slot consumed.
+    fn decode_from(&self, start: usize, stop_at_hole: bool, out: &mut Vec<TraceEvent>) -> usize {
+        let claims = (self.claimed.load(Ordering::Acquire) & LOW_HALF) as usize;
+        let claims = claims.min(self.slots.len());
+        // Loom explores each spin iteration as a branch; keep the bound
+        // tight there and generous on real hardware.
+        let mut spins: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
+        for i in start.min(claims)..claims {
+            while self.slots[i].decode_into(out).is_none() {
+                if spins == 0 {
+                    if stop_at_hole {
+                        return i;
+                    }
+                    break;
+                }
+                spins -= 1;
+                crate::sync::hint::spin_loop();
+            }
+        }
+        claims
     }
 }
 
 /// Lock-free, fixed-capacity, per-SM trace recorder.
 ///
-/// Writers on any thread call [`TraceRecorder::emit`]; the cost per event is
-/// one `fetch_add`, five `Relaxed` stores and one `Release` `fetch_add`.
-/// When a shard fills, further events on it are counted in
-/// [`TraceRecorder::dropped`] and discarded — memory stays bounded at
-/// `shards × events_per_sm × 48` bytes no matter how long the run.
+/// Writers on any thread call [`TraceRecorder::emit`] (and [`Traced`] writes
+/// one op record per operation); the cost per slot is one `Relaxed`
+/// `fetch_add`, five `Relaxed` stores and one `Release` store. When a shard
+/// fills, further events on it are counted in [`TraceRecorder::dropped`]
+/// and discarded — memory stays bounded at `shards × events_per_sm × 48`
+/// bytes no matter how long the run.
 pub struct TraceRecorder {
     shards: Box<[TraceShard]>,
     /// Per-shard slot capacity.
     capacity: usize,
-    epoch: Instant,
+    /// [`clock_ns`] at construction.
+    epoch_ns: u64,
     next_launch: AtomicU64,
 }
 
@@ -280,18 +356,90 @@ impl std::fmt::Debug for TraceRecorder {
     }
 }
 
+/// The invariant time-stamp counter, read as a clock.
+#[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
+mod tsc {
+    use std::arch::x86_64::{__cpuid, _rdtsc};
+    use std::sync::OnceLock;
+    use std::time::{Duration, Instant};
+
+    fn ticks() -> u64 {
+        // SAFETY: RDTSC reads a counter into registers and touches no
+        // memory; every x86_64 CPU implements it (the CPUID check below
+        // decides only whether its rate makes it usable as a clock).
+        unsafe { _rdtsc() }
+    }
+
+    /// An `Instant` and the tick count at the same moment: the tightest of
+    /// a few bracketed reads, so a preemption between the two clocks cannot
+    /// skew the ratio.
+    fn paired_read() -> (Instant, u64) {
+        let read = || {
+            let (before, now, after) = (ticks(), Instant::now(), ticks());
+            (after.wrapping_sub(before), now, before)
+        };
+        let (_, now, before) = (0..8).map(|_| read()).min_by_key(|r| r.0).expect("8 reads");
+        (now, before)
+    }
+
+    /// Nanoseconds per tick in 32.32 fixed point, measured once per process
+    /// against `Instant` over a window of at least 2 ms; `None` when the
+    /// CPU does not advertise an invariant TSC (`CPUID.80000007H:EDX[8]`:
+    /// constant rate across P-, C- and T-states).
+    fn ns_per_tick() -> Option<u64> {
+        static RATIO: OnceLock<Option<u64>> = OnceLock::new();
+        *RATIO.get_or_init(|| {
+            if __cpuid(0x8000_0000).eax < 0x8000_0007 || __cpuid(0x8000_0007).edx >> 8 & 1 == 0 {
+                return None;
+            }
+            let (t0, c0) = paired_read();
+            std::thread::sleep(Duration::from_millis(2));
+            let (t1, c1) = paired_read();
+            let (ns, ticks) = ((t1 - t0).as_nanos(), u128::from(c1.wrapping_sub(c0)));
+            (ticks > 0).then(|| ((ns << 32) / ticks) as u64)
+        })
+    }
+
+    /// Nanoseconds since the counter's zero, or `None` without the clock.
+    #[inline]
+    pub(super) fn now_ns() -> Option<u64> {
+        ns_per_tick().map(|ratio| ((u128::from(ticks()) * u128::from(ratio)) >> 32) as u64)
+    }
+}
+
+/// Nanoseconds on the process-wide trace clock (arbitrary origin): as a
+/// kernel timing its own operations reads the SM cycle counter, the
+/// invariant TSC where there is one, at under half the cost of `Instant`;
+/// `Instant` on every other target, under miri and under loom. The only
+/// function whose body forks on the target.
+#[inline]
+fn clock_ns() -> u64 {
+    #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
+    if let Some(ns) = tsc::now_ns() {
+        return ns;
+    }
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
 impl TraceRecorder {
     /// A recorder with one ring of `events_per_sm` slots per SM shard.
     /// The shard count is rounded up to a power of two (minimum 1) so SM ids
     /// beyond the configured count fold in with a mask, mirroring
     /// `AllocCounters`.
+    ///
+    /// # Panics
+    ///
+    /// When `events_per_sm` exceeds 2^30, the most the claim word indexes
+    /// (a 48 GiB shard).
     pub fn new(num_sms: u32, events_per_sm: usize) -> Self {
+        assert!(events_per_sm <= MAX_EVENTS_PER_SM, "events_per_sm {events_per_sm} exceeds 2^30");
         let shards = (num_sms.max(1) as usize).next_power_of_two();
         let capacity = events_per_sm.max(1);
         TraceRecorder {
             shards: (0..shards).map(|_| TraceShard::new(capacity)).collect(),
             capacity,
-            epoch: Instant::now(),
+            epoch_ns: clock_ns(),
             next_launch: AtomicU64::new(0),
         }
     }
@@ -310,7 +458,7 @@ impl TraceRecorder {
     /// timestamps share this epoch.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        clock_ns().saturating_sub(self.epoch_ns)
     }
 
     /// Hands out monotonically increasing launch ids for
@@ -328,10 +476,44 @@ impl TraceRecorder {
     /// Records an event with an explicit timestamp (callers that time an
     /// operation themselves pass the operation's start or end instant).
     pub fn emit_at(&self, ts_ns: u64, sm: u32, kind: EventKind, args: [u64; 4]) {
+        self.record(ts_ns, sm, kind.tag(), args);
+    }
+
+    /// One traced allocation that returned `end` (`MallocEnd`'s args) at
+    /// `t1`, having asked for `requested` bytes, as a single op record.
+    fn emit_malloc(&self, t1: u64, sm: u32, thread_id: u32, requested: u64, end: [u64; 4]) {
+        let [ptr, size, latency, retries] = end;
+        let aux = requested.saturating_sub(size).min(AUX_MAX);
+        let packed = retries.min(u64::from(u32::MAX)) << 32 | u64::from(thread_id);
+        self.record(t1, sm, TAG_MALLOC_OP | aux << 8, [ptr, size, latency, packed]);
+    }
+
+    /// One traced free that returned `end` (`FreeEnd`'s args) at `t1`, as a
+    /// single op record; `lanes` is the live lane count of a collective
+    /// free, `None` for a thread's own.
+    fn emit_free(&self, t1: u64, sm: u32, thread_id: u32, lanes: Option<u64>, end: [u64; 4]) {
+        let [ptr, latency, retries, ok] = end;
+        let (collective, lanes) = lanes.map_or((0, 1), |n| (1, n.min(LANES_MAX)));
+        let info = ok << 63 | collective << 62 | lanes << 32 | u64::from(thread_id);
+        self.record(t1, sm, TAG_FREE_OP, [ptr, latency, retries, info]);
+    }
+
+    /// Writes one slot; `meta_hi` is the tag with any aux bits above it.
+    fn record(&self, ts_ns: u64, sm: u32, meta_hi: u64, args: [u64; 4]) {
         let shard = &self.shards[sm as usize & (self.shards.len() - 1)];
-        let idx = shard.claimed.fetch_add(1, Ordering::Relaxed);
+        let events = if meta_hi & TAG_MASK > EVENT_KINDS as u64 { 2 } else { 1 };
+        // A full ring costs one read-modify-write, and the claim word stops
+        // growing once every writer has seen it full.
+        if shard.claimed.load(Ordering::Relaxed) & LOW_HALF >= self.capacity as u64 {
+            shard.dropped.fetch_add(events, Ordering::Relaxed);
+            return;
+        }
+        let claim = shard.claimed.fetch_add(1 + events * EVENT_UNIT, Ordering::Relaxed);
+        let idx = claim & LOW_HALF;
         if idx >= self.capacity as u64 {
-            shard.dropped.fetch_add(1, Ordering::Relaxed);
+            // Lost the race for the last slot: hand the events back.
+            shard.claimed.fetch_sub(events * EVENT_UNIT, Ordering::Relaxed);
+            shard.dropped.fetch_add(events, Ordering::Relaxed);
             return;
         }
         let slot = &shard.slots[idx as usize];
@@ -339,22 +521,21 @@ impl TraceRecorder {
         // stores race with nothing. The meta word (timestamp-independent
         // nonzero tag) is stored last with Release: it is the slot's own
         // publication point, so a reader that sees the tag sees the whole
-        // slot. Commits on neighboring slots can land in any order, which
-        // is why publication must be per-slot, not via the `committed`
-        // counter (that counter only sizes `recorded()` and bounds the
-        // snapshot's completeness spin).
+        // slot. Commits on neighboring slots land in any order, hence
+        // per-slot.
         slot.words[0].store(ts_ns, Ordering::Relaxed);
         slot.words[2].store(args[0], Ordering::Relaxed);
         slot.words[3].store(args[1], Ordering::Relaxed);
         slot.words[4].store(args[2], Ordering::Relaxed);
         slot.words[5].store(args[3], Ordering::Relaxed);
-        slot.words[1].store((kind.tag() << 32) | sm as u64, Ordering::Release);
-        shard.committed.fetch_add(1, Ordering::Release);
+        slot.words[1].store(meta_hi << 32 | u64::from(sm), Ordering::Release);
     }
 
-    /// Total events recorded (committed) across all shards.
+    /// Total events held by claimed slots across all shards (an op record
+    /// counts two): the length of [`TraceRecorder::snapshot`] at a quiescent
+    /// point, mid-flight including slots whose writer has yet to publish.
     pub fn recorded(&self) -> u64 {
-        self.shards.iter().map(|s| s.committed.load(Ordering::Acquire)).sum()
+        self.shards.iter().map(|s| s.claimed.load(Ordering::Relaxed) >> 32).sum()
     }
 
     /// Total events discarded because their shard was full.
@@ -362,54 +543,31 @@ impl TraceRecorder {
         self.shards.iter().map(|s| s.dropped.load(Ordering::Relaxed)).sum()
     }
 
-    /// Decodes every committed event into a time-sorted [`Trace`].
+    /// Decodes every published event into a time-sorted [`Trace`].
     ///
     /// Meant for quiescent points (after the traced launches return). If a
-    /// writer is caught between claim and commit the snapshot spins briefly,
-    /// then reads what is published; a still-unwritten slot decodes to the
-    /// reserved zero tag and is skipped rather than misread.
+    /// writer is caught between claim and publication the snapshot spins
+    /// briefly on that slot's tag, then reads what is published; a
+    /// still-unwritten slot shows the reserved zero tag and is skipped
+    /// rather than misread.
     pub fn snapshot(&self) -> Trace {
         let mut events = Vec::new();
-        let mut dropped = 0u64;
         for shard in self.shards.iter() {
-            let claims = shard.claimed.load(Ordering::Acquire).min(self.capacity as u64);
-            // Loom explores each spin iteration as a branch; keep the bound
-            // tight there and generous on real hardware.
-            let spin_bound: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
-            let mut spins = 0u32;
-            while shard.committed.load(Ordering::Acquire) < claims {
-                crate::sync::hint::spin_loop();
-                spins += 1;
-                if spins > spin_bound {
-                    break;
-                }
-            }
-            // Walk the claimed prefix, not the committed count: commits can
-            // land out of claim order (slot 1's writer may finish before
-            // slot 0's), so the count says how many slots are published but
-            // not which. Each slot carries its own publication tag; a
-            // still-unwritten one decodes to the reserved zero tag and is
-            // skipped rather than misread.
-            for slot in shard.slots[..claims as usize].iter() {
-                if let Some(ev) = slot.decode() {
-                    events.push(ev);
-                }
-            }
-            dropped += shard.dropped.load(Ordering::Relaxed);
+            shard.decode_from(0, false, &mut events);
         }
-        events.sort_by_key(|e| (e.ts_ns, e.sm));
-        Trace { events, dropped, events_per_sm: self.capacity }
+        self.sorted_trace(events)
     }
 
-    /// Incrementally decodes events committed since the last call with the
+    /// Incrementally decodes events published since the last call with the
     /// same cursor vector, returning each event exactly once across calls.
     ///
     /// The rings are drop-newest — a claimed slot is never recycled — so a
-    /// per-shard index over the published prefix is an exact cursor, not a
-    /// heuristic. Each call consumes the *contiguous* published prefix: a
-    /// slot still between claim and commit stops this shard's walk (after
-    /// the same bounded spin [`TraceRecorder::snapshot`] uses) and is
-    /// picked up by the next call instead of being skipped or re-read.
+    /// per-shard slot index over the published prefix is an exact cursor,
+    /// not a heuristic. Each call consumes the *contiguous* published
+    /// prefix: a slot still between claim and publication stops this
+    /// shard's walk (after the same bounded spin [`TraceRecorder::snapshot`]
+    /// uses) and is picked up by the next call instead of being skipped or
+    /// re-read. Both events of an op record arrive in the same call.
     ///
     /// This is the telemetry sampler's drain path: at kHz cadences a full
     /// [`TraceRecorder::snapshot`] per window re-decodes the entire ring
@@ -418,52 +576,34 @@ impl TraceRecorder {
     pub fn snapshot_since(&self, cursors: &mut Vec<u64>) -> Trace {
         cursors.resize(self.shards.len(), 0);
         let mut events = Vec::new();
-        let mut dropped = 0u64;
         for (shard, cursor) in self.shards.iter().zip(cursors.iter_mut()) {
-            let claims = shard.claimed.load(Ordering::Acquire).min(self.capacity as u64);
-            let spin_bound: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
-            let mut spins = 0u32;
-            while shard.committed.load(Ordering::Acquire) < claims {
-                crate::sync::hint::spin_loop();
-                spins += 1;
-                if spins > spin_bound {
-                    break;
-                }
-            }
-            let start = (*cursor).min(claims) as usize;
-            let mut consumed = claims as usize;
-            for i in start..claims as usize {
-                match shard.slots[i].decode() {
-                    Some(ev) => events.push(ev),
-                    None => {
-                        consumed = i;
-                        break;
-                    }
-                }
-            }
-            *cursor = consumed as u64;
-            dropped += shard.dropped.load(Ordering::Relaxed);
+            *cursor = shard.decode_from(*cursor as usize, true, &mut events) as u64;
         }
+        self.sorted_trace(events)
+    }
+
+    fn sorted_trace(&self, mut events: Vec<TraceEvent>) -> Trace {
         events.sort_by_key(|e| (e.ts_ns, e.sm));
-        Trace { events, dropped, events_per_sm: self.capacity }
+        Trace { events, dropped: self.dropped(), events_per_sm: self.capacity }
     }
 }
 
-// Per-thread scope stack bridging `Metrics::record_retries` (called from
+// Per-thread retry scope bridging `Metrics::record_retries` (called from
 // inside the managers, which know nothing about tracing) to the `Traced`
 // wrapper timing the enclosing operation on the same thread. Kernel bodies
-// run entirely on one worker thread, so begin/accumulate/drain never cross
+// run entirely on one worker thread, so begin/accumulate/end never cross
 // threads.
 //
-// A *stack* (not a single cell) because decorators nest: in
-// `Traced<Cached<Traced<A>>>` the outer wrapper's operation encloses the
-// inner wrapper's. Each `Traced` entry point pushes a fresh frame before
-// calling inward and pops it when the call returns, so retries noted by a
-// layer land in the innermost open frame — the operation of the layer that
-// caused them — and are neither double-counted by the outer record nor
-// stolen from it when an inner wrapper begins.
+// The cell holds the innermost open operation's count, `None` outside any.
+// Decorators nest — in `Traced<Cached<Traced<A>>>` the outer wrapper's
+// operation encloses the inner wrapper's — so each `Traced` entry point
+// swaps in a fresh count before calling inward, keeps the enclosing one in
+// its own frame and puts it back when the call returns: retries noted by a
+// layer land in the operation of the layer that caused them, neither
+// double-counted by the outer record nor stolen from it. Nothing is
+// allocated: a worker's first traced operation runs inside the kernel.
 thread_local! {
-    static OP_RETRIES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static OP_RETRIES: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 /// Adds `n` CAS retries to the innermost in-flight traced operation on this
@@ -471,27 +611,26 @@ thread_local! {
 /// a no-op when no traced operation is open (nothing to attribute to).
 #[inline]
 pub(crate) fn note_op_retries(n: u64) {
-    OP_RETRIES.with(|c| {
-        if let Some(top) = c.borrow_mut().last_mut() {
-            *top = top.saturating_add(n);
-        }
-    });
+    OP_RETRIES.with(|c| c.set(c.get().map(|open| open.saturating_add(n))));
 }
 
-/// Opens a retry-attribution frame for one traced operation.
-fn begin_op_scope() {
-    OP_RETRIES.with(|c| c.borrow_mut().push(0));
+/// Opens a retry scope for one traced operation, returning the enclosing
+/// scope for [`end_op_scope`] to restore.
+fn begin_op_scope() -> Option<u64> {
+    OP_RETRIES.replace(Some(0))
 }
 
-/// Closes the innermost frame, returning the retries noted while it was
-/// open (excluding those captured by deeper frames).
-fn end_op_scope() -> u64 {
-    OP_RETRIES.with(|c| c.borrow_mut().pop().unwrap_or(0))
+/// Closes the innermost scope and reopens `enclosing`, returning the retries
+/// noted while it was open (excluding those captured by deeper scopes).
+fn end_op_scope(enclosing: Option<u64>) -> u64 {
+    OP_RETRIES.replace(enclosing).unwrap_or(0)
 }
 
 /// [`DeviceAllocator`] wrapper that records `MallocBegin/End` and
 /// `FreeBegin/End` events (with latency and CAS-retry payloads) around every
-/// entry point of the wrapped manager.
+/// entry point of the wrapped manager: two clock reads and one op record
+/// per call, plus one `MallocEnd`/`FreeEnd` for every further lane of a
+/// collective call (the occupancy replay needs every pointer).
 ///
 /// Mirrors the `Sanitized` wrapper: apply it at construction time (the
 /// builder's `.trace(true)` does this) and every manager gets tracing
@@ -518,6 +657,20 @@ impl<A: DeviceAllocator> Traced<A> {
     pub fn into_inner(self) -> A {
         self.inner
     }
+
+    /// Runs `op` in a fresh retry scope between two clock reads. Returns its
+    /// result, the end timestamp, the latency — clamped to 1 ns: the
+    /// operation took nonzero time even when the clock's granularity says
+    /// otherwise — and the retries noted meanwhile.
+    #[inline]
+    fn timed<R>(&self, op: impl FnOnce() -> R) -> (R, u64, u64, u64) {
+        let t0 = self.rec.now_ns();
+        let enclosing = begin_op_scope();
+        let r = op();
+        let retries = end_op_scope(enclosing);
+        let t1 = self.rec.now_ns();
+        (r, t1, t1.saturating_sub(t0).max(1), retries)
+    }
 }
 
 impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
@@ -530,35 +683,16 @@ impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        let t0 = self.rec.now_ns();
-        self.rec.emit_at(t0, ctx.sm, EventKind::MallocBegin, [size, ctx.thread_id as u64, 0, 0]);
-        begin_op_scope();
-        let r = self.inner.malloc(ctx, size);
-        let retries = end_op_scope();
-        let t1 = self.rec.now_ns();
-        let ptr = match &r {
-            Ok(p) => p.raw(),
-            Err(_) => u64::MAX,
-        };
-        // Clamp to 1 ns: the operation took nonzero time even when the
-        // clock's granularity says otherwise.
-        self.rec.emit_at(t1, ctx.sm, EventKind::MallocEnd, [ptr, size, (t1 - t0).max(1), retries]);
+        let (r, t1, latency, retries) = self.timed(|| self.inner.malloc(ctx, size));
+        let ptr = r.as_ref().map_or(u64::MAX, |p| p.raw());
+        self.rec.emit_malloc(t1, ctx.sm, ctx.thread_id, size, [ptr, size, latency, retries]);
         r
     }
 
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        let t0 = self.rec.now_ns();
-        self.rec.emit_at(t0, ctx.sm, EventKind::FreeBegin, [ptr.raw(), ctx.thread_id as u64, 1, 0]);
-        begin_op_scope();
-        let r = self.inner.free(ctx, ptr);
-        let retries = end_op_scope();
-        let t1 = self.rec.now_ns();
-        self.rec.emit_at(
-            t1,
-            ctx.sm,
-            EventKind::FreeEnd,
-            [ptr.raw(), (t1 - t0).max(1), retries, r.is_ok() as u64],
-        );
+        let (r, t1, latency, retries) = self.timed(|| self.inner.free(ctx, ptr));
+        let end = [ptr.raw(), latency, retries, r.is_ok() as u64];
+        self.rec.emit_free(t1, ctx.sm, ctx.thread_id, None, end);
         r
     }
 
@@ -569,97 +703,60 @@ impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
         out: &mut [DevicePtr],
     ) -> Result<(), AllocError> {
         let total: u64 = sizes.iter().sum();
-        let leader = warp.leader();
-        let t0 = self.rec.now_ns();
-        self.rec.emit_at(
-            t0,
-            warp.sm,
-            EventKind::MallocBegin,
-            [total, leader.thread_id as u64, 0, 0],
-        );
-        begin_op_scope();
-        let r = self.inner.malloc_warp(warp, sizes, out);
-        let retries = end_op_scope();
-        let t1 = self.rec.now_ns();
-        let latency = (t1 - t0).max(1);
+        let leader = warp.leader().thread_id;
+        let (r, t1, latency, retries) = self.timed(|| self.inner.malloc_warp(warp, sizes, out));
         match &r {
             Ok(()) => {
-                for (i, (&size, ptr)) in sizes.iter().zip(out.iter()).enumerate() {
-                    let lane_retries = if i == 0 { retries } else { 0 };
-                    self.rec.emit_at(
-                        t1,
-                        warp.sm,
-                        EventKind::MallocEnd,
-                        [ptr.raw(), size, latency, lane_retries],
-                    );
+                // The first lane's record carries the collective's Begin
+                // (leader, total bytes) and all its retries.
+                let mut lanes = sizes.iter().zip(out.iter());
+                if let Some((&size, ptr)) = lanes.next() {
+                    let end = [ptr.raw(), size, latency, retries];
+                    self.rec.emit_malloc(t1, warp.sm, leader, total, end);
+                }
+                for (&size, ptr) in lanes {
+                    let end = [ptr.raw(), size, latency, 0];
+                    self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, end);
                 }
             }
             Err(_) => {
-                self.rec.emit_at(
-                    t1,
-                    warp.sm,
-                    EventKind::MallocEnd,
-                    [u64::MAX, total, latency, retries],
-                );
+                let end = [u64::MAX, total, latency, retries];
+                self.rec.emit_malloc(t1, warp.sm, leader, total, end);
             }
         }
         r
     }
 
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
-        let live = ptrs.iter().filter(|p| !p.is_null()).count() as u64;
-        let leader = warp.leader();
-        let t0 = self.rec.now_ns();
-        self.rec.emit_at(
-            t0,
-            warp.sm,
-            EventKind::FreeBegin,
-            [u64::MAX, leader.thread_id as u64, live, 0],
-        );
-        begin_op_scope();
-        let r = self.inner.free_warp(warp, ptrs);
-        let retries = end_op_scope();
-        let t1 = self.rec.now_ns();
-        let latency = (t1 - t0).max(1);
+        let leader = warp.leader().thread_id;
+        let (r, t1, latency, retries) = self.timed(|| self.inner.free_warp(warp, ptrs));
         // `ok` reflects the collective result: `free_warp` reports only the
         // first error, so on Err the occupancy replay conservatively keeps
         // all lanes live.
         let ok = r.is_ok() as u64;
-        for (i, ptr) in ptrs.iter().filter(|p| !p.is_null()).enumerate() {
-            let lane_retries = if i == 0 { retries } else { 0 };
-            self.rec.emit_at(
-                t1,
-                warp.sm,
-                EventKind::FreeEnd,
-                [ptr.raw(), latency, lane_retries, ok],
-            );
+        let mut live = ptrs.iter().filter(|p| !p.is_null());
+        let lanes = live.clone().count() as u64;
+        // As in `malloc_warp`, the first live lane's record carries the
+        // collective's Begin and its retries.
+        if let Some(ptr) = live.next() {
+            let end = [ptr.raw(), latency, retries, ok];
+            self.rec.emit_free(t1, warp.sm, leader, Some(lanes), end);
+        }
+        for ptr in live {
+            self.rec.emit_at(t1, warp.sm, EventKind::FreeEnd, [ptr.raw(), latency, 0, ok]);
         }
         r
     }
 
     fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
-        let leader = warp.leader();
-        let t0 = self.rec.now_ns();
-        self.rec.emit_at(
-            t0,
-            warp.sm,
-            EventKind::FreeBegin,
-            [u64::MAX, leader.thread_id as u64, 0, 0],
-        );
-        begin_op_scope();
-        let r = self.inner.free_warp_all(warp);
-        let retries = end_op_scope();
-        let t1 = self.rec.now_ns();
+        let leader = warp.leader().thread_id;
+        let (r, t1, latency, retries) = self.timed(|| self.inner.free_warp_all(warp));
         // Bulk free: the individual pointers are the manager's private
         // state, so the event carries the null sentinel and the occupancy
         // replay leaves these allocations in place (documented limitation
         // for FDGMalloc-style tidy-up).
-        self.rec.emit_at(
-            t1,
-            warp.sm,
-            EventKind::FreeEnd,
-            [u64::MAX, (t1 - t0).max(1), retries, r.is_ok() as u64],
-        );
+        let end = [u64::MAX, latency, retries, r.is_ok() as u64];
+        self.rec.emit_free(t1, warp.sm, leader, Some(0), end);
         r
     }
 
@@ -1443,6 +1540,81 @@ mod tests {
         assert_eq!(t.dropped, 6);
         // Drop-newest: the first four events survive.
         assert_eq!(t.events.iter().map(|e| e.ts_ns).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+
+        // The ring fills on an op record: the one that takes the last slot
+        // counts two events recorded, the one turned away two dropped, and
+        // the claim word stops moving once the shard is full.
+        let rec = TraceRecorder::new(1, 3);
+        rec.emit_at(1, 0, EventKind::OomFallback, [1, 0, 0, 0]);
+        rec.emit_at(2, 0, EventKind::OomFallback, [1, 0, 0, 0]);
+        rec.emit_malloc(13, 0, 7, 64, [0x40, 64, 10, 0]);
+        let full = rec.shards[0].claimed.load(Ordering::Relaxed);
+        rec.emit_free(24, 0, 7, None, [0x40, 10, 0, 1]);
+        rec.emit_at(25, 0, EventKind::OomFallback, [1, 0, 0, 0]);
+        assert_eq!((rec.recorded(), rec.dropped()), (4, 3));
+        assert_eq!(rec.recorded() + rec.dropped(), 1 + 1 + 2 + 2 + 1, "every event attempted");
+        assert_eq!(rec.snapshot().len() as u64, rec.recorded());
+        assert_eq!(rec.shards[0].claimed.load(Ordering::Relaxed), full, "full ring: no claim");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^30")]
+    fn capacity_the_claim_word_cannot_index_is_rejected() {
+        let _ = TraceRecorder::new(1, MAX_EVENTS_PER_SM + 1);
+    }
+
+    /// Op records and point events interleaved on one shard: every event
+    /// comes back exactly once across incremental drains, both halves of an
+    /// op in the same drain, and the drains add up to a full snapshot.
+    #[test]
+    fn snapshot_since_with_op_records_and_point_events_interleaved() {
+        let rec = TraceRecorder::new(1, 16);
+        let mut cursors = Vec::new();
+        rec.emit_malloc(20, 0, 3, 64, [0x100, 64, 10, 2]);
+        rec.emit_at(21, 0, EventKind::CacheHit, [0x100, 64, 0, 0]);
+        let t1 = rec.snapshot_since(&mut cursors);
+        let kinds = |t: &Trace| t.events.iter().map(|e| e.kind).collect::<Vec<_>>();
+        assert_eq!(kinds(&t1), [EventKind::MallocBegin, EventKind::MallocEnd, EventKind::CacheHit]);
+        assert_eq!(cursors, [2], "the cursor counts slots, not events");
+
+        rec.emit_at(30, 0, EventKind::OomFallback, [1, 0, 0, 0]);
+        rec.emit_free(45, 0, 3, None, [0x100, 10, 0, 1]);
+        rec.emit_free(60, 0, 96, Some(2), [0x200, 5, 1, 0]);
+        let t2 = rec.snapshot_since(&mut cursors);
+        assert_eq!(
+            kinds(&t2),
+            [
+                EventKind::OomFallback,
+                EventKind::FreeBegin,
+                EventKind::FreeEnd,
+                EventKind::FreeBegin,
+                EventKind::FreeEnd
+            ]
+        );
+        // A collective free's Begin carries the sentinel, the leader and
+        // the live lane count; its End the first lane's pointer.
+        assert_eq!(t2.events[3], ev(55, EventKind::FreeBegin, 0, [u64::MAX, 96, 2, 0]));
+        assert_eq!(t2.events[4], ev(60, EventKind::FreeEnd, 0, [0x200, 5, 1, 0]));
+        assert!(rec.snapshot_since(&mut cursors).events.is_empty());
+
+        let all = rec.snapshot();
+        assert_eq!(all.len(), t1.len() + t2.len());
+        assert_eq!(rec.recorded(), all.len() as u64);
+        let mut drained = t1.events.clone();
+        drained.extend(&t2.events);
+        assert_eq!(drained, all.events);
+    }
+
+    /// A collective malloc's first-lane record reports the warp's total
+    /// bytes in its Begin and the lane's own size in its End.
+    #[test]
+    fn malloc_op_record_keeps_requested_bytes_beyond_the_lane_size() {
+        let rec = TraceRecorder::new(1, 4);
+        rec.emit_malloc(100, 5, 64, 32 * 48, [0x1000, 48, 40, u64::MAX]);
+        let t = rec.snapshot();
+        assert_eq!(t.events[0], ev(60, EventKind::MallocBegin, 5, [32 * 48, 64, 0, 0]));
+        let end = [0x1000, 48, 40, u64::from(u32::MAX)];
+        assert_eq!(t.events[1], ev(100, EventKind::MallocEnd, 5, end));
     }
 
     #[test]
@@ -1678,34 +1850,34 @@ mod tests {
 
     #[test]
     fn retry_accumulator_is_per_thread() {
-        begin_op_scope();
+        let enclosing = begin_op_scope();
         note_op_retries(5);
         note_op_retries(2);
         let h = std::thread::spawn(|| {
-            begin_op_scope();
+            let enclosing = begin_op_scope();
             note_op_retries(100);
-            end_op_scope()
+            end_op_scope(enclosing)
         });
         assert_eq!(h.join().unwrap(), 100);
-        assert_eq!(end_op_scope(), 7);
-        assert_eq!(end_op_scope(), 0, "empty stack drains to zero");
+        assert_eq!(end_op_scope(enclosing), 7);
+        assert_eq!(end_op_scope(None), 0, "no open scope drains to zero");
     }
 
     #[test]
     fn retries_outside_any_scope_are_dropped() {
         note_op_retries(9);
-        begin_op_scope();
-        assert_eq!(end_op_scope(), 0, "orphan retries must not leak into the next op");
+        let enclosing = begin_op_scope();
+        assert_eq!(end_op_scope(enclosing), 0, "orphan retries must not leak into the next op");
     }
 
     #[test]
     fn nested_scopes_attribute_retries_per_layer() {
-        begin_op_scope(); // outer wrapper's operation
+        let none = begin_op_scope(); // outer wrapper's operation
         note_op_retries(2); // middle layer's own retries
-        begin_op_scope(); // inner wrapper's operation
+        let outer = begin_op_scope(); // inner wrapper's operation
         note_op_retries(3); // innermost manager's retries
-        assert_eq!(end_op_scope(), 3, "inner op sees only its own retries");
-        assert_eq!(end_op_scope(), 2, "outer op keeps the middle layer's retries");
+        assert_eq!(end_op_scope(outer), 3, "inner op sees only its own retries");
+        assert_eq!(end_op_scope(none), 2, "outer op keeps the middle layer's retries");
     }
 
     /// Regression test for the nested-decorator retry bridge: in
@@ -1796,9 +1968,10 @@ mod tests {
     }
 }
 
-// Loom model of the claim/commit publication protocol: two writers race one
-// reader; every committed slot the reader observes must decode to a fully
-// written event (never the reserved zero tag, never a half-written payload).
+// Loom model of the claim/publish protocol: the writer of an op record and
+// the writer of a point event race a reader that drains incrementally. With
+// no shard-wide commit count, the per-slot tag is all that stands between
+// the reader and a half-written slot.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
@@ -1807,31 +1980,39 @@ mod loom_tests {
     fn loom_claim_commit_publishes_whole_slots() {
         crate::sync::model(|| {
             let rec = Arc::new(TraceRecorder::new(1, 4));
-            let writers: Vec<_> = (0..2u64)
-                .map(|t| {
-                    let rec = Arc::clone(&rec);
-                    crate::sync::thread::spawn(move || {
-                        rec.emit_at(t + 1, 0, EventKind::MallocEnd, [t + 1, t + 1, t + 1, t + 1]);
-                    })
+            let op = {
+                let rec = Arc::clone(&rec);
+                crate::sync::thread::spawn(move || rec.emit_malloc(7, 0, 7, 7, [7; 4]))
+            };
+            let point = {
+                let rec = Arc::clone(&rec);
+                crate::sync::thread::spawn(move || {
+                    rec.emit_at(9, 0, EventKind::OomFallback, [9; 4]);
                 })
-                .collect();
-            // Read while the writers may still be mid-protocol: whatever is
-            // visible must decode whole (the reserved zero tag shields
-            // unpublished slots; spinning is avoided by reading only the
-            // committed prefix loom has made visible).
-            let mid = rec.snapshot();
-            for ev in &mid.events {
-                assert_eq!(ev.kind, EventKind::MallocEnd);
-                assert_eq!([ev.ts_ns, ev.args[1], ev.args[2], ev.args[3]], [ev.args[0]; 4]);
-            }
-            for w in writers {
-                w.join().unwrap();
-            }
-            let done = rec.snapshot();
-            assert_eq!(done.len(), 2);
-            for ev in &done.events {
-                assert_eq!([ev.ts_ns, ev.args[1], ev.args[2], ev.args[3]], [ev.args[0]; 4]);
-            }
+            };
+            // Whatever a drain returns is whole: an op record shows both of
+            // its halves or neither, and no payload word is torn.
+            let whole = |t: &Trace| {
+                for ev in &t.events {
+                    let want = match ev.kind {
+                        EventKind::MallocBegin => (0, [7, 7, 0, 0]),
+                        EventKind::MallocEnd => (7, [7; 4]),
+                        EventKind::OomFallback => (9, [9; 4]),
+                        other => panic!("nobody wrote a {other:?}"),
+                    };
+                    assert_eq!((ev.ts_ns, ev.args), want);
+                }
+                assert_eq!(t.count(EventKind::MallocBegin), t.count(EventKind::MallocEnd));
+            };
+            let mut cursors = Vec::new();
+            let mid = rec.snapshot_since(&mut cursors);
+            whole(&mid);
+            op.join().unwrap();
+            point.join().unwrap();
+            let rest = rec.snapshot_since(&mut cursors);
+            whole(&rest);
+            assert_eq!(mid.len() + rest.len(), 3, "each event in exactly one drain");
+            assert_eq!(rec.recorded(), 3);
         });
     }
 }

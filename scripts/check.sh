@@ -24,6 +24,12 @@ cargo test --offline --release -q --test paper_shapes
 echo "==> cargo test --release --test sanitizer"
 cargo test --offline --release -q --test sanitizer
 
+# Trace-layer conformance in release: its two per-op timing guards (the
+# disabled record path; a traced op within two clock reads plus one ring
+# record) are ignored in debug builds and would otherwise run nowhere.
+echo "==> cargo test --release --test trace_conformance"
+cargo test --offline --release -q --test trace_conformance
+
 # Executor suite in release: includes the timing-fidelity test asserting a
 # pooled empty-kernel launch reports <10% of the spawn-per-launch baseline
 # (ignored in debug builds where the ratio is meaningless).
