@@ -70,7 +70,7 @@ pub mod traits;
 pub mod util;
 
 pub use backend::{HeapBackend, HeapBackendKind, HeapError, HeapSpec, Pretouch, RamBackend};
-pub use cache::{Cached, CachedConfig};
+pub use cache::Cached;
 pub use ctx::{ThreadCtx, WarpCtx, WARP_SIZE};
 pub use error::AllocError;
 pub use frag::{AddressRange, FragmentationStats};

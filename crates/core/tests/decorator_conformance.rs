@@ -245,3 +245,63 @@ fn stacked_traced_cached_reaches_the_real_allocator() {
     drop(stack); // Cached's drop drains the parked block back to Probe
     assert!(Reached::got(&reached.free), "flush-on-drop returns parked blocks to the inner");
 }
+
+/// Cost guard for the magazine hot path: over an inner allocator that does
+/// nothing, a hit (one slot `swap`, one class-map store) plus a park (one
+/// class-map `swap`, one slot CAS) is three uncontended RMWs. The RMW is
+/// measured here, so the bound is a ratio and holds on a slow host; 25 ns
+/// cover the two calls, the hint and the stores. A hashed tag probe or a
+/// second RMW per magazine operation does not fit.
+#[cfg_attr(debug_assertions, ignore = "per-op timing bound: release-only (scripts/check.sh)")]
+#[test]
+fn magazine_hit_plus_park_costs_three_rmws() {
+    use std::time::{Duration, Instant};
+
+    struct Null(DeviceHeap);
+    impl DeviceAllocator for Null {
+        fn info(&self) -> ManagerInfo {
+            ManagerInfo::builder("Null").supports_free(true).build()
+        }
+        fn heap(&self) -> &DeviceHeap {
+            &self.0
+        }
+        fn malloc(&self, ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
+            Ok(DevicePtr::new(u64::from(ctx.thread_id) * 64))
+        }
+        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn register_footprint(&self) -> RegisterFootprint {
+            RegisterFootprint { malloc: 0, free: 0 }
+        }
+    }
+
+    const OPS: u32 = 1_000_000;
+    let min_ns_op = |op: &dyn Fn()| {
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let t = Instant::now();
+            for _ in 0..OPS {
+                op();
+            }
+            best = best.min(t.elapsed());
+        }
+        best.as_nanos() as f64 / f64::from(OPS)
+    };
+    let counter = AtomicU64::new(0);
+    let rmw = min_ns_op(&|| {
+        std::hint::black_box(counter.fetch_add(1, Ordering::AcqRel));
+    });
+
+    let cached = Cached::new(Null(DeviceHeap::new(1 << 20)), 1);
+    let ctx = ThreadCtx::host();
+    let p = cached.malloc(&ctx, 64).unwrap(); // the one miss
+    cached.free(&ctx, p).unwrap();
+    let pair = min_ns_op(&|| {
+        let p = std::hint::black_box(cached.malloc(&ctx, 64)).unwrap(); // hit
+        let _ = std::hint::black_box(cached.free(&ctx, p)); // park
+    });
+    assert_eq!(cached.cached_blocks(), 1, "every timed malloc hit, every timed free parked");
+    let bound = 3.0 * rmw + 25.0;
+    assert!(pair < bound, "hit + park {pair:.1} ns, RMW {rmw:.1} ns: want < {bound:.1}");
+}

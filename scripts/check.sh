@@ -30,6 +30,13 @@ cargo test --offline --release -q --test sanitizer
 echo "==> cargo test --release --test trace_conformance"
 cargo test --offline --release -q --test trace_conformance
 
+# Magazine-cache cost guard, likewise ignored in debug builds: one hit plus
+# one park over a no-op manager within three RMWs (measured in the test)
+# plus 25 ns.
+echo "==> cargo test --release -p gpumem-core --test decorator_conformance magazine_hit_plus_park"
+cargo test --offline --release -q -p gpumem-core --test decorator_conformance \
+    magazine_hit_plus_park_costs_three_rmws
+
 # Executor suite in release: includes the timing-fidelity test asserting a
 # pooled empty-kernel launch reports <10% of the spawn-per-launch baseline
 # (ignored in debug builds where the ratio is meaningless).

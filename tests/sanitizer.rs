@@ -193,3 +193,27 @@ fn every_default_manager_is_clean_under_sanitized_cached_churn() {
         }
     }
 }
+
+/// The battery above is one block, so one SM shard. Here 96 blocks wrap
+/// around the 80 SMs: blocks `b` and `b + 80` share a shard, two workers
+/// push and pop the same magazines, and each shard sees 512 frees of one
+/// class against 256 slots, so the eviction path runs too.
+#[test]
+fn two_workers_sharing_sm_shards_are_clean_under_sanitized_cached_churn() {
+    use gpumemsurvey::bench::registry::ManagerKind::{Halloc, OuroVAP, ScatterAlloc, XMalloc};
+    let device = Device::with_workers(DeviceSpec::titan_v(), 2);
+    for kind in [ScatterAlloc, Halloc, XMalloc, OuroVAP] {
+        let alloc = kind.builder().heap(64 << 20).sms(80).cached(true).build();
+        let san = Sanitized::new(alloc);
+        let result = churn::run(&san, &device, 96 * 256, 64, 3);
+        assert_eq!(result.failures, 0, "{}: every allocation must succeed", kind.label());
+        let report = san.take_report();
+        assert!(report.is_clean(), "{} (cached, shared shards): {report}", kind.label());
+        assert_eq!(report.live, 0, "{}: churn must drain fully", kind.label());
+        // Up to 80 full magazines are parked (a racing hint may have evicted
+        // a few blocks early); one drain returns them all to the manager.
+        let parked = san.drain();
+        assert!((1..=256 * 80).contains(&parked), "{}: drained {parked}", kind.label());
+        assert_eq!(san.drain(), 0, "{}: magazines must drain to zero", kind.label());
+    }
+}
