@@ -9,6 +9,18 @@
 //! big; deallocation clears the flag and opportunistically merges with the
 //! physically-next chunk (locking it first so no other thread can take it).
 //!
+//! **The port's one algorithmic deviation: growth on claim.** The original
+//! merges only in `free`. A launch frees in address order, so every `free`
+//! finds its successor still allocated: chunks only ever split, and a
+//! mixed-size walk lengthens with every round the heap has lived (1 → 16
+//! hops per malloc over 52 rounds, 60–83 for the multi variants). Here
+//! `malloc` also claims a too-small free chunk whose physical successor is
+//! free, and grows it with the original's own merge step (`absorb_next`, the
+//! routine `free` uses) until the request fits or a successor is taken; then
+//! it splits or releases as before. Every split makes one chunk and every
+//! absorb retires one, so the walk stays at two hops. A run of one size never
+//! meets a free chunk that is too small, and places exactly as the original.
+//!
 //! Four variants, as in the original:
 //!
 //! | Variant | Header | Offsets |
@@ -56,8 +68,10 @@ pub const MIN_PRESPLIT: u64 = 4096;
 /// A claimed chunk is split when the leftover would be at least this big
 /// (the original's "maximum fragmentation constant").
 pub const SPLIT_MIN: u64 = 64;
-/// Walk gives up (contention error) after this many validation resets.
-const MAX_STRIKES: u32 = 8;
+/// Walk budget a validation reset costs: give-up is bounded by bytes (two
+/// laps of the heap, walked or charged), and a reset yields, so a
+/// descheduled peer cannot make a walker burn its budget in microseconds.
+const STRIKE_BYTES: u64 = MIN_PRESPLIT;
 
 /// The circular-list allocator, generic over header codec and offset policy.
 pub struct RegEff<H: HeaderCodec, const MULTI: bool> {
@@ -193,6 +207,53 @@ impl<H: HeaderCodec, const MULTI: bool> RegEff<H, MULTI> {
         }
     }
 
+    /// Merges the free chunk at `next` into its physical predecessor `chunk`,
+    /// which the caller owns, and returns `chunk`'s new link. `next` is locked
+    /// first (paper: "trying to allocate the next chunk such that it cannot be
+    /// used by another thread"), then `chunk` is relinked *before* `next`
+    /// stops being a chunk start: a walker standing on `chunk` never reads a
+    /// link to a dead offset, and one standing on `next` sees an intact
+    /// allocated header and moves on.
+    #[inline]
+    fn absorb_next(&self, chunk: u64, next: u64) -> Option<u64> {
+        if !(next > chunk && self.starts.check(next) && H::try_claim(&self.heap, next)) {
+            return None;
+        }
+        if !self.starts.check(next) {
+            // The claim landed on bytes a concurrent merge recycled — undo it.
+            H::release(&self.heap, next);
+            return None;
+        }
+        let absorbed = H::read(&self.heap, next);
+        H::set_next(&self.heap, chunk, absorbed.next);
+        self.starts.clear(next);
+        Some(absorbed.next)
+    }
+
+    /// Start of `slot`'s own sub-heap: where its walk restarts when its cursor
+    /// is no longer a chunk start. Offset 0 (never absorbed, so always a chunk
+    /// start) once a merge across the sub-heap boundary has taken that chunk.
+    #[cold]
+    fn home(&self, slot: usize) -> u64 {
+        let home = slot as u64 * align_down(self.region_len / self.offsets.len() as u64, 8);
+        if self.starts.check(home) {
+            home
+        } else {
+            0
+        }
+    }
+
+    /// A validation reset: charges the walk [`STRIKE_BYTES`], yields — the
+    /// peer whose update invalidated the cursor may need this core to finish
+    /// it — and returns the offset to restart at.
+    #[cold]
+    fn strike(&self, slot: usize, traversed: &mut u64, strikes: &mut u32) -> u64 {
+        *traversed += STRIKE_BYTES;
+        *strikes += 1;
+        gpumem_core::sync::thread::yield_now();
+        self.home(slot)
+    }
+
     /// Live-chunk count (diagnostics/tests).
     pub fn chunk_count(&self) -> u64 {
         self.starts.count()
@@ -242,7 +303,7 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
 
         let mut cur = self.offsets[slot].load(Ordering::Relaxed);
         if !self.starts.check(cur) {
-            cur = 0;
+            cur = self.home(slot);
         }
         let mut traversed = 0u64;
         let mut strikes = 0u32;
@@ -254,64 +315,74 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
             if traversed >= 2 * self.region_len {
                 self.flush_walk(ctx.sm, hops, lost);
                 self.metrics.tick(ctx.sm, Counter::MallocFailures);
-                return Err(AllocError::OutOfMemory(size));
+                // Resets that ate half the budget kept the walk from seeing
+                // the heap twice: that is contention, not exhaustion.
+                return Err(if u64::from(strikes) * STRIKE_BYTES >= self.region_len {
+                    AllocError::Contention("Reg-Eff list walk")
+                } else {
+                    AllocError::OutOfMemory(size)
+                });
             }
             hops += 1;
             let hdr = H::read(&self.heap, cur);
             // Validate the link before trusting anything else in the header:
-            // a merge may have recycled `cur` under us.
-            if !(hdr.next == 0 || self.starts.check(hdr.next)) || hdr.next == cur {
-                strikes += 1;
+            // a merge may have recycled `cur` under us. A forward link must
+            // name a live chunk start; the last chunk's 0 is believed only
+            // while `cur` is one (a recycled word reads as 0 too, and two
+            // such "rest of the heap" extents are a spurious out-of-memory).
+            let linked = if hdr.next > cur {
+                self.starts.check(hdr.next)
+            } else {
+                hdr.next == 0 && self.starts.check(cur)
+            };
+            if !linked {
                 lost += 1;
-                if strikes > MAX_STRIKES {
-                    self.flush_walk(ctx.sm, hops, lost);
-                    self.metrics.tick(ctx.sm, Counter::MallocFailures);
-                    return Err(AllocError::Contention("Reg-Eff list walk"));
-                }
-                cur = 0;
+                cur = self.strike(slot, &mut traversed, &mut strikes);
                 continue;
             }
             let extent = self.extent(cur, hdr.next);
-            if !hdr.allocated && extent >= need {
+            // A free chunk that is too small is still claimed when its
+            // physical successor is free as well: the walk then merges them.
+            if !hdr.allocated
+                && (extent >= need || (hdr.next > cur && !H::read(&self.heap, hdr.next).allocated))
+            {
                 if H::try_claim(&self.heap, cur) {
                     // Post-claim validation: `cur` must still be a live chunk
                     // (the claim could have landed on recycled payload bytes).
                     if !self.starts.check(cur) {
                         H::release(&self.heap, cur);
-                        strikes += 1;
                         lost += 1;
-                        if strikes > MAX_STRIKES {
-                            self.flush_walk(ctx.sm, hops, lost);
-                            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-                            return Err(AllocError::Contention("Reg-Eff claim validation"));
-                        }
-                        cur = 0;
+                        cur = self.strike(slot, &mut traversed, &mut strikes);
                         continue;
                     }
                     // Re-read under ownership: the chunk may have shrunk
                     // since the optimistic read.
-                    let owned = H::read(&self.heap, cur);
-                    let extent = self.extent(cur, owned.next);
+                    let mut next = H::read(&self.heap, cur).next;
+                    // Grow into free successors until the request fits or
+                    // one of them is taken: `free` in address order never
+                    // finds a free successor, so without this a chunk only
+                    // ever splits and walks lengthen with the heap's age.
+                    while self.extent(cur, next) < need {
+                        let Some(grown) = self.absorb_next(cur, next) else { break };
+                        hops += 1;
+                        next = grown;
+                    }
+                    let extent = self.extent(cur, next);
                     if extent < need {
                         H::release(&self.heap, cur);
                         traversed += extent;
-                        cur = if owned.next == 0 { 0 } else { owned.next };
+                        cur = next;
                         continue;
                     }
                     // Split when the leftover is worth keeping.
                     if extent - need >= SPLIT_MIN {
                         let leftover = cur + need;
-                        H::write(
-                            &self.heap,
-                            leftover,
-                            ChunkHeader { allocated: false, next: owned.next },
-                        );
+                        H::write(&self.heap, leftover, ChunkHeader { allocated: false, next });
                         self.starts.set(leftover);
                         H::set_next(&self.heap, cur, leftover);
                         self.offsets[slot].store(leftover, Ordering::Relaxed);
                     } else {
-                        self.offsets[slot]
-                            .store(if owned.next == 0 { 0 } else { owned.next }, Ordering::Relaxed);
+                        self.offsets[slot].store(next, Ordering::Relaxed);
                     }
                     self.flush_walk(ctx.sm, hops, lost);
                     return Ok(DevicePtr::new(cur + H::SIZE));
@@ -320,7 +391,7 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
                 lost += 1;
             }
             traversed += extent;
-            cur = if hdr.next == 0 { 0 } else { hdr.next };
+            cur = hdr.next;
         }
     }
 
@@ -341,21 +412,8 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
         if !hdr.allocated {
             return fail(AllocError::InvalidPointer);
         }
-        // Try to merge with the physically-next chunk: lock it so no other
-        // thread can use it (paper: "This entails trying to allocate the
-        // next chunk such that it cannot be used by another thread").
-        let next = hdr.next;
-        if next > chunk && self.starts.check(next) && H::try_claim(&self.heap, next) {
-            if self.starts.check(next) {
-                let absorbed = H::read(&self.heap, next);
-                self.starts.clear(next);
-                H::set_next(&self.heap, chunk, absorbed.next);
-            } else {
-                // The claim landed on bytes a concurrent merge recycled —
-                // undo it.
-                H::release(&self.heap, next);
-            }
-        }
+        // Merge with the physically-next chunk if it is free.
+        self.absorb_next(chunk, hdr.next);
         H::release(&self.heap, chunk);
         Ok(())
     }
@@ -583,5 +641,130 @@ mod tests {
                 );
             }
         });
+    }
+}
+
+/// Model-checked interleaving suite (built with `RUSTFLAGS="--cfg loom"`).
+///
+/// Unlike the leaf models in `header.rs` and `bitmap.rs`, this one composes
+/// the real `malloc` and `free`: the merge window it covers exists only
+/// between a walk in one and a relink in the other.
+#[cfg(all(test, loom))]
+mod loom_tests {
+    use super::*;
+    use gpumem_core::sync::{model, thread};
+
+    /// Smallest heap `RegEff::new` accepts: two pre-split chunks of 4 KiB.
+    const HEAP: u64 = 2 * MIN_PRESPLIT;
+
+    /// Walks the list once from offset 0 and checks it against `live`, the
+    /// payload offsets handed out and not freed: every link lands on a chunk
+    /// start further on, the chunks tile the heap, no chunk start is off the
+    /// list, and exactly the live chunks are flagged allocated.
+    fn assert_consistent<H: HeaderCodec>(a: &RegEff<H, false>, live: &[u64]) {
+        let (mut cur, mut chunks, mut allocated) = (0, 0, Vec::new());
+        loop {
+            assert!(a.starts.check(cur), "{cur} is on the list but not a chunk start");
+            let hdr = H::read(&a.heap, cur);
+            chunks += 1;
+            if hdr.allocated {
+                allocated.push(cur + H::SIZE);
+            }
+            if hdr.next == 0 {
+                break;
+            }
+            assert!(hdr.next > cur && hdr.next < HEAP, "chunk {cur} links to {}", hdr.next);
+            cur = hdr.next;
+        }
+        assert_eq!(chunks, a.chunk_count(), "a chunk start is off the list");
+        let mut live = live.to_vec();
+        live.sort_unstable();
+        assert_eq!(allocated, live, "allocated flags do not match the live blocks");
+    }
+
+    /// A walker, a merger and a splitter on [A | B | free | free]: `free(B)`
+    /// absorbs the chunk the roving offset points at while one `malloc` walks
+    /// over B to a request only merged chunks can serve and another splits
+    /// whichever free chunk it reaches first. No schedule may end a walk in
+    /// `Contention` (a walk may find every free chunk locked by the other two
+    /// and report `OutOfMemory`: that is the algorithm, not a defect), hand
+    /// out overlapping blocks or leave the list inconsistent.
+    fn walker_merger_splitter<H: HeaderCodec>() {
+        model(|| {
+            let a = Arc::new(RegEff::<H, false>::with_capacity(HEAP, 1));
+            let ctx = ThreadCtx::host();
+            let pa = a.malloc(&ctx, 1000).unwrap();
+            let pb = a.malloc(&ctx, 1000).unwrap();
+            let spawn_malloc = |size: u64| {
+                let a = a.clone();
+                thread::spawn(move || {
+                    a.malloc(&ThreadCtx::host(), size).map(|p| (p.offset(), size))
+                })
+            };
+            let merger = {
+                let a = a.clone();
+                thread::spawn(move || a.free(&ThreadCtx::host(), pb))
+            };
+            let walker = spawn_malloc(3000);
+            let splitter = spawn_malloc(100);
+            assert_eq!(merger.join().unwrap(), Ok(()));
+            let mut spans = vec![(pa.offset(), 1000)];
+            for r in [walker.join().unwrap(), splitter.join().unwrap()] {
+                match r {
+                    Ok(span) => spans.push(span),
+                    Err(e) => assert!(matches!(e, AllocError::OutOfMemory(_)), "walk gave up: {e}"),
+                }
+            }
+            spans.sort_unstable();
+            for w in spans.windows(2) {
+                assert!(w[0].0 + w[0].1 <= w[1].0 - H::SIZE, "overlap: {spans:?}");
+            }
+            let live: Vec<u64> = spans.iter().map(|s| s.0).collect();
+            assert_consistent(&a, &live);
+        });
+    }
+
+    /// The order inside `absorb_next`, on its own (the walk's yield-and-retry
+    /// would paper over it above): whenever the link of a live chunk names an
+    /// offset that is not a chunk start, the chunk has already been relinked.
+    fn relink_precedes_clear<H: HeaderCodec>() {
+        model(|| {
+            let a = Arc::new(RegEff::<H, false>::with_capacity(HEAP, 1));
+            let ctx = ThreadCtx::host();
+            a.malloc(&ctx, 1000).unwrap();
+            let pb = a.malloc(&ctx, 1000).unwrap();
+            let merger = {
+                let a = a.clone();
+                thread::spawn(move || a.free(&ThreadCtx::host(), pb))
+            };
+            // Runs one step of the walk's link validation on B; reports a
+            // link it found dead and then found unchanged.
+            let observer = {
+                let a = a.clone();
+                thread::spawn(move || {
+                    let b = pb.offset() - H::SIZE;
+                    let next = H::read(&a.heap, b).next;
+                    (!a.starts.check(next) && H::read(&a.heap, b).next == next).then_some(next)
+                })
+            };
+            assert_eq!(merger.join().unwrap(), Ok(()));
+            assert_eq!(observer.join().unwrap(), None, "B still linked to a dead offset");
+        });
+    }
+
+    #[test]
+    fn relink_precedes_clear_in_both_codecs() {
+        relink_precedes_clear::<TwoWord>();
+        relink_precedes_clear::<Fused>();
+    }
+
+    #[test]
+    fn two_word_walker_merger_splitter() {
+        walker_merger_splitter::<TwoWord>();
+    }
+
+    #[test]
+    fn fused_walker_merger_splitter() {
+        walker_merger_splitter::<Fused>();
     }
 }

@@ -37,6 +37,12 @@ echo "==> cargo test --release -p gpumem-core --test decorator_conformance magaz
 cargo test --offline --release -q -p gpumem-core --test decorator_conformance \
     magazine_hit_plus_park_costs_three_rmws
 
+# Reg-Eff every-byte stress at its release length: 4 OS threads x 200 000
+# mixed-size ops per variant (the debug run above does 20 000), every payload
+# byte read back, no Contention / OutOfMemory on a nearly empty heap.
+echo "==> cargo test --release -p alloc-regeff --test stress"
+cargo test --offline --release -q -p alloc-regeff --test stress
+
 # Executor suite in release: includes the timing-fidelity test asserting a
 # pooled empty-kernel launch reports <10% of the spawn-per-launch baseline
 # (ignored in debug builds where the ratio is meaningless).
