@@ -5,8 +5,14 @@
 //!
 //! * **Memoryblock heap** ([`mblock`]): the bottom layer. The managed region
 //!   is segmented into free/allocated Memoryblocks forming a linked list
-//!   with neighbour merging; large allocations and fresh Superblocks come
-//!   from a (slow) first-fit traversal of this list.
+//!   with neighbour merging; large allocations, coalesced warp blocks and
+//!   fresh Superblocks come from an address-ordered first-fit traversal of
+//!   this list under one lock. The traversal starts at a lower bound the
+//!   lock keeps per size bin (power of two × 16 sub-bins) rather than at the
+//!   list head: each bound is a block start below which no free block
+//!   reaches the bin's floor, and the bounds are monotone in the bin, so the
+//!   block found is the one the walk from the head finds and only the hops
+//!   over blocks that could never fit are gone.
 //! * **Superblocks / Basicblocks**: small allocations are rounded to one of
 //!   the static sizes (16 B … 2048 B). Each static size has a *first-level
 //!   buffer* — a fixed-capacity, lock-free FIFO array ([`fifo`]) — holding
@@ -26,9 +32,10 @@
 //!   last lane releases the block.
 //!
 //! The original is unstable on modern GPUs (Table 1: crashes in most large
-//! test cases); the port is memory-safe but preserves the performance
-//! *shape*, including the heavy malloc-side state that makes XMalloc the
-//! register-count outlier of §4.1.
+//! test cases); the port is memory-safe and keeps the structure — the list
+//! path is the one that takes the lock, and the slower one — and the heavy
+//! malloc-side state that makes XMalloc the register-count outlier of §4.1.
+//! It does not stand in for the crashes with a quadratic list walk.
 
 // Also enforced workspace-wide; restated here so the audit
 // guarantee survives if this crate is ever built out of tree.
@@ -98,11 +105,16 @@ struct MallocFrame {
     pushed: u32,
     mb_block: u64,
     mb_size: u64,
+    /// The hinted walk's bin, its floor and the first free block of at
+    /// least that size stepped over, live until the hints are raised.
+    mb_bin: u64,
+    mb_floor: u64,
+    mb_skipped: u64,
     state: u32,
     retries: u32,
     header_word: u64,
     result: u64,
-    spill: [u64; 14],
+    spill: [u64; 11],
 }
 
 /// Locals live in `free`.
@@ -227,8 +239,12 @@ impl XMalloc {
 
     fn malloc_large(&self, sm: u32, size: u64) -> Result<DevicePtr, AllocError> {
         // Checked: `size + ITEM_HDR` wrapping would turn an absurd request
-        // into a small (apparently successful) mblock carve.
-        let need = size.checked_add(ITEM_HDR).ok_or(AllocError::UnsupportedSize(size))?;
+        // into a small (apparently successful) mblock carve. A request the
+        // whole heap could not hold is refused as such, not as exhaustion.
+        let need = size
+            .checked_add(ITEM_HDR)
+            .filter(|&need| need <= self.heap.len())
+            .ok_or(AllocError::UnsupportedSize(size))?;
         let mp = self.mblock_alloc_counted(sm, need).ok_or(AllocError::OutOfMemory(size))?;
         self.write_item_header(mp, MAGIC_LARGE, 0, 0);
         Ok(DevicePtr::new(mp + ITEM_HDR))
@@ -343,7 +359,17 @@ impl DeviceAllocator for XMalloc {
         if sizes.is_empty() {
             return Ok(());
         }
-        let total: u64 = 16 + sizes.iter().map(|&s| align_up(s.max(1), 16) + ITEM_HDR).sum::<u64>();
+        // Checked like the large path: a wrapped total would carve a block
+        // too small for the lanes written into it below.
+        let Some(total) = sizes.iter().try_fold(16u64, |total, &s| {
+            total.checked_add(s.max(1).checked_next_multiple_of(16)?.checked_add(ITEM_HDR)?)
+        }) else {
+            out.fill(DevicePtr::NULL);
+            self.metrics.add(warp.sm, Counter::MallocCalls, sizes.len() as u64);
+            self.metrics.add(warp.sm, Counter::MallocFailures, sizes.len() as u64);
+            let largest = sizes.iter().copied().max().unwrap_or(0);
+            return Err(AllocError::UnsupportedSize(largest));
+        };
         match self.mblock_alloc_counted(warp.sm, total) {
             Some(cblock) => {
                 self.metrics.add(warp.sm, Counter::MallocCalls, sizes.len() as u64);
@@ -589,15 +615,35 @@ mod tests {
 
     #[test]
     fn near_max_request_fails_instead_of_wrapping() {
-        // Regression (memlint unchecked-offset-arithmetic): the large-path
-        // `size + ITEM_HDR` used to wrap for near-u64::MAX requests and
-        // carve a tiny mblock for an absurd request.
+        // Regression (memlint unchecked-offset-arithmetic): `size + ITEM_HDR`
+        // on the large path, then `align_up(payload, 16) + HDR` in the
+        // Memoryblock heap, used to wrap for near-u64::MAX requests:
+        // `u64::MAX - 47` split a zero-sized block off the list head, was
+        // granted, and the next walk never ended.
         let a = alloc();
-        for size in [u64::MAX, u64::MAX - ITEM_HDR + 1] {
+        let census = a.mblocks.census(&a.heap);
+        for size in u64::MAX - 63..=u64::MAX {
             assert!(
                 matches!(a.malloc(&ctx(), size), Err(AllocError::UnsupportedSize(_))),
                 "size {size:#x} must be rejected, not wrapped"
             );
         }
+        assert_eq!(a.mblocks.census(&a.heap), census, "a refused request carved the list");
+        a.free(&ctx(), a.malloc(&ctx(), 4096).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn warp_total_that_wraps_is_refused_with_nothing_allocated() {
+        // Regression: the unchecked lane sum wrapped to a few hundred bytes,
+        // the coalesced block was carved for that, and the second lane's
+        // header was written far outside it.
+        let a = alloc();
+        let census = a.mblocks.census(&a.heap);
+        let w = WarpCtx { warp: 0, block: 0, sm: 0 };
+        let mut out = [DevicePtr::new(64); 2];
+        let r = a.malloc_warp(&w, &[u64::MAX - 100, 64], &mut out);
+        assert_eq!(r, Err(AllocError::UnsupportedSize(u64::MAX - 100)));
+        assert_eq!(out, [DevicePtr::NULL; 2]);
+        assert_eq!(a.mblocks.census(&a.heap), census);
     }
 }

@@ -3,7 +3,7 @@
 
 use alloc_xmalloc::XMalloc;
 use gpumem_core::sanitize::Sanitized;
-use gpumem_core::{DeviceAllocator, DevicePtr, ThreadCtx, WarpCtx};
+use gpumem_core::{AllocError, DeviceAllocator, DevicePtr, ThreadCtx, WarpCtx};
 
 #[test]
 fn fifo_recycling_churn_is_clean() {
@@ -38,6 +38,23 @@ fn coalesced_warp_path_is_clean() {
         }
         san.free_warp(&w, &out).unwrap();
     }
+    let report = san.take_report();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.live, 0);
+}
+
+#[test]
+fn wrapped_warp_total_is_refused_cleanly() {
+    // A lane sum past u64::MAX used to wrap, carve a tiny block and write
+    // lane headers outside it; it must fail whole, with the shadow heap empty.
+    let san = Sanitized::new(XMalloc::with_capacity(1 << 20));
+    let w = WarpCtx { warp: 0, block: 0, sm: 0 };
+    let mut out = [DevicePtr::NULL; 2];
+    let r = san.malloc_warp(&w, &[u64::MAX - 100, 64], &mut out);
+    assert!(matches!(r, Err(AllocError::UnsupportedSize(_))), "{r:?}");
+    assert_eq!(out, [DevicePtr::NULL; 2]);
+    san.malloc_warp(&w, &[64, 64], &mut out).unwrap();
+    san.free_warp(&w, &out).unwrap();
     let report = san.take_report();
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.live, 0);

@@ -13,7 +13,7 @@ cargo build --offline --release
 echo "==> cargo test -q"
 cargo test --offline -q --workspace
 
-# The paper-shape assertions compare timing ratios and are ignored in debug
+# Most paper-shape assertions compare timing ratios and are ignored in debug
 # builds (cfg_attr(debug_assertions, ignore)); without this release run they
 # would never execute anywhere.
 echo "==> cargo test --release --test paper_shapes"
@@ -42,6 +42,12 @@ cargo test --offline --release -q -p gpumem-core --test decorator_conformance \
 # byte read back, no Contention / OutOfMemory on a nearly empty heap.
 echo "==> cargo test --release -p alloc-regeff --test stress"
 cargo test --offline --release -q -p alloc-regeff --test stress
+
+# The two exact, host-independent walk lengths: Reg-Eff's chunk list and
+# XMalloc's Memoryblock list, hops per malloc after 42 rounds of a manager's
+# life (128 MiB heaps; release keeps them at a second).
+echo "==> cargo test --release --test regeff_hops --test xmalloc_hops"
+cargo test --offline --release -q --test regeff_hops --test xmalloc_hops
 
 # Executor suite in release: includes the timing-fidelity test asserting a
 # pooled empty-kernel launch reports <10% of the spawn-per-launch baseline
