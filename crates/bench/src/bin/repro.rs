@@ -16,7 +16,7 @@
 //!
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
 //! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
-//! `--heap-backend ram|mmap|numa`, `--pretouch auto|full|striped|lazy`,
+//! `--heap-backend ram|mmap`, `--pretouch auto|full|lazy`,
 //! `--heap-mb MB`. `--num`, `--iter`, `--cycles` and `--cached` size the
 //! diagnostic subcommands; `matrix`, `gate` and `watch` take their counts,
 //! iterations and per-cell timeouts from the tier and refuse them.
@@ -221,8 +221,8 @@ fn usage() -> String {
       scenario under the live telemetry sampler and writes\n\
       telemetry_<scenario>.{json,csv,prom} into --out;\n\
       `repro --report contention` is an alias for `repro contention`)\n\
-     options: -t SELECTOR[@ram|mmap|numa][+cached] -m MANAGER --device D --out DIR\n\
-     --heap-backend ram|mmap|numa --pretouch auto|full|striped|lazy --heap-mb MB\n\
+     options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
+     --heap-backend ram|mmap --pretouch auto|full|lazy --heap-mb MB\n\
      trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
      --trace-cap EVENTS_PER_SM\n\
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --seed HEX, --anchors DIR,\n\

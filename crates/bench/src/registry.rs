@@ -257,7 +257,7 @@ impl ManagerBuilder {
         self
     }
 
-    /// Selects the backing store of the fresh heap (`ram`, `mmap`, `numa`).
+    /// Selects the backing store of the fresh heap (`ram`, `mmap`).
     pub fn heap_backend(mut self, backend: HeapBackendKind) -> Self {
         self.heap = match self.heap {
             HeapSource::Fresh(spec) => HeapSource::Fresh(spec.with_backend(backend)),
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn selection_round_trips_through_display() {
-        for s in ["o+s+h+c+r+x", "f+a", "s", "o", "x+c", "o+s@mmap", "f@numa", "r+x@mmap"] {
+        for s in ["o+s+h+c+r+x", "f+a", "s", "o", "x+c", "o+s@mmap", "f@mmap", "r+x@mmap"] {
             let sel: ManagerSelection = s.parse().unwrap();
             assert_eq!(sel.to_string(), s, "display of {s:?}");
             let again: ManagerSelection = sel.to_string().parse().unwrap();
@@ -659,6 +659,11 @@ mod tests {
         assert!("os".parse::<ManagerSelection>().is_err());
         assert!("o++s".parse::<ManagerSelection>().is_err());
         assert!("o+s@disk".parse::<ManagerSelection>().is_err());
+        // A retired backend is an error naming what is left, not an alias.
+        for s in ["f@numa", "o@numa+cached"] {
+            let e = s.parse::<ManagerSelection>().unwrap_err();
+            assert!(e.contains("numa") && e.contains("ram or mmap"), "{s}: {e}");
+        }
         assert!("@mmap".parse::<ManagerSelection>().is_err());
         // Case-insensitive and whitespace-tolerant on valid letters.
         let sel: ManagerSelection = " O + S ".parse().unwrap();
@@ -744,7 +749,7 @@ mod tests {
 
     #[test]
     fn selection_cached_modifier_parses_and_round_trips() {
-        for s in ["o+s@cached", "s@mmap+cached", "f+a@cached", "o@numa+cached"] {
+        for s in ["o+s@cached", "s@mmap+cached", "f+a@cached", "o@mmap+cached"] {
             let sel: ManagerSelection = s.parse().unwrap();
             assert!(sel.cached, "{s}");
             assert_eq!(sel.to_string(), s, "display of {s:?}");

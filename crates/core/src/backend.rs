@@ -1,23 +1,23 @@
 //! Heap backends: where the simulated device memory physically lives.
 //!
 //! The paper instantiates every manager over the full 8 GiB device heap of a
-//! TITAN V. A single `alloc_zeroed` slab cannot honestly reach that size on
-//! most hosts — allocating and pre-touching 8 GiB of RAM per benchmark cell
-//! forces scaled-down heaps and biases any experiment that sweeps heap size.
-//! This module isolates the memory substrate behind the [`HeapBackend`]
-//! trait (the same move the SYCL Ouroboros port makes to run one allocator
-//! across CPU/GPU backends) so [`crate::DeviceHeap`] stays a thin
-//! offset-addressed view while the backing storage scales:
+//! TITAN V. Committing 8 GiB of RAM per benchmark cell is not something most
+//! hosts can do, and scaled-down heaps bias any experiment that sweeps heap
+//! size. This module isolates the memory substrate behind the
+//! [`HeapBackend`] trait (the same move the SYCL Ouroboros port makes to run
+//! one allocator across CPU/GPU backends) so [`crate::DeviceHeap`] stays a
+//! thin offset-addressed view while the backing storage scales. Both
+//! backends are one primitive, `Map` — an anonymous private mapping the
+//! kernel hands over zeroed, which is also where the trace ring lives — and
+//! one type, [`MappedBackend`]:
 //!
-//! * [`RamBackend`] — the original `alloc_zeroed` slab, fully pre-touched.
-//!   Default; behaviour-identical to the pre-trait heap.
-//! * [`MmapBackend`] — anonymous `mmap` with `MAP_NORESERVE`: reserves
-//!   address space without committing physical pages, so the paper's 8 GiB
-//!   heap (and larger) constructs instantly on any host. Pages commit on
-//!   first touch, governed by an explicit [`Pretouch`] policy.
-//! * [`NumaBackend`] — `mmap` plus transparent-hugepage advice and a
-//!   striped, affinity-pinned first-touch pass that interleaves physical
-//!   pages across NUMA nodes, for multi-socket timing fidelity.
+//! * `ram` — sized to fit memory, so it asks for transparent huge pages
+//!   (`MADV_HUGEPAGE`) and is committed in full up front. Default.
+//! * `mmap` — the same mapping with `MAP_NORESERVE` and no advice:
+//!   address space without physical pages, so the paper's 8 GiB heap (and
+//!   larger) constructs instantly on any host and only touched 4 KiB pages
+//!   ever commit. Huge pages would commit 2 MiB per touched byte of a
+//!   sparse heap, which is why the advice belongs to `ram` alone.
 //!
 //! # Pre-touch policy
 //!
@@ -27,57 +27,55 @@
 //! biasing results against designs that scatter allocations across the heap
 //! (scattering is free on a real device). Every backend therefore carries an
 //! explicit [`Pretouch`] policy, and the resolved policy is recorded in
-//! [`HeapBackend::describe`] so CSV provenance can expose it. The mmap
-//! default (`Lazy`) is the one deliberate exception: it is what makes
-//! over-RAM-size reservations possible at all, and timing-sensitive runs at
-//! such sizes should either warm the heap first ([`HeapBackend::commit`]) or
-//! accept the documented first-touch cost. DESIGN.md §11 spells this out.
+//! [`HeapBackend::describe`] so CSV provenance can expose it. `Full` is one
+//! `madvise(MADV_POPULATE_WRITE)`: the kernel commits the range without a
+//! fault per page. The mmap default (`Lazy`) is the one deliberate
+//! exception: it is what makes over-RAM-size reservations possible at all,
+//! and timing-sensitive runs at such sizes should either warm the heap first
+//! ([`HeapBackend::commit`]) or accept the documented first-touch cost.
+//! DESIGN.md §11 spells this out.
 //!
 //! # Selection
 //!
 //! [`HeapSpec`] names a backend; [`crate::DeviceHeap::try_new`] constructs
 //! it, surfacing OS refusal as a typed [`HeapError`] instead of an abort.
-//! The `GMS_HEAP_BACKEND` environment variable (`ram`, `mmap`, `numa`)
-//! overrides the default backend workspace-wide, which is how CI runs the
-//! whole conformance battery over the mmap path without code changes.
+//! The `GMS_HEAP_BACKEND` environment variable (`ram`, `mmap`) overrides the
+//! default backend workspace-wide, which is how CI runs the whole
+//! conformance battery over the mmap path without code changes.
 
+use crate::sync::{AtomicU8, Ordering};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which backing store a heap lives in. Parsed from `--heap-backend
-/// {ram,mmap,numa}` and from the `GMS_HEAP_BACKEND` environment variable.
+/// {ram,mmap}` and from the `GMS_HEAP_BACKEND` environment variable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum HeapBackendKind {
-    /// Host RAM via `alloc_zeroed`, fully pre-touched (the original heap).
+    /// Host RAM: a hugepage-advised mapping, fully pre-touched.
     #[default]
     Ram,
     /// Anonymous `mmap` with `MAP_NORESERVE`; lazily committed by default.
     Mmap,
-    /// `mmap` + hugepage advice + NUMA-interleaved, affinity-pinned
-    /// first-touch.
-    Numa,
 }
 
 impl HeapBackendKind {
     /// All kinds, in selector order.
-    pub const ALL: [HeapBackendKind; 3] =
-        [HeapBackendKind::Ram, HeapBackendKind::Mmap, HeapBackendKind::Numa];
+    pub const ALL: [HeapBackendKind; 2] = [HeapBackendKind::Ram, HeapBackendKind::Mmap];
 
-    /// The selector token (`ram`, `mmap`, `numa`).
+    /// The selector token (`ram`, `mmap`).
     pub fn name(&self) -> &'static str {
         match self {
             HeapBackendKind::Ram => "ram",
             HeapBackendKind::Mmap => "mmap",
-            HeapBackendKind::Numa => "numa",
         }
     }
 
     /// Whether this backend can be constructed on the current platform.
-    /// `Ram` always can; the mapped backends need the Linux mmap surface.
+    /// `Ram` always can; `Mmap` needs the Linux mmap surface.
     pub fn available(&self) -> bool {
         match self {
             HeapBackendKind::Ram => true,
-            HeapBackendKind::Mmap | HeapBackendKind::Numa => cfg!(target_os = "linux"),
+            HeapBackendKind::Mmap => MAPPED,
         }
     }
 
@@ -108,35 +106,29 @@ impl FromStr for HeapBackendKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "ram" | "malloc" => Ok(HeapBackendKind::Ram),
             "mmap" => Ok(HeapBackendKind::Mmap),
-            "numa" => Ok(HeapBackendKind::Numa),
-            other => Err(format!("unknown heap backend: {other:?} (expected ram, mmap or numa)")),
+            other => Err(format!("unknown heap backend: {other:?} (expected ram or mmap)")),
         }
     }
 }
 
-/// When the backing pages are physically committed (touched).
+/// When the backing pages are physically committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Pretouch {
-    /// Backend default: `Full` for RAM, `Lazy` for mmap, `Striped` for NUMA.
+    /// Backend default: `Full` for RAM, `Lazy` for mmap.
     #[default]
     Auto,
-    /// Touch every page up-front from the constructing thread.
+    /// Commit every page up-front, before the constructor returns.
     Full,
-    /// Touch pages in parallel stripes, one thread per NUMA node, each
-    /// pinned to its node's CPUs — Linux first-touch placement then
-    /// interleaves physical pages across nodes.
-    Striped,
-    /// No up-front touch; pages commit on first access (demand paging).
+    /// No up-front commit; pages commit on first access (demand paging).
     Lazy,
 }
 
 impl Pretouch {
-    /// The selector token (`auto`, `full`, `striped`, `lazy`).
+    /// The selector token (`auto`, `full`, `lazy`).
     pub fn name(&self) -> &'static str {
         match self {
             Pretouch::Auto => "auto",
             Pretouch::Full => "full",
-            Pretouch::Striped => "striped",
             Pretouch::Lazy => "lazy",
         }
     }
@@ -147,7 +139,6 @@ impl Pretouch {
             Pretouch::Auto => match backend {
                 HeapBackendKind::Ram => Pretouch::Full,
                 HeapBackendKind::Mmap => Pretouch::Lazy,
-                HeapBackendKind::Numa => Pretouch::Striped,
             },
             other => other,
         }
@@ -167,11 +158,10 @@ impl FromStr for Pretouch {
         match s.trim().to_ascii_lowercase().as_str() {
             "auto" => Ok(Pretouch::Auto),
             "full" => Ok(Pretouch::Full),
-            "striped" => Ok(Pretouch::Striped),
             "lazy" | "none" => Ok(Pretouch::Lazy),
-            other => Err(format!(
-                "unknown pretouch policy: {other:?} (expected auto, full, striped or lazy)"
-            )),
+            other => {
+                Err(format!("unknown pretouch policy: {other:?} (expected auto, full or lazy)"))
+            }
         }
     }
 }
@@ -204,11 +194,6 @@ impl HeapSpec {
     /// An mmap-backed spec (ignores `GMS_HEAP_BACKEND`).
     pub fn mmap(len: u64) -> Self {
         HeapSpec { len, backend: HeapBackendKind::Mmap, pretouch: Pretouch::Auto }
-    }
-
-    /// A NUMA-backed spec (ignores `GMS_HEAP_BACKEND`).
-    pub fn numa(len: u64) -> Self {
-        HeapSpec { len, backend: HeapBackendKind::Numa, pretouch: Pretouch::Auto }
     }
 
     /// Replaces the backend.
@@ -247,7 +232,7 @@ impl HeapSpec {
 pub enum HeapError {
     /// The requested size is zero or not a multiple of 128 bytes.
     InvalidLen { len: u64, reason: &'static str },
-    /// The OS refused the reservation (malloc returned null / mmap failed).
+    /// The OS refused the reservation, or could not commit a `Full` one.
     ReserveFailed { len: u64, backend: HeapBackendKind },
     /// The backend cannot be constructed on this platform or build.
     Unavailable { backend: HeapBackendKind, reason: &'static str },
@@ -292,18 +277,14 @@ pub trait HeapBackend: Send + Sync {
     /// empty heaps before a backend is opened).
     fn len(&self) -> u64;
 
-    /// Touches every page of `[offset, offset + len)` (clamped to the
-    /// region) so it is physically committed before timed code runs.
+    /// Commits every page that holds a byte of `[offset, offset + len)`
+    /// (clamped to the region), so no first-touch fault is left for timed
+    /// code. The bytes keep their values.
     fn commit(&self, offset: u64, len: u64) {
-        let end = offset.saturating_add(len).min(self.len());
-        let mut at = offset.min(self.len());
-        while at < end {
-            // SAFETY: `at < len()` and the trait contract keeps the region
-            // valid. Writing zero is idempotent on anonymous (zero-fill)
-            // pages; callers must only commit ranges that carry no data yet.
-            unsafe { touch_zero(self.base(), at as usize) };
-            at += PAGE_SIZE as u64;
-        }
+        let (start, end) = clamp_span(offset, len, self.len());
+        // SAFETY: `start <= end <= len()` and the trait contract keeps the
+        // region valid.
+        unsafe { touch_pages(self.base(), start, end) };
     }
 
     /// One-line placement description for provenance stamps, e.g.
@@ -311,114 +292,61 @@ pub trait HeapBackend: Send + Sync {
     fn describe(&self) -> String;
 }
 
-/// Host page size assumed by the pre-touch loops. A stale constant only
-/// costs extra touches (64 KiB pages are touched 16×), never correctness.
+/// Host page size assumed by the commit paths. A stale constant only costs
+/// extra touches (64 KiB pages are touched 16×), never correctness.
 pub const PAGE_SIZE: usize = 4096;
 
-/// Volatile-writes a zero byte at `base + offset` — the idempotent page
-/// touch used by every commit path (anonymous pages are zero-fill, so
-/// writing zero never clobbers data that raced in before the heap was
-/// shared).
+/// Whether [`Map`] is a mapping: on Linux, outside miri. Elsewhere there is
+/// no `mmap` to call, it is an `alloc_zeroed` slab and `mmap` is unavailable.
+const MAPPED: bool = cfg!(all(target_os = "linux", not(miri)));
+
+/// Transparent-huge-page size: mappings at least this long start on a
+/// multiple of it, so the kernel can back all of them with huge pages.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// `[offset, offset + len)` clamped to a region of `region` bytes, its start
+/// rounded down to [`PAGE_SIZE`]: `start <= end <= region`.
+fn clamp_span(offset: u64, len: u64, region: u64) -> (usize, usize) {
+    let end = offset.saturating_add(len).min(region);
+    ((offset.min(end) & !(PAGE_SIZE as u64 - 1)) as usize, end as usize)
+}
+
+/// The portable commit: writes one byte per page of `base[start..end)`,
+/// and the last byte for a `base` that is not page-aligned. The write is a
+/// compare-exchange of the byte with itself, so it keeps what is there even
+/// against a concurrent writer.
 ///
 /// # Safety
-/// `base + offset` must be in-bounds of a live allocation.
-#[inline]
-unsafe fn touch_zero(base: *mut u8, offset: usize) {
-    // SAFETY: forwarded to the caller.
-    unsafe { base.add(offset).write_volatile(0) };
+/// `base[start..end)` must lie inside a live allocation.
+unsafe fn touch_pages(base: *mut u8, start: usize, end: usize) {
+    let last = end.checked_sub(1).filter(|&last| last >= start);
+    for at in (start..end).step_by(PAGE_SIZE).chain(last) {
+        // SAFETY: `at < end`, in bounds by the caller's contract; `AtomicU8`
+        // has the layout of `u8` and any byte is a valid value.
+        let byte = unsafe { &*(base.add(at) as *const AtomicU8) };
+        let seen = byte.load(Ordering::Relaxed);
+        // Acquire/Release only because no weaker read-modify-write is worth
+        // a waiver here; a failed exchange means someone else just wrote.
+        let _ = byte.compare_exchange(seen, seen, Ordering::AcqRel, Ordering::Relaxed);
+    }
 }
 
 /// Constructs the backend named by `spec`. The single dispatch point used
 /// by [`crate::DeviceHeap::try_new`]; external backends can bypass it via
 /// [`crate::DeviceHeap::with_backend`].
 pub fn open(spec: HeapSpec) -> Result<Box<dyn HeapBackend>, HeapError> {
-    spec.validate()?;
-    match spec.backend {
-        HeapBackendKind::Ram => Ok(Box::new(RamBackend::new(spec.len, spec.pretouch)?)),
-        #[cfg(target_os = "linux")]
-        HeapBackendKind::Mmap => Ok(Box::new(MmapBackend::new(spec.len, spec.pretouch)?)),
-        #[cfg(target_os = "linux")]
-        HeapBackendKind::Numa => Ok(Box::new(NumaBackend::new(spec.len, spec.pretouch)?)),
-        #[cfg(not(target_os = "linux"))]
-        HeapBackendKind::Mmap | HeapBackendKind::Numa => Err(HeapError::Unavailable {
-            backend: spec.backend,
-            reason: "mapped backends require the Linux mmap surface",
-        }),
-    }
+    Ok(Box::new(MappedBackend::new(spec)?))
 }
 
 // ---------------------------------------------------------------------------
-// RAM backend — the original heap, extracted.
-// ---------------------------------------------------------------------------
-
-/// The original in-RAM slab: one `alloc_zeroed` allocation, pre-touched in
-/// full by default so demand paging never shows up inside simulated kernels.
-pub struct RamBackend {
-    base: *mut u8,
-    len: u64,
-    layout: std::alloc::Layout,
-    pretouch: Pretouch,
-}
-
-// SAFETY: the raw base pointer is only mutated through the DeviceHeap
-// discipline (atomic views / non-overlapping payload regions).
-unsafe impl Send for RamBackend {}
-// SAFETY: see Send.
-unsafe impl Sync for RamBackend {}
-
-impl RamBackend {
-    /// Allocates a zeroed slab of `len` bytes (validated by [`open`]; direct
-    /// callers get the same checks via [`HeapSpec::validate`] semantics).
-    pub fn new(len: u64, pretouch: Pretouch) -> Result<Self, HeapError> {
-        HeapSpec::ram(len).validate()?;
-        let layout =
-            std::alloc::Layout::from_size_align(len as usize, crate::heap::DeviceHeap::BASE_ALIGN)
-                .map_err(|_| HeapError::InvalidLen { len, reason: "heap layout overflow" })?;
-        // SAFETY: layout has non-zero size (validated above).
-        let base = unsafe { std::alloc::alloc_zeroed(layout) };
-        if base.is_null() {
-            return Err(HeapError::ReserveFailed { len, backend: HeapBackendKind::Ram });
-        }
-        let backend =
-            RamBackend { base, len, layout, pretouch: pretouch.resolve(HeapBackendKind::Ram) };
-        if backend.pretouch != Pretouch::Lazy {
-            backend.commit(0, len);
-        }
-        Ok(backend)
-    }
-}
-
-impl HeapBackend for RamBackend {
-    fn kind(&self) -> HeapBackendKind {
-        HeapBackendKind::Ram
-    }
-    fn base(&self) -> *mut u8 {
-        self.base
-    }
-    fn len(&self) -> u64 {
-        self.len
-    }
-    fn describe(&self) -> String {
-        format!("ram pretouch={}", self.pretouch)
-    }
-}
-
-impl Drop for RamBackend {
-    fn drop(&mut self) {
-        // SAFETY: `base` was allocated with exactly this layout in `new`.
-        unsafe { std::alloc::dealloc(self.base, self.layout) }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mapped backends (Linux).
+// The mapping both backends and the trace ring are made of.
 // ---------------------------------------------------------------------------
 
 /// Minimal raw bindings to the always-linked C library. The workspace is
-/// dependency-free by policy (no `libc` crate), and these five calls are the
-/// entire surface the mapped backends need. Constants are the x86-64/aarch64
-/// Linux values; both backends are compiled only for `target_os = "linux"`.
-#[cfg(target_os = "linux")]
+/// dependency-free by policy (no `libc` crate), and these three calls are
+/// the entire surface [`Map`] needs. Constants are the x86-64/aarch64 Linux
+/// values.
+#[cfg(all(target_os = "linux", not(miri)))]
 mod sys {
     use std::ffi::c_void;
 
@@ -427,9 +355,13 @@ mod sys {
     pub const MAP_PRIVATE: i32 = 0x02;
     pub const MAP_ANONYMOUS: i32 = 0x20;
     /// Reserve address space without charging it against overcommit limits;
-    /// the load-bearing flag of the whole backend.
+    /// the load-bearing flag of the mmap backend.
     pub const MAP_NORESERVE: i32 = 0x4000;
     pub const MADV_HUGEPAGE: i32 = 14;
+    /// Linux 5.14: fault the range in writable, as if every page were
+    /// written, without a trap per page. Older kernels answer `EINVAL`.
+    pub const MADV_POPULATE_WRITE: i32 = 23;
+    pub const EINVAL: i32 = 22;
 
     extern "C" {
         pub fn mmap(
@@ -442,8 +374,6 @@ mod sys {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         pub fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
-        /// `pid == 0` targets the calling thread.
-        pub fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
     }
 
     pub fn map_failed(p: *mut c_void) -> bool {
@@ -451,274 +381,225 @@ mod sys {
     }
 }
 
-/// RAII anonymous mapping shared by [`MmapBackend`] and [`NumaBackend`].
-#[cfg(target_os = "linux")]
-struct Map {
+/// The one way this workspace obtains large zeroed memory: an anonymous
+/// private mapping, zero because the kernel hands it over that way and
+/// unmapped on drop. Its base is page-aligned, and [`HUGE_PAGE`]-aligned
+/// for a mapping at least that long (the slack that buys the alignment is
+/// address space, never touched). Where not [`MAPPED`] it is an
+/// `alloc_zeroed` slab, 128-aligned, instead.
+pub(crate) struct Map {
     base: *mut u8,
     len: usize,
+    /// The reservation `drop` returns: `base[..len]` and its alignment slack.
+    raw: *mut u8,
+    raw_len: usize,
+    hugepage: bool,
 }
 
-// SAFETY: as for RamBackend — mutation is mediated by the heap discipline.
-#[cfg(target_os = "linux")]
+// SAFETY: `Map` owns its memory and only hands out the base pointer;
+// mutation through it is mediated by the heap discipline (atomic views,
+// non-overlapping payload regions) or the trace ring's slot protocol.
 unsafe impl Send for Map {}
 // SAFETY: see Send.
-#[cfg(target_os = "linux")]
 unsafe impl Sync for Map {}
 
-#[cfg(target_os = "linux")]
 impl Map {
-    fn reserve(len: u64, backend: HeapBackendKind) -> Result<Self, HeapError> {
+    /// Maps `len` zeroed bytes, `None` when the OS refuses. A `sparse`
+    /// mapping is `MAP_NORESERVE` and gets 4 KiB pages as they are touched;
+    /// any other is sized to fit memory and asks for huge pages.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    pub(crate) fn reserve(len: usize, sparse: bool) -> Option<Map> {
+        let raw_len = if len >= HUGE_PAGE { len.checked_add(HUGE_PAGE)? } else { len };
+        let noreserve = if sparse { sys::MAP_NORESERVE } else { 0 };
         // SAFETY: plain anonymous reservation; no aliasing, fd unused (-1).
-        let p = unsafe {
+        let raw = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
-                len as usize,
+                raw_len,
                 sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | noreserve,
                 -1,
                 0,
             )
         };
-        if sys::map_failed(p) || p.is_null() {
-            return Err(HeapError::ReserveFailed { len, backend });
+        if sys::map_failed(raw) || raw.is_null() {
+            return None;
         }
-        Ok(Map { base: p as *mut u8, len: len as usize })
+        let raw = raw as *mut u8;
+        let slack = if raw_len > len { (raw as usize).wrapping_neg() % HUGE_PAGE } else { 0 };
+        // SAFETY: `slack < HUGE_PAGE == raw_len - len`, so `base[..len]`
+        // lies inside the reservation.
+        let base = unsafe { raw.add(slack) };
+        // SAFETY: advice over pages of the mapping just created. A refusal
+        // (a kernel built without THP) is recorded, not an error.
+        let hugepage =
+            !sparse && unsafe { sys::madvise(base.cast(), len, sys::MADV_HUGEPAGE) } == 0;
+        Some(Map { base, len, raw, raw_len, hugepage })
+    }
+
+    /// The slab stand-in: `sparse` has no meaning without demand paging.
+    #[cfg(any(miri, not(target_os = "linux")))]
+    pub(crate) fn reserve(len: usize, _sparse: bool) -> Option<Map> {
+        let layout = Self::slab_layout(len).filter(|l| l.size() > 0)?;
+        // SAFETY: `layout` has a non-zero size.
+        let base = unsafe { std::alloc::alloc_zeroed(layout) };
+        (!base.is_null()).then_some(Map { base, len, raw: base, raw_len: len, hugepage: false })
+    }
+
+    #[cfg(any(miri, not(target_os = "linux")))]
+    fn slab_layout(len: usize) -> Option<std::alloc::Layout> {
+        std::alloc::Layout::from_size_align(len, crate::heap::DeviceHeap::BASE_ALIGN).ok()
+    }
+
+    pub(crate) fn base(&self) -> *mut u8 {
+        self.base
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the kernel accepted the huge-page advice.
+    pub(crate) fn hugepage(&self) -> bool {
+        self.hugepage
+    }
+
+    /// Commits every page that holds a byte of `[offset, offset + len)`
+    /// (clamped to the mapping), keeping their contents: one
+    /// `madvise(MADV_POPULATE_WRITE)`, or [`touch_pages`] where the kernel
+    /// does not know it. An error is the kernel saying it cannot back the
+    /// range (`ENOMEM`) — here, not as a `SIGBUS` at first use.
+    pub(crate) fn commit(&self, offset: u64, len: u64) -> std::io::Result<()> {
+        let (start, end) = clamp_span(offset, len, self.len as u64);
+        #[cfg(all(target_os = "linux", not(miri)))]
+        if start < end {
+            let pages = end.next_multiple_of(PAGE_SIZE) - start;
+            // SAFETY: `base` is page-aligned and the kernel rounded the
+            // mapping up to whole pages, so these are pages of the live
+            // mapping; populating writes nothing into them.
+            let populated = unsafe {
+                sys::madvise(self.base.add(start).cast(), pages, sys::MADV_POPULATE_WRITE)
+            };
+            if populated == 0 {
+                return Ok(());
+            }
+            let refusal = std::io::Error::last_os_error();
+            if refusal.raw_os_error() != Some(sys::EINVAL) {
+                return Err(refusal);
+            }
+        }
+        // SAFETY: `start <= end <= len`, inside the mapping.
+        unsafe { touch_pages(self.base, start, end) };
+        Ok(())
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Map {
     fn drop(&mut self) {
-        // SAFETY: exactly the mapping created in `reserve`.
-        unsafe { sys::munmap(self.base as *mut std::ffi::c_void, self.len) };
+        // SAFETY: exactly the reservation `reserve` made, which nothing
+        // borrows past the `Map`.
+        #[cfg(all(target_os = "linux", not(miri)))]
+        unsafe {
+            sys::munmap(self.raw.cast(), self.raw_len);
+        }
+        // SAFETY: `raw` was allocated in `reserve` with exactly this layout.
+        #[cfg(any(miri, not(target_os = "linux")))]
+        unsafe {
+            let layout = Self::slab_layout(self.raw_len).expect("the layout reserve allocated");
+            std::alloc::dealloc(self.raw, layout);
+        }
     }
 }
 
-/// Anonymous `MAP_NORESERVE` mapping: address space up front, physical pages
-/// on first touch. This is the backend that runs the paper's actual 8 GiB
-/// heap — and larger — on hosts with far less RAM: only touched pages ever
-/// commit. Default pre-touch is `Lazy` (see the module docs for the timing
-/// caveat); `Full`/`Striped` are available when the size fits RAM and the
-/// run is timing-sensitive.
-#[cfg(target_os = "linux")]
-pub struct MmapBackend {
+/// A heap that is one [`Map`]. As `ram` it is sized to fit memory: advised
+/// onto huge pages and (by default) committed in full before the constructor
+/// returns, so demand paging never shows up inside simulated kernels. As
+/// `mmap` it is `MAP_NORESERVE` address space whose pages commit on first
+/// touch, 4 KiB at a time (never hugepage-advised) — the backend that runs
+/// the paper's actual 8 GiB heap, and larger, on hosts with far less RAM.
+/// Its default pre-touch is `Lazy` (see the module docs for the timing
+/// caveat); `Full` is there for when the size fits RAM and the run is
+/// timing-sensitive.
+pub struct MappedBackend {
+    kind: HeapBackendKind,
     map: Map,
     pretouch: Pretouch,
 }
 
-#[cfg(target_os = "linux")]
-impl MmapBackend {
-    /// Reserves `len` bytes and applies the resolved pre-touch policy.
-    pub fn new(len: u64, pretouch: Pretouch) -> Result<Self, HeapError> {
-        HeapSpec::mmap(len).validate()?;
-        let map = Map::reserve(len, HeapBackendKind::Mmap)?;
-        let backend = MmapBackend { map, pretouch: pretouch.resolve(HeapBackendKind::Mmap) };
-        match backend.pretouch {
-            Pretouch::Full => backend.commit(0, len),
-            Pretouch::Striped => striped_first_touch(backend.map.base, len as usize),
-            _ => {}
+impl MappedBackend {
+    /// Validates `spec`, maps it and applies its resolved pre-touch policy.
+    pub fn new(spec: HeapSpec) -> Result<Self, HeapError> {
+        spec.validate()?;
+        let kind = spec.backend;
+        if !kind.available() {
+            let reason = "the mmap backend requires the Linux mmap surface";
+            return Err(HeapError::Unavailable { backend: kind, reason });
         }
-        Ok(backend)
+        let refused = HeapError::ReserveFailed { len: spec.len, backend: kind };
+        let map = usize::try_from(spec.len)
+            .ok()
+            .and_then(|len| Map::reserve(len, kind == HeapBackendKind::Mmap))
+            .ok_or_else(|| refused.clone())?;
+        let pretouch = spec.pretouch.resolve(kind);
+        if pretouch == Pretouch::Full {
+            map.commit(0, spec.len).map_err(|_| refused)?;
+        }
+        Ok(MappedBackend { kind, map, pretouch })
     }
 }
 
-#[cfg(target_os = "linux")]
-impl HeapBackend for MmapBackend {
+impl HeapBackend for MappedBackend {
     fn kind(&self) -> HeapBackendKind {
-        HeapBackendKind::Mmap
+        self.kind
     }
     fn base(&self) -> *mut u8 {
-        self.map.base
+        self.map.base()
     }
     fn len(&self) -> u64 {
-        self.map.len as u64
+        self.map.len() as u64
+    }
+    fn commit(&self, offset: u64, len: u64) {
+        // A warm-up, not a reservation: pages the kernel cannot back now
+        // fail where they would have without this call, at first use.
+        let _ = self.map.commit(offset, len);
     }
     fn describe(&self) -> String {
-        format!("mmap(noreserve) pretouch={}", self.pretouch)
-    }
-}
-
-/// NUMA-aware mapping for multi-socket timing fidelity: transparent-hugepage
-/// advice plus a striped first-touch pass with one worker per NUMA node,
-/// each best-effort pinned to its node's CPUs. Linux's first-touch policy
-/// then places each 2 MiB stripe on the toucher's node, interleaving the
-/// heap so no benchmark thread sees all-remote memory. On single-node hosts
-/// this degrades to a parallel `Full` pre-touch — same committed state,
-/// honestly described by [`HeapBackend::describe`].
-#[cfg(target_os = "linux")]
-pub struct NumaBackend {
-    map: Map,
-    pretouch: Pretouch,
-    nodes: u32,
-    hugepage: bool,
-}
-
-#[cfg(target_os = "linux")]
-impl NumaBackend {
-    /// Reserves `len` bytes, advises hugepages, and interleaves first touch.
-    pub fn new(len: u64, pretouch: Pretouch) -> Result<Self, HeapError> {
-        HeapSpec::numa(len).validate()?;
-        let map = Map::reserve(len, HeapBackendKind::Numa)?;
-        // SAFETY: advice over exactly the mapping just created; failure is
-        // non-fatal (THP may be disabled) and recorded, not propagated.
-        let hugepage = unsafe {
-            sys::madvise(map.base as *mut std::ffi::c_void, map.len, sys::MADV_HUGEPAGE) == 0
-        };
-        let pretouch = pretouch.resolve(HeapBackendKind::Numa);
-        let nodes = numa_nodes().max(1);
-        let backend = NumaBackend { map, pretouch, nodes, hugepage };
-        match backend.pretouch {
-            Pretouch::Full => backend.commit(0, len),
-            Pretouch::Striped => striped_first_touch(backend.map.base, len as usize),
-            _ => {}
+        let pretouch = self.pretouch;
+        if self.kind == HeapBackendKind::Mmap {
+            return format!("mmap(noreserve) pretouch={pretouch}");
         }
-        Ok(backend)
-    }
-
-    /// NUMA nodes detected on this host (1 on single-socket machines).
-    pub fn nodes(&self) -> u32 {
-        self.nodes
+        let form = if MAPPED { "mapped" } else { "slab" };
+        let hugepage = if self.map.hugepage() { "advised" } else { "refused" };
+        format!("ram({form}) hugepage={hugepage} pretouch={pretouch}")
     }
 }
 
-#[cfg(target_os = "linux")]
-impl HeapBackend for NumaBackend {
-    fn kind(&self) -> HeapBackendKind {
-        HeapBackendKind::Numa
-    }
-    fn base(&self) -> *mut u8 {
-        self.map.base
-    }
-    fn len(&self) -> u64 {
-        self.map.len as u64
-    }
-    fn describe(&self) -> String {
-        format!(
-            "numa nodes={} hugepage={} pretouch={}",
-            self.nodes,
-            if self.hugepage { "advised" } else { "unavailable" },
-            self.pretouch
-        )
-    }
-}
+/// What `/proc/self` says about an address range, for the tests here and of
+/// the trace ring.
+#[cfg(all(test, target_os = "linux", not(miri)))]
+pub(crate) mod probe {
+    use std::io::{Read, Seek, SeekFrom};
 
-/// Number of NUMA nodes, from sysfs; 0 when undetectable.
-#[cfg(target_os = "linux")]
-fn numa_nodes() -> u32 {
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else { return 0 };
-    entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            name.strip_prefix("node").is_some_and(|rest| rest.chars().all(|c| c.is_ascii_digit()))
+    /// Whether `addr` lies inside a mapping of this process.
+    pub(crate) fn is_mapped(addr: usize) -> bool {
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        maps.lines().any(|line| {
+            let (lo, hi) = line.split_whitespace().next().unwrap().split_once('-').unwrap();
+            let hex = |s| usize::from_str_radix(s, 16).unwrap();
+            (hex(lo)..hex(hi)).contains(&addr)
         })
-        .count() as u32
-}
-
-/// CPUs of NUMA node `node`, from the sysfs `cpulist` (empty when unknown).
-#[cfg(target_os = "linux")]
-fn node_cpus(node: u32) -> Vec<u32> {
-    let path = format!("/sys/devices/system/node/node{node}/cpulist");
-    std::fs::read_to_string(path).map(|s| parse_cpu_list(&s)).unwrap_or_default()
-}
-
-/// Parses a Linux cpulist string (`"0-3,8,10-11"`) into CPU indices.
-pub fn parse_cpu_list(s: &str) -> Vec<u32> {
-    let mut cpus = Vec::new();
-    for part in s.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.trim().parse::<u32>(), hi.trim().parse::<u32>()) {
-                    // Bounded to the kernel's CPU_SETSIZE; a garbage range
-                    // must not allocate gigabytes of indices.
-                    for c in lo..=hi.min(lo.saturating_add(1023)) {
-                        cpus.push(c);
-                    }
-                }
-            }
-            None => {
-                if let Ok(c) = part.parse::<u32>() {
-                    cpus.push(c);
-                }
-            }
-        }
     }
-    cpus
-}
 
-/// Best-effort pins the calling thread to `cpus` (ignored on failure — the
-/// touch still happens, just without placement control).
-#[cfg(target_os = "linux")]
-fn pin_to_cpus(cpus: &[u32]) {
-    if cpus.is_empty() {
-        return;
+    /// Bytes of the pages of `[addr, addr + len)` that are in memory: bit 63
+    /// of each page's `/proc/self/pagemap` entry.
+    pub(crate) fn resident_bytes(addr: usize, len: usize) -> usize {
+        let pages = (addr + len).div_ceil(super::PAGE_SIZE) - addr / super::PAGE_SIZE;
+        let mut entries = vec![0u8; pages * 8];
+        let mut pagemap = std::fs::File::open("/proc/self/pagemap").unwrap();
+        pagemap.seek(SeekFrom::Start((addr / super::PAGE_SIZE * 8) as u64)).unwrap();
+        pagemap.read_exact(&mut entries).unwrap();
+        entries.chunks_exact(8).filter(|e| e[7] >> 7 == 1).count() * super::PAGE_SIZE
     }
-    // cpu_set_t is 1024 bits on Linux.
-    let mut mask = [0u64; 16];
-    for &c in cpus {
-        if (c as usize) < 1024 {
-            mask[c as usize / 64] |= 1u64 << (c as usize % 64);
-        }
-    }
-    // SAFETY: pid 0 = calling thread; mask is a valid 128-byte cpu_set_t.
-    unsafe { sys::sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-}
-
-/// 2 MiB stripes — hugepage-sized, so THP-backed regions are touched once
-/// per huge page and the interleave granularity matches the page size the
-/// kernel actually hands out.
-#[cfg(target_os = "linux")]
-const STRIPE_BYTES: usize = 2 << 20;
-
-/// Touches every page of `[base, base + len)` from one thread per NUMA
-/// node, round-robining 2 MiB stripes, each thread pinned to its node.
-#[cfg(target_os = "linux")]
-fn striped_first_touch(base: *mut u8, len: usize) {
-    let nodes = numa_nodes().max(1) as usize;
-    let stripes = len.div_ceil(STRIPE_BYTES);
-    if nodes == 1 || stripes < 2 * nodes {
-        // Single node (or a heap too small to interleave): touch inline.
-        let mut off = 0usize;
-        while off < len {
-            // SAFETY: in-bounds touch of the anonymous mapping.
-            unsafe { touch_zero(base, off) };
-            off += PAGE_SIZE;
-        }
-        return;
-    }
-    // Raw-pointer capture: wrap in a Send shim for the scoped threads.
-    struct BasePtr(*mut u8);
-    // SAFETY: each thread touches disjoint stripes of a live mapping.
-    unsafe impl Send for BasePtr {}
-    // SAFETY: see Send — the touch pattern is disjoint by construction.
-    unsafe impl Sync for BasePtr {}
-    let shared = BasePtr(base);
-    std::thread::scope(|scope| {
-        let shared = &shared;
-        for node in 0..nodes {
-            scope.spawn(move || {
-                pin_to_cpus(&node_cpus(node as u32));
-                let mut stripe = node;
-                while stripe < stripes {
-                    let start = stripe * STRIPE_BYTES;
-                    let end = (start + STRIPE_BYTES).min(len);
-                    let mut off = start;
-                    while off < end {
-                        // SAFETY: `off < len`; stripes are disjoint between
-                        // threads, and the zero touch is idempotent.
-                        unsafe { touch_zero(shared.0, off) };
-                        off += PAGE_SIZE;
-                    }
-                    stripe += nodes;
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -734,6 +615,9 @@ mod tests {
         assert_eq!("RAM".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Ram);
         assert_eq!(" Mmap ".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Mmap);
         assert!("cuda".parse::<HeapBackendKind>().is_err());
+        // A retired backend is an error that names what is left, not an alias.
+        let e = "numa".parse::<HeapBackendKind>().unwrap_err();
+        assert!(e.contains("numa") && e.contains("ram or mmap"), "{e}");
     }
 
     #[test]
@@ -741,9 +625,10 @@ mod tests {
         assert_eq!("none".parse::<Pretouch>().unwrap(), Pretouch::Lazy);
         assert_eq!("FULL".parse::<Pretouch>().unwrap(), Pretouch::Full);
         assert!("eager".parse::<Pretouch>().is_err());
+        let e = "striped".parse::<Pretouch>().unwrap_err();
+        assert!(e.contains("striped") && e.contains("auto, full or lazy"), "{e}");
         assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Ram), Pretouch::Full);
         assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Mmap), Pretouch::Lazy);
-        assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Numa), Pretouch::Striped);
         assert_eq!(Pretouch::Full.resolve(HeapBackendKind::Mmap), Pretouch::Full);
     }
 
@@ -758,12 +643,14 @@ mod tests {
 
     #[test]
     fn ram_backend_is_zeroed_and_described() {
-        let b = RamBackend::new(4096, Pretouch::Auto).unwrap();
+        let b = MappedBackend::new(HeapSpec::ram(4096)).unwrap();
         assert_eq!(b.kind(), HeapBackendKind::Ram);
         assert_eq!(b.len(), 4096);
-        // SAFETY: in-bounds read of the zeroed slab.
+        // SAFETY: in-bounds read of the zeroed mapping.
         assert_eq!(unsafe { b.base().add(4095).read() }, 0);
-        assert_eq!(b.describe(), "ram pretouch=full");
+        let d = b.describe();
+        assert!(d.starts_with("ram(") && d.ends_with(" pretouch=full"), "{d}");
+        assert!(d.contains(" hugepage=advised ") || d.contains(" hugepage=refused "), "{d}");
     }
 
     #[test]
@@ -773,19 +660,81 @@ mod tests {
         if HeapBackendKind::Mmap.available() {
             let b = open(HeapSpec::mmap(1024)).unwrap();
             assert_eq!(b.kind(), HeapBackendKind::Mmap);
-            assert!(b.describe().contains("noreserve"), "{}", b.describe());
-        }
-        if HeapBackendKind::Numa.available() {
-            let b = open(HeapSpec::numa(1 << 20)).unwrap();
-            assert_eq!(b.kind(), HeapBackendKind::Numa);
-            assert!(b.describe().starts_with("numa nodes="), "{}", b.describe());
+            assert_eq!(b.describe(), "mmap(noreserve) pretouch=lazy");
         }
     }
 
-    #[cfg(target_os = "linux")]
+    #[test]
+    fn maps_are_aligned_and_zero_on_every_page() {
+        for len in [128, 4096 + 128, HUGE_PAGE - 128, HUGE_PAGE, (64 << 20) + 128] {
+            for sparse in [false, true] {
+                let m = Map::reserve(len, sparse).unwrap();
+                assert_eq!(m.len(), len);
+                let align = if len >= HUGE_PAGE && MAPPED { HUGE_PAGE } else { 128 };
+                assert_eq!(m.base() as usize % align, 0, "len {len} sparse {sparse}");
+                assert!(!(sparse && m.hugepage()), "a sparse mapping is never advised");
+                for at in (0..len).step_by(PAGE_SIZE).chain([len - 1]) {
+                    // SAFETY: `at < len`, inside the mapping.
+                    assert_eq!(unsafe { m.base().add(at).read() }, 0, "len {len} at {at}");
+                }
+                // Writable to the last byte.
+                // SAFETY: as above.
+                unsafe { m.base().add(len - 1).write(0xee) };
+            }
+        }
+    }
+
+    #[test]
+    fn a_mapping_nobody_can_grant_is_none_not_an_abort() {
+        assert!(Map::reserve(0, false).is_none());
+        assert!(Map::reserve(usize::MAX, false).is_none());
+        assert!(Map::reserve(1 << 55, true).is_none());
+        assert_eq!(
+            MappedBackend::new(HeapSpec::ram(1 << 55)).err(),
+            Some(HeapError::ReserveFailed { len: 1 << 55, backend: HeapBackendKind::Ram })
+        );
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn dropping_a_map_unmaps_it() {
+        use probe::is_mapped;
+        // Another test thread may map the hole the instant it opens, so one
+        // sighting of the address unmapped is the proof; a `drop` that leaked
+        // would leave every attempt mapped.
+        let unmapped = (0..8).any(|_| {
+            let m = Map::reserve(HUGE_PAGE + 128, false).unwrap();
+            m.commit(0, m.len() as u64).unwrap();
+            let base = m.base() as usize;
+            assert!(is_mapped(base));
+            drop(m);
+            !is_mapped(base)
+        });
+        assert!(unmapped);
+    }
+
+    #[test]
+    fn commit_keeps_contents_and_covers_an_unaligned_range() {
+        // The portable path, on a base that is only 8-aligned: every page of
+        // the range is written to (observed as the byte surviving), nothing
+        // outside the clamp is.
+        let mut slab = vec![0x5au8; 3 * PAGE_SIZE];
+        // SAFETY: the span is clamped to the slab.
+        unsafe { touch_pages(slab.as_mut_ptr(), 0, slab.len()) };
+        assert!(slab.iter().all(|&b| b == 0x5a));
+        assert_eq!(clamp_span(4000, 200, 1 << 20), (0, 4200));
+        assert_eq!(clamp_span(4096, 1, 1 << 20), (4096, 4097));
+        assert_eq!(clamp_span(0, u64::MAX, 4096), (0, 4096));
+        assert_eq!(clamp_span(u64::MAX, 1, 4096), (4096, 4096));
+        assert_eq!(clamp_span(8192, 4096, 4096), (4096, 4096));
+        // SAFETY: an empty span touches nothing.
+        unsafe { touch_pages(slab.as_mut_ptr(), 4096, 4096) };
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
     fn mmap_backend_reads_back_writes() {
-        let b = MmapBackend::new(1 << 20, Pretouch::Auto).unwrap();
+        let b = MappedBackend::new(HeapSpec::mmap(1 << 20)).unwrap();
         assert_eq!(b.len(), 1 << 20);
         // SAFETY: in-bounds accesses of the private anonymous mapping.
         unsafe {
@@ -797,14 +746,14 @@ mod tests {
         assert_eq!(b.base() as usize % crate::heap::DeviceHeap::BASE_ALIGN, 0);
     }
 
-    #[cfg(target_os = "linux")]
+    #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
     fn mmap_reserves_beyond_plausible_ram_lazily() {
         // 64 GiB of address space: MAP_NORESERVE makes this instant and
         // RSS-free; only the pages the test touches ever commit. Hosts
         // running strict overcommit (vm.overcommit_memory=2) may refuse —
         // that is the typed error path, not a failure of this test.
-        let b = match MmapBackend::new(64 << 30, Pretouch::Auto) {
+        let b = match MappedBackend::new(HeapSpec::mmap(64 << 30)) {
             Ok(b) => b,
             Err(HeapError::ReserveFailed { .. }) => return,
             Err(e) => panic!("unexpected error: {e}"),
@@ -818,26 +767,9 @@ mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn numa_backend_commits_striped() {
-        let b = NumaBackend::new(8 << 20, Pretouch::Auto).unwrap();
-        assert!(b.nodes() >= 1);
-        // SAFETY: in-bounds read; striped pre-touch already committed it.
-        assert_eq!(unsafe { b.base().add((8 << 20) - 1).read() }, 0);
-    }
-
-    #[test]
-    fn parse_cpu_list_handles_ranges_and_noise() {
-        assert_eq!(parse_cpu_list("0-3,8,10-11\n"), vec![0, 1, 2, 3, 8, 10, 11]);
-        assert_eq!(parse_cpu_list("5"), vec![5]);
-        assert_eq!(parse_cpu_list(""), Vec::<u32>::new());
-        assert_eq!(parse_cpu_list("garbage,2"), vec![2]);
-    }
-
     #[test]
     fn commit_is_clamped_to_the_region() {
-        let b = RamBackend::new(4096, Pretouch::Lazy).unwrap();
+        let b = MappedBackend::new(HeapSpec::ram(4096).with_pretouch(Pretouch::Lazy)).unwrap();
         b.commit(0, u64::MAX); // must not walk past the end
         b.commit(8192, 4096); // fully out of range: no-op
     }
@@ -846,7 +778,7 @@ mod tests {
     fn error_display_names_the_failure() {
         let e = HeapError::ReserveFailed { len: 8 << 30, backend: HeapBackendKind::Mmap };
         assert!(e.to_string().contains("mmap"), "{e}");
-        let e = HeapError::Unavailable { backend: HeapBackendKind::Numa, reason: "no linux" };
-        assert!(e.to_string().contains("numa"), "{e}");
+        let e = HeapError::Unavailable { backend: HeapBackendKind::Mmap, reason: "no linux" };
+        assert!(e.to_string().contains("unavailable: no linux"), "{e}");
     }
 }

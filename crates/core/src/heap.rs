@@ -3,8 +3,7 @@
 //! Every manager in the survey is "instantiated on the host with a
 //! configurable size of the manageable memory" (paper §3) and then serves all
 //! requests out of that one region. [`DeviceHeap`] is that region: a single
-//! zero-initialised host allocation addressed by byte offsets
-//! ([`DevicePtr`]).
+//! zero-initialised host mapping addressed by byte offsets ([`DevicePtr`]).
 //!
 //! Two access families are offered:
 //!
@@ -21,9 +20,9 @@
 //! # Backends
 //!
 //! Where the bytes physically live is delegated to a [`HeapBackend`]
-//! (see [`crate::backend`]): the original in-RAM slab, an mmap
-//! `MAP_NORESERVE` reservation that runs the paper's full 8 GiB heap on any
-//! host, or a NUMA-interleaved mapping for multi-socket fidelity.
+//! (see [`crate::backend`]): a hugepage-advised mapping committed up front,
+//! or an mmap `MAP_NORESERVE` reservation that runs the paper's full 8 GiB
+//! heap on any host.
 //! [`DeviceHeap::try_new`] selects by [`HeapSpec`] and surfaces OS refusal
 //! as a typed [`HeapError`]; [`DeviceHeap::new`] is the thin panicking
 //! wrapper tests use. The base pointer and length are cached on the heap
@@ -117,10 +116,9 @@ impl DeviceHeap {
         self.backend.kind()
     }
 
-    /// Touches every page of `[offset, offset + len)` so it is physically
-    /// committed — warm-up for timing-sensitive runs on lazily committed
-    /// backends. Only call on ranges that carry no payload yet (the touch
-    /// writes zero).
+    /// Commits every page that holds a byte of `[offset, offset + len)` —
+    /// warm-up for timing-sensitive runs on lazily committed backends. The
+    /// bytes keep their values.
     pub fn commit(&self, offset: u64, len: u64) {
         self.backend.commit(offset, len);
     }

@@ -37,7 +37,10 @@
 //! that `Acquire`-loads a nonzero tag sees the whole slot. Nothing
 //! shard-wide says what is committed — commits land out of claim order, so
 //! only the slot itself can say it is whole — and readers wait (bounded) on
-//! the tag of a slot that is claimed but not yet published.
+//! the tag of a slot that is claimed but not yet published. All shards'
+//! slots are one zeroed mapping (`backend.rs`'s `Map`, as the RAM heap is):
+//! nothing is written to build it, and only the shards an SM owns are
+//! committed up front.
 //!
 //! A slot holds one point event (`emit`/`emit_at`) or one *op record*:
 //! [`Traced`] times a `malloc`/`free` with two clock reads and writes a
@@ -46,6 +49,7 @@
 //! `begin.ts_ns == end.ts_ns - latency`. [`TraceRecorder::recorded`] and
 //! [`TraceRecorder::dropped`] stay in event units: an op record counts two.
 
+use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
 use crate::frag::AddressRange;
@@ -64,11 +68,11 @@ use std::time::Instant;
 
 /// Default ring capacity per SM shard, in slots.
 ///
-/// At 48 bytes per slot this bounds an 80-SM recorder to ~31 MiB. A
-/// contention run of 10 000 threads writes 2 slots per thread (one op
-/// record each for its `malloc` and its `free`, four events decoded) spread
-/// over the SMs the threads land on, so the default holds a full
-/// default-scale run without drops.
+/// At 48 bytes per slot this bounds an 80-SM recorder to 30 MiB resident
+/// (48 MiB of address space: 128 shards). A contention run of 10 000
+/// threads writes 2 slots per thread (one op record each for its `malloc`
+/// and its `free`, four events decoded) spread over the SMs the threads
+/// land on, so the default holds a full default-scale run without drops.
 pub const DEFAULT_EVENTS_PER_SM: usize = 8192;
 
 /// Largest per-shard slot count the claim word can index: its low half
@@ -232,16 +236,14 @@ const LANES_MAX: u64 = (1 << 30) - 1;
 const LOW_HALF: u64 = 0xffff_ffff;
 const EVENT_UNIT: u64 = 1 << 32;
 
-/// One fixed slot: `[ts, aux<<40|tag<<32|sm, a0, a1, a2, a3]`.
+/// One fixed slot: `[ts, aux<<40|tag<<32|sm, a0, a1, a2, a3]`. All-zero
+/// bytes are a slot nobody has published (tag 0), which is how the ring's
+/// mapping arrives from the kernel.
 struct Slot {
     words: [AtomicU64; SLOT_WORDS],
 }
 
 impl Slot {
-    fn new() -> Self {
-        Slot { words: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-
     /// Appends the slot's event (or an op record's Begin/End pair) to `out`;
     /// `None` when the slot is not yet published.
     fn decode_into(&self, out: &mut Vec<TraceEvent>) -> Option<()> {
@@ -278,9 +280,10 @@ impl Slot {
     }
 }
 
-/// One per-SM ring shard. The cursors live on their own cache line so two
+/// The cursors of one per-SM ring shard, on their own cache line so two
 /// SMs' claim traffic does not false-share (same layout rationale as the
-/// counter shards in `metrics`).
+/// counter shards in `metrics`). The slots are the recorder's.
+#[derive(Default)]
 #[repr(align(128))]
 struct TraceShard {
     /// The claim word. Low half: slots ever claimed (monotonic; exceeds
@@ -289,31 +292,28 @@ struct TraceShard {
     claimed: AtomicU64,
     /// Events discarded because the ring was full (drop-newest).
     dropped: AtomicU64,
-    slots: Box<[Slot]>,
 }
 
 impl TraceShard {
-    fn new(capacity: usize) -> Self {
-        TraceShard {
-            claimed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    /// Decodes the claimed slots from `start` on into `out`, waiting
-    /// (bounded, over the whole walk) on the tag of a slot a writer has
-    /// claimed but not yet published. A slot that stays unpublished ends the
-    /// walk when `stop_at_hole`, else it is skipped. Returns the index one
-    /// past the last slot consumed.
-    fn decode_from(&self, start: usize, stop_at_hole: bool, out: &mut Vec<TraceEvent>) -> usize {
+    /// Decodes the claimed ones of the shard's `slots` from `start` on into
+    /// `out`, waiting (bounded, over the whole walk) on the tag of a slot a
+    /// writer has claimed but not yet published. A slot that stays
+    /// unpublished ends the walk when `stop_at_hole`, else it is skipped.
+    /// Returns the index one past the last slot consumed.
+    fn decode_from(
+        &self,
+        slots: &[Slot],
+        start: usize,
+        stop_at_hole: bool,
+        out: &mut Vec<TraceEvent>,
+    ) -> usize {
         let claims = (self.claimed.load(Ordering::Acquire) & LOW_HALF) as usize;
-        let claims = claims.min(self.slots.len());
+        let claims = claims.min(slots.len());
         // Loom explores each spin iteration as a branch; keep the bound
         // tight there and generous on real hardware.
         let mut spins: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
-        for i in start.min(claims)..claims {
-            while self.slots[i].decode_into(out).is_none() {
+        for (i, slot) in slots.iter().enumerate().take(claims).skip(start) {
+            while slot.decode_into(out).is_none() {
                 if spins == 0 {
                     if stop_at_hole {
                         return i;
@@ -335,9 +335,13 @@ impl TraceShard {
 /// `fetch_add`, five `Relaxed` stores and one `Release` store. When a shard
 /// fills, further events on it are counted in [`TraceRecorder::dropped`]
 /// and discarded — memory stays bounded at `shards × events_per_sm × 48`
-/// bytes no matter how long the run.
+/// bytes of address space no matter how long the run, of which the shards of
+/// the `num_sms` SMs are resident from construction; the shards the power of
+/// two adds page in only if an out-of-range SM id folds onto them.
 pub struct TraceRecorder {
     shards: Box<[TraceShard]>,
+    /// Every shard's slots, shard after shard, in one zeroed mapping.
+    ring: Map,
     /// Per-shard slot capacity.
     capacity: usize,
     /// [`clock_ns`] at construction.
@@ -431,13 +435,21 @@ impl TraceRecorder {
     /// # Panics
     ///
     /// When `events_per_sm` exceeds 2^30, the most the claim word indexes
-    /// (a 48 GiB shard).
+    /// (a 48 GiB shard), or the ring is more than the host can map.
     pub fn new(num_sms: u32, events_per_sm: usize) -> Self {
         assert!(events_per_sm <= MAX_EVENTS_PER_SM, "events_per_sm {events_per_sm} exceeds 2^30");
-        let shards = (num_sms.max(1) as usize).next_power_of_two();
+        let sms = num_sms.max(1) as usize;
+        let shards = sms.next_power_of_two();
         let capacity = events_per_sm.max(1);
+        let shard_bytes = capacity * std::mem::size_of::<Slot>();
+        let ring = shards
+            .checked_mul(shard_bytes)
+            .and_then(|bytes| Map::reserve(bytes, false))
+            .unwrap_or_else(|| panic!("no room for {shards} trace shards of {capacity} slots"));
+        ring.commit(0, (sms * shard_bytes) as u64).expect("trace ring of the SMs' shards commits");
         TraceRecorder {
-            shards: (0..shards).map(|_| TraceShard::new(capacity)).collect(),
+            shards: (0..shards).map(|_| TraceShard::default()).collect(),
+            ring,
             capacity,
             epoch_ns: clock_ns(),
             next_launch: AtomicU64::new(0),
@@ -452,6 +464,21 @@ impl TraceRecorder {
     /// Per-shard slot capacity.
     pub fn events_per_sm(&self) -> usize {
         self.capacity
+    }
+
+    /// The slots of shard `shard`.
+    #[inline]
+    fn slots(&self, shard: usize) -> &[Slot] {
+        assert!(shard < self.shards.len());
+        // SAFETY: the ring is `shards × capacity` slots of page-aligned,
+        // zeroed memory that lives as long as `self`; a `Slot` is six
+        // `AtomicU64`s (the layout of `u64`, `repr(transparent)` in the loom
+        // shim too), for which every bit pattern is valid and shared
+        // mutation is sound.
+        unsafe {
+            let first = (self.ring.base() as *const Slot).add(shard * self.capacity);
+            std::slice::from_raw_parts(first, self.capacity)
+        }
     }
 
     /// Nanoseconds elapsed since this recorder was constructed. All event
@@ -500,7 +527,8 @@ impl TraceRecorder {
 
     /// Writes one slot; `meta_hi` is the tag with any aux bits above it.
     fn record(&self, ts_ns: u64, sm: u32, meta_hi: u64, args: [u64; 4]) {
-        let shard = &self.shards[sm as usize & (self.shards.len() - 1)];
+        let shard_idx = sm as usize & (self.shards.len() - 1);
+        let shard = &self.shards[shard_idx];
         let events = if meta_hi & TAG_MASK > EVENT_KINDS as u64 { 2 } else { 1 };
         // A full ring costs one read-modify-write, and the claim word stops
         // growing once every writer has seen it full.
@@ -516,7 +544,7 @@ impl TraceRecorder {
             shard.dropped.fetch_add(events, Ordering::Relaxed);
             return;
         }
-        let slot = &shard.slots[idx as usize];
+        let slot = &self.slots(shard_idx)[idx as usize];
         // The claim above made `idx` exclusively ours, so these Relaxed
         // stores race with nothing. The meta word (timestamp-independent
         // nonzero tag) is stored last with Release: it is the slot's own
@@ -552,8 +580,8 @@ impl TraceRecorder {
     /// rather than misread.
     pub fn snapshot(&self) -> Trace {
         let mut events = Vec::new();
-        for shard in self.shards.iter() {
-            shard.decode_from(0, false, &mut events);
+        for (i, shard) in self.shards.iter().enumerate() {
+            shard.decode_from(self.slots(i), 0, false, &mut events);
         }
         self.sorted_trace(events)
     }
@@ -576,8 +604,8 @@ impl TraceRecorder {
     pub fn snapshot_since(&self, cursors: &mut Vec<u64>) -> Trace {
         cursors.resize(self.shards.len(), 0);
         let mut events = Vec::new();
-        for (shard, cursor) in self.shards.iter().zip(cursors.iter_mut()) {
-            *cursor = shard.decode_from(*cursor as usize, true, &mut events) as u64;
+        for (i, (shard, cursor)) in self.shards.iter().zip(cursors.iter_mut()).enumerate() {
+            *cursor = shard.decode_from(self.slots(i), *cursor as usize, true, &mut events) as u64;
         }
         self.sorted_trace(events)
     }
@@ -1561,6 +1589,62 @@ mod tests {
     #[should_panic(expected = "exceeds 2^30")]
     fn capacity_the_claim_word_cannot_index_is_rejected() {
         let _ = TraceRecorder::new(1, MAX_EVENTS_PER_SM + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no room for 4294967296 trace shards")]
+    fn ring_beyond_the_address_space_is_rejected_before_it_is_mapped() {
+        let _ = TraceRecorder::new(u32::MAX, 1 << 30);
+    }
+
+    /// A ring far from a page multiple (4 shards × 5 slots, 960 bytes):
+    /// each SM's shard holds its five op records, the sixteenth is dropped.
+    #[test]
+    fn small_ring_round_trips_op_records_on_every_shard() {
+        let rec = TraceRecorder::new(3, 5);
+        assert_eq!(rec.ring.len(), 4 * 5 * 48);
+        for i in 0..15u32 {
+            rec.emit_malloc(100 + u64::from(i), i % 3, i, 64, [u64::from(i) * 64, 64, 10, 0]);
+        }
+        rec.emit_malloc(200, 1, 99, 64, [0x4000, 64, 10, 0]);
+        assert_eq!((rec.recorded(), rec.dropped()), (30, 2));
+        let t = rec.snapshot();
+        for sm in 0..3 {
+            let ends: Vec<u64> = t
+                .events
+                .iter()
+                .filter(|e| e.sm == sm && e.kind == EventKind::MallocEnd)
+                .map(|e| e.args[0])
+                .collect();
+            let expect: Vec<u64> = (0..5).map(|k| u64::from(sm + 3 * k) * 64).collect();
+            assert_eq!(ends, expect, "sm {sm}");
+        }
+    }
+
+    /// Shards 80–127 of an 80-SM recorder exist only because the shard count
+    /// is a power of two: they are address space until an out-of-range SM id
+    /// folds onto one, and dropping the recorder unmaps all of it.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn fold_over_shards_page_in_on_demand_and_drop_unmaps() {
+        use crate::backend::probe::{is_mapped, resident_bytes};
+        let shard_bytes = DEFAULT_EVENTS_PER_SM * 48;
+        // Another test thread may map the hole the instant it opens: one
+        // sighting of the address unmapped is the proof (a leak never shows).
+        let unmapped = (0..8).any(|_| {
+            let rec = TraceRecorder::with_default_capacity(80);
+            let base = rec.ring.base() as usize;
+            assert_eq!(rec.ring.len(), 128 * shard_bytes);
+            assert_eq!(resident_bytes(base, 80 * shard_bytes), 80 * shard_bytes);
+            assert_eq!(resident_bytes(base + 80 * shard_bytes, 48 * shard_bytes), 0);
+            rec.emit_at(7, 100, EventKind::OomFallback, [3, 0, 0, 0]);
+            let folded = rec.snapshot().events;
+            assert_eq!(folded, [ev(7, EventKind::OomFallback, 100, [3, 0, 0, 0])]);
+            assert_ne!(resident_bytes(base + 100 * shard_bytes, shard_bytes), 0);
+            drop(rec);
+            !is_mapped(base)
+        });
+        assert!(unmapped);
     }
 
     /// Op records and point events interleaved on one shard: every event

@@ -17,7 +17,7 @@ use gpumemsurvey::prelude::*;
 
 fn main() {
     // Pick managers with the artifact's selector syntax (default: all);
-    // an `@mmap`/`@numa` suffix swaps the heap substrate too.
+    // an `@mmap` suffix swaps the heap substrate too.
     let sel: ManagerSelection = std::env::args()
         .nth(1)
         .map(|s| s.parse().expect("bad selector"))

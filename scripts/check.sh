@@ -60,8 +60,9 @@ cargo test --offline --release -q -p gpu-sim
 echo "==> GMS_WORKERS=1 cargo test --release --test conformance"
 GMS_WORKERS=1 cargo test --offline --release -q --test conformance
 
-# Heap-backend conformance: the cross-backend battery (RAM/mmap/NUMA heap
-# contract, per-manager runs, ram-vs-mmap byte identity) plus the env-gated
+# Heap-backend conformance: the cross-backend battery (RAM/mmap heap
+# contract, per-manager runs, ram-vs-mmap byte identity, commit/lazy/full
+# residency and reserve/drop cycles read from /proc/self) plus the env-gated
 # 8 GiB MAP_NORESERVE smoke, then the full allocator conformance battery
 # re-run with every heap swapped to the mmap backend via GMS_HEAP_BACKEND.
 echo "==> HUGE_HEAP=1 cargo test --release --test heap_backends"

@@ -8,9 +8,12 @@
 //!   working in-heap atomics,
 //! * every manager constructs and serves a workload over every backend,
 //! * a deterministic workload produces byte-identical results on the RAM
-//!   and mmap backends at the same heap size, and
+//!   and mmap backends at the same heap size,
+//! * `commit` makes exactly the asked pages resident and keeps their bytes,
+//!   `Lazy` commits nothing and `Full` everything, and reserve/drop cycles
+//!   hand their memory back (Linux: read from `/proc/self`), and
 //! * (gated on `HUGE_HEAP=1`) the paper's full 8 GiB heap actually opens
-//!   and serves allocations through the mmap backend.
+//!   and serves allocations through the mmap backend, staying sparse.
 
 use std::sync::Arc;
 
@@ -168,6 +171,117 @@ fn ram_and_mmap_runs_are_byte_identical() {
     }
 }
 
+/// What `/proc/self` says about this process's memory.
+#[cfg(all(target_os = "linux", not(miri)))]
+mod procfs {
+    use std::io::{Read, Seek, SeekFrom};
+
+    /// KiB of `[addr, addr + len)` in memory: bit 63 of each 4 KiB page's
+    /// `/proc/self/pagemap` entry. Exact for the range, whatever mappings of
+    /// other test threads the kernel has merged into the same VMA.
+    pub fn resident_kib(addr: usize, len: u64) -> u64 {
+        let pages = (addr + len as usize).div_ceil(4096) - addr / 4096;
+        let mut entries = vec![0u8; pages * 8];
+        let mut pagemap = std::fs::File::open("/proc/self/pagemap").unwrap();
+        pagemap.seek(SeekFrom::Start((addr / 4096 * 8) as u64)).unwrap();
+        pagemap.read_exact(&mut entries).unwrap();
+        entries.chunks_exact(8).filter(|e| e[7] >> 7 == 1).count() as u64 * 4
+    }
+
+    /// `field` (KiB) of the `/proc/self/smaps` entry that starts at `base`.
+    /// A hugepage-advised range is a VMA of its own: nothing else has its
+    /// flags, and its neighbours are its own unadvised alignment slack.
+    pub fn vma_kib(base: usize, field: &str) -> Option<u64> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut lines = smaps.lines().skip_while(|l| !l.starts_with(&format!("{base:x}-")));
+        lines.next()?;
+        let value = lines.find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))?;
+        value.trim().strip_suffix("kB")?.trim().parse().ok()
+    }
+
+    /// `VmSize` of this process, KiB.
+    pub fn vm_size_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find_map(|l| l.strip_prefix("VmSize:")).unwrap();
+        line.trim().strip_suffix("kB").unwrap().trim().parse().unwrap()
+    }
+}
+
+#[test]
+fn commit_keeps_the_bytes_it_commits() {
+    // A heap a manager has already written to: committing it (a warm-up
+    // between epochs, say) used to store a zero at the head of every page.
+    const LEN: u64 = 1 << 20;
+    for backend in available_backends() {
+        let heap = heap_on(backend, LEN);
+        heap.fill(DevicePtr::new(0), LEN, 0x5A);
+        heap.commit(0, LEN);
+        let mut image = vec![0u8; LEN as usize];
+        heap.read_bytes(DevicePtr::new(0), &mut image);
+        let clobbered = image.iter().filter(|&&b| b != 0x5A).count();
+        assert_eq!(clobbered, 0, "{backend}: commit changed {clobbered} bytes");
+    }
+}
+
+#[cfg(all(target_os = "linux", not(miri)))]
+#[test]
+fn commit_covers_every_page_of_an_unaligned_range() {
+    // 200 bytes from offset 4000: 96 of them on page 0, 104 on page 1.
+    let spec = HeapSpec::mmap(1 << 20).with_pretouch(Pretouch::Lazy);
+    let heap = DeviceHeap::try_new(spec).unwrap();
+    let base = heap.backend().base() as usize;
+    assert_eq!(procfs::resident_kib(base, 1 << 20), 0, "lazy");
+    heap.commit(4000, 200);
+    assert_eq!(procfs::resident_kib(base, 4096), 4, "page 0");
+    assert_eq!(procfs::resident_kib(base + 4096, 4096), 4, "page 1");
+    assert_eq!(procfs::resident_kib(base, 1 << 20), 8, "and nothing else");
+}
+
+#[cfg(all(target_os = "linux", not(miri)))]
+#[test]
+fn lazy_is_lazy_and_full_is_full_on_ram() {
+    let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+    let thp_on = thp.is_ok_and(|s| !s.contains("[never]"));
+    let check_huge = |heap: &DeviceHeap| {
+        let huge = procfs::vma_kib(heap.backend().base() as usize, "AnonHugePages");
+        println!("{}: AnonHugePages {huge:?} kB", heap.backend().describe());
+        if heap.backend().describe().contains("hugepage=advised") && thp_on {
+            assert_eq!(huge, Some(HEAP >> 10), "an advised heap sits on huge pages");
+        }
+    };
+
+    let lazy = DeviceHeap::try_new(HeapSpec::ram(HEAP).with_pretouch(Pretouch::Lazy)).unwrap();
+    let base = lazy.backend().base() as usize;
+    assert!(procfs::resident_kib(base, HEAP) < 1024, "a lazy reserve commits nothing");
+    assert_eq!(base % (2 << 20), 0, "a heap of 2 MiB or more starts on a huge page");
+    lazy.commit(0, HEAP);
+    assert_eq!(procfs::resident_kib(base, HEAP), HEAP >> 10);
+    check_huge(&lazy);
+    drop(lazy);
+
+    let full = DeviceHeap::try_new(HeapSpec::ram(HEAP).with_pretouch(Pretouch::Full)).unwrap();
+    assert!(full.backend().describe().ends_with("pretouch=full"));
+    assert_eq!(procfs::resident_kib(full.backend().base() as usize, HEAP), HEAP >> 10);
+    check_huge(&full);
+}
+
+#[cfg(all(target_os = "linux", not(miri)))]
+#[test]
+fn reserve_drop_cycles_hand_their_memory_back() {
+    // 4 GiB in all. Other tests' heaps come and go meanwhile (well under
+    // 1 GiB of them alive at once), so the bound is loose; a drop that kept
+    // its mapping would blow through it four times over.
+    let before = procfs::vm_size_kib();
+    for cycle in 0..64 {
+        let spec = HeapSpec::ram(HEAP).with_pretouch(Pretouch::Full);
+        let heap = DeviceHeap::try_new(spec).unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        assert_eq!(heap.load_u64(HEAP - 8), 0);
+        heap.store_u64(HEAP - 8, u64::MAX);
+    }
+    let grown = procfs::vm_size_kib().saturating_sub(before);
+    assert!(grown < 1 << 20, "VmSize grew by {grown} kB over 64 reserve/drop cycles");
+}
+
 #[test]
 fn huge_heap_smoke_mmap_8gib() {
     // The paper's actual configuration: an 8 GiB device heap. Gated behind
@@ -199,6 +313,13 @@ fn huge_heap_smoke_mmap_8gib() {
     // And the far end of the reservation is live too.
     alloc.heap().fill(DevicePtr::new(EIGHT_GIB - 4096), 4096, 0x5A);
     assert_eq!(alloc.heap().read_u8(DevicePtr::new(EIGHT_GIB - 1), 0), 0x5A);
+    // Sparse: the mmap backend is never hugepage-advised, so what is
+    // resident is what was touched, not 2 MiB around each touch.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        let resident = procfs::resident_kib(alloc.heap().backend().base() as usize, EIGHT_GIB);
+        assert!(resident < 512 << 10, "8 GiB heap has {resident} kB resident");
+    }
 }
 
 #[test]
@@ -210,12 +331,11 @@ fn builder_surfaces_typed_heap_errors() {
         };
         assert!(matches!(err, HeapError::InvalidLen { .. }), "{err}");
     }
-    // An over-the-address-space mmap reservation fails as a typed error,
-    // not an abort (exact variant depends on the host's overcommit policy).
-    if HeapBackendKind::Mmap.available() {
-        let spec = HeapSpec::mmap(1 << 55);
-        if let Err(e) = DeviceHeap::try_new(spec) {
-            assert!(matches!(e, HeapError::ReserveFailed { .. }), "unexpected error shape: {e}");
-        }
+    // An over-the-address-space reservation fails as a typed error, not an
+    // abort, on every backend.
+    for backend in available_backends() {
+        let spec = HeapSpec::new(1 << 55).with_backend(backend);
+        let err = DeviceHeap::try_new(spec).err();
+        assert_eq!(err, Some(HeapError::ReserveFailed { len: 1 << 55, backend }));
     }
 }
