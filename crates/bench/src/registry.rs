@@ -530,16 +530,6 @@ impl fmt::Display for ManagerSelection {
     }
 }
 
-/// Creates the default evaluation set over per-manager heaps.
-pub fn all_managers(heap_bytes: u64, num_sms: u32) -> Vec<(ManagerKind, Arc<dyn DeviceAllocator>)> {
-    DEFAULT_KINDS.iter().map(|k| (*k, k.builder().heap(heap_bytes).sms(num_sms).build())).collect()
-}
-
-/// Creates one manager by kind (facade convenience).
-pub fn create_manager(kind: ManagerKind, heap_bytes: u64) -> Arc<dyn DeviceAllocator> {
-    kind.builder().heap(heap_bytes).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

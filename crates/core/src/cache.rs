@@ -40,11 +40,8 @@
 //! For those families the decorator is a transparent pass-through.
 
 use crate::error::AllocError;
-use crate::heap::DeviceHeap;
-use crate::info::ManagerInfo;
 use crate::metrics::{Counter, Metrics};
 use crate::ptr::DevicePtr;
-use crate::regs::RegisterFootprint;
 use crate::sync::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::trace::EventKind;
 use crate::traits::DeviceAllocator;
@@ -335,13 +332,13 @@ impl<A: DeviceAllocator> Cached<A> {
     }
 }
 
-impl<A: DeviceAllocator> DeviceAllocator for Cached<A> {
-    fn info(&self) -> ManagerInfo {
-        self.inner.info()
-    }
+// `free_warp_all` forwards: only warp-level-only families implement it,
+// and for them caching is disabled, so the magazines are empty.
+impl<A: DeviceAllocator> crate::traits::Layer for Cached<A> {
+    type Inner = A;
 
-    fn heap(&self) -> &DeviceHeap {
-        self.inner.heap()
+    fn inner(&self) -> &A {
+        &self.inner
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
@@ -477,24 +474,6 @@ impl<A: DeviceAllocator> DeviceAllocator for Cached<A> {
         self.inner.free_warp(warp, &remaining[..ptrs.len()])
     }
 
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
-        // Only warp-level-only families implement this; for them caching is
-        // disabled and the magazines are empty by construction.
-        self.inner.free_warp_all(warp)
-    }
-
-    fn register_footprint(&self) -> RegisterFootprint {
-        self.inner.register_footprint()
-    }
-
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        self.inner.grow(additional)
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.inner.metrics()
-    }
-
     fn drain(&self) -> u64 {
         // Published magazine contents first, then whatever the inner
         // manager itself might be holding back (a nested decorator).
@@ -512,14 +491,19 @@ impl<A: DeviceAllocator> Drop for Cached<A> {
 mod tests {
     use super::*;
     use crate::sync::Ordering as O;
+    use crate::{DeviceHeap, ManagerInfo, RegisterFootprint};
     use std::sync::Arc;
 
-    /// Free-capable bump allocator counting its calls, for decorator tests.
+    /// Bump allocator counting its calls, for decorator tests. It frees
+    /// unless `supports_free` is cleared, and `m` can be a live metrics
+    /// block, as the registry's managers have.
     struct CountingInner {
         heap: Arc<DeviceHeap>,
         top: AtomicU64,
         mallocs: AtomicU64,
         frees: AtomicU64,
+        supports_free: bool,
+        m: Metrics,
     }
 
     impl CountingInner {
@@ -529,18 +513,21 @@ mod tests {
                 top: AtomicU64::new(0),
                 mallocs: AtomicU64::new(0),
                 frees: AtomicU64::new(0),
+                supports_free: true,
+                m: Metrics::disabled(),
             }
         }
     }
 
     impl DeviceAllocator for CountingInner {
         fn info(&self) -> ManagerInfo {
-            ManagerInfo::builder("CountingInner").supports_free(true).build()
+            ManagerInfo::builder("CountingInner").supports_free(self.supports_free).build()
         }
         fn heap(&self) -> &DeviceHeap {
             &self.heap
         }
-        fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+            self.m.tick(ctx.sm, Counter::MallocCalls);
             self.mallocs.fetch_add(1, O::Relaxed);
             let sz = crate::util::align_up(size.max(1), 16);
             let off = self.top.fetch_add(sz, O::Relaxed);
@@ -549,35 +536,13 @@ mod tests {
             }
             Ok(DevicePtr::new(off))
         }
-        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+        fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+            if !self.supports_free {
+                return Err(AllocError::Unsupported("free"));
+            }
+            self.m.tick(ctx.sm, Counter::FreeCalls);
             self.frees.fetch_add(1, O::Relaxed);
             Ok(())
-        }
-        fn register_footprint(&self) -> RegisterFootprint {
-            RegisterFootprint { malloc: 4, free: 2 }
-        }
-    }
-
-    /// [`CountingInner`] with a live metrics block, as the registry's
-    /// managers have.
-    struct Metered {
-        inner: CountingInner,
-        m: Metrics,
-    }
-    impl DeviceAllocator for Metered {
-        fn info(&self) -> ManagerInfo {
-            ManagerInfo::builder("Metered").supports_free(true).build()
-        }
-        fn heap(&self) -> &DeviceHeap {
-            self.inner.heap()
-        }
-        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.tick(ctx.sm, Counter::MallocCalls);
-            self.inner.malloc(ctx, size)
-        }
-        fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-            self.m.tick(ctx.sm, Counter::FreeCalls);
-            self.inner.free(ctx, ptr)
         }
         fn register_footprint(&self) -> RegisterFootprint {
             RegisterFootprint { malloc: 4, free: 2 }
@@ -859,25 +824,8 @@ mod tests {
 
     #[test]
     fn no_free_inner_disables_caching() {
-        struct NoFree(CountingInner);
-        impl DeviceAllocator for NoFree {
-            fn info(&self) -> ManagerInfo {
-                ManagerInfo::builder("NoFree").supports_free(false).build()
-            }
-            fn heap(&self) -> &DeviceHeap {
-                self.0.heap()
-            }
-            fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-                self.0.malloc(ctx, size)
-            }
-            fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
-                Err(AllocError::Unsupported("free"))
-            }
-            fn register_footprint(&self) -> RegisterFootprint {
-                RegisterFootprint { malloc: 4, free: 0 }
-            }
-        }
-        let c = Cached::new(NoFree(CountingInner::new(1 << 20)), 2);
+        let c =
+            Cached::new(CountingInner { supports_free: false, ..CountingInner::new(1 << 20) }, 2);
         assert!(!c.is_caching());
         let ctx = ThreadCtx::host();
         let p = c.malloc(&ctx, 64).unwrap();
@@ -888,7 +836,7 @@ mod tests {
     #[test]
     fn magazine_counters_flow_into_shared_metrics() {
         let m = Metrics::enabled(4);
-        let c = Cached::new(Metered { inner: CountingInner::new(1 << 20), m: m.clone() }, 4);
+        let c = Cached::new(CountingInner { m: m.clone(), ..CountingInner::new(1 << 20) }, 4);
         let ctx = ThreadCtx::host();
         let p = c.malloc(&ctx, 64).unwrap(); // miss
         c.free(&ctx, p).unwrap(); // park (no inner free call)
@@ -906,7 +854,7 @@ mod tests {
     #[test]
     fn warp_parks_are_not_magazine_hits() {
         let m = Metrics::enabled(4);
-        let c = Cached::new(Metered { inner: CountingInner::new(1 << 20), m: m.clone() }, 4);
+        let c = Cached::new(CountingInner { m: m.clone(), ..CountingInner::new(1 << 20) }, 4);
         let warp = WarpCtx { warp: 0, block: 0, sm: 0 };
         let mut out = [DevicePtr::NULL; 2];
         c.malloc_warp(&warp, &[64, 64], &mut out).unwrap(); // two misses

@@ -16,8 +16,8 @@
 //!   allocation, detected without scanning the interval map;
 //! * optional **canary redzones**: every request is inflated by
 //!   [`SanitizerConfig::redzone`] bytes, the tail is filled with a canary
-//!   pattern through [`DeviceHeap`], and verified on free — catching
-//!   out-of-bounds writes by workload kernels;
+//!   pattern through [`DeviceHeap`](crate::DeviceHeap), and verified on
+//!   free — catching out-of-bounds writes by workload kernels;
 //! * optional **poison-on-free**: the payload of a freed region is filled
 //!   with a poison byte *before* the inner allocator can recycle it, so
 //!   use-after-free reads surface as torn data in workload assertions.
@@ -36,11 +36,8 @@ use std::sync::Mutex;
 
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
-use crate::heap::DeviceHeap;
 use crate::info::ManagerInfo;
-use crate::metrics::Metrics;
 use crate::ptr::DevicePtr;
-use crate::regs::RegisterFootprint;
 use crate::traits::DeviceAllocator;
 use crate::util::mix64;
 
@@ -581,13 +578,18 @@ impl<A: DeviceAllocator> Sanitized<A> {
     }
 }
 
-impl<A: DeviceAllocator> DeviceAllocator for Sanitized<A> {
-    fn info(&self) -> ManagerInfo {
-        self.info.clone()
+// `drain` forwards with no bookkeeping: a nested cache's drain pushes
+// parked blocks through the inner `free`, below this wrapper, and the
+// shadow map already untracked them when the caller freed.
+impl<A: DeviceAllocator> crate::traits::Layer for Sanitized<A> {
+    type Inner = A;
+
+    fn inner(&self) -> &A {
+        &self.inner
     }
 
-    fn heap(&self) -> &DeviceHeap {
-        self.inner.heap()
+    fn info(&self) -> ManagerInfo {
+        self.info.clone()
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
@@ -638,7 +640,7 @@ impl<A: DeviceAllocator> DeviceAllocator for Sanitized<A> {
                 continue;
             }
             let ctx = warp.lane(lane as u32);
-            if let Err(e) = self.free(&ctx, ptr) {
+            if let Err(e) = crate::traits::Layer::free(self, &ctx, ptr) {
                 first_err.get_or_insert(e);
             }
         }
@@ -676,25 +678,6 @@ impl<A: DeviceAllocator> DeviceAllocator for Sanitized<A> {
         }
         self.inner.free_warp_all(warp)
     }
-
-    fn register_footprint(&self) -> RegisterFootprint {
-        self.inner.register_footprint()
-    }
-
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        self.inner.grow(additional)
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.inner.metrics()
-    }
-
-    fn drain(&self) -> u64 {
-        // A nested cache's drain pushes parked blocks through the inner
-        // `free`, *below* this wrapper — the shadow map already untracked
-        // them when the caller freed, so no sanitizer bookkeeping is due.
-        self.inner.drain()
-    }
 }
 
 #[cfg(test)]
@@ -702,6 +685,7 @@ mod tests {
     use super::*;
     use crate::sync::AtomicU64;
     use crate::util::align_up;
+    use crate::{DeviceHeap, RegisterFootprint};
     use std::sync::Arc;
 
     /// Correct free-list allocator: bump plus LIFO recycling of exact sizes.

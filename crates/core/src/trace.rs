@@ -53,11 +53,7 @@ use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
 use crate::frag::AddressRange;
-use crate::heap::DeviceHeap;
-use crate::info::ManagerInfo;
-use crate::metrics::Metrics;
 use crate::ptr::DevicePtr;
-use crate::regs::RegisterFootprint;
 use crate::sync::{AtomicU64, Ordering};
 use crate::traits::DeviceAllocator;
 use std::cell::Cell;
@@ -701,13 +697,14 @@ impl<A: DeviceAllocator> Traced<A> {
     }
 }
 
-impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
-    fn info(&self) -> ManagerInfo {
-        self.inner.info()
-    }
+// `drain` forwards without events of its own: the inner drain's frees are
+// magazine publications, not caller-visible free calls, so this layer has
+// no begin/end pair to record.
+impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
+    type Inner = A;
 
-    fn heap(&self) -> &DeviceHeap {
-        self.inner.heap()
+    fn inner(&self) -> &A {
+        &self.inner
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
@@ -786,26 +783,6 @@ impl<A: DeviceAllocator> DeviceAllocator for Traced<A> {
         let end = [u64::MAX, latency, retries, r.is_ok() as u64];
         self.rec.emit_free(t1, warp.sm, leader, Some(0), end);
         r
-    }
-
-    fn register_footprint(&self) -> RegisterFootprint {
-        self.inner.register_footprint()
-    }
-
-    fn grow(&self, bytes: u64) -> Result<(), AllocError> {
-        self.inner.grow(bytes)
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.inner.metrics()
-    }
-
-    fn drain(&self) -> u64 {
-        // Forwarded without events of its own: the inner drain's frees run
-        // through the inner allocator directly (they are magazine
-        // publications, not caller-visible free calls), so there is no
-        // begin/end pair to record at this layer.
-        self.inner.drain()
     }
 }
 
@@ -1501,6 +1478,7 @@ impl JsonParser<'_> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::{DeviceHeap, ManagerInfo, Metrics, RegisterFootprint};
 
     fn ev(ts: u64, kind: EventKind, sm: u32, args: [u64; 4]) -> TraceEvent {
         TraceEvent { ts_ns: ts, kind, sm, args }
@@ -2002,12 +1980,11 @@ mod tests {
             inner: A,
             m: Metrics,
         }
-        impl<A: DeviceAllocator> DeviceAllocator for Middle<A> {
-            fn info(&self) -> ManagerInfo {
-                self.inner.info()
-            }
-            fn heap(&self) -> &DeviceHeap {
-                self.inner.heap()
+        impl<A: DeviceAllocator> crate::traits::Layer for Middle<A> {
+            type Inner = A;
+
+            fn inner(&self) -> &A {
+                &self.inner
             }
             fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
                 // The middle layer burns retries of its own (e.g. magazine
@@ -2018,11 +1995,16 @@ mod tests {
             fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
                 self.inner.free(ctx, ptr)
             }
-            fn register_footprint(&self) -> RegisterFootprint {
-                self.inner.register_footprint()
+            fn malloc_warp(
+                &self,
+                warp: &WarpCtx,
+                sizes: &[u64],
+                out: &mut [DevicePtr],
+            ) -> Result<(), AllocError> {
+                self.inner.malloc_warp(warp, sizes, out)
             }
-            fn metrics(&self) -> Metrics {
-                self.inner.metrics()
+            fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
+                self.inner.free_warp(warp, ptrs)
             }
         }
 

@@ -153,17 +153,108 @@ pub fn rollback_partial_warp<A: DeviceAllocator + ?Sized>(
     }
 }
 
-/// Shared-ownership forwarding: an `Arc<A>` (including `Arc<dyn
-/// DeviceAllocator>`, the form the benchmark registry hands out) is itself a
-/// [`DeviceAllocator`]. Every method forwards explicitly so a manager's
-/// warp-aggregation overrides are preserved through the indirection; this is
-/// what lets wrappers like `Sanitized` take any built manager by value.
-impl<T: DeviceAllocator + ?Sized> DeviceAllocator for std::sync::Arc<T> {
+/// A decorator: a manager that wraps [`Layer::inner`] and is a
+/// [`DeviceAllocator`] through the one blanket impl below, which forwards
+/// every method the layer does not define to the inner manager. A trait
+/// default can therefore never shadow an inner override (the way a missing
+/// `drain` forwarder once left `Cached` magazines parked behind `Arc`).
+///
+/// The four hot entry points are required, so each layer states what it
+/// does on the paths the benchmarks time. `heap`, `register_footprint`,
+/// `grow` and `metrics` always forward. Implement it by path
+/// (`impl crate::traits::Layer for X`), and inside such an impl call the
+/// layer's own methods by path too (`Layer::free(self, …)`): with both
+/// traits in scope a layer has two `malloc` methods.
+pub trait Layer: Send + Sync {
+    /// The wrapped manager.
+    type Inner: DeviceAllocator + ?Sized;
+
+    /// The wrapped manager.
+    fn inner(&self) -> &Self::Inner;
+
+    /// See [`DeviceAllocator::malloc`].
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError>;
+
+    /// See [`DeviceAllocator::free`].
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError>;
+
+    /// See [`DeviceAllocator::malloc_warp`].
+    fn malloc_warp(
+        &self,
+        warp: &WarpCtx,
+        sizes: &[u64],
+        out: &mut [DevicePtr],
+    ) -> Result<(), AllocError>;
+
+    /// See [`DeviceAllocator::free_warp`].
+    fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError>;
+
+    /// See [`DeviceAllocator::info`].
     fn info(&self) -> ManagerInfo {
-        (**self).info()
+        self.inner().info()
+    }
+
+    /// See [`DeviceAllocator::free_warp_all`].
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+        self.inner().free_warp_all(warp)
+    }
+
+    /// See [`DeviceAllocator::drain`].
+    fn drain(&self) -> u64 {
+        self.inner().drain()
+    }
+}
+
+impl<L: Layer> DeviceAllocator for L {
+    fn info(&self) -> ManagerInfo {
+        Layer::info(self)
     }
     fn heap(&self) -> &DeviceHeap {
-        (**self).heap()
+        self.inner().heap()
+    }
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+        Layer::malloc(self, ctx, size)
+    }
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+        Layer::free(self, ctx, ptr)
+    }
+    fn malloc_warp(
+        &self,
+        warp: &WarpCtx,
+        sizes: &[u64],
+        out: &mut [DevicePtr],
+    ) -> Result<(), AllocError> {
+        Layer::malloc_warp(self, warp, sizes, out)
+    }
+    fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
+        Layer::free_warp(self, warp, ptrs)
+    }
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+        Layer::free_warp_all(self, warp)
+    }
+    fn register_footprint(&self) -> RegisterFootprint {
+        self.inner().register_footprint()
+    }
+    fn grow(&self, additional: u64) -> Result<(), AllocError> {
+        self.inner().grow(additional)
+    }
+    fn metrics(&self) -> Metrics {
+        self.inner().metrics()
+    }
+    fn drain(&self) -> u64 {
+        Layer::drain(self)
+    }
+}
+
+/// Shared ownership is the layer that changes nothing: an `Arc<A>`
+/// (including `Arc<dyn DeviceAllocator>`, the form the benchmark registry
+/// hands out) is a manager with every override of `A` intact, which is what
+/// lets wrappers like `Sanitized` take any built manager by value.
+impl<T: DeviceAllocator + ?Sized> Layer for std::sync::Arc<T> {
+    type Inner = T;
+
+    fn inner(&self) -> &T {
+        self
     }
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         (**self).malloc(ctx, size)
@@ -181,26 +272,6 @@ impl<T: DeviceAllocator + ?Sized> DeviceAllocator for std::sync::Arc<T> {
     }
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
         (**self).free_warp(warp, ptrs)
-    }
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
-        (**self).free_warp_all(warp)
-    }
-    fn register_footprint(&self) -> RegisterFootprint {
-        (**self).register_footprint()
-    }
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        (**self).grow(additional)
-    }
-    fn metrics(&self) -> Metrics {
-        (**self).metrics()
-    }
-
-    fn drain(&self) -> u64 {
-        // Without this forwarder the defaulted no-op would shadow the
-        // pointee's drain — a `Cached` behind `Arc<dyn DeviceAllocator>`
-        // (every registry-built handle) would keep its magazines parked
-        // and the telemetry teardown contract would silently break.
-        (**self).drain()
     }
 }
 
@@ -323,11 +394,86 @@ mod tests {
     #[test]
     fn arc_forwards_the_whole_interface() {
         let a: Arc<dyn DeviceAllocator> = Arc::new(Bump::new(1 << 12));
-        assert_eq!(a.info().family, "Bump");
+        assert_eq!(DeviceAllocator::info(&a).family, "Bump");
         let p = DeviceAllocator::malloc(&a, &ThreadCtx::host(), 8).unwrap();
         assert!(!p.is_null());
         assert_eq!(a.grow(128), Err(AllocError::Unsupported("grow")));
         assert!(!a.metrics().is_enabled());
+    }
+
+    /// A leaf overriding every defaulted cold method, each with a result
+    /// the trait default cannot produce.
+    struct Leaf(DeviceHeap);
+
+    impl DeviceAllocator for Leaf {
+        fn info(&self) -> ManagerInfo {
+            ManagerInfo::builder("Leaf").build()
+        }
+        fn heap(&self) -> &DeviceHeap {
+            &self.0
+        }
+        fn malloc(&self, _ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
+            Ok(DevicePtr::new(0))
+        }
+        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn free_warp_all(&self, _warp: &WarpCtx) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn register_footprint(&self) -> RegisterFootprint {
+            RegisterFootprint { malloc: 7, free: 5 }
+        }
+        fn grow(&self, _additional: u64) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn metrics(&self) -> Metrics {
+            Metrics::enabled(1)
+        }
+        fn drain(&self) -> u64 {
+            42
+        }
+    }
+
+    /// A layer that writes the four hot paths and nothing else.
+    struct Hot<A>(A);
+
+    impl<A: DeviceAllocator> Layer for Hot<A> {
+        type Inner = A;
+
+        fn inner(&self) -> &A {
+            &self.0
+        }
+        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+            self.0.malloc(ctx, size)
+        }
+        fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+            self.0.free(ctx, ptr)
+        }
+        fn malloc_warp(
+            &self,
+            warp: &WarpCtx,
+            sizes: &[u64],
+            out: &mut [DevicePtr],
+        ) -> Result<(), AllocError> {
+            self.0.malloc_warp(warp, sizes, out)
+        }
+        fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
+            self.0.free_warp(warp, ptrs)
+        }
+    }
+
+    #[test]
+    fn a_layer_forwards_every_method_it_does_not_write() {
+        let a: Arc<dyn DeviceAllocator> = Arc::new(Hot(Leaf(DeviceHeap::new(1 << 12))));
+        let warp = WarpCtx { warp: 0, block: 0, sm: 0 };
+        assert_eq!(DeviceAllocator::info(&a).family, "Leaf");
+        assert_eq!(a.heap().len(), 1 << 12);
+        assert_eq!(a.register_footprint(), RegisterFootprint { malloc: 7, free: 5 });
+        assert_eq!(DeviceAllocator::free_warp_all(&a, &warp), Ok(()));
+        assert_eq!(a.grow(4096), Ok(()));
+        assert!(a.metrics().is_enabled());
+        assert_eq!(DeviceAllocator::drain(&a), 42);
     }
 
     /// Free-capable counting allocator whose lane `fail_at` (by allocation

@@ -1,14 +1,19 @@
-//! Decorator default-method forwarding conformance.
+//! Decorator hot-path conformance.
 //!
-//! Rust trait default methods are a decorator hazard: a wrapper that
-//! implements only the required methods silently swaps the inner
-//! allocator's `malloc_warp`/`free_warp`/`free_warp_all`/`grow` overrides
-//! for the trait defaults, which loop `self.malloc`/`self.free` on the
-//! *wrapper* — losing warp coalescing and double-instrumenting each lane.
+//! Every decorator is a `gpumem_core::traits::Layer`, and the one blanket
+//! impl forwards what a layer does not write: `grow` always, and
+//! `free_warp_all` unless the layer overrides it. So no wrapper can fall
+//! back to a `DeviceAllocator` default it forgot to override, and the
+//! `grow` assertions below, with `Cached`'s `free_warp_all`, hold by
+//! construction.
 //!
-//! The probe here overrides every default method with a reach flag, and
-//! each test asserts that calls through a decorator reach the override —
-//! not the trait default (which would trip the per-thread flags instead).
+//! The types cannot prove the hand-written code: each layer's four hot
+//! entry points and the `free_warp_all` overrides of `Traced` and
+//! `Sanitized`. A `malloc_warp` that loops `self.malloc` per lane compiles,
+//! yet drops the inner manager's warp coalescing and instruments each lane
+//! twice. The probe here overrides every default method with a reach flag,
+//! and its warp overrides never call `self.malloc`, so a degraded warp path
+//! trips the per-thread flags instead.
 //!
 //! Two audited, intentional deviations, asserted as such below:
 //!
@@ -18,9 +23,6 @@
 //! * `Cached` intercepts thread-level `malloc`/`free` (that is its job);
 //!   its misses, evictions, and warp batches must land on the inner
 //!   overrides.
-//!
-//! (The trait has no `spec()` method; capability metadata travels via
-//! `info()`, which is a required method and cannot be lost by forwarding.)
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -16,7 +16,6 @@
 //! | `offset-arithmetic` | `unchecked-offset-arithmetic` | raw `+`/`*`/`<<` on heap offsets, byte counts and page indices outside the checked helpers (`checked_add`, `checked_next_pow2`, the `SizingError` paths) — the overflow class PRs 2 and 7 fixed by hand |
 //! | `hot-path` | `hot-path-panic`, `hot-path-host-alloc` | `panic!`/`unwrap`/`expect`/`assert!` and host allocation (`Vec::push`, `Box::new`, `format!`…) inside `malloc`/`free`/`malloc_warp`/`free_warp` implementations and the in-crate functions they call: simulated device kernels must never host-allocate or unwind mid-protocol |
 //! | `lock-order` | `lock-order-cycle`, `lock-across-launch-gate` | per-function lock-acquisition graph over `gpu-sim` and the allocator crates: ordering cycles deadlock, and any lock taken under the executor's `launch_gate` repeats the PR 5 hazard |
-//! | `decorator-forwarding` | `decorator-missing-forward` | a `DeviceAllocator` decorator (`impl<A: DeviceAllocator> DeviceAllocator for X<A>`) that fails to override a defaulted trait method silently drops the inner manager's specialised behaviour — the bug class PR 8's runtime Probe audit checked dynamically |
 //!
 //! The waiver audit (`allow-missing-reason`) rides along as a framework
 //! rule: a directive without a written reason, or naming an unknown rule,
@@ -69,31 +68,18 @@ pub enum Pass {
     HotPath,
     /// Lock-acquisition ordering across the executor and allocators.
     LockOrder,
-    /// DeviceAllocator decorator forwarding completeness.
-    DecoratorForwarding,
     /// Waiver-directive hygiene (framework rule).
     Waivers,
 }
 
 impl Pass {
     /// Every pass, in reporting order.
-    pub const ALL: [Pass; 6] = [
-        Pass::Atomics,
-        Pass::OffsetArithmetic,
-        Pass::HotPath,
-        Pass::LockOrder,
-        Pass::DecoratorForwarding,
-        Pass::Waivers,
-    ];
+    pub const ALL: [Pass; 5] =
+        [Pass::Atomics, Pass::OffsetArithmetic, Pass::HotPath, Pass::LockOrder, Pass::Waivers];
 
-    /// The five source-analysis passes (everything but the waiver audit).
-    pub const ANALYSIS: [Pass; 5] = [
-        Pass::Atomics,
-        Pass::OffsetArithmetic,
-        Pass::HotPath,
-        Pass::LockOrder,
-        Pass::DecoratorForwarding,
-    ];
+    /// The four source-analysis passes (everything but the waiver audit).
+    pub const ANALYSIS: [Pass; 4] =
+        [Pass::Atomics, Pass::OffsetArithmetic, Pass::HotPath, Pass::LockOrder];
 
     /// Kebab-case name used in reports, CSV/JSON records and docs.
     pub fn name(self) -> &'static str {
@@ -102,7 +88,6 @@ impl Pass {
             Pass::OffsetArithmetic => "offset-arithmetic",
             Pass::HotPath => "hot-path",
             Pass::LockOrder => "lock-order",
-            Pass::DecoratorForwarding => "decorator-forwarding",
             Pass::Waivers => "waivers",
         }
     }
@@ -145,15 +130,13 @@ pub enum Rule {
     LockOrderCycle,
     /// Lock acquired while the executor's launch gate is held.
     LockAcrossLaunchGate,
-    /// Decorator impl missing an override of a defaulted trait method.
-    DecoratorMissingForward,
     /// Allowlist directive without a reason (or with an unknown rule).
     AllowMissingReason,
 }
 
 impl Rule {
     /// Every rule, in reporting order.
-    pub const ALL: [Rule; 12] = [
+    pub const ALL: [Rule; 11] = [
         Rule::RelaxedCasSuccess,
         Rule::RelaxedStoreAfterClaim,
         Rule::RawAtomicImport,
@@ -164,7 +147,6 @@ impl Rule {
         Rule::HotPathHostAlloc,
         Rule::LockOrderCycle,
         Rule::LockAcrossLaunchGate,
-        Rule::DecoratorMissingForward,
         Rule::AllowMissingReason,
     ];
 
@@ -181,7 +163,6 @@ impl Rule {
             Rule::HotPathHostAlloc => "hot-path-host-alloc",
             Rule::LockOrderCycle => "lock-order-cycle",
             Rule::LockAcrossLaunchGate => "lock-across-launch-gate",
-            Rule::DecoratorMissingForward => "decorator-missing-forward",
             Rule::AllowMissingReason => "allow-missing-reason",
         }
     }
@@ -197,7 +178,6 @@ impl Rule {
             Rule::UncheckedOffsetArithmetic => Pass::OffsetArithmetic,
             Rule::HotPathPanic | Rule::HotPathHostAlloc => Pass::HotPath,
             Rule::LockOrderCycle | Rule::LockAcrossLaunchGate => Pass::LockOrder,
-            Rule::DecoratorMissingForward => Pass::DecoratorForwarding,
             Rule::AllowMissingReason => Pass::Waivers,
         }
     }
@@ -331,8 +311,9 @@ fn directives(src: &str) -> Vec<Allow> {
 // ------------------------------------------------------------------ scan
 
 /// Scans a set of sources together: workspace-level passes (lock graphs,
-/// decorator audits) see the whole set, per-file rules each file. This is
-/// the core entry point; [`scan_source`] and [`scan_workspace`] wrap it.
+/// the hot-path call graph) see the whole set, per-file rules each file.
+/// This is the core entry point; [`scan_source`] and [`scan_workspace`] wrap
+/// it.
 pub fn scan_files(sources: Vec<(PathBuf, String)>) -> Report {
     let ws = Workspace::from_sources(sources);
     let mut out: Vec<Diagnostic> = Vec::new();

@@ -11,7 +11,6 @@ use crate::substrate::Workspace;
 use crate::{Diagnostic, Pass};
 
 pub mod atomics;
-pub mod decorators;
 pub mod hotpath;
 pub mod locks;
 pub mod offsets;
@@ -32,7 +31,6 @@ pub fn registry() -> Vec<PassImpl> {
         PassImpl { pass: Pass::OffsetArithmetic, run: offsets::run },
         PassImpl { pass: Pass::HotPath, run: hotpath::run },
         PassImpl { pass: Pass::LockOrder, run: locks::run },
-        PassImpl { pass: Pass::DecoratorForwarding, run: decorators::run },
     ]
 }
 

@@ -1,6 +1,6 @@
 //! Fixture batteries and workspace-clean gates for the analysis passes
 //! layered on top of the original atomics scanner: offset arithmetic,
-//! hot-path panics/allocation, lock ordering and decorator forwarding.
+//! hot-path panics/allocation and lock ordering.
 //!
 //! Each pass has a known-bad fixture (every rule must fire, on the exact
 //! expected line) and a known-good fixture (the checked/waived/unreachable
@@ -18,8 +18,6 @@ const HOTPATH_BAD: &str = include_str!("fixtures/hotpath_bad.rs");
 const HOTPATH_GOOD: &str = include_str!("fixtures/hotpath_good.rs");
 const LOCKS_BAD: &str = include_str!("fixtures/locks_bad.rs");
 const LOCKS_GOOD: &str = include_str!("fixtures/locks_good.rs");
-const DECORATORS_BAD: &str = include_str!("fixtures/decorators_bad.rs");
-const DECORATORS_GOOD: &str = include_str!("fixtures/decorators_good.rs");
 
 fn scan(name: &str, src: &str) -> Vec<Diagnostic> {
     scan_source(Path::new(name), src)
@@ -104,36 +102,6 @@ fn locks_good_stays_silent() {
     );
 }
 
-#[test]
-fn decorators_bad_reports_the_missing_forward() {
-    let hits = scan("decorators_bad.rs", DECORATORS_BAD);
-    let got = standing(&hits, Pass::DecoratorForwarding);
-    assert_eq!(
-        got,
-        vec![(Rule::DecoratorMissingForward, 21)],
-        "Wrap overrides malloc_warp but not metrics"
-    );
-    let msg = &hits.iter().find(|d| d.rule == Rule::DecoratorMissingForward).unwrap().message;
-    assert!(msg.contains("metrics"), "message must name the missing method: {msg}");
-}
-
-#[test]
-fn decorators_good_stays_silent() {
-    let hits = scan("decorators_good.rs", DECORATORS_GOOD);
-    assert!(
-        standing(&hits, Pass::DecoratorForwarding).is_empty(),
-        "false positives on decorators_good.rs: {hits:?}"
-    );
-    // Opaque's suppressed defaults are waived by the one directive, and
-    // the single per-impl diagnostic names both of them.
-    let waived: Vec<_> = hits
-        .iter()
-        .filter(|d| d.rule == Rule::DecoratorMissingForward && d.allowed.is_some())
-        .collect();
-    assert_eq!(waived.len(), 1, "one diagnostic per decorator impl");
-    assert!(waived[0].message.contains("malloc_warp") && waived[0].message.contains("metrics"));
-}
-
 /// Union of the bad fixtures exercises every analysis rule outside the
 /// atomics pass (which has its own battery in `rules.rs`).
 #[test]
@@ -142,7 +110,6 @@ fn bad_fixtures_cover_every_new_rule() {
         scan("offsets_bad.rs", OFFSETS_BAD),
         scan("hotpath_bad.rs", HOTPATH_BAD),
         scan("locks_bad.rs", LOCKS_BAD),
-        scan("decorators_bad.rs", DECORATORS_BAD),
     ]
     .iter()
     .flatten()
@@ -150,8 +117,7 @@ fn bad_fixtures_cover_every_new_rule() {
     .collect();
     fired.sort_by_key(|r| r.name());
     fired.dedup();
-    for pass in [Pass::OffsetArithmetic, Pass::HotPath, Pass::LockOrder, Pass::DecoratorForwarding]
-    {
+    for pass in [Pass::OffsetArithmetic, Pass::HotPath, Pass::LockOrder] {
         for rule in pass.rules() {
             assert!(fired.contains(&rule), "no bad fixture fires {rule}");
         }

@@ -435,13 +435,13 @@ where
             root_sched.finish_thread(0);
         });
 
-        // Wait for the execution to complete or abort.
+        // Wait until every model thread has exited, aborted or not. The
+        // abort payload stays in place until then: a thread still parked
+        // (the root joining the thread that panicked) unwinds only when it
+        // sees it, and would wait forever for the baton if it were taken.
         let abort = {
             let mut st = sched.lock();
-            loop {
-                if st.abort.is_some() || st.finished == st.threads.len() {
-                    break;
-                }
+            while st.finished < st.threads.len() {
                 st = sched.cv.wait(st).unwrap_or_else(|e| e.into_inner());
             }
             st.abort.take()
@@ -648,6 +648,50 @@ mod tests {
         // AB/BA lock order: some schedule livelocks both spinners; the step
         // cap must flag it instead of hanging.
         assert!(found.is_err(), "model checker must catch the AB/BA deadlock");
+    }
+
+    /// A panic in a spawned thread fails the model, and every model thread
+    /// exits: none stays parked waiting for a baton nobody hands over (the
+    /// root joining the failed thread, or a peer never scheduled). Each
+    /// peer holds a sender of `alive`, which disconnects once all have
+    /// exited. Whether a parked thread wakes before the orchestrator acts
+    /// on the abort is an OS race; 64 peers make losing it certain in
+    /// practice. The model runs on a helper thread, left detached if it
+    /// hangs, so a hang fails this test rather than the run.
+    #[test]
+    fn spawned_panic_fails_the_model_and_every_thread_exits() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        use std::time::Duration;
+
+        let (result, outcome) = channel();
+        let (alive, exits) = channel::<()>();
+        std::thread::spawn(move || {
+            let found = std::panic::catch_unwind(move || {
+                super::model(move || {
+                    let failing = super::spawn(|| panic!("spawned model thread failed"));
+                    let peers: Vec<_> = (0..64)
+                        .map(|_| {
+                            let alive = alive.clone();
+                            super::spawn(move || drop(alive))
+                        })
+                        .collect();
+                    let _ = failing.join();
+                    for p in peers {
+                        let _ = p.join();
+                    }
+                });
+            });
+            let _ = result.send(found.is_err());
+        });
+        let found = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("model hung after a spawned thread panicked");
+        assert!(found, "the spawned thread's panic must fail the model");
+        assert_eq!(
+            exits.recv_timeout(Duration::from_secs(30)),
+            Err(RecvTimeoutError::Disconnected),
+            "a model thread never exited"
+        );
     }
 
     /// Outside `model`, atomics and spawn degrade to plain std behaviour.
