@@ -17,11 +17,14 @@
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
 //! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
 //! `--heap-backend ram|mmap`, `--pretouch auto|full|lazy`,
-//! `--heap-mb MB`. `--num`, `--iter`, `--cycles` and `--cached` size the
-//! diagnostic subcommands; `matrix`, `gate` and `watch` take their counts,
-//! iterations and per-cell timeouts from the tier and refuse them.
+//! `--heap-mb MB`, `--seed HEX`. `--num`, `--iter`, `--cycles` and
+//! `--cached` size the diagnostic subcommands; `matrix`, `gate` and `watch`
+//! take their counts, iterations and per-cell timeouts from the tier and
+//! refuse them. `--telemetry-hz`, `--telemetry-listen` and `--slo` belong to
+//! `watch` alone. The diagnostic subcommands print each table they save as
+//! CSV, with the same columns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gpu_sim::{Device, DeviceSpec};
 use gpumem_bench::anchor::Anchor;
@@ -32,9 +35,9 @@ use gpumem_bench::registry::{ManagerKind, ManagerSelection, ALL_KINDS, DEFAULT_K
 use gpumem_bench::runners::{self, Bench};
 use gpumem_bench::watch;
 use gpumem_core::info::SURVEY_TABLE;
-use gpumem_core::telemetry::{self, TelemetryConfig};
+use gpumem_core::telemetry::TelemetryConfig;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{HeapBackendKind, Pretouch, SloSpec, Telemetry, TelemetryServer, TelemetrySink};
+use gpumem_core::{HeapBackendKind, Pretouch, SloSpec};
 
 #[derive(Clone)]
 struct Opts {
@@ -59,8 +62,9 @@ struct Opts {
     /// `matrix`/`gate` tier: `--smoke` or `--tier tiny|smoke|full`
     /// (default full — the main-branch sizing).
     tier: Option<Tier>,
-    /// `--seed HEX`: workload seed for matrix scenarios (default 0x5eed).
-    seed: Option<u64>,
+    /// `--seed HEX`: the workload seed of every subcommand (default 0x5eed,
+    /// the one `Bench` and `MatrixCfg` start from).
+    seed: u64,
     /// `--anchors DIR`: where committed `BENCH_*.json` anchors live and
     /// where `matrix` writes them (default: the repo root, `.`).
     anchors: PathBuf,
@@ -71,14 +75,11 @@ struct Opts {
     candidate: Option<PathBuf>,
     /// `--scenario NAME` (repeatable): restrict matrix/gate to a subset.
     scenarios: Vec<String>,
-    /// `--telemetry`: run `matrix` under the live sampler and write
-    /// the `telemetry_<cmd>.{json,csv,prom}` exports next to the results.
-    telemetry: bool,
     /// `--telemetry-hz N`: sampler cadence (overrides `GMS_TELEMETRY_HZ`;
     /// default 100 Hz, i.e. 10 ms windows).
     telemetry_hz: Option<f64>,
     /// `--telemetry-listen ADDR`: serve the live OpenMetrics exposition on
-    /// this TCP address for the duration of the run (implies telemetry).
+    /// this TCP address for the duration of the run.
     telemetry_listen: Option<String>,
     /// `--slo SPEC` (repeatable): rolling-window objectives evaluated by
     /// the sampler, e.g. `malloc_p99_ns<50000@500ms`.
@@ -101,12 +102,11 @@ impl Default for Opts {
             cached: false,
             out: PathBuf::from("results"),
             tier: None,
-            seed: None,
+            seed: 0x5eed,
             anchors: PathBuf::from("."),
             gates: PathBuf::from("gates.toml"),
             candidate: None,
             scenarios: Vec::new(),
-            telemetry: false,
             telemetry_hz: None,
             telemetry_listen: None,
             slos: Vec::new(),
@@ -124,13 +124,8 @@ impl Opts {
 
 fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     let mut opts = Opts::default();
-    let mut cmd = args.first().cloned().ok_or_else(usage)?;
+    let cmd = args.first().cloned().ok_or_else(usage)?;
     let mut i = 1;
-    // `repro --report contention` is sugar for `repro contention`.
-    if cmd == "--report" {
-        cmd = args.get(1).cloned().ok_or_else(|| "missing report name".to_string())?;
-        i = 2;
-    }
     let next = |i: &mut usize| -> Result<String, String> {
         *i += 1;
         args.get(*i - 1).cloned().ok_or_else(|| "missing option value".to_string())
@@ -150,6 +145,11 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         i += 1;
         match flag.as_str() {
             "--iter" if tier_pinned => return Err(pinned_error(&flag)),
+            "--telemetry-hz" | "--telemetry-listen" | "--slo" if cmd != "watch" => {
+                return Err(format!(
+                    "{flag} does not apply to `{cmd}`: only `watch` runs the live sampler"
+                ))
+            }
             "-t" => {
                 let raw = next(&mut i)?;
                 let sel: ManagerSelection = raw.parse()?;
@@ -190,13 +190,12 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => s.parse(),
                 };
-                opts.seed = Some(parsed.map_err(|e| format!("bad seed {s:?}: {e}"))?);
+                opts.seed = parsed.map_err(|e| format!("bad seed {s:?}: {e}"))?;
             }
             "--anchors" => opts.anchors = PathBuf::from(next(&mut i)?),
             "--gates" => opts.gates = PathBuf::from(next(&mut i)?),
             "--candidate" => opts.candidate = Some(PathBuf::from(next(&mut i)?)),
             "--scenario" => opts.scenarios.push(next(&mut i)?),
-            "--telemetry" => opts.telemetry = true,
             "--telemetry-hz" => {
                 let hz = next(&mut i)?;
                 opts.telemetry_hz = Some(hz.parse().map_err(|e| format!("bad hz {hz:?}: {e}"))?);
@@ -219,24 +218,23 @@ fn usage() -> String {
       BENCH_<scenario>.json anchor each, `repro gate` reruns and compares them\n\
       against gates.toml tolerances, `repro watch --scenario NAME` runs one\n\
       scenario under the live telemetry sampler and writes\n\
-      telemetry_<scenario>.{json,csv,prom} into --out;\n\
-      `repro --report contention` is an alias for `repro contention`)\n\
+      telemetry_<scenario>.{json,csv,prom} into --out)\n\
      options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
-     --heap-backend ram|mmap --pretouch auto|full|lazy --heap-mb MB\n\
+     --heap-backend ram|mmap --pretouch auto|full|lazy --heap-mb MB --seed HEX\n\
      trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
      --trace-cap EVENTS_PER_SM\n\
-     matrix/gate/watch: --smoke | --tier tiny|smoke|full, --seed HEX, --anchors DIR,\n\
+     matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --gates FILE, --candidate DIR, --scenario NAME (repeatable); -t / -m restrict\n\
      the managers; watch defaults to the smoke tier\n\
-     telemetry (watch, or matrix with --telemetry): --telemetry-hz N,\n\
-     --telemetry-listen ADDR, --slo METRIC<THRESH@WINDOW (repeatable,\n\
-     e.g. --slo 'malloc_p99_ns<50000@500ms')"
+     watch only: --telemetry-hz N, --telemetry-listen ADDR,\n\
+     --slo METRIC<THRESH@WINDOW (repeatable, e.g. --slo 'malloc_p99_ns<50000@500ms')"
         .to_string()
 }
 
 fn bench_of(opts: &Opts) -> Bench {
     let mut b = Bench::new(Device::new(opts.device));
     b.iterations = opts.iterations;
+    b.seed = opts.seed;
     b.heap_backend = opts.backend();
     b.pretouch = opts.pretouch;
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
@@ -244,15 +242,18 @@ fn bench_of(opts: &Opts) -> Bench {
     b
 }
 
+/// Unwraps `r`, or prints its error and exits with `code`: 2 for a usage or
+/// configuration error, 1 for a run that failed.
+fn or_exit<T>(r: Result<T, impl std::fmt::Display>, code: i32) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(code)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, opts) = match parse_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let (cmd, opts) = or_exit(parse_args(&args), 2);
     // Every report names its worker config so CSV rows stay attributable
     // (the pool size changes contention, and GMS_WORKERS overrides it).
     println!(
@@ -292,34 +293,7 @@ fn table1(opts: &Opts) {
         "stable",
         "evaluated_here",
     ]);
-    println!(
-        "{:<6}{:<16}{:<6}{:<10}{:<8}{:<9}{:<10}{:<9}{:<8}{:<7}evaluated",
-        "ref",
-        "name",
-        "year",
-        "avail",
-        "build",
-        "variants",
-        "cuda-dep",
-        "general",
-        "results",
-        "stable"
-    );
     for r in SURVEY_TABLE {
-        println!(
-            "{:<6}{:<16}{:<6}{:<10}{:<8}{:<9}{:<10}{:<9}{:<8}{:<7}{}",
-            r.reference,
-            r.short_name,
-            r.year,
-            r.availability.to_string(),
-            r.build,
-            r.variants,
-            if r.depends_on_cuda_alloc { "yes" } else { "no" },
-            r.general_purpose,
-            if r.results_available { "yes" } else { "no" },
-            r.stable.to_string(),
-            if r.evaluated_here { "yes" } else { "no" },
-        );
         csv.row([
             r.reference.to_string(),
             r.short_name.to_string(),
@@ -367,43 +341,9 @@ fn contention(opts: &Opts) {
         "warp_coalesced",
         "dropped_events",
     ]);
-    println!(
-        "{:<16}{:>9}{:>9}{:>9}{:>10}{:>6}{:>8}{:>11}{:>12}{:>12}{:>10}{:>10}{:>10}{:>9}",
-        "manager",
-        "obs_ms",
-        "base_ms",
-        "ovhd",
-        "disp_us",
-        "used",
-        "steals",
-        "cas_retry",
-        "probe_step",
-        "queue_spin",
-        "list_hop",
-        "oom_fall",
-        "coalesced",
-        "dropped"
-    );
     for &kind in &opts.kinds {
         let c = runners::contention_profile(&bench, kind, opts.num, size);
         let s = &c.counters;
-        println!(
-            "{:<16}{:>9}{:>9}{:>8.2}x{:>10}{:>6}{:>8}{:>11}{:>12}{:>12}{:>10}{:>10}{:>10}{:>9}",
-            c.manager,
-            ms(c.observed),
-            ms(c.baseline),
-            c.overhead_factor(),
-            us(c.dispatch),
-            c.workers_used,
-            c.steals,
-            s.cas_retries(),
-            s.probe_steps(),
-            s.queue_spins(),
-            s.list_hops(),
-            s.oom_fallbacks(),
-            s.warp_coalesced(),
-            c.dropped_events,
-        );
         csv.row([
             c.manager.to_string(),
             c.num.to_string(),
@@ -438,9 +378,7 @@ fn contention(opts: &Opts) {
 fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
-    if let Some(seed) = opts.seed {
-        cfg.seed = seed;
-    }
+    cfg.seed = opts.seed;
     cfg.heap_backend = opts.backend();
     cfg.pretouch = opts.pretouch;
     cfg.heap_override = opts.heap_mb.map(|mb| mb << 20);
@@ -456,41 +394,19 @@ fn selected_scenarios(opts: &Opts) -> Vec<&'static matrix::ScenarioSpec> {
     opts.scenarios
         .iter()
         .map(|name| {
-            matrix::scenario(name).unwrap_or_else(|| {
-                eprintln!("{}", matrix::MatrixError::UnknownScenario(name.clone()));
-                std::process::exit(2);
-            })
+            or_exit(
+                matrix::scenario(name)
+                    .ok_or_else(|| matrix::MatrixError::UnknownScenario(name.clone())),
+                2,
+            )
         })
         .collect()
-}
-
-/// Writes one anchor file, exiting nonzero on failure — a silently missing
-/// anchor would let a gated CI run pass vacuously.
-fn write_anchor(anchor: &Anchor, dir: &std::path::Path, name: &str) {
-    let path = Anchor::path_for(dir, name);
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&path, anchor.render()) {
-        eprintln!("failed to write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    println!("  wrote {} ({} metrics, tier {})", path.display(), anchor.metrics.len(), anchor.tier);
 }
 
 /// `repro matrix` — run the scenario registry at the selected tier and
 /// write one `BENCH_<scenario>.json` anchor per scenario.
 fn matrix_cmd(opts: &Opts) {
-    let mut cfg = matrix_cfg(opts, Tier::Full);
-    let lt = start_live_telemetry(opts, "matrix");
-    if let Some(lt) = &lt {
-        let marker = lt.tel.boundary_marker();
-        cfg.launch_hook = Some(std::sync::Arc::new(move |phase| {
-            if matches!(phase, gpu_sim::LaunchPhase::End { .. }) {
-                marker.mark();
-            }
-        }));
-    }
+    let cfg = matrix_cfg(opts, Tier::Full);
     let specs = selected_scenarios(opts);
     println!(
         "# matrix tier={} seed={:#x} backend={} anchors={}",
@@ -501,18 +417,20 @@ fn matrix_cmd(opts: &Opts) {
     );
     for spec in specs {
         let started = std::time::Instant::now();
-        match matrix::run_scenario(&cfg, spec) {
-            Ok(anchor) => {
-                print!("{:<14} {:>6.1}s", spec.name, started.elapsed().as_secs_f64());
-                write_anchor(&anchor, &opts.anchors, spec.name);
-            }
-            Err(e) => {
-                eprintln!("matrix {}: {e}", spec.name);
-                std::process::exit(1);
-            }
-        }
+        let run =
+            matrix::run_scenario(&cfg, spec).map_err(|e| format!("matrix {}: {e}", spec.name));
+        let anchor = or_exit(run, 1);
+        let secs = started.elapsed().as_secs_f64();
+        let path = Anchor::path_for(&opts.anchors, spec.name);
+        write_or_exit(&path, &anchor.render());
+        println!(
+            "{:<14} {secs:>6.1}s  wrote {} ({} metrics, tier {})",
+            spec.name,
+            path.display(),
+            anchor.metrics.len(),
+            anchor.tier
+        );
     }
-    finish_live_telemetry(lt, opts);
 }
 
 /// Builds the sampler config from the command line: cadence from
@@ -524,13 +442,8 @@ fn telemetry_config(opts: &Opts) -> TelemetryConfig {
         cfg = cfg.hz(hz);
     }
     for raw in &opts.slos {
-        match raw.parse::<SloSpec>() {
-            Ok(spec) => cfg = cfg.slo(spec),
-            Err(e) => {
-                eprintln!("bad --slo {raw:?}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let spec = raw.parse::<SloSpec>().map_err(|e| format!("bad --slo {raw:?}: {e}"));
+        cfg = cfg.slo(or_exit(spec, 2));
     }
     cfg
 }
@@ -540,13 +453,7 @@ fn telemetry_config(opts: &Opts) -> TelemetryConfig {
 /// neither runs each scenario's natural set.
 fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
     if let Some(name) = &opts.manager {
-        match resolve_manager(name) {
-            Ok(k) => return Some(vec![k]),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        return Some(vec![or_exit(resolve_manager(name), 2)]);
     }
     (opts.kinds != DEFAULT_KINDS).then(|| opts.kinds.clone())
 }
@@ -573,11 +480,8 @@ fn watch_cmd(opts: &Opts) {
         telemetry_config(opts),
         opts.telemetry_listen.as_deref(),
         &opts.out,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("watch: {e}");
-        std::process::exit(1);
-    });
+    );
+    let outcome = or_exit(outcome.map_err(|e| format!("watch: {e}")), 1);
     if outcome.anchor.metrics.is_empty() {
         eprintln!("warning: manager restriction excluded every kind this scenario runs");
     }
@@ -604,108 +508,36 @@ fn watch_cmd(opts: &Opts) {
     }
 }
 
-/// Live sampler attached to a `--telemetry` run of `matrix` (the
-/// `watch` subcommand manages its own). Holds the process-global sink
-/// installed; [`finish_live_telemetry`] clears it and writes the exports.
-struct LiveTelemetry {
-    tel: Telemetry,
-    server: Option<TelemetryServer>,
-    label: String,
-}
-
-fn start_live_telemetry(opts: &Opts, label: &str) -> Option<LiveTelemetry> {
-    if !opts.telemetry && opts.telemetry_listen.is_none() {
-        return None;
-    }
-    let sink = TelemetrySink::new();
-    telemetry::install_global_sink(&sink);
-    let tel = Telemetry::start(telemetry_config(opts), sink);
-    let server = opts.telemetry_listen.as_deref().map(|addr| match tel.serve(addr, label) {
-        Ok(s) => {
-            eprintln!("telemetry: serving OpenMetrics on http://{}/", s.addr());
-            s
-        }
-        Err(e) => {
-            eprintln!("telemetry: bind {addr}: {e}");
-            std::process::exit(2);
-        }
-    });
-    Some(LiveTelemetry { tel, server, label: label.to_string() })
-}
-
-fn finish_live_telemetry(lt: Option<LiveTelemetry>, opts: &Opts) {
-    let Some(LiveTelemetry { tel, server, label }) = lt else { return };
-    telemetry::clear_global_sink();
-    if let Some(s) = server {
-        s.stop();
-    }
-    let series = tel.stop();
-    let prov = vec![("cmd".to_string(), label.clone()), ("run".to_string(), provenance(opts))];
-    match watch::export(&series, &label, &prov, &opts.out) {
-        Ok(paths) => {
-            print!("{}", series.slo_table());
-            for p in &paths {
-                println!("wrote {}", p.display());
-            }
-        }
-        Err(e) => {
-            eprintln!("telemetry export: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `repro gate` — load committed anchors, rerun the same scenarios (or read
 /// a `--candidate` directory), and fail on drift beyond `gates.toml`.
 fn gate_cmd(opts: &Opts) {
-    let gates = match std::fs::read_to_string(&opts.gates) {
-        Ok(text) => match Gates::parse(&text) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", opts.gates.display());
-            std::process::exit(2);
-        }
-    };
+    let gates = std::fs::read_to_string(&opts.gates)
+        .map_err(|e| format!("cannot read {}: {e}", opts.gates.display()))
+        .and_then(|text| Gates::parse(&text).map_err(|e| e.to_string()));
+    let gates = or_exit(gates, 2);
     let cfg = matrix_cfg(opts, Tier::Full);
-    let load = |path: &std::path::Path| -> Result<Anchor, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        Anchor::parse(&text).map_err(|e| e.to_string())
+    // `what` names which side failed to load: the anchor or the candidate.
+    let load = |what: &str, path: PathBuf| -> Result<Anchor, String> {
+        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+        text.and_then(|t| Anchor::parse(&t).map_err(|e| e.to_string()))
+            .map_err(|e| format!("{what} {}: {e}", path.display()))
     };
     let mut failures = 0usize;
     let mut compared = 0usize;
     for spec in selected_scenarios(opts) {
-        let path = Anchor::path_for(&opts.anchors, spec.name);
-        let anchor = match load(&path) {
-            Ok(a) => a,
+        let pair = load("anchor", Anchor::path_for(&opts.anchors, spec.name)).and_then(|anchor| {
+            let current = match &opts.candidate {
+                Some(dir) => load("candidate", Anchor::path_for(dir, spec.name))?,
+                None => matrix::run_scenario(&cfg, spec).map_err(|e| format!("rerun: {e}"))?,
+            };
+            Ok((anchor, current))
+        });
+        let (anchor, current) = match pair {
+            Ok(pair) => pair,
             Err(e) => {
-                println!("FAIL {}: anchor {}: {e}", spec.name, path.display());
+                println!("FAIL {}: {e}", spec.name);
                 failures += 1;
                 continue;
-            }
-        };
-        let current = if let Some(dir) = &opts.candidate {
-            let cpath = Anchor::path_for(dir, spec.name);
-            match load(&cpath) {
-                Ok(a) => a,
-                Err(e) => {
-                    println!("FAIL {}: candidate {}: {e}", spec.name, cpath.display());
-                    failures += 1;
-                    continue;
-                }
-            }
-        } else {
-            match matrix::run_scenario(&cfg, spec) {
-                Ok(a) => a,
-                Err(e) => {
-                    println!("FAIL {}: rerun: {e}", spec.name);
-                    failures += 1;
-                    continue;
-                }
             }
         };
         let tol = gates.tolerances(spec.name);
@@ -741,29 +573,25 @@ fn gate_cmd(opts: &Opts) {
 fn audit(opts: &Opts) {
     // Prefer the checkout we are running in; fall back to the build-time
     // workspace for out-of-tree invocations.
-    let root = if std::path::Path::new("crates").is_dir() {
+    let root = if Path::new("crates").is_dir() {
         PathBuf::from(".")
     } else {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
     };
-    let report = match memlint::scan_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("audit: cannot scan {}: {e}", root.display());
-            std::process::exit(2);
-        }
-    };
+    let report = memlint::scan_workspace(&root)
+        .map_err(|e| format!("audit: cannot scan {}: {e}", root.display()));
+    let report = or_exit(report, 2);
 
     // Per-pass rollup first: the one-screen answer to "is the audit clean",
     // one row per analysis pass of the framework.
-    println!("{:<22}{:>9}{:>13}", "pass", "standing", "allowlisted");
+    let mut passes = Csv::new(["pass", "standing", "allowlisted"]);
     for pass in memlint::Pass::ALL {
         let (s, a) = report.pass_counts(pass);
-        println!("{:<22}{s:>9}{a:>13}", pass.name());
+        passes.row([pass.name().to_string(), s.to_string(), a.to_string()]);
     }
-    println!();
+    println!("{}", passes.to_string_text());
 
-    // Then the detail, grouped by (crate, rule).
+    // Then the detail, one row per (crate, rule) in that order.
     let crate_of = |d: &memlint::Diagnostic| -> String {
         let s = d.file.to_string_lossy().replace('\\', "/");
         match s.strip_prefix("crates/").and_then(|r| r.split('/').next()) {
@@ -771,36 +599,21 @@ fn audit(opts: &Opts) {
             None => "workspace-root".to_string(),
         }
     };
-    let mut rows: Vec<(String, memlint::Rule, u32, u32)> = Vec::new();
+    let mut rows = std::collections::BTreeMap::new();
     for d in &report.diagnostics {
-        let key = (crate_of(d), d.rule);
-        let row = match rows.iter_mut().find(|(c, r, ..)| *c == key.0 && *r == key.1) {
-            Some(r) => r,
-            None => {
-                rows.push((key.0, key.1, 0, 0));
-                rows.last_mut().unwrap()
-            }
-        };
+        let row = rows.entry((crate_of(d), d.rule.name())).or_insert((d.rule.pass(), 0u32, 0u32));
         if d.allowed.is_some() {
-            row.3 += 1;
-        } else {
             row.2 += 1;
+        } else {
+            row.1 += 1;
         }
     }
-    rows.sort_by(|a, b| (&a.0, a.1.name()).cmp(&(&b.0, b.1.name())));
-
     let mut csv = Csv::new(["crate", "pass", "rule", "standing", "allowlisted"]);
-    println!("{:<18}{:<22}{:<28}{:>9}{:>13}", "crate", "pass", "rule", "standing", "allowlisted");
-    for (krate, rule, standing, allowed) in &rows {
-        println!(
-            "{krate:<18}{:<22}{:<28}{standing:>9}{allowed:>13}",
-            rule.pass().name(),
-            rule.name()
-        );
+    for ((krate, rule), (pass, standing, allowed)) in &rows {
         csv.row([
             krate.clone(),
-            rule.pass().name().to_string(),
-            rule.name().to_string(),
+            pass.name().to_string(),
+            rule.to_string(),
             standing.to_string(),
             allowed.to_string(),
         ]);
@@ -808,6 +621,7 @@ fn audit(opts: &Opts) {
     if rows.is_empty() {
         println!("(no diagnostics at all — {} files scanned)", report.files);
     }
+    save(csv, opts, "audit.csv");
     println!();
     for d in report.allowlisted() {
         println!(
@@ -828,16 +642,6 @@ fn audit(opts: &Opts) {
         standing,
         report.allowlisted().count()
     );
-
-    csv.comment(provenance(opts));
-    let path = opts.out.join("audit.csv");
-    match csv.write(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
     if standing > 0 {
         std::process::exit(2);
     }
@@ -865,38 +669,10 @@ fn sanitize(opts: &Opts) {
         "live_after",
         "clean",
     ]);
-    println!(
-        "{:<16}{:>9}{:>8}{:>9}{:>9}{:>12}{:>8}{:>9}{:>9}{:>10}{:>7}",
-        "manager",
-        "failures",
-        "overlap",
-        "out_heap",
-        "misalign",
-        "double_free",
-        "unknown",
-        "redzone",
-        "total",
-        "live",
-        "clean"
-    );
     let mut dirty = 0u32;
     for &kind in &opts.kinds {
         let c = runners::sanitize_run(&bench, kind, opts.num, opts.cycles.max(8));
         let [overlap, out_of_heap, misaligned, double_free, unknown_free, redzone] = c.counts;
-        println!(
-            "{:<16}{:>9}{:>8}{:>9}{:>9}{:>12}{:>8}{:>9}{:>9}{:>10}{:>7}",
-            c.manager,
-            c.failures,
-            overlap,
-            out_of_heap,
-            misaligned,
-            double_free,
-            unknown_free,
-            redzone,
-            c.total_violations(),
-            c.live_after,
-            if c.is_clean() { "yes" } else { "NO" }
-        );
         if !c.is_clean() {
             dirty += 1;
         }
@@ -961,50 +737,20 @@ fn resolve_manager(name: &str) -> Result<ManagerKind, String> {
 fn trace(opts: &Opts) {
     let bench = bench_of(opts);
     let (kind, token) = match &opts.manager {
-        Some(name) => match resolve_manager(name) {
-            Ok(k) => (k, sanitize_token(name)),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
+        Some(name) => (or_exit(resolve_manager(name), 2), sanitize_token(name)),
         None => (ManagerKind::ScatterAlloc, sanitize_token(ManagerKind::ScatterAlloc.label())),
     };
     let r = runners::trace_profile(&bench, kind, opts.num, opts.trace_cap);
-    if let Err(e) = gpumem_core::validate_chrome_json(&r.json) {
-        eprintln!("exported trace failed Chrome-JSON validation: {e}");
-        std::process::exit(1);
-    }
+    let valid = gpumem_core::validate_chrome_json(&r.json)
+        .map_err(|e| format!("exported trace failed Chrome-JSON validation: {e}"));
+    or_exit(valid, 1);
     let json_path = opts.out.join(format!("trace_{token}.json"));
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    match std::fs::write(&json_path, &r.json) {
-        Ok(()) => println!("wrote {} ({} bytes)", json_path.display(), r.json.len()),
-        Err(e) => {
-            eprintln!("failed to write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&json_path, &r.json);
+    println!("wrote {} ({} bytes)", json_path.display(), r.json.len());
     let mut csv = Csv::new([
         "manager", "op", "events", "dropped", "p50_ns", "p95_ns", "p99_ns", "max_ns", "mean_ns",
     ]);
-    println!(
-        "{:<16}{:<8}{:>9}{:>9}{:>10}{:>10}{:>10}{:>12}",
-        "manager", "op", "events", "dropped", "p50_ns", "p95_ns", "p99_ns", "max_ns"
-    );
     for (op, h) in [("malloc", &r.latencies.malloc), ("free", &r.latencies.free)] {
-        println!(
-            "{:<16}{:<8}{:>9}{:>9}{:>10}{:>10}{:>10}{:>12}",
-            r.manager,
-            op,
-            h.count(),
-            r.trace.dropped,
-            h.p50(),
-            h.p95(),
-            h.p99(),
-            h.max_ns()
-        );
         csv.row([
             r.manager.to_string(),
             op.to_string(),
@@ -1048,25 +794,33 @@ fn provenance(opts: &Opts) -> String {
     let backend = opts.backend();
     format!(
         "git={git} device={} workers={} gms_workers={} heap_backend={backend} pretouch={} \
-         heap_mb={} seed=0x5eed schema=1",
+         heap_mb={} seed={:#x} schema=1",
         opts.device.name,
         Device::configured_workers(),
         std::env::var("GMS_WORKERS").unwrap_or_else(|_| "-".to_string()),
         opts.pretouch.resolve(backend),
         opts.heap_mb.map(|mb| mb.to_string()).unwrap_or_else(|| "-".to_string()),
+        opts.seed,
     )
 }
 
+/// Prints `csv` as an aligned table, then stamps it with [`provenance`] and
+/// writes it to `--out/name` — one column list for both.
 fn save(mut csv: Csv, opts: &Opts, name: &str) {
+    print!("{}", csv.to_string_text());
     csv.comment(provenance(opts));
     let path = opts.out.join(name);
-    match csv.write(&path) {
-        Ok(()) => println!("wrote {} ({} rows)", path.display(), csv.len()),
-        Err(e) => {
-            // Exiting nonzero here is load-bearing: a result file that
-            // silently failed to land would let a gated CI run pass vacuously.
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&path, &csv.to_string_csv());
+    println!("wrote {} ({} rows)", path.display(), csv.len());
+}
+
+/// Writes one result file, creating its directory, and exits 1 on failure:
+/// a result that silently failed to land would let a gated CI run pass
+/// vacuously.
+fn write_or_exit(path: &Path, body: &str) {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, body));
+    or_exit(written.map_err(|e| format!("failed to write {}: {e}", path.display())), 1);
 }

@@ -1,5 +1,6 @@
 //! Tiny CSV emitter — the artifact's scripts aggregate results into `.csv`
-//! files; so does the `repro` binary.
+//! files; so does the `repro` binary, which also prints each table it saves
+//! as aligned text from the same columns.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -69,6 +70,31 @@ impl Csv {
         out
     }
 
+    /// Renders the table as aligned text for a terminal: the CSV header and
+    /// cells unescaped, the first column left-aligned and the rest
+    /// right-aligned, each column as wide as its widest cell, two spaces
+    /// apart. The comment line is not part of it.
+    pub fn to_string_text(&self) -> String {
+        let lines = || std::iter::once(&self.header).chain(&self.rows);
+        let mut widths = vec![0; self.header.len()];
+        for line in lines() {
+            for (w, cell) in widths.iter_mut().zip(line) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let mut out = String::new();
+        for line in lines() {
+            for (i, (cell, &w)) in line.iter().zip(&widths).enumerate() {
+                let _ = match i {
+                    0 => write!(out, "{cell:<w$}"),
+                    _ => write!(out, "  {cell:>w$}"),
+                };
+            }
+            out.push('\n');
+        }
+        out
+    }
+
     /// Writes the table to `path`, creating parent directories.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
@@ -124,6 +150,44 @@ mod tests {
         c.comment("git=abc123 workers=8\nseed=0x5eed");
         c.row([1]);
         assert_eq!(c.to_string_csv(), "# git=abc123 workers=8 seed=0x5eed\na\n1\n");
+    }
+
+    fn text_lines(c: &Csv) -> Vec<String> {
+        c.to_string_text().lines().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn text_header_is_the_csv_header() {
+        let mut c = Csv::new(["manager", "threads", "clean"]);
+        c.comment("git=abc123");
+        c.row(["Atomic", "512", "yes"]);
+        let lines = text_lines(&c);
+        assert_eq!(
+            lines[0].split_whitespace().collect::<Vec<_>>().join(","),
+            "manager,threads,clean"
+        );
+        assert_eq!(lines.len(), 2, "the comment is not printed");
+    }
+
+    #[test]
+    fn text_rows_have_one_width_and_align() {
+        let mut c = Csv::new(["name", "n"]);
+        c.row(["✗", "1"]);
+        c.row(["ScatterAlloc", "123"]);
+        let lines = text_lines(&c);
+        let widths: Vec<usize> = lines.iter().map(|l| l.chars().count()).collect();
+        assert!(widths.iter().all(|&w| w == widths[0]), "{lines:?}");
+        // Widths 12 and 3 count chars, not bytes: 11 pad, 2 gap, 2 pad.
+        assert_eq!(lines[1], format!("✗{}1", " ".repeat(15)), "first column left, the rest right");
+    }
+
+    #[test]
+    fn a_wide_cell_widens_its_column() {
+        let mut c = Csv::new(["a", "b"]);
+        c.row(["1", "2"]);
+        assert_eq!(text_lines(&c), ["a  b", "1  2"]);
+        c.row(["1", "wide"]);
+        assert_eq!(text_lines(&c), ["a     b", "1     2", "1  wide"]);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
 //!   time-series as JSON, per-window CSV and OpenMetrics.
 //! * [`csv`] — the tables the diagnostic subcommands (`table1`,
-//!   `contention`, `sanitize`, `trace`, `audit`) and `watch` write.
+//!   `contention`, `sanitize`, `trace`, `audit`) print and write, and the
+//!   per-window CSV `watch` writes.
 //!
 //! The `repro` binary (in `src/bin`) drives everything: `repro matrix`
 //! writes the anchors, `repro gate` checks their numbers, and the paper's
@@ -32,7 +33,6 @@ use std::sync::OnceLock;
 
 pub mod anchor;
 pub mod csv;
-pub mod exec_bench;
 pub mod gate;
 pub mod matrix;
 pub mod registry;

@@ -22,16 +22,15 @@
 use std::fmt;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, DeviceSpec, LaunchHook};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{HeapBackendKind, Pretouch};
+use gpumem_core::{HeapBackendKind, Pretouch, WARP_SIZE};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
-use crate::exec_bench;
 use crate::registry::{ManagerKind, DEFAULT_KINDS};
 use crate::runners::{self, Bench, SizingError};
 
@@ -431,7 +430,7 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "exec",
         family: "executor launch overhead",
-        variant: "pooled vs spawn-per-launch",
+        variant: "pooled: empty-launch latency, warp throughput, small-launch spread",
         run: exec,
     },
 ];
@@ -832,33 +831,46 @@ fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     Ok(metrics)
 }
 
+/// The executor's own cost (`BENCH_exec.json`): the reported time and the
+/// whole call of an empty one-warp-per-worker launch (minima over
+/// `8 × trials`), warp throughput at the claim-chunk cap, and how many
+/// workers a `workers`-warp launch reaches. The worker fraction is a model
+/// metric, so a collapse of the small-launch spread fails even when
+/// absolute timings drift.
 fn exec(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
-    let bench = cfg.bench();
-    let r = exec_bench::run(&bench.device, cfg.tier.axes().exec_trials);
-    Ok(exec_metrics(&r))
-}
-
-/// Converts the executor microbenchmark result into anchor metrics — the
-/// schema-v2 replacement of the old hand-formatted `BENCH_exec.json`. The
-/// headline `launch_speedup` is what the docs quote (formerly a hardcoded
-/// "61x"); the worker fraction is a model metric so a collapse of the
-/// small-launch spread fails even when absolute timings drift.
-pub fn exec_metrics(r: &exec_bench::ExecBenchResult) -> Vec<Metric> {
-    vec![
-        Metric::time_lo("empty_pooled_ns", lat_ns(r.empty_pooled.as_nanos() as u64)),
-        Metric::time_lo("empty_spawn_ns", lat_ns(r.empty_spawn.as_nanos() as u64)),
-        Metric::time_hi("launch_speedup", r.latency_speedup()),
-        Metric::time_lo("call_pooled_ns", lat_ns(r.call_pooled.as_nanos() as u64)),
-        Metric::time_lo("call_spawn_ns", lat_ns(r.call_spawn.as_nanos() as u64)),
-        Metric::time_hi("pooled_warps_per_sec", r.pooled_warps_per_sec),
-        Metric::time_hi("spawn_warps_per_sec", r.spawn_warps_per_sec),
-        Metric::exact("throughput_warps", r.throughput_warps as f64),
-        Metric::exact("workers", r.workers as f64),
-        Metric::model_hi(
-            "small_launch_worker_frac",
-            r.small_launch_workers_used as f64 / r.workers.max(1) as f64,
-        ),
-    ]
+    let device = cfg.bench().device;
+    let trials = cfg.tier.axes().exec_trials;
+    let workers = device.workers();
+    let (mut empty, mut call) = (Duration::MAX, Duration::MAX);
+    for _ in 0..trials * 8 {
+        let t = Instant::now();
+        empty = empty.min(device.launch(workers as u32 * WARP_SIZE, |_| {}));
+        call = call.min(t.elapsed());
+    }
+    let tp_warps = 16_384u32;
+    let mut tp = Duration::MAX;
+    for _ in 0..trials.min(16) {
+        tp = tp.min(device.launch(tp_warps * WARP_SIZE, |ctx| {
+            std::hint::black_box(ctx.scatter_hash());
+        }));
+    }
+    // Each warp is busy long enough that the whole pool claims before the
+    // queue drains.
+    let mut small_used = 0usize;
+    for _ in 0..trials.min(16) {
+        let (_, sched) = device.launch_warps_with_stats(workers as u32, |_| {
+            std::thread::sleep(Duration::from_micros(200));
+        });
+        small_used = small_used.max(sched.workers_used());
+    }
+    Ok(vec![
+        Metric::time_lo("empty_pooled_ns", lat_ns(empty.as_nanos() as u64)),
+        Metric::time_lo("call_pooled_ns", lat_ns(call.as_nanos() as u64)),
+        Metric::time_hi("pooled_warps_per_sec", mops(tp_warps, tp) * 1e6),
+        Metric::exact("throughput_warps", f64::from(tp_warps)),
+        Metric::exact("workers", workers as f64),
+        Metric::model_hi("small_launch_worker_frac", small_used as f64 / workers as f64),
+    ])
 }
 
 #[cfg(test)]
@@ -952,7 +964,18 @@ mod tests {
         let a = run_scenario(&cfg, spec).unwrap();
         assert_eq!(a.schema, SCHEMA_VERSION);
         assert_eq!(a.tier, "tiny");
-        assert!(a.metric("launch_speedup").is_some());
+        let keys: Vec<&str> = a.metrics.iter().map(|m| m.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "empty_pooled_ns",
+                "call_pooled_ns",
+                "pooled_warps_per_sec",
+                "throughput_warps",
+                "workers",
+                "small_launch_worker_frac"
+            ]
+        );
         assert!(a.provenance_value("seed").is_some());
         // Round-trips through the parser byte-identically.
         let again = Anchor::parse(&a.render()).unwrap();

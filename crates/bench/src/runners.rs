@@ -684,7 +684,7 @@ pub fn init_performance(bench: &Bench, kind: ManagerKind, heap_bytes: u64) -> In
     InitCell { manager: kind.label(), init, malloc_regs: regs.malloc, free_regs: regs.free }
 }
 
-/// One row of the contention report (`repro --report contention`): the
+/// One row of the contention report (`repro contention`): the
 /// counter activity of a `num`-thread alloc/free run, plus the wall-clock of
 /// the same run with metrics disabled so the observability overhead is
 /// visible next to the counters it buys.

@@ -107,19 +107,19 @@ fn gate_passes_self_and_fails_perturbed() {
     let self_report = compare(&a, &a, &tol);
     assert!(self_report.passed(), "identical anchors must pass: {:?}", self_report.findings);
 
-    // Perturb the headline speedup far past the tolerance.
+    // Perturb the warp throughput far past the tolerance.
     let mut hurt = a.clone();
-    let m = hurt.metrics.iter_mut().find(|m| m.key == "launch_speedup").unwrap();
+    let m = hurt.metrics.iter_mut().find(|m| m.key == "pooled_warps_per_sec").unwrap();
     m.value /= 100.0;
     let report = compare(&a, &hurt, &tol);
     assert!(!report.passed());
     assert!(report
         .failures()
-        .any(|f| f.kind == FindingKind::Regression && f.key == "launch_speedup"));
+        .any(|f| f.kind == FindingKind::Regression && f.key == "pooled_warps_per_sec"));
 
     // A vanished metric fails too.
     let mut missing = a.clone();
-    missing.metrics.retain(|m| m.key != "launch_speedup");
+    missing.metrics.retain(|m| m.key != "pooled_warps_per_sec");
     assert!(compare(&a, &missing, &tol).failures().any(|f| f.kind == FindingKind::MissingMetric));
 }
 
@@ -132,11 +132,12 @@ fn damaged_anchor_parses_then_fails_gate() {
         scenario: "exec".into(),
         tier: "smoke".into(),
         provenance: vec![("git".into(), "test".into())],
-        metrics: vec![Metric::time_hi("launch_speedup", f64::NAN)],
+        metrics: vec![Metric::time_hi("pooled_warps_per_sec", f64::NAN)],
     };
     let reparsed = Anchor::parse(&a.render()).unwrap();
     assert!(reparsed.metrics[0].value.is_nan());
-    let current = Anchor { metrics: vec![Metric::time_hi("launch_speedup", 50.0)], ..a.clone() };
+    let current =
+        Anchor { metrics: vec![Metric::time_hi("pooled_warps_per_sec", 50.0)], ..a.clone() };
     let report = compare(&reparsed, &current, &Gates::default().default);
     assert!(report.failures().any(|f| f.kind == FindingKind::InvalidAnchor));
 }

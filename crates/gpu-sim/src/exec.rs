@@ -18,10 +18,10 @@
 //!
 //! The pre-pool executor spawned scoped OS threads per launch and timed
 //! spawn + join along with the kernel — tens to hundreds of µs of overhead
-//! that dominated short launches. It survives as
-//! [`Device::spawn_launch`], the baseline the launch-overhead
-//! microbenchmark (`repro exec-bench`) and the timing-fidelity test compare
-//! against.
+//! that dominated short launches. Two tests hold the pool to the protocol:
+//! `dispatch` and `elapsed` always fit inside the call's wall clock, and
+//! in release an empty launch reports under a quarter of what the call
+//! costs. The matrix's `exec` scenario anchors both numbers.
 
 use gpumem_core::sync::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
@@ -40,8 +40,7 @@ use crate::spec::DeviceSpec;
 /// `Begin` fires once the launch gate is held and the grid is about to
 /// dispatch; `End` fires after the last warp retires and carries the
 /// parallel-section wall clock. `seq` is a per-device launch counter that
-/// pairs the two phases. The legacy [`Device::spawn_launch`] baseline
-/// bypasses the pool and does **not** fire hooks.
+/// pairs the two phases. Every launch fires both, inline or pooled.
 #[derive(Clone, Copy, Debug)]
 pub enum LaunchPhase {
     /// The grid is about to dispatch onto the pool.
@@ -744,55 +743,6 @@ impl Device {
         let elapsed = Duration::from_nanos(end_nanos.saturating_sub(start_nanos));
         (elapsed, SchedStats { dispatch, workers: pool.workers, chunk, warps_per_worker, steals })
     }
-
-    /// The pre-pool executor, kept verbatim as the measurement baseline:
-    /// spawns scoped OS threads per launch with the old fixed claim chunk
-    /// of 16 and times spawn + drain + join together. Used by the
-    /// launch-overhead microbenchmark (`repro exec-bench`) and the
-    /// timing-fidelity test; kernel numbers must come from
-    /// [`Device::launch`].
-    pub fn spawn_launch<F>(&self, n_threads: u32, kernel: F) -> Duration
-    where
-        F: Fn(&ThreadCtx) + Sync,
-    {
-        if n_threads == 0 {
-            return Duration::ZERO;
-        }
-        let n_warps = n_threads.div_ceil(WARP_SIZE);
-        let block_size = self.spec.default_block_size;
-        let num_sms = self.spec.num_sms;
-        let body = |warp_id: u32| {
-            let first = warp_id * WARP_SIZE;
-            let last = (first + WARP_SIZE).min(n_threads);
-            for tid in first..last {
-                let ctx = ThreadCtx::from_linear(tid, block_size, num_sms);
-                kernel(&ctx);
-            }
-        };
-        let next = AtomicU32::new(0);
-        let start = Instant::now();
-        if self.pool.workers == 1 {
-            for w in 0..n_warps {
-                body(w);
-            }
-            return start.elapsed();
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..self.pool.workers {
-                scope.spawn(|| loop {
-                    let first = next.fetch_add(MAX_CLAIM_CHUNK, Ordering::Relaxed);
-                    if first >= n_warps {
-                        break;
-                    }
-                    let last = first.saturating_add(MAX_CLAIM_CHUNK).min(n_warps);
-                    for w in first..last {
-                        body(w);
-                    }
-                });
-            }
-        });
-        start.elapsed()
-    }
 }
 
 /// Parses a `GMS_WORKERS` value: a positive integer, anything else is
@@ -1072,38 +1022,38 @@ mod tests {
     }
 
     #[test]
-    fn spawn_reference_still_runs_every_thread() {
+    fn dispatch_and_kernel_time_fit_inside_the_call() {
+        // `dispatch` ends before the kernel clock starts and the kernel
+        // clock stops before the call returns, so the two never overlap:
+        // their sum is at most the call's wall clock, exactly, every time.
         let d = device();
-        let count = AtomicU64::new(0);
-        let t = d.spawn_launch(1234, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 1234);
-        assert!(t > Duration::ZERO);
+        for _ in 0..200 {
+            let t = Instant::now();
+            let (elapsed, sched) = d.launch_with_stats(4 * WARP_SIZE, |_| {});
+            let call = t.elapsed();
+            assert!(
+                elapsed + sched.dispatch <= call,
+                "kernel {elapsed:?} + dispatch {:?} exceeds the call {call:?}",
+                sched.dispatch
+            );
+        }
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "timing ratio; release-only (scripts/check.sh)")]
-    fn pooled_dispatch_beats_spawn_per_launch() {
-        // Timing fidelity: the *reported* latency of an empty-kernel launch
-        // on the pooled executor must be < 10% of what the old
-        // spawn-per-launch path reports for the identical kernel —
-        // otherwise the harness is again charging thread administration to
-        // kernel time. Minima over many trials filter scheduler noise.
+    fn empty_launch_reports_under_a_quarter_of_its_call() {
+        // Timing fidelity: an empty kernel's *reported* time must be a small
+        // part of what the launch costs the caller, or the harness is
+        // charging thread administration to kernel time again. Minima over
+        // many trials filter scheduler noise.
         let d = device();
-        let n = 4 * WARP_SIZE; // one warp per worker
-        let mut pooled = Duration::MAX;
+        let (mut reported, mut call) = (Duration::MAX, Duration::MAX);
         for _ in 0..400 {
-            pooled = pooled.min(d.launch(n, |_| {}));
+            let t = Instant::now();
+            reported = reported.min(d.launch(4 * WARP_SIZE, |_| {})); // one warp per worker
+            call = call.min(t.elapsed());
         }
-        let mut spawn = Duration::MAX;
-        for _ in 0..60 {
-            spawn = spawn.min(d.spawn_launch(n, |_| {}));
-        }
-        assert!(
-            pooled * 10 <= spawn,
-            "pooled kernel time {pooled:?} is not <10% of spawn-per-launch {spawn:?}"
-        );
+        assert!(reported * 4 <= call, "empty kernel reported {reported:?} of a {call:?} call");
     }
 }
 

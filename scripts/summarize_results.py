@@ -51,7 +51,7 @@ def main():
 
     telemetry = sorted(DIR.glob("telemetry_*.csv"))
     if telemetry:
-        print("\n### Telemetry (repro watch / --telemetry, per-window series)\n")
+        print("\n### Telemetry (repro watch, per-window series)\n")
         body = []
         for path in telemetry:
             with open(path) as fh:
