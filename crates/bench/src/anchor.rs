@@ -6,14 +6,15 @@
 //! to the repository root and compared by `repro gate` (see [`crate::gate`])
 //! so a PR cannot silently regress a hot path the matrix covers.
 //!
-//! The workspace has no crates.io dependencies, so the JSON reader/writer is
-//! hand-rolled: a small recursive-descent parser over a [`Json`] value tree,
-//! and a renderer that emits metrics in insertion order so regenerated
-//! anchors diff cleanly. `Anchor::parse(anchor.render())` round-trips
-//! exactly (Rust's float formatting is shortest-round-trip).
+//! Anchors are read with [`gpumem_core::json`] and rendered here, metrics in
+//! insertion order so regenerated anchors diff cleanly.
+//! `Anchor::parse(anchor.render())` round-trips exactly (Rust's float
+//! formatting is shortest-round-trip).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+
+use gpumem_core::json::{quote, Json};
 
 /// Current anchor schema version. Version 1 was the ad-hoc
 /// `BENCH_exec.json` layout (no provenance, no metric classes); version 2
@@ -291,236 +292,6 @@ fn render_number(v: f64) -> String {
     }
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A parsed JSON value. Objects keep insertion order (anchors are rendered
-/// and diffed as text, so order stability matters).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Json::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_string(&self) -> Option<&str> {
-        match self {
-            Json::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed, nothing else).
-    /// Accepts the lenient `NaN`/`Infinity`/`-Infinity` tokens so the gate
-    /// can load — and then reject — a damaged anchor instead of refusing to
-    /// read it at all.
-    pub fn parse(text: &str) -> Result<Json, (usize, String)> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err((pos, "trailing content after JSON document".into()));
-        }
-        Ok(value)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, (usize, String)> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err((*pos, "unexpected end of input".into())),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Json::String(parse_string(b, pos)?)),
-        Some(b't') => parse_token(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_token(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_token(b, pos, "null", Json::Null),
-        Some(b'N') => parse_token(b, pos, "NaN", Json::Number(f64::NAN)),
-        Some(b'I') => parse_token(b, pos, "Infinity", Json::Number(f64::INFINITY)),
-        Some(b'-') if b.get(*pos + 1) == Some(&b'I') => {
-            *pos += 1;
-            parse_token(b, pos, "Infinity", Json::Number(f64::NEG_INFINITY))
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err((*pos, format!("unexpected byte {:?}", *c as char))),
-    }
-}
-
-fn parse_token(b: &[u8], pos: &mut usize, tok: &str, v: Json) -> Result<Json, (usize, String)> {
-    if b[*pos..].starts_with(tok.as_bytes()) {
-        *pos += tok.len();
-        Ok(v)
-    } else {
-        Err((*pos, format!("expected {tok:?}")))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, (usize, String)> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| (start, "bad utf8".to_string()))?;
-    text.parse::<f64>().map(Json::Number).map_err(|e| (start, format!("bad number: {e}")))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, (usize, String)> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err((*pos, "unterminated string".into())),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or((*pos, "truncated \\u escape".to_string()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| (*pos, format!("bad \\u escape {hex:?}")))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err((*pos, format!("bad escape {other:?}"))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| (*pos, "bad utf8 in string".to_string()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, (usize, String)> {
-    debug_assert_eq!(b[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return Err((*pos, "expected ',' or ']'".into())),
-        }
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, (usize, String)> {
-    debug_assert_eq!(b[*pos], b'{');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(items));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err((*pos, "expected string key".into()));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err((*pos, "expected ':'".into()));
-        }
-        *pos += 1;
-        let value = parse_value(b, pos)?;
-        items.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(items));
-            }
-            _ => return Err((*pos, "expected ',' or '}'".into())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,18 +360,6 @@ mod tests {
         a.metrics[0].value = 7_643_670.0;
         assert!(a.render().contains("\"value\": 7643670.0"));
         assert_eq!(Anchor::parse(&a.render()).unwrap().metrics[0].value, 7_643_670.0);
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y\n"}, "d": null}"#).unwrap();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj[0].1.as_array().unwrap()[2].as_number().unwrap(), -300.0);
-        let inner = obj[1].1.as_object().unwrap();
-        assert_eq!(inner[0].1.as_string().unwrap(), "x\"y\n");
-        assert!(Json::parse("{\"a\": 1,}").is_err());
-        assert!(Json::parse("[1 2]").is_err());
-        assert!(Json::parse("{} trailing").is_err());
     }
 
     #[test]

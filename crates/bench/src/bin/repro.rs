@@ -6,7 +6,7 @@
 //! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
 //!                                   # Fig 9 at the paper's full 8 GiB heap
 //! repro gate --smoke                # rerun and compare against the anchors
-//! repro watch --scenario mixed      # one scenario under the live telemetry sampler
+//! repro watch --scenario mixed      # one scenario under the telemetry sampler
 //! repro table1                      # survey table (Table 1)
 //! repro contention                  # per-manager contention counters
 //! repro sanitize                    # shadow-heap sanitizer sweep
@@ -20,9 +20,8 @@
 //! `--heap-mb MB`, `--seed HEX`. `--num`, `--iter`, `--cycles` and
 //! `--cached` size the diagnostic subcommands; `matrix`, `gate` and `watch`
 //! take their counts, iterations and per-cell timeouts from the tier and
-//! refuse them. `--telemetry-hz`, `--telemetry-listen` and `--slo` belong to
-//! `watch` alone. The diagnostic subcommands print each table they save as
-//! CSV, with the same columns.
+//! refuse them. `--telemetry-hz` belongs to `watch` alone. The diagnostic
+//! subcommands print each table they save as CSV, with the same columns.
 
 use std::path::{Path, PathBuf};
 
@@ -37,7 +36,7 @@ use gpumem_bench::watch;
 use gpumem_core::info::SURVEY_TABLE;
 use gpumem_core::telemetry::TelemetryConfig;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{HeapBackendKind, Pretouch, SloSpec};
+use gpumem_core::{HeapBackendKind, Pretouch};
 
 #[derive(Clone)]
 struct Opts {
@@ -75,15 +74,9 @@ struct Opts {
     candidate: Option<PathBuf>,
     /// `--scenario NAME` (repeatable): restrict matrix/gate to a subset.
     scenarios: Vec<String>,
-    /// `--telemetry-hz N`: sampler cadence (overrides `GMS_TELEMETRY_HZ`;
-    /// default 100 Hz, i.e. 10 ms windows).
+    /// `--telemetry-hz N`: sampler cadence (default 100 Hz, i.e. 10 ms
+    /// windows).
     telemetry_hz: Option<f64>,
-    /// `--telemetry-listen ADDR`: serve the live OpenMetrics exposition on
-    /// this TCP address for the duration of the run.
-    telemetry_listen: Option<String>,
-    /// `--slo SPEC` (repeatable): rolling-window objectives evaluated by
-    /// the sampler, e.g. `malloc_p99_ns<50000@500ms`.
-    slos: Vec<String>,
 }
 
 impl Default for Opts {
@@ -108,8 +101,6 @@ impl Default for Opts {
             candidate: None,
             scenarios: Vec::new(),
             telemetry_hz: None,
-            telemetry_listen: None,
-            slos: Vec::new(),
         }
     }
 }
@@ -145,9 +136,9 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         i += 1;
         match flag.as_str() {
             "--iter" if tier_pinned => return Err(pinned_error(&flag)),
-            "--telemetry-hz" | "--telemetry-listen" | "--slo" if cmd != "watch" => {
+            "--telemetry-hz" if cmd != "watch" => {
                 return Err(format!(
-                    "{flag} does not apply to `{cmd}`: only `watch` runs the live sampler"
+                    "{flag} does not apply to `{cmd}`: only `watch` runs the sampler"
                 ))
             }
             "-t" => {
@@ -200,8 +191,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
                 let hz = next(&mut i)?;
                 opts.telemetry_hz = Some(hz.parse().map_err(|e| format!("bad hz {hz:?}: {e}"))?);
             }
-            "--telemetry-listen" => opts.telemetry_listen = Some(next(&mut i)?),
-            "--slo" => opts.slos.push(next(&mut i)?),
             other => return Err(format!("unknown option: {other}\n{}", usage())),
         }
     }
@@ -217,7 +206,7 @@ fn usage() -> String {
      (`repro matrix` runs the paper's figures as scenarios and writes one\n\
       BENCH_<scenario>.json anchor each, `repro gate` reruns and compares them\n\
       against gates.toml tolerances, `repro watch --scenario NAME` runs one\n\
-      scenario under the live telemetry sampler and writes\n\
+      scenario under the telemetry sampler and writes\n\
       telemetry_<scenario>.{json,csv,prom} into --out)\n\
      options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap --pretouch auto|full|lazy --heap-mb MB --seed HEX\n\
@@ -226,8 +215,7 @@ fn usage() -> String {
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --gates FILE, --candidate DIR, --scenario NAME (repeatable); -t / -m restrict\n\
      the managers; watch defaults to the smoke tier\n\
-     watch only: --telemetry-hz N, --telemetry-listen ADDR,\n\
-     --slo METRIC<THRESH@WINDOW (repeatable, e.g. --slo 'malloc_p99_ns<50000@500ms')"
+     watch only: --telemetry-hz N"
         .to_string()
 }
 
@@ -433,21 +421,6 @@ fn matrix_cmd(opts: &Opts) {
     }
 }
 
-/// Builds the sampler config from the command line: cadence from
-/// `--telemetry-hz` (falling back to `GMS_TELEMETRY_HZ`, then the 10 ms
-/// default) and rolling-window objectives from repeated `--slo` flags.
-fn telemetry_config(opts: &Opts) -> TelemetryConfig {
-    let mut cfg = TelemetryConfig::from_env();
-    if let Some(hz) = opts.telemetry_hz {
-        cfg = cfg.hz(hz);
-    }
-    for raw in &opts.slos {
-        let spec = raw.parse::<SloSpec>().map_err(|e| format!("bad --slo {raw:?}: {e}"));
-        cfg = cfg.slo(or_exit(spec, 2));
-    }
-    cfg
-}
-
 /// The manager restriction `matrix`/`gate`/`watch` apply to their scenarios:
 /// `-m NAME` pins one manager, an explicit `-t` selector pins a set, and
 /// neither runs each scenario's natural set.
@@ -458,8 +431,8 @@ fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
     (opts.kinds != DEFAULT_KINDS).then(|| opts.kinds.clone())
 }
 
-/// `repro watch` — run one matrix scenario under the live telemetry
-/// sampler and export the sampled time-series (JSON, per-window CSV,
+/// `repro watch` — run one matrix scenario under the telemetry sampler
+/// and export the sampled time-series (JSON, per-window CSV,
 /// OpenMetrics). Defaults to the smoke tier: watch is an interactive
 /// diagnosis tool, not the anchor producer.
 fn watch_cmd(opts: &Opts) {
@@ -474,13 +447,11 @@ fn watch_cmd(opts: &Opts) {
             std::process::exit(2);
         }
     };
-    let outcome = watch::watch(
-        matrix_cfg(opts, Tier::Smoke),
-        &scenario,
-        telemetry_config(opts),
-        opts.telemetry_listen.as_deref(),
-        &opts.out,
-    );
+    let mut tcfg = TelemetryConfig::new();
+    if let Some(hz) = opts.telemetry_hz {
+        tcfg = tcfg.hz(hz);
+    }
+    let outcome = watch::watch(matrix_cfg(opts, Tier::Smoke), &scenario, tcfg, &opts.out);
     let outcome = or_exit(outcome.map_err(|e| format!("watch: {e}")), 1);
     if outcome.anchor.metrics.is_empty() {
         eprintln!("warning: manager restriction excluded every kind this scenario runs");
@@ -498,13 +469,8 @@ fn watch_cmd(opts: &Opts) {
         s.totals.free_calls(),
         s.dropped_events,
     );
-    print!("{}", s.slo_table());
     for p in [&outcome.json_path, &outcome.csv_path, &outcome.om_path] {
         println!("wrote {}", p.display());
-    }
-    // Breached objectives make the run's exit status actionable in CI.
-    if s.slo.iter().any(|r| !r.breaches.is_empty()) {
-        std::process::exit(3);
     }
 }
 

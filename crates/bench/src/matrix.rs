@@ -24,9 +24,10 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpu_sim::{Device, DeviceSpec, LaunchHook};
+use gpu_sim::{Device, DeviceSpec, LaunchPhase};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
+use gpumem_core::telemetry::{BoundaryMarker, TelemetrySink};
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
 use gpumem_core::{HeapBackendKind, Pretouch, WARP_SIZE};
 
@@ -195,9 +196,10 @@ pub struct MatrixCfg {
     /// through [`MatrixCfg::restrict`], so the anchors a restricted run
     /// produces are a key-subset of the unrestricted ones.
     pub kinds: Option<Vec<ManagerKind>>,
-    /// Launch-lifecycle callback installed on every [`Device`] this config
-    /// constructs — the telemetry sampler's kernel-boundary signal.
-    pub launch_hook: Option<LaunchHook>,
+    /// The sink and boundary marker of a watched run (`repro watch`):
+    /// [`MatrixCfg::bench`] hands the sink to every [`Bench`] and cuts a
+    /// sample window at the end of every launch on its [`Device`].
+    pub watch: Option<(TelemetrySink, BoundaryMarker)>,
 }
 
 impl fmt::Debug for MatrixCfg {
@@ -212,7 +214,7 @@ impl fmt::Debug for MatrixCfg {
             .field("pretouch", &self.pretouch)
             .field("heap_override", &self.heap_override)
             .field("kinds", &self.kinds)
-            .field("launch_hook", &self.launch_hook.as_ref().map(|_| "<hook>"))
+            .field("watch", &self.watch.as_ref().map(|_| "<sink>"))
             .finish()
     }
 }
@@ -234,7 +236,7 @@ impl MatrixCfg {
             pretouch: Pretouch::Auto,
             heap_override: None,
             kinds: None,
-            launch_hook: None,
+            watch: None,
         }
     }
 
@@ -252,8 +254,13 @@ impl MatrixCfg {
     /// The shared runner context for one scenario.
     pub fn bench(&self) -> Bench {
         let mut dev = Device::new(self.device);
-        if let Some(hook) = &self.launch_hook {
-            dev.set_launch_hook(Arc::clone(hook));
+        if let Some((_, marker)) = &self.watch {
+            let marker = marker.clone();
+            dev.set_launch_hook(Arc::new(move |phase| {
+                if matches!(phase, LaunchPhase::End { .. }) {
+                    marker.mark();
+                }
+            }));
         }
         let mut b = Bench::new(dev);
         b.iterations = self.iterations;
@@ -262,6 +269,7 @@ impl MatrixCfg {
         b.heap_backend = self.heap_backend;
         b.pretouch = self.pretouch;
         b.heap_override = self.heap_override;
+        b.telemetry = self.watch.as_ref().map(|(sink, _)| sink.clone());
         b
     }
 
@@ -785,11 +793,8 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
     for kind in cfg.restrict(&DEFAULT_KINDS) {
-        let alloc = kind
-            .builder()
-            .heap_spec(bench.try_heap_spec(ax.churn_threads, SIZE)?)
-            .sms(cfg.device.num_sms)
-            .build();
+        let alloc =
+            bench.builder(kind).heap_spec(bench.try_heap_spec(ax.churn_threads, SIZE)?).build();
         let info = alloc.info();
         if !info.supports_free && !info.warp_level_only {
             continue;

@@ -329,12 +329,8 @@ impl ManagerBuilder {
     /// sampler ([`gpumem_core::telemetry`]) can snapshot its counters and
     /// drain its trace ring. Implies metrics and (if not already chosen) a
     /// modest trace ring sized for sampling rather than post-mortem replay.
-    ///
-    /// Call sites that cannot reach the builder (matrix scenario bodies
-    /// construct managers internally) get the same effect from the
-    /// process-global sink: `repro watch` installs one via
-    /// [`gpumem_core::telemetry::install_global_sink`], and `try_build`
-    /// consults it when no explicit sink was given.
+    /// Matrix scenarios reach it through [`crate::runners::Bench::builder`],
+    /// which passes a watched run's sink to every manager it builds.
     pub fn telemetry(mut self, sink: &TelemetrySink) -> Self {
         self.sink = Some(sink.clone());
         self
@@ -363,14 +359,9 @@ impl ManagerBuilder {
                 inner
             }
         };
-        // Watch mode: an explicit sink (`.telemetry()`), or the
-        // process-global one `repro watch` installs, forces the
-        // observability stack on so the sampler has counters to delta and
-        // a ring to drain. The global lookup is one mutex lock per
-        // *construction* — builds without a sink installed pay a single
-        // `None` branch and nothing on any allocation path.
-        let sink = self.sink.or_else(telemetry::global_sink);
-        let trace = match (&sink, self.trace) {
+        // A sink forces the observability stack on so the sampler has
+        // counters to delta and a ring to drain.
+        let trace = match (&self.sink, self.trace) {
             (Some(_), None) => Some(telemetry::WATCH_EVENTS_PER_SM),
             (_, chosen) => chosen,
         };
@@ -378,7 +369,7 @@ impl ManagerBuilder {
             Some(events_per_sm) => {
                 let rec = Arc::new(TraceRecorder::new(self.sms, events_per_sm));
                 let metrics = Metrics::enabled(self.sms).with_tracer(Arc::clone(&rec));
-                if let Some(sink) = &sink {
+                if let Some(sink) = &self.sink {
                     sink.attach(&metrics);
                 }
                 let inner: Arc<dyn DeviceAllocator> =

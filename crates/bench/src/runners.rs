@@ -11,6 +11,7 @@ use gpu_sim::{Device, PerThread};
 use gpu_workloads::{churn, sizes, workgen, write_test};
 use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
+use gpumem_core::telemetry::TelemetrySink;
 use gpumem_core::trace::{
     chrome_trace_json, occupancy_timeline, OccupancyTimeline, OpLatencies, Trace,
 };
@@ -19,7 +20,7 @@ use gpumem_core::{
     WarpCtx, WARP_SIZE,
 };
 
-use crate::registry::ManagerKind;
+use crate::registry::{ManagerBuilder, ManagerKind};
 
 /// Shared experiment context.
 pub struct Bench {
@@ -49,6 +50,9 @@ pub struct Bench {
     /// steady-state hot path (magazines populated by the warm-up's frees)
     /// rather than the cold first pass.
     pub warmup: u32,
+    /// The sink of a watched run (`repro watch`): every manager
+    /// [`Bench::builder`] makes registers with it.
+    pub telemetry: Option<TelemetrySink>,
 }
 
 impl Bench {
@@ -64,11 +68,22 @@ impl Bench {
             heap_override: None,
             cached: false,
             warmup: 0,
+            telemetry: None,
         }
     }
 
     fn num_sms(&self) -> u32 {
         self.device.spec().num_sms
+    }
+
+    /// The builder every runner starts from: this context's SM count and
+    /// magazine choice, plus its telemetry sink when one is set.
+    pub fn builder(&self, kind: ManagerKind) -> ManagerBuilder {
+        let b = kind.builder().sms(self.num_sms()).cached(self.cached);
+        match &self.telemetry {
+            Some(sink) => b.telemetry(sink),
+            None => b,
+        }
     }
 
     /// The heap spec for a cell with a demand of `num × max_size` bytes:
@@ -172,12 +187,7 @@ pub fn alloc_perf(
     size: u64,
     warp: bool,
 ) -> AllocPerfCell {
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec(num, size))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
     let mut alloc_total = Duration::ZERO;
     let mut free_total = Duration::ZERO;
     let mut free_supported = true;
@@ -286,12 +296,7 @@ pub fn alloc_perf(
 /// Runs one mixed-allocation cell (Fig. 9h): per-thread sizes uniform in
 /// `[4, upper]`.
 pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> AllocPerfCell {
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec(num, upper))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, upper)).build();
     let mut alloc_total = Duration::ZERO;
     let mut free_total = Duration::ZERO;
     let mut free_supported = true;
@@ -392,12 +397,7 @@ pub fn fragmentation(
     size: u64,
     cycles: u32,
 ) -> FragCell {
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec(num, size))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
     let allocate = |seed_round: u64| -> Vec<DevicePtr> {
         let ptrs = PerThread::<DevicePtr>::new(num as usize);
         bench.device.launch(num, |ctx| {
@@ -465,12 +465,7 @@ pub struct OomCell {
 pub fn oom(bench: &Bench, kind: ManagerKind, heap_bytes: u64, size: u64) -> OomCell {
     use gpumem_core::sync::{AtomicU64, Ordering};
 
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec_bytes(heap_bytes))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec_bytes(heap_bytes)).build();
     let start = Instant::now();
     let mut count = 0u64;
     let mut timed_out = false;
@@ -524,12 +519,7 @@ pub fn work_generation(
     lo: u64,
     hi: u64,
 ) -> WorkGenCell {
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec(threads, hi))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(threads, hi)).build();
     let r = workgen::run_managed(alloc.as_ref(), &bench.device, threads, bench.seed, lo, hi);
     WorkGenCell { manager: kind.label(), threads, elapsed: r.elapsed, failures: r.failures }
 }
@@ -563,12 +553,7 @@ pub fn write_performance(
         write_test::WritePattern::Uniform { bytes } => bytes,
         write_test::WritePattern::Mixed { hi, .. } => hi,
     };
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.heap_spec(threads, max))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(threads, max)).build();
     let r = write_test::run(alloc.as_ref(), &bench.device, threads, bench.seed, pattern);
     WriteCell {
         manager: kind.label(),
@@ -618,12 +603,7 @@ pub fn graph_init(
     csr: &dyn_graph::CsrGraph,
 ) -> Result<GraphCell, SizingError> {
     let demand = graph_demand(csr, 0)?;
-    let alloc = kind
-        .builder()
-        .heap_spec(bench.try_heap_spec(1, demand.max(1 << 20))?)
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let alloc = bench.builder(kind).heap_spec(bench.try_heap_spec(1, demand.max(1 << 20))?).build();
     let (g, elapsed) = dyn_graph::DynGraph::init(alloc.as_ref(), &bench.device, csr);
     Ok(GraphCell {
         manager: kind.label(),
@@ -644,7 +624,7 @@ pub fn graph_update(
     // Updates grow a few adjacencies dramatically; generous headroom.
     let demand = graph_demand(csr, n_edges)?;
     let heap = bench.try_heap_spec(1, demand.max(1 << 20))?;
-    let alloc = kind.builder().heap_spec(heap).sms(bench.num_sms()).cached(bench.cached).build();
+    let alloc = bench.builder(kind).heap_spec(heap).build();
     let (g, _) = dyn_graph::DynGraph::init(alloc.as_ref(), &bench.device, csr);
     let edges = if focused {
         dyn_graph::focused_edges(csr.vertices(), n_edges, 20, bench.seed)
@@ -678,7 +658,7 @@ pub fn init_performance(bench: &Bench, kind: ManagerKind, heap_bytes: u64) -> In
             .unwrap_or_else(|e| panic!("{e}")),
     );
     let start = Instant::now();
-    let alloc = kind.builder().heap_shared(heap).sms(bench.num_sms()).cached(bench.cached).build();
+    let alloc = bench.builder(kind).heap_shared(heap).build();
     let init = start.elapsed();
     let regs = alloc.register_footprint();
     InitCell { manager: kind.label(), init, malloc_regs: regs.malloc, free_regs: regs.free }
@@ -742,13 +722,8 @@ pub fn contention_profile(bench: &Bench, kind: ManagerKind, num: u32, size: u64)
         dropped_events: u64,
     }
     let run = |metrics_on: bool| -> Run {
-        let alloc = kind
-            .builder()
-            .heap_spec(bench.heap_spec(num, size))
-            .sms(bench.num_sms())
-            .metrics(metrics_on)
-            .cached(bench.cached)
-            .build();
+        let alloc =
+            bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(metrics_on).build();
         let m = alloc.metrics();
         let ptrs = PerThread::<DevicePtr>::new(num as usize);
         let rep = bench.device.launch_observed(&m, num, |ctx| match alloc.malloc(ctx, size) {
@@ -854,12 +829,10 @@ pub struct TraceRun {
 pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: usize) -> TraceRun {
     const SIZE_LO: u64 = 16;
     const SIZE_HI: u64 = 1024;
-    let alloc = kind
-        .builder()
+    let alloc = bench
+        .builder(kind)
         .heap_spec(bench.heap_spec(num, SIZE_HI))
-        .sms(bench.num_sms())
         .trace_capacity(events_per_sm)
-        .cached(bench.cached)
         .build();
     let m = alloc.metrics();
     let ptrs = PerThread::<DevicePtr>::new(num as usize);
@@ -931,12 +904,7 @@ impl SanitizeCell {
 /// poison-on-free) and reports the violation totals.
 pub fn sanitize_run(bench: &Bench, kind: ManagerKind, num: u32, cycles: u32) -> SanitizeCell {
     const MIXED_MAX: u64 = 1024;
-    let inner = kind
-        .builder()
-        .heap_spec(bench.heap_spec(num, MIXED_MAX))
-        .sms(bench.num_sms())
-        .cached(bench.cached)
-        .build();
+    let inner = bench.builder(kind).heap_spec(bench.heap_spec(num, MIXED_MAX)).build();
     let san = Sanitized::new(inner);
     let mut failures = 0u64;
 

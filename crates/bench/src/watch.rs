@@ -1,15 +1,14 @@
-//! `repro watch` — run one matrix scenario under the live telemetry
-//! sampler and export the resulting time-series.
+//! `repro watch` — run one matrix scenario under the telemetry sampler and
+//! export the resulting time-series.
 //!
-//! The wiring problem this module solves: matrix scenario bodies construct
-//! their managers internally (each cell builds a fresh manager through
-//! [`crate::registry::ManagerBuilder`]), so there is no builder call site
-//! the watch command could decorate directly. Instead it installs the
-//! *process-global* [`TelemetrySink`] — `try_build` consults it, forces
-//! the observability stack on and registers every manager it constructs —
-//! runs the scenario unchanged, and tears the sink back down. The same
-//! trick aligns sample windows to kernel boundaries: the [`MatrixCfg`]
-//! launch hook cuts a window at every [`LaunchPhase::End`].
+//! Matrix scenario bodies construct their managers internally, so the
+//! watch reaches them through the scenario's configuration:
+//! [`MatrixCfg::watch`] carries the sampler's [`TelemetrySink`] and
+//! [`BoundaryMarker`](gpumem_core::BoundaryMarker). Every `Bench` the
+//! scenario takes from [`MatrixCfg::bench`] builds its managers with that
+//! sink (which forces the observability stack on) and cuts a sample window
+//! at the end of every launch. A watch therefore sees exactly the managers
+//! its own scenario builds, and two watches in one process do not mix.
 //!
 //! Outputs, all under the `--out` directory:
 //!
@@ -22,9 +21,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use gpu_sim::LaunchPhase;
 use gpumem_core::telemetry::{self, Telemetry, TelemetryConfig, TelemetrySink};
 use gpumem_core::{Sample, TimeSeries};
 
@@ -47,49 +44,18 @@ pub struct WatchOutcome {
     pub om_path: PathBuf,
 }
 
-/// Clears the process-global sink when the run ends, error paths
-/// included — a stale global sink would force tracing onto every later
-/// manager construction in this process.
-struct SinkGuard;
-
-impl Drop for SinkGuard {
-    fn drop(&mut self) {
-        telemetry::clear_global_sink();
-    }
-}
-
 /// Runs `scenario` under the sampler and writes the three exports.
-///
-/// `listen` optionally serves the live OpenMetrics exposition on a TCP
-/// address for the duration of the run (`--telemetry-listen`); the bound
-/// address is printed so `port 0` requests are usable.
 pub fn watch(
     mut cfg: MatrixCfg,
     scenario: &str,
     tcfg: TelemetryConfig,
-    listen: Option<&str>,
     out: &Path,
 ) -> Result<WatchOutcome, String> {
     let spec = matrix::scenario(scenario)
         .ok_or_else(|| matrix::MatrixError::UnknownScenario(scenario.to_string()).to_string())?;
     let sink = TelemetrySink::new();
-    telemetry::install_global_sink(&sink);
-    let _guard = SinkGuard;
-    let tel = Telemetry::start(tcfg, sink);
-    let marker = tel.boundary_marker();
-    cfg.launch_hook = Some(Arc::new(move |phase| {
-        if matches!(phase, LaunchPhase::End { .. }) {
-            marker.mark();
-        }
-    }));
-    let server = match listen {
-        Some(addr) => {
-            let srv = tel.serve(addr, scenario).map_err(|e| format!("bind {addr}: {e}"))?;
-            eprintln!("telemetry: serving OpenMetrics on http://{}/", srv.addr());
-            Some(srv)
-        }
-        None => None,
-    };
+    let tel = Telemetry::start(tcfg, sink.clone());
+    cfg.watch = Some((sink, tel.boundary_marker()));
 
     let result = matrix::run_scenario(&cfg, spec);
     // Managers are dropped inside the scenario body, which flushes any
@@ -97,9 +63,6 @@ pub fn watch(
     // the final window `stop()` cuts sees complete free accounting. The
     // attached counter blocks and rings outlive the managers via the
     // sink's `Arc`s.
-    if let Some(srv) = server {
-        srv.stop();
-    }
     let series = tel.stop();
     let anchor = result.map_err(|e| e.to_string())?;
     let [json_path, csv_path, om_path] = export(&series, scenario, &anchor.provenance, out)?;

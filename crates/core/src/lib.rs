@@ -46,10 +46,13 @@
 //!   [`TraceRecorder`] fed by the [`Traced`] wrapper and the executor,
 //!   with latency-histogram, heap-occupancy-timeline and Chrome/Perfetto
 //!   JSON consumers.
-//! * [`telemetry`] — the live-observability plane: a host-thread sampler
-//!   that folds counter deltas and trace-ring drains into a bounded
-//!   [`Sample`] time-series, with rolling-window SLO evaluation
-//!   ([`SloTracker`]) and OpenMetrics / JSON exporters.
+//! * [`telemetry`] — the time-series sampler: a host thread that folds
+//!   counter deltas and trace-ring drains into a bounded [`Sample`]
+//!   series, cut by a timer and at kernel boundaries, with JSON, CSV and
+//!   OpenMetrics exports written when the run ends.
+//! * [`json`] — the one JSON reader ([`json::Json`]) and string escaper
+//!   ([`json::quote`]) that anchors, the Chrome trace export and the
+//!   telemetry dump share.
 //!
 //! Everything here is `std`-only; no external dependencies.
 
@@ -60,6 +63,7 @@ pub mod error;
 pub mod frag;
 pub mod heap;
 pub mod info;
+pub mod json;
 pub mod metrics;
 pub mod ptr;
 pub mod regs;
@@ -82,9 +86,8 @@ pub use ptr::DevicePtr;
 pub use regs::RegisterFootprint;
 pub use sanitize::{Sanitized, SanitizerConfig, SanitizerReport, Violation, ViolationKind};
 pub use telemetry::{
-    validate_openmetrics, BoundaryMarker, BreachSpan, Sample, SloMetric, SloOp, SloReport, SloSpec,
-    SloTracker, Telemetry, TelemetryConfig, TelemetryServer, TelemetrySink, TimeSeries,
-    TELEMETRY_SCHEMA_VERSION,
+    validate_openmetrics, BoundaryMarker, Sample, Telemetry, TelemetryConfig, TelemetrySink,
+    TimeSeries, TELEMETRY_SCHEMA_VERSION,
 };
 pub use trace::{
     chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,

@@ -1,28 +1,24 @@
-//! Live telemetry: a time-series sampler over the metrics + trace layers.
+//! Telemetry: a time-series sampler over the metrics + trace layers.
 //!
-//! The paper's figures are end-of-run aggregates; a long-running allocator
-//! service (ROADMAP item 4) needs *live* observability instead — p99-malloc
-//! SLO windows, fragmentation drift and OOM-fallback rates sampled
-//! continuously while kernels run. This module turns the snapshot-at-end
-//! layers ([`crate::metrics`], [`crate::trace`]) into a streaming plane:
+//! The paper's figures are end-of-run aggregates; this module adds the
+//! *shape* of a run — throughput, latency percentiles, fragmentation drift
+//! and OOM-fallback rates per window while kernels run. It turns the
+//! snapshot-at-end layers ([`crate::metrics`], [`crate::trace`]) into a
+//! series that is written out when the run ends:
 //!
 //! * [`Telemetry`] runs a dedicated host thread at a configurable cadence
-//!   (default 10 ms; `GMS_TELEMETRY_HZ` overrides). Each tick it reads every
-//!   attached manager's [`Metrics`] counters, takes the **delta** against
-//!   the previous tick, drains newly committed trace-ring events past a
-//!   per-recorder watermark, and folds both into one [`Sample`] row.
+//!   (default 10 ms). Each tick it reads every manager attached to its
+//!   [`TelemetrySink`], takes the **delta** of their [`Metrics`] counters
+//!   against the previous tick, drains newly committed trace-ring events
+//!   past a per-recorder cursor, and folds both into one [`Sample`] row.
+//!   A [`BoundaryMarker`] also cuts a window at every kernel boundary.
 //! * Samples land in a bounded fixed-capacity ring (drop-oldest, with an
 //!   eviction count) — the same boundedness discipline as the trace ring:
-//!   an hours-long soak must not grow host memory without limit.
-//! * [`SloTracker`] evaluates rolling-window objectives ([`SloSpec`], e.g.
-//!   `malloc_p99_ns<250000@1s`) against the stream and records breach
-//!   spans.
-//! * Two exporters, both hand-rolled (no new deps, like `anchor.rs`'s JSON
-//!   and [`crate::trace::chrome_trace_json`]): an OpenMetrics text renderer
-//!   (validated by [`validate_openmetrics`], the `validate_chrome_json`
-//!   counterpart) servable over a minimal blocking TCP listener
-//!   ([`Telemetry::serve`]), and a schema-versioned JSON time-series dump
-//!   ([`TimeSeries::to_json`]).
+//!   a long run must not grow host memory without limit.
+//! * Two exporters: an OpenMetrics text renderer (validated by
+//!   [`validate_openmetrics`], the `validate_chrome_json` counterpart) and a
+//!   schema-versioned JSON time-series dump ([`TimeSeries::to_json`]). Both
+//!   quote strings with [`crate::json::quote`].
 //!
 //! ## Why counter deltas, not absolutes
 //!
@@ -31,11 +27,10 @@
 //! and robust to managers *joining* mid-run: a manager built during the
 //! watched scenario registers with the [`TelemetrySink`] and its first ops
 //! appear as that window's delta. Absolute readings would instead need
-//! every consumer to know each source's epoch. The same watermark logic
-//! applies to the trace rings: only events with a timestamp past the last
-//! tick's high-water mark are folded into the new window's latency
-//! histogram, so one event is never counted twice even though ring
-//! snapshots are non-destructive.
+//! every consumer to know each source's epoch. The same cursor logic
+//! applies to the trace rings: only events past the last tick's drain are
+//! folded into the new window's latency histogram, so one event is never
+//! counted twice even though ring snapshots are non-destructive.
 //!
 //! ## Teardown ordering
 //!
@@ -47,20 +42,18 @@
 //! under-reporting them (regression-tested in `tests/telemetry.rs`).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::frag::{AddressRange, FragmentationStats};
+use crate::json::quote;
 use crate::metrics::{CounterSnapshot, Metrics};
 use crate::ptr::DevicePtr;
-use crate::sync::{AtomicBool, Ordering};
 use crate::trace::{EventKind, LatencyHistogram, TraceRecorder};
 
 /// Schema version stamped into every JSON time-series dump. Bump on any
 /// field change so downstream consumers can reject what they cannot parse.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 1;
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
 
 /// Default sampler cadence: one sample every 10 ms (100 Hz).
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(10);
@@ -70,8 +63,8 @@ pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(10);
 /// it evicted.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Per-SM trace-ring capacity forced onto managers built while a watch sink
-/// is installed and no explicit `.trace(..)` was requested. Smaller than
+/// Per-SM trace-ring capacity forced onto managers built with a telemetry
+/// sink and no explicit `.trace(..)`. Smaller than
 /// [`crate::trace::DEFAULT_EVENTS_PER_SM`]: the sampler drains continuously,
 /// so the ring only needs to cover one sampling interval, and a watched
 /// matrix run builds many managers whose rings all stay alive.
@@ -84,8 +77,8 @@ const OM_PREFIX: &str = "gms";
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Sampler configuration. Construct with [`TelemetryConfig::from_env`] to
-/// honour `GMS_TELEMETRY_HZ`, then chain the builder-style setters.
+/// Sampler configuration. Construct with [`TelemetryConfig::new`], then
+/// chain the builder-style setters.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Sampling interval (window length under no forced cuts).
@@ -93,31 +86,18 @@ pub struct TelemetryConfig {
     /// Sample-ring capacity; the oldest row is evicted (and counted) when
     /// full.
     pub capacity: usize,
-    /// Rolling-window objectives evaluated against the stream.
-    pub slos: Vec<SloSpec>,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { interval: DEFAULT_INTERVAL, capacity: DEFAULT_CAPACITY, slos: Vec::new() }
+        TelemetryConfig { interval: DEFAULT_INTERVAL, capacity: DEFAULT_CAPACITY }
     }
 }
 
 impl TelemetryConfig {
-    /// Defaults: 10 ms interval, 4096-row ring, no SLOs.
+    /// Defaults: 10 ms interval, 4096-row ring.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Defaults with the `GMS_TELEMETRY_HZ` override applied (a frequency
-    /// in Hz; invalid or non-positive values fall back to the default).
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(hz) = std::env::var("GMS_TELEMETRY_HZ").ok().and_then(|s| s.parse::<f64>().ok())
-        {
-            cfg = cfg.hz(hz);
-        }
-        cfg
     }
 
     /// Sets the cadence as a frequency. Clamped to [0.1 Hz, 10 kHz]; NaN
@@ -141,12 +121,6 @@ impl TelemetryConfig {
         self.capacity = n.max(2);
         self
     }
-
-    /// Adds a rolling-window objective.
-    pub fn slo(mut self, spec: SloSpec) -> Self {
-        self.slos.push(spec);
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -159,9 +133,9 @@ impl TelemetryConfig {
 /// cell still produces a single coherent stream.
 ///
 /// Cloning shares the registry. Attach happens in the benchmark registry's
-/// builder; a process-global sink can be installed so *every* manager built
-/// while it is up reports in (that is how `repro watch` runs unmodified
-/// matrix scenarios under the sampler).
+/// builder (`ManagerBuilder::telemetry`); `repro watch` hands its sink to
+/// the scenario's `Bench`, whose builder passes it to every manager the
+/// scenario constructs.
 #[derive(Clone, Default)]
 pub struct TelemetrySink {
     sources: Arc<Mutex<Vec<Source>>>,
@@ -186,13 +160,10 @@ impl TelemetrySink {
             return;
         }
         let recorder = metrics.tracer().cloned();
-        let mut sources = self.sources.lock().unwrap();
-        // A rebuilt clone of the same counter block (e.g. a relay handle)
-        // must not double-count: dedupe recorders by ring identity and
-        // metrics by snapshot identity is impossible cheaply, so dedupe on
-        // the recorder Arc when present; counter blocks are distinct per
-        // builder call in practice.
-        sources.push(Source { metrics: metrics.clone(), recorder });
+        // Every call adds a source: counter blocks are distinct per builder
+        // call. Recorders shared between sources are folded once, because
+        // `take_sample` keeps one cursor per ring (`Arc::ptr_eq`).
+        self.sources.lock().unwrap().push(Source { metrics: metrics.clone(), recorder });
     }
 
     /// Number of registered sources.
@@ -204,26 +175,6 @@ impl TelemetrySink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-static GLOBAL_SINK: Mutex<Option<TelemetrySink>> = Mutex::new(None);
-
-/// Installs `sink` as the process-global watch sink. While installed, the
-/// benchmark registry's builder force-enables metrics + tracing on every
-/// manager it constructs and attaches them here. Returns the previously
-/// installed sink, if any.
-pub fn install_global_sink(sink: &TelemetrySink) -> Option<TelemetrySink> {
-    GLOBAL_SINK.lock().unwrap().replace(sink.clone())
-}
-
-/// Removes the process-global watch sink.
-pub fn clear_global_sink() {
-    GLOBAL_SINK.lock().unwrap().take();
-}
-
-/// The currently installed process-global sink, if any.
-pub fn global_sink() -> Option<TelemetrySink> {
-    GLOBAL_SINK.lock().unwrap().clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -303,357 +254,29 @@ impl Sample {
         "boundary",
     ];
 
-    /// The row matching [`Sample::CSV_HEADER`].
+    /// The row matching [`Sample::CSV_HEADER`]; the JSON dump's sample
+    /// objects are built from the same pairs.
     pub fn csv_row(&self) -> Vec<String> {
         vec![
             self.seq.to_string(),
-            format!("{:.3}", self.t_ms),
-            format!("{:.3}", self.window_ms),
-            format!("{:.1}", self.allocs_per_sec),
-            format!("{:.1}", self.frees_per_sec),
-            format!("{:.4}", self.cas_retries_per_op),
-            format!("{:.4}", self.magazine_hit_rate),
+            format!("{:.3}", fin(self.t_ms)),
+            format!("{:.3}", fin(self.window_ms)),
+            format!("{:.1}", fin(self.allocs_per_sec)),
+            format!("{:.1}", fin(self.frees_per_sec)),
+            format!("{:.4}", fin(self.cas_retries_per_op)),
+            format!("{:.4}", fin(self.magazine_hit_rate)),
             self.live_allocs.to_string(),
             self.live_bytes.to_string(),
-            format!("{:.2}", self.frag_percent),
+            format!("{:.2}", fin(self.frag_percent)),
             self.malloc_ops.to_string(),
             self.malloc_p50_ns.to_string(),
             self.malloc_p95_ns.to_string(),
             self.malloc_p99_ns.to_string(),
-            format!("{:.6}", self.oom_fallback_rate),
+            format!("{:.6}", fin(self.oom_fallback_rate)),
             self.dropped_events.to_string(),
             self.launches.to_string(),
             (self.boundary as u8).to_string(),
         ]
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SLOs
-// ---------------------------------------------------------------------------
-
-/// Which [`Sample`] field an SLO watches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SloMetric {
-    /// `malloc_p50_ns`.
-    MallocP50Ns,
-    /// `malloc_p95_ns`.
-    MallocP95Ns,
-    /// `malloc_p99_ns`.
-    MallocP99Ns,
-    /// `allocs_per_sec`.
-    AllocsPerSec,
-    /// `frees_per_sec`.
-    FreesPerSec,
-    /// `cas_retries_per_op`.
-    CasRetriesPerOp,
-    /// `magazine_hit_rate`.
-    MagazineHitRate,
-    /// `oom_fallback_rate`.
-    OomFallbackRate,
-    /// `frag_percent`.
-    FragPercent,
-    /// `live_bytes`.
-    LiveBytes,
-}
-
-/// All SLO-watchable metrics, for listings and parse errors.
-pub const ALL_SLO_METRICS: [SloMetric; 10] = [
-    SloMetric::MallocP50Ns,
-    SloMetric::MallocP95Ns,
-    SloMetric::MallocP99Ns,
-    SloMetric::AllocsPerSec,
-    SloMetric::FreesPerSec,
-    SloMetric::CasRetriesPerOp,
-    SloMetric::MagazineHitRate,
-    SloMetric::OomFallbackRate,
-    SloMetric::FragPercent,
-    SloMetric::LiveBytes,
-];
-
-impl SloMetric {
-    /// Stable field name, identical to the sample CSV column.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SloMetric::MallocP50Ns => "malloc_p50_ns",
-            SloMetric::MallocP95Ns => "malloc_p95_ns",
-            SloMetric::MallocP99Ns => "malloc_p99_ns",
-            SloMetric::AllocsPerSec => "allocs_per_sec",
-            SloMetric::FreesPerSec => "frees_per_sec",
-            SloMetric::CasRetriesPerOp => "cas_retries_per_op",
-            SloMetric::MagazineHitRate => "magazine_hit_rate",
-            SloMetric::OomFallbackRate => "oom_fallback_rate",
-            SloMetric::FragPercent => "frag_percent",
-            SloMetric::LiveBytes => "live_bytes",
-        }
-    }
-
-    /// Reads this metric out of a sample.
-    pub fn value(self, s: &Sample) -> f64 {
-        match self {
-            SloMetric::MallocP50Ns => s.malloc_p50_ns as f64,
-            SloMetric::MallocP95Ns => s.malloc_p95_ns as f64,
-            SloMetric::MallocP99Ns => s.malloc_p99_ns as f64,
-            SloMetric::AllocsPerSec => s.allocs_per_sec,
-            SloMetric::FreesPerSec => s.frees_per_sec,
-            SloMetric::CasRetriesPerOp => s.cas_retries_per_op,
-            SloMetric::MagazineHitRate => s.magazine_hit_rate,
-            SloMetric::OomFallbackRate => s.oom_fallback_rate,
-            SloMetric::FragPercent => s.frag_percent,
-            SloMetric::LiveBytes => s.live_bytes as f64,
-        }
-    }
-
-    fn parse(s: &str) -> Option<SloMetric> {
-        ALL_SLO_METRICS.into_iter().find(|m| m.name() == s)
-    }
-}
-
-/// Objective direction: which side of the threshold is healthy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SloOp {
-    /// Healthy while the windowed worst stays *below* the threshold.
-    Below,
-    /// Healthy while the windowed worst stays *above* the threshold.
-    Above,
-}
-
-/// One rolling-window objective, e.g. `malloc_p99_ns<250000@1s`: over every
-/// 1 s window, the worst p99 must stay under 250 µs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SloSpec {
-    /// Watched sample field.
-    pub metric: SloMetric,
-    /// Healthy direction.
-    pub op: SloOp,
-    /// Threshold in the metric's native unit.
-    pub threshold: f64,
-    /// Evaluation window; samples are aggregated (worst-case) over it.
-    pub window: Duration,
-}
-
-impl SloSpec {
-    /// Worst-case aggregate of `value` into `acc` for this objective's
-    /// direction (max for `Below`, min for `Above`).
-    fn worse(&self, acc: f64, value: f64) -> f64 {
-        match self.op {
-            SloOp::Below => acc.max(value),
-            SloOp::Above => acc.min(value),
-        }
-    }
-
-    /// Identity value for [`SloSpec::worse`].
-    fn neutral(&self) -> f64 {
-        match self.op {
-            SloOp::Below => f64::NEG_INFINITY,
-            SloOp::Above => f64::INFINITY,
-        }
-    }
-
-    /// Whether an aggregated window value breaches the objective.
-    fn breached(&self, worst: f64) -> bool {
-        match self.op {
-            SloOp::Below => worst >= self.threshold,
-            SloOp::Above => worst <= self.threshold,
-        }
-    }
-}
-
-impl std::fmt::Display for SloSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let op = match self.op {
-            SloOp::Below => '<',
-            SloOp::Above => '>',
-        };
-        let ms = self.window.as_secs_f64() * 1e3;
-        if (ms / 1000.0).fract() == 0.0 && ms >= 1000.0 {
-            write!(f, "{}{op}{}@{}s", self.metric.name(), self.threshold, ms / 1000.0)
-        } else {
-            write!(f, "{}{op}{}@{}ms", self.metric.name(), self.threshold, ms)
-        }
-    }
-}
-
-impl std::str::FromStr for SloSpec {
-    type Err = String;
-
-    /// Parses `<metric><op><threshold>@<window>`, e.g.
-    /// `malloc_p99_ns<250000@1s` or `allocs_per_sec>1000@500ms`.
-    fn from_str(s: &str) -> Result<SloSpec, String> {
-        let err = |why: &str| {
-            format!(
-                "bad SLO spec {s:?}: {why} (format: <metric><'<'|'>'><threshold>@<window>, \
-                 metrics: {})",
-                ALL_SLO_METRICS.map(|m| m.name()).join(", ")
-            )
-        };
-        let op_at = s.find(['<', '>']).ok_or_else(|| err("missing '<' or '>'"))?;
-        let metric = SloMetric::parse(&s[..op_at]).ok_or_else(|| err("unknown metric"))?;
-        let op = if s.as_bytes()[op_at] == b'<' { SloOp::Below } else { SloOp::Above };
-        let rest = &s[op_at + 1..];
-        let (thr, win) = rest.split_once('@').ok_or_else(|| err("missing '@<window>'"))?;
-        let threshold: f64 = thr.parse().map_err(|_| err("threshold is not a number"))?;
-        if !threshold.is_finite() {
-            return Err(err("threshold is not finite"));
-        }
-        let window = if let Some(ms) = win.strip_suffix("ms") {
-            ms.parse::<f64>().ok().map(|v| Duration::from_secs_f64(v / 1e3))
-        } else if let Some(sec) = win.strip_suffix('s') {
-            sec.parse::<f64>().ok().map(Duration::from_secs_f64)
-        } else {
-            None
-        }
-        .filter(|d| *d >= Duration::from_millis(1))
-        .ok_or_else(|| err("window must be e.g. '500ms' or '1s' (≥ 1ms)"))?;
-        Ok(SloSpec { metric, op, threshold, window })
-    }
-}
-
-/// One contiguous run of breached evaluation windows.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BreachSpan {
-    /// Start of the first breached window (ms since sampler start).
-    pub start_ms: f64,
-    /// End of the last breached window.
-    pub end_ms: f64,
-    /// Worst value observed across the span.
-    pub worst: f64,
-    /// Number of consecutive breached windows.
-    pub windows: u32,
-}
-
-/// End-of-run report for one objective.
-#[derive(Clone, Debug)]
-pub struct SloReport {
-    /// The objective.
-    pub spec: SloSpec,
-    /// Windows evaluated.
-    pub windows_evaluated: u64,
-    /// Windows breached.
-    pub windows_breached: u64,
-    /// Contiguous breach spans, in time order.
-    pub breaches: Vec<BreachSpan>,
-}
-
-/// Per-spec rolling state.
-#[derive(Clone, Debug)]
-struct SloState {
-    window_start_ms: f64,
-    worst: f64,
-    saw_sample: bool,
-    evaluated: u64,
-    breached: u64,
-    open: Option<BreachSpan>,
-    closed: Vec<BreachSpan>,
-}
-
-/// Evaluates a set of [`SloSpec`]s against the sample stream.
-///
-/// Samples are bucketed into consecutive fixed-length windows per spec; at
-/// each window boundary the worst-case aggregate is compared against the
-/// threshold, and consecutive breached windows merge into one
-/// [`BreachSpan`].
-#[derive(Clone, Debug, Default)]
-pub struct SloTracker {
-    specs: Vec<SloSpec>,
-    state: Vec<SloState>,
-}
-
-impl SloTracker {
-    /// Tracker for `specs` (empty is fine: [`SloTracker::reports`] is then
-    /// empty too).
-    pub fn new(specs: Vec<SloSpec>) -> Self {
-        let state = specs
-            .iter()
-            .map(|s| SloState {
-                window_start_ms: 0.0,
-                worst: s.neutral(),
-                saw_sample: false,
-                evaluated: 0,
-                breached: 0,
-                open: None,
-                closed: Vec::new(),
-            })
-            .collect();
-        SloTracker { specs, state }
-    }
-
-    /// Folds one sample into every objective's current window, evaluating
-    /// windows the sample's timestamp has moved past.
-    pub fn observe(&mut self, sample: &Sample) {
-        for (spec, st) in self.specs.iter().zip(self.state.iter_mut()) {
-            let win_ms = spec.window.as_secs_f64() * 1e3;
-            // Close every full window the stream has moved past. Windows
-            // with no samples (sampler stalled) are skipped, not evaluated:
-            // no reading is not evidence of health or breach.
-            while sample.t_ms >= st.window_start_ms + win_ms {
-                if st.saw_sample {
-                    Self::evaluate(spec, st, win_ms);
-                }
-                st.window_start_ms += win_ms;
-                if !st.saw_sample {
-                    // Jump over a long gap in one step.
-                    let gaps =
-                        ((sample.t_ms - st.window_start_ms) / win_ms).floor().max(0.0) as u64;
-                    st.window_start_ms += gaps as f64 * win_ms;
-                }
-                st.worst = spec.neutral();
-                st.saw_sample = false;
-            }
-            st.worst = spec.worse(st.worst, spec.metric.value(sample));
-            st.saw_sample = true;
-        }
-    }
-
-    fn evaluate(spec: &SloSpec, st: &mut SloState, win_ms: f64) {
-        st.evaluated += 1;
-        let end_ms = st.window_start_ms + win_ms;
-        if spec.breached(st.worst) {
-            st.breached += 1;
-            match &mut st.open {
-                Some(span) => {
-                    span.end_ms = end_ms;
-                    span.worst = spec.worse(span.worst, st.worst);
-                    span.windows += 1;
-                }
-                None => {
-                    st.open = Some(BreachSpan {
-                        start_ms: st.window_start_ms,
-                        end_ms,
-                        worst: st.worst,
-                        windows: 1,
-                    });
-                }
-            }
-        } else if let Some(span) = st.open.take() {
-            st.closed.push(span);
-        }
-    }
-
-    /// Reports for every objective. The current (partial) window is
-    /// evaluated provisionally when it has samples, so a run shorter than
-    /// one SLO window still reports.
-    pub fn reports(&self) -> Vec<SloReport> {
-        self.specs
-            .iter()
-            .zip(self.state.iter())
-            .map(|(spec, st)| {
-                let mut st = st.clone();
-                if st.saw_sample {
-                    let win_ms = spec.window.as_secs_f64() * 1e3;
-                    Self::evaluate(spec, &mut st, win_ms);
-                }
-                if let Some(span) = st.open.take() {
-                    st.closed.push(span);
-                }
-                SloReport {
-                    spec: spec.clone(),
-                    windows_evaluated: st.evaluated,
-                    windows_breached: st.breached,
-                    breaches: st.closed,
-                }
-            })
-            .collect()
     }
 }
 
@@ -679,24 +302,6 @@ pub struct TimeSeries {
     pub dropped_events: u64,
     /// Cumulative observed kernel launches.
     pub launches: u64,
-    /// Per-objective reports.
-    pub slo: Vec<SloReport>,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Finite float for JSON/OpenMetrics: NaN/inf (impossible by construction,
@@ -717,23 +322,18 @@ impl TimeSeries {
 
     /// Schema-versioned JSON dump. `label` names the run (scenario name);
     /// `provenance` carries the standard stamps (`git`, `device`, seed…).
-    /// The output is strict JSON — validated in tests by the bench crate's
-    /// parser, the same discipline as `validate_chrome_json`.
+    /// Each sample object holds the [`Sample::CSV_HEADER`] keys with the
+    /// [`Sample::csv_row`] values, so the dump and the CSV agree.
     pub fn to_json(&self, label: &str, provenance: &[(String, String)]) -> String {
         let mut out = String::with_capacity(256 + self.samples.len() * 256);
         out.push_str(&format!(
             "{{\n  \"schema\": {TELEMETRY_SCHEMA_VERSION},\n  \"kind\": \"gms-telemetry\",\n  \
-             \"label\": \"{}\",\n",
-            esc(label)
+             \"label\": {},\n",
+            quote(label)
         ));
-        out.push_str("  \"provenance\": {");
-        for (i, (k, v)) in provenance.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": \"{}\"", esc(k), esc(v)));
-        }
-        out.push_str("},\n");
+        let prov: Vec<String> =
+            provenance.iter().map(|(k, v)| format!("{}: {}", quote(k), quote(v))).collect();
+        out.push_str(&format!("  \"provenance\": {{{}}},\n", prov.join(", ")));
         out.push_str(&format!(
             "  \"interval_ms\": {}, \"capacity\": {}, \"evicted\": {},\n",
             fin(self.interval_ms),
@@ -760,59 +360,13 @@ impl TimeSeries {
         ));
         out.push_str("  \"samples\": [\n");
         for (i, s) in self.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"seq\": {}, \"t_ms\": {:.3}, \"window_ms\": {:.3}, \
-                 \"allocs_per_sec\": {:.1}, \"frees_per_sec\": {:.1}, \
-                 \"cas_retries_per_op\": {:.4}, \"magazine_hit_rate\": {:.4}, \
-                 \"live_allocs\": {}, \"live_bytes\": {}, \"frag_percent\": {:.2}, \
-                 \"malloc_ops\": {}, \"malloc_p50_ns\": {}, \"malloc_p95_ns\": {}, \
-                 \"malloc_p99_ns\": {}, \"oom_fallback_rate\": {:.6}, \"dropped_events\": {}, \
-                 \"launches\": {}, \"boundary\": {}}}{}\n",
-                s.seq,
-                fin(s.t_ms),
-                fin(s.window_ms),
-                fin(s.allocs_per_sec),
-                fin(s.frees_per_sec),
-                fin(s.cas_retries_per_op),
-                fin(s.magazine_hit_rate),
-                s.live_allocs,
-                s.live_bytes,
-                fin(s.frag_percent),
-                s.malloc_ops,
-                s.malloc_p50_ns,
-                s.malloc_p95_ns,
-                s.malloc_p99_ns,
-                fin(s.oom_fallback_rate),
-                s.dropped_events,
-                s.launches,
-                s.boundary,
-                if i + 1 == self.samples.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"slo\": [\n");
-        for (i, r) in self.slo.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"spec\": \"{}\", \"windows_evaluated\": {}, \"windows_breached\": {}, \
-                 \"breaches\": [",
-                esc(&r.spec.to_string()),
-                r.windows_evaluated,
-                r.windows_breached
-            ));
-            for (j, b) in r.breaches.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"start_ms\": {:.3}, \"end_ms\": {:.3}, \"worst\": {:.3}, \
-                     \"windows\": {}}}",
-                    fin(b.start_ms),
-                    fin(b.end_ms),
-                    fin(b.worst),
-                    b.windows
-                ));
-            }
-            out.push_str(&format!("]}}{}\n", if i + 1 == self.slo.len() { "" } else { "," }));
+            let fields: Vec<String> = Sample::CSV_HEADER
+                .iter()
+                .zip(s.csv_row())
+                .map(|(k, v)| format!("\"{k}\": {v}"))
+                .collect();
+            let sep = if i + 1 == self.samples.len() { "" } else { "," };
+            out.push_str(&format!("    {{{}}}{sep}\n", fields.join(", ")));
         }
         out.push_str("  ]\n}\n");
         out
@@ -823,7 +377,7 @@ impl TimeSeries {
     /// as the format requires; validated by [`validate_openmetrics`].
     pub fn render_openmetrics(&self, label: &str) -> String {
         let mut out = String::with_capacity(4096);
-        let lbl = format!("{{run=\"{}\"}}", esc(label));
+        let lbl = format!("{{run={}}}", quote(label));
         let last = self.samples.last().copied().unwrap_or_default();
         let mut gauge = |name: &str, help: &str, v: f64| {
             out.push_str(&format!(
@@ -882,8 +436,8 @@ impl TimeSeries {
             ("0.99", last.malloc_p99_ns),
         ] {
             out.push_str(&format!(
-                "{OM_PREFIX}_malloc_latency_ns{{run=\"{}\",quantile=\"{q}\"}} {v}\n",
-                esc(label)
+                "{OM_PREFIX}_malloc_latency_ns{{run={},quantile=\"{q}\"}} {v}\n",
+                quote(label)
             ));
         }
         let mut counter = |name: &str, help: &str, v: u64| {
@@ -914,54 +468,7 @@ impl TimeSeries {
         counter("dropped_trace_events", "Trace events dropped ring-full.", self.dropped_events);
         counter("launches", "Observed kernel launches.", self.launches);
         counter("samples", "Telemetry samples taken.", self.evicted + self.samples.len() as u64);
-        if !self.slo.is_empty() {
-            out.push_str(&format!(
-                "# HELP {OM_PREFIX}_slo_windows_breached SLO evaluation windows breached.\n# TYPE \
-                 {OM_PREFIX}_slo_windows_breached counter\n"
-            ));
-            for r in &self.slo {
-                out.push_str(&format!(
-                    "{OM_PREFIX}_slo_windows_breached_total{{run=\"{}\",slo=\"{}\"}} {}\n",
-                    esc(label),
-                    esc(&r.spec.to_string()),
-                    r.windows_breached
-                ));
-            }
-        }
         out.push_str("# EOF\n");
-        out
-    }
-
-    /// Human-readable SLO breach-span table (console output of `repro
-    /// watch`). Empty string when no SLOs were configured.
-    pub fn slo_table(&self) -> String {
-        if self.slo.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        out.push_str("slo, windows, breached, spans, worst, detail\n");
-        for r in &self.slo {
-            let worst = r
-                .breaches
-                .iter()
-                .map(|b| b.worst)
-                .fold(r.spec.neutral(), |a, v| r.spec.worse(a, v));
-            let detail = r
-                .breaches
-                .iter()
-                .map(|b| format!("[{:.0}ms..{:.0}ms x{}]", b.start_ms, b.end_ms, b.windows))
-                .collect::<Vec<_>>()
-                .join(" ");
-            out.push_str(&format!(
-                "{}, {}, {}, {}, {}, {}\n",
-                r.spec,
-                r.windows_evaluated,
-                r.windows_breached,
-                r.breaches.len(),
-                if worst.is_finite() { format!("{worst:.1}") } else { "-".to_string() },
-                if detail.is_empty() { "-".to_string() } else { detail },
-            ));
-        }
         out
     }
 }
@@ -1114,14 +621,12 @@ struct State {
     totals: CounterSnapshot,
     dropped: u64,
     launches: u64,
-    /// Cumulative kernel-boundary marks ([`BoundaryMarker::mark`] /
-    /// [`Telemetry::mark_boundary`]) — the launch signal for launches that
-    /// emit no trace events.
+    /// Cumulative kernel-boundary marks ([`BoundaryMarker::mark`]) — the
+    /// launch signal for launches that emit no trace events.
     marks: u64,
     /// Marks already attributed to a finished window.
     folded_marks: u64,
     seq: u64,
-    slo: SloTracker,
 }
 
 struct Shared {
@@ -1145,7 +650,6 @@ impl Shared {
             totals: st.totals,
             dropped_events: st.dropped,
             launches: st.launches,
-            slo: st.slo.reports(),
         }
     }
 }
@@ -1211,7 +715,6 @@ impl Telemetry {
                 marks: 0,
                 folded_marks: 0,
                 seq: 0,
-                slo: SloTracker::new(cfg.slos.clone()),
             }),
             interval: cfg.interval,
         });
@@ -1233,14 +736,13 @@ impl Telemetry {
 
     /// Forces an immediate window cut and blocks until the sample is taken.
     pub fn sample_now(&self) {
-        self.cut(false, true);
-    }
-
-    /// Marks a kernel boundary: forces a window cut flagged
-    /// [`Sample::boundary`] without blocking the caller (the launch path
-    /// must not stall on the sampler).
-    pub fn mark_boundary(&self) {
-        self.cut(true, false);
+        let mut ctl = self.shared.ctl.lock().unwrap();
+        ctl.force += 1;
+        let gen = ctl.force;
+        self.shared.wake.notify_all();
+        while ctl.taken < gen && !ctl.stop {
+            ctl = self.shared.acked.wait(ctl).unwrap();
+        }
     }
 
     /// A cheap cloneable handle that cuts boundary windows without owning
@@ -1249,31 +751,6 @@ impl Telemetry {
     /// Marks become no-ops once the sampler has stopped.
     pub fn boundary_marker(&self) -> BoundaryMarker {
         BoundaryMarker { shared: Arc::clone(&self.shared) }
-    }
-
-    fn cut(&self, boundary: bool, wait: bool) {
-        if self.thread.is_none() {
-            return;
-        }
-        if boundary {
-            self.shared.state.lock().unwrap().marks += 1;
-        }
-        let mut ctl = self.shared.ctl.lock().unwrap();
-        ctl.force += 1;
-        ctl.boundary |= boundary;
-        let gen = ctl.force;
-        self.shared.wake.notify_all();
-        if wait {
-            while ctl.taken < gen && !ctl.stop {
-                ctl = self.shared.acked.wait(ctl).unwrap();
-            }
-        }
-    }
-
-    /// Snapshot of the series so far, without stopping the sampler. Used by
-    /// the TCP exporter on every scrape.
-    pub fn snapshot(&self) -> TimeSeries {
-        self.shared.series()
     }
 
     /// Stops the sampler: takes one final sample (cutting the in-progress
@@ -1300,26 +777,6 @@ impl Telemetry {
             self.shared.acked.notify_all();
         }
     }
-
-    /// Serves the OpenMetrics exposition over a minimal blocking HTTP
-    /// listener (`GET` anything → the current snapshot). Binds `addr`
-    /// (e.g. `127.0.0.1:9184`; port 0 picks a free port — read it back
-    /// from [`TelemetryServer::addr`]).
-    pub fn serve(&self, addr: &str, label: &str) -> std::io::Result<TelemetryServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let shared = Arc::clone(&self.shared);
-            let stop = Arc::clone(&stop);
-            let label = label.to_string();
-            std::thread::Builder::new()
-                .name("gms-telemetry-http".to_string())
-                .spawn(move || serve_loop(&listener, &shared, &stop, &label))
-                .expect("spawn telemetry http thread")
-        };
-        Ok(TelemetryServer { addr: local, stop, thread: Some(thread) })
-    }
 }
 
 impl Drop for Telemetry {
@@ -1335,8 +792,9 @@ pub struct BoundaryMarker {
 }
 
 impl BoundaryMarker {
-    /// Non-blocking boundary window cut ([`Telemetry::mark_boundary`]
-    /// semantics); a no-op after the sampler stopped.
+    /// Forces a window cut flagged [`Sample::boundary`] without blocking
+    /// the caller (the launch path must not stall on the sampler); a no-op
+    /// after the sampler stopped.
     pub fn mark(&self) {
         {
             let mut ctl = self.shared.ctl.lock().unwrap();
@@ -1352,76 +810,6 @@ impl BoundaryMarker {
         // happened. `take_sample` takes max(trace launches, mark delta)
         // per window — the hook sees a superset of the traced launches.
         self.shared.state.lock().unwrap().marks += 1;
-    }
-}
-
-/// Running OpenMetrics endpoint; see [`Telemetry::serve`]. Stops (and joins
-/// its thread) on [`TelemetryServer::stop`] or drop.
-pub struct TelemetryServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TelemetryServer {
-    /// The bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the listener thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.stop.store(true, Ordering::Release);
-            // Unblock the accept() with a throwaway connection.
-            let _ = TcpStream::connect(self.addr);
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_loop(listener: &TcpListener, shared: &Shared, stop: &AtomicBool, label: &str) {
-    while !stop.load(Ordering::Acquire) {
-        let Ok((mut conn, _)) = listener.accept() else { continue };
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
-        // Drain the request line + headers (bounded, with a timeout) so the
-        // peer's write never blocks against our response.
-        let _ = conn.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf = [0u8; 4096];
-        let mut seen: Vec<u8> = Vec::new();
-        loop {
-            match conn.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    seen.extend_from_slice(&buf[..n]);
-                    if seen.windows(4).any(|w| w == b"\r\n\r\n") || seen.len() > 16_384 {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        let body = shared.series().render_openmetrics(label);
-        let resp = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: application/openmetrics-text; version=1.0.0; \
-             charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        );
-        let _ = conn.write_all(resp.as_bytes());
-        let _ = conn.flush();
     }
 }
 
@@ -1616,7 +1004,6 @@ fn take_sample(
     st.folded_marks = st.marks;
     sample.launches = sample.launches.max(mark_delta);
     st.launches += sample.launches;
-    st.slo.observe(&sample);
     if st.ring.len() == st.capacity {
         st.ring.pop_front();
         st.evicted += 1;
@@ -1629,12 +1016,9 @@ mod tests {
     use super::*;
     use crate::ctx::ThreadCtx;
     use crate::heap::DeviceHeap;
+    use crate::json::Json;
     use crate::metrics::Counter;
     use crate::traits::DeviceAllocator;
-
-    fn sample_at(t_ms: f64, p99: u64) -> Sample {
-        Sample { t_ms, window_ms: 10.0, malloc_p99_ns: p99, ..Sample::default() }
-    }
 
     #[test]
     fn config_hz_sets_interval() {
@@ -1646,92 +1030,6 @@ mod tests {
         assert_eq!(cfg.interval, DEFAULT_INTERVAL, "NaN hz ignored");
         let cfg = TelemetryConfig::new().hz(1_000_000.0);
         assert_eq!(cfg.interval, Duration::from_secs_f64(1.0 / 10_000.0), "clamped to 10 kHz");
-    }
-
-    #[test]
-    fn slo_spec_parses_and_round_trips() {
-        let spec: SloSpec = "malloc_p99_ns<250000@1s".parse().unwrap();
-        assert_eq!(spec.metric, SloMetric::MallocP99Ns);
-        assert_eq!(spec.op, SloOp::Below);
-        assert_eq!(spec.threshold, 250000.0);
-        assert_eq!(spec.window, Duration::from_secs(1));
-        assert_eq!(spec.to_string(), "malloc_p99_ns<250000@1s");
-        let spec: SloSpec = "allocs_per_sec>1000@500ms".parse().unwrap();
-        assert_eq!(spec.op, SloOp::Above);
-        assert_eq!(spec.window, Duration::from_millis(500));
-        assert_eq!(spec.to_string(), "allocs_per_sec>1000@500ms");
-        assert_eq!(spec, spec.to_string().parse().unwrap());
-    }
-
-    #[test]
-    fn slo_spec_rejects_malformed() {
-        for bad in [
-            "malloc_p99_ns<250000",      // no window
-            "nope<1@1s",                 // unknown metric
-            "malloc_p99_ns=5@1s",        // bad op
-            "malloc_p99_ns<abc@1s",      // bad threshold
-            "malloc_p99_ns<5@yesterday", // bad window
-            "malloc_p99_ns<inf@1s",      // non-finite threshold
-        ] {
-            assert!(bad.parse::<SloSpec>().is_err(), "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn slo_tracker_merges_consecutive_breaches_into_spans() {
-        let spec: SloSpec = "malloc_p99_ns<1000@100ms".parse().unwrap();
-        let mut tracker = SloTracker::new(vec![spec]);
-        // Windows [0,100): healthy, [100,200): breach, [200,300): breach,
-        // [300,400): healthy — expect one span covering two windows.
-        for (t, p99) in [
-            (10.0, 10),
-            (50.0, 20),
-            (110.0, 5000),
-            (150.0, 10),
-            (210.0, 2000),
-            (310.0, 10),
-            (390.0, 10),
-            (410.0, 10), // pushes the [300,400) window closed
-        ] {
-            tracker.observe(&sample_at(t, p99));
-        }
-        let reports = tracker.reports();
-        assert_eq!(reports.len(), 1);
-        let r = &reports[0];
-        assert_eq!(r.windows_breached, 2, "{r:?}");
-        assert_eq!(r.breaches.len(), 1, "consecutive breaches merge: {r:?}");
-        let span = r.breaches[0];
-        assert_eq!(span.windows, 2);
-        assert_eq!(span.start_ms, 100.0);
-        assert_eq!(span.end_ms, 300.0);
-        assert_eq!(span.worst, 5000.0);
-    }
-
-    #[test]
-    fn slo_tracker_reports_partial_window_provisionally() {
-        let spec: SloSpec = "malloc_p99_ns<1000@1s".parse().unwrap();
-        let mut tracker = SloTracker::new(vec![spec]);
-        tracker.observe(&sample_at(10.0, 9999));
-        let r = &tracker.reports()[0];
-        assert_eq!(r.windows_breached, 1, "short run still reports: {r:?}");
-        assert_eq!(r.breaches.len(), 1);
-    }
-
-    #[test]
-    fn slo_tracker_above_direction() {
-        let spec: SloSpec = "allocs_per_sec>100@100ms".parse().unwrap();
-        let mut tracker = SloTracker::new(vec![spec.clone()]);
-        let mut s = Sample { t_ms: 10.0, allocs_per_sec: 50.0, ..Sample::default() };
-        tracker.observe(&s);
-        s.t_ms = 60.0;
-        s.allocs_per_sec = 500.0;
-        tracker.observe(&s); // worst (min) = 50 → breach
-        s.t_ms = 150.0;
-        s.allocs_per_sec = 500.0;
-        tracker.observe(&s);
-        let r = &tracker.reports()[0];
-        assert_eq!(r.windows_breached, 1, "{r:?}");
-        assert_eq!(r.breaches[0].worst, 50.0);
     }
 
     fn series_fixture() -> TimeSeries {
@@ -1758,11 +1056,6 @@ mod tests {
                 boundary: i == 4,
             });
         }
-        let spec: SloSpec = "malloc_p99_ns<1000@20ms".parse().unwrap();
-        let mut slo = SloTracker::new(vec![spec]);
-        for s in &samples {
-            slo.observe(s);
-        }
         TimeSeries {
             samples,
             evicted: 2,
@@ -1771,7 +1064,6 @@ mod tests {
             totals: CounterSnapshot::default(),
             dropped_events: 3,
             launches: 5,
-            slo: slo.reports(),
         }
     }
 
@@ -1795,7 +1087,6 @@ mod tests {
             totals: CounterSnapshot::default(),
             dropped_events: 0,
             launches: 0,
-            slo: Vec::new(),
         };
         validate_openmetrics(&ts.render_openmetrics("empty")).unwrap();
     }
@@ -1824,34 +1115,29 @@ mod tests {
     fn json_dump_is_schema_versioned_and_balanced() {
         let prov =
             vec![("git".to_string(), "abc123".to_string()), ("seed".to_string(), "0x5eed".into())];
-        let json = series_fixture().to_json("mixed", &prov);
-        assert!(json.contains("\"schema\": 1"));
-        assert!(json.contains("\"kind\": \"gms-telemetry\""));
-        assert!(json.contains("\"git\": \"abc123\""));
-        assert!(json.contains("\"label\": \"mixed\""));
-        // Structural sanity the bench-crate parser re-checks end to end:
-        // balanced braces/brackets outside strings and no raw NaN tokens.
-        let (mut depth, mut brackets) = (0i64, 0i64);
-        for c in json.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                '[' => brackets += 1,
-                ']' => brackets -= 1,
-                _ => {}
-            }
+        let series = series_fixture();
+        let doc = Json::parse(&series.to_json("mixed", &prov)).expect("dump is strict JSON");
+        let top = doc.as_object().expect("dump is an object");
+        let get = |obj: &[(String, Json)], key: &str| {
+            obj.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        };
+        assert_eq!(get(top, "schema").and_then(|v| v.as_number()), Some(2.0));
+        assert_eq!(get(top, "kind"), Some(Json::String("gms-telemetry".into())));
+        assert_eq!(get(top, "label"), Some(Json::String("mixed".into())));
+        let prov = get(top, "provenance").expect("provenance");
+        assert_eq!(get(prov.as_object().unwrap(), "git"), Some(Json::String("abc123".into())));
+        assert!(get(top, "slo").is_none(), "schema 2 has no slo key");
+        let samples = get(top, "samples").expect("samples");
+        let samples = samples.as_array().unwrap();
+        assert_eq!(samples.len(), series.samples.len());
+        for (obj, s) in samples.iter().zip(&series.samples) {
+            let obj = obj.as_object().expect("sample is an object");
+            let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, Sample::CSV_HEADER, "sample keys are the CSV columns");
+            assert!(obj.iter().all(|(_, v)| v.as_number().is_some_and(f64::is_finite)));
+            let boundary = get(obj, "boundary").and_then(|v| v.as_number());
+            assert_eq!(boundary, Some(f64::from(u8::from(s.boundary))));
         }
-        assert_eq!(depth, 0);
-        assert_eq!(brackets, 0);
-        assert!(!json.contains("NaN") && !json.contains("inf"));
-    }
-
-    #[test]
-    fn slo_table_lists_spans() {
-        let ts = series_fixture();
-        let table = ts.slo_table();
-        assert!(table.contains("malloc_p99_ns<1000@20ms"), "{table}");
-        assert!(table.lines().count() >= 2);
     }
 
     /// A minimal enabled manager the sampler can watch end to end.
@@ -1980,50 +1266,13 @@ mod tests {
     }
 
     #[test]
-    fn mark_boundary_flags_a_window() {
+    fn boundary_marker_flags_a_window() {
         let sink = TelemetrySink::new();
         let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
-        tele.mark_boundary();
+        tele.boundary_marker().mark();
         tele.sample_now(); // serializes behind the boundary cut
         let ts = tele.stop();
         assert!(ts.samples.iter().any(|s| s.boundary), "boundary cut must be flagged");
-    }
-
-    #[test]
-    fn global_sink_install_round_trips() {
-        // No manager is built here — installing must not leak into other
-        // tests' builders, so clear before asserting anything else runs.
-        let sink = TelemetrySink::new();
-        let prev = install_global_sink(&sink);
-        assert!(global_sink().is_some());
-        clear_global_sink();
-        assert!(global_sink().is_none());
-        if let Some(prev) = prev {
-            install_global_sink(&prev);
-        }
-    }
-
-    #[test]
-    fn http_exporter_serves_valid_openmetrics() {
-        let sink = TelemetrySink::new();
-        let m = Metrics::enabled(1);
-        sink.attach(&m);
-        let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
-        m.tick(0, Counter::MallocCalls);
-        tele.sample_now();
-        let server = tele.serve("127.0.0.1:0", "scrape-test").expect("bind");
-        let mut conn = TcpStream::connect(server.addr()).expect("connect");
-        conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: localhost\r\n\r\n").unwrap();
-        let mut resp = String::new();
-        conn.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.0 200 OK"), "{resp}");
-        assert!(resp.contains("application/openmetrics-text"));
-        let body = resp.split("\r\n\r\n").nth(1).expect("body");
-        let n = validate_openmetrics(body).expect("scraped body validates");
-        assert!(n > 0);
-        assert!(body.contains("gms_malloc_calls_total{run=\"scrape-test\"} 1"));
-        server.stop();
-        tele.stop();
     }
 
     #[test]

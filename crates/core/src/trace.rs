@@ -53,12 +53,12 @@ use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
 use crate::frag::AddressRange;
+use crate::json::{quote, Json};
 use crate::ptr::DevicePtr;
 use crate::sync::{AtomicU64, Ordering};
 use crate::traits::DeviceAllocator;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -1062,21 +1062,6 @@ const EXPORT_RETRY_BINS: usize = 256;
 /// tracks use the SM id, which is far below this).
 const LAUNCH_TRACK_TID: u32 = 1_000_000;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Microseconds with sub-µs precision, the unit Chrome trace `ts`/`dur`
 /// fields use.
 fn us(ns: u64) -> String {
@@ -1109,8 +1094,8 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
 
     push(format!(
         "{{\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"gpumemsurvey trace: {}\"}}}}",
-        json_escape(label)
+         \"args\":{{\"name\":{}}}}}",
+        quote(&format!("gpumemsurvey trace: {label}"))
     ));
 
     let mut sms: Vec<u32> = trace.events.iter().map(|e| e.sm).collect();
@@ -1318,160 +1303,33 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
 /// JSON array whose elements are objects each carrying `ph`, `ts`, `pid`
 /// and `tid` keys. Returns the number of events.
 ///
-/// This is a purpose-built structural checker (the workspace carries no
-/// JSON dependency): it fully tokenizes the input, so malformed JSON —
-/// not just missing keys — is rejected.
+/// The document is read with [`Json::parse`], so malformed JSON — not just
+/// missing keys — is rejected; the parser's lenient `NaN`/`Infinity` tokens
+/// are refused here, anywhere in the document, since trace viewers do not
+/// accept them.
 pub fn validate_chrome_json(s: &str) -> Result<usize, String> {
-    let mut p = JsonParser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'[')?;
-    let mut events = 0usize;
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let keys = p.object_keys()?;
-            for required in ["ph", "ts", "pid", "tid"] {
-                if !keys.iter().any(|k| k == required) {
-                    return Err(format!("event {events} is missing required key \"{required}\""));
-                }
-            }
-            events += 1;
-            p.skip_ws();
-            match p.next_byte()? {
-                b',' => continue,
-                b']' => break,
-                c => return Err(format!("expected ',' or ']' after event, got '{}'", c as char)),
+    let doc = Json::parse(s).map_err(|(at, why)| format!("byte {at}: {why}"))?;
+    if !all_finite(&doc) {
+        return Err("non-finite number (NaN or Infinity)".into());
+    }
+    let events = doc.as_array().ok_or("top level must be an array")?;
+    for (i, event) in events.iter().enumerate() {
+        let keys = event.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
+        for required in ["ph", "ts", "pid", "tid"] {
+            if !keys.iter().any(|(k, _)| k == required) {
+                return Err(format!("event {i} is missing required key \"{required}\""));
             }
         }
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing data after the top-level array".into());
-    }
-    Ok(events)
+    Ok(events.len())
 }
 
-/// Minimal JSON tokenizer backing [`validate_chrome_json`].
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or_else(|| "unexpected end of input".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next_byte()? {
-            b if b == want => Ok(()),
-            b => Err(format!("expected '{}', got '{}'", want as char, b as char)),
-        }
-    }
-
-    /// Parses an object, returning its top-level key names.
-    fn object_keys(&mut self) -> Result<Vec<String>, String> {
-        self.expect(b'{')?;
-        let mut keys = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(keys);
-        }
-        loop {
-            self.skip_ws();
-            keys.push(self.string()?);
-            self.skip_ws();
-            self.expect(b':')?;
-            self.value()?;
-            self.skip_ws();
-            match self.next_byte()? {
-                b',' => continue,
-                b'}' => return Ok(keys),
-                c => return Err(format!("expected ',' or '}}' in object, got '{}'", c as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.next_byte()? {
-                b'\\' => {
-                    self.next_byte()?;
-                }
-                b'"' => {
-                    return String::from_utf8(self.bytes[start..self.pos - 1].to_vec())
-                        .map_err(|_| "invalid UTF-8 in string".to_string());
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| "unexpected end of input".to_string())? {
-            b'"' => self.string().map(|_| ()),
-            b'{' => self.object_keys().map(|_| ()),
-            b'[' => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.value()?;
-                    self.skip_ws();
-                    match self.next_byte()? {
-                        b',' => continue,
-                        b']' => return Ok(()),
-                        c => {
-                            return Err(format!(
-                                "expected ',' or ']' in array, got '{}'",
-                                c as char
-                            ))
-                        }
-                    }
-                }
-            }
-            b't' => self.literal("true"),
-            b'f' => self.literal("false"),
-            b'n' => self.literal("null"),
-            b'-' | b'0'..=b'9' => {
-                while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                Ok(())
-            }
-            c => Err(format!("unexpected character '{}'", c as char)),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("invalid literal, expected '{lit}'"))
-        }
+fn all_finite(v: &Json) -> bool {
+    match v {
+        Json::Number(n) => n.is_finite(),
+        Json::Array(items) => items.iter().all(all_finite),
+        Json::Object(fields) => fields.iter().all(|(_, v)| all_finite(v)),
+        Json::Null | Json::Bool(_) | Json::String(_) => true,
     }
 }
 
@@ -1908,6 +1766,22 @@ mod tests {
             Ok(1)
         );
         assert_eq!(validate_chrome_json("[]"), Ok(0));
+    }
+
+    #[test]
+    fn validator_rejects_what_strict_json_rejects() {
+        let event = |extra: &str| format!("[{{\"ph\":\"X\",\"ts\":1,\"pid\":0,\"tid\":0{extra}}}]");
+        assert_eq!(validate_chrome_json(&event(",\"args\":{\"a\":\"b\"}")), Ok(1));
+        for bad in [
+            event(",\"dur\":NaN"),
+            event(",\"dur\":Infinity"),
+            event(",\"dur\":-Infinity"),
+            event(",\"args\":[1,]"),
+            event(",\"args\":{\"a\" 1}"),
+            event(",\"name\":\"unterminated"),
+        ] {
+            assert!(validate_chrome_json(&bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]

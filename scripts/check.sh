@@ -118,14 +118,14 @@ test -s target/trace-smoke/trace_scatter.json
 grep -q '"ph"' target/trace-smoke/trace_scatter.json
 grep -q '^ScatterAlloc,malloc,' target/trace-smoke/trace_latency_2048_TITANV.csv
 
-# Live-telemetry smoke: a watched run must produce a schema-versioned JSON
+# Telemetry smoke: a watched run must produce a schema-versioned JSON
 # time-series with at least 10 sample windows, a parse-validated OpenMetrics
 # exposition, and a per-window CSV the summarizer can read (DESIGN.md §15).
 echo "==> repro watch smoke"
 rm -rf target/watch-smoke
 GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     watch -m scatter --scenario mixed --out target/watch-smoke
-grep -q '"schema": 1' target/watch-smoke/telemetry_mixed.json
+grep -q '"schema": 2' target/watch-smoke/telemetry_mixed.json
 grep -q '"kind": "gms-telemetry"' target/watch-smoke/telemetry_mixed.json
 grep -q '# EOF' target/watch-smoke/telemetry_mixed.prom
 grep -q '^seq,' target/watch-smoke/telemetry_mixed.csv

@@ -28,8 +28,7 @@ pub mod prelude {
         OccupancyTimeline, OpLatencies, Trace, TraceRecorder, Traced,
     };
     pub use gpumem_core::{
-        validate_openmetrics, Sample, SloSpec, Telemetry, TelemetryConfig, TelemetrySink,
-        TimeSeries,
+        validate_openmetrics, Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
     };
     pub use gpumem_core::{
         AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr, HeapBackend,
