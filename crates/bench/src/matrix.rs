@@ -119,9 +119,9 @@ impl Tier {
         if self == Tier::Full {
             return Axes {
                 threads: 100_000,
-                sizes: sizes::alloc_size_sweep(None),
+                sizes: sizes::alloc_size_sweep(),
                 warps: 10_000,
-                warp_sizes: sizes::alloc_size_sweep(None),
+                warp_sizes: sizes::alloc_size_sweep(),
                 mixed_uppers: sizes::mixed_upper_bounds(),
                 scaling_sizes: vec![16, 64, 512, 8192],
                 scaling_exps: 0..=20,
@@ -935,8 +935,8 @@ mod tests {
 
         let f = Tier::Full.axes();
         assert_eq!((f.threads, f.warps), (100_000, 10_000));
-        assert_eq!(f.sizes, sizes::alloc_size_sweep(None));
-        assert_eq!(f.warp_sizes, sizes::alloc_size_sweep(None));
+        assert_eq!(f.sizes, sizes::alloc_size_sweep());
+        assert_eq!(f.warp_sizes, sizes::alloc_size_sweep());
         assert_eq!(f.mixed_uppers, sizes::mixed_upper_bounds());
         assert_eq!((f.scaling_sizes, f.scaling_exps), (vec![16, 64, 512, 8192], 0..=20));
         let seven = [4, 16, 64, 256, 1024, 4096, 8192];

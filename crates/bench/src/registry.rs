@@ -110,35 +110,6 @@ impl ManagerKind {
         }
     }
 
-    /// Plot colour (hex), following the consistent colour scheme of
-    /// Figure 8 (Ouroboros greens, ScatterAlloc blue, Halloc amber,
-    /// CUDA-Allocator grey, XMalloc violet, Reg-Eff reds).
-    pub fn color(&self) -> &'static str {
-        match self {
-            OuroSP => "#1b7837",
-            OuroSC => "#5aae61",
-            OuroVAP => "#a6dba0",
-            OuroVAC => "#00441b",
-            OuroVLP => "#238b45",
-            OuroVLC => "#74c476",
-            ScatterAlloc => "#2166ac",
-            Halloc => "#e08214",
-            CudaAllocator => "#7f7f7f",
-            XMalloc => "#762a83",
-            RegEffC => "#b2182b",
-            RegEffCF => "#d6604d",
-            RegEffCM => "#f4a582",
-            RegEffCFM => "#fddbc7",
-            FDGMalloc => "#c51b7d",
-            Atomic => "#000000",
-        }
-    }
-
-    /// Whether this kind frees through `free_warp_all` (FDGMalloc).
-    pub fn warp_level_only(&self) -> bool {
-        matches!(self, FDGMalloc)
-    }
-
     /// The Appendix A.6 selector letter this kind answers to.
     pub fn selector_letter(&self) -> char {
         match self {
@@ -659,11 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_colors_are_unique() {
+    fn labels_are_unique() {
         let labels: std::collections::HashSet<_> = ALL_KINDS.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), ALL_KINDS.len());
-        let colors: std::collections::HashSet<_> = ALL_KINDS.iter().map(|k| k.color()).collect();
-        assert_eq!(colors.len(), ALL_KINDS.len());
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Every runner creates a *fresh* manager per cell (as the artifact's
 //! scripts do between runs), executes the kernel(s) on the simulated
 //! device, and returns plain rows: the matrix scenarios turn them into anchor
-//! metrics, the diagnostic subcommands into CSV.
+//! metrics, the diagnostic subcommands into CSV. The allocate-then-free
+//! runners launch through `gpu_workloads::round`, so how a manager frees is
+//! decided in one place; `trace_profile` keeps its own observed launches.
 
 use std::time::{Duration, Instant};
 
 use gpu_sim::{Device, PerThread};
+use gpu_workloads::round::{self, Round};
 use gpu_workloads::{churn, sizes, workgen, write_test};
 use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
@@ -187,95 +190,58 @@ pub fn alloc_perf(
     size: u64,
     warp: bool,
 ) -> AllocPerfCell {
-    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
-    let mut alloc_total = Duration::ZERO;
-    let mut free_total = Duration::ZERO;
-    let mut free_supported = true;
-    let mut failures = 0u64;
-
-    // Untimed warm-up passes (cached cells): the frees populate the
-    // magazine layer, so the timed loop below measures the steady-state
-    // hot path instead of the cold first fill.
-    for _ in 0..bench.warmup {
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
+    perf_cell(bench, kind, num, size, |alloc, _| {
         if warp {
-            bench.device.launch_warps(num, |w| {
-                let mut out = [DevicePtr::NULL; 1];
-                match alloc.malloc_warp(w, &[size], &mut out) {
-                    Ok(()) => ptrs.set(w.warp as usize, out[0]),
-                    Err(_) => ptrs.set(w.warp as usize, DevicePtr::NULL),
-                }
-            });
+            round::malloc_warps(alloc, &bench.device, num, |_| size)
         } else {
-            bench.device.launch(num, |ctx| match alloc.malloc(ctx, size) {
-                Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-                Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-            });
+            round::malloc_threads(alloc, &bench.device, num, |_| size)
         }
-        let ptrs = ptrs.into_vec();
-        if kind.warp_level_only() {
-            let warps = if warp { num } else { num.div_ceil(WARP_SIZE) };
-            bench.device.launch_warps(warps, |w| {
-                let _ = alloc.free_warp_all(w);
-            });
-        } else if alloc.info().supports_free {
-            bench.device.launch(num, |ctx| {
-                let p = ptrs[ctx.thread_id as usize];
-                if !p.is_null() {
-                    let _ = alloc.free(ctx, p);
-                }
-            });
-        }
+    })
+}
+
+/// Runs one mixed-allocation cell (Fig. 9h): per-thread sizes uniform in
+/// `[4, upper]`, drawn afresh for every round.
+pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> AllocPerfCell {
+    perf_cell(bench, kind, num, upper, |alloc, seed| {
+        round::malloc_threads(alloc, &bench.device, num, |t| sizes::thread_size(seed, t, 4, upper))
+    })
+}
+
+/// The loop behind [`alloc_perf`] and [`mixed_perf`]: a fresh manager
+/// sized for `num × size`, `bench.warmup` untimed rounds, then up to
+/// `bench.iterations` timed malloc and free rounds, cut short once the
+/// cell outlives `bench.cell_timeout`. `malloc` runs one allocation round
+/// for an iteration seed.
+fn perf_cell(
+    bench: &Bench,
+    kind: ManagerKind,
+    num: u32,
+    size: u64,
+    malloc: impl Fn(&dyn DeviceAllocator, u64) -> Round,
+) -> AllocPerfCell {
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
+    let alloc = alloc.as_ref();
+    // Untimed warm-up passes (cached cells): the frees populate the
+    // magazine layer, so the timed loop measures the steady-state hot path
+    // instead of the cold first fill. A distinct seed keeps a warm-up's
+    // size stream from matching any timed iteration exactly — the
+    // magazines must pay off via class rounding, not size identity.
+    for w in 0..bench.warmup {
+        round::free(alloc, &bench.device, &malloc(alloc, bench.seed ^ !(w as u64)));
     }
 
     let started = Instant::now();
+    let mut alloc_total = Duration::ZERO;
+    // `None` when the manager cannot free (Atomic).
+    let mut free_total = Some(Duration::ZERO);
+    let mut failures = 0u64;
     let mut iters_done = 0u32;
-
-    for _ in 0..bench.iterations {
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
-        let t_alloc = if warp {
-            bench.device.launch_warps(num, |w| {
-                let mut out = [DevicePtr::NULL; 1];
-                match alloc.malloc_warp(w, &[size], &mut out) {
-                    Ok(()) => ptrs.set(w.warp as usize, out[0]),
-                    Err(_) => ptrs.set(w.warp as usize, DevicePtr::NULL),
-                }
-            })
-        } else {
-            bench.device.launch(num, |ctx| match alloc.malloc(ctx, size) {
-                Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-                Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-            })
-        };
-        let ptrs = ptrs.into_vec();
-        failures += ptrs.iter().filter(|p| p.is_null()).count() as u64;
-        alloc_total += t_alloc;
-
-        // Deallocation phase.
-        if kind.warp_level_only() {
-            let warps = if warp { num } else { num.div_ceil(WARP_SIZE) };
-            free_total += bench.device.launch_warps(warps, |w| {
-                let _ = alloc.free_warp_all(w);
-            });
-        } else if alloc.info().supports_free {
-            free_total += if warp {
-                bench.device.launch_warps(num, |w| {
-                    let p = ptrs[w.warp as usize];
-                    if !p.is_null() {
-                        let _ = alloc.free(&w.leader(), p);
-                    }
-                })
-            } else {
-                bench.device.launch(num, |ctx| {
-                    let p = ptrs[ctx.thread_id as usize];
-                    if !p.is_null() {
-                        let _ = alloc.free(ctx, p);
-                    }
-                })
-            };
-        } else {
-            free_supported = false;
-        }
+    for it in 0..bench.iterations {
+        let r = malloc(alloc, bench.seed ^ (it as u64));
+        failures += r.failures;
+        alloc_total += r.elapsed;
+        let freed = round::free(alloc, &bench.device, &r);
+        free_total = free_total.zip(freed).map(|(total, (t, _))| total + t);
         iters_done += 1;
         if started.elapsed() > bench.cell_timeout {
             break;
@@ -287,91 +253,7 @@ pub fn alloc_perf(
         size,
         num,
         alloc: alloc_total / n,
-        free: free_supported.then_some(free_total / n),
-        failures,
-        timed_out: started.elapsed() > bench.cell_timeout,
-    }
-}
-
-/// Runs one mixed-allocation cell (Fig. 9h): per-thread sizes uniform in
-/// `[4, upper]`.
-pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> AllocPerfCell {
-    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, upper)).build();
-    let mut alloc_total = Duration::ZERO;
-    let mut free_total = Duration::ZERO;
-    let mut free_supported = true;
-    let mut failures = 0u64;
-
-    // Untimed warm-up passes (cached cells): populate the magazines so the
-    // timed loop measures the steady-state hot path. A distinct seed keeps
-    // the warm-up's size stream from matching any timed iteration exactly —
-    // the magazines must pay off via class rounding, not size identity.
-    for w in 0..bench.warmup {
-        let seed = bench.seed ^ !(w as u64);
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
-        bench.device.launch(num, |ctx| {
-            let size = sizes::thread_size(seed, ctx.thread_id, 4, upper);
-            match alloc.malloc(ctx, size) {
-                Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-                Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-            }
-        });
-        let ptrs = ptrs.into_vec();
-        if alloc.info().supports_free {
-            bench.device.launch(num, |ctx| {
-                let p = ptrs[ctx.thread_id as usize];
-                if !p.is_null() {
-                    let _ = alloc.free(ctx, p);
-                }
-            });
-        } else if kind.warp_level_only() {
-            bench.device.launch_warps(num.div_ceil(WARP_SIZE), |w| {
-                let _ = alloc.free_warp_all(w);
-            });
-        }
-    }
-
-    let started = Instant::now();
-    let mut iters_done = 0u32;
-
-    for it in 0..bench.iterations {
-        let seed = bench.seed ^ (it as u64);
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
-        alloc_total += bench.device.launch(num, |ctx| {
-            let size = sizes::thread_size(seed, ctx.thread_id, 4, upper);
-            match alloc.malloc(ctx, size) {
-                Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-                Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-            }
-        });
-        let ptrs = ptrs.into_vec();
-        failures += ptrs.iter().filter(|p| p.is_null()).count() as u64;
-        if alloc.info().supports_free {
-            free_total += bench.device.launch(num, |ctx| {
-                let p = ptrs[ctx.thread_id as usize];
-                if !p.is_null() {
-                    let _ = alloc.free(ctx, p);
-                }
-            });
-        } else if kind.warp_level_only() {
-            free_total += bench.device.launch_warps(num.div_ceil(WARP_SIZE), |w| {
-                let _ = alloc.free_warp_all(w);
-            });
-        } else {
-            free_supported = false;
-        }
-        iters_done += 1;
-        if started.elapsed() > bench.cell_timeout {
-            break;
-        }
-    }
-    let n = iters_done.max(1);
-    AllocPerfCell {
-        manager: kind.label(),
-        size: upper,
-        num,
-        alloc: alloc_total / n,
-        free: free_supported.then_some(free_total / n),
+        free: free_total.map(|t| t / n),
         failures,
         timed_out: started.elapsed() > bench.cell_timeout,
     }
@@ -398,46 +280,25 @@ pub fn fragmentation(
     cycles: u32,
 ) -> FragCell {
     let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
-    let allocate = |seed_round: u64| -> Vec<DevicePtr> {
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
-        bench.device.launch(num, |ctx| {
-            let _ = seed_round;
-            match alloc.malloc(ctx, size) {
-                Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-                Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-            }
-        });
-        ptrs.into_vec()
-    };
-    let range_of = |ptrs: &[DevicePtr]| {
-        let mut r = AddressRange::new();
-        for &p in ptrs {
-            r.record(p, size);
+    let (alloc, device) = (alloc.as_ref(), &bench.device);
+    let range_of = |r: &Round| {
+        let mut range = AddressRange::new();
+        for &p in &r.ptrs {
+            range.record(p, size);
         }
-        r
+        range
     };
 
-    let mut ptrs = allocate(0);
-    let initial = FragmentationStats::from_range(&range_of(&ptrs));
+    let mut r = round::malloc_threads(alloc, device, num, |_| size);
+    let initial = FragmentationStats::from_range(&range_of(&r));
     let mut max_range = initial.address_range;
-    let can_free = alloc.info().supports_free || kind.warp_level_only();
-    if can_free {
-        for round in 1..=cycles {
-            if kind.warp_level_only() {
-                bench.device.launch_warps(num.div_ceil(WARP_SIZE), |w| {
-                    let _ = alloc.free_warp_all(w);
-                });
-            } else {
-                bench.device.launch(num, |ctx| {
-                    let p = ptrs[ctx.thread_id as usize];
-                    if !p.is_null() {
-                        let _ = alloc.free(ctx, p);
-                    }
-                });
-            }
-            ptrs = allocate(round as u64);
-            max_range = max_range.max(range_of(&ptrs).range());
+    for _ in 0..cycles {
+        // A manager that cannot free keeps its first layout: no cycles.
+        if round::free(alloc, device, &r).is_none() {
+            break;
         }
+        r = round::malloc_threads(alloc, device, num, |_| size);
+        max_range = max_range.max(range_of(&r).range());
     }
     FragCell { manager: kind.label(), size, initial, max_range_after_cycles: max_range }
 }
@@ -712,57 +573,29 @@ impl ContentionCell {
 /// run (warp-collective free for warp-level-only managers), then repeats the
 /// run with metrics disabled to price the observability layer.
 pub fn contention_profile(bench: &Bench, kind: ManagerKind, num: u32, size: u64) -> ContentionCell {
-    struct Run {
-        elapsed: Duration,
-        failures: u64,
-        counters: CounterSnapshot,
-        dispatch: Duration,
-        workers_used: usize,
-        steals: u64,
-        dropped_events: u64,
-    }
-    let run = |metrics_on: bool| -> Run {
+    // One malloc and one free round on a private manager, so the manager's
+    // counter totals are exactly the two rounds' activity.
+    let run = |metrics_on: bool| -> ContentionCell {
         let alloc =
             bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(metrics_on).build();
+        let r = round::malloc_threads(alloc.as_ref(), &bench.device, num, |_| size);
+        let (free, free_sched) = round::free(alloc.as_ref(), &bench.device, &r).unwrap_or_default();
         let m = alloc.metrics();
-        let ptrs = PerThread::<DevicePtr>::new(num as usize);
-        let rep = bench.device.launch_observed(&m, num, |ctx| match alloc.malloc(ctx, size) {
-            Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-            Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-        });
-        let ptrs = ptrs.into_vec();
-        let failures = ptrs.iter().filter(|p| p.is_null()).count() as u64;
-        let mut out = Run {
-            elapsed: rep.elapsed,
-            failures,
-            counters: rep.counters,
-            dispatch: rep.sched.dispatch,
-            workers_used: rep.sched.workers_used(),
-            steals: rep.sched.steals,
-            dropped_events: 0,
-        };
-        if kind.warp_level_only() {
-            let free = bench.device.launch_warps_observed(&m, num.div_ceil(WARP_SIZE), |w| {
-                let _ = alloc.free_warp_all(w);
-            });
-            out.elapsed += free.elapsed;
-            out.counters = out.counters.merge(&free.counters);
-            out.dispatch += free.sched.dispatch;
-            out.steals += free.sched.steals;
-        } else if alloc.info().supports_free {
-            let free = bench.device.launch_observed(&m, num, |ctx| {
-                let p = ptrs[ctx.thread_id as usize];
-                if !p.is_null() {
-                    let _ = alloc.free(ctx, p);
-                }
-            });
-            out.elapsed += free.elapsed;
-            out.counters = out.counters.merge(&free.counters);
-            out.dispatch += free.sched.dispatch;
-            out.steals += free.sched.steals;
+        ContentionCell {
+            manager: kind.label(),
+            num,
+            size,
+            // This run's wall clock; the caller keeps the minimum of each
+            // side and fills `baseline` from the metrics-off runs.
+            observed: r.elapsed + free,
+            baseline: Duration::ZERO,
+            failures: r.failures,
+            counters: m.snapshot(),
+            dispatch: r.sched.dispatch + free_sched.dispatch,
+            workers_used: r.sched.workers_used(),
+            steals: r.sched.steals + free_sched.steals,
+            dropped_events: m.tracer().map_or(0, |rec| rec.dropped()),
         }
-        out.dropped_events = m.tracer().map_or(0, |rec| rec.dropped());
-        out
     };
     // A discarded warmup absorbs cold-start effects (first touch of a fresh
     // heap, worker spin-up); baseline and observed runs then alternate and
@@ -771,37 +604,14 @@ pub fn contention_profile(bench: &Bench, kind: ManagerKind, num: u32, size: u64)
     let _ = run(false);
     let mut observed = Duration::MAX;
     let mut baseline = Duration::MAX;
-    let mut failures = 0u64;
-    let mut counters = CounterSnapshot::default();
-    let mut dispatch = Duration::ZERO;
-    let mut workers_used = 0usize;
-    let mut steals = 0u64;
-    let mut dropped_events = 0u64;
+    let mut last = None;
     for _ in 0..bench.iterations.max(2) {
-        let b = run(false);
-        baseline = baseline.min(b.elapsed);
+        baseline = baseline.min(run(false).observed);
         let o = run(true);
-        observed = observed.min(o.elapsed);
-        failures = o.failures;
-        counters = o.counters;
-        dispatch = o.dispatch;
-        workers_used = o.workers_used;
-        steals = o.steals;
-        dropped_events = o.dropped_events;
+        observed = observed.min(o.observed);
+        last = Some(o);
     }
-    ContentionCell {
-        manager: kind.label(),
-        num,
-        size,
-        observed,
-        baseline,
-        failures,
-        counters,
-        dispatch,
-        workers_used,
-        steals,
-        dropped_events,
-    }
+    ContentionCell { observed, baseline, ..last.expect("at least two iterations") }
 }
 
 /// Result of one manager's traced run (`repro trace`): the decoded event
@@ -825,7 +635,10 @@ pub struct TraceRun {
 /// Runs the mixed-size alloc/free workload on `kind` with the event-tracing
 /// layer attached and derives all three trace consumers. A single traced
 /// pass (no min-of-N averaging): the product here is the *time axis*, not a
-/// robust scalar.
+/// robust scalar. Its launches are hand-written rather than rounds because
+/// only the observed launches put `LaunchBegin`/`LaunchEnd` and per-warp
+/// markers into the ring, and the Perfetto export draws its launch and
+/// warp slices from them.
 pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: usize) -> TraceRun {
     const SIZE_LO: u64 = 16;
     const SIZE_HI: u64 = 1024;
@@ -845,12 +658,13 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
     });
     let mut elapsed = rep.elapsed;
     let ptrs = ptrs.into_vec();
-    if kind.warp_level_only() {
+    let info = alloc.info();
+    if info.warp_level_only {
         let free = bench.device.launch_warps_observed(&m, num.div_ceil(WARP_SIZE), |w| {
             let _ = alloc.free_warp_all(w);
         });
         elapsed += free.elapsed;
-    } else if alloc.info().supports_free {
+    } else if info.supports_free {
         let free = bench.device.launch_observed(&m, num, |ctx| {
             let p = ptrs[ctx.thread_id as usize];
             if !p.is_null() {
@@ -914,29 +728,11 @@ pub fn sanitize_run(bench: &Bench, kind: ManagerKind, num: u32, cycles: u32) -> 
 
     // Phase 2: mixed sizes in [16, 1024] — exercises class boundaries and
     // the redzone across every size class the manager serves.
-    let info = san.info();
-    let ptrs = PerThread::<DevicePtr>::new(num as usize);
-    bench.device.launch(num, |ctx| {
-        let size = sizes::thread_size(bench.seed, ctx.thread_id, 16, MIXED_MAX);
-        match san.malloc(ctx, size) {
-            Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-            Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-        }
+    let r = round::malloc_threads(&san, &bench.device, num, |t| {
+        sizes::thread_size(bench.seed, t, 16, MIXED_MAX)
     });
-    let ptrs = ptrs.into_vec();
-    failures += ptrs.iter().filter(|p| p.is_null()).count() as u64;
-    if info.warp_level_only {
-        bench.device.launch_warps(num.div_ceil(WARP_SIZE), |w| {
-            let _ = san.free_warp_all(w);
-        });
-    } else if info.supports_free {
-        bench.device.launch(num, |ctx| {
-            let p = ptrs[ctx.thread_id as usize];
-            if !p.is_null() {
-                let _ = san.free(ctx, p);
-            }
-        });
-    }
+    failures += r.failures;
+    round::free(&san, &bench.device, &r);
 
     let report = san.take_report();
     SanitizeCell {
@@ -1000,13 +796,11 @@ mod tests {
 
     #[test]
     fn graph_demand_checked_and_matches_scale() {
-        let b = bench();
         let csr = dyn_graph::generate("fe_body", 256, 3);
         let d = graph_demand(&csr, 0).unwrap();
         // Every vertex needs at least one 4 B slot; headroom adds on top.
         assert!(d >= csr.vertices() as u64 * 4);
         assert!(graph_demand(&csr, 1000).unwrap() == d + 1000 * 64);
-        let _ = b;
     }
 
     #[test]
@@ -1046,14 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn fragmentation_baseline_is_tight_for_atomic() {
-        let b = bench();
-        let cell = fragmentation(&b, ManagerKind::Atomic, 4096, 64, 0);
-        // Bump allocation is perfectly packed: range == demand.
-        assert_eq!(cell.initial.address_range, cell.initial.baseline);
-    }
-
-    #[test]
     fn fragmentation_cuda_spans_whole_heap() {
         let b = bench();
         let cell = fragmentation(&b, ManagerKind::CudaAllocator, 512, 4096, 1);
@@ -1061,6 +847,19 @@ mod tests {
         // carve? Not for uniform small sizes — but the expansion must still
         // exceed the packed baseline.
         assert!(cell.initial.expansion_factor() >= 1.0);
+    }
+
+    #[test]
+    fn contention_profile_counts_both_rounds() {
+        let b = bench();
+        let scatter = contention_profile(&b, ManagerKind::ScatterAlloc, 512, 16);
+        assert_eq!(scatter.counters.malloc_calls(), 512);
+        assert_eq!(scatter.counters.free_calls(), 512);
+        let atomic = contention_profile(&b, ManagerKind::Atomic, 512, 16);
+        assert_eq!((atomic.counters.malloc_calls(), atomic.counters.free_calls()), (512, 0));
+        for c in [scatter, atomic] {
+            assert!(c.observed > Duration::ZERO && c.baseline > Duration::ZERO, "{}", c.manager);
+        }
     }
 
     #[test]
@@ -1076,16 +875,6 @@ mod tests {
                 cell.utilization
             );
         }
-    }
-
-    #[test]
-    fn workgen_managed_and_baseline() {
-        let b = bench();
-        let m = work_generation(&b, ManagerKind::ScatterAlloc, 4096, 4, 64);
-        assert_eq!(m.failures, 0);
-        let base = work_generation_baseline(&b, 4096, 4, 64);
-        assert_eq!(base.failures, 0);
-        assert_eq!(base.manager, "Baseline");
     }
 
     #[test]
@@ -1122,14 +911,6 @@ mod tests {
         assert!(xmal.malloc_regs > 3 * cuda.malloc_regs);
     }
 
-    #[test]
-    fn smoke_every_default_kind() {
-        for kind in crate::registry::DEFAULT_KINDS {
-            let a = kind.builder().heap(64 << 20).sms(80).build();
-            smoke_test(a.as_ref()).unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
-        }
-    }
-
     /// `Sanitized<Cached<A>>` battery: the magazine decorator between the
     /// sanitizer and every core family must stay invisible to the shadow
     /// state. A parked free retires the sanitizer's live entry (the
@@ -1164,26 +945,5 @@ mod tests {
                 );
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod mp_probe {
-    use super::*;
-    use gpu_sim::DeviceSpec;
-
-    #[test]
-    #[ignore = "manual timing probe"]
-    fn scatter_multipage_via_harness() {
-        let mut b = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 1));
-        b.iterations = 1;
-        let t = std::time::Instant::now();
-        let cell = alloc_perf(&b, crate::registry::ManagerKind::ScatterAlloc, 10_000, 8192, false);
-        eprintln!(
-            "harness cell: alloc={:?} wall={:?} failures={}",
-            cell.alloc,
-            t.elapsed(),
-            cell.failures
-        );
     }
 }

@@ -80,12 +80,6 @@ impl DeviceRng {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Next u32.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[lo, hi]` (inclusive). `lo <= hi` required.
     #[inline]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {

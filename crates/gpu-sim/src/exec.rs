@@ -446,11 +446,6 @@ impl Device {
         self.hook = Some(hook);
     }
 
-    /// Removes the launch-lifecycle callback, if any.
-    pub fn clear_launch_hook(&mut self) {
-        self.hook = None;
-    }
-
     /// The device description.
     pub fn spec(&self) -> &DeviceSpec {
         &self.spec

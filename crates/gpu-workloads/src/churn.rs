@@ -11,8 +11,10 @@
 
 use std::time::Duration;
 
-use gpu_sim::{Device, PerThread};
-use gpumem_core::{DeviceAllocator, DevicePtr, WARP_SIZE};
+use gpu_sim::Device;
+use gpumem_core::DeviceAllocator;
+
+use crate::round;
 
 /// Per-cycle timings of a churn run.
 pub struct ChurnResult {
@@ -53,33 +55,13 @@ pub fn run(
     cycles: u32,
 ) -> ChurnResult {
     let mut result = ChurnResult { cycles: Vec::with_capacity(cycles as usize), failures: 0 };
-    let supports_free = alloc.info().supports_free;
-    let warp_only = alloc.info().warp_level_only;
     for _ in 0..cycles {
-        let out = PerThread::<DevicePtr>::new(n_threads as usize);
-        let t_alloc = device.launch(n_threads, |ctx| match alloc.malloc(ctx, size) {
-            Ok(p) => out.set(ctx.thread_id as usize, p),
-            Err(_) => out.set(ctx.thread_id as usize, DevicePtr::NULL),
-        });
-        let ptrs = out.into_vec();
-        result.failures += ptrs.iter().filter(|p| p.is_null()).count() as u64;
-        let t_free = if warp_only {
-            device.launch_warps(n_threads.div_ceil(WARP_SIZE), |w| {
-                let _ = alloc.free_warp_all(w);
-            })
-        } else if supports_free {
-            device.launch(n_threads, |ctx| {
-                let p = ptrs[ctx.thread_id as usize];
-                if !p.is_null() {
-                    let _ = alloc.free(ctx, p);
-                }
-            })
-        } else {
-            // No free: the run degenerates to repeated bump allocation and
-            // will start failing — still a valid measurement of that fact.
-            Duration::ZERO
-        };
-        result.cycles.push((t_alloc, t_free));
+        let r = round::malloc_threads(alloc, device, n_threads, |_| size);
+        result.failures += r.failures;
+        // No free: the run degenerates to repeated bump allocation and will
+        // start failing — still a valid measurement of that fact.
+        let t_free = round::free(alloc, device, &r).map_or(Duration::ZERO, |(t, _)| t);
+        result.cycles.push((r.elapsed, t_free));
     }
     result
 }
@@ -90,7 +72,9 @@ mod tests {
     use gpu_sim::DeviceSpec;
     use gpumem_core::sync::{AtomicU64, Ordering};
     use gpumem_core::util::align_up;
-    use gpumem_core::{AllocError, DeviceHeap, ManagerInfo, RegisterFootprint, ThreadCtx};
+    use gpumem_core::{
+        AllocError, DeviceHeap, DevicePtr, ManagerInfo, RegisterFootprint, ThreadCtx,
+    };
     use std::sync::{Arc, Mutex};
 
     /// Free-list test allocator whose free list is intentionally scanned

@@ -3,6 +3,9 @@
 //! The building blocks of the survey's synthetic test cases (§4.2, §4.4.1,
 //! §4.4.2):
 //!
+//! * [`round`] — the one allocation kernel (per thread or per warp) and the
+//!   one free kernel every test case launches; the free round decides how
+//!   a manager frees.
 //! * [`sizes`] — deterministic per-thread request-size streams (uniform
 //!   ranges for the mixed-allocation and work-generation test cases).
 //! * [`prefix`] — the canonical alternative to dynamic allocation: a
@@ -13,14 +16,17 @@
 //!   amounts of output, either through a memory manager or through the
 //!   prefix-sum baseline.
 //! * [`write_test`] — the memory-access performance test case (Fig. 11e):
-//!   allocate, then measure warp write coalescing via the `gpu-sim`
-//!   transaction model.
-//! * [`churn`] — repeated allocate/free cycles, exposing slowdown over
+//!   an allocation round, then warp write coalescing priced by the
+//!   `gpu-sim` transaction model.
+//! * [`churn`] — repeated allocation/free rounds, exposing slowdown over
 //!   time (observed for the Multi-Reg-Eff variants and, inverted, the
 //!   reuse speed-up of Ouroboros).
 
+#[cfg(test)]
+mod bump;
 pub mod churn;
 pub mod prefix;
+pub mod round;
 pub mod sizes;
 pub mod workgen;
 pub mod write_test;

@@ -17,60 +17,26 @@ pub fn thread_size(seed: u64, thread_id: u32, lo: u64, hi: u64) -> u64 {
     rng.range_u64(lo, hi)
 }
 
-/// Materialises the whole size vector for host-side baselines.
-pub fn size_vector(seed: u64, n: u32, lo: u64, hi: u64) -> Vec<u64> {
-    (0..n).map(|t| thread_size(seed, t, lo, hi)).collect()
-}
-
 /// The sweep of allocation sizes used by the Fig. 9 performance plots:
-/// 4 B–8192 B with power-of-two and 3·2ᵏ intermediate points, plus an
-/// optional dense linear sweep (`stride`) matching the paper's x-axis.
-pub fn alloc_size_sweep(dense_stride: Option<u64>) -> Vec<u64> {
-    match dense_stride {
-        Some(stride) => {
-            let mut v = vec![4u64];
-            let mut s = stride;
-            while s <= 8192 {
-                v.push(s);
-                s += stride;
-            }
-            v.dedup();
-            v
+/// 4 B–8192 B with power-of-two and 3·2ᵏ intermediate points.
+pub fn alloc_size_sweep() -> Vec<u64> {
+    let mut v = vec![4u64, 8];
+    let mut p = 16u64;
+    while p <= 8192 {
+        v.push(p);
+        let mid = p / 2 * 3;
+        if mid < 8192 {
+            v.push(mid);
         }
-        None => {
-            let mut v = vec![4u64, 8];
-            let mut p = 16u64;
-            while p <= 8192 {
-                v.push(p);
-                let mid = p / 2 * 3;
-                if mid < 8192 {
-                    v.push(mid);
-                }
-                p *= 2;
-            }
-            v.sort_unstable();
-            v.dedup();
-            v
-        }
+        p *= 2;
     }
+    v
 }
 
 /// Upper bounds of the mixed-allocation sweep (Fig. 9h): 4-4, 4-8, …,
 /// 4-8192.
 pub fn mixed_upper_bounds() -> Vec<u64> {
-    (2..=13).map(|e| 1u64 << e).chain(std::iter::once(4)).collect::<Vec<_>>().tap_sort()
-}
-
-trait TapSort {
-    fn tap_sort(self) -> Self;
-}
-
-impl TapSort for Vec<u64> {
-    fn tap_sort(mut self) -> Self {
-        self.sort_unstable();
-        self.dedup();
-        self
-    }
+    (2..=13).map(|e| 1u64 << e).collect()
 }
 
 #[cfg(test)]
@@ -95,29 +61,12 @@ mod tests {
     }
 
     #[test]
-    fn size_vector_matches_scalar() {
-        let v = size_vector(9, 50, 16, 64);
-        for (t, &s) in v.iter().enumerate() {
-            assert_eq!(s, thread_size(9, t as u32, 16, 64));
-        }
-    }
-
-    #[test]
     fn sweep_covers_4_to_8192() {
-        let v = alloc_size_sweep(None);
+        let v = alloc_size_sweep();
         assert_eq!(*v.first().unwrap(), 4);
         assert_eq!(*v.last().unwrap(), 8192);
         assert!(v.contains(&16) && v.contains(&24) && v.contains(&3072));
         assert!(v.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
-    }
-
-    #[test]
-    fn dense_sweep_has_constant_stride() {
-        let v = alloc_size_sweep(Some(64));
-        assert_eq!(v[0], 4);
-        assert_eq!(v[1], 64);
-        assert_eq!(*v.last().unwrap(), 8192);
-        assert_eq!(v.len(), 129);
     }
 
     #[test]

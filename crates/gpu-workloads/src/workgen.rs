@@ -51,18 +51,6 @@ pub fn run_managed(
     WorkGenResult { elapsed, ptrs, failures }
 }
 
-/// Frees everything a managed run produced (the deallocation phase timed
-/// separately by the benchmarks).
-pub fn free_all(alloc: &dyn DeviceAllocator, device: &Device, ptrs: &[DevicePtr]) -> Duration {
-    device.launch(ptrs.len() as u32, |ctx| {
-        let p = ptrs[ctx.thread_id as usize];
-        if !p.is_null() {
-            // Benchmarks tolerate managers without free (Atomic baseline).
-            let _ = alloc.free(ctx, p);
-        }
-    })
-}
-
 /// Runs the prefix-sum baseline: host-side scan + one bulk reservation,
 /// then a write kernel over the packed layout.
 pub fn run_baseline(
@@ -87,53 +75,10 @@ pub fn run_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alloc_atomic_for_tests::AtomicAlloc;
+    use crate::bump::Bump;
     use gpu_sim::DeviceSpec;
     use gpumem_core::DeviceHeap;
     use std::sync::Arc;
-
-    // The workloads crate deliberately depends only on the core; tests use
-    // a local bump allocator equivalent to `alloc-atomic`.
-    mod alloc_atomic_for_tests {
-        use gpumem_core::sync::{AtomicU64, Ordering};
-        use gpumem_core::util::align_up;
-        use gpumem_core::*;
-        use std::sync::Arc;
-
-        pub struct AtomicAlloc {
-            heap: Arc<DeviceHeap>,
-            top: AtomicU64,
-        }
-
-        impl AtomicAlloc {
-            pub fn with_capacity(len: u64) -> Self {
-                AtomicAlloc { heap: Arc::new(DeviceHeap::new(len)), top: AtomicU64::new(0) }
-            }
-        }
-
-        impl DeviceAllocator for AtomicAlloc {
-            fn info(&self) -> ManagerInfo {
-                ManagerInfo::builder("Atomic").supports_free(false).build()
-            }
-            fn heap(&self) -> &DeviceHeap {
-                &self.heap
-            }
-            fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-                let sz = align_up(size.max(1), 16);
-                let off = self.top.fetch_add(sz, Ordering::Relaxed);
-                if off + sz > self.heap.len() {
-                    return Err(AllocError::OutOfMemory(size));
-                }
-                Ok(DevicePtr::new(off))
-            }
-            fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
-                Err(AllocError::Unsupported("no free"))
-            }
-            fn register_footprint(&self) -> RegisterFootprint {
-                RegisterFootprint { malloc: 4, free: 0 }
-            }
-        }
-    }
 
     fn device() -> Device {
         Device::with_workers(DeviceSpec::titan_v(), 4)
@@ -141,7 +86,7 @@ mod tests {
 
     #[test]
     fn managed_run_allocates_for_every_thread() {
-        let a = AtomicAlloc::with_capacity(8 << 20);
+        let a = Bump::new(8 << 20, 0);
         let r = run_managed(&a, &device(), 5000, 1, 4, 64);
         assert_eq!(r.failures, 0);
         assert_eq!(r.ptrs.len(), 5000);
@@ -154,7 +99,7 @@ mod tests {
 
     #[test]
     fn managed_run_reports_failures_on_exhaustion() {
-        let a = AtomicAlloc::with_capacity(16 * 1024);
+        let a = Bump::new(16 * 1024, 0);
         let r = run_managed(&a, &device(), 10_000, 1, 64, 64);
         assert!(r.failures > 0, "heap too small, failures expected");
     }
@@ -169,13 +114,5 @@ mod tests {
         }
         // Packed: strictly increasing offsets.
         assert!(r.ptrs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn free_all_tolerates_no_free_managers() {
-        let a = AtomicAlloc::with_capacity(1 << 20);
-        let r = run_managed(&a, &device(), 100, 2, 16, 16);
-        let d = free_all(&a, &device(), &r.ptrs);
-        assert!(d.as_nanos() > 0);
     }
 }

@@ -10,9 +10,10 @@
 //! the fully-coalesced packed baseline.
 
 use gpu_sim::access::AccessStats;
-use gpu_sim::{Device, PerThread};
-use gpumem_core::{DeviceAllocator, DevicePtr, WARP_SIZE};
+use gpu_sim::Device;
+use gpumem_core::{DeviceAllocator, WARP_SIZE};
 
+use crate::round;
 use crate::sizes::thread_size;
 
 /// Which size pattern the threads request.
@@ -50,19 +51,10 @@ pub fn run(
     seed: u64,
     pattern: WritePattern,
 ) -> WriteTestResult {
-    let out = PerThread::<DevicePtr>::new(n_threads as usize);
-    device.launch(n_threads, |ctx| {
-        let size = pattern.size_for(seed, ctx.thread_id);
-        match alloc.malloc(ctx, size) {
-            Ok(p) => out.set(ctx.thread_id as usize, p),
-            Err(_) => out.set(ctx.thread_id as usize, DevicePtr::NULL),
-        }
-    });
-    let ptrs = out.into_vec();
-    let failures = ptrs.iter().filter(|p| p.is_null()).count() as u64;
+    let r = round::malloc_threads(alloc, device, n_threads, |t| pattern.size_for(seed, t));
 
     let mut stats = AccessStats::default();
-    for (w, warp_ptrs) in ptrs.chunks(WARP_SIZE as usize).enumerate() {
+    for (w, warp_ptrs) in r.ptrs.chunks(WARP_SIZE as usize).enumerate() {
         // Price the warp write at the maximum lane size: the sweep is
         // lock-step, inactive lanes drop out once their block is done, which
         // the per-step distinct-segment count already models via NULLs.
@@ -75,54 +67,14 @@ pub fn run(
             .unwrap_or(0);
         stats.add_warp(warp_ptrs, max_size);
     }
-    WriteTestResult { stats, failures }
+    WriteTestResult { stats, failures: r.failures }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bump::Bump;
     use gpu_sim::DeviceSpec;
-    use gpumem_core::sync::{AtomicU64, Ordering};
-    use gpumem_core::util::align_up;
-    use gpumem_core::{AllocError, DeviceHeap, ManagerInfo, RegisterFootprint, ThreadCtx};
-    use std::sync::Arc;
-
-    /// Bump allocator with configurable stride padding, to fabricate
-    /// poorly-coalesced layouts.
-    struct PaddedBump {
-        heap: Arc<DeviceHeap>,
-        top: AtomicU64,
-        pad: u64,
-    }
-
-    impl PaddedBump {
-        fn new(len: u64, pad: u64) -> Self {
-            PaddedBump { heap: Arc::new(DeviceHeap::new(len)), top: AtomicU64::new(0), pad }
-        }
-    }
-
-    impl DeviceAllocator for PaddedBump {
-        fn info(&self) -> ManagerInfo {
-            ManagerInfo::builder("PaddedBump").supports_free(false).build()
-        }
-        fn heap(&self) -> &DeviceHeap {
-            &self.heap
-        }
-        fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-            let sz = align_up(size, 16) + self.pad;
-            let off = self.top.fetch_add(sz, Ordering::Relaxed);
-            if off + sz > self.heap.len() {
-                return Err(AllocError::OutOfMemory(size));
-            }
-            Ok(DevicePtr::new(off))
-        }
-        fn free(&self, _: &ThreadCtx, _: DevicePtr) -> Result<(), AllocError> {
-            Err(AllocError::Unsupported("no"))
-        }
-        fn register_footprint(&self) -> RegisterFootprint {
-            RegisterFootprint { malloc: 4, free: 0 }
-        }
-    }
 
     fn device() -> Device {
         Device::with_workers(DeviceSpec::titan_v(), 2)
@@ -130,7 +82,7 @@ mod tests {
 
     #[test]
     fn packed_layout_matches_baseline() {
-        let a = PaddedBump::new(8 << 20, 0);
+        let a = Bump::new(8 << 20, 0);
         // One worker: with interleaved workers a warp's bump allocations
         // are not perfectly contiguous, which costs a few extra segments.
         let device = Device::with_workers(DeviceSpec::titan_v(), 1);
@@ -145,15 +97,10 @@ mod tests {
 
     #[test]
     fn padded_layout_costs_more() {
-        let packed = run(
-            &PaddedBump::new(16 << 20, 0),
-            &device(),
-            4096,
-            3,
-            WritePattern::Uniform { bytes: 16 },
-        );
+        let packed =
+            run(&Bump::new(16 << 20, 0), &device(), 4096, 3, WritePattern::Uniform { bytes: 16 });
         let padded = run(
-            &PaddedBump::new(64 << 20, 112), // 16 B payload at 128 B stride
+            &Bump::new(64 << 20, 112), // 16 B payload at 128 B stride
             &device(),
             4096,
             3,
@@ -173,9 +120,9 @@ mod tests {
         // scheduling order, so the layout (and transaction count) varies
         // between runs — determinism only holds for a serial device.
         let device = Device::with_workers(DeviceSpec::titan_v(), 1);
-        let a = PaddedBump::new(16 << 20, 0);
+        let a = Bump::new(16 << 20, 0);
         let r1 = run(&a, &device, 2048, 5, WritePattern::Mixed { lo: 16, hi: 128 });
-        let a2 = PaddedBump::new(16 << 20, 0);
+        let a2 = Bump::new(16 << 20, 0);
         let r2 = run(&a2, &device, 2048, 5, WritePattern::Mixed { lo: 16, hi: 128 });
         assert_eq!(r1.stats.transactions, r2.stats.transactions);
         assert_eq!(r1.stats.baseline, r2.stats.baseline);
@@ -183,7 +130,7 @@ mod tests {
 
     #[test]
     fn failures_are_counted_not_priced() {
-        let a = PaddedBump::new(4096, 0); // tiny: most allocations fail
+        let a = Bump::new(4096, 0); // tiny: most allocations fail
         let r = run(&a, &device(), 1024, 1, WritePattern::Uniform { bytes: 64 });
         assert!(r.failures > 900);
     }

@@ -149,13 +149,15 @@ head -2 target/audit-smoke/audit.csv | grep -q '^crate,pass,rule,standing,allowl
 
 # Diagnostic-table smoke: each subcommand prints its table and writes the
 # same columns as CSV. The printed layout may change; the CSV header lines
-# below may not, since whatever reads results/ keys on them.
+# below may not, since whatever reads results/ keys on them. `a+s+f` runs
+# every branch of the free round: none (a), per-thread free (s) and
+# free_warp_all (f).
 echo "==> repro tables smoke"
 rm -rf target/table-smoke
 repro() { cargo run --offline --release -q -p gpumem-bench --bin repro -- "$@" > /dev/null; }
 repro table1 --out target/table-smoke
-repro contention --num 512 -t a+s --out target/table-smoke
-repro sanitize --num 512 -t a+s --out target/table-smoke
+repro contention --num 512 -t a+s+f --out target/table-smoke
+repro sanitize --num 512 -t a+s+f --out target/table-smoke
 header() { sed -n 2p "target/table-smoke/$1"; }
 test "$(header table1.csv)" = \
     "ref,name,year,availability,build,variants,needs_cuda_alloc,general_purpose,results,stable,evaluated_here"

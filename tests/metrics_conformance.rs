@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use gpumemsurvey::bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
+use gpumemsurvey::gpu_workloads::round;
 use gpumemsurvey::prelude::*;
 
 const HEAP: u64 = 64 << 20;
@@ -22,51 +23,18 @@ fn device() -> Device {
     Device::with_workers(DeviceSpec::titan_v(), 4)
 }
 
-/// Allocates `n` blocks of `size` on the device, returning the survivors.
-fn alloc_phase(
-    device: &Device,
-    alloc: &Arc<dyn DeviceAllocator>,
-    n: u32,
-    size: u64,
-) -> Vec<DevicePtr> {
-    let ptrs = gpu_sim::PerThread::<DevicePtr>::new(n as usize);
-    let a = Arc::clone(alloc);
-    device.launch(n, |ctx| match a.malloc(ctx, size) {
-        Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-        Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-    });
-    ptrs.into_vec()
-}
-
-fn free_phase(device: &Device, alloc: &Arc<dyn DeviceAllocator>, ptrs: &[DevicePtr]) {
-    let a = Arc::clone(alloc);
-    if a.info().warp_level_only {
-        device.launch_warps((ptrs.len() as u32).div_ceil(32), |w| {
-            let _ = a.free_warp_all(w);
-        });
-    } else if a.info().supports_free {
-        device.launch(ptrs.len() as u32, |ctx| {
-            let p = ptrs[ctx.thread_id as usize];
-            if !p.is_null() {
-                let _ = a.free(ctx, p);
-            }
-        });
-    }
-}
-
 #[test]
 fn call_accounting_identity_after_alloc_only() {
     for kind in ALL_KINDS {
         let alloc = kind.builder().heap(HEAP).sms(80).metrics(true).build();
         let d = device();
-        let ptrs = alloc_phase(&d, &alloc, N, 32);
+        let r = round::malloc_threads(alloc.as_ref(), &d, N, |_| 32);
         let s = alloc.metrics().snapshot();
-        let failures = ptrs.iter().filter(|p| p.is_null()).count() as u64;
         assert_eq!(s.malloc_calls(), N as u64, "{kind}: every request counted once");
-        assert_eq!(s.malloc_failures(), failures, "{kind}: failures counted exactly");
+        assert_eq!(s.malloc_failures(), r.failures, "{kind}: failures counted exactly");
         assert_eq!(
             s.live(),
-            N as u64 - failures,
+            N as u64 - r.failures,
             "{kind}: live = successes while nothing is freed"
         );
         assert_eq!(
@@ -82,8 +50,8 @@ fn call_accounting_identity_after_alloc_free_cycle() {
     for kind in DEFAULT_KINDS {
         let alloc = kind.builder().heap(HEAP).sms(80).metrics(true).build();
         let d = device();
-        let ptrs = alloc_phase(&d, &alloc, N, 48);
-        free_phase(&d, &alloc, &ptrs);
+        let r = round::malloc_threads(alloc.as_ref(), &d, N, |_| 48);
+        round::free(alloc.as_ref(), &d, &r);
         let s = alloc.metrics().snapshot();
         assert_eq!(s.malloc_calls(), N as u64, "{kind}");
         assert_eq!(
@@ -103,8 +71,8 @@ fn disabled_metrics_record_nothing() {
         let alloc = kind.builder().heap(HEAP).sms(80).build();
         assert!(!alloc.metrics().is_enabled(), "{kind}: disabled by default");
         let d = device();
-        let ptrs = alloc_phase(&d, &alloc, N, 64);
-        free_phase(&d, &alloc, &ptrs);
+        let r = round::malloc_threads(alloc.as_ref(), &d, N, |_| 64);
+        round::free(alloc.as_ref(), &d, &r);
         let s = alloc.metrics().snapshot();
         assert!(s.is_zero(), "{kind}: disabled handle must stay all-zero");
     }
@@ -132,8 +100,8 @@ fn snapshots_are_monotone_under_concurrent_launches() {
         });
         for _ in 0..2 {
             let d = device();
-            let ptrs = alloc_phase(&d, &alloc, N, 32);
-            free_phase(&d, &alloc, &ptrs);
+            let r = round::malloc_threads(alloc.as_ref(), &d, N, |_| 32);
+            round::free(alloc.as_ref(), &d, &r);
         }
         stop.store(true, std::sync::atomic::Ordering::Release);
         assert!(watcher.join().unwrap() > 0);
@@ -209,8 +177,8 @@ fn structural_counters_fire_for_their_families() {
     // hash collisions on partially filled pages, lost claims).
     let d = device();
     let scatter = ManagerKind::ScatterAlloc.builder().heap(HEAP).sms(80).metrics(true).build();
-    let ptrs = alloc_phase(&d, &scatter, N, 16);
-    free_phase(&d, &scatter, &ptrs);
+    let r = round::malloc_threads(scatter.as_ref(), &d, N, |_| 16);
+    round::free(scatter.as_ref(), &d, &r);
     let s = scatter.metrics().snapshot();
     assert!(s.probe_steps() > 0, "ScatterAlloc probes pages per request");
     assert!(s.cas_retries() > 0, "hashed spots collide on filled pages");
@@ -219,8 +187,8 @@ fn structural_counters_fire_for_their_families() {
     // initial empty-queue expansion.
     for kind in [ManagerKind::OuroSP, ManagerKind::OuroVAC] {
         let ouro = kind.builder().heap(HEAP).sms(80).metrics(true).build();
-        let ptrs = alloc_phase(&d, &ouro, N, 16);
-        free_phase(&d, &ouro, &ptrs);
+        let r = round::malloc_threads(ouro.as_ref(), &d, N, |_| 16);
+        round::free(ouro.as_ref(), &d, &r);
         let s = ouro.metrics().snapshot();
         assert!(s.queue_spins() > 0, "{kind}: queue activity must register");
     }
