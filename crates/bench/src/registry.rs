@@ -193,8 +193,8 @@ enum HeapSource {
 ///
 /// `trace(true)` additionally wraps the manager in the event-tracing layer
 /// (`gpumem_core::trace`): a per-SM ring [`TraceRecorder`] is attached to
-/// the metrics handle and a [`Traced`] wrapper records begin/end events with
-/// latency and retry payloads around every entry point. Tracing implies
+/// the metrics handle and a [`Traced`] wrapper records one event with
+/// latency and retry payloads for every entry-point call. Tracing implies
 /// metrics. Retrieve the recorder afterwards with
 /// `alloc.metrics().tracer()`.
 pub struct ManagerBuilder {
@@ -646,10 +646,9 @@ mod tests {
         let p = a.malloc(&ThreadCtx::host(), 64).unwrap();
         a.free(&ThreadCtx::host(), p).unwrap();
         let t = rec.snapshot();
-        assert_eq!(t.count(EventKind::MallocBegin), 1);
         assert_eq!(t.count(EventKind::MallocEnd), 1);
-        assert_eq!(t.count(EventKind::FreeBegin), 1);
         assert_eq!(t.count(EventKind::FreeEnd), 1);
+        assert_eq!(rec.recorded(), 2, "one event per operation");
         assert_eq!(
             t.events.iter().find(|e| e.kind == EventKind::MallocEnd).unwrap().args[0],
             p.raw()

@@ -5,22 +5,22 @@
 //! device, and returns plain rows: the matrix scenarios turn them into anchor
 //! metrics, the diagnostic subcommands into CSV. The allocate-then-free
 //! runners launch through `gpu_workloads::round`, so how a manager frees is
-//! decided in one place; `trace_profile` keeps its own observed launches.
+//! decided in one place.
 
 use std::time::{Duration, Instant};
 
-use gpu_sim::{Device, PerThread};
+use gpu_sim::Device;
 use gpu_workloads::round::{self, Round};
 use gpu_workloads::{churn, sizes, workgen, write_test};
 use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
 use gpumem_core::telemetry::TelemetrySink;
 use gpumem_core::trace::{
-    chrome_trace_json, occupancy_timeline, OccupancyTimeline, OpLatencies, Trace,
+    chrome_trace_json, occupancy_timeline, EventKind, OccupancyTimeline, OpLatencies, Trace,
 };
 use gpumem_core::{
-    AllocError, CounterSnapshot, DeviceAllocator, DevicePtr, HeapBackendKind, HeapSpec, Pretouch,
-    WarpCtx, WARP_SIZE,
+    AllocError, CounterSnapshot, DeviceAllocator, HeapBackendKind, HeapSpec, Pretouch, WarpCtx,
+    WARP_SIZE,
 };
 
 use crate::registry::{ManagerBuilder, ManagerKind};
@@ -552,8 +552,9 @@ pub struct ContentionCell {
     pub steals: u64,
     /// Trace-ring events lost to drop-newest backpressure during the
     /// observed run. Zero when no tracer is attached (the default); real
-    /// when one is — e.g. under `repro watch`'s global telemetry sink —
-    /// and then a signal that percentile/occupancy views are truncated.
+    /// when one is — e.g. when the bench carries a watched run's telemetry
+    /// sink — and then a signal that percentile/occupancy views are
+    /// truncated.
     pub dropped_events: u64,
 }
 
@@ -635,10 +636,9 @@ pub struct TraceRun {
 /// Runs the mixed-size alloc/free workload on `kind` with the event-tracing
 /// layer attached and derives all three trace consumers. A single traced
 /// pass (no min-of-N averaging): the product here is the *time axis*, not a
-/// robust scalar. Its launches are hand-written rather than rounds because
-/// only the observed launches put `LaunchBegin`/`LaunchEnd` and per-warp
-/// markers into the ring, and the Perfetto export draws its launch and
-/// warp slices from them.
+/// robust scalar. Each round is bracketed by a `LaunchBegin`/`LaunchEnd`
+/// pair on shard 0, which the Perfetto export draws as the launch track; a
+/// manager that cannot free gets one launch.
 pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: usize) -> TraceRun {
     const SIZE_LO: u64 = 16;
     const SIZE_HI: u64 = 1024;
@@ -648,32 +648,24 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
         .trace_capacity(events_per_sm)
         .build();
     let m = alloc.metrics();
-    let ptrs = PerThread::<DevicePtr>::new(num as usize);
-    let rep = bench.device.launch_observed(&m, num, |ctx| {
-        let size = sizes::thread_size(bench.seed, ctx.thread_id, SIZE_LO, SIZE_HI);
-        match alloc.malloc(ctx, size) {
-            Ok(p) => ptrs.set(ctx.thread_id as usize, p),
-            Err(_) => ptrs.set(ctx.thread_id as usize, DevicePtr::NULL),
-        }
-    });
-    let mut elapsed = rep.elapsed;
-    let ptrs = ptrs.into_vec();
-    let info = alloc.info();
-    if info.warp_level_only {
-        let free = bench.device.launch_warps_observed(&m, num.div_ceil(WARP_SIZE), |w| {
-            let _ = alloc.free_warp_all(w);
-        });
-        elapsed += free.elapsed;
-    } else if info.supports_free {
-        let free = bench.device.launch_observed(&m, num, |ctx| {
-            let p = ptrs[ctx.thread_id as usize];
-            if !p.is_null() {
-                let _ = alloc.free(ctx, p);
-            }
-        });
-        elapsed += free.elapsed;
-    }
     let rec = m.tracer().expect("trace_capacity attaches a recorder");
+    // Launch `id` ran from `t0` until now, `elapsed` of it in the kernel.
+    let (threads, warps) = (u64::from(num), u64::from(num.div_ceil(WARP_SIZE)));
+    let span = |id: u64, t0: u64, elapsed: Duration| {
+        rec.emit_at(t0, 0, EventKind::LaunchBegin, [id, threads, warps, 0]);
+        rec.emit(0, EventKind::LaunchEnd, [id, elapsed.as_nanos() as u64, 0, 0]);
+    };
+    let t0 = rec.now_ns();
+    let r = round::malloc_threads(alloc.as_ref(), &bench.device, num, |t| {
+        sizes::thread_size(bench.seed, t, SIZE_LO, SIZE_HI)
+    });
+    span(0, t0, r.elapsed);
+    let mut elapsed = r.elapsed;
+    let t1 = rec.now_ns();
+    if let Some((free, _)) = round::free(alloc.as_ref(), &bench.device, &r) {
+        span(1, t1, free);
+        elapsed += free;
+    }
     let trace = rec.snapshot();
     let latencies = OpLatencies::from_trace(&trace);
     let occupancy = occupancy_timeline(&trace, 4096);

@@ -19,8 +19,8 @@
 //!   handle is a `None` and every record call is a single predictable
 //!   branch, so benchmark timings stay honest when observability is off.
 //! * [`CounterSnapshot`] — an aggregated point-in-time reading;
-//!   [`CounterSnapshot::delta_since`] turns two readings into a per-kernel
-//!   attribution (the `gpu-sim` executor snapshots around every launch).
+//!   [`CounterSnapshot::delta_since`] turns two readings, taken before and
+//!   after a kernel, into that kernel's attribution.
 //!
 //! Per-operation retry counts additionally feed a power-of-two histogram
 //! ([`CounterSnapshot::retry_hist`]): bucket 0 counts operations that

@@ -221,9 +221,8 @@ pub struct Sample {
     pub oom_fallback_rate: f64,
     /// Trace events dropped (ring full), cumulative across all recorders.
     pub dropped_events: u64,
-    /// Kernel launches completing in this window — trace `LaunchEnd`
-    /// events merged with executor launch-hook boundary marks (plain
-    /// launches emit no trace events; the hook is their only signal).
+    /// Kernel launches completing in this window: the boundary marks
+    /// ([`BoundaryMarker::mark`]) the executor's launch hook made in it.
     pub launches: u64,
     /// Whether this window was cut at a kernel boundary (launch hook)
     /// rather than by the cadence timer.
@@ -621,8 +620,7 @@ struct State {
     totals: CounterSnapshot,
     dropped: u64,
     launches: u64,
-    /// Cumulative kernel-boundary marks ([`BoundaryMarker::mark`]) — the
-    /// launch signal for launches that emit no trace events.
+    /// Cumulative kernel-boundary marks ([`BoundaryMarker::mark`]).
     marks: u64,
     /// Marks already attributed to a finished window.
     folded_marks: u64,
@@ -805,10 +803,8 @@ impl BoundaryMarker {
             ctl.boundary = true;
             self.shared.wake.notify_all();
         }
-        // Marks also count launches: plain (non-observed) launches emit no
-        // `LaunchEnd` trace event, so the hook is the only signal they
-        // happened. `take_sample` takes max(trace launches, mark delta)
-        // per window — the hook sees a superset of the traced launches.
+        // Marks also count launches: `take_sample` reports each window's
+        // mark delta as its launches.
         self.shared.state.lock().unwrap().marks += 1;
     }
 }
@@ -902,7 +898,6 @@ fn take_sample(
     // recorders nobody else holds: the drain just taken was their last
     // (no handle left to emit), so only the dropped total survives.
     let mut hist = LatencyHistogram::new();
-    let mut launches = 0u64;
     let mut live_changed = false;
     let mut dropped = cursor.retired_dropped;
     let mut retired_dropped = 0u64;
@@ -915,22 +910,15 @@ fn take_sample(
             let trace = rc.recorder.snapshot_since(&mut rc.shard_cursors);
             rc.seen += trace.events.len() as u64;
             for ev in &trace.events {
-                match ev.kind {
-                    EventKind::MallocEnd => {
-                        hist.record(ev.args[2]);
-                        if ev.args[0] != u64::MAX {
-                            live.insert(ev.args[0], ev.args[1]);
-                            live_changed = true;
-                        }
-                    }
-                    // args = [ptr, latency, retries, ok]; the bulk-free
-                    // sentinel (u64::MAX) carries no pointer to retire.
-                    EventKind::FreeEnd if ev.args[3] == 1 && ev.args[0] != u64::MAX => {
-                        live.remove(&ev.args[0]);
-                        live_changed = true;
-                    }
-                    EventKind::LaunchEnd => launches += 1,
-                    _ => {}
+                if ev.kind == EventKind::MallocEnd {
+                    hist.record(ev.args[2]);
+                }
+                if let Some((ptr, size)) = ev.grant() {
+                    live.insert(ptr, size);
+                    live_changed = true;
+                } else if let Some(ptr) = ev.release() {
+                    live.remove(&ptr);
+                    live_changed = true;
                 }
             }
         }
@@ -983,7 +971,7 @@ fn take_sample(
         malloc_p99_ns: hist.p99(),
         oom_fallback_rate: delta.oom_fallbacks() as f64 / delta.malloc_calls().max(1) as f64,
         dropped_events: dropped,
-        launches,
+        launches: 0, // the window's marks, counted under the state lock
         boundary,
     };
 
@@ -996,13 +984,8 @@ fn take_sample(
     st.seq += 1;
     st.totals = merged;
     st.dropped = dropped;
-    // Launches this window: trace `LaunchEnd` events where a tracer saw
-    // the launch, boundary marks where only the launch hook did. The hook
-    // fires for every pooled launch (a superset of the traced ones), so
-    // `max` avoids double-counting without losing the untraced launches.
-    let mark_delta = st.marks - st.folded_marks;
+    sample.launches = st.marks - st.folded_marks;
     st.folded_marks = st.marks;
-    sample.launches = sample.launches.max(mark_delta);
     st.launches += sample.launches;
     if st.ring.len() == st.capacity {
         st.ring.pop_front();
@@ -1217,7 +1200,7 @@ mod tests {
         rec.emit(0, EventKind::MallocEnd, [4096, 128, 1500, 2]);
         rec.emit(1, EventKind::MallocEnd, [8192, 64, 900, 0]);
         rec.emit(1, EventKind::FreeEnd, [8192, 100, 0, 1]);
-        rec.emit(0, EventKind::LaunchEnd, [1, 12345, 0, 0]);
+        tele.boundary_marker().mark();
         tele.sample_now();
         let ts = tele.stop();
         let s = ts.samples.iter().find(|s| s.malloc_ops > 0).expect("a window saw the events");
@@ -1226,7 +1209,9 @@ mod tests {
         assert!(s.malloc_p99_ns >= 1500, "p99 covers the slowest op: {s:?}");
         assert_eq!(s.live_bytes, 256);
         assert!(s.frag_percent > 100.0, "sparse live set must report fragmentation: {s:?}");
-        assert_eq!(s.launches, 1);
+        // Launches come from the boundary mark alone, in whichever window
+        // the mark landed.
+        assert_eq!(ts.samples.iter().map(|s| s.launches).sum::<u64>(), 1);
         assert_eq!(ts.launches, 1);
     }
 

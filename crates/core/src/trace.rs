@@ -2,11 +2,11 @@
 //!
 //! The [`Metrics`](crate::Metrics) counters (DESIGN.md §6) answer *how much*
 //! contention a run saw; this module answers *when* and *where*. A
-//! [`TraceRecorder`] collects a bounded stream of timestamped events —
-//! allocation begin/end pairs with latency and CAS-retry payloads, frees,
-//! OOM fallbacks, sanitizer violations, and warp/launch lifecycle markers
-//! emitted by the executor — into fixed-capacity per-SM ring buffers. Three
-//! consumers are derived from one recorded [`Trace`]:
+//! [`TraceRecorder`] collects a bounded stream of timestamped events — one
+//! per allocation and per free, with latency and CAS-retry payloads, plus
+//! OOM fallbacks, sanitizer violations, magazine hits and flushes, and the
+//! launch markers a runner writes — into fixed-capacity per-SM ring buffers.
+//! Three consumers are derived from one recorded [`Trace`]:
 //!
 //! 1. [`OpLatencies`]: per-operation log2-bucketed latency histograms with
 //!    p50/p95/p99 extraction ([`LatencyHistogram`]),
@@ -27,27 +27,24 @@
 //! `Option` branch the counters already pay, and a default-built manager
 //! records zero events.
 //!
-//! Each shard is a fixed-capacity array of 6-word slots. A writer claims a
-//! slot with one `Relaxed` `fetch_add` on the shard's claim word — the only
-//! read-modify-write a recorded event costs; a writer that finds the shard
-//! full bumps a `dropped` counter instead and writes nothing, so memory
-//! stays bounded and loss is observable (drop-newest). Slot words are plain
-//! atomics written `Relaxed`; the meta word, carrying a nonzero tag, is
-//! stored last with `Release` and is the slot's publication point: a reader
-//! that `Acquire`-loads a nonzero tag sees the whole slot. Nothing
-//! shard-wide says what is committed — commits land out of claim order, so
-//! only the slot itself can say it is whole — and readers wait (bounded) on
-//! the tag of a slot that is claimed but not yet published. All shards'
-//! slots are one zeroed mapping (`backend.rs`'s `Map`, as the RAM heap is):
-//! nothing is written to build it, and only the shards an SM owns are
-//! committed up front.
+//! Each shard is a fixed-capacity array of 6-word slots, one event each. A
+//! writer claims a slot with one `Relaxed` `fetch_add` on the shard's slot
+//! counter — the only read-modify-write a recorded event costs; a writer
+//! that finds the shard full bumps a `dropped` counter instead and writes
+//! nothing, so memory stays bounded and loss is observable (drop-newest).
+//! Slot words are plain atomics written `Relaxed`; the meta word, carrying
+//! a nonzero tag, is stored last with `Release` and is the slot's
+//! publication point: a reader that `Acquire`-loads a nonzero tag sees the
+//! whole slot. Nothing shard-wide says what is committed — commits land out
+//! of claim order, so only the slot itself can say it is whole — and
+//! readers wait (bounded) on the tag of a slot that is claimed but not yet
+//! published. All shards' slots are one zeroed mapping (`backend.rs`'s
+//! `Map`, as the RAM heap is): nothing is written to build it, and only the
+//! shards an SM owns are committed up front.
 //!
-//! A slot holds one point event (`emit`/`emit_at`) or one *op record*:
-//! [`Traced`] times a `malloc`/`free` with two clock reads and writes a
-//! single record when the call returns, which decodes to the `MallocBegin` +
-//! `MallocEnd` (or `FreeBegin` + `FreeEnd`) pair every consumer reads, with
-//! `begin.ts_ns == end.ts_ns - latency`. [`TraceRecorder::recorded`] and
-//! [`TraceRecorder::dropped`] stay in event units: an op record counts two.
+//! [`Traced`] times a `malloc`/`free` with two clock reads and writes one
+//! `MallocEnd`/`FreeEnd` when the call returns, stamped with that instant;
+//! the call started `latency` nanoseconds earlier.
 
 use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
@@ -58,7 +55,7 @@ use crate::ptr::DevicePtr;
 use crate::sync::{AtomicU64, Ordering};
 use crate::traits::DeviceAllocator;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -66,106 +63,65 @@ use std::time::Instant;
 ///
 /// At 48 bytes per slot this bounds an 80-SM recorder to 30 MiB resident
 /// (48 MiB of address space: 128 shards). A contention run of 10 000
-/// threads writes 2 slots per thread (one op record each for its `malloc`
-/// and its `free`, four events decoded) spread over the SMs the threads
-/// land on, so the default holds a full default-scale run without drops.
+/// threads writes 2 events per thread (one for its `malloc`, one for its
+/// `free`) spread over the SMs the threads land on, so the default holds a
+/// full default-scale run without drops.
 pub const DEFAULT_EVENTS_PER_SM: usize = 8192;
 
-/// Largest per-shard slot count the claim word can index: its low half
-/// counts slots claimed, its high half the events they hold (two per op
-/// record), so both stay below 2^32 with room for racing over-claims.
-const MAX_EVENTS_PER_SM: usize = 1 << 30;
-
 /// Number of log2 latency buckets — covers 1 ns ..= `u64::MAX` ns.
-pub const LATENCY_BUCKETS: usize = 64;
+const LATENCY_BUCKETS: usize = 64;
 
 /// What happened, encoded in the slot tag word. Payload word semantics are
 /// listed per variant; unused words are zero.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum EventKind {
-    /// An allocation request entered the manager.
-    /// `args = [requested_bytes, thread_id, 0, 0]` (warp-collective calls
-    /// report the leader's thread id and the warp's total bytes). Decoded,
-    /// with `ts_ns = end.ts_ns - latency_ns`, from the op record [`Traced`]
-    /// writes when the call returns; that record keeps at most 16 MiB of a
-    /// collective's bytes beyond its first lane's, larger totals saturate.
-    MallocBegin = 0,
-    /// An allocation request returned.
+    /// An allocation request returned; `ts_ns` is the instant it did.
     /// `args = [ptr_raw (u64::MAX on failure), size_bytes, latency_ns,
     /// cas_retries]`. Warp-collective calls emit one `MallocEnd` per lane,
     /// each carrying the collective latency; retries are attributed to the
-    /// first lane only so sums stay correct. An op record holds at most
-    /// `u32::MAX` retries.
-    MallocEnd = 1,
-    /// A free request entered the manager.
-    /// `args = [ptr_raw (u64::MAX for collective frees), thread_id,
-    /// lane_count, 0]`. Decoded from the op record like `MallocBegin`; a
-    /// `free_warp` that finds no live lane records nothing.
-    FreeBegin = 2,
-    /// A free request returned.
+    /// first lane only so sums stay correct. A failed collective emits one
+    /// `MallocEnd` carrying the warp's total bytes.
+    MallocEnd = 0,
+    /// A free request returned; `ts_ns` is the instant it did.
     /// `args = [ptr_raw, latency_ns, cas_retries, ok (1 = freed)]`.
     /// `ptr_raw == u64::MAX` marks a warp-collective bulk free
     /// (`free_warp_all`) whose individual pointers the manager never
-    /// exposes.
-    FreeEnd = 3,
+    /// exposes; a `free_warp` emits one `FreeEnd` per live lane, retries on
+    /// the first.
+    FreeEnd = 1,
     /// The manager fell back past its own heap (e.g. Halloc's CUDA
     /// fallback). `args = [count, 0, 0, 0]`.
-    OomFallback = 4,
+    OomFallback = 2,
     /// The shadow-heap sanitizer recorded a violation.
     /// `args = [violation_kind, offset, size, 0]`.
-    SanitizerViolation = 5,
-    /// The executor handed a warp to a worker. `args = [warp_id, launch_id,
-    /// 0, 0]`.
-    WarpDispatched = 6,
-    /// A warp finished its body. `args = [warp_id, launch_id, 0, 0]`.
-    WarpRetired = 7,
-    /// An observed launch started. `args = [launch_id, n_threads, n_warps,
-    /// 0]`; recorded on shard 0.
-    LaunchBegin = 8,
-    /// An observed launch completed. `args = [launch_id, elapsed_ns, 0,
-    /// 0]`; recorded on shard 0.
-    LaunchEnd = 9,
+    SanitizerViolation = 3,
+    /// A traced launch started. `args = [launch_id, n_threads, n_warps,
+    /// 0]`; recorded on shard 0 by the runner that launches it.
+    LaunchBegin = 4,
+    /// A traced launch completed. `args = [launch_id, elapsed_ns, 0, 0]`;
+    /// recorded on shard 0.
+    LaunchEnd = 5,
     /// A [`Cached`](crate::cache::Cached) magazine served an allocation
     /// without touching the inner allocator.
     /// `args = [ptr_raw_or_lane_count, class_size, 0, warp (1 = collective)]`.
-    CacheHit = 10,
+    CacheHit = 6,
     /// A `Cached` magazine evicted or drained parked blocks back to the
     /// inner allocator. `args = [count, class_size, 0, warp]`.
-    CacheFlush = 11,
+    CacheFlush = 7,
 }
 
 /// Number of event kinds.
-pub const EVENT_KINDS: usize = 12;
-
-/// All event kinds, in tag order.
-pub const ALL_EVENT_KINDS: [EventKind; EVENT_KINDS] = [
-    EventKind::MallocBegin,
-    EventKind::MallocEnd,
-    EventKind::FreeBegin,
-    EventKind::FreeEnd,
-    EventKind::OomFallback,
-    EventKind::SanitizerViolation,
-    EventKind::WarpDispatched,
-    EventKind::WarpRetired,
-    EventKind::LaunchBegin,
-    EventKind::LaunchEnd,
-    EventKind::CacheHit,
-    EventKind::CacheFlush,
-];
+pub const EVENT_KINDS: usize = 8;
 
 impl EventKind {
     /// Stable snake_case name (used in exports and reports).
     pub const fn name(self) -> &'static str {
         match self {
-            EventKind::MallocBegin => "malloc_begin",
             EventKind::MallocEnd => "malloc_end",
-            EventKind::FreeBegin => "free_begin",
             EventKind::FreeEnd => "free_end",
             EventKind::OomFallback => "oom_fallback",
             EventKind::SanitizerViolation => "sanitizer_violation",
-            EventKind::WarpDispatched => "warp_dispatched",
-            EventKind::WarpRetired => "warp_retired",
             EventKind::LaunchBegin => "launch_begin",
             EventKind::LaunchEnd => "launch_end",
             EventKind::CacheHit => "cache_hit",
@@ -178,18 +134,14 @@ impl EventKind {
         // can never mistake an unpublished slot for a real event; on-wire
         // tags are therefore discriminant + 1.
         match tag {
-            1 => Some(EventKind::MallocBegin),
-            2 => Some(EventKind::MallocEnd),
-            3 => Some(EventKind::FreeBegin),
-            4 => Some(EventKind::FreeEnd),
-            5 => Some(EventKind::OomFallback),
-            6 => Some(EventKind::SanitizerViolation),
-            7 => Some(EventKind::WarpDispatched),
-            8 => Some(EventKind::WarpRetired),
-            9 => Some(EventKind::LaunchBegin),
-            10 => Some(EventKind::LaunchEnd),
-            11 => Some(EventKind::CacheHit),
-            12 => Some(EventKind::CacheFlush),
+            1 => Some(EventKind::MallocEnd),
+            2 => Some(EventKind::FreeEnd),
+            3 => Some(EventKind::OomFallback),
+            4 => Some(EventKind::SanitizerViolation),
+            5 => Some(EventKind::LaunchBegin),
+            6 => Some(EventKind::LaunchEnd),
+            7 => Some(EventKind::CacheHit),
+            8 => Some(EventKind::CacheFlush),
             _ => None,
         }
     }
@@ -212,66 +164,44 @@ pub struct TraceEvent {
     pub args: [u64; 4],
 }
 
+impl TraceEvent {
+    /// The block a successful `MallocEnd` adds to the live set:
+    /// `(ptr_raw, size_bytes)`. The one rule every live-set replay uses.
+    pub fn grant(&self) -> Option<(u64, u64)> {
+        let [ptr, size, ..] = self.args;
+        (self.kind == EventKind::MallocEnd && ptr != u64::MAX).then_some((ptr, size))
+    }
+
+    /// The pointer a `FreeEnd` retires from the live set: a free that
+    /// succeeded and names its pointer (a bulk free's sentinel names none).
+    pub fn release(&self) -> Option<u64> {
+        let [ptr, _, _, ok] = self.args;
+        (self.kind == EventKind::FreeEnd && ok == 1 && ptr != u64::MAX).then_some(ptr)
+    }
+}
+
 const SLOT_WORDS: usize = 6;
 
-/// Slot tags past the event kinds: one *op record*, the Begin/End pair of a
-/// timed operation in a single slot. Malloc payload: `[ptr, size, latency,
-/// retries << 32 | thread_id]`, with the bytes the Begin reports beyond
-/// `size` in the meta word's aux bits. Free payload: `[ptr, latency,
-/// retries, ok << 63 | collective << 62 | lanes << 32 | thread_id]`.
-const TAG_MALLOC_OP: u64 = EVENT_KINDS as u64 + 1;
-const TAG_FREE_OP: u64 = EVENT_KINDS as u64 + 2;
-
-/// Field widths: the meta word is `aux << 40 | tag << 32 | sm`, a collective
-/// free's lane count has 30 bits.
-const TAG_MASK: u64 = 0xff;
-const AUX_MAX: u64 = (1 << 24) - 1;
-const LANES_MAX: u64 = (1 << 30) - 1;
-/// The claim word's low half (slots) and the unit of its high half (events);
-/// a packed payload word's low half is the thread id.
-const LOW_HALF: u64 = 0xffff_ffff;
-const EVENT_UNIT: u64 = 1 << 32;
-
-/// One fixed slot: `[ts, aux<<40|tag<<32|sm, a0, a1, a2, a3]`. All-zero
-/// bytes are a slot nobody has published (tag 0), which is how the ring's
-/// mapping arrives from the kernel.
+/// One fixed slot: `[ts, tag<<32|sm, a0, a1, a2, a3]`. All-zero bytes are a
+/// slot nobody has published (tag 0), which is how the ring's mapping
+/// arrives from the kernel.
 struct Slot {
     words: [AtomicU64; SLOT_WORDS],
 }
 
 impl Slot {
-    /// Appends the slot's event (or an op record's Begin/End pair) to `out`;
-    /// `None` when the slot is not yet published.
+    /// Appends the slot's event to `out`; `None` when the slot is not yet
+    /// published.
     fn decode_into(&self, out: &mut Vec<TraceEvent>) -> Option<()> {
         // The meta word is the publication point: the writer stores it last
         // with Release, so once a valid tag is visible here, this Acquire
         // load synchronizes-with that store and every other word of the
         // slot is visible. An unpublished slot shows the reserved zero tag.
         let meta = self.words[1].load(Ordering::Acquire);
-        let tag = (meta >> 32) & TAG_MASK;
-        if tag == 0 {
-            return None;
-        }
-        let (ts_ns, sm) = (self.words[0].load(Ordering::Relaxed), meta as u32);
-        let args: [u64; 4] = std::array::from_fn(|i| self.words[i + 2].load(Ordering::Relaxed));
-        let mut push = |ts_ns, kind, args| out.push(TraceEvent { ts_ns, kind, sm, args });
-        match tag {
-            TAG_MALLOC_OP => {
-                let [ptr, size, latency, packed] = args;
-                let requested = size.saturating_add(meta >> 40);
-                let begin = [requested, packed & LOW_HALF, 0, 0];
-                push(ts_ns.saturating_sub(latency), EventKind::MallocBegin, begin);
-                push(ts_ns, EventKind::MallocEnd, [ptr, size, latency, packed >> 32]);
-            }
-            TAG_FREE_OP => {
-                let [ptr, latency, retries, info] = args;
-                let begin_ptr = if info >> 62 & 1 == 1 { u64::MAX } else { ptr };
-                let begin = [begin_ptr, info & LOW_HALF, info >> 32 & LANES_MAX, 0];
-                push(ts_ns.saturating_sub(latency), EventKind::FreeBegin, begin);
-                push(ts_ns, EventKind::FreeEnd, [ptr, latency, retries, info >> 63]);
-            }
-            _ => push(ts_ns, EventKind::from_tag(tag as u32)?, args),
-        }
+        let kind = EventKind::from_tag((meta >> 32) as u32)?;
+        let ts_ns = self.words[0].load(Ordering::Relaxed);
+        let args = std::array::from_fn(|i| self.words[i + 2].load(Ordering::Relaxed));
+        out.push(TraceEvent { ts_ns, kind, sm: meta as u32, args });
         Some(())
     }
 }
@@ -282,9 +212,8 @@ impl Slot {
 #[derive(Default)]
 #[repr(align(128))]
 struct TraceShard {
-    /// The claim word. Low half: slots ever claimed (monotonic; exceeds
-    /// capacity only by writers that raced for the last slot). High half:
-    /// events held by the slots claimed within capacity.
+    /// Slots ever claimed (monotonic; exceeds capacity only by writers
+    /// that raced for the last slot).
     claimed: AtomicU64,
     /// Events discarded because the ring was full (drop-newest).
     dropped: AtomicU64,
@@ -303,8 +232,7 @@ impl TraceShard {
         stop_at_hole: bool,
         out: &mut Vec<TraceEvent>,
     ) -> usize {
-        let claims = (self.claimed.load(Ordering::Acquire) & LOW_HALF) as usize;
-        let claims = claims.min(slots.len());
+        let claims = (self.claimed.load(Ordering::Acquire) as usize).min(slots.len());
         // Loom explores each spin iteration as a branch; keep the bound
         // tight there and generous on real hardware.
         let mut spins: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
@@ -327,7 +255,7 @@ impl TraceShard {
 /// Lock-free, fixed-capacity, per-SM trace recorder.
 ///
 /// Writers on any thread call [`TraceRecorder::emit`] (and [`Traced`] writes
-/// one op record per operation); the cost per slot is one `Relaxed`
+/// one event per operation); the cost per event is one `Relaxed`
 /// `fetch_add`, five `Relaxed` stores and one `Release` store. When a shard
 /// fills, further events on it are counted in [`TraceRecorder::dropped`]
 /// and discarded — memory stays bounded at `shards × events_per_sm × 48`
@@ -342,7 +270,6 @@ pub struct TraceRecorder {
     capacity: usize,
     /// [`clock_ns`] at construction.
     epoch_ns: u64,
-    next_launch: AtomicU64,
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -430,14 +357,12 @@ impl TraceRecorder {
     ///
     /// # Panics
     ///
-    /// When `events_per_sm` exceeds 2^30, the most the claim word indexes
-    /// (a 48 GiB shard), or the ring is more than the host can map.
+    /// When the ring is more than the host can map.
     pub fn new(num_sms: u32, events_per_sm: usize) -> Self {
-        assert!(events_per_sm <= MAX_EVENTS_PER_SM, "events_per_sm {events_per_sm} exceeds 2^30");
         let sms = num_sms.max(1) as usize;
         let shards = sms.next_power_of_two();
         let capacity = events_per_sm.max(1);
-        let shard_bytes = capacity * std::mem::size_of::<Slot>();
+        let shard_bytes = capacity.saturating_mul(std::mem::size_of::<Slot>());
         let ring = shards
             .checked_mul(shard_bytes)
             .and_then(|bytes| Map::reserve(bytes, false))
@@ -448,18 +373,7 @@ impl TraceRecorder {
             ring,
             capacity,
             epoch_ns: clock_ns(),
-            next_launch: AtomicU64::new(0),
         }
-    }
-
-    /// A recorder with [`DEFAULT_EVENTS_PER_SM`] slots per shard.
-    pub fn with_default_capacity(num_sms: u32) -> Self {
-        TraceRecorder::new(num_sms, DEFAULT_EVENTS_PER_SM)
-    }
-
-    /// Per-shard slot capacity.
-    pub fn events_per_sm(&self) -> usize {
-        self.capacity
     }
 
     /// The slots of shard `shard`.
@@ -484,12 +398,6 @@ impl TraceRecorder {
         clock_ns().saturating_sub(self.epoch_ns)
     }
 
-    /// Hands out monotonically increasing launch ids for
-    /// [`EventKind::LaunchBegin`]/[`EventKind::LaunchEnd`] pairs.
-    pub fn next_launch_id(&self) -> u64 {
-        self.next_launch.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Records an event timestamped now.
     #[inline]
     pub fn emit(&self, sm: u32, kind: EventKind, args: [u64; 4]) {
@@ -497,47 +405,20 @@ impl TraceRecorder {
     }
 
     /// Records an event with an explicit timestamp (callers that time an
-    /// operation themselves pass the operation's start or end instant).
+    /// operation themselves pass the instant it returned).
     pub fn emit_at(&self, ts_ns: u64, sm: u32, kind: EventKind, args: [u64; 4]) {
-        self.record(ts_ns, sm, kind.tag(), args);
-    }
-
-    /// One traced allocation that returned `end` (`MallocEnd`'s args) at
-    /// `t1`, having asked for `requested` bytes, as a single op record.
-    fn emit_malloc(&self, t1: u64, sm: u32, thread_id: u32, requested: u64, end: [u64; 4]) {
-        let [ptr, size, latency, retries] = end;
-        let aux = requested.saturating_sub(size).min(AUX_MAX);
-        let packed = retries.min(u64::from(u32::MAX)) << 32 | u64::from(thread_id);
-        self.record(t1, sm, TAG_MALLOC_OP | aux << 8, [ptr, size, latency, packed]);
-    }
-
-    /// One traced free that returned `end` (`FreeEnd`'s args) at `t1`, as a
-    /// single op record; `lanes` is the live lane count of a collective
-    /// free, `None` for a thread's own.
-    fn emit_free(&self, t1: u64, sm: u32, thread_id: u32, lanes: Option<u64>, end: [u64; 4]) {
-        let [ptr, latency, retries, ok] = end;
-        let (collective, lanes) = lanes.map_or((0, 1), |n| (1, n.min(LANES_MAX)));
-        let info = ok << 63 | collective << 62 | lanes << 32 | u64::from(thread_id);
-        self.record(t1, sm, TAG_FREE_OP, [ptr, latency, retries, info]);
-    }
-
-    /// Writes one slot; `meta_hi` is the tag with any aux bits above it.
-    fn record(&self, ts_ns: u64, sm: u32, meta_hi: u64, args: [u64; 4]) {
         let shard_idx = sm as usize & (self.shards.len() - 1);
         let shard = &self.shards[shard_idx];
-        let events = if meta_hi & TAG_MASK > EVENT_KINDS as u64 { 2 } else { 1 };
-        // A full ring costs one read-modify-write, and the claim word stops
-        // growing once every writer has seen it full.
-        if shard.claimed.load(Ordering::Relaxed) & LOW_HALF >= self.capacity as u64 {
-            shard.dropped.fetch_add(events, Ordering::Relaxed);
+        // A full ring costs one read-modify-write, and the slot counter
+        // stops growing once every writer has seen it full.
+        if shard.claimed.load(Ordering::Relaxed) >= self.capacity as u64 {
+            shard.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let claim = shard.claimed.fetch_add(1 + events * EVENT_UNIT, Ordering::Relaxed);
-        let idx = claim & LOW_HALF;
+        let idx = shard.claimed.fetch_add(1, Ordering::Relaxed);
         if idx >= self.capacity as u64 {
-            // Lost the race for the last slot: hand the events back.
-            shard.claimed.fetch_sub(events * EVENT_UNIT, Ordering::Relaxed);
-            shard.dropped.fetch_add(events, Ordering::Relaxed);
+            // Lost the race for the last slot.
+            shard.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let slot = &self.slots(shard_idx)[idx as usize];
@@ -552,14 +433,15 @@ impl TraceRecorder {
         slot.words[3].store(args[1], Ordering::Relaxed);
         slot.words[4].store(args[2], Ordering::Relaxed);
         slot.words[5].store(args[3], Ordering::Relaxed);
-        slot.words[1].store(meta_hi << 32 | u64::from(sm), Ordering::Release);
+        slot.words[1].store(kind.tag() << 32 | u64::from(sm), Ordering::Release);
     }
 
-    /// Total events held by claimed slots across all shards (an op record
-    /// counts two): the length of [`TraceRecorder::snapshot`] at a quiescent
-    /// point, mid-flight including slots whose writer has yet to publish.
+    /// Total events in claimed slots across all shards: the length of
+    /// [`TraceRecorder::snapshot`] at a quiescent point, mid-flight
+    /// including slots whose writer has yet to publish.
     pub fn recorded(&self) -> u64 {
-        self.shards.iter().map(|s| s.claimed.load(Ordering::Relaxed) >> 32).sum()
+        let capacity = self.capacity as u64;
+        self.shards.iter().map(|s| s.claimed.load(Ordering::Relaxed).min(capacity)).sum()
     }
 
     /// Total events discarded because their shard was full.
@@ -591,7 +473,7 @@ impl TraceRecorder {
     /// prefix: a slot still between claim and publication stops this
     /// shard's walk (after the same bounded spin [`TraceRecorder::snapshot`]
     /// uses) and is picked up by the next call instead of being skipped or
-    /// re-read. Both events of an op record arrive in the same call.
+    /// re-read.
     ///
     /// This is the telemetry sampler's drain path: at kHz cadences a full
     /// [`TraceRecorder::snapshot`] per window re-decodes the entire ring
@@ -608,7 +490,7 @@ impl TraceRecorder {
 
     fn sorted_trace(&self, mut events: Vec<TraceEvent>) -> Trace {
         events.sort_by_key(|e| (e.ts_ns, e.sm));
-        Trace { events, dropped: self.dropped(), events_per_sm: self.capacity }
+        Trace { events, dropped: self.dropped() }
     }
 }
 
@@ -650,11 +532,11 @@ fn end_op_scope(enclosing: Option<u64>) -> u64 {
     OP_RETRIES.replace(enclosing).unwrap_or(0)
 }
 
-/// [`DeviceAllocator`] wrapper that records `MallocBegin/End` and
-/// `FreeBegin/End` events (with latency and CAS-retry payloads) around every
-/// entry point of the wrapped manager: two clock reads and one op record
-/// per call, plus one `MallocEnd`/`FreeEnd` for every further lane of a
-/// collective call (the occupancy replay needs every pointer).
+/// [`DeviceAllocator`] wrapper that records a `MallocEnd` or `FreeEnd`
+/// event (with latency and CAS-retry payloads) for every entry point of the
+/// wrapped manager: two clock reads and one event per call, plus one for
+/// every further lane of a collective call (the occupancy replay needs
+/// every pointer).
 ///
 /// Mirrors the `Sanitized` wrapper: apply it at construction time (the
 /// builder's `.trace(true)` does this) and every manager gets tracing
@@ -670,16 +552,6 @@ impl<A: DeviceAllocator> Traced<A> {
     /// Wraps `inner`, recording into `rec`.
     pub fn new(inner: A, rec: Arc<TraceRecorder>) -> Self {
         Traced { inner, rec }
-    }
-
-    /// The recorder events land in.
-    pub fn recorder(&self) -> &Arc<TraceRecorder> {
-        &self.rec
-    }
-
-    /// Unwraps the inner manager.
-    pub fn into_inner(self) -> A {
-        self.inner
     }
 
     /// Runs `op` in a fresh retry scope between two clock reads. Returns its
@@ -699,7 +571,7 @@ impl<A: DeviceAllocator> Traced<A> {
 
 // `drain` forwards without events of its own: the inner drain's frees are
 // magazine publications, not caller-visible free calls, so this layer has
-// no begin/end pair to record.
+// no operation to record.
 impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     type Inner = A;
 
@@ -710,14 +582,14 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         let (r, t1, latency, retries) = self.timed(|| self.inner.malloc(ctx, size));
         let ptr = r.as_ref().map_or(u64::MAX, |p| p.raw());
-        self.rec.emit_malloc(t1, ctx.sm, ctx.thread_id, size, [ptr, size, latency, retries]);
+        self.rec.emit_at(t1, ctx.sm, EventKind::MallocEnd, [ptr, size, latency, retries]);
         r
     }
 
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
         let (r, t1, latency, retries) = self.timed(|| self.inner.free(ctx, ptr));
-        let end = [ptr.raw(), latency, retries, r.is_ok() as u64];
-        self.rec.emit_free(t1, ctx.sm, ctx.thread_id, None, end);
+        let args = [ptr.raw(), latency, retries, r.is_ok() as u64];
+        self.rec.emit_at(t1, ctx.sm, EventKind::FreeEnd, args);
         r
     }
 
@@ -727,61 +599,42 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
         sizes: &[u64],
         out: &mut [DevicePtr],
     ) -> Result<(), AllocError> {
-        let total: u64 = sizes.iter().sum();
-        let leader = warp.leader().thread_id;
-        let (r, t1, latency, retries) = self.timed(|| self.inner.malloc_warp(warp, sizes, out));
-        match &r {
-            Ok(()) => {
-                // The first lane's record carries the collective's Begin
-                // (leader, total bytes) and all its retries.
-                let mut lanes = sizes.iter().zip(out.iter());
-                if let Some((&size, ptr)) = lanes.next() {
-                    let end = [ptr.raw(), size, latency, retries];
-                    self.rec.emit_malloc(t1, warp.sm, leader, total, end);
-                }
-                for (&size, ptr) in lanes {
-                    let end = [ptr.raw(), size, latency, 0];
-                    self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, end);
-                }
+        let (r, t1, latency, mut retries) = self.timed(|| self.inner.malloc_warp(warp, sizes, out));
+        if r.is_ok() {
+            // The first lane carries all the collective's retries.
+            for (&size, ptr) in sizes.iter().zip(out.iter()) {
+                let args = [ptr.raw(), size, latency, std::mem::take(&mut retries)];
+                self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, args);
             }
-            Err(_) => {
-                let end = [u64::MAX, total, latency, retries];
-                self.rec.emit_malloc(t1, warp.sm, leader, total, end);
-            }
+        } else {
+            let args = [u64::MAX, sizes.iter().sum(), latency, retries];
+            self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, args);
         }
         r
     }
 
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
-        let leader = warp.leader().thread_id;
-        let (r, t1, latency, retries) = self.timed(|| self.inner.free_warp(warp, ptrs));
+        let (r, t1, latency, mut retries) = self.timed(|| self.inner.free_warp(warp, ptrs));
         // `ok` reflects the collective result: `free_warp` reports only the
         // first error, so on Err the occupancy replay conservatively keeps
-        // all lanes live.
+        // all lanes live. As in `malloc_warp`, the first live lane carries
+        // the retries.
         let ok = r.is_ok() as u64;
-        let mut live = ptrs.iter().filter(|p| !p.is_null());
-        let lanes = live.clone().count() as u64;
-        // As in `malloc_warp`, the first live lane's record carries the
-        // collective's Begin and its retries.
-        if let Some(ptr) = live.next() {
-            let end = [ptr.raw(), latency, retries, ok];
-            self.rec.emit_free(t1, warp.sm, leader, Some(lanes), end);
-        }
-        for ptr in live {
-            self.rec.emit_at(t1, warp.sm, EventKind::FreeEnd, [ptr.raw(), latency, 0, ok]);
+        for ptr in ptrs.iter().filter(|p| !p.is_null()) {
+            let args = [ptr.raw(), latency, std::mem::take(&mut retries), ok];
+            self.rec.emit_at(t1, warp.sm, EventKind::FreeEnd, args);
         }
         r
     }
 
     fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
-        let leader = warp.leader().thread_id;
         let (r, t1, latency, retries) = self.timed(|| self.inner.free_warp_all(warp));
         // Bulk free: the individual pointers are the manager's private
         // state, so the event carries the null sentinel and the occupancy
         // replay leaves these allocations in place (documented limitation
         // for FDGMalloc-style tidy-up).
-        let end = [u64::MAX, latency, retries, r.is_ok() as u64];
-        self.rec.emit_free(t1, warp.sm, leader, Some(0), end);
+        let args = [u64::MAX, latency, retries, r.is_ok() as u64];
+        self.rec.emit_at(t1, warp.sm, EventKind::FreeEnd, args);
         r
     }
 }
@@ -793,8 +646,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events discarded because a shard was full.
     pub dropped: u64,
-    /// The recorder's per-shard capacity (for drop-rate context).
-    pub events_per_sm: usize,
 }
 
 impl Trace {
@@ -887,11 +738,6 @@ impl LatencyHistogram {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
-    }
-
     /// Latency at percentile `p` (0 < p <= 100), as the upper bound of the
     /// bucket containing that rank, capped at the observed maximum. Returns
     /// 0 only for an empty histogram.
@@ -924,16 +770,6 @@ impl LatencyHistogram {
     /// 99th-percentile latency (bucket upper bound).
     pub fn p99(&self) -> u64 {
         self.percentile(99.0)
-    }
-
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -972,10 +808,6 @@ pub struct OccupancySample {
     pub live_bytes: u64,
     /// Allocations live at this instant.
     pub live_allocs: u64,
-    /// Span of the cumulative touched address range, in bytes
-    /// ([`AddressRange::range`]): how far apart the manager has scattered
-    /// its placements so far.
-    pub range_span: u64,
 }
 
 /// The heap-occupancy/fragmentation timeline replayed from a trace.
@@ -1005,28 +837,20 @@ pub fn occupancy_timeline(trace: &Trace, max_samples: usize) -> OccupancyTimelin
     let mut live_bytes = 0u64;
     let mut raw: Vec<OccupancySample> = Vec::new();
     for e in &trace.events {
-        match e.kind {
-            EventKind::MallocEnd if e.args[0] != u64::MAX => {
-                let (ptr, size) = (e.args[0], e.args[1]);
-                if live.insert(ptr, size).is_none() {
-                    live_bytes += size;
-                }
-                range.record(DevicePtr::new(ptr), size);
+        if let Some((ptr, size)) = e.grant() {
+            if live.insert(ptr, size).is_none() {
+                live_bytes += size;
             }
-            EventKind::FreeEnd if e.args[0] != u64::MAX && e.args[3] == 1 => {
-                match live.remove(&e.args[0]) {
-                    Some(size) => live_bytes -= size,
-                    None => out.unmatched_frees += 1,
-                }
+            range.record(DevicePtr::new(ptr), size);
+        } else if let Some(ptr) = e.release() {
+            match live.remove(&ptr) {
+                Some(size) => live_bytes -= size,
+                None => out.unmatched_frees += 1,
             }
-            _ => continue,
+        } else {
+            continue;
         }
-        let sample = OccupancySample {
-            ts_ns: e.ts_ns,
-            live_bytes,
-            live_allocs: live.len() as u64,
-            range_span: range.range(),
-        };
+        let sample = OccupancySample { ts_ns: e.ts_ns, live_bytes, live_allocs: live.len() as u64 };
         out.peak_live_bytes = out.peak_live_bytes.max(live_bytes);
         out.peak_live_allocs = out.peak_live_allocs.max(live.len() as u64);
         raw.push(sample);
@@ -1072,8 +896,7 @@ fn us(ns: u64) -> String {
 /// loadable in Perfetto (`ui.perfetto.dev`) and `chrome://tracing`.
 ///
 /// Layout: one thread track per SM carrying complete (`"X"`) slices for
-/// malloc/free operations and warp residency, a separate track for launch
-/// spans, async (`"b"`/`"e"`) spans tying each successful allocation to its
+/// malloc/free operations, a separate track for launch spans, async (`"b"`/`"e"`) spans tying each successful allocation to its
 /// free, and counter (`"C"`) tracks for live heap bytes, live allocation
 /// count and CAS-retry rate. Instant (`"i"`) events mark OOM fallbacks and
 /// sanitizer violations. Every event carries `ph`/`ts`/`pid`/`tid`.
@@ -1116,12 +939,10 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
          \"args\":{{\"name\":\"launches\"}}}}"
     ));
 
-    // Open warp-dispatch and launch-begin events waiting for their close.
-    let mut open_warps: HashMap<(u64, u64), u64> = HashMap::new();
+    // Launch-begin events waiting for their close: launch id -> begin ts.
     let mut open_launches: HashMap<u64, u64> = HashMap::new();
-    // Successful allocations still live, for async alloc-lifetime spans:
-    // ptr -> begin ts.
-    let mut open_allocs: HashMap<u64, u64> = HashMap::new();
+    // Successful allocations still live, for async alloc-lifetime spans.
+    let mut open_allocs: HashSet<u64> = HashSet::new();
 
     for e in &trace.events {
         let sm = e.sm;
@@ -1141,16 +962,14 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
                     e.args[3],
                     e.args[0]
                 ));
-                if ok && !open_allocs.contains_key(&e.args[0]) {
-                    open_allocs.insert(e.args[0], e.ts_ns);
-                    push(format!(
+                match e.grant() {
+                    Some((ptr, size)) if open_allocs.insert(ptr) => push(format!(
                         "{{\"ph\":\"b\",\"ts\":{},\"pid\":0,\"tid\":{sm},\"cat\":\"alloc\",\
-                         \"name\":\"allocation\",\"id\":\"{:#x}\",\
-                         \"args\":{{\"size\":{}}}}}",
-                        us(e.ts_ns),
-                        e.args[0],
-                        e.args[1]
-                    ));
+                         \"name\":\"allocation\",\"id\":\"{ptr:#x}\",\
+                         \"args\":{{\"size\":{size}}}}}",
+                        us(e.ts_ns)
+                    )),
+                    _ => {}
                 }
             }
             EventKind::FreeEnd => {
@@ -1166,32 +985,13 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
                     e.args[2],
                     e.args[3]
                 ));
-                if e.args[0] != u64::MAX
-                    && e.args[3] == 1
-                    && open_allocs.remove(&e.args[0]).is_some()
-                {
-                    push(format!(
+                match e.release() {
+                    Some(ptr) if open_allocs.remove(&ptr) => push(format!(
                         "{{\"ph\":\"e\",\"ts\":{},\"pid\":0,\"tid\":{sm},\"cat\":\"alloc\",\
-                         \"name\":\"allocation\",\"id\":\"{:#x}\"}}",
-                        us(e.ts_ns),
-                        e.args[0]
-                    ));
-                }
-            }
-            EventKind::WarpDispatched => {
-                open_warps.insert((e.args[1], e.args[0]), e.ts_ns);
-            }
-            EventKind::WarpRetired => {
-                if let Some(t0) = open_warps.remove(&(e.args[1], e.args[0])) {
-                    push(format!(
-                        "{{\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{sm},\
-                         \"cat\":\"warp\",\"name\":\"warp {}\",\
-                         \"args\":{{\"launch\":{}}}}}",
-                        us(t0),
-                        us(e.ts_ns.saturating_sub(t0)),
-                        e.args[0],
-                        e.args[1]
-                    ));
+                         \"name\":\"allocation\",\"id\":\"{ptr:#x}\"}}",
+                        us(e.ts_ns)
+                    )),
+                    _ => {}
                 }
             }
             EventKind::LaunchBegin => {
@@ -1249,7 +1049,6 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
                     e.args[1]
                 ));
             }
-            EventKind::MallocBegin | EventKind::FreeBegin => {}
         }
     }
 
@@ -1345,16 +1144,16 @@ mod tests {
     #[test]
     fn emit_and_snapshot_roundtrip() {
         let rec = TraceRecorder::new(4, 16);
-        rec.emit_at(10, 1, EventKind::MallocBegin, [64, 7, 0, 0]);
+        rec.emit_at(10, 1, EventKind::OomFallback, [1, 0, 0, 0]);
         rec.emit_at(20, 1, EventKind::MallocEnd, [0x100, 64, 10, 3]);
-        rec.emit_at(5, 2, EventKind::FreeBegin, [0x100, 7, 1, 0]);
+        rec.emit_at(5, 2, EventKind::FreeEnd, [0x100, 7, 1, 1]);
         let t = rec.snapshot();
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped, 0);
         // Sorted by timestamp.
-        assert_eq!(t.events[0].kind, EventKind::FreeBegin);
+        assert_eq!(t.events[0].kind, EventKind::FreeEnd);
         assert_eq!(t.events[0].sm, 2);
-        assert_eq!(t.events[1], ev(10, EventKind::MallocBegin, 1, [64, 7, 0, 0]));
+        assert_eq!(t.events[1], ev(10, EventKind::OomFallback, 1, [1, 0, 0, 0]));
         assert_eq!(t.events[2].args, [0x100, 64, 10, 3]);
         assert_eq!(rec.recorded(), 3);
     }
@@ -1404,27 +1203,8 @@ mod tests {
         assert_eq!(t.dropped, 6);
         // Drop-newest: the first four events survive.
         assert_eq!(t.events.iter().map(|e| e.ts_ns).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-
-        // The ring fills on an op record: the one that takes the last slot
-        // counts two events recorded, the one turned away two dropped, and
-        // the claim word stops moving once the shard is full.
-        let rec = TraceRecorder::new(1, 3);
-        rec.emit_at(1, 0, EventKind::OomFallback, [1, 0, 0, 0]);
-        rec.emit_at(2, 0, EventKind::OomFallback, [1, 0, 0, 0]);
-        rec.emit_malloc(13, 0, 7, 64, [0x40, 64, 10, 0]);
-        let full = rec.shards[0].claimed.load(Ordering::Relaxed);
-        rec.emit_free(24, 0, 7, None, [0x40, 10, 0, 1]);
-        rec.emit_at(25, 0, EventKind::OomFallback, [1, 0, 0, 0]);
-        assert_eq!((rec.recorded(), rec.dropped()), (4, 3));
-        assert_eq!(rec.recorded() + rec.dropped(), 1 + 1 + 2 + 2 + 1, "every event attempted");
-        assert_eq!(rec.snapshot().len() as u64, rec.recorded());
-        assert_eq!(rec.shards[0].claimed.load(Ordering::Relaxed), full, "full ring: no claim");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds 2^30")]
-    fn capacity_the_claim_word_cannot_index_is_rejected() {
-        let _ = TraceRecorder::new(1, MAX_EVENTS_PER_SM + 1);
+        // Drop-newest costs no claim: the slot counter stops at capacity.
+        assert_eq!(rec.shards[0].claimed.load(Ordering::Relaxed), 4, "full ring: no claim");
     }
 
     #[test]
@@ -1434,26 +1214,23 @@ mod tests {
     }
 
     /// A ring far from a page multiple (4 shards × 5 slots, 960 bytes):
-    /// each SM's shard holds its five op records, the sixteenth is dropped.
+    /// each SM's shard holds its five events, the sixteenth is dropped.
     #[test]
-    fn small_ring_round_trips_op_records_on_every_shard() {
+    fn small_ring_round_trips_events_on_every_shard() {
         let rec = TraceRecorder::new(3, 5);
         assert_eq!(rec.ring.len(), 4 * 5 * 48);
         for i in 0..15u32 {
-            rec.emit_malloc(100 + u64::from(i), i % 3, i, 64, [u64::from(i) * 64, 64, 10, 0]);
+            let ptr = u64::from(i) * 64;
+            rec.emit_at(100 + u64::from(i), i % 3, EventKind::MallocEnd, [ptr, 64, 10, 0]);
         }
-        rec.emit_malloc(200, 1, 99, 64, [0x4000, 64, 10, 0]);
-        assert_eq!((rec.recorded(), rec.dropped()), (30, 2));
+        rec.emit_at(200, 1, EventKind::MallocEnd, [0x4000, 64, 10, 0]);
+        assert_eq!((rec.recorded(), rec.dropped()), (15, 1));
         let t = rec.snapshot();
         for sm in 0..3 {
-            let ends: Vec<u64> = t
-                .events
-                .iter()
-                .filter(|e| e.sm == sm && e.kind == EventKind::MallocEnd)
-                .map(|e| e.args[0])
-                .collect();
+            let ptrs: Vec<u64> =
+                t.events.iter().filter(|e| e.sm == sm).map(|e| e.args[0]).collect();
             let expect: Vec<u64> = (0..5).map(|k| u64::from(sm + 3 * k) * 64).collect();
-            assert_eq!(ends, expect, "sm {sm}");
+            assert_eq!(ptrs, expect, "sm {sm}");
         }
     }
 
@@ -1468,7 +1245,7 @@ mod tests {
         // Another test thread may map the hole the instant it opens: one
         // sighting of the address unmapped is the proof (a leak never shows).
         let unmapped = (0..8).any(|_| {
-            let rec = TraceRecorder::with_default_capacity(80);
+            let rec = TraceRecorder::new(80, DEFAULT_EVENTS_PER_SM);
             let base = rec.ring.base() as usize;
             assert_eq!(rec.ring.len(), 128 * shard_bytes);
             assert_eq!(resident_bytes(base, 80 * shard_bytes), 80 * shard_bytes);
@@ -1483,65 +1260,11 @@ mod tests {
         assert!(unmapped);
     }
 
-    /// Op records and point events interleaved on one shard: every event
-    /// comes back exactly once across incremental drains, both halves of an
-    /// op in the same drain, and the drains add up to a full snapshot.
-    #[test]
-    fn snapshot_since_with_op_records_and_point_events_interleaved() {
-        let rec = TraceRecorder::new(1, 16);
-        let mut cursors = Vec::new();
-        rec.emit_malloc(20, 0, 3, 64, [0x100, 64, 10, 2]);
-        rec.emit_at(21, 0, EventKind::CacheHit, [0x100, 64, 0, 0]);
-        let t1 = rec.snapshot_since(&mut cursors);
-        let kinds = |t: &Trace| t.events.iter().map(|e| e.kind).collect::<Vec<_>>();
-        assert_eq!(kinds(&t1), [EventKind::MallocBegin, EventKind::MallocEnd, EventKind::CacheHit]);
-        assert_eq!(cursors, [2], "the cursor counts slots, not events");
-
-        rec.emit_at(30, 0, EventKind::OomFallback, [1, 0, 0, 0]);
-        rec.emit_free(45, 0, 3, None, [0x100, 10, 0, 1]);
-        rec.emit_free(60, 0, 96, Some(2), [0x200, 5, 1, 0]);
-        let t2 = rec.snapshot_since(&mut cursors);
-        assert_eq!(
-            kinds(&t2),
-            [
-                EventKind::OomFallback,
-                EventKind::FreeBegin,
-                EventKind::FreeEnd,
-                EventKind::FreeBegin,
-                EventKind::FreeEnd
-            ]
-        );
-        // A collective free's Begin carries the sentinel, the leader and
-        // the live lane count; its End the first lane's pointer.
-        assert_eq!(t2.events[3], ev(55, EventKind::FreeBegin, 0, [u64::MAX, 96, 2, 0]));
-        assert_eq!(t2.events[4], ev(60, EventKind::FreeEnd, 0, [0x200, 5, 1, 0]));
-        assert!(rec.snapshot_since(&mut cursors).events.is_empty());
-
-        let all = rec.snapshot();
-        assert_eq!(all.len(), t1.len() + t2.len());
-        assert_eq!(rec.recorded(), all.len() as u64);
-        let mut drained = t1.events.clone();
-        drained.extend(&t2.events);
-        assert_eq!(drained, all.events);
-    }
-
-    /// A collective malloc's first-lane record reports the warp's total
-    /// bytes in its Begin and the lane's own size in its End.
-    #[test]
-    fn malloc_op_record_keeps_requested_bytes_beyond_the_lane_size() {
-        let rec = TraceRecorder::new(1, 4);
-        rec.emit_malloc(100, 5, 64, 32 * 48, [0x1000, 48, 40, u64::MAX]);
-        let t = rec.snapshot();
-        assert_eq!(t.events[0], ev(60, EventKind::MallocBegin, 5, [32 * 48, 64, 0, 0]));
-        let end = [0x1000, 48, 40, u64::from(u32::MAX)];
-        assert_eq!(t.events[1], ev(100, EventKind::MallocEnd, 5, end));
-    }
-
     #[test]
     fn sm_ids_fold_into_shards() {
         let rec = TraceRecorder::new(4, 8);
         // SM 5 folds into shard 1 (mask 3) but the event keeps its real id.
-        rec.emit_at(1, 5, EventKind::WarpDispatched, [9, 0, 0, 0]);
+        rec.emit_at(1, 5, EventKind::OomFallback, [9, 0, 0, 0]);
         let t = rec.snapshot();
         assert_eq!(t.events[0].sm, 5);
     }
@@ -1573,17 +1296,10 @@ mod tests {
     }
 
     #[test]
-    fn launch_ids_are_unique() {
-        let rec = TraceRecorder::new(1, 4);
-        assert_eq!(rec.next_launch_id(), 0);
-        assert_eq!(rec.next_launch_id(), 1);
-        assert_eq!(rec.next_launch_id(), 2);
-    }
-
-    #[test]
     fn event_kind_tags_roundtrip() {
-        for kind in ALL_EVENT_KINDS {
-            assert_eq!(EventKind::from_tag(kind.tag() as u32), Some(kind), "{}", kind.name());
+        for tag in 1..=EVENT_KINDS as u32 {
+            let kind = EventKind::from_tag(tag).expect("every tag up to EVENT_KINDS decodes");
+            assert_eq!(kind.tag(), u64::from(tag), "{}", kind.name());
         }
         assert_eq!(EventKind::from_tag(0), None, "tag 0 is reserved for unwritten slots");
         assert_eq!(EventKind::from_tag(EVENT_KINDS as u32 + 1), None);
@@ -1625,36 +1341,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_combined_recording() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for i in 1..=100u64 {
-            if i % 2 == 0 {
-                a.record(i * 10)
-            } else {
-                b.record(i * 10)
-            }
-            both.record(i * 10);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.p50(), both.p50());
-        assert_eq!(a.p99(), both.p99());
-        assert_eq!(a.max_ns(), both.max_ns());
-    }
-
-    #[test]
     fn op_latencies_split_malloc_and_free() {
         let t = Trace {
             events: vec![
                 ev(10, EventKind::MallocEnd, 0, [0x40, 64, 100, 0]),
                 ev(20, EventKind::MallocEnd, 0, [u64::MAX, 64, 900, 2]),
                 ev(30, EventKind::FreeEnd, 0, [0x40, 50, 0, 1]),
-                ev(40, EventKind::WarpRetired, 0, [0, 0, 0, 0]),
+                ev(40, EventKind::LaunchEnd, 0, [0, 0, 0, 0]),
             ],
             dropped: 0,
-            events_per_sm: 16,
         };
         let lat = OpLatencies::from_trace(&t);
         assert_eq!(lat.malloc.count(), 2);
@@ -1678,7 +1373,6 @@ mod tests {
                 ev(60, EventKind::MallocEnd, 0, [u64::MAX, 64, 5, 0]),
             ],
             dropped: 0,
-            events_per_sm: 64,
         };
         let occ = occupancy_timeline(&t, 1000);
         assert_eq!(occ.peak_live_bytes, 150);
@@ -1696,7 +1390,7 @@ mod tests {
     fn occupancy_decimation_keeps_last_sample() {
         let events: Vec<TraceEvent> =
             (0..100).map(|i| ev(i, EventKind::MallocEnd, 0, [i * 64, 64, 5, 0])).collect();
-        let t = Trace { events, dropped: 0, events_per_sm: 256 };
+        let t = Trace { events, dropped: 0 };
         let occ = occupancy_timeline(&t, 10);
         assert!(occ.samples.len() <= 11, "got {}", occ.samples.len());
         assert_eq!(occ.samples.last().unwrap().live_allocs, 100);
@@ -1708,20 +1402,17 @@ mod tests {
         let t = Trace {
             events: vec![
                 ev(1000, EventKind::LaunchBegin, 0, [0, 64, 2, 0]),
-                ev(1100, EventKind::WarpDispatched, 1, [0, 0, 0, 0]),
                 ev(1200, EventKind::MallocEnd, 1, [0x80, 64, 100, 7]),
                 ev(1300, EventKind::FreeEnd, 1, [0x80, 50, 1, 1]),
-                ev(1400, EventKind::WarpRetired, 1, [0, 0, 0, 0]),
                 ev(1500, EventKind::OomFallback, 1, [1, 0, 0, 0]),
                 ev(1600, EventKind::SanitizerViolation, 2, [3, 64, 16, 0]),
                 ev(1700, EventKind::LaunchEnd, 0, [0, 700, 0, 0]),
             ],
             dropped: 0,
-            events_per_sm: 64,
         };
         let json = chrome_trace_json(&t, "test \"quoted\" label");
         let n = validate_chrome_json(&json).expect("export must be valid");
-        assert!(n >= 8, "expected metadata + events, got {n}");
+        assert!(n >= 6, "expected metadata + events, got {n}");
         for needle in [
             "\"ph\":\"X\"",
             "\"ph\":\"M\"",
@@ -1908,10 +1599,10 @@ mod tests {
     }
 }
 
-// Loom model of the claim/publish protocol: the writer of an op record and
-// the writer of a point event race a reader that drains incrementally. With
-// no shard-wide commit count, the per-slot tag is all that stands between
-// the reader and a half-written slot.
+// Loom model of the claim/publish protocol: two writers — a `Traced`-shaped
+// `MallocEnd` and a point event — race a reader that drains incrementally.
+// With no shard-wide commit count, the per-slot tag is all that stands
+// between the reader and a half-written slot.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
@@ -1920,39 +1611,32 @@ mod loom_tests {
     fn loom_claim_commit_publishes_whole_slots() {
         crate::sync::model(|| {
             let rec = Arc::new(TraceRecorder::new(1, 4));
-            let op = {
+            let writer = |ts: u64, kind: EventKind| {
                 let rec = Arc::clone(&rec);
-                crate::sync::thread::spawn(move || rec.emit_malloc(7, 0, 7, 7, [7; 4]))
+                crate::sync::thread::spawn(move || rec.emit_at(ts, 0, kind, [ts; 4]))
             };
-            let point = {
-                let rec = Arc::clone(&rec);
-                crate::sync::thread::spawn(move || {
-                    rec.emit_at(9, 0, EventKind::OomFallback, [9; 4]);
-                })
-            };
-            // Whatever a drain returns is whole: an op record shows both of
-            // its halves or neither, and no payload word is torn.
+            let malloc = writer(7, EventKind::MallocEnd);
+            let oom = writer(9, EventKind::OomFallback);
+            // Whatever a drain returns is whole: no word of a slot is torn.
             let whole = |t: &Trace| {
                 for ev in &t.events {
-                    let want = match ev.kind {
-                        EventKind::MallocBegin => (0, [7, 7, 0, 0]),
-                        EventKind::MallocEnd => (7, [7; 4]),
-                        EventKind::OomFallback => (9, [9; 4]),
+                    let ts = match ev.kind {
+                        EventKind::MallocEnd => 7,
+                        EventKind::OomFallback => 9,
                         other => panic!("nobody wrote a {other:?}"),
                     };
-                    assert_eq!((ev.ts_ns, ev.args), want);
+                    assert_eq!((ev.ts_ns, ev.args), (ts, [ts; 4]));
                 }
-                assert_eq!(t.count(EventKind::MallocBegin), t.count(EventKind::MallocEnd));
             };
             let mut cursors = Vec::new();
             let mid = rec.snapshot_since(&mut cursors);
             whole(&mid);
-            op.join().unwrap();
-            point.join().unwrap();
+            malloc.join().unwrap();
+            oom.join().unwrap();
             let rest = rec.snapshot_since(&mut cursors);
             whole(&rest);
-            assert_eq!(mid.len() + rest.len(), 3, "each event in exactly one drain");
-            assert_eq!(rec.recorded(), 3);
+            assert_eq!(mid.len() + rest.len(), 2, "each event in exactly one drain");
+            assert_eq!(rec.recorded(), 2);
         });
     }
 }

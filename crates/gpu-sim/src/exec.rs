@@ -29,8 +29,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use gpumem_core::trace::EventKind;
-use gpumem_core::{CounterSnapshot, Metrics, ThreadCtx, WarpCtx, WARP_SIZE};
+use gpumem_core::{ThreadCtx, WarpCtx, WARP_SIZE};
 
 use crate::spec::DeviceSpec;
 
@@ -68,21 +67,6 @@ pub enum LaunchPhase {
 /// between grids, not inside the timed parallel section, but it still
 /// delays back-to-back launches.
 pub type LaunchHook = Arc<dyn Fn(LaunchPhase) + Send + Sync>;
-
-/// Outcome of an observed launch: kernel wall-clock time plus the
-/// contention-counter activity attributable to that launch (the delta of
-/// the allocator's [`Metrics`] over the parallel section).
-#[derive(Clone, Debug, Default)]
-pub struct LaunchReport {
-    /// Wall-clock time of the parallel section (dispatch excluded).
-    pub elapsed: Duration,
-    /// Counter deltas accumulated during the launch. All-zero when the
-    /// allocator's metrics are disabled.
-    pub counters: CounterSnapshot,
-    /// Scheduler-side observability: dispatch overhead, worker balance and
-    /// steal count for the launch.
-    pub sched: SchedStats,
-}
 
 /// Scheduler observability for one launch.
 #[derive(Clone, Debug, Default)]
@@ -437,11 +421,10 @@ impl Device {
     }
 
     /// Installs a launch-lifecycle callback, replacing any previous one.
-    /// The hook fires around every pooled launch ([`LaunchPhase::Begin`] /
-    /// [`LaunchPhase::End`]) — plain *and* observed variants — which is how
-    /// the telemetry sampler aligns its windows to kernel boundaries
-    /// (`repro watch` cuts a window at each `End`). See [`LaunchHook`] for
-    /// the re-entrancy rule.
+    /// The hook fires around every launch ([`LaunchPhase::Begin`] /
+    /// [`LaunchPhase::End`]), which is how the telemetry sampler aligns its
+    /// windows to kernel boundaries (`repro watch` cuts a window at each
+    /// `End`). See [`LaunchHook`] for the re-entrancy rule.
     pub fn set_launch_hook(&mut self, hook: LaunchHook) {
         self.hook = Some(hook);
     }
@@ -482,103 +465,6 @@ impl Device {
                 kernel(&ctx);
             }
         })
-    }
-
-    /// As [`Device::launch`], additionally snapshotting `metrics` around the
-    /// parallel section so the caller gets the per-kernel counter delta.
-    ///
-    /// The launch gate is taken *before* the first snapshot and held until
-    /// the second, so concurrent observed launches on this device sharing
-    /// one `Metrics` handle serialise and each report's delta covers
-    /// exactly its own launch. (Launches on *different* `Device` instances
-    /// sharing a handle still interleave — give each device its own handle
-    /// and [`CounterSnapshot::merge`] the deltas.) When the handle carries
-    /// a tracer, launch and warp lifecycle events are recorded too.
-    pub fn launch_observed<F>(&self, metrics: &Metrics, n_threads: u32, kernel: F) -> LaunchReport
-    where
-        F: Fn(&ThreadCtx) + Sync,
-    {
-        let n_warps = n_threads.div_ceil(WARP_SIZE);
-        let block_size = self.spec.default_block_size;
-        let num_sms = self.spec.num_sms;
-        let body = |warp_id: u32| {
-            let first = warp_id * WARP_SIZE;
-            let last = (first + WARP_SIZE).min(n_threads);
-            for tid in first..last {
-                let ctx = ThreadCtx::from_linear(tid, block_size, num_sms);
-                kernel(&ctx);
-            }
-        };
-        let sm_of =
-            |warp_id: u32| ThreadCtx::from_linear(warp_id * WARP_SIZE, block_size, num_sms).sm;
-        self.observed_run(metrics, n_warps, n_threads as u64, &body, &sm_of)
-    }
-
-    /// As [`Device::launch_warps`], with the counter snapshotting (and
-    /// per-launch delta scoping) of [`Device::launch_observed`].
-    pub fn launch_warps_observed<F>(
-        &self,
-        metrics: &Metrics,
-        n_warps: u32,
-        kernel: F,
-    ) -> LaunchReport
-    where
-        F: Fn(&WarpCtx) + Sync,
-    {
-        let block_size = self.spec.default_block_size;
-        let num_sms = self.spec.num_sms;
-        let warps_per_block = (block_size / WARP_SIZE).max(1);
-        let body = |warp_id: u32| {
-            let block = warp_id / warps_per_block;
-            let ctx = WarpCtx { warp: warp_id, block, sm: block % num_sms };
-            kernel(&ctx);
-        };
-        let sm_of = |warp_id: u32| (warp_id / warps_per_block) % num_sms;
-        self.observed_run(
-            metrics,
-            n_warps,
-            u64::from(n_warps) * u64::from(WARP_SIZE),
-            &body,
-            &sm_of,
-        )
-    }
-
-    /// Shared implementation of the observed launches: gate, snapshot, run,
-    /// snapshot. Holding the launch gate across both snapshots is what makes
-    /// the delta per-launch — before this, two concurrent observed launches
-    /// would each read the other's counter traffic into its delta. With a
-    /// tracer attached, emits `LaunchBegin`/`LaunchEnd` (on shard 0) and
-    /// per-warp `WarpDispatched`/`WarpRetired` events.
-    fn observed_run(
-        &self,
-        metrics: &Metrics,
-        n_warps: u32,
-        n_threads: u64,
-        body: &(dyn Fn(u32) + Sync),
-        sm_of_warp: &(dyn Fn(u32) -> u32 + Sync),
-    ) -> LaunchReport {
-        let _gate = lock_pool(&self.pool.launch_gate);
-        if let Some(rec) = metrics.tracer() {
-            let launch_id = rec.next_launch_id();
-            rec.emit(0, EventKind::LaunchBegin, [launch_id, n_threads, u64::from(n_warps), 0]);
-            let traced = |warp_id: u32| {
-                let sm = sm_of_warp(warp_id);
-                rec.emit(sm, EventKind::WarpDispatched, [u64::from(warp_id), launch_id, 0, 0]);
-                body(warp_id);
-                rec.emit(sm, EventKind::WarpRetired, [u64::from(warp_id), launch_id, 0, 0]);
-            };
-            let before = metrics.snapshot();
-            // memlint: allow(lock-across-launch-gate) — the gate is the outermost whole-grid serialisation by design; pool state is strictly interior and never taken in the reverse order
-            let (elapsed, sched) = self.run_warps_locked(n_warps, &traced);
-            let counters = metrics.snapshot().delta_since(&before);
-            rec.emit(0, EventKind::LaunchEnd, [launch_id, elapsed.as_nanos() as u64, 0, 0]);
-            LaunchReport { elapsed, counters, sched }
-        } else {
-            let before = metrics.snapshot();
-            // memlint: allow(lock-across-launch-gate) — the gate is the outermost whole-grid serialisation by design; pool state is strictly interior and never taken in the reverse order
-            let (elapsed, sched) = self.run_warps_locked(n_warps, body);
-            LaunchReport { elapsed, counters: metrics.snapshot().delta_since(&before), sched }
-        }
     }
 
     /// Launches `n_warps` warps running a *warp-collective* kernel, one call

@@ -33,5 +33,5 @@ pub mod access;
 pub mod exec;
 pub mod spec;
 
-pub use exec::{Device, LaunchHook, LaunchPhase, LaunchReport, PerThread, SchedStats};
+pub use exec::{Device, LaunchHook, LaunchPhase, PerThread, SchedStats};
 pub use spec::DeviceSpec;

@@ -116,6 +116,7 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     trace -m scatter --num 2048 --out target/trace-smoke
 test -s target/trace-smoke/trace_scatter.json
 grep -q '"ph"' target/trace-smoke/trace_scatter.json
+grep -q '"cat":"launch"' target/trace-smoke/trace_scatter.json
 grep -q '^ScatterAlloc,malloc,' target/trace-smoke/trace_latency_2048_TITANV.csv
 
 # Telemetry smoke: a watched run must produce a schema-versioned JSON

@@ -21,7 +21,7 @@ pub use alloc_xmalloc;
 
 /// Convenience prelude: the types almost every user touches.
 pub mod prelude {
-    pub use gpu_sim::{Device, DeviceSpec, LaunchReport, SchedStats};
+    pub use gpu_sim::{Device, DeviceSpec, SchedStats};
     pub use gpumem_bench::registry::{ManagerBuilder, ManagerKind, ManagerSelection};
     pub use gpumem_core::{
         chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,

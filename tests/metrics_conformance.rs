@@ -10,8 +10,6 @@
 //! 3. **Monotone snapshots** — concurrent launches never make any counter
 //!    go backwards between two readings of the same handle.
 
-use std::sync::Arc;
-
 use gpumemsurvey::bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use gpumemsurvey::gpu_workloads::round;
 use gpumemsurvey::prelude::*;
@@ -112,63 +110,6 @@ fn snapshots_are_monotone_under_concurrent_launches() {
         s.malloc_calls(),
         s.malloc_failures() + (s.free_calls() - s.free_failures()) + s.live()
     );
-}
-
-#[test]
-fn launch_observed_reports_per_launch_deltas() {
-    let alloc = ManagerKind::RegEffC.builder().heap(HEAP).sms(80).metrics(true).build();
-    let d = device();
-    let a = Arc::clone(&alloc);
-    let report = d.launch_observed(&alloc.metrics(), N, |ctx| {
-        let _ = a.malloc(ctx, 32);
-    });
-    assert_eq!(report.counters.malloc_calls(), N as u64);
-    // A second, smaller launch reports only its own delta.
-    let a = Arc::clone(&alloc);
-    let report2 = d.launch_observed(&alloc.metrics(), N / 2, |ctx| {
-        let _ = a.malloc(ctx, 32);
-    });
-    assert_eq!(report2.counters.malloc_calls(), (N / 2) as u64);
-}
-
-#[test]
-fn concurrent_launches_do_not_cross_contaminate_deltas() {
-    // Regression: `launch_observed` used to take its before/after
-    // snapshots around an un-serialized launch, so two threads sharing
-    // one Metrics handle interleaved and each launch's delta absorbed
-    // part of the other's counts. The executor's launch gate now scopes
-    // snapshot–launch–snapshot atomically; every reported delta must
-    // equal exactly its own launch's op count.
-    let alloc = ManagerKind::ScatterAlloc.builder().heap(HEAP).sms(80).metrics(true).build();
-    let d = device();
-    let counts: Vec<u32> = (0..4u32).map(|i| N / 2 + i * 100).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = counts
-            .iter()
-            .map(|&n| {
-                let alloc = Arc::clone(&alloc);
-                let d = &d;
-                scope.spawn(move || {
-                    let a = Arc::clone(&alloc);
-                    let report = d.launch_observed(&alloc.metrics(), n, move |ctx| {
-                        let _ = a.malloc(ctx, 32);
-                    });
-                    (n, report)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (n, report) = h.join().unwrap();
-            assert_eq!(
-                report.counters.malloc_calls(),
-                u64::from(n),
-                "delta must contain exactly this launch's {n} calls"
-            );
-        }
-    });
-    // The shared handle still accumulated the global total.
-    let total: u64 = counts.iter().map(|&n| u64::from(n)).sum();
-    assert_eq!(alloc.metrics().snapshot().malloc_calls(), total);
 }
 
 #[test]

@@ -12,11 +12,10 @@
 //!    path is one `Option` discriminant check; a release-mode nanobench
 //!    bounds the per-op cost (same style as the executor's
 //!    timing-fidelity test, ignored in debug builds).
-//! 4. **One record per operation** — a traced `malloc`/`free` writes one
-//!    ring slot that decodes to the documented Begin/End pair; its enabled
-//!    cost is bounded by two clock reads plus a constant (release-only),
-//!    and the clock behind `now_ns()` is monotonic and agrees with
-//!    `Instant`.
+//! 4. **One event per operation** — a traced `malloc`/`free` writes one
+//!    ring slot, the documented `MallocEnd`/`FreeEnd`; its enabled cost is
+//!    bounded by two clock reads plus a constant (release-only), and the
+//!    clock behind `now_ns()` is monotonic and agrees with `Instant`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,6 +24,7 @@ use gpumemsurvey::bench::registry::ManagerKind;
 use gpumemsurvey::bench::runners::{self, Bench};
 use gpumemsurvey::core::trace::DEFAULT_EVENTS_PER_SM;
 use gpumemsurvey::core::{validate_chrome_json, EventKind, RegisterFootprint, TraceRecorder};
+use gpumemsurvey::gpu_workloads::round;
 use gpumemsurvey::prelude::*;
 
 const N: u32 = 4096;
@@ -80,11 +80,9 @@ fn builder_without_trace_attaches_no_recorder_and_records_nothing() {
     // flow through an explicitly attached tracer.
     let bystander = TraceRecorder::new(80, 256);
     let d = Device::with_workers(DeviceSpec::titan_v(), 4);
-    let a = Arc::clone(&alloc);
-    let report = d.launch_observed(&alloc.metrics(), N, move |ctx| {
-        let _ = a.malloc(ctx, 64);
-    });
-    assert_eq!(report.counters.malloc_calls(), u64::from(N), "metrics still work untraced");
+    round::malloc_threads(alloc.as_ref(), &d, N, |_| 64);
+    let calls = alloc.metrics().snapshot().malloc_calls();
+    assert_eq!(calls, u64::from(N), "metrics still work untraced");
     assert_eq!(bystander.recorded(), 0, "recorded event count must be 0 with tracing disabled");
     assert!(bystander.snapshot().is_empty());
     assert!(alloc.metrics().tracer().is_none(), "launches never attach tracers");
@@ -92,23 +90,31 @@ fn builder_without_trace_attaches_no_recorder_and_records_nothing() {
 
 #[test]
 fn traced_launch_emits_lifecycle_events() {
-    // `launch_observed` on a traced manager brackets the run with
-    // LaunchBegin/End and per-warp Dispatched/Retired markers.
-    let alloc = ManagerKind::ScatterAlloc.builder().heap(64 << 20).sms(80).trace(true).build();
-    let m = alloc.metrics();
-    let d = Device::with_workers(DeviceSpec::titan_v(), 4);
-    let a = Arc::clone(&alloc);
-    d.launch_observed(&m, 256, move |ctx| {
-        let _ = a.malloc(ctx, 32);
-    });
-    let trace = m.tracer().expect("trace(true) attaches a recorder").snapshot();
-    let warps = 256usize.div_ceil(32);
-    assert_eq!(trace.count(EventKind::LaunchBegin), 1);
-    assert_eq!(trace.count(EventKind::LaunchEnd), 1);
-    assert_eq!(trace.count(EventKind::WarpDispatched), warps);
-    assert_eq!(trace.count(EventKind::WarpRetired), warps);
-    assert_eq!(trace.count(EventKind::MallocBegin), 256);
-    assert_eq!(trace.count(EventKind::MallocEnd), 256);
+    // `trace_profile` brackets its malloc round and its free round with a
+    // LaunchBegin/End pair each, and every operation lands inside the span
+    // of the round that ran it.
+    let b = bench();
+    let r = runners::trace_profile(&b, ManagerKind::ScatterAlloc, 256, DEFAULT_EVENTS_PER_SM);
+    let t = &r.trace;
+    assert_eq!((t.count(EventKind::LaunchBegin), t.count(EventKind::LaunchEnd)), (2, 2));
+    let span = |id: u64| {
+        let at = |kind| t.events.iter().find(|e| e.kind == kind && e.args[0] == id).unwrap().ts_ns;
+        at(EventKind::LaunchBegin)..=at(EventKind::LaunchEnd)
+    };
+    let (malloc, free) = (span(0), span(1));
+    for e in &t.events {
+        match e.kind {
+            EventKind::MallocEnd => assert!(malloc.contains(&e.ts_ns), "{e:?} outside {malloc:?}"),
+            EventKind::FreeEnd => assert!(free.contains(&e.ts_ns), "{e:?} outside {free:?}"),
+            _ => {}
+        }
+    }
+    assert_eq!((t.count(EventKind::MallocEnd), t.count(EventKind::FreeEnd)), (256, 256));
+
+    // A manager that cannot free runs no free round: one launch.
+    let r = runners::trace_profile(&b, ManagerKind::Atomic, 256, DEFAULT_EVENTS_PER_SM);
+    let t = &r.trace;
+    assert_eq!((t.count(EventKind::LaunchBegin), t.count(EventKind::LaunchEnd)), (1, 1));
 }
 
 /// Overhead guard: with tracing disabled, the metrics record path must add
@@ -141,7 +147,7 @@ fn disabled_tracing_adds_no_measurable_record_cost() {
     assert!(untraced < 200.0, "untraced record path costs {untraced:.2} ns/op (want < 200)");
 }
 
-/// A stateless manager for the op-record tests: thread `t` gets the block at
+/// A stateless manager for the per-operation tests: thread `t` gets the block at
 /// `64 * t`, sizes above 64 B and pointers off the 64 B grid are refused,
 /// and every malloc notes two CAS retries, every free one.
 struct Scripted {
@@ -184,11 +190,10 @@ impl DeviceAllocator for Scripted {
     }
 }
 
-/// Stream equivalence: every traced `malloc`/`free` is one ring slot that
-/// decodes to the Begin/End pair documented on `EventKind`, the Begin
-/// timestamped `latency` before the End.
+/// Stream equivalence: every traced `malloc`/`free` is one ring event, the
+/// `MallocEnd`/`FreeEnd` documented on `EventKind`.
 #[test]
-fn traced_ops_decode_to_begin_end_pairs() {
+fn traced_ops_are_one_event_each() {
     const OPS: u32 = 1024;
     let alloc = ManagerKind::ScatterAlloc.builder().heap(64 << 20).sms(80).trace(true).build();
     let rec = Arc::clone(alloc.metrics().tracer().expect("trace(true) attaches a recorder"));
@@ -200,41 +205,29 @@ fn traced_ops_decode_to_begin_end_pairs() {
     });
 
     let trace = rec.snapshot();
-    assert_eq!(trace.len(), 4 * OPS as usize, "two events per op, two ops per thread");
+    assert_eq!(trace.len(), 2 * OPS as usize, "one event per op, two ops per thread");
     assert_eq!(rec.recorded(), trace.len() as u64);
     assert_eq!(rec.dropped(), 0);
-    // One worker runs the threads in order, so every Begin is followed by
-    // its End before the next op starts on that SM.
+    // One worker runs the threads in order, so on every SM each thread's
+    // MallocEnd is followed by its FreeEnd.
     for sm in 0..80 {
         let on_sm: Vec<_> = trace.events.iter().filter(|e| e.sm == sm).collect();
-        let mut live = None;
         for pair in on_sm.chunks(2) {
-            let (begin, end) = (pair[0], pair[1]);
-            match (begin.kind, end.kind) {
-                (EventKind::MallocBegin, EventKind::MallocEnd) => {
-                    let [ptr, size, latency, _retries] = end.args;
-                    assert_eq!(begin.ts_ns, end.ts_ns - latency);
-                    assert!(latency >= 1);
-                    assert_eq!((begin.args[0], size), (48, 48));
-                    assert_eq!(begin.args[2..], [0, 0]);
-                    assert_ne!(ptr, u64::MAX);
-                    live = Some((ptr, begin.args[1]));
-                }
-                (EventKind::FreeBegin, EventKind::FreeEnd) => {
-                    let [ptr, latency, _retries, ok] = end.args;
-                    assert_eq!(begin.ts_ns, end.ts_ns - latency);
-                    let (malloced, thread) = live.take().expect("free follows its malloc");
-                    assert_eq!(begin.args, [malloced, thread, 1, 0]);
-                    assert_eq!((ptr, ok), (malloced, 1));
-                }
-                other => panic!("sm {sm}: not a Begin/End pair: {other:?}"),
-            }
+            let (malloc, free) = (pair[0], pair[1]);
+            assert_eq!((malloc.kind, free.kind), (EventKind::MallocEnd, EventKind::FreeEnd));
+            let [ptr, size, latency, _retries] = malloc.args;
+            assert_ne!(ptr, u64::MAX);
+            assert_eq!(size, 48);
+            assert!(latency >= 1);
+            let [freed, latency, _retries, ok] = free.args;
+            assert_eq!((freed, ok), (ptr, 1), "sm {sm}: the free names its malloc's pointer");
+            assert!(latency >= 1);
         }
     }
 }
 
-/// Every field of an op record round-trips, including the ones the happy
-/// path leaves at zero: retries, a refused malloc and a refused free.
+/// Every payload word round-trips, including the ones the happy path leaves
+/// at zero: retries, a refused malloc and a refused free.
 #[test]
 fn op_record_roundtrips_retries_and_failures() {
     let rec = Arc::new(TraceRecorder::new(4, 16));
@@ -248,21 +241,40 @@ fn op_record_roundtrips_retries_and_failures() {
     alloc.free(&ctx, p).unwrap();
 
     let t = rec.snapshot();
-    assert_eq!((t.len(), rec.recorded(), rec.dropped()), (8, 8, 0));
+    assert_eq!((t.len(), rec.recorded(), rec.dropped()), (4, 4, 0));
     assert!(t.events.iter().all(|e| e.sm == 6), "SM 6 folds onto shard 2 and keeps its id");
-    let latency = |i: usize| t.events[i].ts_ns - t.events[i - 1].ts_ns;
-    let want: [(EventKind, [u64; 4]); 8] = [
-        (EventKind::MallocBegin, [64, 77, 0, 0]),
-        (EventKind::MallocEnd, [77 * 64, 64, latency(1), 2]),
-        (EventKind::MallocBegin, [65, 77, 0, 0]),
-        (EventKind::MallocEnd, [u64::MAX, 65, latency(3), 2]),
-        (EventKind::FreeBegin, [77 * 64 + 1, 77, 1, 0]),
-        (EventKind::FreeEnd, [77 * 64 + 1, latency(5), 1, 0]),
-        (EventKind::FreeBegin, [77 * 64, 77, 1, 0]),
-        (EventKind::FreeEnd, [77 * 64, latency(7), 1, 1]),
+    // Latency is a clock reading: at least 1 ns, and each op started after
+    // the previous one returned, since `ts_ns` is the instant an op returned.
+    let latency = |i: usize, word: usize| {
+        let (ev, l) = (t.events[i], t.events[i].args[word]);
+        assert!(l >= 1 && (i == 0 || ev.ts_ns - l >= t.events[i - 1].ts_ns), "{ev:?}");
+        l
+    };
+    let want = [
+        (EventKind::MallocEnd, [77 * 64, 64, latency(0, 2), 2]),
+        (EventKind::MallocEnd, [u64::MAX, 65, latency(1, 2), 2]),
+        (EventKind::FreeEnd, [77 * 64 + 1, latency(2, 1), 1, 0]),
+        (EventKind::FreeEnd, [77 * 64, latency(3, 1), 1, 1]),
     ];
-    for (ev, (kind, args)) in t.events.iter().zip(want) {
-        assert_eq!((ev.kind, ev.args), (kind, args));
+    assert_eq!(t.events.iter().map(|e| (e.kind, e.args)).collect::<Vec<_>>(), want);
+}
+
+/// A traced 32-lane `malloc_warp` is one `MallocEnd` per lane, each with
+/// the collective's latency; lane 0 carries every retry of the collective.
+#[test]
+fn traced_warp_malloc_is_one_event_per_lane_with_retries_on_lane_zero() {
+    let rec = Arc::new(TraceRecorder::new(4, 64));
+    let alloc = Scripted::traced(Metrics::enabled(4).with_tracer(Arc::clone(&rec)), &rec);
+    let warp = WarpCtx { warp: 2, block: 0, sm: 6 };
+    let mut out = [DevicePtr::NULL; 32];
+    alloc.malloc_warp(&warp, &[48; 32], &mut out).unwrap();
+
+    let t = rec.snapshot();
+    assert_eq!((t.len(), t.count(EventKind::MallocEnd)), (32, 32));
+    let latency = t.events[0].args[2];
+    for (lane, ev) in t.events.iter().enumerate() {
+        let retries = if lane == 0 { 2 * 32 } else { 0 };
+        assert_eq!(ev.args, [out[lane].raw(), 48, latency, retries], "lane {lane}");
     }
 }
 
