@@ -4,7 +4,7 @@
 //! the scenario's metric vector plus a provenance stamp (git revision,
 //! device, worker config, seed, heap backend, tier). Anchors are committed
 //! to the repository root and compared by `repro gate` (see [`crate::gate`])
-//! so a PR cannot silently regress a hot path the matrix covers.
+//! so a PR cannot silently change what the matrix reproduces.
 //!
 //! Anchors are read with [`gpumem_core::json`] and rendered here, metrics in
 //! insertion order so regenerated anchors diff cleanly.
@@ -18,46 +18,31 @@ use gpumem_core::json::{quote, Json};
 
 /// Current anchor schema version. Version 1 was the ad-hoc
 /// `BENCH_exec.json` layout (no provenance, no metric classes); version 2
-/// was the matrix layout. Version 3 keeps the same document shape but marks
-/// the magazine-cache generation: the latency scenario covers every default
-/// family (with `free_p99_ns` emitted only where the free path runs), and
-/// the cached twin scenarios (`perf_thread_cached`, `mixed_cached`) exist —
-/// a v2 anchor set would gate-pass while silently missing them. The gate
-/// refuses to compare across versions.
-pub const SCHEMA_VERSION: u32 = 3;
+/// was the matrix layout; version 3 added the latency sweep over every
+/// default family and the cached twin scenarios. Version 4 keeps the
+/// document shape but changes the class vocabulary to `exact` and `info`:
+/// a v3 anchor's model values were cut on a multi-worker pool and do not
+/// reproduce bit for bit, so it must not be compared. The gate refuses to
+/// compare across versions.
+pub const SCHEMA_VERSION: u32 = 4;
 
-/// How the gate prices a drift in one metric.
+/// Whether the gate compares a metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MetricClass {
-    /// Wall-clock-derived, higher is better (throughput). Gated with the
-    /// scenario's `time_pct` tolerance.
-    TimeHi,
-    /// Wall-clock-derived, lower is better (latency). Gated with `time_pct`.
-    TimeLo,
-    /// Deterministic-model output, higher is better (heap utilization).
-    /// Gated with the tighter `model_pct` tolerance.
-    ModelHi,
-    /// Deterministic-model output, lower is better (coalescing cost,
-    /// fragmentation expansion). Gated with `model_pct`.
-    ModelLo,
-    /// Must match the anchor exactly (failure counts, flags).
+    /// Reproduces bit for bit at a fixed tier and seed (failure and
+    /// register counts, model outputs); any difference fails.
     Exact,
+    /// A wall-clock or host reading (throughput, latency, worker counts):
+    /// written to the anchor, never compared.
+    Info,
 }
 
 impl MetricClass {
     pub fn as_str(&self) -> &'static str {
         match self {
-            MetricClass::TimeHi => "time_hi",
-            MetricClass::TimeLo => "time_lo",
-            MetricClass::ModelHi => "model_hi",
-            MetricClass::ModelLo => "model_lo",
             MetricClass::Exact => "exact",
+            MetricClass::Info => "info",
         }
-    }
-
-    /// Whether a larger value is an improvement for this class.
-    pub fn higher_is_better(&self) -> bool {
-        matches!(self, MetricClass::TimeHi | MetricClass::ModelHi)
     }
 }
 
@@ -65,14 +50,11 @@ impl std::str::FromStr for MetricClass {
     type Err = ();
 
     fn from_str(s: &str) -> Result<MetricClass, ()> {
-        Ok(match s {
-            "time_hi" => MetricClass::TimeHi,
-            "time_lo" => MetricClass::TimeLo,
-            "model_hi" => MetricClass::ModelHi,
-            "model_lo" => MetricClass::ModelLo,
-            "exact" => MetricClass::Exact,
-            _ => return Err(()),
-        })
+        match s {
+            "exact" => Ok(MetricClass::Exact),
+            "info" => Ok(MetricClass::Info),
+            _ => Err(()),
+        }
     }
 }
 
@@ -82,8 +64,8 @@ impl fmt::Display for MetricClass {
     }
 }
 
-/// One gated quantity: a key like `ScatterAlloc/s16/alloc_mops`, its value,
-/// and the class that tells the gate which tolerance and direction apply.
+/// One anchored quantity: a key like `ScatterAlloc/s16/alloc_mops`, its
+/// value, and the class that tells the gate whether to compare it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     pub key: String,
@@ -96,24 +78,12 @@ impl Metric {
         Metric { key: key.into(), value, class }
     }
 
-    pub fn time_hi(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::TimeHi)
-    }
-
-    pub fn time_lo(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::TimeLo)
-    }
-
-    pub fn model_hi(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::ModelHi)
-    }
-
-    pub fn model_lo(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::ModelLo)
-    }
-
     pub fn exact(key: impl Into<String>, value: f64) -> Metric {
         Metric::new(key, value, MetricClass::Exact)
+    }
+
+    pub fn info(key: impl Into<String>, value: f64) -> Metric {
+        Metric::new(key, value, MetricClass::Info)
     }
 }
 
@@ -123,7 +93,7 @@ pub struct Anchor {
     pub schema: u32,
     /// Scenario name — also names the file (`BENCH_<scenario>.json`).
     pub scenario: String,
-    /// `smoke` or `full`; the gate refuses cross-tier comparisons.
+    /// `tiny`, `smoke` or `full`; the gate refuses cross-tier comparisons.
     pub tier: String,
     /// Stamp describing the run: git revision, device, workers, seed,
     /// heap backend, pre-touch policy. Insertion-ordered.
@@ -307,9 +277,9 @@ mod tests {
                 ("seed".into(), "0x5eed".into()),
             ],
             metrics: vec![
-                Metric::time_hi("ScatterAlloc/s16/alloc_mops", 1.25),
+                Metric::info("ScatterAlloc/s16/alloc_mops", 1.25),
                 Metric::exact("ScatterAlloc/s16/failures", 0.0),
-                Metric::model_lo("ScatterAlloc/s16/expansion", 1.0),
+                Metric::exact("ScatterAlloc/s16/expansion", 1.0),
             ],
         }
     }
@@ -324,12 +294,14 @@ mod tests {
         assert_eq!(b.render(), text);
     }
 
+    /// A v3 document carries the retired tolerance classes, so it is refused
+    /// by version before any of its metrics is read.
     #[test]
     fn parse_rejects_schema_drift() {
         let text =
-            sample().render().replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 1");
+            sample().render().replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 3");
         match Anchor::parse(&text) {
-            Err(AnchorError::SchemaMismatch { found: 1, expected }) => {
+            Err(AnchorError::SchemaMismatch { found: 3, expected }) => {
                 assert_eq!(expected, SCHEMA_VERSION)
             }
             other => panic!("expected schema mismatch, got {other:?}"),
@@ -339,8 +311,13 @@ mod tests {
     #[test]
     fn parse_rejects_missing_fields_and_bad_classes() {
         assert!(matches!(Anchor::parse("{}"), Err(AnchorError::MissingField("schema"))));
-        let bad_class = sample().render().replace("\"time_hi\"", "\"warp_speed\"");
-        assert!(matches!(Anchor::parse(&bad_class), Err(AnchorError::BadField { .. })));
+        for retired in ["model_lo", "time_hi", "warp_speed"] {
+            let bad_class = sample().render().replace("\"info\"", &format!("\"{retired}\""));
+            assert!(
+                matches!(Anchor::parse(&bad_class), Err(AnchorError::BadField { .. })),
+                "class {retired:?} must be refused"
+            );
+        }
         assert!(matches!(Anchor::parse("not json"), Err(AnchorError::Json { .. })));
     }
 

@@ -5,7 +5,7 @@
 //! repro matrix --smoke              # the committed (smoke-tier) anchors
 //! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
 //!                                   # Fig 9 at the paper's full 8 GiB heap
-//! repro gate --smoke                # rerun and compare against the anchors
+//! repro gate                        # rerun the smoke tier, compare exact metrics
 //! repro watch --scenario mixed      # one scenario under the telemetry sampler
 //! repro table1                      # survey table (Table 1)
 //! repro contention                  # per-manager contention counters
@@ -16,11 +16,10 @@
 //!
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
 //! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
-//! `--heap-backend ram|mmap`, `--pretouch auto|full|lazy`,
-//! `--heap-mb MB`, `--seed HEX`. `--num`, `--iter`, `--cycles` and
-//! `--cached` size the diagnostic subcommands; `matrix`, `gate` and `watch`
-//! take their counts, iterations and per-cell timeouts from the tier and
-//! refuse them. `--telemetry-hz` belongs to `watch` alone. The diagnostic
+//! `--heap-backend ram|mmap`, `--heap-mb MB`, `--seed HEX`. `--num`,
+//! `--iter`, `--cycles` and `--cached` size the diagnostic subcommands;
+//! `matrix`, `gate` and `watch` take their counts, iterations and per-cell
+//! timeouts from the tier and refuse them. `--telemetry-hz` belongs to `watch` alone. The diagnostic
 //! subcommands print each table they save as CSV, with the same columns.
 
 use std::path::{Path, PathBuf};
@@ -28,7 +27,7 @@ use std::path::{Path, PathBuf};
 use gpu_sim::{Device, DeviceSpec};
 use gpumem_bench::anchor::Anchor;
 use gpumem_bench::csv::{ms, us, Csv};
-use gpumem_bench::gate::{self, Gates};
+use gpumem_bench::gate;
 use gpumem_bench::matrix::{self, MatrixCfg, Tier};
 use gpumem_bench::registry::{ManagerKind, ManagerSelection, ALL_KINDS, DEFAULT_KINDS};
 use gpumem_bench::runners::{self, Bench};
@@ -50,7 +49,6 @@ struct Opts {
     /// `None` until `--heap-backend` (or a `-t …@backend` suffix) picks one;
     /// resolved against `GMS_HEAP_BACKEND` / the RAM default at use.
     heap_backend: Option<HeapBackendKind>,
-    pretouch: Pretouch,
     /// `--heap-mb`: pins every cell's heap to this size instead of the
     /// demand-derived `heap_for` sizing.
     heap_mb: Option<u64>,
@@ -58,8 +56,8 @@ struct Opts {
     /// `Cached` magazine decorator.
     cached: bool,
     out: PathBuf,
-    /// `matrix`/`gate` tier: `--smoke` or `--tier tiny|smoke|full`
-    /// (default full — the main-branch sizing).
+    /// `matrix`/`gate`/`watch` tier: `--smoke` or `--tier tiny|smoke|full`
+    /// (default: full for `matrix`, smoke for `gate` and `watch`).
     tier: Option<Tier>,
     /// `--seed HEX`: the workload seed of every subcommand (default 0x5eed,
     /// the one `Bench` and `MatrixCfg` start from).
@@ -67,11 +65,6 @@ struct Opts {
     /// `--anchors DIR`: where committed `BENCH_*.json` anchors live and
     /// where `matrix` writes them (default: the repo root, `.`).
     anchors: PathBuf,
-    /// `--gates FILE`: tolerance config for `gate`.
-    gates: PathBuf,
-    /// `--candidate DIR`: gate compares anchors in this directory instead
-    /// of rerunning scenarios (how check.sh avoids a double matrix run).
-    candidate: Option<PathBuf>,
     /// `--scenario NAME` (repeatable): restrict matrix/gate to a subset.
     scenarios: Vec<String>,
     /// `--telemetry-hz N`: sampler cadence (default 100 Hz, i.e. 10 ms
@@ -90,15 +83,12 @@ impl Default for Opts {
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
             heap_backend: None,
-            pretouch: Pretouch::Auto,
             heap_mb: None,
             cached: false,
             out: PathBuf::from("results"),
             tier: None,
             seed: 0x5eed,
             anchors: PathBuf::from("."),
-            gates: PathBuf::from("gates.toml"),
-            candidate: None,
             scenarios: Vec::new(),
             telemetry_hz: None,
         }
@@ -165,7 +155,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             "-m" | "--manager" => opts.manager = Some(next(&mut i)?),
             "--trace-cap" => opts.trace_cap = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--heap-backend" => opts.heap_backend = Some(next(&mut i)?.parse()?),
-            "--pretouch" => opts.pretouch = next(&mut i)?.parse()?,
             "--heap-mb" => opts.heap_mb = Some(next(&mut i)?.parse().map_err(|e| format!("{e}"))?),
             "--cached" => opts.cached = true,
             "--out" => opts.out = PathBuf::from(next(&mut i)?),
@@ -184,8 +173,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
                 opts.seed = parsed.map_err(|e| format!("bad seed {s:?}: {e}"))?;
             }
             "--anchors" => opts.anchors = PathBuf::from(next(&mut i)?),
-            "--gates" => opts.gates = PathBuf::from(next(&mut i)?),
-            "--candidate" => opts.candidate = Some(PathBuf::from(next(&mut i)?)),
             "--scenario" => opts.scenarios.push(next(&mut i)?),
             "--telemetry-hz" => {
                 let hz = next(&mut i)?;
@@ -204,17 +191,17 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
 fn usage() -> String {
     "usage: repro <matrix|gate|watch|trace|sanitize|audit|table1|contention> [options]\n\
      (`repro matrix` runs the paper's figures as scenarios and writes one\n\
-      BENCH_<scenario>.json anchor each, `repro gate` reruns and compares them\n\
-      against gates.toml tolerances, `repro watch --scenario NAME` runs one\n\
+      BENCH_<scenario>.json anchor each, `repro gate` reruns them and fails\n\
+      on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
       scenario under the telemetry sampler and writes\n\
       telemetry_<scenario>.{json,csv,prom} into --out)\n\
      options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
-     --heap-backend ram|mmap --pretouch auto|full|lazy --heap-mb MB --seed HEX\n\
+     --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
      trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
      --trace-cap EVENTS_PER_SM\n\
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
-     --gates FILE, --candidate DIR, --scenario NAME (repeatable); -t / -m restrict\n\
-     the managers; watch defaults to the smoke tier\n\
+     --scenario NAME (repeatable); -t / -m restrict the managers; matrix\n\
+     defaults to the full tier, gate and watch to the smoke tier\n\
      watch only: --telemetry-hz N"
         .to_string()
 }
@@ -224,7 +211,6 @@ fn bench_of(opts: &Opts) -> Bench {
     b.iterations = opts.iterations;
     b.seed = opts.seed;
     b.heap_backend = opts.backend();
-    b.pretouch = opts.pretouch;
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
     b.cached = opts.cached;
     b
@@ -360,15 +346,14 @@ fn contention(opts: &Opts) {
 }
 
 /// Matrix/gate/watch configuration from the command line: tier, seed,
-/// device, heap (backend, pre-touch, `--heap-mb`) and the `-t`/`-m` manager
-/// restriction. Iteration counts and timeouts stay tier-pinned so anchors
-/// of the same tier are always comparable.
+/// device, heap (backend, `--heap-mb`) and the `-t`/`-m` manager
+/// restriction. Iteration counts, timeouts and worker counts stay
+/// tier-pinned so anchors of the same tier are always comparable.
 fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
     cfg.seed = opts.seed;
     cfg.heap_backend = opts.backend();
-    cfg.pretouch = opts.pretouch;
     cfg.heap_override = opts.heap_mb.map(|mb| mb << 20);
     cfg.kinds = selected_kinds(opts);
     cfg
@@ -474,60 +459,52 @@ fn watch_cmd(opts: &Opts) {
     }
 }
 
-/// `repro gate` — load committed anchors, rerun the same scenarios (or read
-/// a `--candidate` directory), and fail on drift beyond `gates.toml`.
+/// `repro gate` — rerun the selected scenarios (at the smoke tier unless
+/// told otherwise: the only tier with committed anchors) and compare each
+/// against its committed anchor: every `exact` metric must be equal, `info`
+/// metrics are not compared.
 fn gate_cmd(opts: &Opts) {
-    let gates = std::fs::read_to_string(&opts.gates)
-        .map_err(|e| format!("cannot read {}: {e}", opts.gates.display()))
-        .and_then(|text| Gates::parse(&text).map_err(|e| e.to_string()));
-    let gates = or_exit(gates, 2);
-    let cfg = matrix_cfg(opts, Tier::Full);
-    // `what` names which side failed to load: the anchor or the candidate.
-    let load = |what: &str, path: PathBuf| -> Result<Anchor, String> {
-        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
-        text.and_then(|t| Anchor::parse(&t).map_err(|e| e.to_string()))
-            .map_err(|e| format!("{what} {}: {e}", path.display()))
-    };
+    let cfg = matrix_cfg(opts, Tier::Smoke);
     let mut failures = 0usize;
-    let mut compared = 0usize;
+    let mut exact = 0usize;
     for spec in selected_scenarios(opts) {
-        let pair = load("anchor", Anchor::path_for(&opts.anchors, spec.name)).and_then(|anchor| {
-            let current = match &opts.candidate {
-                Some(dir) => load("candidate", Anchor::path_for(dir, spec.name))?,
-                None => matrix::run_scenario(&cfg, spec).map_err(|e| format!("rerun: {e}"))?,
-            };
-            Ok((anchor, current))
-        });
-        let (anchor, current) = match pair {
-            Ok(pair) => pair,
+        let path = Anchor::path_for(&opts.anchors, spec.name);
+        let report = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Anchor::parse(&text).map_err(|e| e.to_string()))
+            .map_err(|e| format!("anchor {}: {e}", path.display()))
+            .and_then(|anchor| {
+                let current =
+                    matrix::run_scenario(&cfg, spec).map_err(|e| format!("rerun: {e}"))?;
+                Ok(gate::compare(&anchor, &current))
+            });
+        let report = match report {
+            Ok(report) => report,
             Err(e) => {
                 println!("FAIL {}: {e}", spec.name);
                 failures += 1;
                 continue;
             }
         };
-        let tol = gates.tolerances(spec.name);
-        let report = gate::compare_with_gates(&anchor, &current, &gates);
-        compared += report.compared;
         for f in &report.findings {
             println!("  {}: {f}", spec.name);
         }
         let n_fail = report.failures().count();
         failures += n_fail;
+        exact += report.exact;
         println!(
-            "{} {} ({} metrics, base time ±{}%, model ±{}%; per-family overrides apply)",
+            "{} {} ({} exact, {} info)",
             if n_fail == 0 { "pass" } else { "FAIL" },
             spec.name,
-            report.compared,
-            tol.time_pct,
-            tol.model_pct
+            report.exact,
+            report.info
         );
     }
     if failures > 0 {
-        eprintln!("gate: {failures} failure(s) across {compared} compared metrics");
+        eprintln!("gate: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("gate: all scenarios pass ({compared} metrics compared)");
+    println!("gate: all scenarios pass ({exact} exact metrics equal)");
 }
 
 /// Concurrency-audit summary: runs the memlint atomics-ordering pass over
@@ -764,7 +741,7 @@ fn provenance(opts: &Opts) -> String {
         opts.device.name,
         Device::configured_workers(),
         std::env::var("GMS_WORKERS").unwrap_or_else(|_| "-".to_string()),
-        opts.pretouch.resolve(backend),
+        Pretouch::Auto.resolve(backend),
         opts.heap_mb.map(|mb| mb.to_string()).unwrap_or_else(|| "-".to_string()),
         opts.seed,
     )

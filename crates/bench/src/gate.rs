@@ -1,161 +1,31 @@
 //! The regression gate — compares a fresh matrix run against committed
-//! `BENCH_<scenario>.json` anchors and fails on drift beyond the
-//! per-scenario tolerances in `gates.toml`.
+//! `BENCH_<scenario>.json` anchors.
 //!
-//! Comparison rules, per metric class (see [`MetricClass`]):
-//!
-//! * `time_hi`/`time_lo` — wall-clock metrics (throughput, latency
-//!   percentiles). A regression beyond the scenario's `time_pct` fails:
-//!   throughput dropping below `anchor × (1 − pct/100)`, or latency rising
-//!   above `anchor × (1 + pct/100)`. Improvements never fail (they print a
-//!   re-baseline hint).
-//! * `model_hi`/`model_lo` — outputs of deterministic models (heap
-//!   utilization, coalescing cost, fragmentation expansion). Same rule with
-//!   the tighter `model_pct`.
-//! * `exact` — failure counts and structural flags; any difference fails.
-//!
-//! Guards: a non-finite value on either side fails, and an anchor whose
-//! higher-is-better metric is ≤ 0 (a zero-throughput anchor) fails loudly —
-//! dividing by it would otherwise turn every comparison into a vacuous pass
-//! or an infinite regression.
+//! One rule per metric class (see [`MetricClass`]): an `exact` metric must
+//! equal its anchor bit for bit, and an `info` metric — a wall-clock or host
+//! reading — is recorded but never compared. The structural checks apply to
+//! both classes: a scenario or tier mismatch fails, a metric the anchor has
+//! and the run lacks fails, a metric only the run has is informational, and
+//! a non-finite anchor value fails as [`FindingKind::InvalidAnchor`], so a
+//! damaged anchor cannot pass vacuously. The run side needs no such guard:
+//! `matrix::run_scenario` refuses non-finite metrics before they get here.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::anchor::{Anchor, Metric, MetricClass};
-
-/// Tolerances for one scenario, in percent.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Tolerances {
-    /// Allowed drift for `time_*` metrics (regression direction only).
-    pub time_pct: f64,
-    /// Allowed drift for `model_*` metrics.
-    pub model_pct: f64,
-}
-
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances { time_pct: 60.0, model_pct: 25.0 }
-    }
-}
-
-/// Parsed `gates.toml`: a `[default]` section, per-scenario overrides
-/// (`[latency]`), and per-family overrides within a scenario
-/// (`[latency.CUDA-Allocator]`) — the family is the metric-key prefix
-/// before the first `/`, i.e. the manager label.
-#[derive(Clone, Debug, Default)]
-pub struct Gates {
-    pub default: Tolerances,
-    pub per_scenario: BTreeMap<String, Tolerances>,
-}
-
-impl Gates {
-    /// Effective tolerances for `scenario` (override or default).
-    pub fn tolerances(&self, scenario: &str) -> Tolerances {
-        self.per_scenario.get(scenario).copied().unwrap_or(self.default)
-    }
-
-    /// Effective tolerances for one metric of `scenario`: the most specific
-    /// of `[scenario.family]`, `[scenario]`, `[default]`, where the family
-    /// is `metric_key` up to its first `/` (the manager label in every
-    /// matrix scenario's `{manager}/{cell}/{measure}` key scheme).
-    pub fn tolerances_for(&self, scenario: &str, metric_key: &str) -> Tolerances {
-        let family = metric_key.split('/').next().unwrap_or("");
-        if !family.is_empty() {
-            if let Some(t) = self.per_scenario.get(&format!("{scenario}.{family}")) {
-                return *t;
-            }
-        }
-        self.tolerances(scenario)
-    }
-
-    /// Parses the checked-in `gates.toml` subset: `[section]` headers and
-    /// `key = <number>` lines, `#` comments. Unknown keys are errors so a
-    /// typo cannot silently leave a scenario ungated.
-    pub fn parse(text: &str) -> Result<Gates, String> {
-        let mut gates = Gates::default();
-        let mut section: Option<String> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                let name = name.trim().to_string();
-                if name.is_empty() {
-                    return Err(format!("gates.toml line {}: empty section name", lineno + 1));
-                }
-                if name != "default" {
-                    // A `[scenario.family]` section starts from its
-                    // scenario's tolerances (if declared above it), so a
-                    // family override of one knob keeps the other one's
-                    // scenario-level value.
-                    let seed = name
-                        .split_once('.')
-                        .and_then(|(scenario, _)| gates.per_scenario.get(scenario).copied())
-                        .unwrap_or(gates.default);
-                    gates.per_scenario.entry(name.clone()).or_insert(seed);
-                }
-                section = Some(name);
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("gates.toml line {}: expected key = value", lineno + 1))?;
-            let key = key.trim();
-            let value: f64 = value.trim().parse().map_err(|e| {
-                format!("gates.toml line {}: bad number for {key:?}: {e}", lineno + 1)
-            })?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!(
-                    "gates.toml line {}: tolerance {key:?} must be a finite non-negative percent",
-                    lineno + 1
-                ));
-            }
-            let sec = section
-                .clone()
-                .ok_or_else(|| format!("gates.toml line {}: key outside a section", lineno + 1))?;
-            let tol = if sec == "default" {
-                &mut gates.default
-            } else {
-                gates.per_scenario.get_mut(&sec).expect("section inserted on header")
-            };
-            match key {
-                "time_pct" => tol.time_pct = value,
-                "model_pct" => tol.model_pct = value,
-                other => {
-                    return Err(format!(
-                        "gates.toml line {}: unknown key {other:?} (expected time_pct/model_pct)",
-                        lineno + 1
-                    ))
-                }
-            }
-        }
-        // Overrides declared before [default] still inherit the final
-        // defaults for keys they did not set? No — sections snapshot the
-        // defaults seen so far; keep [default] first in the file.
-        Ok(gates)
-    }
-}
+use crate::anchor::{Anchor, MetricClass};
 
 /// Why one comparison failed (or is worth a note).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FindingKind {
-    /// Metric drifted in the regression direction beyond tolerance.
-    Regression,
-    /// Metric improved beyond tolerance — not a failure; re-baseline hint.
-    Improvement,
     /// `exact`-class metric differs.
     ExactMismatch,
     /// Metric present in the anchor but absent from the current run.
     MissingMetric,
-    /// Anchor value unusable (NaN, infinite, or ≤ 0 for a ratio base).
+    /// Anchor value is NaN or infinite.
     InvalidAnchor,
-    /// Current value unusable (NaN or infinite).
-    InvalidCurrent,
     /// Scenario names differ between the two documents.
     ScenarioMismatch,
-    /// Tier (smoke/full) differs — parameters are not comparable.
+    /// Tier (tiny/smoke/full) differs — parameters are not comparable.
     TierMismatch,
     /// Metric present in the current run but not the anchor (informational).
     NewMetric,
@@ -164,7 +34,7 @@ pub enum FindingKind {
 impl FindingKind {
     /// Whether this finding fails the gate.
     pub fn is_failure(&self) -> bool {
-        !matches!(self, FindingKind::Improvement | FindingKind::NewMetric)
+        *self != FindingKind::NewMetric
     }
 }
 
@@ -175,43 +45,23 @@ pub struct Finding {
     pub key: String,
     pub anchor: f64,
     pub current: f64,
-    /// Signed drift in percent, positive = regression direction.
-    pub drift_pct: f64,
-    /// The tolerance that applied.
-    pub limit_pct: f64,
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `{}` prints an f64's shortest round-trip form, so values one ulp
+        // apart print differently.
         match self.kind {
-            FindingKind::Regression => write!(
-                f,
-                "REGRESSION {}: {:.4} -> {:.4} ({:+.1}% past the {:.0}% tolerance)",
-                self.key, self.anchor, self.current, self.drift_pct, self.limit_pct
-            ),
-            FindingKind::Improvement => write!(
-                f,
-                "improved {}: {:.4} -> {:.4} ({:.1}% better; consider re-baselining)",
-                self.key,
-                self.anchor,
-                self.current,
-                self.drift_pct.abs()
-            ),
             FindingKind::ExactMismatch => write!(
                 f,
-                "EXACT MISMATCH {}: anchor {:.4} != current {:.4}",
+                "EXACT MISMATCH {}: anchor {} != current {}",
                 self.key, self.anchor, self.current
             ),
             FindingKind::MissingMetric => {
                 write!(f, "MISSING {}: in anchor but not in the current run", self.key)
             }
-            FindingKind::InvalidAnchor => write!(
-                f,
-                "INVALID ANCHOR {}: value {} cannot gate (NaN/inf/zero-throughput)",
-                self.key, self.anchor
-            ),
-            FindingKind::InvalidCurrent => {
-                write!(f, "INVALID CURRENT {}: value {} is not finite", self.key, self.current)
+            FindingKind::InvalidAnchor => {
+                write!(f, "INVALID ANCHOR {}: value {} is not finite", self.key, self.anchor)
             }
             FindingKind::ScenarioMismatch => {
                 write!(f, "SCENARIO MISMATCH: comparing against anchor {:?}", self.key)
@@ -220,7 +70,7 @@ impl fmt::Display for Finding {
                 write!(f, "TIER MISMATCH {}: anchors from one tier cannot gate another", self.key)
             }
             FindingKind::NewMetric => {
-                write!(f, "new metric {} = {:.4} (not in anchor)", self.key, self.current)
+                write!(f, "new metric {} = {} (not in anchor)", self.key, self.current)
             }
         }
     }
@@ -231,8 +81,10 @@ impl fmt::Display for Finding {
 pub struct GateReport {
     pub scenario: String,
     pub findings: Vec<Finding>,
-    /// Metrics compared (excluding structural findings).
-    pub compared: usize,
+    /// `exact` metrics compared.
+    pub exact: usize,
+    /// `info` metrics present on both sides (recorded, not compared).
+    pub info: usize,
 }
 
 impl GateReport {
@@ -245,132 +97,60 @@ impl GateReport {
     }
 }
 
-/// Compares a current run against its committed anchor with one flat
-/// tolerance for every metric.
-pub fn compare(anchor: &Anchor, current: &Anchor, tol: &Tolerances) -> GateReport {
-    compare_by(anchor, current, &|_key| *tol)
-}
-
-/// Compares a current run against its committed anchor, resolving the
-/// tolerance per metric through [`Gates::tolerances_for`] — so
-/// `[latency.CUDA-Allocator]` can loosen one family's percentile gates
-/// without loosening the whole scenario.
-pub fn compare_with_gates(anchor: &Anchor, current: &Anchor, gates: &Gates) -> GateReport {
-    compare_by(anchor, current, &|key| gates.tolerances_for(&anchor.scenario, key))
-}
-
-fn compare_by(
-    anchor: &Anchor,
-    current: &Anchor,
-    tol_for: &dyn Fn(&str) -> Tolerances,
-) -> GateReport {
-    let mut findings = Vec::new();
-    let mut compared = 0usize;
+/// Compares a current run against its committed anchor.
+pub fn compare(anchor: &Anchor, current: &Anchor) -> GateReport {
+    let finding =
+        |kind, key: &str, anchor, current| Finding { kind, key: key.to_string(), anchor, current };
+    let mut report =
+        GateReport { scenario: anchor.scenario.clone(), findings: Vec::new(), exact: 0, info: 0 };
     if anchor.scenario != current.scenario {
-        findings.push(Finding {
-            kind: FindingKind::ScenarioMismatch,
-            key: anchor.scenario.clone(),
-            anchor: 0.0,
-            current: 0.0,
-            drift_pct: 0.0,
-            limit_pct: 0.0,
-        });
+        report.findings.push(finding(
+            FindingKind::ScenarioMismatch,
+            &anchor.scenario,
+            f64::NAN,
+            f64::NAN,
+        ));
     }
     if anchor.tier != current.tier {
-        findings.push(Finding {
-            kind: FindingKind::TierMismatch,
-            key: format!("{} (anchor) vs {} (current)", anchor.tier, current.tier),
-            anchor: 0.0,
-            current: 0.0,
-            drift_pct: 0.0,
-            limit_pct: 0.0,
-        });
+        let tiers = format!("{} (anchor) vs {} (current)", anchor.tier, current.tier);
+        report.findings.push(finding(FindingKind::TierMismatch, &tiers, f64::NAN, f64::NAN));
     }
     for am in &anchor.metrics {
         let Some(cm) = current.metric(&am.key) else {
-            findings.push(Finding {
-                kind: FindingKind::MissingMetric,
-                key: am.key.clone(),
-                anchor: am.value,
-                current: f64::NAN,
-                drift_pct: 0.0,
-                limit_pct: 0.0,
-            });
+            report.findings.push(finding(FindingKind::MissingMetric, &am.key, am.value, f64::NAN));
             continue;
         };
-        compared += 1;
-        if let Some(finding) = compare_metric(am, cm, &tol_for(&am.key)) {
-            findings.push(finding);
+        if !am.value.is_finite() {
+            report.findings.push(finding(FindingKind::InvalidAnchor, &am.key, am.value, cm.value));
+            continue;
+        }
+        match am.class {
+            MetricClass::Info => report.info += 1,
+            MetricClass::Exact => {
+                report.exact += 1;
+                if am.value != cm.value {
+                    report.findings.push(finding(
+                        FindingKind::ExactMismatch,
+                        &am.key,
+                        am.value,
+                        cm.value,
+                    ));
+                }
+            }
         }
     }
     for cm in &current.metrics {
         if anchor.metric(&cm.key).is_none() {
-            findings.push(Finding {
-                kind: FindingKind::NewMetric,
-                key: cm.key.clone(),
-                anchor: f64::NAN,
-                current: cm.value,
-                drift_pct: 0.0,
-                limit_pct: 0.0,
-            });
+            report.findings.push(finding(FindingKind::NewMetric, &cm.key, f64::NAN, cm.value));
         }
     }
-    GateReport { scenario: anchor.scenario.clone(), findings, compared }
-}
-
-fn compare_metric(am: &Metric, cm: &Metric, tol: &Tolerances) -> Option<Finding> {
-    let finding = |kind: FindingKind, drift_pct: f64, limit_pct: f64| {
-        Some(Finding {
-            kind,
-            key: am.key.clone(),
-            anchor: am.value,
-            current: cm.value,
-            drift_pct,
-            limit_pct,
-        })
-    };
-    // NaN/zero-throughput guard: ratio comparisons need a finite, positive
-    // base for every non-exact class (latency anchors of 0 ns are equally
-    // meaningless). Fail loudly instead of passing vacuously.
-    if am.class != MetricClass::Exact && (!am.value.is_finite() || am.value <= 0.0) {
-        return finding(FindingKind::InvalidAnchor, 0.0, 0.0);
-    }
-    if !am.value.is_finite() {
-        return finding(FindingKind::InvalidAnchor, 0.0, 0.0);
-    }
-    if !cm.value.is_finite() {
-        return finding(FindingKind::InvalidCurrent, 0.0, 0.0);
-    }
-    let limit = match am.class {
-        MetricClass::TimeHi | MetricClass::TimeLo => tol.time_pct,
-        MetricClass::ModelHi | MetricClass::ModelLo => tol.model_pct,
-        MetricClass::Exact => {
-            return if am.value == cm.value {
-                None
-            } else {
-                finding(FindingKind::ExactMismatch, 0.0, 0.0)
-            };
-        }
-    };
-    // Drift in percent, signed so the regression direction is positive.
-    let drift = if am.class.higher_is_better() {
-        (am.value - cm.value) / am.value * 100.0
-    } else {
-        (cm.value - am.value) / am.value * 100.0
-    };
-    if drift > limit {
-        finding(FindingKind::Regression, drift, limit)
-    } else if drift < -limit {
-        finding(FindingKind::Improvement, drift, limit)
-    } else {
-        None
-    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anchor::SCHEMA_VERSION;
+    use crate::anchor::{Metric, SCHEMA_VERSION};
 
     fn anchor_with(metrics: Vec<Metric>) -> Anchor {
         Anchor {
@@ -382,65 +162,35 @@ mod tests {
         }
     }
 
-    fn tol(time_pct: f64, model_pct: f64) -> Tolerances {
-        Tolerances { time_pct, model_pct }
-    }
-
-    #[test]
-    fn tolerance_boundary_passes_exactly_at_limit() {
-        // Anchor throughput 100, tolerance 20%: current 80 is exactly the
-        // boundary (drift == limit) and passes; 79.999 fails.
-        let a = anchor_with(vec![Metric::time_hi("m/tp", 100.0)]);
-        let at = anchor_with(vec![Metric::time_hi("m/tp", 80.0)]);
-        let past = anchor_with(vec![Metric::time_hi("m/tp", 79.999)]);
-        assert!(compare(&a, &at, &tol(20.0, 5.0)).passed());
-        let r = compare(&a, &past, &tol(20.0, 5.0));
-        assert!(!r.passed());
-        assert_eq!(r.failures().next().unwrap().kind, FindingKind::Regression);
-    }
-
-    #[test]
-    fn lower_is_better_metrics_gate_the_other_direction() {
-        // p99 latency anchor 1000 ns, tolerance 50%: 1500 passes, 1501 fails;
-        // a *drop* to 100 ns is an improvement, never a failure.
-        let a = anchor_with(vec![Metric::time_lo("m/p99", 1000.0)]);
-        assert!(compare(&a, &anchor_with(vec![Metric::time_lo("m/p99", 1500.0)]), &tol(50.0, 5.0))
-            .passed());
-        assert!(!compare(
-            &a,
-            &anchor_with(vec![Metric::time_lo("m/p99", 1501.0)]),
-            &tol(50.0, 5.0)
-        )
-        .passed());
-        let better =
-            compare(&a, &anchor_with(vec![Metric::time_lo("m/p99", 100.0)]), &tol(50.0, 5.0));
-        assert!(better.passed());
-        assert_eq!(better.findings[0].kind, FindingKind::Improvement);
-    }
-
-    #[test]
-    fn model_class_uses_model_tolerance() {
-        let a = anchor_with(vec![Metric::model_lo("m/cost", 2.0)]);
-        // 10% worse: fails under model_pct 5 even though time_pct 60 allows it.
-        let worse = anchor_with(vec![Metric::model_lo("m/cost", 2.2)]);
-        assert!(!compare(&a, &worse, &tol(60.0, 5.0)).passed());
-        assert!(compare(&a, &worse, &tol(60.0, 15.0)).passed());
+    fn first_failure(r: &GateReport) -> Option<FindingKind> {
+        r.failures().next().map(|f| f.kind.clone())
     }
 
     #[test]
     fn exact_metrics_fail_on_any_difference() {
-        let a = anchor_with(vec![Metric::exact("m/failures", 0.0)]);
-        assert!(compare(&a, &anchor_with(vec![Metric::exact("m/failures", 0.0)]), &tol(60.0, 5.0))
-            .passed());
-        let r = compare(&a, &anchor_with(vec![Metric::exact("m/failures", 1.0)]), &tol(60.0, 5.0));
-        assert_eq!(r.failures().next().unwrap().kind, FindingKind::ExactMismatch);
+        let a = anchor_with(vec![Metric::exact("m/expansion", 1.0186)]);
+        assert!(compare(&a, &a).passed());
+        let ulp = f64::from_bits(1.0186f64.to_bits() + 1);
+        let r = compare(&a, &anchor_with(vec![Metric::exact("m/expansion", ulp)]));
+        assert_eq!(first_failure(&r), Some(FindingKind::ExactMismatch));
+        assert_eq!((r.exact, r.info), (1, 0));
+    }
+
+    #[test]
+    fn info_changes_never_fail() {
+        let a = anchor_with(vec![Metric::info("m/tp", 100.0)]);
+        for v in [0.0, 1e-9, 99.0, 1e12] {
+            let r = compare(&a, &anchor_with(vec![Metric::info("m/tp", v)]));
+            assert!(r.passed(), "info value {v} must not fail: {:?}", r.findings);
+            assert_eq!((r.exact, r.info), (0, 1));
+        }
     }
 
     #[test]
     fn missing_metric_in_current_run_fails() {
-        let a = anchor_with(vec![Metric::time_hi("m/tp", 100.0), Metric::time_hi("m/extra", 1.0)]);
-        let c = anchor_with(vec![Metric::time_hi("m/tp", 100.0)]);
-        let r = compare(&a, &c, &tol(60.0, 5.0));
+        let a = anchor_with(vec![Metric::info("m/tp", 100.0), Metric::exact("m/extra", 1.0)]);
+        let c = anchor_with(vec![Metric::info("m/tp", 100.0)]);
+        let r = compare(&a, &c);
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.kind == FindingKind::MissingMetric && f.key == "m/extra"));
     }
@@ -450,105 +200,33 @@ mod tests {
         let a = anchor_with(vec![]);
         let mut c = anchor_with(vec![]);
         c.scenario = "other".into();
-        assert!(compare(&a, &c, &tol(60.0, 5.0))
-            .failures()
-            .any(|f| f.kind == FindingKind::ScenarioMismatch));
+        assert_eq!(first_failure(&compare(&a, &c)), Some(FindingKind::ScenarioMismatch));
         let mut full = anchor_with(vec![]);
         full.tier = "full".into();
-        assert!(compare(&a, &full, &tol(60.0, 5.0))
-            .failures()
-            .any(|f| f.kind == FindingKind::TierMismatch));
+        assert_eq!(first_failure(&compare(&a, &full)), Some(FindingKind::TierMismatch));
     }
 
     #[test]
-    fn nan_and_zero_throughput_anchors_fail_loudly() {
-        for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
-            let a = anchor_with(vec![Metric::time_hi("m/tp", bad)]);
-            let c = anchor_with(vec![Metric::time_hi("m/tp", 100.0)]);
-            let r = compare(&a, &c, &tol(60.0, 5.0));
-            assert_eq!(
-                r.failures().next().map(|f| f.kind.clone()),
-                Some(FindingKind::InvalidAnchor),
-                "anchor value {bad} must be rejected"
-            );
+    fn non_finite_anchors_fail_for_both_classes() {
+        for class in [MetricClass::Exact, MetricClass::Info] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let a = anchor_with(vec![Metric::new("m/x", bad, class)]);
+                let c = anchor_with(vec![Metric::new("m/x", 1.0, class)]);
+                assert_eq!(
+                    first_failure(&compare(&a, &c)),
+                    Some(FindingKind::InvalidAnchor),
+                    "{class} anchor value {bad} must be rejected"
+                );
+            }
         }
-        // NaN on the current side fails too (a NaN never trips a plain
-        // `drift > limit` comparison, so it needs the explicit guard).
-        let a = anchor_with(vec![Metric::time_hi("m/tp", 100.0)]);
-        let c = anchor_with(vec![Metric::time_hi("m/tp", f64::NAN)]);
-        let r = compare(&a, &c, &tol(60.0, 5.0));
-        assert_eq!(r.failures().next().map(|f| f.kind.clone()), Some(FindingKind::InvalidCurrent));
     }
 
     #[test]
     fn new_metrics_are_informational_only() {
         let a = anchor_with(vec![]);
-        let c = anchor_with(vec![Metric::time_hi("m/new", 5.0)]);
-        let r = compare(&a, &c, &tol(60.0, 5.0));
+        let c = anchor_with(vec![Metric::exact("m/new", 5.0)]);
+        let r = compare(&a, &c);
         assert!(r.passed());
         assert_eq!(r.findings[0].kind, FindingKind::NewMetric);
-    }
-
-    #[test]
-    fn gates_toml_parses_defaults_and_overrides() {
-        let g = Gates::parse(
-            "# comment\n[default]\ntime_pct = 60\nmodel_pct = 25\n\n[exec]\ntime_pct = 75 # loose\n",
-        )
-        .unwrap();
-        assert_eq!(g.default, Tolerances { time_pct: 60.0, model_pct: 25.0 });
-        assert_eq!(g.tolerances("exec"), Tolerances { time_pct: 75.0, model_pct: 25.0 });
-        assert_eq!(g.tolerances("unlisted"), g.default);
-    }
-
-    #[test]
-    fn per_family_sections_resolve_most_specific_first() {
-        let g = Gates::parse(
-            "[default]\ntime_pct = 60\nmodel_pct = 25\n\
-             [latency]\ntime_pct = 150\n\
-             [latency.CUDA-Allocator]\ntime_pct = 250\n",
-        )
-        .unwrap();
-        // Family override wins for its own metrics...
-        let t = g.tolerances_for("latency", "CUDA-Allocator/malloc_p99_ns");
-        assert_eq!(t.time_pct, 250.0);
-        // ...and inherits the scenario section's other knob, not the default.
-        assert_eq!(t.model_pct, 25.0);
-        // Other families in the scenario keep the scenario override.
-        assert_eq!(g.tolerances_for("latency", "Halloc/malloc_p99_ns").time_pct, 150.0);
-        // Other scenarios are untouched by the dotted section.
-        assert_eq!(g.tolerances_for("mixed", "CUDA-Allocator/u1024/alloc_mops").time_pct, 60.0);
-    }
-
-    #[test]
-    fn compare_with_gates_applies_family_tolerance_per_metric() {
-        let g = Gates::parse(
-            "[default]\ntime_pct = 60\nmodel_pct = 25\n\
-             [t]\ntime_pct = 50\n\
-             [t.Loose]\ntime_pct = 300\n",
-        )
-        .unwrap();
-        let a = anchor_with(vec![
-            Metric::time_lo("Loose/p99", 1000.0),
-            Metric::time_lo("Tight/p99", 1000.0),
-        ]);
-        // Both families regress 2x: Loose passes under its 300% gate, Tight
-        // fails its scenario-level 50% gate — within one compare call.
-        let c = anchor_with(vec![
-            Metric::time_lo("Loose/p99", 2000.0),
-            Metric::time_lo("Tight/p99", 2000.0),
-        ]);
-        let r = compare_with_gates(&a, &c, &g);
-        assert!(!r.passed());
-        let failed: Vec<&str> = r.failures().map(|f| f.key.as_str()).collect();
-        assert_eq!(failed, vec!["Tight/p99"]);
-    }
-
-    #[test]
-    fn gates_toml_rejects_typos_and_bad_values() {
-        assert!(Gates::parse("[default]\ntime_percent = 60\n").is_err());
-        assert!(Gates::parse("time_pct = 60\n").is_err(), "key outside section");
-        assert!(Gates::parse("[default]\ntime_pct = -5\n").is_err());
-        assert!(Gates::parse("[default]\ntime_pct = NaN\n").is_err());
-        assert!(Gates::parse("[]\n").is_err());
     }
 }

@@ -15,7 +15,8 @@
 //! * [`anchor`] — the schema-versioned `BENCH_<scenario>.json` format
 //!   (provenance-stamped, classed metrics) with a dependency-free parser.
 //! * [`gate`] — the `repro gate` comparator: committed anchors vs a fresh
-//!   run, per-scenario tolerances from `gates.toml`.
+//!   run, `exact` metrics compared bit for bit, `info` metrics recorded
+//!   only.
 //! * [`watch`] — `repro watch`: any matrix scenario under the live
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
 //!   time-series as JSON, per-window CSV and OpenMetrics.

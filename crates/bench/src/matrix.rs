@@ -9,10 +9,15 @@
 //! * `smoke` — a reduced grid at small counts; the committed anchors and the
 //!   PR-CI gate.
 //! * `full` — the paper's axes and counts (Fig. 9 size sweep at 100 K
-//!   threads, scaling 2⁰–2²⁰ at four sizes, every graph, …); the main-branch
-//!   CI job, uploaded as artifacts rather than committed.
+//!   threads, scaling 2⁰–2²⁰ at four sizes, every graph, …) on the worker
+//!   pool; the main-branch CI job, uploaded as artifacts rather than
+//!   committed.
 //! * `tiny` — the smoke grid at test-only counts so the golden-file tests
 //!   stay fast.
+//!
+//! `tiny` and `smoke` run every scenario on the inline one-worker device, so
+//! every metric that is not a wall-clock or host reading reproduces bit for
+//! bit and is anchored `exact`; timings are anchored `info`.
 //!
 //! Metric keys are `{manager}/{cell}/{measure}` and stable across runs of
 //! the same tier; the gate (`crate::gate`) treats a vanished key as a
@@ -187,7 +192,6 @@ pub struct MatrixCfg {
     pub iterations: u32,
     pub timeout: Duration,
     pub heap_backend: HeapBackendKind,
-    pub pretouch: Pretouch,
     /// Pins every cell's heap to this many bytes instead of the
     /// demand-derived sizing (`--heap-mb`: the paper's 8 GiB heap).
     pub heap_override: Option<u64>,
@@ -211,7 +215,6 @@ impl fmt::Debug for MatrixCfg {
             .field("iterations", &self.iterations)
             .field("timeout", &self.timeout)
             .field("heap_backend", &self.heap_backend)
-            .field("pretouch", &self.pretouch)
             .field("heap_override", &self.heap_override)
             .field("kinds", &self.kinds)
             .field("watch", &self.watch.as_ref().map(|_| "<sink>"))
@@ -233,7 +236,6 @@ impl MatrixCfg {
             },
             timeout: Duration::from_secs(if tier == Tier::Full { 30 } else { 20 }),
             heap_backend: HeapBackendKind::env_default(),
-            pretouch: Pretouch::Auto,
             heap_override: None,
             kinds: None,
             watch: None,
@@ -251,9 +253,24 @@ impl MatrixCfg {
         }
     }
 
-    /// The shared runner context for one scenario.
+    /// The worker count [`MatrixCfg::bench`] runs this tier on.
+    fn workers(&self) -> usize {
+        match self.tier {
+            Tier::Tiny | Tier::Smoke => 1,
+            Tier::Full => Device::configured_workers(),
+        }
+    }
+
+    /// The shared runner context for one scenario. The tier pins the worker
+    /// count for the same reason it pins iterations and timeouts, so that
+    /// anchors compare: `tiny` and `smoke` run on the inline one-worker
+    /// device, whose sequential warp order makes every non-timing metric
+    /// reproduce bit for bit; `full` runs on the configured pool.
     pub fn bench(&self) -> Bench {
-        let mut dev = Device::new(self.device);
+        let mut dev = match self.tier {
+            Tier::Tiny | Tier::Smoke => Device::with_workers(self.device, 1),
+            Tier::Full => Device::new(self.device),
+        };
         if let Some((_, marker)) = &self.watch {
             let marker = marker.clone();
             dev.set_launch_hook(Arc::new(move |phase| {
@@ -267,7 +284,6 @@ impl MatrixCfg {
         b.seed = self.seed;
         b.cell_timeout = self.timeout;
         b.heap_backend = self.heap_backend;
-        b.pretouch = self.pretouch;
         b.heap_override = self.heap_override;
         b.telemetry = self.watch.as_ref().map(|(sink, _)| sink.clone());
         b
@@ -476,14 +492,14 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
         ("git".to_string(), crate::git_rev().to_string()),
         ("device".to_string(), cfg.device.name.to_string()),
         ("sms".to_string(), cfg.device.num_sms.to_string()),
-        ("workers".to_string(), Device::configured_workers().to_string()),
+        ("workers".to_string(), cfg.workers().to_string()),
         (
             "gms_workers".to_string(),
             std::env::var("GMS_WORKERS").unwrap_or_else(|_| "-".to_string()),
         ),
         ("seed".to_string(), format!("{:#x}", cfg.seed)),
         ("heap_backend".to_string(), cfg.heap_backend.to_string()),
-        ("pretouch".to_string(), cfg.pretouch.resolve(cfg.heap_backend).to_string()),
+        ("pretouch".to_string(), Pretouch::Auto.resolve(cfg.heap_backend).to_string()),
         ("iterations".to_string(), cfg.iterations.to_string()),
     ];
     // Only an overridden run names its heap, so default anchors keep the
@@ -495,8 +511,8 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
 }
 
 /// Throughput in million operations per second; the duration is floored to
-/// 1 ns so a sub-tick timer reading cannot mint an infinite (ungateable)
-/// anchor.
+/// 1 ns so a sub-tick timer reading cannot mint an infinite metric, which
+/// [`run_scenario`] would refuse.
 fn mops(ops: u32, d: Duration) -> f64 {
     ops as f64 * 1e3 / d.as_nanos().max(1) as f64
 }
@@ -504,12 +520,6 @@ fn mops(ops: u32, d: Duration) -> f64 {
 /// Thousand operations per second (work generation runs whole milliseconds).
 fn kops(ops: u32, d: Duration) -> f64 {
     ops as f64 * 1e6 / d.as_nanos().max(1) as f64
-}
-
-/// Latency reading in nanoseconds, floored to 1 so `time_lo` anchors stay
-/// positive (the gate rejects a 0 base).
-fn lat_ns(ns: u64) -> f64 {
-    ns.max(1) as f64
 }
 
 /// The eight-manager core set used where the full 15-kind sweep would make
@@ -554,9 +564,9 @@ fn perf_thread_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, Matrix
         for &size in &ax.sizes {
             let c = runners::alloc_perf(&bench, kind, ax.threads, size, false);
             let k = format!("{}/s{size}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
+            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             if let Some(free) = c.free {
-                metrics.push(Metric::time_hi(format!("{k}/free_mops"), mops(ax.threads, free)));
+                metrics.push(Metric::info(format!("{k}/free_mops"), mops(ax.threads, free)));
             }
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             // A manager past its cliff skips its larger sizes (the
@@ -578,7 +588,7 @@ fn perf_warp(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for &size in &ax.warp_sizes {
             let c = runners::alloc_perf(&bench, kind, ax.warps, size, true);
             let k = format!("{}/w{size}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.warps, c.alloc)));
+            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.warps, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             if c.timed_out {
                 break;
@@ -607,7 +617,7 @@ fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError>
         for &upper in &ax.mixed_uppers {
             let c = runners::mixed_perf(&bench, kind, ax.threads, upper);
             let k = format!("{}/u{upper}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
+            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             if c.timed_out {
                 break;
@@ -638,13 +648,11 @@ fn scaling(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
                     break;
                 }
                 if every || e == *ax.scaling_exps.end() {
-                    metrics.push(Metric::time_hi(
-                        format!("{k}/e{e}/alloc_mops"),
-                        mops(c.num, c.alloc),
-                    ));
+                    metrics
+                        .push(Metric::info(format!("{k}/e{e}/alloc_mops"), mops(c.num, c.alloc)));
                 }
                 if let Some(free) = c.free.filter(|_| every) {
-                    metrics.push(Metric::time_hi(format!("{k}/e{e}/free_mops"), mops(c.num, free)));
+                    metrics.push(Metric::info(format!("{k}/e{e}/free_mops"), mops(c.num, free)));
                 }
             }
             metrics.push(Metric::exact(format!("{k}/failures_total"), failures as f64));
@@ -661,9 +669,9 @@ fn frag(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for &size in &ax.frag_sizes {
             let c = runners::fragmentation(&bench, kind, ax.frag_num, size, ax.frag_cycles);
             let k = format!("{}/s{size}", kind.label());
-            metrics.push(Metric::model_lo(format!("{k}/expansion"), c.initial.expansion_factor()));
+            metrics.push(Metric::exact(format!("{k}/expansion"), c.initial.expansion_factor()));
             let growth = c.max_range_after_cycles as f64 / c.initial.address_range.max(1) as f64;
-            metrics.push(Metric::model_lo(format!("{k}/cycle_growth"), growth));
+            metrics.push(Metric::exact(format!("{k}/cycle_growth"), growth));
         }
     }
     Ok(metrics)
@@ -677,7 +685,7 @@ fn oom(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for &size in &ax.oom_sizes {
             let c = runners::oom(&bench, kind, ax.heap, size);
             let k = cfg.cell(kind.label(), format_args!("s{size}"));
-            metrics.push(Metric::model_hi(format!("{k}/utilization"), c.utilization));
+            metrics.push(Metric::exact(format!("{k}/utilization"), c.utilization));
             metrics.push(Metric::exact(format!("{k}/timed_out"), c.timed_out as u8 as f64));
         }
     }
@@ -694,13 +702,13 @@ fn workgen(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for &n in &ax.workgen_threads {
             let base = runners::work_generation_baseline(&bench, n, lo, hi);
             let k = cell("Baseline", n);
-            metrics.push(Metric::time_hi(format!("{k}/kops"), kops(n, base.elapsed)));
+            metrics.push(Metric::info(format!("{k}/kops"), kops(n, base.elapsed)));
         }
         for kind in cfg.restrict(&CORE_KINDS) {
             for &n in &ax.workgen_threads {
                 let c = runners::work_generation(&bench, kind, n, lo, hi);
                 let k = cell(kind.label(), n);
-                metrics.push(Metric::time_hi(format!("{k}/kops"), kops(n, c.elapsed)));
+                metrics.push(Metric::info(format!("{k}/kops"), kops(n, c.elapsed)));
                 metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             }
         }
@@ -716,7 +724,7 @@ fn coalescing(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for kind in cfg.restrict(&CORE_KINDS) {
             let c = runners::write_performance(&bench, kind, ax.write_threads, pattern);
             let k = format!("{}/{tag}", kind.label());
-            metrics.push(Metric::model_lo(format!("{k}/relative_cost"), c.relative_cost));
+            metrics.push(Metric::exact(format!("{k}/relative_cost"), c.relative_cost));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
         }
     }
@@ -733,7 +741,7 @@ fn graph_init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for kind in cfg.restrict(&GRAPH_KINDS) {
             let c = runners::graph_init(&bench, kind, &csr)?;
             let k = format!("{}/{name}", kind.label());
-            metrics.push(Metric::time_hi(format!("{k}/edges_mops"), mops(edges, c.elapsed)));
+            metrics.push(Metric::info(format!("{k}/edges_mops"), mops(edges, c.elapsed)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
         }
     }
@@ -750,7 +758,7 @@ fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             for (mode, focused) in [("focused", true), ("uniform", false)] {
                 let c = runners::graph_update(&bench, kind, &csr, ax.update_edges, focused)?;
                 let k = format!("{}/{mode}", cfg.cell(kind.label(), name));
-                metrics.push(Metric::time_hi(
+                metrics.push(Metric::info(
                     format!("{k}/edges_mops"),
                     mops(ax.update_edges, c.elapsed),
                 ));
@@ -775,8 +783,7 @@ fn init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             .min_by_key(|c| c.init)
             .expect("every tier runs at least one iteration");
         let k = kind.label();
-        metrics
-            .push(Metric::time_lo(format!("{k}/init_ms"), lat_ns(c.init.as_nanos() as u64) / 1e6));
+        metrics.push(Metric::info(format!("{k}/init_ms"), c.init.as_nanos() as f64 / 1e6));
         metrics.push(Metric::exact(format!("{k}/malloc_regs"), c.malloc_regs as f64));
         metrics.push(Metric::exact(format!("{k}/free_regs"), c.free_regs as f64));
     }
@@ -807,7 +814,7 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             CYCLES,
         );
         let k = kind.label();
-        metrics.push(Metric::time_lo(format!("{k}/slowdown"), r.slowdown_factor()));
+        metrics.push(Metric::info(format!("{k}/slowdown"), r.slowdown_factor()));
         metrics.push(Metric::exact(format!("{k}/failures"), r.failures as f64));
     }
     Ok(metrics)
@@ -820,17 +827,14 @@ fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     for kind in cfg.restrict(&DEFAULT_KINDS) {
         let r = runners::trace_profile(&bench, kind, num, DEFAULT_EVENTS_PER_SM);
         let k = kind.label();
-        metrics
-            .push(Metric::time_lo(format!("{k}/malloc_p50_ns"), lat_ns(r.latencies.malloc.p50())));
-        metrics
-            .push(Metric::time_lo(format!("{k}/malloc_p99_ns"), lat_ns(r.latencies.malloc.p99())));
+        let (malloc, free) = (&r.latencies.malloc, &r.latencies.free);
+        metrics.push(Metric::info(format!("{k}/malloc_p50_ns"), malloc.p50() as f64));
+        metrics.push(Metric::info(format!("{k}/malloc_p99_ns"), malloc.p99() as f64));
         // Warp-level-only and no-free families emit no `FreeEnd` events, so
-        // an unconditional key would anchor a meaningless `lat_ns(0)` floor
-        // and the gate would then "pass" on noise. Emit only when the free
-        // path actually ran.
-        if r.latencies.free.count() > 0 {
-            metrics
-                .push(Metric::time_lo(format!("{k}/free_p99_ns"), lat_ns(r.latencies.free.p99())));
+        // an unconditional key would anchor the empty histogram's reading
+        // as if it were a latency. Emit only when the free path actually ran.
+        if free.count() > 0 {
+            metrics.push(Metric::info(format!("{k}/free_p99_ns"), free.p99() as f64));
         }
     }
     Ok(metrics)
@@ -839,11 +843,12 @@ fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 /// The executor's own cost (`BENCH_exec.json`): the reported time and the
 /// whole call of an empty one-warp-per-worker launch (minima over
 /// `8 × trials`), warp throughput at the claim-chunk cap, and how many
-/// workers a `workers`-warp launch reaches. The worker fraction is a model
-/// metric, so a collapse of the small-launch spread fails even when
-/// absolute timings drift.
+/// workers a `workers`-warp launch reaches. It measures the configured pool
+/// at every tier, so it builds its own device rather than the tier's. The
+/// pool size and the spread are host readings and so `info`; `gpu-sim`'s
+/// `small_launch_spreads_across_workers` test holds the spread.
 fn exec(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
-    let device = cfg.bench().device;
+    let device = Device::new(cfg.device);
     let trials = cfg.tier.axes().exec_trials;
     let workers = device.workers();
     let (mut empty, mut call) = (Duration::MAX, Duration::MAX);
@@ -869,12 +874,12 @@ fn exec(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         small_used = small_used.max(sched.workers_used());
     }
     Ok(vec![
-        Metric::time_lo("empty_pooled_ns", lat_ns(empty.as_nanos() as u64)),
-        Metric::time_lo("call_pooled_ns", lat_ns(call.as_nanos() as u64)),
-        Metric::time_hi("pooled_warps_per_sec", mops(tp_warps, tp) * 1e6),
+        Metric::info("empty_pooled_ns", empty.as_nanos() as f64),
+        Metric::info("call_pooled_ns", call.as_nanos() as f64),
+        Metric::info("pooled_warps_per_sec", mops(tp_warps, tp) * 1e6),
         Metric::exact("throughput_warps", f64::from(tp_warps)),
-        Metric::exact("workers", workers as f64),
-        Metric::model_hi("small_launch_worker_frac", small_used as f64 / workers as f64),
+        Metric::info("workers", workers as f64),
+        Metric::info("small_launch_worker_frac", small_used as f64 / workers as f64),
     ])
 }
 
@@ -959,7 +964,7 @@ mod tests {
     #[test]
     fn mops_guards_zero_duration() {
         assert!(mops(1000, Duration::ZERO).is_finite());
-        assert!(lat_ns(0) > 0.0);
+        assert!(kops(1000, Duration::ZERO).is_finite());
     }
 
     #[test]

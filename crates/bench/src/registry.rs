@@ -21,7 +21,7 @@ use alloc_xmalloc::XMalloc;
 use gpumem_core::telemetry::{self, TelemetrySink};
 use gpumem_core::trace::{TraceRecorder, Traced, DEFAULT_EVENTS_PER_SM};
 use gpumem_core::{
-    Cached, DeviceAllocator, DeviceHeap, HeapBackendKind, HeapError, HeapSpec, Metrics, Pretouch,
+    Cached, DeviceAllocator, DeviceHeap, HeapBackendKind, HeapError, HeapSpec, Metrics,
 };
 
 /// Every manager variant the framework can instantiate.
@@ -212,7 +212,7 @@ pub struct ManagerBuilder {
 
 impl ManagerBuilder {
     /// Sizes the fresh heap the manager is built over (default 64 MiB),
-    /// keeping any backend/pre-touch choice made so far.
+    /// keeping any backend choice made so far.
     pub fn heap(mut self, bytes: u64) -> Self {
         self.heap = match self.heap {
             HeapSource::Fresh(spec) => HeapSource::Fresh(HeapSpec { len: bytes, ..spec }),
@@ -234,17 +234,6 @@ impl ManagerBuilder {
             HeapSource::Fresh(spec) => HeapSource::Fresh(spec.with_backend(backend)),
             HeapSource::Shared(_) => {
                 HeapSource::Fresh(HeapSpec::new(DEFAULT_HEAP_BYTES).with_backend(backend))
-            }
-        };
-        self
-    }
-
-    /// Selects the page-commit policy of the fresh heap.
-    pub fn pretouch(mut self, pretouch: Pretouch) -> Self {
-        self.heap = match self.heap {
-            HeapSource::Fresh(spec) => HeapSource::Fresh(spec.with_pretouch(pretouch)),
-            HeapSource::Shared(_) => {
-                HeapSource::Fresh(HeapSpec::new(DEFAULT_HEAP_BYTES).with_pretouch(pretouch))
             }
         };
         self
@@ -495,7 +484,7 @@ impl fmt::Display for ManagerSelection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpumem_core::ThreadCtx;
+    use gpumem_core::{Pretouch, ThreadCtx};
 
     const HEAP: u64 = 16 << 20;
 
@@ -561,7 +550,6 @@ mod tests {
                 .builder()
                 .heap(HEAP)
                 .heap_backend(backend)
-                .pretouch(Pretouch::Auto)
                 .try_build()
                 .unwrap_or_else(|e| panic!("{backend}: {e}"));
             a.malloc(&ThreadCtx::host(), 64).unwrap();

@@ -19,8 +19,7 @@ use gpumem_core::trace::{
     chrome_trace_json, occupancy_timeline, EventKind, OccupancyTimeline, OpLatencies, Trace,
 };
 use gpumem_core::{
-    AllocError, CounterSnapshot, DeviceAllocator, HeapBackendKind, HeapSpec, Pretouch, WarpCtx,
-    WARP_SIZE,
+    AllocError, CounterSnapshot, DeviceAllocator, HeapBackendKind, HeapSpec, WarpCtx, WARP_SIZE,
 };
 
 use crate::registry::{ManagerBuilder, ManagerKind};
@@ -41,8 +40,6 @@ pub struct Bench {
     /// Heap substrate every runner builds managers over (default: the
     /// `GMS_HEAP_BACKEND` environment default, normally RAM).
     pub heap_backend: HeapBackendKind,
-    /// Page-commit policy for those heaps (default: backend-appropriate).
-    pub pretouch: Pretouch,
     /// When set, overrides the demand-derived [`heap_for`] size for every
     /// cell — how `--heap-mb 8192` pins the paper's full 8 GiB heap.
     pub heap_override: Option<u64>,
@@ -67,7 +64,6 @@ impl Bench {
             seed: 0x5eed,
             cell_timeout: Duration::from_secs(20),
             heap_backend: HeapBackendKind::env_default(),
-            pretouch: Pretouch::Auto,
             heap_override: None,
             cached: false,
             warmup: 0,
@@ -90,8 +86,7 @@ impl Bench {
     }
 
     /// The heap spec for a cell with a demand of `num × max_size` bytes:
-    /// [`heap_for`] sizing (unless overridden) over the context's backend
-    /// and pre-touch policy.
+    /// [`heap_for`] sizing (unless overridden) over the context's backend.
     pub fn heap_spec(&self, num: u32, max_size: u64) -> HeapSpec {
         self.heap_spec_bytes(heap_for(num, max_size))
     }
@@ -105,11 +100,9 @@ impl Bench {
     }
 
     /// A heap spec of exactly `bytes` (unless overridden) over the
-    /// context's backend and pre-touch policy.
+    /// context's backend, with the backend's default pre-touch policy.
     pub fn heap_spec_bytes(&self, bytes: u64) -> HeapSpec {
-        HeapSpec::new(self.heap_override.unwrap_or(bytes))
-            .with_backend(self.heap_backend)
-            .with_pretouch(self.pretouch)
+        HeapSpec::new(self.heap_override.unwrap_or(bytes)).with_backend(self.heap_backend)
     }
 }
 

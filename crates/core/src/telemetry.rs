@@ -849,7 +849,10 @@ fn sampler_loop(shared: &Shared, sink: &TelemetrySink) {
             let mut ctl = shared.ctl.lock().unwrap();
             ctl.taken = ctl.force;
             shared.acked.notify_all();
-            if stop || ctl.stop {
+            // Only a sample that began after `stop` was requested is final:
+            // one already running may have read a source before its last
+            // ops, so a stop that lands mid-sample loops once more.
+            if stop {
                 return;
             }
         }
@@ -1280,5 +1283,26 @@ mod tests {
         let windowed: u64 =
             series.samples.iter().map(|s| s.allocs_per_sec * s.window_ms / 1e3).sum::<f64>() as u64;
         assert!(windowed >= 9, "windows saw (almost exactly) all ten calls: {windowed}");
+    }
+
+    /// `stop` ends with a sample taken after it was called, even when it
+    /// lands while the sampler is in the middle of one: a count recorded
+    /// just before `stop` always reaches the totals.
+    #[test]
+    fn stop_during_a_sample_still_takes_a_final_one() {
+        for _ in 0..50 {
+            let sink = TelemetrySink::new();
+            // Many wide sources make every sample long, so `stop` usually
+            // lands inside one at this cadence.
+            let sources: Vec<Metrics> = (0..64).map(|_| Metrics::enabled(128)).collect();
+            for m in &sources {
+                sink.attach(m);
+            }
+            let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
+            let tele = Telemetry::start(cfg, sink);
+            std::thread::sleep(Duration::from_micros(500));
+            sources[0].add(0, Counter::MallocCalls, 1);
+            assert_eq!(tele.stop().totals.malloc_calls(), 1, "the final sample saw the call");
+        }
     }
 }

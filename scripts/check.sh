@@ -81,31 +81,14 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- \
 grep -q '"heap_backend": "mmap"' target/perf-smoke/BENCH_perf_thread.json
 grep -q '"heap_mb": "8192"' target/perf-smoke/BENCH_perf_thread.json
 
-# Repro-matrix smoke gate: regenerate every smoke-tier scenario into a
-# scratch dir, then compare against the committed BENCH_*.json anchors with
-# the per-scenario tolerances in gates.toml. Exits nonzero on regression,
-# exact-metric drift, or a missing/damaged anchor. GMS_WORKERS is pinned so
-# throughput anchors are comparable across machines; re-baseline with
-# `repro matrix --smoke` (see gates.toml header) after intentional changes.
-echo "==> repro matrix --smoke + gate"
-rm -rf target/matrix-smoke
-GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    matrix --smoke --anchors target/matrix-smoke
-GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    gate --smoke --candidate target/matrix-smoke
-
-# Magazine-cache smoke: regenerate just the cached twin scenarios and gate
-# them against their committed anchors. Redundant with the full matrix run
-# above by construction, but isolates a cache regression in its own stage
-# (and exercises the --scenario selection + @cached plumbing end to end).
-echo "==> repro matrix --smoke (cached scenarios) + gate"
-rm -rf target/matrix-cached
-GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    matrix --smoke --scenario perf_thread_cached --scenario mixed_cached \
-    --anchors target/matrix-cached
-GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    gate --smoke --scenario perf_thread_cached --scenario mixed_cached \
-    --candidate target/matrix-cached
+# Repro-matrix smoke gate: rerun every smoke-tier scenario and compare it
+# against the committed BENCH_*.json anchors. The smoke tier runs on the
+# inline one-worker device whatever GMS_WORKERS says, so every exact metric
+# must be bit-equal; info metrics (timings, host readings) are not compared.
+# Exits nonzero on an exact mismatch or a missing/damaged anchor.
+# Re-baseline with `repro matrix --smoke` after intentional changes.
+echo "==> repro gate --smoke"
+cargo run --offline --release -q -p gpumem-bench --bin repro -- gate --smoke
 
 # Event-tracing smoke: a traced run must produce a Perfetto-loadable Chrome
 # trace (the binary validates it before writing) plus a latency-percentile
@@ -122,10 +105,12 @@ grep -q '^ScatterAlloc,malloc,' target/trace-smoke/trace_latency_2048_TITANV.csv
 # Telemetry smoke: a watched run must produce a schema-versioned JSON
 # time-series with at least 10 sample windows, a parse-validated OpenMetrics
 # exposition, and a per-window CSV the summarizer can read (DESIGN.md §15).
+# The smoke tier runs inline and the whole watch lasts tens of milliseconds:
+# the default 100 Hz cadence cuts 6-10 windows, 1 kHz cuts 15-19.
 echo "==> repro watch smoke"
 rm -rf target/watch-smoke
-GMS_WORKERS="${GMS_WORKERS:-4}" cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    watch -m scatter --scenario mixed --out target/watch-smoke
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    watch -m scatter --scenario mixed --telemetry-hz 1000 --out target/watch-smoke
 grep -q '"schema": 2' target/watch-smoke/telemetry_mixed.json
 grep -q '"kind": "gms-telemetry"' target/watch-smoke/telemetry_mixed.json
 grep -q '# EOF' target/watch-smoke/telemetry_mixed.prom
