@@ -39,12 +39,14 @@
 //! of claim order, so only the slot itself can say it is whole — and
 //! readers wait (bounded) on the tag of a slot that is claimed but not yet
 //! published. All shards' slots are one zeroed mapping (`backend.rs`'s
-//! `Map`, as the RAM heap is): nothing is written to build it, and only the
-//! shards an SM owns are committed up front.
+//! `Map`, as the RAM heap is): nothing is written or committed to build it.
+//! The writer that claims slot 0 of a shard commits that whole shard before
+//! it writes, so a recorder costs memory only for the shards events land on.
 //!
 //! [`Traced`] times a `malloc`/`free` with two clock reads and writes one
 //! `MallocEnd`/`FreeEnd` when the call returns, stamped with that instant;
-//! the call started `latency` nanoseconds earlier.
+//! the call started `latency` nanoseconds earlier. On a shard that is
+//! already full it skips the clock: the event will be dropped anyway.
 
 use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
@@ -61,8 +63,9 @@ use std::time::Instant;
 
 /// Default ring capacity per SM shard, in slots.
 ///
-/// At 48 bytes per slot this bounds an 80-SM recorder to 30 MiB resident
-/// (48 MiB of address space: 128 shards). A contention run of 10 000
+/// At 48 bytes per slot an 80-SM recorder maps 48 MiB of address space
+/// (128 shards of 384 KiB), of which only the shards events land on become
+/// resident: at most 30 MiB for 80 SMs. A contention run of 10 000
 /// threads writes 2 events per thread (one for its `malloc`, one for its
 /// `free`) spread over the SMs the threads land on, so the default holds a
 /// full default-scale run without drops.
@@ -259,9 +262,10 @@ impl TraceShard {
 /// `fetch_add`, five `Relaxed` stores and one `Release` store. When a shard
 /// fills, further events on it are counted in [`TraceRecorder::dropped`]
 /// and discarded — memory stays bounded at `shards × events_per_sm × 48`
-/// bytes of address space no matter how long the run, of which the shards of
-/// the `num_sms` SMs are resident from construction; the shards the power of
-/// two adds page in only if an out-of-range SM id folds onto them.
+/// bytes of address space no matter how long the run. Nothing of it is
+/// resident after construction: a shard is committed, whole, by the writer
+/// that claims its first slot, so the shards no event lands on — the SMs a
+/// launch never reaches and the ones the power of two adds — cost nothing.
 pub struct TraceRecorder {
     shards: Box<[TraceShard]>,
     /// Every shard's slots, shard after shard, in one zeroed mapping.
@@ -355,19 +359,19 @@ impl TraceRecorder {
     /// beyond the configured count fold in with a mask, mirroring
     /// `AllocCounters`.
     ///
+    /// The ring is address space only; see [`TraceRecorder::emit_at`] for
+    /// when a shard is committed.
+    ///
     /// # Panics
     ///
     /// When the ring is more than the host can map.
     pub fn new(num_sms: u32, events_per_sm: usize) -> Self {
-        let sms = num_sms.max(1) as usize;
-        let shards = sms.next_power_of_two();
+        let shards = (num_sms.max(1) as usize).next_power_of_two();
         let capacity = events_per_sm.max(1);
-        let shard_bytes = capacity.saturating_mul(std::mem::size_of::<Slot>());
         let ring = shards
-            .checked_mul(shard_bytes)
+            .checked_mul(capacity.saturating_mul(std::mem::size_of::<Slot>()))
             .and_then(|bytes| Map::reserve(bytes, false))
             .unwrap_or_else(|| panic!("no room for {shards} trace shards of {capacity} slots"));
-        ring.commit(0, (sms * shard_bytes) as u64).expect("trace ring of the SMs' shards commits");
         TraceRecorder {
             shards: (0..shards).map(|_| TraceShard::default()).collect(),
             ring,
@@ -404,11 +408,31 @@ impl TraceRecorder {
         self.emit_at(self.now_ns(), sm, kind, args);
     }
 
+    /// The index of the shard SM `sm` records on, and its cursors.
+    #[inline]
+    fn shard(&self, sm: u32) -> (usize, &TraceShard) {
+        let idx = sm as usize & (self.shards.len() - 1);
+        (idx, &self.shards[idx])
+    }
+
+    /// Whether SM `sm`'s shard has no free slot left, so every event
+    /// emitted on it from now on is dropped: `claimed` never falls.
+    #[inline]
+    fn is_full(&self, sm: u32) -> bool {
+        self.shard(sm).1.claimed.load(Ordering::Relaxed) >= self.capacity as u64
+    }
+
     /// Records an event with an explicit timestamp (callers that time an
     /// operation themselves pass the instant it returned).
+    ///
+    /// The writer that claims slot 0 of a shard commits the whole shard
+    /// first; `fetch_add` hands slot 0 out once, so there is one committer
+    /// and no flag. Writers racing into the shard's later slots do not wait
+    /// for it — a page they touch first faults in — and the commit keeps
+    /// what they write. A commit the kernel refuses is ignored: the pages
+    /// then fault in one at a time as they are written.
     pub fn emit_at(&self, ts_ns: u64, sm: u32, kind: EventKind, args: [u64; 4]) {
-        let shard_idx = sm as usize & (self.shards.len() - 1);
-        let shard = &self.shards[shard_idx];
+        let (shard_idx, shard) = self.shard(sm);
         // A full ring costs one read-modify-write, and the slot counter
         // stops growing once every writer has seen it full.
         if shard.claimed.load(Ordering::Relaxed) >= self.capacity as u64 {
@@ -420,6 +444,10 @@ impl TraceRecorder {
             // Lost the race for the last slot.
             shard.dropped.fetch_add(1, Ordering::Relaxed);
             return;
+        }
+        if idx == 0 {
+            let shard_bytes = (self.capacity * std::mem::size_of::<Slot>()) as u64;
+            let _ = self.ring.commit(shard_idx as u64 * shard_bytes, shard_bytes);
         }
         let slot = &self.slots(shard_idx)[idx as usize];
         // The claim above made `idx` exclusively ours, so these Relaxed
@@ -554,17 +582,24 @@ impl<A: DeviceAllocator> Traced<A> {
         Traced { inner, rec }
     }
 
-    /// Runs `op` in a fresh retry scope between two clock reads. Returns its
-    /// result, the end timestamp, the latency — clamped to 1 ns: the
-    /// operation took nonzero time even when the clock's granularity says
-    /// otherwise — and the retries noted meanwhile.
+    /// Runs `op`, issued on SM `sm`, in a fresh retry scope between two
+    /// clock reads. Returns its result, the end timestamp, the latency —
+    /// clamped to 1 ns: the operation took nonzero time even when the
+    /// clock's granularity says otherwise — and the retries noted meanwhile.
+    ///
+    /// When `sm`'s shard is already full, every event of the operation will
+    /// be dropped, so the clock is not read and the end stamp is 0; the
+    /// retry scope still opens, so an enclosing `Traced` keeps only its own
+    /// layer's retries. `op` has one call site on purpose: a second one in
+    /// an early return for the full case cost the recording path 3–5 ns.
     #[inline]
-    fn timed<R>(&self, op: impl FnOnce() -> R) -> (R, u64, u64, u64) {
-        let t0 = self.rec.now_ns();
+    fn timed<R>(&self, sm: u32, op: impl FnOnce() -> R) -> (R, u64, u64, u64) {
+        let clock = !self.rec.is_full(sm);
+        let t0 = if clock { self.rec.now_ns() } else { 0 };
         let enclosing = begin_op_scope();
         let r = op();
         let retries = end_op_scope(enclosing);
-        let t1 = self.rec.now_ns();
+        let t1 = if clock { self.rec.now_ns() } else { 0 };
         (r, t1, t1.saturating_sub(t0).max(1), retries)
     }
 }
@@ -580,14 +615,14 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        let (r, t1, latency, retries) = self.timed(|| self.inner.malloc(ctx, size));
+        let (r, t1, latency, retries) = self.timed(ctx.sm, || self.inner.malloc(ctx, size));
         let ptr = r.as_ref().map_or(u64::MAX, |p| p.raw());
         self.rec.emit_at(t1, ctx.sm, EventKind::MallocEnd, [ptr, size, latency, retries]);
         r
     }
 
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        let (r, t1, latency, retries) = self.timed(|| self.inner.free(ctx, ptr));
+        let (r, t1, latency, retries) = self.timed(ctx.sm, || self.inner.free(ctx, ptr));
         let args = [ptr.raw(), latency, retries, r.is_ok() as u64];
         self.rec.emit_at(t1, ctx.sm, EventKind::FreeEnd, args);
         r
@@ -599,7 +634,8 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
         sizes: &[u64],
         out: &mut [DevicePtr],
     ) -> Result<(), AllocError> {
-        let (r, t1, latency, mut retries) = self.timed(|| self.inner.malloc_warp(warp, sizes, out));
+        let (r, t1, latency, mut retries) =
+            self.timed(warp.sm, || self.inner.malloc_warp(warp, sizes, out));
         if r.is_ok() {
             // The first lane carries all the collective's retries.
             for (&size, ptr) in sizes.iter().zip(out.iter()) {
@@ -614,7 +650,8 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     }
 
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
-        let (r, t1, latency, mut retries) = self.timed(|| self.inner.free_warp(warp, ptrs));
+        let (r, t1, latency, mut retries) =
+            self.timed(warp.sm, || self.inner.free_warp(warp, ptrs));
         // `ok` reflects the collective result: `free_warp` reports only the
         // first error, so on Err the occupancy replay conservatively keeps
         // all lanes live. As in `malloc_warp`, the first live lane carries
@@ -628,7 +665,7 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     }
 
     fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
-        let (r, t1, latency, retries) = self.timed(|| self.inner.free_warp_all(warp));
+        let (r, t1, latency, retries) = self.timed(warp.sm, || self.inner.free_warp_all(warp));
         // Bulk free: the individual pointers are the manager's private
         // state, so the event carries the null sentinel and the occupancy
         // replay leaves these allocations in place (documented limitation
@@ -1234,26 +1271,44 @@ mod tests {
         }
     }
 
-    /// Shards 80–127 of an 80-SM recorder exist only because the shard count
-    /// is a power of two: they are address space until an out-of-range SM id
-    /// folds onto one, and dropping the recorder unmaps all of it.
+    /// A recorder is address space until events land: the writer of a
+    /// shard's first event commits that shard whole, a shard no event lands
+    /// on stays out of memory — the fold-over shards 80–127 of an 80-SM
+    /// recorder page in only when an out-of-range SM id lands on one — and
+    /// dropping the recorder unmaps all of it.
     #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
-    fn fold_over_shards_page_in_on_demand_and_drop_unmaps() {
+    fn shards_page_in_on_their_first_event_and_drop_unmaps() {
         use crate::backend::probe::{is_mapped, resident_bytes};
         let shard_bytes = DEFAULT_EVENTS_PER_SM * 48;
+        // Shards are 384 KiB in a huge-page advised ring, so one write can
+        // page in a whole 2 MiB page around it. Shard 7 (2.6–3 MiB) lies
+        // inside one such page; shard 10 (3.75–4.1 MiB) straddles two, and
+        // only a commit pages in its second. Shard 40 (15 MiB in) is more
+        // than a huge page from every shard written here (100 is 37.5 MiB
+        // in, on a fold-over SM id).
+        let far = 40 * shard_bytes;
         // Another test thread may map the hole the instant it opens: one
         // sighting of the address unmapped is the proof (a leak never shows).
         let unmapped = (0..8).any(|_| {
             let rec = TraceRecorder::new(80, DEFAULT_EVENTS_PER_SM);
             let base = rec.ring.base() as usize;
             assert_eq!(rec.ring.len(), 128 * shard_bytes);
-            assert_eq!(resident_bytes(base, 80 * shard_bytes), 80 * shard_bytes);
-            assert_eq!(resident_bytes(base + 80 * shard_bytes, 48 * shard_bytes), 0);
-            rec.emit_at(7, 100, EventKind::OomFallback, [3, 0, 0, 0]);
-            let folded = rec.snapshot().events;
-            assert_eq!(folded, [ev(7, EventKind::OomFallback, 100, [3, 0, 0, 0])]);
-            assert_ne!(resident_bytes(base + 100 * shard_bytes, shard_bytes), 0);
+            assert_eq!(resident_bytes(base, 128 * shard_bytes), 0, "new commits nothing");
+            let written = [7, 10, 100];
+            for (ts, &sm) in written.iter().enumerate() {
+                rec.emit_at(ts as u64, sm, EventKind::OomFallback, [u64::from(sm), 0, 0, 0]);
+                let shard = base + sm as usize * shard_bytes;
+                assert_eq!(resident_bytes(shard, shard_bytes), shard_bytes, "shard {sm}");
+                assert_eq!(resident_bytes(base + far, shard_bytes), 0, "shard 40 saw no event");
+            }
+            let events = rec.snapshot().events;
+            let expect: Vec<TraceEvent> = (written.iter().enumerate())
+                .map(|(ts, &sm)| {
+                    ev(ts as u64, EventKind::OomFallback, sm, [u64::from(sm), 0, 0, 0])
+                })
+                .collect();
+            assert_eq!(events, expect);
             drop(rec);
             !is_mapped(base)
         });
@@ -1292,6 +1347,40 @@ mod tests {
             let seen: Vec<u64> =
                 t.events.iter().filter(|e| e.args[1] == sm).map(|e| e.args[0]).collect();
             assert_eq!(seen.len(), 1000, "sm {sm} lost events");
+        }
+    }
+
+    /// Four threads race for slot 0 of one fresh shard, so the commit runs
+    /// while the losers already write slots 1.. of it: it keeps their
+    /// words, and every event decodes whole. Eight fresh recorders, since
+    /// one race is one draw of the interleaving.
+    #[test]
+    fn racing_first_claims_keep_every_event_whole() {
+        for _ in 0..8 {
+            let rec = Arc::new(TraceRecorder::new(2, 4096));
+            let start = Arc::new(std::sync::Barrier::new(4));
+            let threads: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (rec, start) = (Arc::clone(&rec), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for i in 0..1000u64 {
+                            rec.emit_at(i, 1, EventKind::MallocEnd, [t, i, t ^ i, !i]);
+                        }
+                    })
+                })
+                .collect();
+            for h in threads {
+                h.join().unwrap();
+            }
+            assert_eq!((rec.recorded(), rec.dropped()), (4000, 0));
+            let mut seen = HashSet::new();
+            for e in rec.snapshot().events {
+                let [thread, i, mix, not_i] = e.args;
+                assert_eq!((e.ts_ns, e.sm, mix, not_i), (i, 1, thread ^ i, !i), "torn: {e:?}");
+                assert!(seen.insert((thread, i)), "decoded twice: {e:?}");
+            }
+            assert_eq!(seen.len(), 4000, "events lost");
         }
     }
 
@@ -1507,6 +1596,78 @@ mod tests {
         assert_eq!(end_op_scope(none), 2, "outer op keeps the middle layer's retries");
     }
 
+    /// A manager that notes 3 retries per `malloc`.
+    struct Inner {
+        heap: Arc<DeviceHeap>,
+        m: Metrics,
+    }
+    impl DeviceAllocator for Inner {
+        fn info(&self) -> ManagerInfo {
+            ManagerInfo::builder("Inner").supports_free(true).build()
+        }
+        fn heap(&self) -> &DeviceHeap {
+            &self.heap
+        }
+        fn malloc(&self, ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
+            self.m.record_retries(ctx.sm, 3);
+            Ok(DevicePtr::new(0))
+        }
+        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+            Ok(())
+        }
+        fn register_footprint(&self) -> RegisterFootprint {
+            RegisterFootprint { malloc: 1, free: 1 }
+        }
+        fn metrics(&self) -> Metrics {
+            self.m.clone()
+        }
+    }
+
+    /// A layer that notes 2 retries of its own per `malloc` before
+    /// delegating (e.g. magazine CAS contention).
+    struct Middle<A> {
+        inner: A,
+        m: Metrics,
+    }
+    impl<A: DeviceAllocator> crate::traits::Layer for Middle<A> {
+        type Inner = A;
+
+        fn inner(&self) -> &A {
+            &self.inner
+        }
+        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+            self.m.record_retries(ctx.sm, 2);
+            self.inner.malloc(ctx, size)
+        }
+        fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+            self.inner.free(ctx, ptr)
+        }
+        fn malloc_warp(
+            &self,
+            warp: &WarpCtx,
+            sizes: &[u64],
+            out: &mut [DevicePtr],
+        ) -> Result<(), AllocError> {
+            self.inner.malloc_warp(warp, sizes, out)
+        }
+        fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
+            self.inner.free_warp(warp, ptrs)
+        }
+    }
+
+    /// `Traced<Middle<Traced<Inner>>>` over a one-SM ring of `capacity`
+    /// slots, and the ring.
+    fn nested_stack(capacity: usize) -> (impl DeviceAllocator, Arc<TraceRecorder>) {
+        let rec = Arc::new(TraceRecorder::new(1, capacity));
+        let m = Metrics::enabled(1).with_tracer(Arc::clone(&rec));
+        let inner = Inner { heap: Arc::new(DeviceHeap::new(4096)), m: m.clone() };
+        let stack = Traced::new(
+            Middle { inner: Traced::new(inner, Arc::clone(&rec)), m: m.relay() },
+            Arc::clone(&rec),
+        );
+        (stack, rec)
+    }
+
     /// Regression test for the nested-decorator retry bridge: in
     /// `Traced<Middle<Traced<Inner>>>` the outer `MallocEnd` must carry
     /// only the middle layer's retries (2) and the inner `MallocEnd` only
@@ -1515,74 +1676,8 @@ mod tests {
     /// and its drain misattributed the total.
     #[test]
     fn nested_traced_wrappers_scope_retries_per_layer() {
-        struct Inner {
-            heap: Arc<DeviceHeap>,
-            m: Metrics,
-        }
-        impl DeviceAllocator for Inner {
-            fn info(&self) -> ManagerInfo {
-                ManagerInfo::builder("Inner").supports_free(true).build()
-            }
-            fn heap(&self) -> &DeviceHeap {
-                &self.heap
-            }
-            fn malloc(&self, ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
-                self.m.record_retries(ctx.sm, 3);
-                Ok(DevicePtr::new(0))
-            }
-            fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
-                Ok(())
-            }
-            fn register_footprint(&self) -> RegisterFootprint {
-                RegisterFootprint { malloc: 1, free: 1 }
-            }
-            fn metrics(&self) -> Metrics {
-                self.m.clone()
-            }
-        }
-
-        struct Middle<A> {
-            inner: A,
-            m: Metrics,
-        }
-        impl<A: DeviceAllocator> crate::traits::Layer for Middle<A> {
-            type Inner = A;
-
-            fn inner(&self) -> &A {
-                &self.inner
-            }
-            fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-                // The middle layer burns retries of its own (e.g. magazine
-                // CAS contention) before delegating.
-                self.m.record_retries(ctx.sm, 2);
-                self.inner.malloc(ctx, size)
-            }
-            fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-                self.inner.free(ctx, ptr)
-            }
-            fn malloc_warp(
-                &self,
-                warp: &WarpCtx,
-                sizes: &[u64],
-                out: &mut [DevicePtr],
-            ) -> Result<(), AllocError> {
-                self.inner.malloc_warp(warp, sizes, out)
-            }
-            fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
-                self.inner.free_warp(warp, ptrs)
-            }
-        }
-
-        let rec = Arc::new(TraceRecorder::new(1, 16));
-        let m = Metrics::enabled(1).with_tracer(Arc::clone(&rec));
-        let inner = Inner { heap: Arc::new(DeviceHeap::new(4096)), m: m.clone() };
-        let stack = Traced::new(
-            Middle { inner: Traced::new(inner, Arc::clone(&rec)), m: m.relay() },
-            Arc::clone(&rec),
-        );
-
-        let ctx = ThreadCtx::host();
-        stack.malloc(&ctx, 64).unwrap();
+        let (stack, rec) = nested_stack(16);
+        stack.malloc(&ThreadCtx::host(), 64).unwrap();
 
         let trace = rec.snapshot();
         let retries: Vec<u64> = trace
@@ -1597,12 +1692,35 @@ mod tests {
         let total: u64 = retries.iter().sum();
         assert_eq!(total, 5, "no retry double-counted or lost across layers");
     }
+
+    /// On a full shard `Traced` skips the clock but not the retry scope:
+    /// each layer's event is still dropped once, and no layer's retries
+    /// leak into the operation enclosing the stack.
+    #[test]
+    fn full_shard_drops_once_per_layer_and_keeps_retry_scopes() {
+        let (stack, rec) = nested_stack(1);
+        let ctx = ThreadCtx::host();
+        // The inner wrapper takes the one slot; the outer one finds it full.
+        stack.malloc(&ctx, 64).unwrap();
+        assert_eq!((rec.recorded(), rec.dropped()), (1, 1));
+        for round in 1..=3 {
+            let enclosing = begin_op_scope();
+            stack.malloc(&ctx, 64).unwrap();
+            assert_eq!(end_op_scope(enclosing), 0, "round {round}: retries leaked outward");
+            assert_eq!((rec.recorded(), rec.dropped()), (1, 1 + 2 * round));
+        }
+        assert_eq!(rec.snapshot().events[0].args[3], 3, "the recorded event kept its retries");
+    }
 }
 
 // Loom model of the claim/publish protocol: two writers — a `Traced`-shaped
-// `MallocEnd` and a point event — race a reader that drains incrementally.
-// With no shard-wide commit count, the per-slot tag is all that stands
-// between the reader and a half-written slot.
+// `MallocEnd` and a point event — race for the first slot of an empty shard
+// while a reader drains incrementally, so the winner's commit of the shard
+// runs between the claims, the loser's stores and the reads. With no
+// shard-wide commit count, the per-slot tag is all that stands between the
+// reader and a half-written slot. The shards are 192 bytes, so shard 1's
+// commit covers the page that holds shard 0's slots too, one of them
+// already published: the commit must keep it.
 #[cfg(all(test, loom))]
 mod loom_tests {
     use super::*;
@@ -1610,10 +1728,11 @@ mod loom_tests {
     #[test]
     fn loom_claim_commit_publishes_whole_slots() {
         crate::sync::model(|| {
-            let rec = Arc::new(TraceRecorder::new(1, 4));
+            let rec = Arc::new(TraceRecorder::new(2, 4));
+            rec.emit_at(5, 0, EventKind::CacheHit, [5; 4]);
             let writer = |ts: u64, kind: EventKind| {
                 let rec = Arc::clone(&rec);
-                crate::sync::thread::spawn(move || rec.emit_at(ts, 0, kind, [ts; 4]))
+                crate::sync::thread::spawn(move || rec.emit_at(ts, 1, kind, [ts; 4]))
             };
             let malloc = writer(7, EventKind::MallocEnd);
             let oom = writer(9, EventKind::OomFallback);
@@ -1621,6 +1740,7 @@ mod loom_tests {
             let whole = |t: &Trace| {
                 for ev in &t.events {
                     let ts = match ev.kind {
+                        EventKind::CacheHit => 5,
                         EventKind::MallocEnd => 7,
                         EventKind::OomFallback => 9,
                         other => panic!("nobody wrote a {other:?}"),
@@ -1635,8 +1755,8 @@ mod loom_tests {
             oom.join().unwrap();
             let rest = rec.snapshot_since(&mut cursors);
             whole(&rest);
-            assert_eq!(mid.len() + rest.len(), 2, "each event in exactly one drain");
-            assert_eq!(rec.recorded(), 2);
+            assert_eq!(mid.len() + rest.len(), 3, "each event in exactly one drain");
+            assert_eq!(rec.recorded(), 3);
         });
     }
 }
