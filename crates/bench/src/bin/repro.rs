@@ -19,8 +19,8 @@
 //! `--heap-backend ram|mmap`, `--heap-mb MB`, `--seed HEX`. `--num`,
 //! `--iter`, `--cycles` and `--cached` size the diagnostic subcommands;
 //! `matrix`, `gate` and `watch` take their counts, iterations and per-cell
-//! timeouts from the tier and refuse them. `--telemetry-hz` belongs to `watch` alone. The diagnostic
-//! subcommands print each table they save as CSV, with the same columns.
+//! timeouts from the tier and refuse them. The diagnostic subcommands print
+//! each table they save as CSV, with the same columns.
 
 use std::path::{Path, PathBuf};
 
@@ -67,9 +67,6 @@ struct Opts {
     anchors: PathBuf,
     /// `--scenario NAME` (repeatable): restrict matrix/gate to a subset.
     scenarios: Vec<String>,
-    /// `--telemetry-hz N`: sampler cadence (default 100 Hz, i.e. 10 ms
-    /// windows).
-    telemetry_hz: Option<f64>,
 }
 
 impl Default for Opts {
@@ -90,7 +87,6 @@ impl Default for Opts {
             seed: 0x5eed,
             anchors: PathBuf::from("."),
             scenarios: Vec::new(),
-            telemetry_hz: None,
         }
     }
 }
@@ -126,11 +122,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         i += 1;
         match flag.as_str() {
             "--iter" if tier_pinned => return Err(pinned_error(&flag)),
-            "--telemetry-hz" if cmd != "watch" => {
-                return Err(format!(
-                    "{flag} does not apply to `{cmd}`: only `watch` runs the sampler"
-                ))
-            }
             "-t" => {
                 let raw = next(&mut i)?;
                 let sel: ManagerSelection = raw.parse()?;
@@ -174,10 +165,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             }
             "--anchors" => opts.anchors = PathBuf::from(next(&mut i)?),
             "--scenario" => opts.scenarios.push(next(&mut i)?),
-            "--telemetry-hz" => {
-                let hz = next(&mut i)?;
-                opts.telemetry_hz = Some(hz.parse().map_err(|e| format!("bad hz {hz:?}: {e}"))?);
-            }
             other => return Err(format!("unknown option: {other}\n{}", usage())),
         }
     }
@@ -194,15 +181,14 @@ fn usage() -> String {
       BENCH_<scenario>.json anchor each, `repro gate` reruns them and fails\n\
       on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
       scenario under the telemetry sampler and writes\n\
-      telemetry_<scenario>.{json,csv,prom} into --out)\n\
+      telemetry_<scenario>.{json,csv} into --out)\n\
      options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
      trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
      --trace-cap EVENTS_PER_SM\n\
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --scenario NAME (repeatable); -t / -m restrict the managers; matrix\n\
-     defaults to the full tier, gate and watch to the smoke tier\n\
-     watch only: --telemetry-hz N"
+     defaults to the full tier, gate and watch to the smoke tier"
         .to_string()
 }
 
@@ -417,8 +403,8 @@ fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
 }
 
 /// `repro watch` — run one matrix scenario under the telemetry sampler
-/// and export the sampled time-series (JSON, per-window CSV,
-/// OpenMetrics). Defaults to the smoke tier: watch is an interactive
+/// at the default cadence and export the sampled time-series (JSON and
+/// per-window CSV). Defaults to the smoke tier: watch is an interactive
 /// diagnosis tool, not the anchor producer.
 fn watch_cmd(opts: &Opts) {
     let scenario = match opts.scenarios.as_slice() {
@@ -432,11 +418,8 @@ fn watch_cmd(opts: &Opts) {
             std::process::exit(2);
         }
     };
-    let mut tcfg = TelemetryConfig::new();
-    if let Some(hz) = opts.telemetry_hz {
-        tcfg = tcfg.hz(hz);
-    }
-    let outcome = watch::watch(matrix_cfg(opts, Tier::Smoke), &scenario, tcfg, &opts.out);
+    let cfg = matrix_cfg(opts, Tier::Smoke);
+    let outcome = watch::watch(cfg, &scenario, TelemetryConfig::new(), &opts.out);
     let outcome = or_exit(outcome.map_err(|e| format!("watch: {e}")), 1);
     if outcome.anchor.metrics.is_empty() {
         eprintln!("warning: manager restriction excluded every kind this scenario runs");
@@ -454,7 +437,7 @@ fn watch_cmd(opts: &Opts) {
         s.totals.free_calls(),
         s.dropped_events,
     );
-    for p in [&outcome.json_path, &outcome.csv_path, &outcome.om_path] {
+    for p in [&outcome.json_path, &outcome.csv_path] {
         println!("wrote {}", p.display());
     }
 }

@@ -19,7 +19,7 @@
 //!   only.
 //! * [`watch`] — `repro watch`: any matrix scenario under the live
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
-//!   time-series as JSON, per-window CSV and OpenMetrics.
+//!   time-series as JSON and per-window CSV.
 //! * [`csv`] — the tables the diagnostic subcommands (`table1`,
 //!   `contention`, `sanitize`, `trace`, `audit`) print and write, and the
 //!   per-window CSV `watch` writes.

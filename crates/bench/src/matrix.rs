@@ -27,14 +27,13 @@
 use std::fmt;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gpu_sim::{Device, DeviceSpec, LaunchPhase};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
 use gpumem_core::telemetry::{BoundaryMarker, TelemetrySink};
-use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{HeapBackendKind, Pretouch, WARP_SIZE};
+use gpumem_core::{HeapBackendKind, Pretouch};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
 use crate::registry::{ManagerKind, DEFAULT_KINDS};
@@ -112,10 +111,6 @@ struct Axes {
     update_edges: u32,
     /// §4.2.1 churn: threads per cycle.
     churn_threads: u32,
-    /// Traced allocations of the latency scenario.
-    latency_num: u32,
-    /// Trials of the executor microbenchmark.
-    exec_trials: u32,
 }
 
 impl Tier {
@@ -148,8 +143,6 @@ impl Tier {
                 graph_div: 64,
                 update_edges: 20_000,
                 churn_threads: 10_000,
-                latency_num: 100_000,
-                exec_trials: 16,
             };
         }
         let pick = |tiny: u32, smoke: u32| if self == Tier::Tiny { tiny } else { smoke };
@@ -177,8 +170,6 @@ impl Tier {
             graph_div: pick(512, 256),
             update_edges: pick(500, 2000),
             churn_threads: pick(256, 2048),
-            latency_num: pick(512, 2048),
-            exec_trials: 8,
         }
     }
 }
@@ -444,18 +435,6 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         family: "Sec. 4.2.1 repeated alloc/free",
         variant: "10 allocate-all/free-all cycles at 256 B, last over first quarter",
         run: churn,
-    },
-    ScenarioSpec {
-        name: "latency",
-        family: "event-trace latency percentiles",
-        variant: "malloc/free p50/p99 via per-SM rings",
-        run: latency,
-    },
-    ScenarioSpec {
-        name: "exec",
-        family: "executor launch overhead",
-        variant: "pooled: empty-launch latency, warp throughput, small-launch spread",
-        run: exec,
     },
 ];
 
@@ -820,69 +799,6 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     Ok(metrics)
 }
 
-fn latency(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
-    let bench = cfg.bench();
-    let num = cfg.tier.axes().latency_num;
-    let mut metrics = Vec::new();
-    for kind in cfg.restrict(&DEFAULT_KINDS) {
-        let r = runners::trace_profile(&bench, kind, num, DEFAULT_EVENTS_PER_SM);
-        let k = kind.label();
-        let (malloc, free) = (&r.latencies.malloc, &r.latencies.free);
-        metrics.push(Metric::info(format!("{k}/malloc_p50_ns"), malloc.p50() as f64));
-        metrics.push(Metric::info(format!("{k}/malloc_p99_ns"), malloc.p99() as f64));
-        // Warp-level-only and no-free families emit no `FreeEnd` events, so
-        // an unconditional key would anchor the empty histogram's reading
-        // as if it were a latency. Emit only when the free path actually ran.
-        if free.count() > 0 {
-            metrics.push(Metric::info(format!("{k}/free_p99_ns"), free.p99() as f64));
-        }
-    }
-    Ok(metrics)
-}
-
-/// The executor's own cost (`BENCH_exec.json`): the reported time and the
-/// whole call of an empty one-warp-per-worker launch (minima over
-/// `8 × trials`), warp throughput at the claim-chunk cap, and how many
-/// workers a `workers`-warp launch reaches. It measures the configured pool
-/// at every tier, so it builds its own device rather than the tier's. The
-/// pool size and the spread are host readings and so `info`; `gpu-sim`'s
-/// `small_launch_spreads_across_workers` test holds the spread.
-fn exec(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
-    let device = Device::new(cfg.device);
-    let trials = cfg.tier.axes().exec_trials;
-    let workers = device.workers();
-    let (mut empty, mut call) = (Duration::MAX, Duration::MAX);
-    for _ in 0..trials * 8 {
-        let t = Instant::now();
-        empty = empty.min(device.launch(workers as u32 * WARP_SIZE, |_| {}));
-        call = call.min(t.elapsed());
-    }
-    let tp_warps = 16_384u32;
-    let mut tp = Duration::MAX;
-    for _ in 0..trials.min(16) {
-        tp = tp.min(device.launch(tp_warps * WARP_SIZE, |ctx| {
-            std::hint::black_box(ctx.scatter_hash());
-        }));
-    }
-    // Each warp is busy long enough that the whole pool claims before the
-    // queue drains.
-    let mut small_used = 0usize;
-    for _ in 0..trials.min(16) {
-        let (_, sched) = device.launch_warps_with_stats(workers as u32, |_| {
-            std::thread::sleep(Duration::from_micros(200));
-        });
-        small_used = small_used.max(sched.workers_used());
-    }
-    Ok(vec![
-        Metric::info("empty_pooled_ns", empty.as_nanos() as f64),
-        Metric::info("call_pooled_ns", call.as_nanos() as f64),
-        Metric::info("pooled_warps_per_sec", mops(tp_warps, tp) * 1e6),
-        Metric::exact("throughput_warps", f64::from(tp_warps)),
-        Metric::info("workers", workers as f64),
-        Metric::info("small_launch_worker_frac", small_used as f64 / workers as f64),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,10 +849,7 @@ mod tests {
         }
         let s = Tier::Smoke.axes();
         assert_eq!((s.warps, s.frag_num, s.frag_cycles, s.write_threads), (1024, 2048, 4, 4096));
-        assert_eq!(
-            (s.graph_div, s.update_edges, s.latency_num, s.exec_trials),
-            (256, 2000, 2048, 8)
-        );
+        assert_eq!((s.graph_div, s.update_edges), (256, 2000));
 
         let f = Tier::Full.axes();
         assert_eq!((f.threads, f.warps), (100_000, 10_000));
@@ -965,31 +878,6 @@ mod tests {
     fn mops_guards_zero_duration() {
         assert!(mops(1000, Duration::ZERO).is_finite());
         assert!(kops(1000, Duration::ZERO).is_finite());
-    }
-
-    #[test]
-    fn exec_scenario_produces_schema_v2_anchor() {
-        let cfg = MatrixCfg::new(Tier::Tiny);
-        let spec = scenario("exec").unwrap();
-        let a = run_scenario(&cfg, spec).unwrap();
-        assert_eq!(a.schema, SCHEMA_VERSION);
-        assert_eq!(a.tier, "tiny");
-        let keys: Vec<&str> = a.metrics.iter().map(|m| m.key.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "empty_pooled_ns",
-                "call_pooled_ns",
-                "pooled_warps_per_sec",
-                "throughput_warps",
-                "workers",
-                "small_launch_worker_frac"
-            ]
-        );
-        assert!(a.provenance_value("seed").is_some());
-        // Round-trips through the parser byte-identically.
-        let again = Anchor::parse(&a.render()).unwrap();
-        assert_eq!(again, a);
     }
 
     #[test]

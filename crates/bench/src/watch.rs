@@ -6,23 +6,23 @@
 //! [`MatrixCfg::watch`] carries the sampler's [`TelemetrySink`] and
 //! [`BoundaryMarker`](gpumem_core::BoundaryMarker). Every `Bench` the
 //! scenario takes from [`MatrixCfg::bench`] builds its managers with that
-//! sink (which forces the observability stack on) and cuts a sample window
-//! at the end of every launch. A watch therefore sees exactly the managers
-//! its own scenario builds, and two watches in one process do not mix.
+//! sink (which forces the observability stack on), and its device's launch
+//! hook cuts one boundary window on the launching thread at the end of every
+//! launch, after the launch has been timed. A watch therefore sees exactly
+//! the managers its own scenario builds, two watches in one process do not
+//! mix, and the series has one boundary window per launch.
 //!
-//! Outputs, all under the `--out` directory:
+//! Outputs, both under the `--out` directory:
 //!
 //! * `telemetry_<scenario>.json` — the schema-versioned time-series dump
 //!   ([`TimeSeries::to_json`]) with the anchor's provenance stamps.
 //! * `telemetry_<scenario>.csv` — one row per sample window
 //!   ([`Sample::CSV_HEADER`]), for `scripts/summarize_results.py`.
-//! * `telemetry_<scenario>.prom` — the OpenMetrics exposition, validated
-//!   with [`gpumem_core::validate_openmetrics`] before it is written.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gpumem_core::telemetry::{self, Telemetry, TelemetryConfig, TelemetrySink};
+use gpumem_core::telemetry::{Telemetry, TelemetryConfig, TelemetrySink};
 use gpumem_core::{Sample, TimeSeries};
 
 use crate::anchor::Anchor;
@@ -40,11 +40,9 @@ pub struct WatchOutcome {
     pub json_path: PathBuf,
     /// Path of the per-window CSV.
     pub csv_path: PathBuf,
-    /// Path of the OpenMetrics exposition.
-    pub om_path: PathBuf,
 }
 
-/// Runs `scenario` under the sampler and writes the three exports.
+/// Runs `scenario` under the sampler and writes the two exports.
 pub fn watch(
     mut cfg: MatrixCfg,
     scenario: &str,
@@ -65,32 +63,22 @@ pub fn watch(
     // sink's `Arc`s.
     let series = tel.stop();
     let anchor = result.map_err(|e| e.to_string())?;
-    let [json_path, csv_path, om_path] = export(&series, scenario, &anchor.provenance, out)?;
-    Ok(WatchOutcome { anchor, series, json_path, csv_path, om_path })
+    let [json_path, csv_path] = export(&series, scenario, &anchor.provenance, out)?;
+    Ok(WatchOutcome { anchor, series, json_path, csv_path })
 }
 
-/// Writes the three telemetry exports (`telemetry_<label>.{json,csv,prom}`)
-/// into `out`, returning the paths in that order. The OpenMetrics text is
-/// parse-validated before it lands — an unscrapable export should fail the
-/// run, not the consumer.
+/// Writes the two telemetry exports (`telemetry_<label>.{json,csv}`) into
+/// `out`, returning the paths in that order.
 pub fn export(
     series: &TimeSeries,
     label: &str,
     provenance: &[(String, String)],
     out: &Path,
-) -> Result<[PathBuf; 3], String> {
+) -> Result<[PathBuf; 2], String> {
     fs::create_dir_all(out).map_err(|e| format!("create {}: {e}", out.display()))?;
-    let write = |path: &Path, body: &str| -> Result<(), String> {
-        fs::write(path, body).map_err(|e| format!("write {}: {e}", path.display()))
-    };
-
     let json_path = out.join(format!("telemetry_{label}.json"));
-    write(&json_path, &series.to_json(label, provenance))?;
-
-    let om = series.render_openmetrics(label);
-    telemetry::validate_openmetrics(&om).map_err(|e| format!("openmetrics render: {e}"))?;
-    let om_path = out.join(format!("telemetry_{label}.prom"));
-    write(&om_path, &om)?;
+    fs::write(&json_path, series.to_json(label, provenance))
+        .map_err(|e| format!("write {}: {e}", json_path.display()))?;
 
     let mut csv = Csv::new(Sample::CSV_HEADER.iter().copied());
     let prov: Vec<String> = provenance.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -101,5 +89,5 @@ pub fn export(
     let csv_path = out.join(format!("telemetry_{label}.csv"));
     csv.write(&csv_path).map_err(|e| format!("write {}: {e}", csv_path.display()))?;
 
-    Ok([json_path, csv_path, om_path])
+    Ok([json_path, csv_path])
 }

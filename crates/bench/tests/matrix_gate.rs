@@ -128,12 +128,12 @@ fn gate_passes_self_and_fails_perturbed() {
     let report = compare(&frag, &moved);
     assert!(report.failures().any(|f| f.kind == FindingKind::ExactMismatch && f.key == key));
 
-    let exec = committed("exec");
-    let mut faster = exec.clone();
-    let m = faster.metrics.iter_mut().find(|m| m.key == "pooled_warps_per_sec").unwrap();
+    let churn = committed("churn");
+    let mut slower = churn.clone();
+    let m = slower.metrics.iter_mut().find(|m| m.key == "Ouro-S-P/slowdown").unwrap();
     assert_eq!(m.class, MetricClass::Info);
     m.value *= 100.0;
-    let report = compare(&exec, &faster);
+    let report = compare(&churn, &slower);
     assert!(report.passed(), "info metrics are not compared: {:?}", report.findings);
 
     let mut missing = frag.clone();
@@ -143,33 +143,20 @@ fn gate_passes_self_and_fails_perturbed() {
         .any(|f| f.kind == FindingKind::MissingMetric && f.key == key));
 }
 
-/// A damaged committed anchor (NaN where a throughput belongs) parses — the
-/// format is lenient so damage is diagnosable — but cannot gate.
+/// A damaged committed anchor (NaN where a timing ratio belongs) parses —
+/// the format is lenient so damage is diagnosable — but cannot gate.
 #[test]
 fn damaged_anchor_parses_then_fails_gate() {
     let a = Anchor {
         schema: SCHEMA_VERSION,
-        scenario: "exec".into(),
+        scenario: "churn".into(),
         tier: "smoke".into(),
         provenance: vec![("git".into(), "test".into())],
-        metrics: vec![Metric::info("pooled_warps_per_sec", f64::NAN)],
+        metrics: vec![Metric::info("Ouro-S-P/slowdown", f64::NAN)],
     };
     let reparsed = Anchor::parse(&a.render()).unwrap();
     assert!(reparsed.metrics[0].value.is_nan());
-    let current = Anchor { metrics: vec![Metric::info("pooled_warps_per_sec", 50.0)], ..a.clone() };
+    let current = Anchor { metrics: vec![Metric::info("Ouro-S-P/slowdown", 0.8)], ..a.clone() };
     let report = compare(&reparsed, &current);
     assert!(report.failures().any(|f| f.kind == FindingKind::InvalidAnchor));
-}
-
-/// p99 malloc latency is recorded for every default manager family, not
-/// just a favoured few. A family silently dropping out of the committed
-/// latency anchor (e.g. a registry edit that narrows the sweep) fails here.
-#[test]
-fn latency_anchor_records_p99_for_every_family() {
-    let a = committed("latency");
-    for kind in gpumem_bench::registry::DEFAULT_KINDS {
-        let key = format!("{}/malloc_p99_ns", kind.label());
-        let m = a.metric(&key).unwrap_or_else(|| panic!("latency anchor misses {key}"));
-        assert!(m.value.is_finite(), "{key} must be finite");
-    }
 }

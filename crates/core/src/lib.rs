@@ -46,10 +46,10 @@
 //!   [`TraceRecorder`] fed by the [`Traced`] wrapper and the executor,
 //!   with latency-histogram, heap-occupancy-timeline and Chrome/Perfetto
 //!   JSON consumers.
-//! * [`telemetry`] — the time-series sampler: a host thread that folds
-//!   counter deltas and trace-ring drains into a bounded [`Sample`]
-//!   series, cut by a timer and at kernel boundaries, with JSON, CSV and
-//!   OpenMetrics exports written when the run ends.
+//! * [`telemetry`] — the time-series sampler: folds counter deltas and
+//!   trace-ring drains into a bounded [`Sample`] series, cut by a timer
+//!   thread and at kernel boundaries, with JSON and CSV exports written
+//!   when the run ends.
 //! * [`json`] — the one JSON reader ([`json::Json`]) and string escaper
 //!   ([`json::quote`]) that anchors, the Chrome trace export and the
 //!   telemetry dump share.
@@ -86,8 +86,8 @@ pub use ptr::DevicePtr;
 pub use regs::RegisterFootprint;
 pub use sanitize::{Sanitized, SanitizerConfig, SanitizerReport, Violation, ViolationKind};
 pub use telemetry::{
-    validate_openmetrics, BoundaryMarker, Sample, Telemetry, TelemetryConfig, TelemetrySink,
-    TimeSeries, TELEMETRY_SCHEMA_VERSION,
+    BoundaryMarker, Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
+    TELEMETRY_SCHEMA_VERSION,
 };
 pub use trace::{
     chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,

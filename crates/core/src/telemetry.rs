@@ -6,19 +6,21 @@
 //! snapshot-at-end layers ([`crate::metrics`], [`crate::trace`]) into a
 //! series that is written out when the run ends:
 //!
-//! * [`Telemetry`] runs a dedicated host thread at a configurable cadence
-//!   (default 10 ms). Each tick it reads every manager attached to its
-//!   [`TelemetrySink`], takes the **delta** of their [`Metrics`] counters
-//!   against the previous tick, drains newly committed trace-ring events
-//!   past a per-recorder cursor, and folds both into one [`Sample`] row.
-//!   A [`BoundaryMarker`] also cuts a window at every kernel boundary.
+//! * A [`Telemetry`] sampler cuts **windows**. Each cut reads every manager
+//!   attached to its [`TelemetrySink`], takes the **delta** of their
+//!   [`Metrics`] counters against the previous cut, drains newly committed
+//!   trace-ring events past a per-recorder cursor, and folds both into one
+//!   [`Sample`] row. A host thread cuts one at a configurable cadence
+//!   (default 10 ms); [`Telemetry::sample_now`], a [`BoundaryMarker`] at
+//!   every kernel boundary and [`Telemetry::stop`] cut one on the thread
+//!   that calls them, and return once it is in the ring. Any cut restarts
+//!   the cadence.
 //! * Samples land in a bounded fixed-capacity ring (drop-oldest, with an
 //!   eviction count) — the same boundedness discipline as the trace ring:
 //!   a long run must not grow host memory without limit.
-//! * Two exporters: an OpenMetrics text renderer (validated by
-//!   [`validate_openmetrics`], the `validate_chrome_json` counterpart) and a
-//!   schema-versioned JSON time-series dump ([`TimeSeries::to_json`]). Both
-//!   quote strings with [`crate::json::quote`].
+//! * One exporter: a schema-versioned JSON time-series dump
+//!   ([`TimeSeries::to_json`]), whose sample objects carry the same columns
+//!   as the CSV rows ([`Sample::csv_row`]).
 //!
 //! ## Why counter deltas, not absolutes
 //!
@@ -28,7 +30,7 @@
 //! watched scenario registers with the [`TelemetrySink`] and its first ops
 //! appear as that window's delta. Absolute readings would instead need
 //! every consumer to know each source's epoch. The same cursor logic
-//! applies to the trace rings: only events past the last tick's drain are
+//! applies to the trace rings: only events past the last cut's drain are
 //! folded into the new window's latency histogram, so one event is never
 //! counted twice even though ring snapshots are non-destructive.
 //!
@@ -69,9 +71,6 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// so the ring only needs to cover one sampling interval, and a watched
 /// matrix run builds many managers whose rings all stay alive.
 pub const WATCH_EVENTS_PER_SM: usize = 2048;
-
-/// Metric prefix used by the OpenMetrics exporter.
-const OM_PREFIX: &str = "gms";
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -221,11 +220,11 @@ pub struct Sample {
     pub oom_fallback_rate: f64,
     /// Trace events dropped (ring full), cumulative across all recorders.
     pub dropped_events: u64,
-    /// Kernel launches completing in this window: the boundary marks
-    /// ([`BoundaryMarker::mark`]) the executor's launch hook made in it.
+    /// Kernel launches this window ends: 1 for a window cut by
+    /// [`BoundaryMarker::mark`] in the executor's launch hook, else 0.
     pub launches: u64,
     /// Whether this window was cut at a kernel boundary (launch hook)
-    /// rather than by the cadence timer.
+    /// rather than by the cadence or an explicit cut.
     pub boundary: bool,
 }
 
@@ -299,11 +298,11 @@ pub struct TimeSeries {
     pub totals: CounterSnapshot,
     /// Cumulative dropped trace events across all recorders.
     pub dropped_events: u64,
-    /// Cumulative observed kernel launches.
+    /// Cumulative observed kernel launches: one per boundary window.
     pub launches: u64,
 }
 
-/// Finite float for JSON/OpenMetrics: NaN/inf (impossible by construction,
+/// Finite float for the exports: NaN/inf (impossible by construction,
 /// but a poisoned value must not produce an unparsable export) render as 0.
 fn fin(v: f64) -> f64 {
     if v.is_finite() {
@@ -370,285 +369,57 @@ impl TimeSeries {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// OpenMetrics text exposition: latest-window gauges plus cumulative
-    /// counters, every series labelled `run="<label>"`. Ends with `# EOF`
-    /// as the format requires; validated by [`validate_openmetrics`].
-    pub fn render_openmetrics(&self, label: &str) -> String {
-        let mut out = String::with_capacity(4096);
-        let lbl = format!("{{run={}}}", quote(label));
-        let last = self.samples.last().copied().unwrap_or_default();
-        let mut gauge = |name: &str, help: &str, v: f64| {
-            out.push_str(&format!(
-                "# HELP {OM_PREFIX}_{name} {help}\n# TYPE {OM_PREFIX}_{name} \
-                 gauge\n{OM_PREFIX}_{name}{lbl} {}\n",
-                fin(v)
-            ));
-        };
-        gauge(
-            "allocs_per_second",
-            "Malloc calls per second over the last window.",
-            last.allocs_per_sec,
-        );
-        gauge(
-            "frees_per_second",
-            "Free calls per second over the last window.",
-            last.frees_per_sec,
-        );
-        gauge(
-            "cas_retries_per_op",
-            "CAS retries per malloc/free call over the last window.",
-            last.cas_retries_per_op,
-        );
-        gauge(
-            "magazine_hit_ratio",
-            "Magazine cache hit ratio over the last window.",
-            last.magazine_hit_rate,
-        );
-        gauge(
-            "live_allocations",
-            "Live allocations by counter accounting.",
-            last.live_allocs as f64,
-        );
-        gauge("live_bytes", "Live bytes by trace replay.", last.live_bytes as f64);
-        gauge(
-            "fragmentation_percent",
-            "Live address range percent over packed footprint.",
-            last.frag_percent,
-        );
-        gauge(
-            "oom_fallbacks_per_malloc",
-            "OOM fallbacks per malloc call over the last window.",
-            last.oom_fallback_rate,
-        );
-        gauge("sample_window_ms", "Length of the last sample window in ms.", last.window_ms);
-        // Latency percentiles as one gauge family with a quantile label —
-        // the summary-typed exposition would require _count/_sum series the
-        // log2 histogram cannot provide losslessly per window.
-        out.push_str(&format!(
-            "# HELP {OM_PREFIX}_malloc_latency_ns Windowed malloc latency percentile.\n# TYPE \
-             {OM_PREFIX}_malloc_latency_ns gauge\n"
-        ));
-        for (q, v) in [
-            ("0.5", last.malloc_p50_ns),
-            ("0.95", last.malloc_p95_ns),
-            ("0.99", last.malloc_p99_ns),
-        ] {
-            out.push_str(&format!(
-                "{OM_PREFIX}_malloc_latency_ns{{run={},quantile=\"{q}\"}} {v}\n",
-                quote(label)
-            ));
-        }
-        let mut counter = |name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {OM_PREFIX}_{name} {help}\n# TYPE {OM_PREFIX}_{name} \
-                 counter\n{OM_PREFIX}_{name}_total{lbl} {v}\n"
-            ));
-        };
-        counter(
-            "malloc_calls",
-            "Malloc calls across all watched managers.",
-            self.totals.malloc_calls(),
-        );
-        counter("malloc_failures", "Failed malloc calls.", self.totals.malloc_failures());
-        counter("free_calls", "Free calls across all watched managers.", self.totals.free_calls());
-        counter(
-            "cas_retries",
-            "CAS retries across all watched managers.",
-            self.totals.cas_retries(),
-        );
-        counter("oom_fallbacks", "OOM fallback events.", self.totals.oom_fallbacks());
-        counter("magazine_hits", "Magazine cache hits.", self.totals.magazine_hits());
-        counter(
-            "magazine_flushes",
-            "Blocks flushed from magazines.",
-            self.totals.magazine_flushes(),
-        );
-        counter("dropped_trace_events", "Trace events dropped ring-full.", self.dropped_events);
-        counter("launches", "Observed kernel launches.", self.launches);
-        counter("samples", "Telemetry samples taken.", self.evicted + self.samples.len() as u64);
-        out.push_str("# EOF\n");
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// OpenMetrics validator
-// ---------------------------------------------------------------------------
-
-fn valid_metric_name(s: &str) -> bool {
-    !s.is_empty()
-        && s.bytes().next().is_some_and(|b| b.is_ascii_alphabetic() || b == b'_' || b == b':')
-        && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b':')
-}
-
-/// Validates an OpenMetrics text exposition the way `validate_chrome_json`
-/// validates a Chrome trace: structural checks strong enough that a scrape
-/// endpoint (Prometheus in OpenMetrics mode) would accept the payload.
-/// Returns the number of sample lines.
-///
-/// Checks: every sample's metric family has a preceding `# TYPE`; counter
-/// samples use the `_total` (or `_created`) suffix; metric names and label
-/// syntax are well-formed; values parse as finite floats; the exposition
-/// ends with `# EOF`.
-pub fn validate_openmetrics(s: &str) -> Result<usize, String> {
-    let mut types: HashMap<String, String> = HashMap::new();
-    let mut samples = 0usize;
-    let mut saw_eof = false;
-    for (ln, line) in s.lines().enumerate() {
-        let ln = ln + 1;
-        if saw_eof {
-            return Err(format!("line {ln}: content after # EOF"));
-        }
-        if line.is_empty() {
-            return Err(format!("line {ln}: blank line (not allowed in OpenMetrics)"));
-        }
-        if let Some(meta) = line.strip_prefix("# ") {
-            if meta == "EOF" {
-                saw_eof = true;
-                continue;
-            }
-            let mut parts = meta.splitn(3, ' ');
-            let keyword = parts.next().unwrap_or("");
-            match keyword {
-                "TYPE" => {
-                    let name = parts.next().ok_or(format!("line {ln}: TYPE missing name"))?;
-                    let ty = parts.next().ok_or(format!("line {ln}: TYPE missing type"))?;
-                    if !valid_metric_name(name) {
-                        return Err(format!("line {ln}: bad metric name {name:?}"));
-                    }
-                    if !["gauge", "counter", "summary", "histogram", "info", "unknown"]
-                        .contains(&ty)
-                    {
-                        return Err(format!("line {ln}: unknown metric type {ty:?}"));
-                    }
-                    types.insert(name.to_string(), ty.to_string());
-                }
-                "HELP" | "UNIT" => {
-                    let name = parts.next().ok_or(format!("line {ln}: {keyword} missing name"))?;
-                    if !valid_metric_name(name) {
-                        return Err(format!("line {ln}: bad metric name {name:?}"));
-                    }
-                }
-                _ => return Err(format!("line {ln}: unknown metadata keyword {keyword:?}")),
-            }
-            continue;
-        }
-        if line.starts_with('#') {
-            return Err(format!("line {ln}: comment must be '# ' metadata"));
-        }
-        // Sample line: name[{labels}] value [timestamp]
-        let (series, rest) = match line.find('{') {
-            Some(open) => {
-                let close = line[open..]
-                    .find('}')
-                    .map(|i| open + i)
-                    .ok_or(format!("line {ln}: unterminated label set"))?;
-                let labels = &line[open + 1..close];
-                if !labels.is_empty() {
-                    for pair in labels.split(',') {
-                        let (k, v) =
-                            pair.split_once('=').ok_or(format!("line {ln}: bad label {pair:?}"))?;
-                        if !valid_metric_name(k) {
-                            return Err(format!("line {ln}: bad label name {k:?}"));
-                        }
-                        if !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
-                            return Err(format!("line {ln}: label value not quoted: {v:?}"));
-                        }
-                    }
-                }
-                (&line[..open], line[close + 1..].trim_start())
-            }
-            None => {
-                let sp = line.find(' ').ok_or(format!("line {ln}: sample missing value"))?;
-                (&line[..sp], line[sp + 1..].trim_start())
-            }
-        };
-        if !valid_metric_name(series) {
-            return Err(format!("line {ln}: bad metric name {series:?}"));
-        }
-        let value = rest.split(' ').next().unwrap_or("");
-        let v: f64 = value.parse().map_err(|_| format!("line {ln}: bad value {value:?}"))?;
-        if !v.is_finite() {
-            return Err(format!("line {ln}: non-finite value {value:?}"));
-        }
-        // Family resolution: a counter's samples carry _total/_created.
-        let family = series
-            .strip_suffix("_total")
-            .or_else(|| series.strip_suffix("_created"))
-            .filter(|f| types.get(*f).is_some_and(|t| t == "counter"))
-            .unwrap_or(series);
-        match types.get(family) {
-            None => return Err(format!("line {ln}: sample {series:?} has no preceding # TYPE")),
-            Some(t) if t == "counter" && family == series => {
-                return Err(format!(
-                    "line {ln}: counter sample {series:?} must use the _total suffix"
-                ));
-            }
-            Some(_) => {}
-        }
-        samples += 1;
-    }
-    if !saw_eof {
-        return Err("missing terminal # EOF".to_string());
-    }
-    Ok(samples)
 }
 
 // ---------------------------------------------------------------------------
 // The sampler
 // ---------------------------------------------------------------------------
 
-/// Control block shared between the handle and the sampler thread. All
+/// Why a window is cut: by the cadence, by [`Telemetry::sample_now`], by a
+/// [`BoundaryMarker::mark`], or by [`Telemetry::stop`] (the last one).
+#[derive(Clone, Copy, PartialEq)]
+enum Cut {
+    Tick,
+    Now,
+    Boundary,
+    Final,
+}
+
+/// What the handle, the markers and the cadence thread share. Every window
+/// is folded under the one `cursor` lock on the thread that asks for it;
+/// the `stop` flag and `wake` only end the cadence thread's sleep. All
 /// coordination is Mutex + Condvar — no lock-free cleverness is warranted
 /// off the allocation hot path, and it keeps the module trivially clean
 /// under the atomics-ordering lint.
-struct Ctl {
-    stop: bool,
-    /// Forced-cut request generation; the thread acks by copying into
-    /// `taken`.
-    force: u64,
-    taken: u64,
-    /// The pending forced cut is a kernel-boundary cut.
-    boundary: bool,
-}
-
-struct State {
-    ring: VecDeque<Sample>,
-    capacity: usize,
-    evicted: u64,
-    totals: CounterSnapshot,
-    dropped: u64,
-    launches: u64,
-    /// Cumulative kernel-boundary marks ([`BoundaryMarker::mark`]).
-    marks: u64,
-    /// Marks already attributed to a finished window.
-    folded_marks: u64,
-    seq: u64,
-}
-
 struct Shared {
-    ctl: Mutex<Ctl>,
-    /// Wakes the sampler (forced cut, stop).
+    stop: Mutex<bool>,
     wake: Condvar,
-    /// Wakes `sample_now` waiters (cut acknowledged).
-    acked: Condvar,
-    state: Mutex<State>,
+    cursor: Mutex<Cursor>,
+    sink: TelemetrySink,
+    epoch: Instant,
     interval: Duration,
 }
 
 impl Shared {
-    fn series(&self) -> TimeSeries {
-        let st = self.state.lock().unwrap();
-        TimeSeries {
-            samples: st.ring.iter().copied().collect(),
-            evicted: st.evicted,
-            capacity: st.capacity,
-            interval_ms: self.interval.as_secs_f64() * 1e3,
-            totals: st.totals,
-            dropped_events: st.dropped,
-            launches: st.launches,
+    /// Cuts one window on the calling thread and returns how long the
+    /// cadence thread should sleep. A [`Cut::Tick`] cuts only once an
+    /// interval has passed since the last cut of any kind, and otherwise
+    /// returns what is left of it; after a cut the answer is a whole
+    /// interval, so the cadence thread never takes the lock back to back
+    /// ahead of a waiting caller. After the [`Cut::Final`] window every cut
+    /// is a no-op, so a late mark cannot follow `stop`'s window.
+    fn cut(&self, why: Cut) -> Duration {
+        let mut cur = self.cursor.lock().unwrap();
+        let now = self.epoch.elapsed();
+        let due = cur.last_t + self.interval;
+        if why == Cut::Tick && now < due {
+            return due - now;
         }
+        if !cur.stopped {
+            cur.fold(&self.sink, now, why == Cut::Boundary);
+            cur.stopped = why == Cut::Final;
+        }
+        self.interval
     }
 }
 
@@ -661,14 +432,20 @@ struct RecorderCursor {
     /// into exactly one window, with no per-tick full-ring re-decode.
     shard_cursors: Vec<u64>,
     /// Events folded so far. `recorded()` counts a slot from its claim, so
-    /// equal means nothing is left to drain and the tick skips it; a slot
+    /// equal means nothing is left to drain and the fold skips it; a slot
     /// caught between claim and publication keeps the two apart until a
-    /// later tick folds it.
+    /// later window folds it.
     seen: u64,
 }
 
-/// Sampler-thread working set (never locked; owned by the thread).
+/// Everything the windows have folded so far, and the sample ring they
+/// land in. It lives behind [`Shared`]'s one lock, and whichever thread
+/// asks for a window — the cadence thread, a `sample_now` caller, a
+/// launching thread's boundary mark, or `stop` — folds it there itself, so
+/// each request returns once its own window is in the ring.
 struct Cursor {
+    /// Merged counters at the last cut: the next window's delta base, and
+    /// the series' cumulative totals.
     prev: CounterSnapshot,
     recorders: Vec<RecorderCursor>,
     /// Live allocation replay: offset → size, fed by MallocEnd/FreeEnd.
@@ -684,63 +461,69 @@ struct Cursor {
     retired: CounterSnapshot,
     /// `dropped()` totals of retired trace recorders, same idea.
     retired_dropped: u64,
+    /// End of the last window, since [`Shared::epoch`].
     last_t: Duration,
+    ring: VecDeque<Sample>,
+    capacity: usize,
+    evicted: u64,
+    seq: u64,
+    /// Boundary windows cut so far (one per launch; survives eviction).
+    launches: u64,
+    /// `stop` has cut the final window.
+    stopped: bool,
 }
 
-/// Handle to a running sampler thread. Dropping (or [`Telemetry::stop`])
-/// takes a final sample, joins the thread and returns the series.
+/// Handle to a running sampler. Dropping (or [`Telemetry::stop`]) joins
+/// the cadence thread, cuts a final window and returns the series.
 pub struct Telemetry {
     shared: Arc<Shared>,
-    sink: TelemetrySink,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Telemetry {
-    /// Starts the sampler thread over `sink`. Managers attached to the sink
+    /// Starts the cadence thread over `sink`. Managers attached to the sink
     /// (now or later) are folded into every subsequent window.
     pub fn start(cfg: TelemetryConfig, sink: TelemetrySink) -> Telemetry {
         let shared = Arc::new(Shared {
-            ctl: Mutex::new(Ctl { stop: false, force: 0, taken: 0, boundary: false }),
+            stop: Mutex::new(false),
             wake: Condvar::new(),
-            acked: Condvar::new(),
-            state: Mutex::new(State {
+            cursor: Mutex::new(Cursor {
+                prev: CounterSnapshot::default(),
+                recorders: Vec::new(),
+                live: HashMap::new(),
+                occupancy: (0, 0.0),
+                retired: CounterSnapshot::default(),
+                retired_dropped: 0,
+                last_t: Duration::ZERO,
                 ring: VecDeque::with_capacity(cfg.capacity.min(65_536)),
                 capacity: cfg.capacity,
                 evicted: 0,
-                totals: CounterSnapshot::default(),
-                dropped: 0,
-                launches: 0,
-                marks: 0,
-                folded_marks: 0,
                 seq: 0,
+                launches: 0,
+                stopped: false,
             }),
+            sink,
+            epoch: Instant::now(),
             interval: cfg.interval,
         });
         let thread = {
             let shared = Arc::clone(&shared);
-            let sink = sink.clone();
             std::thread::Builder::new()
                 .name("gms-telemetry".to_string())
-                .spawn(move || sampler_loop(&shared, &sink))
+                .spawn(move || cadence_loop(&shared))
                 .expect("spawn telemetry sampler thread")
         };
-        Telemetry { shared, sink, thread: Some(thread) }
+        Telemetry { shared, thread: Some(thread) }
     }
 
     /// The sink this sampler reads. Attach more managers at any time.
     pub fn sink(&self) -> &TelemetrySink {
-        &self.sink
+        &self.shared.sink
     }
 
-    /// Forces an immediate window cut and blocks until the sample is taken.
+    /// Cuts a window on the calling thread; returns once it is in the ring.
     pub fn sample_now(&self) {
-        let mut ctl = self.shared.ctl.lock().unwrap();
-        ctl.force += 1;
-        let gen = ctl.force;
-        self.shared.wake.notify_all();
-        while ctl.taken < gen && !ctl.stop {
-            ctl = self.shared.acked.wait(ctl).unwrap();
-        }
+        self.shared.cut(Cut::Now);
     }
 
     /// A cheap cloneable handle that cuts boundary windows without owning
@@ -751,28 +534,33 @@ impl Telemetry {
         BoundaryMarker { shared: Arc::clone(&self.shared) }
     }
 
-    /// Stops the sampler: takes one final sample (cutting the in-progress
-    /// window so trailing ops — e.g. magazine drains — are reported), joins
-    /// the thread, and returns everything collected.
+    /// Stops the sampler: joins the cadence thread, then cuts one final
+    /// window (so trailing ops — e.g. magazine drains — are reported) and
+    /// returns everything collected.
     ///
     /// Call [`DeviceAllocator::drain`](crate::traits::DeviceAllocator::drain)
     /// on any still-live managers *before* this, or the final window will
     /// under-report frees still parked in decorator caches.
     pub fn stop(mut self) -> TimeSeries {
         self.shutdown();
-        self.shared.series()
+        let cur = self.shared.cursor.lock().unwrap();
+        TimeSeries {
+            samples: cur.ring.iter().copied().collect(),
+            evicted: cur.evicted,
+            capacity: cur.capacity,
+            interval_ms: self.shared.interval.as_secs_f64() * 1e3,
+            totals: cur.prev,
+            dropped_events: cur.ring.back().map_or(0, |s| s.dropped_events),
+            launches: cur.launches,
+        }
     }
 
     fn shutdown(&mut self) {
         if let Some(thread) = self.thread.take() {
-            {
-                let mut ctl = self.shared.ctl.lock().unwrap();
-                ctl.stop = true;
-                self.shared.wake.notify_all();
-            }
+            *self.shared.stop.lock().unwrap() = true;
+            self.shared.wake.notify_all();
             let _ = thread.join();
-            // Unblock any sample_now caller racing the shutdown.
-            self.shared.acked.notify_all();
+            self.shared.cut(Cut::Final);
         }
     }
 }
@@ -790,211 +578,155 @@ pub struct BoundaryMarker {
 }
 
 impl BoundaryMarker {
-    /// Forces a window cut flagged [`Sample::boundary`] without blocking
-    /// the caller (the launch path must not stall on the sampler); a no-op
-    /// after the sampler stopped.
+    /// Cuts one window flagged [`Sample::boundary`], with `launches == 1`,
+    /// on the calling thread. The executor's launch hook calls it after the
+    /// launch has been measured, so the cut lengthens a watched run without
+    /// entering any reported time. A no-op after the sampler stopped.
     pub fn mark(&self) {
-        {
-            let mut ctl = self.shared.ctl.lock().unwrap();
-            if ctl.stop {
-                return;
-            }
-            ctl.force += 1;
-            ctl.boundary = true;
-            self.shared.wake.notify_all();
-        }
-        // Marks also count launches: `take_sample` reports each window's
-        // mark delta as its launches.
-        self.shared.state.lock().unwrap().marks += 1;
+        self.shared.cut(Cut::Boundary);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sampler thread body
+// Cadence thread and the window fold
 // ---------------------------------------------------------------------------
 
-fn sampler_loop(shared: &Shared, sink: &TelemetrySink) {
-    let epoch = Instant::now();
-    let mut cursor = Cursor {
-        prev: CounterSnapshot::default(),
-        recorders: Vec::new(),
-        live: HashMap::new(),
-        occupancy: (0, 0.0),
-        retired: CounterSnapshot::default(),
-        retired_dropped: 0,
-        last_t: Duration::ZERO,
-    };
+/// The cadence thread: sleeps until a tick is due, or `stop` wakes it.
+fn cadence_loop(shared: &Shared) {
+    let mut wait = shared.interval;
     loop {
-        // Wait until the cadence deadline, a forced cut, or stop.
-        let deadline = cursor.last_t + shared.interval;
-        let (stop, boundary) = {
-            let mut ctl = shared.ctl.lock().unwrap();
-            loop {
-                if ctl.stop || ctl.force > ctl.taken {
-                    break;
-                }
-                let now = epoch.elapsed();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = shared.wake.wait_timeout(ctl, deadline - now).unwrap();
-                ctl = guard;
-            }
-            let boundary = ctl.boundary;
-            ctl.boundary = false;
-            (ctl.stop, boundary)
-        };
-        take_sample(shared, sink, &mut cursor, epoch, boundary);
-        {
-            let mut ctl = shared.ctl.lock().unwrap();
-            ctl.taken = ctl.force;
-            shared.acked.notify_all();
-            // Only a sample that began after `stop` was requested is final:
-            // one already running may have read a source before its last
-            // ops, so a stop that lands mid-sample loops once more.
-            if stop {
-                return;
-            }
+        let stop = shared.stop.lock().unwrap();
+        if *shared.wake.wait_timeout_while(stop, wait, |stop| !*stop).unwrap().0 {
+            return;
         }
+        wait = shared.cut(Cut::Tick);
     }
 }
 
-fn take_sample(
-    shared: &Shared,
-    sink: &TelemetrySink,
-    cursor: &mut Cursor,
-    epoch: Instant,
-    boundary: bool,
-) {
-    let now = epoch.elapsed();
-    // Merge every source's counters; pick up recorders we have not seen.
-    // Sources whose last manager-side handle is gone are frozen: fold
-    // their final snapshot into the retired base and prune them, so a run
-    // churning through many managers never re-reads dead shards. The
-    // sole-owner check precedes the snapshot — frozen-at-check means the
-    // snapshot taken after it is the complete final value.
-    let mut merged = cursor.retired;
-    {
-        let mut sources = sink.sources.lock().unwrap();
-        sources.retain(|src| {
-            let dead = src.metrics.is_sole_owner();
-            let snap = src.metrics.snapshot();
-            merged = merged.merge(&snap);
-            if let Some(rec) = &src.recorder {
-                if !cursor.recorders.iter().any(|c| Arc::ptr_eq(&c.recorder, rec)) {
-                    cursor.recorders.push(RecorderCursor {
-                        recorder: Arc::clone(rec),
-                        shard_cursors: Vec::new(),
-                        seen: 0,
-                    });
+impl Cursor {
+    /// Folds everything since the last cut into one [`Sample`] ending at
+    /// `now` and pushes it into the ring.
+    fn fold(&mut self, sink: &TelemetrySink, now: Duration, boundary: bool) {
+        // Merge every source's counters; pick up recorders we have not seen.
+        // Sources whose last manager-side handle is gone are frozen: fold
+        // their final snapshot into the retired base and prune them, so a
+        // run churning through many managers never re-reads dead shards.
+        // The sole-owner check precedes the snapshot — frozen-at-check means
+        // the snapshot taken after it is the complete final value.
+        let mut merged = self.retired;
+        {
+            let mut sources = sink.sources.lock().unwrap();
+            sources.retain(|src| {
+                let dead = src.metrics.is_sole_owner();
+                let snap = src.metrics.snapshot();
+                merged = merged.merge(&snap);
+                if let Some(rec) = &src.recorder {
+                    if !self.recorders.iter().any(|c| Arc::ptr_eq(&c.recorder, rec)) {
+                        self.recorders.push(RecorderCursor {
+                            recorder: Arc::clone(rec),
+                            shard_cursors: Vec::new(),
+                            seen: 0,
+                        });
+                    }
+                }
+                if dead {
+                    self.retired = self.retired.merge(&snap);
+                }
+                !dead
+            });
+        }
+        let delta = merged.delta_since(&self.prev);
+
+        // Fold newly committed trace events into this window, then retire
+        // recorders nobody else holds: the drain just taken was their last
+        // (no handle left to emit), so only the dropped total survives.
+        let mut hist = LatencyHistogram::new();
+        let mut live_changed = false;
+        let mut dropped = self.retired_dropped;
+        let mut retired_dropped = 0u64;
+        let (recorders, live) = (&mut self.recorders, &mut self.live);
+        recorders.retain_mut(|rc| {
+            // Sole ownership checked *before* the drain: frozen-at-check
+            // means this drain sees every event the recorder will ever hold.
+            let sole = Arc::strong_count(&rc.recorder) == 1;
+            if rc.recorder.recorded() != rc.seen {
+                let trace = rc.recorder.snapshot_since(&mut rc.shard_cursors);
+                rc.seen += trace.events.len() as u64;
+                for ev in &trace.events {
+                    if ev.kind == EventKind::MallocEnd {
+                        hist.record(ev.args[2]);
+                    }
+                    if let Some((ptr, size)) = ev.grant() {
+                        live.insert(ptr, size);
+                        live_changed = true;
+                    } else if let Some(ptr) = ev.release() {
+                        live.remove(&ptr);
+                        live_changed = true;
+                    }
                 }
             }
-            if dead {
-                cursor.retired = cursor.retired.merge(&snap);
+            dropped += rc.recorder.dropped();
+            if sole {
+                retired_dropped += rc.recorder.dropped();
             }
-            !dead
+            !sole
         });
-    }
-    let delta = merged.delta_since(&cursor.prev);
+        self.retired_dropped += retired_dropped;
 
-    // Fold newly committed trace events into this window, then retire
-    // recorders nobody else holds: the drain just taken was their last
-    // (no handle left to emit), so only the dropped total survives.
-    let mut hist = LatencyHistogram::new();
-    let mut live_changed = false;
-    let mut dropped = cursor.retired_dropped;
-    let mut retired_dropped = 0u64;
-    let (recorders, live) = (&mut cursor.recorders, &mut cursor.live);
-    recorders.retain_mut(|rc| {
-        // Sole ownership checked *before* the drain: frozen-at-check means
-        // this drain sees every event the recorder will ever hold.
-        let sole = Arc::strong_count(&rc.recorder) == 1;
-        if rc.recorder.recorded() != rc.seen {
-            let trace = rc.recorder.snapshot_since(&mut rc.shard_cursors);
-            rc.seen += trace.events.len() as u64;
-            for ev in &trace.events {
-                if ev.kind == EventKind::MallocEnd {
-                    hist.record(ev.args[2]);
-                }
-                if let Some((ptr, size)) = ev.grant() {
-                    live.insert(ptr, size);
-                    live_changed = true;
-                } else if let Some(ptr) = ev.release() {
-                    live.remove(&ptr);
-                    live_changed = true;
-                }
+        // Fragmentation of the live set, via the paper's frag machinery.
+        // Rebuilding the range walks the whole live map, so only windows
+        // whose events changed the set pay it; idle ticks (the common case
+        // at kHz cadences) reuse the cached pair.
+        if live_changed {
+            let mut range = AddressRange::new();
+            let mut live_bytes = 0u64;
+            for (&off, &size) in &self.live {
+                range.record(DevicePtr::new(off), size);
+                live_bytes += size;
             }
+            let frag_percent = if range.count() > 0 {
+                FragmentationStats::from_range(&range).percent_over_baseline()
+            } else {
+                0.0
+            };
+            self.occupancy = (live_bytes, frag_percent);
         }
-        dropped += rc.recorder.dropped();
-        if sole {
-            retired_dropped += rc.recorder.dropped();
-        }
-        !sole
-    });
-    cursor.retired_dropped += retired_dropped;
+        let (live_bytes, frag_percent) = self.occupancy;
 
-    // Fragmentation of the live set, via the paper's frag machinery.
-    // Rebuilding the range walks the whole live map, so only windows whose
-    // events changed the set pay it; idle ticks (the common case at kHz
-    // cadences) reuse the cached pair.
-    if live_changed {
-        let mut range = AddressRange::new();
-        let mut live_bytes = 0u64;
-        for (&off, &size) in &cursor.live {
-            range.record(DevicePtr::new(off), size);
-            live_bytes += size;
+        let window = now.saturating_sub(self.last_t);
+        let win_s = window.as_secs_f64().max(1e-9);
+        let ops = delta.malloc_calls() + delta.free_calls();
+        let mag_traffic = delta.magazine_hits() + delta.magazine_misses();
+        let launches = u64::from(boundary);
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.evicted += 1;
         }
-        let frag_percent = if range.count() > 0 {
-            FragmentationStats::from_range(&range).percent_over_baseline()
-        } else {
-            0.0
-        };
-        cursor.occupancy = (live_bytes, frag_percent);
+        self.ring.push_back(Sample {
+            seq: self.seq,
+            t_ms: now.as_secs_f64() * 1e3,
+            window_ms: window.as_secs_f64() * 1e3,
+            allocs_per_sec: delta.malloc_calls() as f64 / win_s,
+            frees_per_sec: delta.free_calls() as f64 / win_s,
+            cas_retries_per_op: delta.cas_retries() as f64 / ops.max(1) as f64,
+            magazine_hit_rate: delta.magazine_hits() as f64 / mag_traffic.max(1) as f64,
+            live_allocs: merged.live(),
+            live_bytes,
+            frag_percent,
+            malloc_ops: hist.count(),
+            malloc_p50_ns: hist.p50(),
+            malloc_p95_ns: hist.p95(),
+            malloc_p99_ns: hist.p99(),
+            oom_fallback_rate: delta.oom_fallbacks() as f64 / delta.malloc_calls().max(1) as f64,
+            dropped_events: dropped,
+            launches,
+            boundary,
+        });
+        self.seq += 1;
+        self.launches += launches;
+        self.prev = merged;
+        self.last_t = now;
     }
-    let (live_bytes, frag_percent) = cursor.occupancy;
-
-    let window = now.saturating_sub(cursor.last_t);
-    let win_s = window.as_secs_f64().max(1e-9);
-    let ops = delta.malloc_calls() + delta.free_calls();
-    let mag_traffic = delta.magazine_hits() + delta.magazine_misses();
-    let sample = Sample {
-        seq: 0, // assigned under the state lock
-        t_ms: now.as_secs_f64() * 1e3,
-        window_ms: window.as_secs_f64() * 1e3,
-        allocs_per_sec: delta.malloc_calls() as f64 / win_s,
-        frees_per_sec: delta.free_calls() as f64 / win_s,
-        cas_retries_per_op: delta.cas_retries() as f64 / ops.max(1) as f64,
-        magazine_hit_rate: delta.magazine_hits() as f64 / mag_traffic.max(1) as f64,
-        live_allocs: merged.live(),
-        live_bytes,
-        frag_percent,
-        malloc_ops: hist.count(),
-        malloc_p50_ns: hist.p50(),
-        malloc_p95_ns: hist.p95(),
-        malloc_p99_ns: hist.p99(),
-        oom_fallback_rate: delta.oom_fallbacks() as f64 / delta.malloc_calls().max(1) as f64,
-        dropped_events: dropped,
-        launches: 0, // the window's marks, counted under the state lock
-        boundary,
-    };
-
-    cursor.prev = merged;
-    cursor.last_t = now;
-
-    let mut st = shared.state.lock().unwrap();
-    let mut sample = sample;
-    sample.seq = st.seq;
-    st.seq += 1;
-    st.totals = merged;
-    st.dropped = dropped;
-    sample.launches = st.marks - st.folded_marks;
-    st.folded_marks = st.marks;
-    st.launches += sample.launches;
-    if st.ring.len() == st.capacity {
-        st.ring.pop_front();
-        st.evicted += 1;
-    }
-    st.ring.push_back(sample);
 }
 
 #[cfg(test)]
@@ -1051,50 +783,6 @@ mod tests {
             dropped_events: 3,
             launches: 5,
         }
-    }
-
-    #[test]
-    fn openmetrics_export_validates() {
-        let om = series_fixture().render_openmetrics("mixed");
-        let n = validate_openmetrics(&om).expect("exporter output must validate");
-        assert!(n >= 20, "expected a full metric set, got {n} samples:\n{om}");
-        assert!(om.contains("gms_malloc_calls_total{run=\"mixed\"}"));
-        assert!(om.contains("quantile=\"0.99\""));
-        assert!(om.ends_with("# EOF\n"));
-    }
-
-    #[test]
-    fn openmetrics_empty_series_validates() {
-        let ts = TimeSeries {
-            samples: Vec::new(),
-            evicted: 0,
-            capacity: 4,
-            interval_ms: 10.0,
-            totals: CounterSnapshot::default(),
-            dropped_events: 0,
-            launches: 0,
-        };
-        validate_openmetrics(&ts.render_openmetrics("empty")).unwrap();
-    }
-
-    #[test]
-    fn openmetrics_validator_rejects_structural_damage() {
-        let good = series_fixture().render_openmetrics("m");
-        // No EOF.
-        let cut = good.trim_end_matches("# EOF\n");
-        assert!(validate_openmetrics(cut).is_err(), "missing EOF must fail");
-        // Counter without _total.
-        let bad = "# TYPE x counter\nx 5\n# EOF\n";
-        assert!(validate_openmetrics(bad).unwrap_err().contains("_total"));
-        // Sample without TYPE.
-        let bad = "y{a=\"b\"} 5\n# EOF\n";
-        assert!(validate_openmetrics(bad).unwrap_err().contains("TYPE"));
-        // Non-finite value.
-        let bad = "# TYPE z gauge\nz NaN\n# EOF\n";
-        assert!(validate_openmetrics(bad).is_err());
-        // Unquoted label value.
-        let bad = "# TYPE z gauge\nz{l=v} 5\n# EOF\n";
-        assert!(validate_openmetrics(bad).is_err());
     }
 
     #[test]
@@ -1253,14 +941,40 @@ mod tests {
         assert!(seqs.iter().all(|&s| s + 2 > newest), "ring keeps the newest rows: {seqs:?}");
     }
 
-    #[test]
-    fn boundary_marker_flags_a_window() {
+    /// Many wide sources: every window takes long enough that a busy
+    /// 100 µs cadence is usually mid-cut when the test asks for one.
+    fn busy_sampler() -> (Vec<Metrics>, Telemetry) {
         let sink = TelemetrySink::new();
-        let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
-        tele.boundary_marker().mark();
-        tele.sample_now(); // serializes behind the boundary cut
+        let sources: Vec<Metrics> = (0..64).map(|_| Metrics::enabled(128)).collect();
+        for m in &sources {
+            sink.attach(m);
+        }
+        let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
+        (sources, Telemetry::start(cfg, sink))
+    }
+
+    /// Each mark is its own window, however the cadence interleaves: no two
+    /// launches share a boundary window and none is folded into a tick.
+    #[test]
+    fn every_boundary_mark_cuts_its_own_window() {
+        let (_sources, tele) = busy_sampler();
+        let marker = tele.boundary_marker();
+        for _ in 0..64 {
+            marker.mark();
+        }
         let ts = tele.stop();
-        assert!(ts.samples.iter().any(|s| s.boundary), "boundary cut must be flagged");
+        assert_eq!(ts.evicted, 0);
+        let boundary: Vec<&Sample> = ts.samples.iter().filter(|s| s.boundary).collect();
+        assert_eq!(boundary.len(), 64, "one window per mark");
+        assert!(boundary.iter().all(|s| s.launches == 1), "each boundary window is one launch");
+        assert_eq!(ts.samples.iter().map(|s| s.launches).sum::<u64>(), 64);
+        assert_eq!(ts.launches, 64);
+        marker.mark();
+        assert_eq!(
+            marker.shared.cursor.lock().unwrap().seq,
+            ts.samples.len() as u64,
+            "no cut after stop"
+        );
     }
 
     #[test]
@@ -1285,21 +999,37 @@ mod tests {
         assert!(windowed >= 9, "windows saw (almost exactly) all ten calls: {windowed}");
     }
 
+    /// `sample_now` returns after a window it cut itself: a source whose
+    /// last handle is dropped before the call is always pruned by it, even
+    /// when the cadence thread is in the middle of a window at the time.
+    /// The doomed source is attached first, so a window that has checked it
+    /// still has 64 wide sources to read when it is dropped.
+    #[test]
+    fn sample_now_prunes_a_source_dropped_before_it() {
+        let wide: Vec<Metrics> = (0..64).map(|_| Metrics::enabled(256)).collect();
+        for i in 0..300u64 {
+            let sink = TelemetrySink::new();
+            let doomed = Metrics::enabled(1);
+            sink.attach(&doomed);
+            for m in &wide {
+                sink.attach(m);
+            }
+            let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
+            let tele = Telemetry::start(cfg, sink);
+            std::thread::sleep(Duration::from_micros(100 + i % 7 * 20));
+            drop(doomed);
+            tele.sample_now();
+            assert_eq!(tele.sink().len(), 64, "iteration {i}: the next cut pruned the source");
+        }
+    }
+
     /// `stop` ends with a sample taken after it was called, even when it
     /// lands while the sampler is in the middle of one: a count recorded
     /// just before `stop` always reaches the totals.
     #[test]
     fn stop_during_a_sample_still_takes_a_final_one() {
         for _ in 0..50 {
-            let sink = TelemetrySink::new();
-            // Many wide sources make every sample long, so `stop` usually
-            // lands inside one at this cadence.
-            let sources: Vec<Metrics> = (0..64).map(|_| Metrics::enabled(128)).collect();
-            for m in &sources {
-                sink.attach(m);
-            }
-            let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
-            let tele = Telemetry::start(cfg, sink);
+            let (sources, tele) = busy_sampler();
             std::thread::sleep(Duration::from_micros(500));
             sources[0].add(0, Counter::MallocCalls, 1);
             assert_eq!(tele.stop().totals.malloc_calls(), 1, "the final sample saw the call");

@@ -29,10 +29,7 @@ def pivot(metrics):
     """Rows by manager, columns by cell/measure, both in anchor order."""
     rows, cols = {}, []
     for m in metrics:
-        manager, sep, rest = m["key"].partition("/")
-        if not sep:
-            # The `exec` scenario's keys name no manager: one unnamed row.
-            manager, rest = "", manager
+        manager, _, rest = m["key"].partition("/")
         if rest not in cols:
             cols.append(rest)
         rows.setdefault(manager, {})[rest] = m["value"]

@@ -28,11 +28,9 @@ pub mod prelude {
         OccupancyTimeline, OpLatencies, Trace, TraceRecorder, Traced,
     };
     pub use gpumem_core::{
-        validate_openmetrics, Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
-    };
-    pub use gpumem_core::{
         AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr, HeapBackend,
         HeapBackendKind, HeapError, HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized,
         SanitizerConfig, SanitizerReport, ThreadCtx, WarpCtx,
     };
+    pub use gpumem_core::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
 }
