@@ -34,6 +34,7 @@ use gpumem_core::sync::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use alloc_cuda::CudaAllocModel;
+use gpumem_core::util::Divisor;
 use gpumem_core::{
     AllocError, Counter, DeviceAllocator, DeviceHeap, DevicePtr, ManagerInfo, Metrics,
     RegisterFootprint, ThreadCtx, WarpCtx,
@@ -41,7 +42,7 @@ use gpumem_core::{
 
 pub mod slab;
 
-use slab::{Slab, CLASS_FREE};
+use slab::{Bitmap, Slab, CLASS_FREE};
 
 /// Size classes: powers of two and 3·2ᵏ, 16 B … 3072 B.
 pub const CLASSES: [u64; 17] =
@@ -50,6 +51,9 @@ pub const CLASSES: [u64; 17] =
 pub const MAX_BLOCK: u64 = 3072;
 /// Head replacement threshold (fill %·10 — the paper's 83.5 %).
 pub const HEAD_REPLACE_PCT10: u32 = 835;
+/// [`HEAD_REPLACE_PCT10`] in the whole percent a slab's fill is floored
+/// to: `pct · 10 > 835` exactly when `pct ≥ 84`.
+const HEAD_REPLACE_PCT: u32 = HEAD_REPLACE_PCT10 / 10 + 1;
 /// "Busy" slab threshold: avoided in head search.
 pub const BUSY_PCT: u32 = 60;
 /// Sentinel: class has no head slab yet.
@@ -58,7 +62,7 @@ const NO_HEAD: u32 = u32::MAX;
 /// Tuning parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
-    /// Slab size in bytes (the original uses 2–8 MiB).
+    /// Slab size in bytes, a power of two (the original uses 2–8 MiB).
     pub slab_bytes: u64,
     /// Fraction denominator of the heap handed to the CUDA-Allocator for
     /// large requests (¼ by default).
@@ -71,11 +75,26 @@ impl Default for Config {
     }
 }
 
+/// What an operation needs of a size class, computed once per manager so
+/// that no operation divides.
+#[derive(Clone, Copy, Debug)]
+struct Class {
+    /// A slab's bitmap geometry at this block size.
+    bitmap: Bitmap,
+    /// The block size, for turning a slab offset into a block index.
+    size_div: Divisor,
+}
+
 /// The Halloc memory manager.
 pub struct Halloc {
     heap: Arc<DeviceHeap>,
     cfg: Config,
+    /// `log2(cfg.slab_bytes)`.
+    slab_shift: u32,
+    classes: [Class; CLASSES.len()],
     slabs: Box<[Slab]>,
+    /// `slabs.len()`, for the rotating hint.
+    n_slabs: Divisor,
     /// Head slab per size class.
     heads: Box<[AtomicU32]>,
     /// Rotating hint for free-slab acquisition.
@@ -135,7 +154,7 @@ impl Halloc {
     pub fn with_config(heap: Arc<DeviceHeap>, cfg: Config) -> Self {
         let len = heap.len();
         assert!(cfg.slab_bytes >= 64 * 1024, "slab too small");
-        assert_eq!(cfg.slab_bytes % 4096, 0);
+        assert!(cfg.slab_bytes.is_power_of_two(), "slab size must be a power of two");
         let cuda_len = {
             let raw = len / cfg.cuda_share_div;
             (raw / cfg.slab_bytes).max(1) * cfg.slab_bytes
@@ -149,7 +168,13 @@ impl Halloc {
         Halloc {
             heap,
             cfg,
+            slab_shift: cfg.slab_bytes.trailing_zeros(),
+            classes: std::array::from_fn(|i| Class {
+                bitmap: Bitmap::new((cfg.slab_bytes / CLASSES[i]) as u32),
+                size_div: Divisor::new(CLASSES[i]),
+            }),
             slabs: (0..n_slabs).map(|_| Slab::new(max_blocks)).collect(),
+            n_slabs: Divisor::new(n_slabs as u64),
             heads: (0..CLASSES.len()).map(|_| AtomicU32::new(NO_HEAD)).collect(),
             free_hint: AtomicU32::new(0),
             cuda_base,
@@ -178,32 +203,32 @@ impl Halloc {
     }
 
     fn blocks_per_slab(&self, class_idx: usize) -> u32 {
-        (self.cfg.slab_bytes / CLASSES[class_idx]) as u32
+        self.classes[class_idx].bitmap.blocks
     }
 
     /// Finds a slab to serve `class_idx`: prefer an existing same-class,
     /// non-busy slab; otherwise claim a free slab. ("Free slabs can switch
     /// between chunk sizes, sparse slabs can switch between block sizes…
     /// busy slabs (>60 %) are normally not used during head search, except
-    /// when no other blocks are available anymore.")
+    /// when no other blocks are available anymore.") Each pass walks every
+    /// slab once, from a rotating start.
     fn find_head(&self, class_idx: usize, allow_busy: bool, probes: &mut u64) -> Option<u32> {
         let blocks = self.blocks_per_slab(class_idx);
         let n = self.slabs.len() as u32;
-        let start = self.free_hint.fetch_add(1, Ordering::Relaxed) % n;
+        let start = self.n_slabs.rem(self.free_hint.fetch_add(1, Ordering::Relaxed).into()) as u32;
+        let ring = || (start..n).chain(0..start);
         // Pass 1: same-class slab under the busy threshold.
-        for i in 0..n {
-            let s = (start + i) % n;
+        for s in ring() {
             let slab = &self.slabs[s as usize];
             *probes += 1;
             if slab.class.load(Ordering::Acquire) == class_idx as u32
-                && slab.fill_pct(blocks) < BUSY_PCT
+                && slab.fill_below(blocks, BUSY_PCT)
             {
                 return Some(s);
             }
         }
         // Pass 2: claim a free slab.
-        for i in 0..n {
-            let s = (start + i) % n;
+        for s in ring() {
             *probes += 1;
             if self.slabs[s as usize].try_assign(class_idx as u32, blocks) {
                 return Some(s);
@@ -211,12 +236,11 @@ impl Halloc {
         }
         // Pass 3: any same-class slab with space, busy or not.
         if allow_busy {
-            for i in 0..n {
-                let s = (start + i) % n;
+            for s in ring() {
                 let slab = &self.slabs[s as usize];
                 *probes += 1;
                 if slab.class.load(Ordering::Acquire) == class_idx as u32
-                    && slab.fill_pct(blocks) < 100
+                    && slab.fill_below(blocks, 100)
                 {
                     return Some(s);
                 }
@@ -292,7 +316,7 @@ impl Halloc {
                         continue;
                     }
                     // Early head replacement at 83.5 % fill.
-                    if slab.fill_pct(blocks) * 10 > HEAD_REPLACE_PCT10 {
+                    if !slab.fill_below(blocks, HEAD_REPLACE_PCT) {
                         if let Some(s) = self.find_head(class_idx, false, &mut probes) {
                             let _ = head_cell.compare_exchange(
                                 head,
@@ -314,7 +338,7 @@ impl Halloc {
     }
 
     fn block_ptr(&self, slab_idx: u32, class_idx: usize, block: u32) -> DevicePtr {
-        let base = slab_idx as u64 * self.cfg.slab_bytes;
+        let base = (slab_idx as u64) << self.slab_shift;
         DevicePtr::new(base + block as u64 * CLASSES[class_idx])
     }
 
@@ -331,10 +355,10 @@ impl Halloc {
         // memlint: allow(hot-path-panic) — the size > MAX_BLOCK case returned via the CUDA fallback just above, so class_index(size) is Some by the guard
         let class_idx = Self::class_index(size).expect("size <= MAX_BLOCK");
         let (slab_idx, _) = self.reserve_blocks(ctx.sm, class_idx, 1)?;
-        let blocks = self.blocks_per_slab(class_idx);
+        let bitmap = &self.classes[class_idx].bitmap;
         let slab = &self.slabs[slab_idx as usize];
         let (mut probes, mut lost) = (0u64, 0u64);
-        let claimed = slab.claim_bit_with(blocks, ctx.scatter_hash(), &mut probes, &mut lost);
+        let claimed = slab.claim_bit_with(bitmap, ctx.scatter_hash(), &mut probes, &mut lost);
         self.metrics.add(ctx.sm, Counter::ProbeSteps, probes);
         self.metrics.add(ctx.sm, Counter::CasRetries, lost);
         self.metrics.record_retries(ctx.sm, lost);
@@ -354,22 +378,19 @@ impl Halloc {
         if ptr.offset() >= self.cuda_base {
             return self.cuda.free(ctx, ptr);
         }
-        let slab_idx = (ptr.offset() / self.cfg.slab_bytes) as usize;
+        let slab_idx = (ptr.offset() >> self.slab_shift) as usize;
         let slab = &self.slabs[slab_idx];
         let class = slab.class.load(Ordering::Acquire);
         if class == CLASS_FREE || class as usize >= CLASSES.len() {
             return Err(AllocError::InvalidPointer);
         }
         let class_idx = class as usize;
-        let base = slab_idx as u64 * self.cfg.slab_bytes;
-        let delta = ptr.offset() - base;
-        if !delta.is_multiple_of(CLASSES[class_idx]) {
+        let delta = ptr.offset() & (self.cfg.slab_bytes - 1);
+        let block = self.classes[class_idx].size_div.div(delta);
+        if delta != block * CLASSES[class_idx] || block >= self.blocks_per_slab(class_idx) as u64 {
             return Err(AllocError::InvalidPointer);
         }
-        let block = (delta / CLASSES[class_idx]) as u32;
-        if block >= self.blocks_per_slab(class_idx) {
-            return Err(AllocError::InvalidPointer);
-        }
+        let block = block as u32;
         let prev = slab.release_bit(block).map_err(|()| AllocError::InvalidPointer)?;
         if prev == 1 {
             // Slab is empty: return it to the free pool (and drop it as a
@@ -428,14 +449,14 @@ impl Halloc {
             let mut cursor = 0usize;
             while todo > 0 {
                 let (slab_idx, granted) = self.reserve_blocks(warp.sm, class_idx, todo)?;
-                let blocks = self.blocks_per_slab(class_idx);
+                let bitmap = &self.classes[class_idx].bitmap;
                 let slab = &self.slabs[slab_idx as usize];
                 let (mut probes, mut lost) = (0u64, 0u64);
                 let mut served = 0;
                 for g in 0..granted {
                     let lane = group[cursor];
                     match slab.claim_bit_with(
-                        blocks,
+                        bitmap,
                         warp.lane(lane as u32).scatter_hash(),
                         &mut probes,
                         &mut lost,
@@ -748,6 +769,68 @@ mod tests {
         all.sort_unstable();
         for w in all.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0, "overlap {:?} vs {:?}", w[0], w[1]);
+        }
+    }
+
+    /// Every class at 1 and 2 MiB slabs: the per-class geometry and
+    /// reciprocals give what the divisions they replace gave — block counts,
+    /// word counts, every slab offset's block index, the hashed walk's
+    /// start, steps and visiting order — and the fill predicates agree with
+    /// `fill_pct`'s floored percent at every count.
+    #[test]
+    fn precomputed_classes_equal_the_divisions_they_replace() {
+        let mut rng = gpumem_core::util::DeviceRng::new(5);
+        let mut hashes = vec![0, 1, u64::from(u32::MAX), u64::MAX];
+        hashes.extend((0..60).map(|_| rng.next_u64()));
+        for slab_bytes in [1u64 << 20, 2 << 20] {
+            let a = Halloc::with_config(
+                Arc::new(DeviceHeap::new(4 * slab_bytes)),
+                Config { slab_bytes, cuda_share_div: 4 },
+            );
+            for (i, &size) in CLASSES.iter().enumerate() {
+                let Class { bitmap, size_div } = a.classes[i];
+                let blocks = (slab_bytes / size) as u32;
+                let words = u64::from(blocks.div_ceil(32));
+                assert_eq!((bitmap.blocks, u64::from(bitmap.words)), (blocks, words), "{size}");
+                for delta in 0..slab_bytes {
+                    assert_eq!(size_div.div(delta), delta / size, "{delta} / {size}");
+                }
+                for (k, &prime) in slab::STEP_PRIMES.iter().enumerate() {
+                    assert_eq!(u64::from(bitmap.steps[k]), prime % words);
+                }
+                let slab = Slab::new(blocks);
+                assert!(slab.try_assign(i as u32, blocks));
+                for &hash in &hashes {
+                    let start = hash % words;
+                    assert_eq!(bitmap.words_div.rem(hash), start);
+                    // Leave one word open: the probes it takes to reach it
+                    // are its position in the old walk's visiting order.
+                    let open = rng.next_u64() % words;
+                    let step = slab::STEP_PRIMES[(hash >> 32) as usize % 3];
+                    let expected = (0..words)
+                        .position(|j| (start + j * step) % words == open)
+                        .map_or(words + open, |j| j as u64)
+                        + 1;
+                    for (w, word) in slab.bitmap.iter().enumerate() {
+                        word.store(if w as u64 == open { 0 } else { u32::MAX }, Ordering::Relaxed);
+                    }
+                    let (mut probes, mut lost) = (0, 0);
+                    let got = slab.claim_bit_with(&bitmap, hash, &mut probes, &mut lost);
+                    assert_eq!(got, Some(open as u32 * 32), "{size} {hash:#x}");
+                    assert_eq!(probes, expected, "{size} {hash:#x}");
+                }
+                for count in (0..=blocks).chain([slab::COUNT_LOCK]) {
+                    slab.count.store(count, Ordering::Relaxed);
+                    let pct = slab.fill_pct(blocks);
+                    assert_eq!(slab.fill_below(blocks, BUSY_PCT), pct < BUSY_PCT, "{count}");
+                    assert_eq!(
+                        !slab.fill_below(blocks, HEAD_REPLACE_PCT),
+                        pct * 10 > HEAD_REPLACE_PCT10,
+                        "{count}"
+                    );
+                    assert_eq!(slab.fill_below(blocks, 100), pct < 100, "{count}");
+                }
+            }
         }
     }
 

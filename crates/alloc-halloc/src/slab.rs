@@ -7,6 +7,7 @@
 //! (paper §2.7)
 
 use gpumem_core::sync::{AtomicU32, Ordering};
+use gpumem_core::util::Divisor;
 
 /// Slab `class` metadata value: unassigned.
 pub const CLASS_FREE: u32 = u32::MAX;
@@ -16,6 +17,38 @@ pub const COUNT_LOCK: u32 = 0x4000_0000;
 /// Primes used for the probe step, from Figure 5 ("s is prime (7, 11, 13) —
 /// reduces collisions; in practice faster than linear hashing").
 pub const STEP_PRIMES: [u64; 3] = [7, 11, 13];
+
+/// The bitmap geometry of a slab holding `blocks` blocks, computed once per
+/// size class so the hashed traversal steps and wraps instead of dividing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Bitmap {
+    /// Blocks the slab holds.
+    pub(crate) blocks: u32,
+    /// Bitmap words those blocks span.
+    pub(crate) words: u32,
+    /// `words`, for the hashed start word.
+    pub(crate) words_div: Divisor,
+    /// Each of [`STEP_PRIMES`] modulo `words`: one step never wraps twice.
+    pub(crate) steps: [u32; 3],
+}
+
+impl Bitmap {
+    /// The geometry of `blocks` (at least 1) blocks.
+    pub const fn new(blocks: u32) -> Self {
+        let words = blocks.div_ceil(32);
+        let w = words as u64;
+        Bitmap {
+            blocks,
+            words,
+            words_div: Divisor::new(w),
+            steps: [
+                (STEP_PRIMES[0] % w) as u32,
+                (STEP_PRIMES[1] % w) as u32,
+                (STEP_PRIMES[2] % w) as u32,
+            ],
+        }
+    }
+}
 
 /// One slab's side metadata.
 pub struct Slab {
@@ -118,32 +151,39 @@ impl Slab {
     /// The caller must hold a reservation. Returns the block index.
     pub fn claim_bit(&self, blocks: u32, hash: u64) -> Option<u32> {
         let (mut probes, mut lost) = (0, 0);
-        self.claim_bit_with(blocks, hash, &mut probes, &mut lost)
+        self.claim_bit_with(&Bitmap::new(blocks), hash, &mut probes, &mut lost)
     }
 
-    /// [`Slab::claim_bit`] that also counts bitmap words visited into
-    /// `probes` and lost `fetch_or` bit claims into `lost` (the
-    /// `probe_steps`/`cas_retries` sources of the contention-observability
-    /// layer — the hashed sweep the paper says stays fast "as long as <85 %
-    /// of the blocks are allocated").
+    /// [`Slab::claim_bit`] over a precomputed geometry that also counts
+    /// bitmap words visited into `probes` and lost `fetch_or` bit claims
+    /// into `lost` (the `probe_steps`/`cas_retries` sources of the
+    /// contention-observability layer — the hashed sweep the paper says
+    /// stays fast "as long as <85 % of the blocks are allocated").
+    ///
+    /// The hashed sweep visits `(start + i·step) mod words`, one step at a
+    /// time; a linear sweep follows as backstop.
     pub fn claim_bit_with(
         &self,
-        blocks: u32,
+        map: &Bitmap,
         hash: u64,
         probes: &mut u64,
         lost: &mut u64,
     ) -> Option<u32> {
-        let n_words = blocks.div_ceil(32) as u64;
-        let start = hash % n_words;
-        let step = STEP_PRIMES[(hash >> 32) as usize % STEP_PRIMES.len()];
-        // Hashed sweep, then one deterministic linear sweep as backstop.
-        for i in 0..n_words * 2 {
-            let w = if i < n_words {
-                ((start + i * step) % n_words) as usize
+        let words = map.words;
+        let mut hashed = map.words_div.rem(hash) as u32;
+        let step = map.steps[(hash >> 32) as usize % STEP_PRIMES.len()];
+        for i in 0..words * 2 {
+            let w = if i < words {
+                let w = hashed;
+                hashed += step;
+                if hashed >= words {
+                    hashed -= words;
+                }
+                w
             } else {
-                (i - n_words) as usize
+                i - words
             };
-            let word = &self.bitmap[w];
+            let word = &self.bitmap[w as usize];
             *probes += 1;
             loop {
                 let v = word.load(Ordering::Acquire);
@@ -153,7 +193,7 @@ impl Slab {
                 }
                 let bit = free.trailing_zeros();
                 if word.fetch_or(1 << bit, Ordering::AcqRel) & (1 << bit) == 0 {
-                    return Some(w as u32 * 32 + bit);
+                    return Some(w * 32 + bit);
                 }
                 *lost += 1;
             }
@@ -175,13 +215,21 @@ impl Slab {
         Ok(self.count.fetch_sub(1, Ordering::AcqRel))
     }
 
-    /// Fill ratio in percent (0-100) for `blocks` capacity.
+    /// Fill ratio in whole percent (0-100, floored) for `blocks` capacity;
+    /// a slab being reset reads as full.
     pub fn fill_pct(&self, blocks: u32) -> u32 {
         let c = self.count.load(Ordering::Relaxed);
         if c >= COUNT_LOCK || blocks == 0 {
             return 100;
         }
         c * 100 / blocks
+    }
+
+    /// `fill_pct(blocks) < pct` for `pct ≤ 100`, without the division:
+    /// `⌊100·c / blocks⌋ < pct` exactly when `100·c < pct·blocks`.
+    pub fn fill_below(&self, blocks: u32, pct: u32) -> bool {
+        let c = self.count.load(Ordering::Relaxed);
+        c < COUNT_LOCK && u64::from(c) * 100 < u64::from(pct) * u64::from(blocks)
     }
 
     /// Attempts to return an empty slab to the free pool ("marking a slab

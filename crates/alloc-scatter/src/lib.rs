@@ -47,40 +47,25 @@ const K_SIZE: u64 = 38_183;
 /// Multiprocessor-scatter hash constant (`k_mp`).
 const K_MP: u64 = 17_497;
 
-/// Tuning parameters. Defaults follow the original's published
-/// configuration, scaled where the paper leaves freedom.
-#[derive(Clone, Copy, Debug)]
-pub struct Config {
-    /// Page size in bytes (power of two).
-    pub page_size: u32,
-    /// Pages per Super Block.
-    pub pages_per_superblock: u32,
-    /// Pages per region (region fill counters).
-    pub region_pages: u32,
-    /// Active Super Block advances once its claimed-page percentage passes
-    /// this threshold.
-    pub sb_advance_fill_pct: u32,
-    /// Denominator of the Super Block share reserved for multi-page
-    /// allocations (¼ by default: `total_sbs / 4`).
-    pub multipage_share_div: u32,
-}
+/// Page size in bytes.
+const PAGE_SIZE: u32 = 4096;
+/// Pages per Super Block (2 MiB Super Blocks).
+const PAGES_PER_SB: u32 = 512;
+/// Pages per region (region fill counters).
+const REGION_PAGES: u32 = 32;
+/// The active Super Block advances once its claimed-page percentage passes
+/// this threshold.
+const SB_ADVANCE_FILL_PCT: u32 = 90;
+/// Denominator of the Super Block share reserved for multi-page
+/// allocations (¼: `total_sbs / 4`).
+const MULTIPAGE_SHARE_DIV: u32 = 4;
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            page_size: 4096,
-            pages_per_superblock: 512, // 2 MiB Super Blocks
-            region_pages: 32,
-            sb_advance_fill_pct: 90,
-            multipage_share_div: 4,
-        }
-    }
-}
+/// Bytes per Super Block.
+const SB_BYTES: u64 = PAGE_SIZE as u64 * PAGES_PER_SB as u64;
 
 /// The ScatterAlloc memory manager.
 pub struct ScatterAlloc {
     heap: Arc<DeviceHeap>,
-    cfg: Config,
     meta: PageMeta,
     /// Number of Super Blocks currently available for small allocations
     /// (grows at runtime up to `small_sb_capacity`).
@@ -150,34 +135,27 @@ struct FreeFrame {
 }
 
 impl ScatterAlloc {
-    /// Creates ScatterAlloc over all of `heap`.
+    /// Creates ScatterAlloc over all of `heap`, with the original's
+    /// published configuration (the constants above).
     pub fn new(heap: Arc<DeviceHeap>) -> Self {
-        Self::with_config(heap, Config::default())
-    }
-
-    /// Creates ScatterAlloc with explicit tuning.
-    pub fn with_config(heap: Arc<DeviceHeap>, cfg: Config) -> Self {
         let len = heap.len();
-        assert_eq!(len % cfg.page_size as u64, 0, "heap must be page aligned");
-        let sb_bytes = cfg.page_size as u64 * cfg.pages_per_superblock as u64;
-        let total_sbs = (len / sb_bytes) as u32;
+        assert_eq!(len % PAGE_SIZE as u64, 0, "heap must be page aligned");
+        let total_sbs = (len / SB_BYTES) as u32;
         assert!(total_sbs >= 1, "heap smaller than one Super Block");
-        let multi_sbs =
-            if total_sbs >= 2 { (total_sbs / cfg.multipage_share_div).max(1) } else { 0 };
+        let multi_sbs = if total_sbs >= 2 { (total_sbs / MULTIPAGE_SHARE_DIV).max(1) } else { 0 };
         let small_cap = total_sbs - multi_sbs;
         assert!(small_cap >= 1, "no Super Blocks left for small allocations");
-        let total_pages = (len / cfg.page_size as u64) as usize;
-        let small_pages = (small_cap * cfg.pages_per_superblock) as usize;
-        let regions = small_pages.div_ceil(cfg.region_pages as usize);
+        let total_pages = (len / PAGE_SIZE as u64) as usize;
+        let small_pages = (small_cap * PAGES_PER_SB) as usize;
+        let regions = small_pages.div_ceil(REGION_PAGES as usize);
 
         ScatterAlloc {
             heap,
-            cfg,
             meta: PageMeta::new(total_pages),
             small_sbs: AtomicU32::new(small_cap),
             small_sb_capacity: small_cap,
             multi_first_page: small_pages,
-            multi_pages: (multi_sbs * cfg.pages_per_superblock) as usize,
+            multi_pages: (multi_sbs * PAGES_PER_SB) as usize,
             active_sb: AtomicU32::new(0),
             sb_pages: (0..small_cap).map(|_| AtomicU32::new(0)).collect(),
             region_full: (0..regions).map(|_| AtomicU32::new(0)).collect(),
@@ -211,7 +189,7 @@ impl ScatterAlloc {
 
     /// Largest request served from a single page.
     pub fn max_single_page(&self) -> u64 {
-        self.cfg.page_size as u64
+        PAGE_SIZE as u64
     }
 
     /// Number of Super Blocks currently serving small allocations.
@@ -219,19 +197,15 @@ impl ScatterAlloc {
         self.small_sbs.load(Ordering::Acquire)
     }
 
-    fn page_base(&self, page: usize) -> u64 {
-        page as u64 * self.cfg.page_size as u64
+    fn page_base(page: usize) -> u64 {
+        page as u64 * PAGE_SIZE as u64
     }
 
-    fn region_of(&self, page: usize) -> usize {
-        page / self.cfg.region_pages as usize
-    }
-
-    /// The hashed small-allocation path.
+    /// The hashed small-allocation path. Every page cursor is masked or
+    /// stepped: the constants are powers of two and `sb` stays below `sbs`,
+    /// so no step of the walk divides.
     fn malloc_small(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        let chunk_size = align_up(size.max(16), 16) as u32;
-        let layout = PageLayout::new(chunk_size, self.cfg.page_size);
-        let pages_per_sb = self.cfg.pages_per_superblock as u64;
+        let layout = PageLayout::of(align_up(size.max(16), 16) as u32);
         let hash = size.wrapping_mul(K_SIZE).wrapping_add(ctx.sm as u64 * K_MP);
         let in_page_hash = ctx.scatter_hash();
         // Contention tally of this one operation: every page visited by the
@@ -241,32 +215,34 @@ impl ScatterAlloc {
         let mut stats = PageStats::default();
 
         let sbs = self.small_sbs.load(Ordering::Acquire);
-        let mut sb = self.active_sb.load(Ordering::Acquire) % sbs;
+        // `active_sb` only ever holds an index below some earlier
+        // `small_sbs`, and `small_sbs` never shrinks.
+        let mut sb = self.active_sb.load(Ordering::Acquire);
+        debug_assert!(sb < sbs);
+        let next_sb = |sb: u32| if sb + 1 == sbs { 0 } else { sb + 1 };
 
         // Proactive advance when the active Super Block is nearly full.
         if sbs > 1 {
             let fill = self.sb_pages[sb as usize].load(Ordering::Relaxed);
-            if fill * 100 > self.cfg.pages_per_superblock * self.cfg.sb_advance_fill_pct {
-                let next = (sb + 1) % sbs;
+            if fill * 100 > PAGES_PER_SB * SB_ADVANCE_FILL_PCT {
+                let next = next_sb(sb);
                 let _ =
                     self.active_sb.compare_exchange(sb, next, Ordering::AcqRel, Ordering::Relaxed);
                 sb = next;
             }
         }
 
+        let p0 = hash as usize % PAGES_PER_SB as usize;
         for _attempt in 0..sbs {
-            let sb_first_page = sb as u64 * pages_per_sb;
-            let p0 = hash % pages_per_sb;
-            let mut probe = 0u64;
-            while probe < pages_per_sb {
-                let page = (sb_first_page + (p0 + probe) % pages_per_sb) as usize;
+            let sb_first_page = sb as usize * PAGES_PER_SB as usize;
+            let mut probe = 0usize;
+            while probe < PAGES_PER_SB as usize {
+                let page = sb_first_page + (p0 + probe) % PAGES_PER_SB as usize;
                 // Region rejection: skip a full region wholesale.
-                let region = self.region_of(page);
-                let region_start = region * self.cfg.region_pages as usize;
-                if self.region_full[region].load(Ordering::Relaxed) >= self.cfg.region_pages {
+                let region = page / REGION_PAGES as usize;
+                if self.region_full[region].load(Ordering::Relaxed) >= REGION_PAGES {
                     // Jump to the end of this region (bounded by the SB).
-                    let skip = (region_start + self.cfg.region_pages as usize) as u64 - page as u64;
-                    probe += skip.max(1);
+                    probe += REGION_PAGES as usize - page % REGION_PAGES as usize;
                     continue;
                 }
                 let claimed_before = self.meta.chunk_size[page].load(Ordering::Relaxed) == CS_FREE;
@@ -275,7 +251,7 @@ impl ScatterAlloc {
                     &self.heap,
                     &self.meta,
                     page,
-                    self.page_base(page),
+                    Self::page_base(page),
                     layout,
                     in_page_hash,
                     &mut stats,
@@ -287,7 +263,7 @@ impl ScatterAlloc {
                         if made_full {
                             self.region_full[region].fetch_add(1, Ordering::AcqRel);
                         }
-                        let off = self.page_base(page) + layout.chunk_offset(chunk_idx);
+                        let off = Self::page_base(page) + layout.chunk_offset(chunk_idx);
                         self.flush_stats(ctx.sm, stats);
                         return Ok(DevicePtr::new(off));
                     }
@@ -295,7 +271,7 @@ impl ScatterAlloc {
                 }
             }
             // Super Block exhausted for this size: move to the next.
-            let next = (sb + 1) % sbs;
+            let next = next_sb(sb);
             let _ = self.active_sb.compare_exchange(sb, next, Ordering::AcqRel, Ordering::Relaxed);
             sb = next;
         }
@@ -313,7 +289,7 @@ impl ScatterAlloc {
 
     /// The reserved-area multi-page path for requests larger than a page.
     fn malloc_multi(&self, sm: u32, size: u64) -> Result<DevicePtr, AllocError> {
-        let pages_needed = size.div_ceil(self.cfg.page_size as u64) as usize;
+        let pages_needed = size.div_ceil(PAGE_SIZE as u64) as usize;
         if pages_needed > self.multi_pages {
             return Err(AllocError::UnsupportedSize(size));
         }
@@ -338,7 +314,7 @@ impl ScatterAlloc {
                         self.meta.chunk_size[p].store(CS_MULTI_BODY, Ordering::Release);
                     }
                     self.metrics.add(sm, Counter::ProbeSteps, i as u64 + 1);
-                    return Ok(DevicePtr::new(self.page_base(head)));
+                    return Ok(DevicePtr::new(Self::page_base(head)));
                 }
             } else {
                 run = 0;
@@ -397,8 +373,7 @@ impl DeviceAllocator for ScatterAlloc {
     }
 
     fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        let sb_bytes = self.cfg.page_size as u64 * self.cfg.pages_per_superblock as u64;
-        let add_sbs = (additional.div_ceil(sb_bytes)) as u32;
+        let add_sbs = additional.div_ceil(SB_BYTES) as u32;
         let mut cur = self.small_sbs.load(Ordering::Acquire);
         loop {
             if cur >= self.small_sb_capacity {
@@ -431,46 +406,42 @@ impl ScatterAlloc {
         if ptr.is_null() || ptr.offset() >= self.heap.len() {
             return Err(AllocError::InvalidPointer);
         }
-        let page = (ptr.offset() / self.cfg.page_size as u64) as usize;
+        let page = (ptr.offset() / PAGE_SIZE as u64) as usize;
         let cs = self.meta.chunk_size[page].load(Ordering::Acquire);
         match cs {
             CS_FREE | CS_MULTI_BODY => Err(AllocError::InvalidPointer),
             CS_MULTI_HEAD => {
-                if ptr.offset() != self.page_base(page) {
+                if ptr.offset() != Self::page_base(page) {
                     return Err(AllocError::InvalidPointer);
                 }
                 self.free_multi(page)
             }
             cs if cs & CS_SETUP != 0 => Err(AllocError::InvalidPointer),
             cs => {
-                let layout = PageLayout::new(cs, self.cfg.page_size);
-                let base = self.page_base(page) + layout.table_bytes as u64;
+                let layout = PageLayout::of(cs);
+                let base = Self::page_base(page) + layout.table_bytes as u64;
                 if ptr.offset() < base {
                     return Err(AllocError::InvalidPointer);
                 }
                 let delta = ptr.offset() - base;
-                if !delta.is_multiple_of(cs as u64) {
-                    return Err(AllocError::InvalidPointer);
-                }
-                let chunk_idx = (delta / cs as u64) as u32;
-                if chunk_idx >= layout.chunks {
+                let chunk_idx = layout.size_div.div(delta);
+                if delta != chunk_idx * cs as u64 || chunk_idx >= layout.chunks as u64 {
                     return Err(AllocError::InvalidPointer);
                 }
                 let outcome = free_on_page(
                     &self.heap,
                     &self.meta,
                     page,
-                    self.page_base(page),
+                    Self::page_base(page),
                     layout,
-                    chunk_idx,
+                    chunk_idx as u32,
                 )
                 .map_err(|()| AllocError::InvalidPointer)?;
                 if outcome.was_full {
-                    self.region_full[self.region_of(page)].fetch_sub(1, Ordering::AcqRel);
+                    self.region_full[page / REGION_PAGES as usize].fetch_sub(1, Ordering::AcqRel);
                 }
                 if outcome.now_empty && try_reset_page(&self.meta, page) {
-                    let sb = page / self.cfg.pages_per_superblock as usize;
-                    self.sb_pages[sb].fetch_sub(1, Ordering::Relaxed);
+                    self.sb_pages[page / PAGES_PER_SB as usize].fetch_sub(1, Ordering::Relaxed);
                 }
                 Ok(())
             }

@@ -13,7 +13,10 @@
 
 use gpumem_core::sync::{AtomicU32, Ordering};
 
+use gpumem_core::util::Divisor;
 use gpumem_core::DeviceHeap;
+
+use crate::PAGE_SIZE;
 
 /// Chunk-size metadata sentinel: page is free / unclaimed.
 pub const CS_FREE: u32 = 0;
@@ -40,22 +43,55 @@ pub struct PageLayout {
     /// field (0 when the first-level word suffices), rounded to 16 so
     /// payloads stay 16-byte aligned.
     pub table_bytes: u32,
+    /// `chunk_size`, for turning a payload offset into a chunk index.
+    pub(crate) size_div: Divisor,
+    /// What the in-page hash picks its start from: `chunks` on a
+    /// single-level page, `groups()` on a two-level one.
+    pub(crate) start_div: Divisor,
 }
+
+/// The layout of every chunk size a page of [`PAGE_SIZE`] serves, 16 B
+/// apart: built at compile time, so an operation looks its layout up
+/// instead of dividing.
+static LAYOUTS: [PageLayout; (PAGE_SIZE / 16) as usize] = {
+    let mut layouts = [PageLayout::new(16, PAGE_SIZE); (PAGE_SIZE / 16) as usize];
+    let mut i = 1;
+    while i < layouts.len() {
+        layouts[i] = PageLayout::new((i as u32 + 1) * 16, PAGE_SIZE);
+        i += 1;
+    }
+    layouts
+};
 
 impl PageLayout {
     /// Computes the layout for `chunk_size` on a page of `page_size` bytes.
-    pub fn new(chunk_size: u32, page_size: u32) -> Self {
+    pub const fn new(chunk_size: u32, page_size: u32) -> Self {
         debug_assert!(chunk_size.is_multiple_of(16) && chunk_size > 0);
         debug_assert!(chunk_size <= page_size);
-        let naive = (page_size / chunk_size).min(MAX_CHUNKS);
-        if naive <= 32 {
-            return PageLayout { chunk_size, chunks: naive, table_bytes: 0 };
+        let naive = min(page_size / chunk_size, MAX_CHUNKS);
+        let (chunks, table_bytes, starts) = if naive <= 32 {
+            (naive, 0, naive)
+        } else {
+            // Second hierarchy level on the page: one u32 per group of 32.
+            let groups = naive.div_ceil(32);
+            let table_bytes = (groups * 4).div_ceil(16) * 16;
+            let chunks = min((page_size - table_bytes) / chunk_size, MAX_CHUNKS);
+            (chunks, table_bytes, chunks.div_ceil(32))
+        };
+        PageLayout {
+            chunk_size,
+            chunks,
+            table_bytes,
+            size_div: Divisor::new(chunk_size as u64),
+            start_div: Divisor::new(starts as u64),
         }
-        // Second hierarchy level on the page: one u32 per group of 32.
-        let groups = naive.div_ceil(32);
-        let table_bytes = (groups * 4).div_ceil(16) * 16;
-        let chunks = ((page_size - table_bytes) / chunk_size).min(MAX_CHUNKS);
-        PageLayout { chunk_size, chunks, table_bytes }
+    }
+
+    /// The layout of `chunk_size` (a multiple of 16, at most 4 KiB)
+    /// on a ScatterAlloc page.
+    #[inline]
+    pub fn of(chunk_size: u32) -> Self {
+        LAYOUTS[(chunk_size / 16) as usize - 1]
     }
 
     /// Number of second-level groups (0 when the page is single-level).
@@ -80,6 +116,14 @@ impl PageLayout {
     /// Byte offset of chunk `idx` within its page.
     pub fn chunk_offset(&self, idx: u32) -> u64 {
         self.table_bytes as u64 + idx as u64 * self.chunk_size as u64
+    }
+}
+
+const fn min(a: u32, b: u32) -> u32 {
+    if a < b {
+        a
+    } else {
+        b
     }
 }
 
@@ -249,7 +293,7 @@ fn find_bit_single(
     hash: u64,
     stats: &mut PageStats,
 ) -> Option<u32> {
-    let start = (hash % layout.chunks as u64) as u32;
+    let start = layout.start_div.rem(hash) as u32;
     // First attempt is blind at the hashed spot, as in ScatterAlloc's
     // published kernel: atomicOr first, then inspect the returned mask.
     // A hash collision with any earlier allocation is a lost claim.
@@ -285,10 +329,12 @@ fn find_bit_hierarchical(
     stats: &mut PageStats,
 ) -> Option<u32> {
     let groups = layout.groups();
-    let start_group = (hash % groups as u64) as u32;
+    let mut g = layout.start_div.rem(hash) as u32;
     for probe in 0..groups * 2 {
+        if probe > 0 {
+            g = if g + 1 == groups { 0 } else { g + 1 };
+        }
         stats.probe_steps += 1;
-        let g = (start_group + probe) % groups;
         if first_level.load(Ordering::Acquire) & (1 << g) != 0 {
             continue; // group marked full
         }
@@ -571,6 +617,38 @@ mod tests {
         assert_eq!(l.groups(), 0);
         let l = PageLayout::new(4096, PAGE);
         assert_eq!(l.chunks, 1);
+    }
+
+    /// Every chunk size a page serves, 16 B to 4 KiB: the compile-time
+    /// table holds what `PageLayout::new` computed per operation, and its
+    /// reciprocals give what the divisions they replace gave — every
+    /// payload offset's chunk index and remainder, and the in-page hash's
+    /// start.
+    #[test]
+    fn layout_table_and_reciprocals_equal_the_divisions_they_replace() {
+        let mut rng = gpumem_core::util::DeviceRng::new(11);
+        let mut hashes = vec![0, 1, u64::from(u32::MAX), u64::MAX];
+        hashes.extend((0..256).map(|_| rng.next_u64()));
+        for cs in (16..=PAGE).step_by(16) {
+            let l = PageLayout::of(cs);
+            assert_eq!(l, PageLayout::new(cs, PAGE));
+            let naive = (PAGE / cs).min(MAX_CHUNKS);
+            let (chunks, table_bytes) = if naive <= 32 {
+                (naive, 0)
+            } else {
+                let table_bytes = (naive.div_ceil(32) * 4).div_ceil(16) * 16;
+                (((PAGE - table_bytes) / cs).min(MAX_CHUNKS), table_bytes)
+            };
+            assert_eq!((l.chunk_size, l.chunks, l.table_bytes), (cs, chunks, table_bytes));
+            for delta in 0..u64::from(PAGE) {
+                assert_eq!(l.size_div.div(delta), delta / u64::from(cs), "{delta} / {cs}");
+                assert_eq!(l.size_div.rem(delta), delta % u64::from(cs), "{delta} % {cs}");
+            }
+            let starts = u64::from(if table_bytes == 0 { chunks } else { l.groups() });
+            for &hash in &hashes {
+                assert_eq!(l.start_div.rem(hash), hash % starts, "{hash:#x} % {starts}");
+            }
+        }
     }
 
     #[test]

@@ -312,36 +312,47 @@ impl ManagerBuilder {
             HeapSource::Fresh(spec) => Arc::new(DeviceHeap::try_new(spec)?),
             HeapSource::Shared(heap) => heap,
         };
-        let wrap_cached = |inner: Arc<dyn DeviceAllocator>| -> Arc<dyn DeviceAllocator> {
-            if self.cached {
-                Arc::new(Cached::new(inner, self.sms))
-            } else {
-                inner
-            }
-        };
         // A sink forces the observability stack on so the sampler has
         // counters to delta and a ring to drain.
         let trace = match (&self.sink, self.trace) {
             (Some(_), None) => Some(telemetry::WATCH_EVENTS_PER_SM),
             (_, chosen) => chosen,
         };
-        Ok(match trace {
+        let (metrics, tracer) = match trace {
             Some(events_per_sm) => {
                 let rec = Arc::new(TraceRecorder::new(self.sms, events_per_sm));
                 let metrics = Metrics::enabled(self.sms).with_tracer(Arc::clone(&rec));
                 if let Some(sink) = &self.sink {
                     sink.attach(&metrics);
                 }
-                let inner: Arc<dyn DeviceAllocator> =
-                    Arc::from(construct(self.kind, heap, self.sms, metrics));
-                Arc::new(Traced::new(wrap_cached(inner), rec))
+                (metrics, Some(rec))
             }
-            None => {
-                let metrics =
-                    if self.metrics { Metrics::enabled(self.sms) } else { Metrics::disabled() };
-                wrap_cached(Arc::from(construct(self.kind, heap, self.sms, metrics)))
-            }
-        })
+            None if self.metrics => (Metrics::enabled(self.sms), None),
+            None => (Metrics::disabled(), None),
+        };
+        let stack = Stack { sms: self.sms, cached: self.cached, tracer };
+        Ok(construct(self.kind, heap, metrics, stack))
+    }
+}
+
+/// The decorators a built manager wears, outermost first: [`Traced`] when
+/// there is a recorder, then [`Cached`].
+struct Stack {
+    sms: u32,
+    cached: bool,
+    tracer: Option<Arc<TraceRecorder>>,
+}
+
+/// Wraps the concrete manager `m` in its decorators — `M`, `Cached<M>`,
+/// `Traced<M>` or `Traced<Cached<M>>` — and erases the whole stack once:
+/// each layer calls the next directly, and only the caller's call crosses
+/// the `dyn` boundary.
+fn finish<M: DeviceAllocator + 'static>(m: M, stack: Stack) -> Arc<dyn DeviceAllocator> {
+    match (stack.tracer, stack.cached) {
+        (None, false) => Arc::new(m),
+        (None, true) => Arc::new(Cached::new(m, stack.sms)),
+        (Some(rec), false) => Arc::new(Traced::new(m, rec)),
+        (Some(rec), true) => Arc::new(Traced::new(Cached::new(m, stack.sms), rec)),
     }
 }
 
@@ -349,27 +360,27 @@ impl ManagerBuilder {
 fn construct(
     kind: ManagerKind,
     heap: Arc<DeviceHeap>,
-    num_sms: u32,
     metrics: Metrics,
-) -> Box<dyn DeviceAllocator> {
-    let m = metrics;
+    stack: Stack,
+) -> Arc<dyn DeviceAllocator> {
+    let (m, sms) = (metrics, stack.sms);
     match kind {
-        Atomic => Box::new(AtomicAlloc::new(heap).with_metrics(m)),
-        CudaAllocator => Box::new(CudaAllocModel::new(heap).with_metrics(m)),
-        XMalloc => Box::new(XMalloc::new(heap).with_metrics(m)),
-        ScatterAlloc => Box::new(ScatterAlloc::new(heap).with_metrics(m)),
-        FDGMalloc => Box::new(FdgMalloc::new(heap).with_metrics(m)),
-        RegEffC => Box::new(RegEffC::new(heap, num_sms).with_metrics(m)),
-        RegEffCF => Box::new(RegEffCF::new(heap, num_sms).with_metrics(m)),
-        RegEffCM => Box::new(RegEffCM::new(heap, num_sms).with_metrics(m)),
-        RegEffCFM => Box::new(RegEffCFM::new(heap, num_sms).with_metrics(m)),
-        Halloc => Box::new(Halloc::new(heap).with_metrics(m)),
-        OuroSP => Box::new(OuroSP::new(heap).with_metrics(m)),
-        OuroSC => Box::new(OuroSC::new(heap).with_metrics(m)),
-        OuroVAP => Box::new(OuroVAP::new(heap).with_metrics(m)),
-        OuroVAC => Box::new(OuroVAC::new(heap).with_metrics(m)),
-        OuroVLP => Box::new(OuroVLP::new(heap).with_metrics(m)),
-        OuroVLC => Box::new(OuroVLC::new(heap).with_metrics(m)),
+        Atomic => finish(AtomicAlloc::new(heap).with_metrics(m), stack),
+        CudaAllocator => finish(CudaAllocModel::new(heap).with_metrics(m), stack),
+        XMalloc => finish(XMalloc::new(heap).with_metrics(m), stack),
+        ScatterAlloc => finish(ScatterAlloc::new(heap).with_metrics(m), stack),
+        FDGMalloc => finish(FdgMalloc::new(heap).with_metrics(m), stack),
+        RegEffC => finish(RegEffC::new(heap, sms).with_metrics(m), stack),
+        RegEffCF => finish(RegEffCF::new(heap, sms).with_metrics(m), stack),
+        RegEffCM => finish(RegEffCM::new(heap, sms).with_metrics(m), stack),
+        RegEffCFM => finish(RegEffCFM::new(heap, sms).with_metrics(m), stack),
+        Halloc => finish(Halloc::new(heap).with_metrics(m), stack),
+        OuroSP => finish(OuroSP::new(heap).with_metrics(m), stack),
+        OuroSC => finish(OuroSC::new(heap).with_metrics(m), stack),
+        OuroVAP => finish(OuroVAP::new(heap).with_metrics(m), stack),
+        OuroVAC => finish(OuroVAC::new(heap).with_metrics(m), stack),
+        OuroVLP => finish(OuroVLP::new(heap).with_metrics(m), stack),
+        OuroVLC => finish(OuroVLC::new(heap).with_metrics(m), stack),
     }
 }
 
@@ -682,6 +693,45 @@ mod tests {
         let t = m.tracer().expect("tracer attached").snapshot();
         assert_eq!(t.count(EventKind::CacheHit), 1, "hit event lands in the shared trace");
         assert_eq!(t.count(EventKind::MallocEnd), 2, "Traced wraps outside Cached");
+    }
+
+    /// Every kind in all four stacks: `metrics()` reaches the recorder
+    /// `Traced` writes to, `drain()` reaches the magazines through
+    /// `Traced`, `info()` is the manager's, and under both decorators a
+    /// magazine hit is one `CacheHit` and one `MallocEnd`.
+    #[test]
+    fn every_stack_reaches_each_of_its_layers() {
+        use gpumem_core::trace::EventKind;
+        let ctx = ThreadCtx::host();
+        for kind in ALL_KINDS {
+            for (trace, cached) in [(false, false), (false, true), (true, false), (true, true)] {
+                let a = kind.builder().heap(HEAP).trace(trace).cached(cached).build();
+                let stack = format!("{kind} trace={trace} cached={cached}");
+                let info = a.info();
+                assert_eq!(info.label(), kind.label().replace("Ouro-", "Ouroboros-"), "{stack}");
+                let rec = a.metrics().tracer().cloned();
+                assert_eq!(rec.is_some(), trace, "{stack}");
+                let caching = cached && info.supports_free && !info.warp_level_only;
+                let p = a.malloc(&ctx, 64).unwrap();
+                if info.supports_free {
+                    a.free(&ctx, p).unwrap();
+                }
+                if let Some(rec) = &rec {
+                    let t = rec.snapshot();
+                    assert_eq!(t.count(EventKind::MallocEnd), 1, "{stack}");
+                    assert_eq!(t.count(EventKind::FreeEnd), info.supports_free as usize, "{stack}");
+                    if caching {
+                        assert_eq!(a.malloc(&ctx, 64).unwrap(), p, "{stack}: a magazine hit");
+                        let hit = rec.snapshot();
+                        assert_eq!(hit.count(EventKind::CacheHit), 1, "{stack}");
+                        assert_eq!(hit.count(EventKind::MallocEnd), 2, "{stack}");
+                        a.free(&ctx, p).unwrap();
+                    }
+                }
+                assert_eq!(a.drain(), caching as u64, "{stack}: parked blocks drained");
+                assert_eq!(a.drain(), 0, "{stack}");
+            }
+        }
     }
 
     #[test]

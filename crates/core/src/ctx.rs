@@ -76,6 +76,17 @@ pub struct WarpCtx {
 }
 
 impl WarpCtx {
+    /// Warp `warp` of a launch in blocks of `block_size` threads over
+    /// `num_sms` SMs: the block and SM [`ThreadCtx::from_linear`] gives each
+    /// of its lanes. `block_size` is a multiple of [`WARP_SIZE`], as on the
+    /// hardware, so a warp never spans two blocks.
+    #[inline]
+    pub fn from_linear(warp: u32, block_size: u32, num_sms: u32) -> Self {
+        debug_assert!(block_size > 0 && block_size.is_multiple_of(WARP_SIZE) && num_sms > 0);
+        let block = warp / (block_size / WARP_SIZE);
+        WarpCtx { warp, block, sm: block % num_sms }
+    }
+
     /// The context of the warp's leader lane (lane 0) as a [`ThreadCtx`].
     pub fn leader(&self) -> ThreadCtx {
         ThreadCtx {
@@ -136,6 +147,19 @@ mod tests {
         assert_eq!(w.leader().thread_id, 7 * 32);
         assert_eq!(w.lane(31).thread_id, 7 * 32 + 31);
         assert_eq!(w.lane(31).sm, 3);
+    }
+
+    #[test]
+    fn warp_from_linear_matches_its_lanes() {
+        for (block_size, num_sms) in [(32, 1), (64, 7), (256, 80), (256, 68), (1024, 3)] {
+            for warp in 0..2_000 {
+                let w = WarpCtx::from_linear(warp, block_size, num_sms);
+                for lane in [0, 1, 31] {
+                    let tid = warp * WARP_SIZE + lane;
+                    assert_eq!(w.lane(lane), ThreadCtx::from_linear(tid, block_size, num_sms));
+                }
+            }
+        }
     }
 
     #[test]

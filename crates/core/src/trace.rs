@@ -272,8 +272,8 @@ pub struct TraceRecorder {
     ring: Map,
     /// Per-shard slot capacity.
     capacity: usize,
-    /// [`clock_ns`] at construction.
-    epoch_ns: u64,
+    /// The clock every timestamp is read on; its origin is construction.
+    clock: Clock,
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -294,7 +294,8 @@ mod tsc {
     use std::sync::OnceLock;
     use std::time::{Duration, Instant};
 
-    fn ticks() -> u64 {
+    #[inline(always)]
+    pub(super) fn ticks() -> u64 {
         // SAFETY: RDTSC reads a counter into registers and touches no
         // memory; every x86_64 CPU implements it (the CPUID check below
         // decides only whether its rate makes it usable as a clock).
@@ -317,7 +318,7 @@ mod tsc {
     /// against `Instant` over a window of at least 2 ms; `None` when the
     /// CPU does not advertise an invariant TSC (`CPUID.80000007H:EDX[8]`:
     /// constant rate across P-, C- and T-states).
-    fn ns_per_tick() -> Option<u64> {
+    pub(super) fn ns_per_tick() -> Option<u64> {
         static RATIO: OnceLock<Option<u64>> = OnceLock::new();
         *RATIO.get_or_init(|| {
             if __cpuid(0x8000_0000).eax < 0x8000_0007 || __cpuid(0x8000_0007).edx >> 8 & 1 == 0 {
@@ -330,27 +331,69 @@ mod tsc {
             (ticks > 0).then(|| ((ns << 32) / ticks) as u64)
         })
     }
-
-    /// Nanoseconds since the counter's zero, or `None` without the clock.
-    #[inline]
-    pub(super) fn now_ns() -> Option<u64> {
-        ns_per_tick().map(|ratio| ((u128::from(ticks()) * u128::from(ratio)) >> 32) as u64)
-    }
 }
 
-/// Nanoseconds on the process-wide trace clock (arbitrary origin): as a
-/// kernel timing its own operations reads the SM cycle counter, the
-/// invariant TSC where there is one, at under half the cost of `Instant`;
-/// `Instant` on every other target, under miri and under loom. The only
-/// function whose body forks on the target.
+/// Nanoseconds per tick of the identity ratio, 32.32 fixed point.
+const ONE_NS_PER_TICK: u64 = 1 << 32;
+
+/// `ticks` at `ns_per_tick` (32.32 fixed point), in nanoseconds. The
+/// product is taken in 128 bits, so a run of any length converts without
+/// overflow.
 #[inline]
-fn clock_ns() -> u64 {
-    #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
-    if let Some(ns) = tsc::now_ns() {
-        return ns;
+fn ticks_to_ns(ticks: u64, ns_per_tick: u64) -> u64 {
+    ((u128::from(ticks) * u128::from(ns_per_tick)) >> 32) as u64
+}
+
+/// The trace clock, fixed when a recorder is built: a tick source, the
+/// tick count at that moment (the recorder's zero) and the ratio that
+/// turns ticks into nanoseconds. As a kernel timing its own operations
+/// reads the SM cycle counter, the ticks are the invariant TSC where there
+/// is one, at under half the cost of `Instant`. On every other target, under
+/// miri and under loom they are `Instant` nanoseconds at the identity
+/// ratio. A read is the bare counter: the ratio is looked up once, here,
+/// and a reading is converted only when an event is written.
+#[derive(Clone, Copy, Debug)]
+struct Clock {
+    /// Whether ticks are TSC reads (else `Instant` nanoseconds).
+    tsc: bool,
+    /// Nanoseconds per tick, 32.32 fixed point.
+    ns_per_tick: u64,
+    /// Ticks at construction.
+    origin: u64,
+}
+
+impl Clock {
+    fn new() -> Self {
+        #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
+        let ratio = tsc::ns_per_tick();
+        #[cfg(not(all(target_arch = "x86_64", not(miri), not(loom))))]
+        let ratio = None;
+        let mut clock = Clock {
+            tsc: ratio.is_some(),
+            ns_per_tick: ratio.unwrap_or(ONE_NS_PER_TICK),
+            origin: 0,
+        };
+        clock.origin = clock.ticks();
+        clock
     }
-    static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+
+    /// The current tick count. The only function whose body forks on the
+    /// target.
+    #[inline(always)]
+    fn ticks(&self) -> u64 {
+        #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
+        if self.tsc {
+            return tsc::ticks();
+        }
+        static ORIGIN: OnceLock<Instant> = OnceLock::new();
+        ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+
+    /// Nanoseconds from the origin to `ticks`.
+    #[inline]
+    fn ns(&self, ticks: u64) -> u64 {
+        ticks_to_ns(ticks.saturating_sub(self.origin), self.ns_per_tick)
+    }
 }
 
 impl TraceRecorder {
@@ -376,7 +419,7 @@ impl TraceRecorder {
             shards: (0..shards).map(|_| TraceShard::default()).collect(),
             ring,
             capacity,
-            epoch_ns: clock_ns(),
+            clock: Clock::new(),
         }
     }
 
@@ -396,10 +439,10 @@ impl TraceRecorder {
     }
 
     /// Nanoseconds elapsed since this recorder was constructed. All event
-    /// timestamps share this epoch.
+    /// timestamps share this epoch, [`Traced`]'s included.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        clock_ns().saturating_sub(self.epoch_ns)
+        self.clock.ns(self.clock.ticks())
     }
 
     /// Records an event timestamped now.
@@ -431,6 +474,7 @@ impl TraceRecorder {
     /// for it — a page they touch first faults in — and the commit keeps
     /// what they write. A commit the kernel refuses is ignored: the pages
     /// then fault in one at a time as they are written.
+    #[inline]
     pub fn emit_at(&self, ts_ns: u64, sm: u32, kind: EventKind, args: [u64; 4]) {
         let (shard_idx, shard) = self.shard(sm);
         // A full ring costs one read-modify-write, and the slot counter
@@ -446,8 +490,7 @@ impl TraceRecorder {
             return;
         }
         if idx == 0 {
-            let shard_bytes = (self.capacity * std::mem::size_of::<Slot>()) as u64;
-            let _ = self.ring.commit(shard_idx as u64 * shard_bytes, shard_bytes);
+            self.commit_shard(shard_idx);
         }
         let slot = &self.slots(shard_idx)[idx as usize];
         // The claim above made `idx` exclusively ours, so these Relaxed
@@ -462,6 +505,15 @@ impl TraceRecorder {
         slot.words[4].store(args[2], Ordering::Relaxed);
         slot.words[5].store(args[3], Ordering::Relaxed);
         slot.words[1].store(kind.tag() << 32 | u64::from(sm), Ordering::Release);
+    }
+
+    /// Commits shard `shard_idx`, once per recorder: off the recording path,
+    /// which inlines into every `Traced` entry point.
+    #[cold]
+    #[inline(never)]
+    fn commit_shard(&self, shard_idx: usize) {
+        let shard_bytes = (self.capacity * std::mem::size_of::<Slot>()) as u64;
+        let _ = self.ring.commit(shard_idx as u64 * shard_bytes, shard_bytes);
     }
 
     /// Total events in claimed slots across all shards: the length of
@@ -550,12 +602,14 @@ pub(crate) fn note_op_retries(n: u64) {
 
 /// Opens a retry scope for one traced operation, returning the enclosing
 /// scope for [`end_op_scope`] to restore.
+#[inline]
 fn begin_op_scope() -> Option<u64> {
     OP_RETRIES.replace(Some(0))
 }
 
 /// Closes the innermost scope and reopens `enclosing`, returning the retries
 /// noted while it was open (excluding those captured by deeper scopes).
+#[inline]
 fn end_op_scope(enclosing: Option<u64>) -> u64 {
     OP_RETRIES.replace(enclosing).unwrap_or(0)
 }
@@ -583,9 +637,10 @@ impl<A: DeviceAllocator> Traced<A> {
     }
 
     /// Runs `op`, issued on SM `sm`, in a fresh retry scope between two
-    /// clock reads. Returns its result, the end timestamp, the latency —
-    /// clamped to 1 ns: the operation took nonzero time even when the
-    /// clock's granularity says otherwise — and the retries noted meanwhile.
+    /// raw clock reads, converted to nanoseconds once `op` has returned.
+    /// Returns its result, the end timestamp, the latency — clamped to
+    /// 1 ns: the operation took nonzero time even when the clock's
+    /// granularity says otherwise — and the retries noted meanwhile.
     ///
     /// When `sm`'s shard is already full, every event of the operation will
     /// be dropped, so the clock is not read and the end stamp is 0; the
@@ -594,13 +649,19 @@ impl<A: DeviceAllocator> Traced<A> {
     /// an early return for the full case cost the recording path 3–5 ns.
     #[inline]
     fn timed<R>(&self, sm: u32, op: impl FnOnce() -> R) -> (R, u64, u64, u64) {
-        let clock = !self.rec.is_full(sm);
-        let t0 = if clock { self.rec.now_ns() } else { 0 };
+        let clock = &self.rec.clock;
+        let timed = !self.rec.is_full(sm);
+        let t0 = if timed { clock.ticks() } else { 0 };
         let enclosing = begin_op_scope();
         let r = op();
         let retries = end_op_scope(enclosing);
-        let t1 = if clock { self.rec.now_ns() } else { 0 };
-        (r, t1, t1.saturating_sub(t0).max(1), retries)
+        let (end, latency) = if timed {
+            let t1 = clock.ticks();
+            (clock.ns(t1), ticks_to_ns(t1.saturating_sub(t0), clock.ns_per_tick))
+        } else {
+            (0, 0)
+        };
+        (r, end, latency.max(1), retries)
     }
 }
 
@@ -1691,6 +1752,57 @@ mod tests {
         assert_eq!(retries, vec![3, 2], "inner op keeps 3, outer op keeps 2");
         let total: u64 = retries.iter().sum();
         assert_eq!(total, 5, "no retry double-counted or lost across layers");
+    }
+
+    /// The tick-to-nanosecond conversion at fixed ratios: the identity,
+    /// 2 ns per tick and 2 ticks per ns, and a century of a 3 GHz counter,
+    /// whose product with the ratio only fits in 128 bits.
+    #[test]
+    fn clock_converts_ticks_at_a_fixed_ratio() {
+        for t in [0, 1, 12_345, u64::MAX] {
+            assert_eq!(ticks_to_ns(t, ONE_NS_PER_TICK), t);
+        }
+        assert_eq!(ticks_to_ns(1_000, 2 * ONE_NS_PER_TICK), 2_000);
+        assert_eq!(ticks_to_ns(1_001, ONE_NS_PER_TICK / 2), 500);
+
+        let ticks = 3_000_000_000u64 * 86_400 * 36_525;
+        let ratio = ONE_NS_PER_TICK / 3;
+        assert!(ticks.checked_mul(ratio).is_none(), "the product needs 128 bits");
+        let ns = ticks_to_ns(ticks, ratio);
+        assert!(ns <= ticks / 3 && ns >= ticks / 3 - (ticks >> 32) - 1, "{ns} vs {}", ticks / 3);
+
+        let clock = Clock { tsc: false, ns_per_tick: 2 * ONE_NS_PER_TICK, origin: 100 };
+        assert_eq!(clock.ns(150), 100, "counted from the origin");
+        assert_eq!(clock.ns(50), 0, "a reading before the origin is the origin");
+    }
+
+    /// `Traced` converts its own raw reads on the recorder's clock: a
+    /// `now_ns()` stamp taken between two operations sorts between their
+    /// events, and every latency is at least 1 ns.
+    #[test]
+    fn traced_stamps_share_the_recorders_epoch() {
+        let rec = Arc::new(TraceRecorder::new(1, 512));
+        let m = Metrics::enabled(1).with_tracer(Arc::clone(&rec));
+        let inner = Inner { heap: Arc::new(DeviceHeap::new(4096)), m };
+        let a = Traced::new(inner, Arc::clone(&rec));
+        let ctx = ThreadCtx::host();
+        for i in 0..128 {
+            let p = a.malloc(&ctx, 64).unwrap();
+            rec.emit_at(rec.now_ns(), 0, EventKind::LaunchBegin, [i, 0, 0, 0]);
+            a.free(&ctx, p).unwrap();
+        }
+        let trace = rec.snapshot();
+        assert_eq!(trace.len(), 3 * 128);
+        for (i, ops) in trace.events.chunks(3).enumerate() {
+            let kinds: Vec<_> = ops.iter().map(|e| e.kind).collect();
+            assert_eq!(
+                kinds,
+                [EventKind::MallocEnd, EventKind::LaunchBegin, EventKind::FreeEnd],
+                "round {i}: {ops:?}"
+            );
+            assert_eq!(ops[1].args[0], i as u64);
+            assert!(ops[0].args[2] >= 1 && ops[2].args[1] >= 1, "latency under 1 ns: {ops:?}");
+        }
     }
 
     /// On a full shard `Traced` skips the clock but not the retry scope:

@@ -379,6 +379,7 @@ impl Device {
     /// `max(available_parallelism, 4)` capped at 16. A floor of 4 keeps
     /// atomic interleavings real even on small hosts.
     pub fn new(spec: DeviceSpec) -> Self {
+        check_block_size(&spec);
         let workers = Self::configured_workers();
         if let Ok(raw) = std::env::var("GMS_WORKERS") {
             static LOGGED: std::sync::Once = std::sync::Once::new();
@@ -416,6 +417,7 @@ impl Device {
 
     /// A device with an explicit worker count (`1..=MAX_WORKERS`).
     pub fn with_workers(spec: DeviceSpec, workers: usize) -> Self {
+        check_block_size(&spec);
         assert!((1..=Self::MAX_WORKERS).contains(&workers));
         Device { spec, pool: WorkerPool::new(workers), hook: None, launch_seq: AtomicU64::new(0) }
     }
@@ -441,6 +443,10 @@ impl Device {
 
     /// Launches `n_threads` logical threads running `kernel`, one call per
     /// thread. Returns the wall-clock time of the parallel section.
+    ///
+    /// A warp's threads share its block and SM, so the context is built
+    /// once per warp ([`WarpCtx::from_linear`], as [`Device::launch_warps`]
+    /// does) and each thread only steps `thread_id` and `lane`.
     pub fn launch<F>(&self, n_threads: u32, kernel: F) -> Duration
     where
         F: Fn(&ThreadCtx) + Sync,
@@ -458,11 +464,12 @@ impl Device {
         let block_size = self.spec.default_block_size;
         let num_sms = self.spec.num_sms;
         self.run_warps(n_warps, |warp_id| {
-            let first = warp_id * WARP_SIZE;
-            let last = (first + WARP_SIZE).min(n_threads);
-            for tid in first..last {
-                let ctx = ThreadCtx::from_linear(tid, block_size, num_sms);
+            let mut ctx = WarpCtx::from_linear(warp_id, block_size, num_sms).leader();
+            let lanes = (n_threads - ctx.thread_id).min(WARP_SIZE);
+            for lane in 0..lanes {
+                ctx.lane = lane;
                 kernel(&ctx);
+                ctx.thread_id += 1;
             }
         })
     }
@@ -484,11 +491,8 @@ impl Device {
     {
         let block_size = self.spec.default_block_size;
         let num_sms = self.spec.num_sms;
-        let warps_per_block = (block_size / WARP_SIZE).max(1);
         self.run_warps(n_warps, |warp_id| {
-            let block = warp_id / warps_per_block;
-            let ctx = WarpCtx { warp: warp_id, block, sm: block % num_sms };
-            kernel(&ctx);
+            kernel(&WarpCtx::from_linear(warp_id, block_size, num_sms));
         })
     }
 
@@ -626,6 +630,18 @@ impl Device {
     }
 }
 
+/// Rejects a block size that is not a positive multiple of [`WARP_SIZE`]:
+/// a warp never spans two blocks, and [`Device::launch`] and
+/// [`Device::launch_warps`] place a warp by its block.
+fn check_block_size(spec: &DeviceSpec) {
+    let b = spec.default_block_size;
+    assert!(
+        b > 0 && b.is_multiple_of(WARP_SIZE) && spec.num_sms > 0,
+        "{}: block size {b} is not a multiple of the {WARP_SIZE}-lane warp",
+        spec.name
+    );
+}
+
 /// Parses a `GMS_WORKERS` value: a positive integer, anything else is
 /// ignored (the caller falls back to the host default).
 fn parse_worker_request(raw: &str) -> Option<usize> {
@@ -743,6 +759,47 @@ mod tests {
             assert_eq!(ctx.block, ctx.thread_id / 256);
             assert!(ctx.sm < 80);
         });
+    }
+
+    /// Both presets, on the inline and the pooled device, with a partial
+    /// last warp: every thread gets the context `ThreadCtx::from_linear`
+    /// builds, and `launch` and `launch_warps` put each warp on the same SM.
+    #[test]
+    fn per_warp_contexts_match_from_linear_and_launch_warps() {
+        for spec in [DeviceSpec::titan_v(), DeviceSpec::rtx_2080ti()] {
+            for workers in [1, 3] {
+                let d = Device::with_workers(spec, workers);
+                let n = spec.default_block_size * (spec.num_sms + 5) + 17;
+                let threads = PerThread::<Option<ThreadCtx>>::new(n as usize);
+                d.launch(n, |ctx| threads.set(ctx.thread_id as usize, Some(*ctx)));
+                let n_warps = n.div_ceil(WARP_SIZE);
+                let warps = PerThread::<Option<WarpCtx>>::new(n_warps as usize);
+                d.launch_warps(n_warps, |w| warps.set(w.warp as usize, Some(*w)));
+                let warps = warps.into_vec();
+                let (b, sms) = (spec.default_block_size, spec.num_sms);
+                for (tid, ctx) in threads.into_vec().into_iter().enumerate() {
+                    let ctx =
+                        ctx.unwrap_or_else(|| panic!("{}: thread {tid} never ran", spec.name));
+                    assert_eq!(ctx, ThreadCtx::from_linear(tid as u32, b, sms), "{}", spec.name);
+                    let warp = warps[ctx.warp as usize].expect("every warp ran");
+                    assert_eq!((warp.block, warp.sm), (ctx.block, ctx.sm), "{}", spec.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of the 32-lane warp")]
+    fn block_size_off_the_warp_is_rejected() {
+        let spec = DeviceSpec { default_block_size: 100, ..DeviceSpec::titan_v() };
+        let _ = Device::with_workers(spec, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a multiple of the 32-lane warp")]
+    fn block_size_off_the_warp_is_rejected_by_new() {
+        let spec = DeviceSpec { default_block_size: 48, ..DeviceSpec::titan_v() };
+        let _ = Device::new(spec);
     }
 
     #[test]

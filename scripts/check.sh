@@ -10,6 +10,21 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --offline --release
 
+# No integer division on an operation of ScatterAlloc or Halloc: page and
+# probe cursors are masked or stepped, and every divisor an operation needs
+# is a reciprocal computed when the manager is built. Only constructors
+# (`new`, `with_*`) and `grow` may divide.
+echo "==> no div in alloc-scatter / alloc-halloc operations (objdump)"
+cargo build --offline --release -q -p gpumem-bench --bin repro
+divs=$(objdump -d -C --no-show-raw-insn target/release/repro | awk '
+    /^[0-9a-f]+ <.*>:$/ { fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn); next }
+    fn ~ /^<?alloc_(scatter|halloc)::/ && fn !~ /::(new|with_[a-z_]+|grow)(::\{\{closure\}\})*$/ \
+        && $2 ~ /^i?div[bwlq]?$/ { print fn ": " $2 " " $3 }')
+if [[ -n "$divs" ]]; then
+    echo "$divs"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test --offline -q --workspace
 
