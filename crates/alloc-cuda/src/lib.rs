@@ -187,7 +187,6 @@ impl DeviceAllocator for CudaAllocModel {
             self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(size));
         }
-        // memlint: allow(hot-path-panic) — the host Mutex stands in for the device-wide lock of the real CUDA allocator; it only poisons after a prior panic, which the harness treats as fatal anyway
         let mut st = self.state.lock().unwrap();
         if size <= SMALL_LIMIT {
             // Consistency walk (see `State::units`): the modelled
@@ -207,7 +206,6 @@ impl DeviceAllocator for CudaAllocModel {
                             return Err(AllocError::OutOfMemory(size));
                         }
                     }
-                    // memlint: allow(hot-path-panic) — carve_unit returned Some on the line above, and its postcondition is a non-empty class stack
                     st.pop_class(idx).expect("carve_unit populates the class")
                 }
             };
@@ -245,7 +243,6 @@ impl DeviceAllocator for CudaAllocModel {
             return fail(AllocError::InvalidPointer);
         }
         let magic = self.heap.load_u32(header);
-        // memlint: allow(hot-path-panic) — the host Mutex stands in for the device-wide lock of the real CUDA allocator; it only poisons after a prior panic, which the harness treats as fatal anyway
         let mut st = self.state.lock().unwrap();
         match magic {
             MAGIC_SMALL => {

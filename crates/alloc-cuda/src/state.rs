@@ -6,7 +6,9 @@ use super::{HEADER, MIN_CLASS, SMALL_LIMIT, UNIT};
 pub const NUM_CLASSES: usize =
     (SMALL_LIMIT.trailing_zeros() - MIN_CLASS.trailing_zeros() + 1) as usize;
 
-/// Everything behind the model's global lock.
+/// Everything behind the model's global lock. The host `Vec`s stand in for
+/// the real allocator's in-heap free lists and boundary tags: their growth
+/// is modelling substrate, and the walks over them are metered as list hops.
 pub struct State {
     /// Frontier of the small-unit area (grows up from the region base).
     pub small_bump: u64,
@@ -47,7 +49,6 @@ impl State {
 
     /// Pushes a block header back onto its class stack.
     pub fn push_class(&mut self, class_idx: usize, header: u64) {
-        // memlint: allow(hot-path-host-alloc) — the class free stacks model the in-heap LIFO lists of the real allocator; host Vec growth is modeling substrate, the protocol cost is metered as list hops
         self.class_free[class_idx].push(header);
     }
 
@@ -82,13 +83,11 @@ impl State {
         let start = self.units.len().saturating_sub(UNIT_SCAN_WINDOW);
         debug_assert!(!self.units[start..].contains(&base), "carve produced a duplicate unit base");
         let _ = start;
-        // memlint: allow(hot-path-host-alloc) — the unit registry models the allocator's in-heap bookkeeping whose walk cost is the paper's observed degradation; the Vec is substrate, the walk is metered
         self.units.push(base);
         let footprint = class_bytes + HEADER;
         let n = (unit / footprint).max(1);
         // Push in reverse so the unit is handed out low-to-high (LIFO pop).
         for i in (0..n).rev() {
-            // memlint: allow(hot-path-host-alloc) — carving a unit fills the in-heap class stack; the Vec push is modeling substrate for blocks that live at in-heap offsets
             self.class_free[class_idx].push(base + i * footprint);
         }
         Some(())
@@ -124,7 +123,6 @@ impl State {
     /// folding into the top frontier when adjacent.
     pub fn free_large(&mut self, header: u64, len: u64) {
         let idx = self.large_free.partition_point(|&(off, _)| off < header);
-        // memlint: allow(hot-path-host-alloc) — the sorted large free list models in-heap boundary tags; the Vec insert is substrate, the first-fit walk it feeds is metered as list hops
         self.large_free.insert(idx, (header, len));
         // Coalesce with successor.
         if idx + 1 < self.large_free.len() {

@@ -126,7 +126,6 @@ impl FdgMalloc {
             Ok(g) => g,
             Err(_) => {
                 self.metrics.tick(sm, Counter::QueueSpins);
-                // memlint: allow(hot-path-panic) — the shard Mutex models FDGMalloc's per-warp serialisation; it only poisons after a prior panic, which the harness treats as fatal
                 self.shard(warp).lock().unwrap()
             }
         }
@@ -150,7 +149,6 @@ impl FdgMalloc {
             cursor: 0,
             sb_end: 0,
             current_sb: DevicePtr::NULL,
-            // memlint: allow(hot-path-host-alloc) — one-time lazy creation of a warp's state on its first malloc — models the device-side warp header setup, amortised over the warp's lifetime
             lists: Vec::new(),
             newest_len: 0,
         })
@@ -165,11 +163,9 @@ impl FdgMalloc {
             self.heap.store_u32(list.offset(), 0x4644_4701); // list magic
                                                              // memlint: allow(unchecked-offset-arithmetic) — the +4 SB_Counter slot lies inside the LIST_RECORD_BYTES record allocated two lines up
             self.heap.store_u32(list.offset() + 4, 0); // SB_Counter
-                                                       // memlint: allow(hot-path-host-alloc) — st.lists models FDGMalloc's chain of fixed-size lists; a push happens once per LIST_CAPACITY allocations, the in-heap record is the actual data structure
             st.lists.push(list);
             st.newest_len = 0;
         }
-        // memlint: allow(hot-path-panic) — the branch above pushes a fresh list whenever the chain is empty or full, so last() is guaranteed Some
         let list = *st.lists.last().expect("just ensured");
         // memlint: allow(unchecked-offset-arithmetic) — slot arithmetic stays inside the list record: newest_len < LIST_CAPACITY is re-established above, and 16 + LIST_CAPACITY*8 == LIST_RECORD_BYTES
         let slot = list.offset() + 16 + st.newest_len as u64 * 8;
@@ -216,10 +212,8 @@ impl FdgMalloc {
         let mut shard = self.lock_shard(ctx.sm, ctx.warp);
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(ctx.warp) {
             let st = self.init_state(ctx)?;
-            // memlint: allow(hot-path-host-alloc) — lazy per-warp state map entry, created once per warp on first use — the device analogue is the warp's one-time header setup
             e.insert(st);
         }
-        // memlint: allow(hot-path-panic) — the Vacant branch directly above inserts the entry, so the lookup is guaranteed to hit
         let st = shard.get_mut(&ctx.warp).expect("just inserted");
         if rounded > SUPERBLOCK_BYTES {
             // "If the total requested size per warp is larger than the

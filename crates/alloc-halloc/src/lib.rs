@@ -37,7 +37,7 @@ use alloc_cuda::CudaAllocModel;
 use gpumem_core::util::Divisor;
 use gpumem_core::{
     AllocError, Counter, DeviceAllocator, DeviceHeap, DevicePtr, ManagerInfo, Metrics,
-    RegisterFootprint, ThreadCtx, WarpCtx,
+    RegisterFootprint, ThreadCtx, WarpCtx, WARP_SIZE,
 };
 
 pub mod slab;
@@ -352,7 +352,6 @@ impl Halloc {
             self.metrics.tick(ctx.sm, Counter::OomFallbacks);
             return self.cuda.malloc(ctx, size);
         }
-        // memlint: allow(hot-path-panic) — the size > MAX_BLOCK case returned via the CUDA fallback just above, so class_index(size) is Some by the guard
         let class_idx = Self::class_index(size).expect("size <= MAX_BLOCK");
         let (slab_idx, _) = self.reserve_blocks(ctx.sm, class_idx, 1)?;
         let bitmap = &self.classes[class_idx].bitmap;
@@ -418,35 +417,34 @@ impl Halloc {
         served_total: &mut u64,
     ) -> Result<(), AllocError> {
         debug_assert_eq!(sizes.len(), out.len());
-        // Group lanes by class (CLASSES.len() groups max; tiny fixed array).
-        // memlint: allow(hot-path-host-alloc) — warp-lane grouping models the on-device ballot/prefix-sum; the Vec is bounded by the 32-lane warp width and stands in for a register lane mask
-        let mut remaining: Vec<usize> = (0..sizes.len()).collect();
-        while let Some(&first) = remaining.first() {
+        debug_assert!(sizes.len() <= WARP_SIZE as usize);
+        // Lanes still to serve, as a ballot mask (bit `i` is lane `i`). Each
+        // round serves every pending lane of the lowest pending lane's
+        // class, in lane order.
+        let mut remaining = (1u64 << sizes.len()) - 1;
+        while remaining != 0 {
+            let first = remaining.trailing_zeros() as usize;
             let size = sizes[first];
             if size == 0 {
                 return Err(AllocError::UnsupportedSize(0));
             }
-            if size > MAX_BLOCK {
+            let Some(class_idx) = Self::class_index(size).filter(|_| size <= MAX_BLOCK) else {
+                // Above MAX_BLOCK: relayed to the CUDA-Allocator.
                 self.metrics.tick(warp.sm, Counter::OomFallbacks);
                 out[first] = self.cuda.malloc(&warp.lane(first as u32), size)?;
                 *served_total += 1;
-                remaining.remove(0);
+                remaining &= remaining - 1;
                 continue;
-            }
-            // memlint: allow(hot-path-panic) — lanes reaching this point were filtered to size <= MAX_BLOCK, so class_index is Some
-            let class_idx = Self::class_index(size).expect("bounded");
-            let group: Vec<usize> = remaining
-                .iter()
-                .copied()
+            };
+            let group = (0..sizes.len())
                 .filter(|&i| {
-                    sizes[i] > 0
-                        && sizes[i] <= MAX_BLOCK
+                    (remaining >> i) & 1 == 1
+                        && sizes[i] > 0
                         && Self::class_index(sizes[i]) == Some(class_idx)
                 })
-                // memlint: allow(hot-path-host-alloc) — per-class lane group, bounded by the 32-lane warp width — models the matched-lane mask of the device ballot
-                .collect();
-            let mut todo = group.len() as u32;
-            let mut cursor = 0usize;
+                .fold(0u64, |mask, i| mask | (1 << i));
+            let mut pending = group;
+            let mut todo = group.count_ones();
             while todo > 0 {
                 let (slab_idx, granted) = self.reserve_blocks(warp.sm, class_idx, todo)?;
                 let bitmap = &self.classes[class_idx].bitmap;
@@ -454,7 +452,7 @@ impl Halloc {
                 let (mut probes, mut lost) = (0u64, 0u64);
                 let mut served = 0;
                 for g in 0..granted {
-                    let lane = group[cursor];
+                    let lane = pending.trailing_zeros() as usize;
                     match slab.claim_bit_with(
                         bitmap,
                         warp.lane(lane as u32).scatter_hash(),
@@ -463,7 +461,7 @@ impl Halloc {
                     ) {
                         Some(block) => {
                             out[lane] = self.block_ptr(slab_idx, class_idx, block);
-                            cursor += 1;
+                            pending &= pending - 1;
                             served += 1;
                         }
                         None => {
@@ -483,7 +481,7 @@ impl Halloc {
                     return Err(AllocError::Contention("Halloc warp aggregation"));
                 }
             }
-            remaining.retain(|i| !group.contains(i));
+            remaining &= !group;
         }
         Ok(())
     }

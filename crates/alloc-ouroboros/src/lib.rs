@@ -371,7 +371,6 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
                     retries += 1;
                 }
             }
-            // memlint: allow(hot-path-panic) — the counted reservation above guarantees at least one free page bit remains, so the scan always finds a slot
             let slot = slot.expect("reservation guarantees a free page bit");
             // Two-stage design: hand the chunk back if it still has room.
             if c - 1 > 0 {

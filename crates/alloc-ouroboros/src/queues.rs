@@ -107,16 +107,16 @@ pub struct StandardQueue {
 /// storage without touching every element.
 fn zeroed_atomics_u64(n: usize) -> Box<[AtomicU64]> {
     let v = vec![0u64; n];
-    // SAFETY: AtomicU64 has the same size, alignment and validity as u64.
-    // memlint: allow(atomic-transmute) — AtomicU64 is repr(transparent) over u64 in both std and the loom shim, so size/align/validity match.
+    // SAFETY: AtomicU64 has the same size, alignment and validity as u64,
+    // in std and in the loom shim, whose atomics are `repr(transparent)` too.
     unsafe { std::mem::transmute::<Box<[u64]>, Box<[AtomicU64]>>(v.into_boxed_slice()) }
 }
 
 /// As [`zeroed_atomics_u64`], for `u32`.
 fn zeroed_atomics_u32(n: usize) -> Box<[AtomicU32]> {
     let v = vec![0u32; n];
-    // SAFETY: AtomicU32 has the same size, alignment and validity as u32.
-    // memlint: allow(atomic-transmute) — AtomicU32 is repr(transparent) over u32 in both std and the loom shim, so size/align/validity match.
+    // SAFETY: AtomicU32 has the same size, alignment and validity as u32,
+    // in std and in the loom shim, whose atomics are `repr(transparent)` too.
     unsafe { std::mem::transmute::<Box<[u32]>, Box<[AtomicU32]>>(v.into_boxed_slice()) }
 }
 
@@ -275,14 +275,14 @@ struct VaState {
 /// by a small pointer array.
 pub struct VirtArrayQueue {
     lock: Spin,
-    // memlint: allow(shared-unsafe-cell) — all access is serialised by `lock` (Spin); mutual exclusion model-checked in loom_tests.
     state: std::cell::UnsafeCell<VaState>,
     approx_len: AtomicU64,
 }
 
 // SAFETY: `state` is only touched under `lock`.
 unsafe impl Send for VirtArrayQueue {}
-// SAFETY: as for Send — `lock` serialises all access to `state`.
+// SAFETY: as for Send — `lock` serialises all access to `state` (mutual
+// exclusion model-checked in `loom_tests`).
 unsafe impl Sync for VirtArrayQueue {}
 
 impl VirtArrayQueue {
@@ -384,14 +384,14 @@ struct VlState {
 /// Virtualized linked-chunk queue: unlimited virtual size, no pointer array.
 pub struct VirtLinkedQueue {
     lock: Spin,
-    // memlint: allow(shared-unsafe-cell) — all access is serialised by `lock` (Spin); mutual exclusion model-checked in loom_tests.
     state: std::cell::UnsafeCell<VlState>,
     approx_len: AtomicU64,
 }
 
 // SAFETY: `state` is only touched under `lock`.
 unsafe impl Send for VirtLinkedQueue {}
-// SAFETY: as for Send — `lock` serialises all access to `state`.
+// SAFETY: as for Send — `lock` serialises all access to `state` (mutual
+// exclusion model-checked in `loom_tests`).
 unsafe impl Sync for VirtLinkedQueue {}
 
 impl VirtLinkedQueue {

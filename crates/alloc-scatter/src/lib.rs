@@ -293,7 +293,6 @@ impl ScatterAlloc {
         if pages_needed > self.multi_pages {
             return Err(AllocError::UnsupportedSize(size));
         }
-        // memlint: allow(hot-path-panic) — the multi-page Mutex models ScatterAlloc's serialised >page_size path; it only poisons after a prior panic, which the harness treats as fatal
         let _cursor = self.multi_lock.lock().unwrap();
         // First-fit scan from the start of the reserved area. Deliberately
         // linear: the paper attributes ScatterAlloc's "steep drop in
@@ -325,7 +324,6 @@ impl ScatterAlloc {
     }
 
     fn free_multi(&self, head: usize) -> Result<(), AllocError> {
-        // memlint: allow(hot-path-panic) — the multi-page Mutex models ScatterAlloc's serialised >page_size path; it only poisons after a prior panic, which the harness treats as fatal
         let _g = self.multi_lock.lock().unwrap();
         if self.meta.chunk_size[head].load(Ordering::Acquire) != CS_MULTI_HEAD {
             return Err(AllocError::InvalidPointer);

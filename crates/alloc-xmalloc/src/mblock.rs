@@ -105,7 +105,6 @@ impl MBlockHeap {
             return None;
         }
         let (bin, floor) = bin(need);
-        // memlint: allow(hot-path-panic) — the mblock Mutex models XMalloc's basicblock lock; it only poisons after a prior panic, which the harness treats as fatal
         let mut hints = self.hints.lock().unwrap();
         let end = self.base + self.len;
         let mut block = hints[bin];
@@ -161,7 +160,6 @@ impl MBlockHeap {
             return Err(());
         }
         let mut block = payload - HDR;
-        // memlint: allow(hot-path-panic) — the mblock Mutex models XMalloc's basicblock lock; it only poisons after a prior panic, which the harness treats as fatal
         let mut hints = self.hints.lock().unwrap();
         if magic(heap, block) != MAGIC_ALLOC {
             return Err(());

@@ -490,12 +490,11 @@ fn gate_cmd(opts: &Opts) {
     println!("gate: all scenarios pass ({exact} exact metrics equal)");
 }
 
-/// Concurrency-audit summary: runs the memlint atomics-ordering pass over
-/// the workspace in-process and prints a per-crate table of standing vs.
-/// allowlisted diagnostics (one row per crate and rule), plus every
-/// allowlist entry with its written reason. Exits non-zero if anything
-/// stands, so `repro audit` doubles as the CI gate the same way
-/// `cargo run -p memlint -- --deny` does.
+/// Source-audit summary: runs memlint over the workspace in-process, prints
+/// and writes one rollup (`audit.csv`: one row per crate and rule, standing
+/// vs. allowlisted), then every allowlist entry with its written reason.
+/// Exits non-zero if anything stands, so `repro audit` doubles as the CI
+/// gate the same way `cargo run -p memlint -- --deny` does.
 fn audit(opts: &Opts) {
     // Prefer the checkout we are running in; fall back to the build-time
     // workspace for out-of-tree invocations.
@@ -508,16 +507,6 @@ fn audit(opts: &Opts) {
         .map_err(|e| format!("audit: cannot scan {}: {e}", root.display()));
     let report = or_exit(report, 2);
 
-    // Per-pass rollup first: the one-screen answer to "is the audit clean",
-    // one row per analysis pass of the framework.
-    let mut passes = Csv::new(["pass", "standing", "allowlisted"]);
-    for pass in memlint::Pass::ALL {
-        let (s, a) = report.pass_counts(pass);
-        passes.row([pass.name().to_string(), s.to_string(), a.to_string()]);
-    }
-    println!("{}", passes.to_string_text());
-
-    // Then the detail, one row per (crate, rule) in that order.
     let crate_of = |d: &memlint::Diagnostic| -> String {
         let s = d.file.to_string_lossy().replace('\\', "/");
         match s.strip_prefix("crates/").and_then(|r| r.split('/').next()) {
@@ -527,22 +516,16 @@ fn audit(opts: &Opts) {
     };
     let mut rows = std::collections::BTreeMap::new();
     for d in &report.diagnostics {
-        let row = rows.entry((crate_of(d), d.rule.name())).or_insert((d.rule.pass(), 0u32, 0u32));
+        let row = rows.entry((crate_of(d), d.rule.name())).or_insert((0u32, 0u32));
         if d.allowed.is_some() {
-            row.2 += 1;
-        } else {
             row.1 += 1;
+        } else {
+            row.0 += 1;
         }
     }
-    let mut csv = Csv::new(["crate", "pass", "rule", "standing", "allowlisted"]);
-    for ((krate, rule), (pass, standing, allowed)) in &rows {
-        csv.row([
-            krate.clone(),
-            pass.name().to_string(),
-            rule.to_string(),
-            standing.to_string(),
-            allowed.to_string(),
-        ]);
+    let mut csv = Csv::new(["crate", "rule", "standing", "allowlisted"]);
+    for ((krate, rule), (standing, allowed)) in &rows {
+        csv.row([krate.clone(), rule.to_string(), standing.to_string(), allowed.to_string()]);
     }
     if rows.is_empty() {
         println!("(no diagnostics at all — {} files scanned)", report.files);

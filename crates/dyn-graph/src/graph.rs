@@ -21,11 +21,11 @@ use crate::gen::CsrGraph;
 /// framework's per-adjacency locking).
 struct Vertex {
     lock: AtomicBool,
-    // memlint: allow(shared-unsafe-cell) — guarded by the per-vertex `lock` spin flag (Acquire CAS / Release store).
     state: UnsafeCell<VertexState>,
 }
 
-// SAFETY: `state` is only accessed while `lock` is held.
+// SAFETY: `state` is only accessed while `lock` is held (taken by an
+// Acquire CAS, released by a Release store).
 unsafe impl Sync for Vertex {}
 
 #[derive(Clone, Copy)]

@@ -505,7 +505,6 @@ impl Device {
         F: Fn(u32) + Sync,
     {
         let _gate = lock_pool(&self.pool.launch_gate);
-        // memlint: allow(lock-across-launch-gate) — the gate is the outermost whole-grid serialisation by design; pool state is strictly interior and never taken in the reverse order
         self.run_warps_locked(n_warps, &body)
     }
 
@@ -655,11 +654,11 @@ fn parse_worker_request(raw: &str) -> Option<usize> {
 /// by the warp that owns lane-range `i`). That exclusivity is the safety
 /// contract; it mirrors how the CUDA test kernels write `ptrs[threadIdx]`.
 pub struct PerThread<T> {
-    // memlint: allow(shared-unsafe-cell) — each worker writes only its own slot; the launcher reads after the done-barrier Acquire.
     slots: Box<[UnsafeCell<T>]>,
 }
 
-// SAFETY: distinct threads access distinct slots (type contract above).
+// SAFETY: distinct threads access distinct slots (type contract above),
+// and the launcher reads only after the done-barrier's Acquire.
 unsafe impl<T: Send> Sync for PerThread<T> {}
 
 impl<T: Default> PerThread<T> {

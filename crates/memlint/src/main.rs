@@ -1,47 +1,27 @@
-//! Command-line front end:
-//! `cargo run -p memlint -- [--deny] [--csv] [--json] [--pass NAME] [ROOT]`.
+//! Command-line front end: `cargo run -p memlint -- [--deny] [--csv] [ROOT]`.
 //!
 //! Prints every *standing* (non-allowlisted) diagnostic as `file:line:
-//! rule: message`, then a per-pass summary. `--deny` turns any standing
-//! diagnostic into exit code 2 — the CI gate. `--csv` emits one row per
-//! diagnostic (allowlisted ones included) for downstream tooling; `--json`
-//! emits the full report as JSON (the GitHub Actions problem matcher and
-//! `repro audit` consume the same library API). `--pass NAME` restricts
-//! reporting (and the deny gate) to one pass.
+//! rule: message` (the line the GitHub problem matcher reads), then a
+//! per-rule summary on stderr. `--deny` turns any standing diagnostic into
+//! exit code 2 — the CI gate. `--csv` emits one row per diagnostic
+//! (allowlisted ones included) instead.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use memlint::Pass;
+use memlint::Rule;
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut csv = false;
-    let mut json = false;
-    let mut only_pass: Option<Pass> = None;
     let mut root: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
             "--csv" => csv = true,
-            "--json" => json = true,
-            "--pass" => {
-                let Some(name) = args.next() else {
-                    eprintln!("memlint: --pass needs a name (one of: {})", pass_names());
-                    return ExitCode::FAILURE;
-                };
-                match Pass::ALL.into_iter().find(|p| p.name() == name) {
-                    Some(p) => only_pass = Some(p),
-                    None => {
-                        eprintln!("memlint: unknown pass `{name}` (one of: {})", pass_names());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--help" | "-h" => {
-                eprintln!("usage: memlint [--deny] [--csv] [--json] [--pass NAME] [ROOT]");
-                eprintln!("passes: {}", pass_names());
+                eprintln!("usage: memlint [--deny] [--csv] [ROOT]");
+                eprintln!("rules: {}", Rule::ALL.map(|r| r.name()).join(", "));
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => root = Some(PathBuf::from(other)),
@@ -53,31 +33,25 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(|| PathBuf::from("."));
 
-    let mut report = match memlint::scan_workspace(&root) {
+    let report = match memlint::scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("memlint: cannot scan {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-    if let Some(p) = only_pass {
-        report.diagnostics.retain(|d| d.pass() == p);
-    }
 
-    if json {
-        print!("{}", memlint::render_json(&report));
-    } else if csv {
-        println!("file,line,pass,rule,allowed,detail");
+    if csv {
+        println!("file,line,rule,allowed,detail");
         for d in &report.diagnostics {
             let (allowed, detail) = match &d.allowed {
                 Some(reason) => ("yes", reason.as_str()),
                 None => ("no", d.message.as_str()),
             };
             println!(
-                "{},{},{},{},{},{}",
+                "{},{},{},{},{}",
                 d.file.display(),
                 d.line,
-                d.pass(),
                 d.rule,
                 allowed,
                 csv_quote(detail)
@@ -90,21 +64,19 @@ fn main() -> ExitCode {
     }
 
     let standing = report.denied().count();
-    let waived = report.allowlisted().count();
-    let per_pass: Vec<String> = Pass::ALL
+    let per_rule: Vec<String> = Rule::ALL
         .into_iter()
-        .filter(|p| only_pass.is_none_or(|o| o == *p))
-        .map(|p| {
-            let (s, a) = report.pass_counts(p);
-            format!("{}={}+{}", p.name(), s, a)
+        .map(|r| {
+            let (s, a) = report.counts(r);
+            format!("{r}={s}+{a}")
         })
         .collect();
     eprintln!(
         "memlint: {} files, {} diagnostic(s) standing, {} allowlisted [{}]",
         report.files,
         standing,
-        waived,
-        per_pass.join(" ")
+        report.allowlisted().count(),
+        per_rule.join(" ")
     );
 
     if deny && standing > 0 {
@@ -112,10 +84,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn pass_names() -> String {
-    Pass::ALL.map(|p| p.name()).join(", ")
 }
 
 /// Minimal CSV field quoting (commas/quotes in reasons).

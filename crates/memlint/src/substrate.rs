@@ -1,16 +1,14 @@
-//! Shared lexical substrate for every analysis pass.
+//! The lexical substrate the rules scan: source text blanked of comments,
+//! strings and `#[cfg(test)]` regions (same length, newlines preserved, so
+//! byte offsets translate to line numbers) plus the `fn` body extents, both
+//! computed once per file. Rules never re-parse — they pattern-match over
+//! [`SourceFile::masked`] and anchor diagnostics through
+//! [`SourceFile::line_of`].
 //!
-//! One masking + extent-extraction layer feeds all passes: source text is
-//! blanked of comments, strings and `#[cfg(test)]` regions (same length,
-//! newlines preserved, so byte offsets translate to line numbers), then
-//! function, struct and impl extents are carved out once per file. Passes
-//! never re-parse — they pattern-match over [`SourceFile::masked`] and
-//! anchor diagnostics through [`SourceFile::line_of`].
-//!
-//! The scanner is deliberately a hand-rolled lexical pass (the container
-//! has no `syn`): it reads the code the way a reviewer skims it, and errs
-//! on the side of flagging — anything it cannot prove boring needs either
-//! a fix or a written waiver reason.
+//! The scanner is deliberately hand-rolled (the workspace has no `syn`): it
+//! reads the code the way a person skims it, and errs on the side of
+//! flagging — anything it cannot prove boring needs either a fix or a
+//! written waiver reason.
 
 use std::path::PathBuf;
 
@@ -126,22 +124,6 @@ pub fn mask_code(src: &str) -> String {
     // Byte-preserving for ASCII structure; non-ASCII bytes outside the
     // masked literals pass through untouched.
     String::from_utf8_lossy(&out).into_owned()
-}
-
-/// Byte offset of each line start (for offset → line translation).
-pub fn line_starts(src: &str) -> Vec<usize> {
-    let mut v = vec![0];
-    for (i, c) in src.bytes().enumerate() {
-        if c == b'\n' {
-            v.push(i + 1);
-        }
-    }
-    v
-}
-
-/// 1-based line containing `offset`.
-pub fn line_of(starts: &[usize], offset: usize) -> usize {
-    starts.partition_point(|&s| s <= offset)
 }
 
 /// Offset of the matching close delimiter for the open one at `open`.
@@ -285,81 +267,13 @@ pub fn mask_test_regions(masked: &mut String) {
     *masked = String::from_utf8_lossy(&out).into_owned();
 }
 
-/// `(start, end)` byte extents of every brace-bodied item introduced by
-/// `kw` ("struct" / "trait") in the masked source.
-pub fn item_extents(masked: &str, kw: &str) -> Vec<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut v = Vec::new();
-    for at in find_all(masked, &format!("{kw} ")) {
-        // Require a token boundary before the keyword (skip identifiers
-        // that merely end in it).
-        if at > 0 && is_ident_byte(bytes[at - 1]) {
-            continue;
-        }
-        // Body = first brace group after the keyword, unless a `;` ends the
-        // item first (trait fn declarations, tuple/unit structs).
-        let mut j = at + kw.len();
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    open = Some(j);
-                    break;
-                }
-                b';' => break,
-                // Skip parenthesised stretches (fn args, tuple fields) so a
-                // `;`/`{` inside them does not confuse the item boundary.
-                b'(' | b'[' => match match_delim(bytes, j) {
-                    Some(close) => j = close + 1,
-                    None => break,
-                },
-                _ => j += 1,
-            }
-        }
-        if let Some(open) = open {
-            if let Some(close) = match_delim(bytes, open) {
-                v.push((at, close));
-            }
-        }
-    }
-    v
-}
-
-/// One `fn` item: free function, inherent/trait-impl method, or trait
-/// method declaration (`body` is `None` when the item ends in `;`).
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    /// Identifier after the `fn` keyword.
-    pub name: String,
-    /// Byte offset of the `fn` keyword.
-    pub at: usize,
-    /// Parameter pattern identifiers (`self` included), for lock-wrapper
-    /// classification.
-    pub params: Vec<String>,
-    /// Signature text between the `fn` keyword and the body/`;`.
-    pub sig: String,
-    /// Brace body extent (inclusive braces), when the item has one.
-    pub body: Option<(usize, usize)>,
-}
-
-/// One `impl` block with its raw header text.
-#[derive(Clone, Debug)]
-pub struct ImplItem {
-    /// Byte offset of the `impl` keyword.
-    pub at: usize,
-    /// Masked text between `impl` and the body `{` (generics, trait path,
-    /// self type, where clause).
-    pub header: String,
-    /// Brace body extent (inclusive braces).
-    pub body: (usize, usize),
-}
-
-/// Extracts every `fn` item from the masked source.
-fn fn_items(masked: &str) -> Vec<FnItem> {
+/// Brace-body extents (inclusive braces) of every `fn` item in the masked
+/// source: free functions, methods and trait defaults. Declarations ending
+/// in `;` and `fn(...)` pointer types have none.
+fn fn_bodies(masked: &str) -> Vec<(usize, usize)> {
     let bytes = masked.as_bytes();
     let mut v = Vec::new();
     for at in find_tokens(masked, "fn") {
-        // Name (absent for `fn(...)` pointer types — skip those).
         let mut j = skip_ws(bytes, at + 2);
         let name_start = j;
         while j < bytes.len() && is_ident_byte(bytes[j]) {
@@ -368,52 +282,31 @@ fn fn_items(masked: &str) -> Vec<FnItem> {
         if j == name_start {
             continue;
         }
-        let name = masked[name_start..j].to_string();
         // Parameter list: first paren group after the name (generics in
         // between contain no parens).
-        let mut params = Vec::new();
         let mut k = j;
-        let mut paren: Option<(usize, usize)> = None;
+        let mut params_end = None;
         while k < bytes.len() {
             match bytes[k] {
                 b'(' => {
-                    if let Some(close) = match_delim(bytes, k) {
-                        paren = Some((k, close));
-                    }
+                    params_end = match_delim(bytes, k);
                     break;
                 }
                 b'{' | b';' => break,
                 _ => k += 1,
             }
         }
-        if let Some((po, pc)) = paren {
-            for seg in split_top_level(&masked[po + 1..pc]) {
-                let pat = seg.split(':').next().unwrap_or("");
-                if let Some(id) = pat
-                    .rsplit(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                    .find(|s| !s.is_empty())
-                {
-                    params.push(id.to_string());
-                }
-            }
-        }
         // Body = first top-level brace group, unless `;` ends the item.
-        let mut j2 = paren.map(|(_, pc)| pc + 1).unwrap_or(j);
-        let mut body = None;
-        let mut sig_end = j2;
+        let mut j2 = params_end.map_or(j, |pc| pc + 1);
         while j2 < bytes.len() {
             match bytes[j2] {
                 b'{' => {
                     if let Some(close) = match_delim(bytes, j2) {
-                        body = Some((j2, close));
+                        v.push((j2, close));
                     }
-                    sig_end = j2;
                     break;
                 }
-                b';' => {
-                    sig_end = j2;
-                    break;
-                }
+                b';' => break,
                 b'(' | b'[' => match match_delim(bytes, j2) {
                     Some(close) => j2 = close + 1,
                     None => break,
@@ -421,68 +314,11 @@ fn fn_items(masked: &str) -> Vec<FnItem> {
                 _ => j2 += 1,
             }
         }
-        let sig = masked[at..sig_end.min(masked.len())].to_string();
-        v.push(FnItem { name, at, params, sig, body });
     }
     v
 }
 
-/// Splits `s` on commas at paren/bracket/brace depth zero.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let b = s.as_bytes();
-    let mut v = Vec::new();
-    let (mut depth, mut start) = (0i32, 0usize);
-    for (i, &c) in b.iter().enumerate() {
-        match c {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b',' if depth == 0 => {
-                v.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < s.len() {
-        v.push(s[start..].trim());
-    }
-    v
-}
-
-/// Extracts every `impl` block.
-fn impl_items(masked: &str) -> Vec<ImplItem> {
-    let bytes = masked.as_bytes();
-    let mut v = Vec::new();
-    for at in find_tokens(masked, "impl") {
-        let mut j = at + "impl".len();
-        let mut open = None;
-        while j < bytes.len() {
-            match bytes[j] {
-                b'{' => {
-                    open = Some(j);
-                    break;
-                }
-                b';' => break,
-                b'(' | b'[' => match match_delim(bytes, j) {
-                    Some(close) => j = close + 1,
-                    None => break,
-                },
-                _ => j += 1,
-            }
-        }
-        let Some(open) = open else { continue };
-        let Some(close) = match_delim(bytes, open) else { continue };
-        v.push(ImplItem {
-            at,
-            header: masked[at + "impl".len()..open].to_string(),
-            body: (open, close),
-        });
-    }
-    v
-}
-
-/// One audited file with its masked text and item extents, computed once
-/// and shared by every pass.
+/// One audited file with its masked text and `fn` body extents.
 pub struct SourceFile {
     /// Workspace-relative path (or the bare label for single-file scans).
     pub rel: PathBuf,
@@ -491,64 +327,32 @@ pub struct SourceFile {
     pub src: String,
     /// Masked source: comments/strings/chars/test regions blanked.
     pub masked: String,
-    /// Line-start offsets for `line_of`.
-    pub starts: Vec<usize>,
-    /// Every `fn` item (functions, methods, trait declarations).
-    pub fns: Vec<FnItem>,
-    /// Struct body extents.
-    pub structs: Vec<(usize, usize)>,
-    /// Impl blocks with headers.
-    pub impls: Vec<ImplItem>,
+    /// Byte offset of each line start.
+    starts: Vec<usize>,
+    /// Every `fn` body extent.
+    pub fn_bodies: Vec<(usize, usize)>,
 }
 
 impl SourceFile {
     pub fn new(rel: PathBuf, src: String) -> SourceFile {
         let mut masked = mask_code(&src);
         mask_test_regions(&mut masked);
-        let starts = line_starts(&src);
-        let fns = fn_items(&masked);
-        let structs = item_extents(&masked, "struct");
-        let impls = impl_items(&masked);
-        SourceFile { rel, src, masked, starts, fns, structs, impls }
+        let starts =
+            std::iter::once(0).chain(src.match_indices('\n').map(|(i, _)| i + 1)).collect();
+        let fn_bodies = fn_bodies(&masked);
+        SourceFile { rel, src, masked, starts, fn_bodies }
     }
 
     /// 1-based line containing byte `offset`.
     pub fn line_of(&self, offset: usize) -> usize {
-        line_of(&self.starts, offset)
-    }
-
-    /// The crate this file belongs to (`crates/<name>/...`), or
-    /// `"workspace-root"` for root `src/` files and out-of-tree scans.
-    pub fn crate_name(&self) -> String {
-        let s = self.rel.to_string_lossy().replace('\\', "/");
-        match s.strip_prefix("crates/").and_then(|r| r.split('/').next()) {
-            Some(name) => name.to_string(),
-            None => "workspace-root".to_string(),
-        }
-    }
-
-    /// Whether this file lives under `crates/` (fixtures and single-file
-    /// scans do not, and stay in scope for every pass).
-    pub fn in_tree(&self) -> bool {
-        self.rel.to_string_lossy().replace('\\', "/").starts_with("crates/")
-    }
-}
-
-/// The whole audited file set — what workspace-level passes walk.
-pub struct Workspace {
-    pub files: Vec<SourceFile>,
-}
-
-impl Workspace {
-    pub fn from_sources(sources: Vec<(PathBuf, String)>) -> Workspace {
-        Workspace { files: sources.into_iter().map(|(p, s)| SourceFile::new(p, s)).collect() }
+        self.starts.partition_point(|&s| s <= offset)
     }
 }
 
 /// Walks a receiver chain backward from `end` (exclusive): skips one
 /// trailing paren group if present, then reads the identifier. Returns the
-/// identifier closest to `end` — e.g. `self.pool.launch_gate` → about
-/// `launch_gate`, `self.shard(warp)` → `shard`.
+/// identifier closest to `end` — e.g. `self.list.offset` → `offset`,
+/// `self.shard(warp)` → `shard`.
 pub fn chain_tail_ident(masked: &str, end: usize) -> Option<(usize, String)> {
     let b = masked.as_bytes();
     let mut i = prev_non_ws(b, end)? + 1;
@@ -565,26 +369,8 @@ pub fn chain_tail_ident(masked: &str, end: usize) -> Option<(usize, String)> {
     Some((i, masked[i..word_end].to_string()))
 }
 
-/// The final identifier token in `s` (for wrapper-call lock arguments:
-/// `&self.pool.launch_gate` → `launch_gate`).
-pub fn last_ident(s: &str) -> Option<String> {
-    let b = s.as_bytes();
-    let mut end = b.len();
-    loop {
-        let e = prev_non_ws(b, end)?;
-        if is_ident_byte(b[e]) {
-            let mut st = e;
-            while st > 0 && is_ident_byte(b[st - 1]) {
-                st -= 1;
-            }
-            return Some(s[st..e + 1].to_string());
-        }
-        end = e;
-    }
-}
-
 /// Extends a span rightward over an `as <type>` cast, reporting the cast
-/// target. Used by the offset pass to skip float casts (no wrap hazard).
+/// target. Used by the offset rule to skip float casts (no wrap hazard).
 pub fn cast_after(masked: &str, end: usize) -> Option<(usize, String)> {
     let b = masked.as_bytes();
     let j = skip_ws(b, end);
@@ -626,37 +412,13 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_extract_names_params_and_bodies() {
-        let f = SourceFile::new(
-            "x.rs".into(),
-            "fn alpha(a: u64, mut b: &str) -> u64 { a }\n\
-             trait T { fn decl(&self, n: usize); fn defaulted(&self) -> bool { true } }\n"
-                .into(),
-        );
-        let names: Vec<&str> = f.fns.iter().map(|i| i.name.as_str()).collect();
-        assert_eq!(names, ["alpha", "decl", "defaulted"]);
-        assert_eq!(f.fns[0].params, ["a", "b"]);
-        assert!(f.fns[0].body.is_some());
-        assert_eq!(f.fns[1].params, ["self", "n"]);
-        assert!(f.fns[1].body.is_none(), "trait declaration has no body");
-        assert!(f.fns[2].body.is_some(), "trait default has a body");
-    }
-
-    #[test]
-    fn fn_pointer_types_are_not_items() {
-        let f = SourceFile::new("x.rs".into(), "struct S { run: fn(u32) -> u32 }".into());
-        assert!(f.fns.is_empty());
-    }
-
-    #[test]
-    fn impl_headers_cover_generics_and_where_clauses() {
-        let f = SourceFile::new(
-            "x.rs".into(),
-            "impl<A: Tr + ?Sized> Tr for Wrap<A> where A: Send { fn go(&self) {} }".into(),
-        );
-        assert_eq!(f.impls.len(), 1);
-        assert!(f.impls[0].header.contains("Tr for Wrap<A>"));
-        assert!(f.impls[0].header.contains("where A: Send"));
+    fn fn_bodies_skip_declarations_and_pointer_types() {
+        let src = "fn alpha(a: u64, mut b: &str) -> u64 { a }\n\
+                   trait T { fn decl(&self, n: usize); fn defaulted(&self) -> bool { true } }\n\
+                   struct S { run: fn(u32) -> u32 }";
+        let f = SourceFile::new("x.rs".into(), src.into());
+        let bodies: Vec<&str> = f.fn_bodies.iter().map(|&(s, e)| &src[s..=e]).collect();
+        assert_eq!(bodies, ["{ a }", "{ true }"]);
     }
 
     #[test]
@@ -664,16 +426,9 @@ mod tests {
         let m = "self.shard(warp).lock()";
         let at = m.find(".lock").unwrap();
         assert_eq!(chain_tail_ident(m, at).unwrap().1, "shard");
-        let m2 = "self.pool.launch_gate.lock()";
-        let at2 = m2.find(".lock").unwrap();
-        assert_eq!(chain_tail_ident(m2, at2).unwrap().1, "launch_gate");
-    }
-
-    #[test]
-    fn last_ident_reads_wrapper_args() {
-        assert_eq!(last_ident("&self.pool.launch_gate").as_deref(), Some("launch_gate"));
-        assert_eq!(last_ident("&shared.state").as_deref(), Some("state"));
-        assert_eq!(last_ident("  ").as_deref(), None);
+        let m2 = "self.list.offset + 16";
+        let at2 = m2.find(" +").unwrap();
+        assert_eq!(chain_tail_ident(m2, at2).unwrap().1, "offset");
     }
 
     #[test]

@@ -1,31 +1,16 @@
-//! Known-bad fixture: every rule must fire at the annotated lines.
-//! This file is test data, never compiled — line numbers are load-bearing,
-//! keep them in sync with `tests/rules.rs`.
+//! Known-bad fixture: both atomics rules and the waiver audit must fire at
+//! the annotated lines. Test data, never compiled — line numbers are
+//! load-bearing, keep them in sync with `tests/rules.rs`.
 
 use std::sync::atomic::{AtomicU32, Ordering}; // line 5: raw-atomic-import
 
-pub struct SharedState {
-    lock: AtomicU32,
-    cell: std::cell::UnsafeCell<u64>, // line 9: shared-unsafe-cell
-}
-
 pub fn publish_without_edge(flag: &AtomicU32) {
-    // line 14: relaxed-cas-success (Relaxed success on the winning CAS)
+    // line 9: relaxed-cas-success (Relaxed success on the winning CAS)
     let _ = flag.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);
 }
 
-pub fn claim_then_unpublished_store(state: &AtomicU32, data: &AtomicU32) {
-    if state
-        .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
-        .is_ok()
-    {
-        // line 23: relaxed-store-after-claim (no release op follows)
-        data.store(42, Ordering::Relaxed);
-    }
-}
-
 pub fn multiline_relaxed_cas(flag: &AtomicU32) {
-    // success ordering split across lines still parses: fires on line 29
+    // success ordering split across lines still parses: fires on line 14
     let _ = flag.compare_exchange_weak(
         0,
         1,
@@ -34,13 +19,7 @@ pub fn multiline_relaxed_cas(flag: &AtomicU32) {
     );
 }
 
-pub fn table() -> Box<[AtomicU32]> {
-    let v = vec![0u32; 8];
-    // line 40: atomic-transmute
-    unsafe { std::mem::transmute::<Box<[u32]>, Box<[AtomicU32]>>(v.into_boxed_slice()) }
-}
-
-// line 44: allow-missing-reason (directive without a reason)
+// line 23: allow-missing-reason (directive without a reason)
 // memlint: allow(relaxed-cas-success)
 pub fn reasonless(flag: &AtomicU32) {
     let _ = flag.compare_exchange(0, 1, Ordering::Relaxed, Ordering::Relaxed);

@@ -1,26 +1,13 @@
-//! Known-good fixture: correct ordering discipline plus properly reasoned
-//! allowlist entries — the scan must report nothing standing.
+//! Known-good fixture: correct ordering discipline plus a properly reasoned
+//! allowlist entry — the scan must report nothing standing.
 //! Test data only, never compiled.
 
-use gpumem_core::sync::{fence, AtomicU32, Ordering};
-
-pub struct Counter {
-    n: AtomicU32,
-}
+use gpumem_core::sync::{AtomicU32, Ordering};
 
 pub fn claim_and_publish(state: &AtomicU32, data: &AtomicU32) {
     if state.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed).is_ok() {
-        // Relaxed intermediate write is fine: the Release store below
-        // publishes it together with the claim.
         data.store(42, Ordering::Relaxed);
         state.store(2, Ordering::Release);
-    }
-}
-
-pub fn claim_and_fence(state: &AtomicU32, data: &AtomicU32) {
-    if state.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed).is_ok() {
-        data.store(7, Ordering::Relaxed);
-        fence(Ordering::Release);
     }
 }
 

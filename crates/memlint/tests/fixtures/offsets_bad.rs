@@ -1,4 +1,4 @@
-//! Known-bad fixture for the offset-arithmetic pass: raw `+`/`*`/`<<` on
+//! Known-bad fixture for `unchecked-offset-arithmetic`: raw `+`/`*`/`<<` on
 //! offset-tainted identifiers, exactly the shapes that wrap silently in
 //! release builds.
 

@@ -1,4 +1,4 @@
-//! Known-good fixture for the offset-arithmetic pass: the checked,
+//! Known-good fixture for `unchecked-offset-arithmetic`: the checked,
 //! untainted, float-cast and reason-waived shapes must all stay silent.
 
 pub fn carve(offset: u64, size: u64) -> Option<u64> {

@@ -134,21 +134,20 @@ launches=$(sed -n 's/^  "dropped_events": [0-9]*, "launches": \([0-9]*\),$/\1/p'
 test "${launches:-0}" -gt 0
 test "$(grep -c '"boundary": 1}' "$watch_json")" -eq "$launches"
 
-# Heap-safety static analysis: the full pass set (atomics ordering, offset
-# arithmetic, hot-path panics/allocation, lock ordering) over the
-# workspace. Decorator forwarding needs no pass: `Layer`'s blanket impl
-# forwards by construction. Any non-allowlisted finding fails the gate;
-# every allowlist entry must carry a written reason.
-echo "==> memlint --deny (all passes)"
+# Source rules: raw-atomic-import, relaxed-cas-success and
+# unchecked-offset-arithmetic over the workspace (DESIGN.md §9). Any
+# non-allowlisted finding fails the gate; every allowlist entry must carry a
+# written reason.
+echo "==> memlint --deny"
 cargo run --offline -q -p memlint -- --deny .
 
-# The audit CLI consumes the same report: per-pass rollup table plus an
-# audit.csv with a pass column, exit 2 on standing findings.
+# The audit CLI consumes the same report: one rollup table, also written as
+# audit.csv (one row per crate and rule), exit 2 on standing findings.
 echo "==> repro audit smoke"
 rm -rf target/audit-smoke
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     audit --out target/audit-smoke > /dev/null
-head -2 target/audit-smoke/audit.csv | grep -q '^crate,pass,rule,standing,allowlisted'
+head -2 target/audit-smoke/audit.csv | grep -q '^crate,rule,standing,allowlisted'
 
 # Diagnostic-table smoke: each subcommand prints its table and writes the
 # same columns as CSV. The printed layout may change; the CSV header lines
