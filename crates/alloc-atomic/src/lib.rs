@@ -104,9 +104,6 @@ impl DeviceAllocator for AtomicAlloc {
             self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::OutOfMemory(size));
         }
-        // The baseline has no retry loop at all — record the perfect op so
-        // its histogram anchors the bottom of every contention plot.
-        self.metrics.record_retries(ctx.sm, 0);
         Ok(DevicePtr::new(offset))
     }
 

@@ -264,7 +264,7 @@ impl Halloc {
         let flush = |probes: u64, retries: u64| {
             self.metrics.add(sm, Counter::ProbeSteps, probes);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(sm, retries);
+            self.metrics.record_retries(retries);
         };
         for attempt in 0..self.slabs.len() * 2 + 4 {
             if attempt > 0 {
@@ -360,7 +360,7 @@ impl Halloc {
         let claimed = slab.claim_bit_with(bitmap, ctx.scatter_hash(), &mut probes, &mut lost);
         self.metrics.add(ctx.sm, Counter::ProbeSteps, probes);
         self.metrics.add(ctx.sm, Counter::CasRetries, lost);
-        self.metrics.record_retries(ctx.sm, lost);
+        self.metrics.record_retries(lost);
         match claimed {
             Some(block) => Ok(self.block_ptr(slab_idx, class_idx, block)),
             None => {
@@ -472,7 +472,7 @@ impl Halloc {
                 }
                 self.metrics.add(warp.sm, Counter::ProbeSteps, probes);
                 self.metrics.add(warp.sm, Counter::CasRetries, lost);
-                self.metrics.record_retries(warp.sm, lost);
+                self.metrics.record_retries(lost);
                 // One leader counter update covered all `served` lanes.
                 self.metrics.add(warp.sm, Counter::WarpCoalesced, served as u64);
                 *served_total += served as u64;

@@ -263,7 +263,7 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         let flush = |spins: u64, retries: u64| {
             self.metrics.add(sm, Counter::QueueSpins, spins);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(sm, retries);
+            self.metrics.record_retries(retries);
         };
         for _ in 0..limit {
             match self.queues[class_idx].dequeue_with(&self.pool, &self.heap, &mut spins) {
@@ -300,7 +300,7 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         let flush = |spins: u64, retries: u64| {
             self.metrics.add(sm, Counter::QueueSpins, spins);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(sm, retries);
+            self.metrics.record_retries(retries);
         };
         for _ in 0..limit {
             let chunk =

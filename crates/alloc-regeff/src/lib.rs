@@ -176,12 +176,12 @@ impl<H: HeaderCodec, const MULTI: bool> RegEff<H, MULTI> {
         self
     }
 
-    /// Publishes one walk's contention tally: list hops, lost claims and the
-    /// retry histogram sample.
+    /// Publishes one walk's contention tally: list hops and lost claims, the
+    /// latter also to the traced operation.
     fn flush_walk(&self, sm: u32, hops: u64, lost: u64) {
         self.metrics.add(sm, Counter::ListHops, hops);
         self.metrics.add(sm, Counter::CasRetries, lost);
-        self.metrics.record_retries(sm, lost);
+        self.metrics.record_retries(lost);
     }
 
     fn presplit(base: u64, len: u64, out: &mut Vec<u64>) {

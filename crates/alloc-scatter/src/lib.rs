@@ -279,12 +279,12 @@ impl ScatterAlloc {
         Err(AllocError::OutOfMemory(size))
     }
 
-    /// Publishes one operation's contention tally (probe walk + CAS losses
-    /// + the retry histogram sample).
+    /// Publishes one operation's contention tally (probe walk + CAS losses,
+    /// the latter also to the traced operation).
     fn flush_stats(&self, sm: u32, stats: PageStats) {
         self.metrics.add(sm, Counter::ProbeSteps, stats.probe_steps);
         self.metrics.add(sm, Counter::CasRetries, stats.cas_retries);
-        self.metrics.record_retries(sm, stats.cas_retries);
+        self.metrics.record_retries(stats.cas_retries);
     }
 
     /// The reserved-area multi-page path for requests larger than a page.

@@ -8,25 +8,26 @@
 //! repro gate                        # rerun the smoke tier, compare exact metrics
 //! repro watch --scenario mixed      # one scenario under the telemetry sampler
 //! repro table1                      # survey table (Table 1)
-//! repro contention                  # per-manager contention counters
-//! repro sanitize                    # shadow-heap sanitizer sweep
 //! repro trace -m scatter            # Perfetto trace + latency percentiles
 //! repro audit                       # memlint summary
 //! ```
 //!
+//! Per-manager contention counters and sanitizer violations are anchor
+//! metrics: every `perf_*`/`mixed*` cell and the `sanitize` scenario.
+//!
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
 //! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
 //! `--heap-backend ram|mmap`, `--heap-mb MB`, `--seed HEX`. `--num`,
-//! `--iter`, `--cycles` and `--cached` size the diagnostic subcommands;
-//! `matrix`, `gate` and `watch` take their counts, iterations and per-cell
-//! timeouts from the tier and refuse them. The diagnostic subcommands print
-//! each table they save as CSV, with the same columns.
+//! `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and `watch`
+//! take their counts, iterations and per-cell timeouts from the tier and
+//! refuse `--cached`. `table1`, `trace` and `audit` print each table they
+//! save as CSV, with the same columns.
 
 use std::path::{Path, PathBuf};
 
 use gpu_sim::{Device, DeviceSpec};
 use gpumem_bench::anchor::Anchor;
-use gpumem_bench::csv::{ms, us, Csv};
+use gpumem_bench::csv::Csv;
 use gpumem_bench::gate;
 use gpumem_bench::matrix::{self, MatrixCfg, Tier};
 use gpumem_bench::registry::{ManagerKind, ManagerSelection, ALL_KINDS, DEFAULT_KINDS};
@@ -42,8 +43,6 @@ struct Opts {
     kinds: Vec<ManagerKind>,
     device: DeviceSpec,
     num: u32,
-    iterations: u32,
-    cycles: u32,
     manager: Option<String>,
     trace_cap: usize,
     /// `None` until `--heap-backend` (or a `-t …@backend` suffix) picks one;
@@ -75,8 +74,6 @@ impl Default for Opts {
             kinds: DEFAULT_KINDS.to_vec(),
             device: DeviceSpec::titan_v(),
             num: 10_000,
-            iterations: 2,
-            cycles: 10,
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
             heap_backend: None,
@@ -107,21 +104,10 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         *i += 1;
         args.get(*i - 1).cloned().ok_or_else(|| "missing option value".to_string())
     };
-    // `matrix`, `gate` and `watch` pin iterations to the tier and run the
-    // cached twins as scenarios, so anchors of one tier always compare; a
-    // flag that cannot take effect is an error, not a no-op.
-    let tier_pinned = matches!(cmd.as_str(), "matrix" | "gate" | "watch");
-    let pinned_error = |flag: &str| {
-        format!(
-            "{flag} does not apply to `{cmd}`: iterations and the cached twins \
-             (--scenario perf_thread_cached / mixed_cached) are fixed by the tier"
-        )
-    };
     while i < args.len() {
         let flag = args[i].clone();
         i += 1;
         match flag.as_str() {
-            "--iter" if tier_pinned => return Err(pinned_error(&flag)),
             "-t" => {
                 let raw = next(&mut i)?;
                 let sel: ManagerSelection = raw.parse()?;
@@ -141,8 +127,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
                     DeviceSpec::by_name(&name).ok_or_else(|| format!("unknown device: {name}"))?;
             }
             "--num" => opts.num = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--iter" => opts.iterations = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--cycles" => opts.cycles = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "-m" | "--manager" => opts.manager = Some(next(&mut i)?),
             "--trace-cap" => opts.trace_cap = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "--heap-backend" => opts.heap_backend = Some(next(&mut i)?.parse()?),
@@ -168,15 +152,21 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             other => return Err(format!("unknown option: {other}\n{}", usage())),
         }
     }
-    // After the loop: a `-t …+cached` selector sets it as well as `--cached`.
-    if tier_pinned && opts.cached {
-        return Err(pinned_error("--cached"));
+    // `matrix`, `gate` and `watch` run the cached twins as scenarios, so
+    // anchors of one tier always compare; a flag that cannot take effect is
+    // an error, not a no-op. After the loop: a `-t …+cached` selector sets it
+    // as well as `--cached`.
+    if opts.cached && matches!(cmd.as_str(), "matrix" | "gate" | "watch") {
+        return Err(format!(
+            "--cached does not apply to `{cmd}`: the cached twins \
+             (--scenario perf_thread_cached / mixed_cached) are fixed by the tier"
+        ));
     }
     Ok((cmd, opts))
 }
 
 fn usage() -> String {
-    "usage: repro <matrix|gate|watch|trace|sanitize|audit|table1|contention> [options]\n\
+    "usage: repro <matrix|gate|watch|trace|audit|table1> [options]\n\
      (`repro matrix` runs the paper's figures as scenarios and writes one\n\
       BENCH_<scenario>.json anchor each, `repro gate` reruns them and fails\n\
       on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
@@ -184,8 +174,7 @@ fn usage() -> String {
       telemetry_<scenario>.{json,csv} into --out)\n\
      options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
-     trace/sanitize/contention: --num N --iter N --cycles N --cached\n\
-     --trace-cap EVENTS_PER_SM\n\
+     trace: --num N --cached --trace-cap EVENTS_PER_SM\n\
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --scenario NAME (repeatable); -t / -m restrict the managers; matrix\n\
      defaults to the full tier, gate and watch to the smoke tier"
@@ -194,7 +183,6 @@ fn usage() -> String {
 
 fn bench_of(opts: &Opts) -> Bench {
     let mut b = Bench::new(Device::new(opts.device));
-    b.iterations = opts.iterations;
     b.seed = opts.seed;
     b.heap_backend = opts.backend();
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
@@ -228,10 +216,8 @@ fn main() {
         "gate" => gate_cmd(&opts),
         "watch" => watch_cmd(&opts),
         "trace" => trace(&opts),
-        "sanitize" => sanitize(&opts),
         "audit" => audit(&opts),
         "table1" => table1(&opts),
-        "contention" => contention(&opts),
         other => {
             eprintln!("unknown command: {other}\n{}", usage());
             std::process::exit(2);
@@ -269,66 +255,6 @@ fn table1(opts: &Opts) {
         ]);
     }
     save(csv, opts, "table1.csv");
-}
-
-/// Contention report: per-manager counter activity of a `--num`-thread
-/// alloc/free run (default 10 000 threads, 16 B), with the metrics-off
-/// wall-clock alongside so the observability overhead is visible.
-fn contention(opts: &Opts) {
-    let bench = bench_of(opts);
-    let size = 16u64;
-    let workers = bench.device.workers();
-    let mut csv = Csv::new([
-        "manager",
-        "threads",
-        "size",
-        "workers",
-        "observed_ms",
-        "baseline_ms",
-        "overhead",
-        "dispatch_us",
-        "workers_used",
-        "steals",
-        "malloc_calls",
-        "malloc_failures",
-        "free_calls",
-        "free_failures",
-        "cas_retries",
-        "probe_steps",
-        "queue_spins",
-        "list_hops",
-        "oom_fallbacks",
-        "warp_coalesced",
-        "dropped_events",
-    ]);
-    for &kind in &opts.kinds {
-        let c = runners::contention_profile(&bench, kind, opts.num, size);
-        let s = &c.counters;
-        csv.row([
-            c.manager.to_string(),
-            c.num.to_string(),
-            c.size.to_string(),
-            workers.to_string(),
-            ms(c.observed),
-            ms(c.baseline),
-            format!("{:.3}", c.overhead_factor()),
-            us(c.dispatch),
-            c.workers_used.to_string(),
-            c.steals.to_string(),
-            s.malloc_calls().to_string(),
-            s.malloc_failures().to_string(),
-            s.free_calls().to_string(),
-            s.free_failures().to_string(),
-            s.cas_retries().to_string(),
-            s.probe_steps().to_string(),
-            s.queue_spins().to_string(),
-            s.list_hops().to_string(),
-            s.oom_fallbacks().to_string(),
-            s.warp_coalesced().to_string(),
-            c.dropped_events.to_string(),
-        ]);
-    }
-    save(csv, opts, &format!("contention_{}_{}.csv", opts.num, opts.device.name));
 }
 
 /// Matrix/gate/watch configuration from the command line: tier, seed,
@@ -553,57 +479,6 @@ fn audit(opts: &Opts) {
     );
     if standing > 0 {
         std::process::exit(2);
-    }
-}
-
-/// Sanitizer sweep: every selected manager runs the churn + mixed-size
-/// workloads under `Sanitized` (shadow interval map, occupancy bitmap,
-/// canary redzones, poison-on-free) and reports a per-manager violation
-/// table. A stable manager shows an all-zero row; non-zero cells are the
-/// paper's "not entirely stable" classification made concrete.
-fn sanitize(opts: &Opts) {
-    let bench = bench_of(opts);
-    let mut csv = Csv::new([
-        "manager",
-        "threads",
-        "cycles",
-        "alloc_failures",
-        "overlap",
-        "out_of_heap",
-        "misaligned",
-        "double_free",
-        "unknown_free",
-        "redzone_corrupt",
-        "total",
-        "live_after",
-        "clean",
-    ]);
-    let mut dirty = 0u32;
-    for &kind in &opts.kinds {
-        let c = runners::sanitize_run(&bench, kind, opts.num, opts.cycles.max(8));
-        let [overlap, out_of_heap, misaligned, double_free, unknown_free, redzone] = c.counts;
-        if !c.is_clean() {
-            dirty += 1;
-        }
-        csv.row([
-            c.manager.to_string(),
-            c.num.to_string(),
-            c.cycles.to_string(),
-            c.failures.to_string(),
-            overlap.to_string(),
-            out_of_heap.to_string(),
-            misaligned.to_string(),
-            double_free.to_string(),
-            unknown_free.to_string(),
-            redzone.to_string(),
-            c.total_violations().to_string(),
-            c.live_after.to_string(),
-            if c.is_clean() { "yes" } else { "no" }.to_string(),
-        ]);
-    }
-    save(csv, opts, &format!("sanitize_{}_{}.csv", opts.num, opts.device.name));
-    if dirty > 0 {
-        println!("{dirty} manager(s) reported violations");
     }
 }
 

@@ -104,21 +104,9 @@ impl Csv {
     }
 }
 
-/// Formats a `Duration` in milliseconds with microsecond resolution.
-pub fn ms(d: std::time::Duration) -> String {
-    format!("{:.4}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats a `Duration` in microseconds with nanosecond resolution — for
-/// scheduler-scale quantities (dispatch overhead) that vanish at ms scale.
-pub fn us(d: std::time::Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn renders_header_and_rows() {
@@ -188,12 +176,6 @@ mod tests {
         assert_eq!(text_lines(&c), ["a  b", "1  2"]);
         c.row(["1", "wide"]);
         assert_eq!(text_lines(&c), ["a     b", "1     2", "1  wide"]);
-    }
-
-    #[test]
-    fn ms_formatting() {
-        assert_eq!(ms(Duration::from_micros(1500)), "1.5000");
-        assert_eq!(ms(Duration::ZERO), "0.0000");
     }
 
     #[test]

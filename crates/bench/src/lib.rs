@@ -8,7 +8,8 @@
 //! * [`runners`] — one runner per test-case family: allocation performance
 //!   (thread/warp), mixed sizes, scaling, fragmentation, out-of-memory,
 //!   work generation, write/access performance, graph initialisation and
-//!   graph updates, plus the §4.1 init/register measurements.
+//!   graph updates, the §4.1 init/register measurements and the sanitizer
+//!   sweep.
 //! * [`matrix`] — the declarative scenario registry behind `repro matrix`,
 //!   the one producer of paper-figure results: every figure's grid at
 //!   tiny/smoke/full tier, one anchor per scenario.
@@ -20,9 +21,8 @@
 //! * [`watch`] — `repro watch`: any matrix scenario under the live
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
 //!   time-series as JSON and per-window CSV.
-//! * [`csv`] — the tables the diagnostic subcommands (`table1`,
-//!   `contention`, `sanitize`, `trace`, `audit`) print and write, and the
-//!   per-window CSV `watch` writes.
+//! * [`csv`] — the tables `table1`, `trace` and `audit` print and write,
+//!   and the per-window CSV `watch` writes.
 //!
 //! The `repro` binary (in `src/bin`) drives everything: `repro matrix`
 //! writes the anchors, `repro gate` checks their numbers, and the paper's

@@ -32,11 +32,12 @@ use std::time::Duration;
 use gpu_sim::{Device, DeviceSpec, LaunchPhase};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
+use gpumem_core::sanitize::ALL_VIOLATION_KINDS;
 use gpumem_core::telemetry::{BoundaryMarker, TelemetrySink};
-use gpumem_core::{HeapBackendKind, Pretouch};
+use gpumem_core::{Counter, CounterSnapshot, HeapBackendKind, Pretouch};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
-use crate::registry::{ManagerKind, DEFAULT_KINDS};
+use crate::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use crate::runners::{self, Bench, SizingError};
 
 /// Which rung of the matrix ladder a run sizes for.
@@ -436,6 +437,12 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
         variant: "10 allocate-all/free-all cycles at 256 B, last over first quarter",
         run: churn,
     },
+    ScenarioSpec {
+        name: "sanitize",
+        family: "Sec. 4.2 test table: which managers break",
+        variant: "churn + mixed sizes under the shadow-heap sanitizer, every kind",
+        run: sanitize,
+    },
 ];
 
 /// Looks a scenario up by anchor name.
@@ -501,6 +508,25 @@ fn kops(ops: u32, d: Duration) -> f64 {
     ops as f64 * 1e6 / d.as_nanos().max(1) as f64
 }
 
+/// The contention counters every perf cell pins, from the counted round of
+/// `runners::alloc_perf` / `runners::mixed_perf`.
+const CONTENTION_COUNTERS: [Counter; 6] = [
+    Counter::CasRetries,
+    Counter::ProbeSteps,
+    Counter::QueueSpins,
+    Counter::ListHops,
+    Counter::OomFallbacks,
+    Counter::WarpCoalesced,
+];
+
+/// Pushes the exact `{cell}/{counter}` metrics of one perf cell's counted
+/// round.
+fn push_contention(metrics: &mut Vec<Metric>, cell: &str, counters: &CounterSnapshot) {
+    for c in CONTENTION_COUNTERS {
+        metrics.push(Metric::exact(format!("{cell}/{}", c.name()), counters.get(c) as f64));
+    }
+}
+
 /// The eight-manager core set used where the full 15-kind sweep would make
 /// a scenario's runtime dominate the matrix: one representative per family
 /// (standard + virtualized Ouroboros, ScatterAlloc, Halloc, CUDA model,
@@ -548,6 +574,7 @@ fn perf_thread_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, Matrix
                 metrics.push(Metric::info(format!("{k}/free_mops"), mops(ax.threads, free)));
             }
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            push_contention(&mut metrics, &k, &c.counters);
             // A manager past its cliff skips its larger sizes (the
             // artifact's per-process timeout); the gate reports the keys
             // that vanish with them.
@@ -569,6 +596,7 @@ fn perf_warp(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             let k = format!("{}/w{size}", kind.label());
             metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.warps, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            push_contention(&mut metrics, &k, &c.counters);
             if c.timed_out {
                 break;
             }
@@ -598,6 +626,7 @@ fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError>
             let k = format!("{}/u{upper}", kind.label());
             metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+            push_contention(&mut metrics, &k, &c.counters);
             if c.timed_out {
                 break;
             }
@@ -795,6 +824,28 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         let k = kind.label();
         metrics.push(Metric::info(format!("{k}/slowdown"), r.slowdown_factor()));
         metrics.push(Metric::exact(format!("{k}/failures"), r.failures as f64));
+    }
+    Ok(metrics)
+}
+
+/// The paper's test table records which managers break. Every kind runs the
+/// churn and mixed-size workloads under the shadow-heap sanitizer
+/// (`runners::sanitize_run`): `Atomic` takes no free round, FDGMalloc frees
+/// through `free_warp_all`, the rest per thread. A stable manager reads 0 on
+/// every violation; `live_after` is what stays live after the last free
+/// round, the whole demand for a manager without free.
+fn sanitize(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
+    let bench = cfg.bench();
+    let ax = cfg.tier.axes();
+    let mut metrics = Vec::new();
+    for kind in cfg.restrict(&ALL_KINDS) {
+        let c = runners::sanitize_run(&bench, kind, ax.churn_threads, ax.frag_cycles);
+        let k = kind.label();
+        metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+        for (v, n) in ALL_VIOLATION_KINDS.iter().zip(c.counts) {
+            metrics.push(Metric::exact(format!("{k}/{}", v.name()), n as f64));
+        }
+        metrics.push(Metric::exact(format!("{k}/live_after"), c.live_after as f64));
     }
     Ok(metrics)
 }

@@ -3,7 +3,7 @@
 //! Every runner creates a *fresh* manager per cell (as the artifact's
 //! scripts do between runs), executes the kernel(s) on the simulated
 //! device, and returns plain rows: the matrix scenarios turn them into anchor
-//! metrics, the diagnostic subcommands into CSV. The allocate-then-free
+//! metrics, `repro trace` into its latency CSV. The allocate-then-free
 //! runners launch through `gpu_workloads::round`, so how a manager frees is
 //! decided in one place.
 
@@ -171,6 +171,9 @@ pub struct AllocPerfCell {
     pub free: Option<Duration>,
     pub failures: u64,
     pub timed_out: bool,
+    /// Counter delta of one untimed malloc and free round with metrics on
+    /// (see [`perf_cell`]).
+    pub counters: CounterSnapshot,
 }
 
 /// Runs one (manager, size, num) cell of Fig. 9/10: `num` allocations of
@@ -205,6 +208,11 @@ pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> All
 /// `bench.iterations` timed malloc and free rounds, cut short once the
 /// cell outlives `bench.cell_timeout`. `malloc` runs one allocation round
 /// for an iteration seed.
+///
+/// The timed manager keeps metrics off. Once it is dropped, a second one of
+/// the same spec with metrics on runs the same warm-up and then the malloc
+/// and free round of timed iteration 0, untimed; the counters are the delta
+/// across that one round. On the inline device the delta is deterministic.
 fn perf_cell(
     bench: &Bench,
     kind: ManagerKind,
@@ -212,16 +220,21 @@ fn perf_cell(
     size: u64,
     malloc: impl Fn(&dyn DeviceAllocator, u64) -> Round,
 ) -> AllocPerfCell {
-    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
-    let alloc = alloc.as_ref();
+    let build = |metrics| {
+        bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(metrics).build()
+    };
     // Untimed warm-up passes (cached cells): the frees populate the
     // magazine layer, so the timed loop measures the steady-state hot path
     // instead of the cold first fill. A distinct seed keeps a warm-up's
     // size stream from matching any timed iteration exactly — the
     // magazines must pay off via class rounding, not size identity.
-    for w in 0..bench.warmup {
-        round::free(alloc, &bench.device, &malloc(alloc, bench.seed ^ !(w as u64)));
-    }
+    let warm_up = |alloc: &dyn DeviceAllocator| {
+        for w in 0..bench.warmup {
+            round::free(alloc, &bench.device, &malloc(alloc, bench.seed ^ !(w as u64)));
+        }
+    };
+    let alloc = build(false);
+    warm_up(alloc.as_ref());
 
     let started = Instant::now();
     let mut alloc_total = Duration::ZERO;
@@ -230,16 +243,25 @@ fn perf_cell(
     let mut failures = 0u64;
     let mut iters_done = 0u32;
     for it in 0..bench.iterations {
-        let r = malloc(alloc, bench.seed ^ (it as u64));
+        let r = malloc(alloc.as_ref(), bench.seed ^ (it as u64));
         failures += r.failures;
         alloc_total += r.elapsed;
-        let freed = round::free(alloc, &bench.device, &r);
+        let freed = round::free(alloc.as_ref(), &bench.device, &r);
         free_total = free_total.zip(freed).map(|(total, (t, _))| total + t);
         iters_done += 1;
         if started.elapsed() > bench.cell_timeout {
             break;
         }
     }
+    let timed_out = started.elapsed() > bench.cell_timeout;
+    drop(alloc);
+
+    let counted = build(true);
+    warm_up(counted.as_ref());
+    let before = counted.metrics().snapshot();
+    round::free(counted.as_ref(), &bench.device, &malloc(counted.as_ref(), bench.seed));
+    let counters = counted.metrics().snapshot().delta_since(&before);
+
     let n = iters_done.max(1);
     AllocPerfCell {
         manager: kind.label(),
@@ -248,7 +270,8 @@ fn perf_cell(
         alloc: alloc_total / n,
         free: free_total.map(|t| t / n),
         failures,
-        timed_out: started.elapsed() > bench.cell_timeout,
+        timed_out,
+        counters,
     }
 }
 
@@ -518,96 +541,6 @@ pub fn init_performance(bench: &Bench, kind: ManagerKind, heap_bytes: u64) -> In
     InitCell { manager: kind.label(), init, malloc_regs: regs.malloc, free_regs: regs.free }
 }
 
-/// One row of the contention report (`repro contention`): the
-/// counter activity of a `num`-thread alloc/free run, plus the wall-clock of
-/// the same run with metrics disabled so the observability overhead is
-/// visible next to the counters it buys.
-#[derive(Clone, Debug)]
-pub struct ContentionCell {
-    pub manager: &'static str,
-    pub num: u32,
-    pub size: u64,
-    /// Alloc + free wall-clock with metrics enabled.
-    pub observed: Duration,
-    /// Alloc + free wall-clock of an identical run with metrics disabled.
-    pub baseline: Duration,
-    pub failures: u64,
-    /// Aggregated counters of the observed run.
-    pub counters: CounterSnapshot,
-    /// Host-side dispatch overhead of the observed run's launches (summed
-    /// over the alloc and free phases) — the cost the pooled executor
-    /// keeps *out* of `observed`/`baseline`.
-    pub dispatch: Duration,
-    /// Workers that executed at least one warp in the alloc launch.
-    pub workers_used: usize,
-    /// Extra claim-counter trips across the observed launches (scheduler
-    /// rebalancing, see `SchedStats::steals`).
-    pub steals: u64,
-    /// Trace-ring events lost to drop-newest backpressure during the
-    /// observed run. Zero when no tracer is attached (the default); real
-    /// when one is — e.g. when the bench carries a watched run's telemetry
-    /// sink — and then a signal that percentile/occupancy views are
-    /// truncated.
-    pub dropped_events: u64,
-}
-
-impl ContentionCell {
-    /// Observed-over-baseline slowdown (1.0 = free observability).
-    pub fn overhead_factor(&self) -> f64 {
-        let base = self.baseline.as_secs_f64();
-        if base == 0.0 {
-            1.0
-        } else {
-            self.observed.as_secs_f64() / base
-        }
-    }
-}
-
-/// Profiles one manager's contention counters over a thread-based alloc/free
-/// run (warp-collective free for warp-level-only managers), then repeats the
-/// run with metrics disabled to price the observability layer.
-pub fn contention_profile(bench: &Bench, kind: ManagerKind, num: u32, size: u64) -> ContentionCell {
-    // One malloc and one free round on a private manager, so the manager's
-    // counter totals are exactly the two rounds' activity.
-    let run = |metrics_on: bool| -> ContentionCell {
-        let alloc =
-            bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(metrics_on).build();
-        let r = round::malloc_threads(alloc.as_ref(), &bench.device, num, |_| size);
-        let (free, free_sched) = round::free(alloc.as_ref(), &bench.device, &r).unwrap_or_default();
-        let m = alloc.metrics();
-        ContentionCell {
-            manager: kind.label(),
-            num,
-            size,
-            // This run's wall clock; the caller keeps the minimum of each
-            // side and fills `baseline` from the metrics-off runs.
-            observed: r.elapsed + free,
-            baseline: Duration::ZERO,
-            failures: r.failures,
-            counters: m.snapshot(),
-            dispatch: r.sched.dispatch + free_sched.dispatch,
-            workers_used: r.sched.workers_used(),
-            steals: r.sched.steals + free_sched.steals,
-            dropped_events: m.tracer().map_or(0, |rec| rec.dropped()),
-        }
-    };
-    // A discarded warmup absorbs cold-start effects (first touch of a fresh
-    // heap, worker spin-up); baseline and observed runs then alternate and
-    // the minimum of each side is reported, so the overhead column reflects
-    // the instrumentation, not scheduling noise.
-    let _ = run(false);
-    let mut observed = Duration::MAX;
-    let mut baseline = Duration::MAX;
-    let mut last = None;
-    for _ in 0..bench.iterations.max(2) {
-        baseline = baseline.min(run(false).observed);
-        let o = run(true);
-        observed = observed.min(o.observed);
-        last = Some(o);
-    }
-    ContentionCell { observed, baseline, ..last.expect("at least two iterations") }
-}
-
 /// Result of one manager's traced run (`repro trace`): the decoded event
 /// stream plus the three derived views.
 #[derive(Clone, Debug)]
@@ -666,36 +599,19 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
     TraceRun { manager: kind.label(), num, trace, latencies, occupancy, json, elapsed }
 }
 
-/// One row of the sanitizer sweep (`repro sanitize`): violation totals of a
+/// One manager's row of the `sanitize` scenario: violation totals of a
 /// churn + mixed-size run executed under [`Sanitized`].
 #[derive(Clone, Debug)]
 pub struct SanitizeCell {
-    pub manager: &'static str,
-    pub num: u32,
-    pub cycles: u32,
     /// Allocation failures across both phases (not violations — a manager
     /// may legitimately refuse).
     pub failures: u64,
     /// Per-kind violation totals, indexed like
     /// [`gpumem_core::sanitize::ALL_VIOLATION_KINDS`].
     pub counts: [u64; VIOLATION_KINDS],
-    /// Violations counted beyond the recording cap.
-    pub dropped: u64,
     /// Shadow-map allocations still live after the final free phase (> 0
     /// for managers without free support, or when frees failed).
     pub live_after: u64,
-}
-
-impl SanitizeCell {
-    /// Total violations across all kinds.
-    pub fn total_violations(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Whether the run was violation-free.
-    pub fn is_clean(&self) -> bool {
-        self.total_violations() == 0
-    }
 }
 
 /// Runs the churn workload plus a mixed-size alloc/free phase on `kind`
@@ -720,15 +636,7 @@ pub fn sanitize_run(bench: &Bench, kind: ManagerKind, num: u32, cycles: u32) -> 
     round::free(&san, &bench.device, &r);
 
     let report = san.take_report();
-    SanitizeCell {
-        manager: kind.label(),
-        num,
-        cycles,
-        failures,
-        counts: report.counts,
-        dropped: report.dropped,
-        live_after: report.live,
-    }
+    SanitizeCell { failures, counts: report.counts, live_after: report.live }
 }
 
 /// Sanity helper shared by tests and the quickstart example: allocate,
@@ -835,19 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn contention_profile_counts_both_rounds() {
-        let b = bench();
-        let scatter = contention_profile(&b, ManagerKind::ScatterAlloc, 512, 16);
-        assert_eq!(scatter.counters.malloc_calls(), 512);
-        assert_eq!(scatter.counters.free_calls(), 512);
-        let atomic = contention_profile(&b, ManagerKind::Atomic, 512, 16);
-        assert_eq!((atomic.counters.malloc_calls(), atomic.counters.free_calls()), (512, 0));
-        for c in [scatter, atomic] {
-            assert!(c.observed > Duration::ZERO && c.baseline > Duration::ZERO, "{}", c.manager);
-        }
-    }
-
-    #[test]
     fn oom_utilization_in_unit_range() {
         let b = bench();
         for kind in [ManagerKind::OuroSP, ManagerKind::ScatterAlloc, ManagerKind::Halloc] {
@@ -916,8 +811,7 @@ mod tests {
             ManagerKind::Atomic,
         ] {
             let cell = sanitize_run(&b, kind, 1024, 2);
-            assert!(cell.is_clean(), "{}: violations {:?}", kind.label(), cell.counts);
-            assert_eq!(cell.dropped, 0, "{}", kind.label());
+            assert_eq!(cell.counts, [0; VIOLATION_KINDS], "{}: violations", kind.label());
             assert_eq!(cell.failures, 0, "{}", kind.label());
             // Every free-capable family must end with an empty shadow map:
             // parked frees count as freed from the sanitizer's view.

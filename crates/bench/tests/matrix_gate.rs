@@ -86,12 +86,13 @@ fn matrix_output_deterministic_under_fixed_seed() {
 }
 
 /// The scenarios whose values come from models (fragmentation, OOM
-/// utilization, write coalescing) reproduce bit for bit at a reduced tier,
-/// so every one of their metrics is gated exactly.
+/// utilization, write coalescing) or from the sanitizer's shadow heap
+/// reproduce bit for bit at a reduced tier, so every one of their metrics is
+/// gated exactly.
 #[test]
 fn gated_scenarios_reproduce_bit_for_bit() {
     let cfg = MatrixCfg::new(Tier::Tiny);
-    for name in ["frag", "oom", "coalescing"] {
+    for name in ["frag", "oom", "coalescing", "sanitize"] {
         let spec = scenario(name).unwrap();
         let a = run_scenario(&cfg, spec).unwrap();
         let b = run_scenario(&cfg, spec).unwrap();

@@ -22,10 +22,9 @@
 //!   [`CounterSnapshot::delta_since`] turns two readings, taken before and
 //!   after a kernel, into that kernel's attribution.
 //!
-//! Per-operation retry counts additionally feed a power-of-two histogram
-//! ([`CounterSnapshot::retry_hist`]): bucket 0 counts operations that
-//! succeeded without any retry, bucket *k* ≥ 1 counts operations whose
-//! retry count fell in `[2^(k-1), 2^k)`.
+//! Per-operation retry counts are not kept here: [`Metrics::record_retries`]
+//! hands them to an attached trace recorder, which stamps them on the
+//! operation's event.
 
 use crate::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -121,23 +120,16 @@ impl Counter {
     }
 }
 
-/// Buckets of the per-operation retry histogram.
-pub const RETRY_BUCKETS: usize = 16;
-
 /// One cache-line-padded counter shard. 128 B alignment covers the spatial
 /// prefetcher pair-line granularity on current x86 parts.
 #[repr(align(128))]
 struct Shard {
     counters: [AtomicU64; NUM_COUNTERS],
-    retry_hist: [AtomicU64; RETRY_BUCKETS],
 }
 
 impl Shard {
     fn new() -> Self {
-        Shard {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            retry_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Shard { counters: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 }
 
@@ -168,21 +160,12 @@ impl AllocCounters {
         self.shard(sm).counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn record_retries(&self, sm: u32, retries: u64) {
-        let bucket = (63 - retries.leading_zeros() as usize).min(RETRY_BUCKETS - 1);
-        self.shard(sm).retry_hist[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Aggregates every shard into one reading.
     pub fn snapshot(&self) -> CounterSnapshot {
         let mut snap = CounterSnapshot::default();
         for shard in self.shards.iter() {
             for (i, c) in shard.counters.iter().enumerate() {
                 snap.counters[i] += c.load(Ordering::Relaxed);
-            }
-            for (i, b) in shard.retry_hist.iter().enumerate() {
-                snap.retry_hist[i] += b.load(Ordering::Relaxed);
             }
         }
         snap
@@ -283,23 +266,15 @@ impl Metrics {
         self.add(sm, counter, 1);
     }
 
-    /// Records one operation's retry count into the histogram (and, when
-    /// non-zero, into [`Counter::CasRetries`] via the caller — this method
-    /// only feeds the histogram). Zero-retry operations are not sampled:
-    /// they are the overwhelmingly common case, and their count is
-    /// derivable as `malloc_calls − Σ buckets`.
+    /// Hands one operation's retry count to the current thread's in-flight
+    /// traced operation, so the `Traced` wrapper can stamp its
+    /// `MallocEnd`/`FreeEnd` event with the retries the inner call burned.
+    /// Does nothing without an attached tracer or for a zero count; the
+    /// retries themselves are counted by the caller ([`Counter::CasRetries`]
+    /// and friends).
     #[inline]
-    pub fn record_retries(&self, sm: u32, retries: u64) {
-        if retries == 0 {
-            return;
-        }
-        if let Some(c) = &self.inner {
-            c.record_retries(sm, retries);
-        }
-        // Feed the current thread's in-flight traced operation, so the
-        // `Traced` wrapper can stamp MallocEnd/FreeEnd events with the
-        // retries its inner call burned.
-        if self.tracer.is_some() {
+    pub fn record_retries(&self, retries: u64) {
+        if retries != 0 && self.tracer.is_some() {
             crate::trace::note_op_retries(retries);
         }
     }
@@ -326,10 +301,6 @@ impl std::fmt::Debug for Metrics {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     counters: [u64; NUM_COUNTERS],
-    /// Per-operation retry histogram over *retrying* operations: bucket `k`
-    /// = retry count in `[2^k, 2^(k+1))`, last bucket clamped. Zero-retry
-    /// operations are not sampled (derive them as `malloc_calls − Σ`).
-    pub retry_hist: [u64; RETRY_BUCKETS],
 }
 
 impl CounterSnapshot {
@@ -419,9 +390,6 @@ impl CounterSnapshot {
         for i in 0..NUM_COUNTERS {
             out.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
         }
-        for i in 0..RETRY_BUCKETS {
-            out.retry_hist[i] = self.retry_hist[i].saturating_sub(earlier.retry_hist[i]);
-        }
         out
     }
 
@@ -433,22 +401,18 @@ impl CounterSnapshot {
         for i in 0..NUM_COUNTERS {
             out.counters[i] = self.counters[i].saturating_add(other.counters[i]);
         }
-        for i in 0..RETRY_BUCKETS {
-            out.retry_hist[i] = self.retry_hist[i].saturating_add(other.retry_hist[i]);
-        }
         out
     }
 
-    /// Whether every counter and histogram bucket is zero.
+    /// Whether every counter is zero.
     pub fn is_zero(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0) && self.retry_hist.iter().all(|&b| b == 0)
+        self.counters.iter().all(|&c| c == 0)
     }
 
     /// True when no counter of `self` is below its value in `earlier` —
     /// the monotonicity law two snapshots of one handle must satisfy.
     pub fn dominates(&self, earlier: &CounterSnapshot) -> bool {
         self.counters.iter().zip(earlier.counters.iter()).all(|(a, b)| a >= b)
-            && self.retry_hist.iter().zip(earlier.retry_hist.iter()).all(|(a, b)| a >= b)
     }
 }
 
@@ -461,7 +425,7 @@ mod tests {
         let m = Metrics::disabled();
         m.tick(0, Counter::CasRetries);
         m.add(3, Counter::ProbeSteps, 100);
-        m.record_retries(1, 5);
+        m.record_retries(5);
         assert!(!m.is_enabled());
         assert!(m.snapshot().is_zero());
     }
@@ -485,24 +449,6 @@ mod tests {
         let clone = m.clone();
         clone.tick(0, Counter::OomFallbacks);
         assert_eq!(m.snapshot().oom_fallbacks(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let m = Metrics::enabled(1);
-        m.record_retries(0, 0); // not sampled
-        m.record_retries(0, 1); // bucket 0
-        m.record_retries(0, 2); // bucket 1
-        m.record_retries(0, 3); // bucket 1
-        m.record_retries(0, 4); // bucket 2
-        m.record_retries(0, u64::MAX); // clamped to last bucket
-        let h = m.snapshot().retry_hist;
-        assert_eq!(h[0], 1);
-        assert_eq!(h[1], 2);
-        assert_eq!(h[2], 1);
-        assert_eq!(h[3], 0);
-        assert_eq!(h[RETRY_BUCKETS - 1], 1);
-        assert_eq!(h.iter().sum::<u64>(), 5);
     }
 
     #[test]
@@ -552,6 +498,11 @@ mod tests {
         assert_eq!(s.malloc_calls(), 0);
         assert_eq!(s.probe_steps(), 1);
         assert!(inner.is_enabled());
+    }
+
+    #[test]
+    fn a_shard_is_one_128_byte_line_pair() {
+        assert_eq!(std::mem::size_of::<Shard>(), 128);
     }
 
     #[test]

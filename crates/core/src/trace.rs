@@ -1669,8 +1669,8 @@ mod tests {
         fn heap(&self) -> &DeviceHeap {
             &self.heap
         }
-        fn malloc(&self, ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.record_retries(ctx.sm, 3);
+        fn malloc(&self, _ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
+            self.m.record_retries(3);
             Ok(DevicePtr::new(0))
         }
         fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
@@ -1697,7 +1697,7 @@ mod tests {
             &self.inner
         }
         fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.record_retries(ctx.sm, 2);
+            self.m.record_retries(2);
             self.inner.malloc(ctx, size)
         }
         fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {

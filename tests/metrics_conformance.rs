@@ -9,8 +9,12 @@
 //!    all-zero snapshot no matter what runs on it.
 //! 3. **Monotone snapshots** — concurrent launches never make any counter
 //!    go backwards between two readings of the same handle.
+//! 4. **Reproducible perf-cell counts** — the counted round behind every
+//!    perf cell's contention metrics gives the same delta twice on the
+//!    inline device, and that delta is one round's calls.
 
 use gpumemsurvey::bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
+use gpumemsurvey::bench::runners::{alloc_perf, Bench};
 use gpumemsurvey::gpu_workloads::round;
 use gpumemsurvey::prelude::*;
 
@@ -132,5 +136,33 @@ fn structural_counters_fire_for_their_families() {
         round::free(ouro.as_ref(), &d, &r);
         let s = ouro.metrics().snapshot();
         assert!(s.queue_spins() > 0, "{kind}: queue activity must register");
+    }
+}
+
+#[test]
+fn perf_cell_counted_round_reproduces_one_round_of_calls() {
+    use ManagerKind::{Atomic, Halloc, ScatterAlloc, XMalloc};
+    const THREADS: u64 = 512;
+    for cached in [false, true] {
+        // The matrix's tiny/smoke context: inline device, cached cells warmed.
+        let mut bench = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 1));
+        bench.iterations = 1;
+        bench.cached = cached;
+        bench.warmup = u32::from(cached);
+        for kind in [Atomic, ScatterAlloc, XMalloc, Halloc] {
+            let cell = |_| alloc_perf(&bench, kind, THREADS as u32, 16, false).counters;
+            let (a, b) = (cell(0), cell(1));
+            assert_eq!(a, b, "{kind} (cached: {cached}): the counted round must reproduce");
+            // A magazine hit is served without a manager call.
+            assert_eq!(a.malloc_calls() + a.magazine_hits(), THREADS, "{kind} (cached: {cached})");
+            assert_eq!(a.malloc_failures(), 0, "{kind} (cached: {cached})");
+            // A parked free is not counted either, so the free side is exact
+            // only without magazines, and for Atomic, which has no free and
+            // which the cache passes through.
+            if !cached || kind == Atomic {
+                let frees = if kind == Atomic { 0 } else { THREADS };
+                assert_eq!(a.free_calls(), frees, "{kind} (cached: {cached})");
+            }
+        }
     }
 }

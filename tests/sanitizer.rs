@@ -10,7 +10,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gpumemsurvey::bench::registry::DEFAULT_KINDS;
+use gpumemsurvey::bench::matrix::{run_scenario, scenario, MatrixCfg, Tier};
+use gpumemsurvey::bench::registry::{ALL_KINDS, DEFAULT_KINDS};
+use gpumemsurvey::core::sanitize::ALL_VIOLATION_KINDS;
 use gpumemsurvey::core::sanitize::{Sanitized, SanitizerConfig, ViolationKind};
 use gpumemsurvey::core::util::align_up;
 use gpumemsurvey::core::RegisterFootprint;
@@ -215,5 +217,27 @@ fn two_workers_sharing_sm_shards_are_clean_under_sanitized_cached_churn() {
         let parked = san.drain();
         assert!((1..=256 * 80).contains(&parked), "{}: drained {parked}", kind.label());
         assert_eq!(san.drain(), 0, "{}: magazines must drain to zero", kind.label());
+    }
+}
+
+/// The gated `sanitize` scenario at the tiny tier: churn and mixed sizes,
+/// including the mixed-size phase, leave no violation in any of the 16
+/// kinds, and every kind that can free ends with nothing live.
+#[test]
+fn sanitize_scenario_is_clean_for_every_kind() {
+    let anchor = run_scenario(&MatrixCfg::new(Tier::Tiny), scenario("sanitize").unwrap()).unwrap();
+    let value = |key: String| anchor.metric(&key).unwrap_or_else(|| panic!("no {key}")).value;
+    for kind in ALL_KINDS {
+        let k = kind.label();
+        for v in ALL_VIOLATION_KINDS {
+            assert_eq!(value(format!("{k}/{}", v.name())), 0.0, "{k}: {v}");
+        }
+        // Atomic is the one kind without any free.
+        let live = value(format!("{k}/live_after"));
+        if kind == ManagerKind::Atomic {
+            assert!(live > 0.0, "{k}: a bump allocator keeps everything live");
+        } else {
+            assert_eq!(live, 0.0, "{k}: frees must drain");
+        }
     }
 }

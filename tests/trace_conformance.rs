@@ -132,7 +132,7 @@ fn disabled_tracing_adds_no_measurable_record_cost() {
             let t = Instant::now();
             for i in 0..OPS {
                 m.add(i % 8, Counter::CasRetries, 1);
-                m.record_retries(i % 8, 1);
+                m.record_retries(1);
             }
             best = best.min(t.elapsed());
         }
@@ -169,14 +169,14 @@ impl DeviceAllocator for Scripted {
         &self.heap
     }
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.m.record_retries(ctx.sm, 2);
+        self.m.record_retries(2);
         if size > 64 {
             return Err(AllocError::UnsupportedSize(size));
         }
         Ok(DevicePtr::new(u64::from(ctx.thread_id) * 64))
     }
-    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.m.record_retries(ctx.sm, 1);
+    fn free(&self, _ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+        self.m.record_retries(1);
         if !ptr.raw().is_multiple_of(64) {
             return Err(AllocError::InvalidPointer);
         }
