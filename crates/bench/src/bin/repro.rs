@@ -15,12 +15,12 @@
 //! Per-manager contention counters and sanitizer violations are anchor
 //! metrics: every `perf_*`/`mixed*` cell and the `sanitize` scenario.
 //!
-//! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax,
-//! optional `@mmap` backend suffix), `--device titanv|2080ti`, `--out DIR`,
-//! `--heap-backend ram|mmap`, `--heap-mb MB`, `--seed HEX`. `--num`,
-//! `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and `watch`
-//! take their counts, iterations and per-cell timeouts from the tier and
-//! refuse `--cached`. `table1`, `trace` and `audit` print each table they
+//! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax),
+//! `--device titanv|2080ti`, `--out DIR`, `--heap-backend ram|mmap`
+//! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
+//! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and
+//! `watch` take their counts, iterations and per-cell timeouts from the tier
+//! and refuse `--cached`. `table1`, `trace` and `audit` print each table they
 //! save as CSV, with the same columns.
 
 use std::path::{Path, PathBuf};
@@ -30,7 +30,7 @@ use gpumem_bench::anchor::Anchor;
 use gpumem_bench::csv::Csv;
 use gpumem_bench::gate;
 use gpumem_bench::matrix::{self, MatrixCfg, Tier};
-use gpumem_bench::registry::{ManagerKind, ManagerSelection, ALL_KINDS, DEFAULT_KINDS};
+use gpumem_bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use gpumem_bench::runners::{self, Bench};
 use gpumem_bench::watch;
 use gpumem_core::info::SURVEY_TABLE;
@@ -45,14 +45,12 @@ struct Opts {
     num: u32,
     manager: Option<String>,
     trace_cap: usize,
-    /// `None` until `--heap-backend` (or a `-t …@backend` suffix) picks one;
-    /// resolved against `GMS_HEAP_BACKEND` / the RAM default at use.
-    heap_backend: Option<HeapBackendKind>,
+    /// `--heap-backend`; `GMS_HEAP_BACKEND`, else RAM, when not given.
+    heap_backend: HeapBackendKind,
     /// `--heap-mb`: pins every cell's heap to this size instead of the
     /// demand-derived `heap_for` sizing.
     heap_mb: Option<u64>,
-    /// `--cached` (or a `-t …+cached` suffix): wrap every manager in the
-    /// `Cached` magazine decorator.
+    /// `--cached`: wrap every manager in the `Cached` magazine decorator.
     cached: bool,
     out: PathBuf,
     /// `matrix`/`gate`/`watch` tier: `--smoke` or `--tier tiny|smoke|full`
@@ -76,7 +74,7 @@ impl Default for Opts {
             num: 10_000,
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
-            heap_backend: None,
+            heap_backend: HeapBackendKind::env_default(),
             heap_mb: None,
             cached: false,
             out: PathBuf::from("results"),
@@ -85,14 +83,6 @@ impl Default for Opts {
             anchors: PathBuf::from("."),
             scenarios: Vec::new(),
         }
-    }
-}
-
-impl Opts {
-    /// The backend every runner uses: explicit flag/selector suffix first,
-    /// then the `GMS_HEAP_BACKEND` environment default (normally RAM).
-    fn backend(&self) -> HeapBackendKind {
-        self.heap_backend.unwrap_or_else(HeapBackendKind::env_default)
     }
 }
 
@@ -108,19 +98,7 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
         let flag = args[i].clone();
         i += 1;
         match flag.as_str() {
-            "-t" => {
-                let raw = next(&mut i)?;
-                let sel: ManagerSelection = raw.parse()?;
-                opts.kinds = sel.kinds;
-                // `o+s@mmap` picks a backend inline; a plain selector leaves
-                // any `--heap-backend` choice untouched.
-                if raw.contains('@') {
-                    opts.heap_backend = Some(sel.backend);
-                }
-                if sel.cached {
-                    opts.cached = true;
-                }
-            }
+            "-t" => opts.kinds = ManagerKind::parse_selector(&next(&mut i)?)?,
             "--device" => {
                 let name = next(&mut i)?;
                 opts.device =
@@ -129,7 +107,7 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             "--num" => opts.num = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "-m" | "--manager" => opts.manager = Some(next(&mut i)?),
             "--trace-cap" => opts.trace_cap = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--heap-backend" => opts.heap_backend = Some(next(&mut i)?.parse()?),
+            "--heap-backend" => opts.heap_backend = next(&mut i)?.parse()?,
             "--heap-mb" => opts.heap_mb = Some(next(&mut i)?.parse().map_err(|e| format!("{e}"))?),
             "--cached" => opts.cached = true,
             "--out" => opts.out = PathBuf::from(next(&mut i)?),
@@ -154,8 +132,7 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     }
     // `matrix`, `gate` and `watch` run the cached twins as scenarios, so
     // anchors of one tier always compare; a flag that cannot take effect is
-    // an error, not a no-op. After the loop: a `-t …+cached` selector sets it
-    // as well as `--cached`.
+    // an error, not a no-op.
     if opts.cached && matches!(cmd.as_str(), "matrix" | "gate" | "watch") {
         return Err(format!(
             "--cached does not apply to `{cmd}`: the cached twins \
@@ -172,7 +149,7 @@ fn usage() -> String {
       on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
       scenario under the telemetry sampler and writes\n\
       telemetry_<scenario>.{json,csv} into --out)\n\
-     options: -t SELECTOR[@ram|mmap][+cached] -m MANAGER --device D --out DIR\n\
+     options: -t SELECTOR -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
      trace: --num N --cached --trace-cap EVENTS_PER_SM\n\
      matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
@@ -184,7 +161,7 @@ fn usage() -> String {
 fn bench_of(opts: &Opts) -> Bench {
     let mut b = Bench::new(Device::new(opts.device));
     b.seed = opts.seed;
-    b.heap_backend = opts.backend();
+    b.heap_backend = opts.heap_backend;
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
     b.cached = opts.cached;
     b
@@ -265,7 +242,7 @@ fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
     cfg.seed = opts.seed;
-    cfg.heap_backend = opts.backend();
+    cfg.heap_backend = opts.heap_backend;
     cfg.heap_override = opts.heap_mb.map(|mb| mb << 20);
     cfg.kinds = selected_kinds(opts);
     cfg
@@ -575,7 +552,7 @@ fn trace(opts: &Opts) {
 /// header; `scripts/summarize_results.py` skips it.
 fn provenance(opts: &Opts) -> String {
     let git = gpumem_bench::git_rev();
-    let backend = opts.backend();
+    let backend = opts.heap_backend;
     format!(
         "git={git} device={} workers={} gms_workers={} heap_backend={backend} pretouch={} \
          heap_mb={} seed={:#x} schema=1",

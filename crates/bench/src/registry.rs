@@ -2,12 +2,12 @@
 //!
 //! Mirrors the artifact's selection syntax: each approach is picked by the
 //! first letter of its name and chained with `+` (`-t o+s+h+c+r+x`,
-//! Appendix A.6) — see [`ManagerSelection`]. Every kind constructs through
-//! one [`ManagerBuilder`], so any test case can run against any manager,
-//! with or without the contention-observability layer attached.
+//! Appendix A.6) — see [`ManagerKind::parse_selector`]. Every kind
+//! constructs through one [`ManagerBuilder`], so any test case can run
+//! against any manager, with or without the contention-observability layer
+//! attached.
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use alloc_atomic::AtomicAlloc;
@@ -110,20 +110,6 @@ impl ManagerKind {
         }
     }
 
-    /// The Appendix A.6 selector letter this kind answers to.
-    pub fn selector_letter(&self) -> char {
-        match self {
-            OuroSP | OuroSC | OuroVAP | OuroVAC | OuroVLP | OuroVLC => 'o',
-            ScatterAlloc => 's',
-            Halloc => 'h',
-            CudaAllocator => 'c',
-            RegEffC | RegEffCF | RegEffCM | RegEffCFM => 'r',
-            XMalloc => 'x',
-            FDGMalloc => 'f',
-            Atomic => 'a',
-        }
-    }
-
     /// Starts a [`ManagerBuilder`] for this kind. This is the *single*
     /// construction path of the framework (the former `create`/`create_on`
     /// shims are gone); defaults are a fresh 64 MiB heap on the
@@ -144,9 +130,35 @@ impl ManagerKind {
     /// Parses the artifact's selector syntax: letters chained with `+`
     /// (`o` Ouroboros, `s` ScatterAlloc, `h` Halloc, `c` CUDA-Allocator,
     /// `r` Reg-Eff, `x` XMalloc, `f` FDGMalloc, `a` Atomic baseline),
-    /// optionally suffixed with a heap backend (`o+s@mmap`).
+    /// case-insensitive; `o` expands to all six Ouroboros variants and `r`
+    /// to all four Reg-Eff variants. A selector names managers only: the
+    /// heap backend is `--heap-backend`/`GMS_HEAP_BACKEND` and the magazine
+    /// cache `--cached`, so an `@` suffix is an error that says so.
     pub fn parse_selector(s: &str) -> Result<Vec<ManagerKind>, String> {
-        s.parse::<ManagerSelection>().map(|sel| sel.kinds)
+        if s.contains('@') {
+            return Err(format!(
+                "selector {s:?} takes no `@` suffix: pick the heap backend (ram or mmap) \
+                 with --heap-backend or GMS_HEAP_BACKEND, and the magazine cache with --cached"
+            ));
+        }
+        if s.trim().is_empty() {
+            return Err("empty approach selector".to_string());
+        }
+        let mut kinds = Vec::new();
+        for part in s.split('+') {
+            match part.trim().to_ascii_lowercase().as_str() {
+                "o" => kinds.extend([OuroSP, OuroSC, OuroVAP, OuroVAC, OuroVLP, OuroVLC]),
+                "s" => kinds.push(ScatterAlloc),
+                "h" => kinds.push(Halloc),
+                "c" => kinds.push(CudaAllocator),
+                "r" => kinds.extend([RegEffC, RegEffCF, RegEffCM, RegEffCFM]),
+                "x" => kinds.push(XMalloc),
+                "f" => kinds.push(FDGMalloc),
+                "a" => kinds.push(Atomic),
+                other => return Err(format!("unknown approach selector: {other:?}")),
+            }
+        }
+        Ok(kinds)
     }
 }
 
@@ -384,114 +396,6 @@ fn construct(
     }
 }
 
-/// An ordered set of manager kinds selected with the artifact's Appendix A.6
-/// syntax (`o+s+h+c+r+x`), optionally qualified with an `@` suffix of
-/// `+`-chained modifiers: a heap backend (`o+s@mmap`) and/or the `cached`
-/// magazine decorator (`o+s@cached`, `o+s@mmap+cached`). Parsing expands
-/// family letters (`o` → all six Ouroboros variants, `r` → all four
-/// Reg-Eff variants); displaying compresses back to family letters,
-/// deduplicated in first-appearance order, and appends modifiers only when
-/// they differ from the defaults. Selections produced by [`FromStr`]
-/// round-trip through [`Display`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ManagerSelection {
-    /// The selected kinds, in selection order.
-    pub kinds: Vec<ManagerKind>,
-    /// The heap backend every selected manager is built over.
-    pub backend: HeapBackendKind,
-    /// Whether every selected manager is wrapped in the [`Cached`]
-    /// magazine decorator.
-    pub cached: bool,
-}
-
-impl ManagerSelection {
-    /// The paper's default evaluation set over the default backend.
-    pub fn default_set() -> Self {
-        ManagerSelection {
-            kinds: DEFAULT_KINDS.to_vec(),
-            backend: HeapBackendKind::default(),
-            cached: false,
-        }
-    }
-
-    /// The selected kinds, in selection order.
-    pub fn kinds(&self) -> &[ManagerKind] {
-        &self.kinds
-    }
-}
-
-impl FromStr for ManagerSelection {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (selector, backend, cached) = match s.split_once('@') {
-            Some((sel, suffix)) => {
-                let mut backend = None;
-                let mut cached = false;
-                for token in suffix.split('+') {
-                    let token = token.trim();
-                    if token.eq_ignore_ascii_case("cached") {
-                        cached = true;
-                    } else if backend.is_none() {
-                        backend = Some(token.parse::<HeapBackendKind>()?);
-                    } else {
-                        return Err(format!("duplicate heap backend in selector: {token:?}"));
-                    }
-                }
-                (sel, backend.unwrap_or_default(), cached)
-            }
-            None => (s, HeapBackendKind::default(), false),
-        };
-        if selector.trim().is_empty() {
-            return Err("empty approach selector".to_string());
-        }
-        let mut kinds = Vec::new();
-        for part in selector.split('+') {
-            match part.trim().to_ascii_lowercase().as_str() {
-                "o" => kinds.extend([OuroSP, OuroSC, OuroVAP, OuroVAC, OuroVLP, OuroVLC]),
-                "s" => kinds.push(ScatterAlloc),
-                "h" => kinds.push(Halloc),
-                "c" => kinds.push(CudaAllocator),
-                "r" => kinds.extend([RegEffC, RegEffCF, RegEffCM, RegEffCFM]),
-                "x" => kinds.push(XMalloc),
-                "f" => kinds.push(FDGMalloc),
-                "a" => kinds.push(Atomic),
-                other => return Err(format!("unknown approach selector: {other:?}")),
-            }
-        }
-        Ok(ManagerSelection { kinds, backend, cached })
-    }
-}
-
-impl fmt::Display for ManagerSelection {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut letters = Vec::new();
-        for kind in &self.kinds {
-            let c = kind.selector_letter();
-            if !letters.contains(&c) {
-                letters.push(c);
-            }
-        }
-        for (i, c) in letters.iter().enumerate() {
-            if i > 0 {
-                f.write_str("+")?;
-            }
-            write!(f, "{c}")?;
-        }
-        let mut modifiers = Vec::new();
-        if self.backend != HeapBackendKind::default() {
-            modifiers.push(self.backend.to_string());
-        }
-        if self.cached {
-            modifiers.push("cached".to_string());
-        }
-        if !modifiers.is_empty() {
-            write!(f, "@{}", modifiers.join("+"))?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,46 +483,28 @@ mod tests {
     }
 
     #[test]
-    fn selection_round_trips_through_display() {
-        for s in ["o+s+h+c+r+x", "f+a", "s", "o", "x+c", "o+s@mmap", "f@mmap", "r+x@mmap"] {
-            let sel: ManagerSelection = s.parse().unwrap();
-            assert_eq!(sel.to_string(), s, "display of {s:?}");
-            let again: ManagerSelection = sel.to_string().parse().unwrap();
-            assert_eq!(again, sel, "round-trip of {s:?}");
+    fn selector_refuses_backend_and_cached_suffixes() {
+        let e = ManagerKind::parse_selector("s@mmap").unwrap_err();
+        assert!(e.contains("--heap-backend") && e.contains("GMS_HEAP_BACKEND"), "{e}");
+        let e = ManagerKind::parse_selector("s@cached").unwrap_err();
+        assert!(e.contains("--cached"), "{e}");
+        for s in ["o+s@ram", "s@mmap+cached", "@mmap"] {
+            assert!(ManagerKind::parse_selector(s).is_err(), "{s}");
         }
     }
 
     #[test]
-    fn selection_backend_suffix_parses() {
-        let sel: ManagerSelection = "o+s@mmap".parse().unwrap();
-        assert_eq!(sel.backend, HeapBackendKind::Mmap);
-        assert_eq!(sel.kinds.len(), 7);
-        // No suffix → RAM default, and Display omits it.
-        let plain: ManagerSelection = "o+s".parse().unwrap();
-        assert_eq!(plain.backend, HeapBackendKind::Ram);
-        assert_eq!(plain.to_string(), "o+s");
-        // Whitespace-tolerant around the suffix too.
-        let sel: ManagerSelection = " f @ ram ".parse().unwrap();
-        assert_eq!(sel.backend, HeapBackendKind::Ram);
-    }
-
-    #[test]
-    fn selection_rejects_bad_input() {
-        assert!("".parse::<ManagerSelection>().is_err());
-        assert!("  ".parse::<ManagerSelection>().is_err());
-        assert!("o+q".parse::<ManagerSelection>().is_err());
-        assert!("os".parse::<ManagerSelection>().is_err());
-        assert!("o++s".parse::<ManagerSelection>().is_err());
-        assert!("o+s@disk".parse::<ManagerSelection>().is_err());
+    fn selector_rejects_bad_input() {
+        for s in ["", "  ", "o+q", "os", "o++s", "o+s@disk"] {
+            assert!(ManagerKind::parse_selector(s).is_err(), "{s:?}");
+        }
         // A retired backend is an error naming what is left, not an alias.
         for s in ["f@numa", "o@numa+cached"] {
-            let e = s.parse::<ManagerSelection>().unwrap_err();
+            let e = ManagerKind::parse_selector(s).unwrap_err();
             assert!(e.contains("numa") && e.contains("ram or mmap"), "{s}: {e}");
         }
-        assert!("@mmap".parse::<ManagerSelection>().is_err());
         // Case-insensitive and whitespace-tolerant on valid letters.
-        let sel: ManagerSelection = " O + S ".parse().unwrap();
-        assert_eq!(sel.to_string(), "o+s");
+        assert_eq!(ManagerKind::parse_selector(" A + S ").unwrap(), vec![Atomic, ScatterAlloc]);
     }
 
     #[test]
@@ -732,24 +618,6 @@ mod tests {
                 assert_eq!(a.drain(), 0, "{stack}");
             }
         }
-    }
-
-    #[test]
-    fn selection_cached_modifier_parses_and_round_trips() {
-        for s in ["o+s@cached", "s@mmap+cached", "f+a@cached", "o@mmap+cached"] {
-            let sel: ManagerSelection = s.parse().unwrap();
-            assert!(sel.cached, "{s}");
-            assert_eq!(sel.to_string(), s, "display of {s:?}");
-        }
-        let sel: ManagerSelection = "s@CACHED".parse().unwrap();
-        assert!(sel.cached);
-        let plain: ManagerSelection = "o+s".parse().unwrap();
-        assert!(!plain.cached);
-        // Backend order is canonicalized backend-first on display.
-        let sel: ManagerSelection = "s@cached+mmap".parse().unwrap();
-        assert_eq!(sel.backend, HeapBackendKind::Mmap);
-        assert_eq!(sel.to_string(), "s@mmap+cached");
-        assert!("s@mmap+ram".parse::<ManagerSelection>().is_err(), "two backends");
     }
 
     #[test]

@@ -3,13 +3,9 @@
 //! The paper instantiates every manager over the full 8 GiB device heap of a
 //! TITAN V. Committing 8 GiB of RAM per benchmark cell is not something most
 //! hosts can do, and scaled-down heaps bias any experiment that sweeps heap
-//! size. This module isolates the memory substrate behind the
-//! [`HeapBackend`] trait (the same move the SYCL Ouroboros port makes to run
-//! one allocator across CPU/GPU backends) so [`crate::DeviceHeap`] stays a
-//! thin offset-addressed view while the backing storage scales. Both
-//! backends are one primitive, `Map` — an anonymous private mapping the
-//! kernel hands over zeroed, which is also where the trace ring lives — and
-//! one type, [`MappedBackend`]:
+//! size. So a [`crate::DeviceHeap`] is one `Map` — an anonymous private
+//! mapping the kernel hands over zeroed, which is also where the trace ring
+//! lives — in one of two forms, named by [`HeapBackendKind`]:
 //!
 //! * `ram` — sized to fit memory, so it asks for transparent huge pages
 //!   (`MADV_HUGEPAGE`) and is committed in full up front. Default.
@@ -25,15 +21,15 @@
 //! kernel that takes the first-touch page faults *inside* its timed region
 //! would charge the allocator under test for the host OS's lazy commit —
 //! biasing results against designs that scatter allocations across the heap
-//! (scattering is free on a real device). Every backend therefore carries an
+//! (scattering is free on a real device). Every heap therefore carries an
 //! explicit [`Pretouch`] policy, and the resolved policy is recorded in
-//! [`HeapBackend::describe`] so CSV provenance can expose it. `Full` is one
-//! `madvise(MADV_POPULATE_WRITE)`: the kernel commits the range without a
-//! fault per page. The mmap default (`Lazy`) is the one deliberate
+//! [`crate::DeviceHeap::describe`] so CSV provenance can expose it. `Full`
+//! is one `madvise(MADV_POPULATE_WRITE)`: the kernel commits the range
+//! without a fault per page. The mmap default (`Lazy`) is the one deliberate
 //! exception: it is what makes over-RAM-size reservations possible at all,
 //! and timing-sensitive runs at such sizes should either warm the heap first
-//! ([`HeapBackend::commit`]) or accept the documented first-touch cost.
-//! DESIGN.md §11 spells this out.
+//! ([`crate::DeviceHeap::commit`]) or accept the documented first-touch
+//! cost. DESIGN.md §11 spells this out.
 //!
 //! # Selection
 //!
@@ -104,7 +100,7 @@ impl FromStr for HeapBackendKind {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "ram" | "malloc" => Ok(HeapBackendKind::Ram),
+            "ram" => Ok(HeapBackendKind::Ram),
             "mmap" => Ok(HeapBackendKind::Mmap),
             other => Err(format!("unknown heap backend: {other:?} (expected ram or mmap)")),
         }
@@ -148,21 +144,6 @@ impl Pretouch {
 impl fmt::Display for Pretouch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for Pretouch {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Ok(Pretouch::Auto),
-            "full" => Ok(Pretouch::Full),
-            "lazy" | "none" => Ok(Pretouch::Lazy),
-            other => {
-                Err(format!("unknown pretouch policy: {other:?} (expected auto, full or lazy)"))
-            }
-        }
     }
 }
 
@@ -256,49 +237,13 @@ impl fmt::Display for HeapError {
 
 impl std::error::Error for HeapError {}
 
-/// One backing store for a [`crate::DeviceHeap`].
-///
-/// Contract: `base()` points at `len()` bytes of zero-initialised memory,
-/// aligned to at least [`crate::DeviceHeap::BASE_ALIGN`], valid for the
-/// backend's lifetime, and released on drop. Shared mutation through the
-/// pointer is mediated by the heap's atomic views, so implementations must
-/// be `Send + Sync`. The trait is object-safe: `DeviceHeap` stores
-/// `Box<dyn HeapBackend>` and caches `base`/`len`, so backend dispatch
-/// never appears on allocator hot paths.
-#[allow(clippy::len_without_is_empty)] // a zero-length heap is rejected at construction
-pub trait HeapBackend: Send + Sync {
-    /// Which backend family this is.
-    fn kind(&self) -> HeapBackendKind;
-
-    /// Base of the zeroed region.
-    fn base(&self) -> *mut u8;
-
-    /// Region size in bytes (always non-zero; `HeapSpec::validate` rejects
-    /// empty heaps before a backend is opened).
-    fn len(&self) -> u64;
-
-    /// Commits every page that holds a byte of `[offset, offset + len)`
-    /// (clamped to the region), so no first-touch fault is left for timed
-    /// code. The bytes keep their values.
-    fn commit(&self, offset: u64, len: u64) {
-        let (start, end) = clamp_span(offset, len, self.len());
-        // SAFETY: `start <= end <= len()` and the trait contract keeps the
-        // region valid.
-        unsafe { touch_pages(self.base(), start, end) };
-    }
-
-    /// One-line placement description for provenance stamps, e.g.
-    /// `mmap(noreserve) pretouch=lazy`.
-    fn describe(&self) -> String;
-}
-
 /// Host page size assumed by the commit paths. A stale constant only costs
 /// extra touches (64 KiB pages are touched 16×), never correctness.
 pub const PAGE_SIZE: usize = 4096;
 
 /// Whether [`Map`] is a mapping: on Linux, outside miri. Elsewhere there is
 /// no `mmap` to call, it is an `alloc_zeroed` slab and `mmap` is unavailable.
-const MAPPED: bool = cfg!(all(target_os = "linux", not(miri)));
+pub(crate) const MAPPED: bool = cfg!(all(target_os = "linux", not(miri)));
 
 /// Transparent-huge-page size: mappings at least this long start on a
 /// multiple of it, so the kernel can back all of them with huge pages.
@@ -331,15 +276,8 @@ unsafe fn touch_pages(base: *mut u8, start: usize, end: usize) {
     }
 }
 
-/// Constructs the backend named by `spec`. The single dispatch point used
-/// by [`crate::DeviceHeap::try_new`]; external backends can bypass it via
-/// [`crate::DeviceHeap::with_backend`].
-pub fn open(spec: HeapSpec) -> Result<Box<dyn HeapBackend>, HeapError> {
-    Ok(Box::new(MappedBackend::new(spec)?))
-}
-
 // ---------------------------------------------------------------------------
-// The mapping both backends and the trace ring are made of.
+// The mapping every heap and the trace ring are made of.
 // ---------------------------------------------------------------------------
 
 /// Minimal raw bindings to the always-linked C library. The workspace is
@@ -381,9 +319,11 @@ mod sys {
     }
 }
 
-/// The one way this workspace obtains large zeroed memory: an anonymous
-/// private mapping, zero because the kernel hands it over that way and
-/// unmapped on drop. Its base is page-aligned, and [`HUGE_PAGE`]-aligned
+/// Where the device heap and the trace ring get their zeroed memory: an
+/// anonymous private mapping, zero because the kernel hands it over that way
+/// and unmapped on drop. (Not the only large zeroed memory in the workspace:
+/// Ouroboros' `StandardQueue` takes its up to 2 × 2²² entries from
+/// `vec![0; n]`, transmuted to atomics.) Its base is page-aligned, and [`HUGE_PAGE`]-aligned
 /// for a mapping at least that long (the slack that buys the alignment is
 /// address space, never touched). Where not [`MAPPED`] it is an
 /// `alloc_zeroed` slab, 128-aligned, instead.
@@ -511,69 +451,6 @@ impl Drop for Map {
     }
 }
 
-/// A heap that is one [`Map`]. As `ram` it is sized to fit memory: advised
-/// onto huge pages and (by default) committed in full before the constructor
-/// returns, so demand paging never shows up inside simulated kernels. As
-/// `mmap` it is `MAP_NORESERVE` address space whose pages commit on first
-/// touch, 4 KiB at a time (never hugepage-advised) — the backend that runs
-/// the paper's actual 8 GiB heap, and larger, on hosts with far less RAM.
-/// Its default pre-touch is `Lazy` (see the module docs for the timing
-/// caveat); `Full` is there for when the size fits RAM and the run is
-/// timing-sensitive.
-pub struct MappedBackend {
-    kind: HeapBackendKind,
-    map: Map,
-    pretouch: Pretouch,
-}
-
-impl MappedBackend {
-    /// Validates `spec`, maps it and applies its resolved pre-touch policy.
-    pub fn new(spec: HeapSpec) -> Result<Self, HeapError> {
-        spec.validate()?;
-        let kind = spec.backend;
-        if !kind.available() {
-            let reason = "the mmap backend requires the Linux mmap surface";
-            return Err(HeapError::Unavailable { backend: kind, reason });
-        }
-        let refused = HeapError::ReserveFailed { len: spec.len, backend: kind };
-        let map = usize::try_from(spec.len)
-            .ok()
-            .and_then(|len| Map::reserve(len, kind == HeapBackendKind::Mmap))
-            .ok_or_else(|| refused.clone())?;
-        let pretouch = spec.pretouch.resolve(kind);
-        if pretouch == Pretouch::Full {
-            map.commit(0, spec.len).map_err(|_| refused)?;
-        }
-        Ok(MappedBackend { kind, map, pretouch })
-    }
-}
-
-impl HeapBackend for MappedBackend {
-    fn kind(&self) -> HeapBackendKind {
-        self.kind
-    }
-    fn base(&self) -> *mut u8 {
-        self.map.base()
-    }
-    fn len(&self) -> u64 {
-        self.map.len() as u64
-    }
-    fn commit(&self, offset: u64, len: u64) {
-        // A warm-up, not a reservation: pages the kernel cannot back now
-        // fail where they would have without this call, at first use.
-        let _ = self.map.commit(offset, len);
-    }
-    fn describe(&self) -> String {
-        let pretouch = self.pretouch;
-        if self.kind == HeapBackendKind::Mmap {
-            return format!("mmap(noreserve) pretouch={pretouch}");
-        }
-        let form = if MAPPED { "mapped" } else { "slab" };
-        let hugepage = if self.map.hugepage() { "advised" } else { "refused" };
-        format!("ram({form}) hugepage={hugepage} pretouch={pretouch}")
-    }
-}
-
 /// What `/proc/self` says about an address range, for the tests here and of
 /// the trace ring.
 #[cfg(all(test, target_os = "linux", not(miri)))]
@@ -615,18 +492,15 @@ mod tests {
         assert_eq!("RAM".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Ram);
         assert_eq!(" Mmap ".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Mmap);
         assert!("cuda".parse::<HeapBackendKind>().is_err());
-        // A retired backend is an error that names what is left, not an alias.
-        let e = "numa".parse::<HeapBackendKind>().unwrap_err();
-        assert!(e.contains("numa") && e.contains("ram or mmap"), "{e}");
+        // A retired backend or alias is an error that names what is left.
+        for retired in ["numa", "malloc"] {
+            let e = retired.parse::<HeapBackendKind>().unwrap_err();
+            assert!(e.contains(retired) && e.contains("ram or mmap"), "{e}");
+        }
     }
 
     #[test]
-    fn pretouch_parses_and_resolves() {
-        assert_eq!("none".parse::<Pretouch>().unwrap(), Pretouch::Lazy);
-        assert_eq!("FULL".parse::<Pretouch>().unwrap(), Pretouch::Full);
-        assert!("eager".parse::<Pretouch>().is_err());
-        let e = "striped".parse::<Pretouch>().unwrap_err();
-        assert!(e.contains("striped") && e.contains("auto, full or lazy"), "{e}");
+    fn pretouch_resolves_per_backend() {
         assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Ram), Pretouch::Full);
         assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Mmap), Pretouch::Lazy);
         assert_eq!(Pretouch::Full.resolve(HeapBackendKind::Mmap), Pretouch::Full);
@@ -639,29 +513,6 @@ mod tests {
         assert!(HeapSpec::ram(4096).validate().is_ok());
         let e = HeapSpec::ram(100).validate().unwrap_err();
         assert!(e.to_string().contains("multiple of 128"), "{e}");
-    }
-
-    #[test]
-    fn ram_backend_is_zeroed_and_described() {
-        let b = MappedBackend::new(HeapSpec::ram(4096)).unwrap();
-        assert_eq!(b.kind(), HeapBackendKind::Ram);
-        assert_eq!(b.len(), 4096);
-        // SAFETY: in-bounds read of the zeroed mapping.
-        assert_eq!(unsafe { b.base().add(4095).read() }, 0);
-        let d = b.describe();
-        assert!(d.starts_with("ram(") && d.ends_with(" pretouch=full"), "{d}");
-        assert!(d.contains(" hugepage=advised ") || d.contains(" hugepage=refused "), "{d}");
-    }
-
-    #[test]
-    fn open_dispatches_by_kind() {
-        let b = open(HeapSpec::ram(1024)).unwrap();
-        assert_eq!(b.kind(), HeapBackendKind::Ram);
-        if HeapBackendKind::Mmap.available() {
-            let b = open(HeapSpec::mmap(1024)).unwrap();
-            assert_eq!(b.kind(), HeapBackendKind::Mmap);
-            assert_eq!(b.describe(), "mmap(noreserve) pretouch=lazy");
-        }
     }
 
     #[test]
@@ -689,10 +540,6 @@ mod tests {
         assert!(Map::reserve(0, false).is_none());
         assert!(Map::reserve(usize::MAX, false).is_none());
         assert!(Map::reserve(1 << 55, true).is_none());
-        assert_eq!(
-            MappedBackend::new(HeapSpec::ram(1 << 55)).err(),
-            Some(HeapError::ReserveFailed { len: 1 << 55, backend: HeapBackendKind::Ram })
-        );
     }
 
     #[cfg(all(target_os = "linux", not(miri)))]
@@ -729,49 +576,6 @@ mod tests {
         assert_eq!(clamp_span(8192, 4096, 4096), (4096, 4096));
         // SAFETY: an empty span touches nothing.
         unsafe { touch_pages(slab.as_mut_ptr(), 4096, 4096) };
-    }
-
-    #[cfg(all(target_os = "linux", not(miri)))]
-    #[test]
-    fn mmap_backend_reads_back_writes() {
-        let b = MappedBackend::new(HeapSpec::mmap(1 << 20)).unwrap();
-        assert_eq!(b.len(), 1 << 20);
-        // SAFETY: in-bounds accesses of the private anonymous mapping.
-        unsafe {
-            assert_eq!(b.base().read(), 0);
-            b.base().add(123_456).write(0xab);
-            assert_eq!(b.base().add(123_456).read(), 0xab);
-        }
-        // Aligned for the atomic views.
-        assert_eq!(b.base() as usize % crate::heap::DeviceHeap::BASE_ALIGN, 0);
-    }
-
-    #[cfg(all(target_os = "linux", not(miri)))]
-    #[test]
-    fn mmap_reserves_beyond_plausible_ram_lazily() {
-        // 64 GiB of address space: MAP_NORESERVE makes this instant and
-        // RSS-free; only the pages the test touches ever commit. Hosts
-        // running strict overcommit (vm.overcommit_memory=2) may refuse —
-        // that is the typed error path, not a failure of this test.
-        let b = match MappedBackend::new(HeapSpec::mmap(64 << 30)) {
-            Ok(b) => b,
-            Err(HeapError::ReserveFailed { .. }) => return,
-            Err(e) => panic!("unexpected error: {e}"),
-        };
-        // SAFETY: touching three spread-out in-bounds pages.
-        unsafe {
-            b.base().write(1);
-            b.base().add((32u64 << 30) as usize).write(2);
-            b.base().add((64u64 << 30) as usize - 1).write(3);
-            assert_eq!(b.base().add((32u64 << 30) as usize).read(), 2);
-        }
-    }
-
-    #[test]
-    fn commit_is_clamped_to_the_region() {
-        let b = MappedBackend::new(HeapSpec::ram(4096).with_pretouch(Pretouch::Lazy)).unwrap();
-        b.commit(0, u64::MAX); // must not walk past the end
-        b.commit(8192, 4096); // fully out of range: no-op
     }
 
     #[test]

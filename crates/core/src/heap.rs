@@ -19,14 +19,13 @@
 //!
 //! # Backends
 //!
-//! Where the bytes physically live is delegated to a [`HeapBackend`]
-//! (see [`crate::backend`]): a hugepage-advised mapping committed up front,
-//! or an mmap `MAP_NORESERVE` reservation that runs the paper's full 8 GiB
-//! heap on any host.
+//! The bytes live in one mapping (see [`crate::backend`]): a hugepage-advised
+//! one committed up front (`ram`), or an mmap `MAP_NORESERVE` reservation
+//! that runs the paper's full 8 GiB heap on any host (`mmap`).
 //! [`DeviceHeap::try_new`] selects by [`HeapSpec`] and surfaces OS refusal
 //! as a typed [`HeapError`]; [`DeviceHeap::new`] is the thin panicking
-//! wrapper tests use. The base pointer and length are cached on the heap
-//! itself, so backend dispatch never appears on allocator hot paths.
+//! wrapper tests use. The base pointer and length are plain fields, so the
+//! hot paths read no more than they would of a slice.
 //!
 //! # Safety model
 //!
@@ -38,19 +37,22 @@
 //! volatile-style raw-pointer ops rather than slices so that a *buggy*
 //! allocator under test produces torn data, not Rust UB on references.
 
-use crate::backend::{self, HeapBackend, HeapBackendKind, HeapError, HeapSpec};
+use crate::backend::{HeapBackendKind, HeapError, HeapSpec, Map, Pretouch, MAPPED};
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 
 use crate::ptr::DevicePtr;
 
 /// One contiguous region of simulated device memory.
 pub struct DeviceHeap {
-    /// Cached `backend.base()` — hot-path reads skip the vtable.
+    /// `map.base()`, read by every heap access.
     base: *mut u8,
-    /// Cached `backend.len()`.
+    /// `map.len()`.
     len: u64,
+    kind: HeapBackendKind,
+    /// The spec's policy, resolved for `kind`.
+    pretouch: Pretouch,
     /// Owns the mapping; dropping it releases the memory.
-    backend: Box<dyn HeapBackend>,
+    map: Map,
 }
 
 // SAFETY: all shared mutation of heap contents goes through atomics or
@@ -77,50 +79,57 @@ impl DeviceHeap {
         Self::try_new(HeapSpec::new(len)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Constructs a heap as described by `spec`, surfacing failure (zero or
-    /// unrounded size, OS refusing the reservation, backend unavailable on
-    /// this platform) as a typed [`HeapError`].
+    /// Constructs a heap as described by `spec`: validates it, refuses a
+    /// backend this platform lacks, maps it and, under `Full` pre-touch,
+    /// commits every page before returning. Failure (zero or unrounded
+    /// size, OS refusing the reservation or the commit, backend unavailable)
+    /// is a typed [`HeapError`].
     pub fn try_new(spec: HeapSpec) -> Result<Self, HeapError> {
-        Ok(Self::with_backend(backend::open(spec)?))
-    }
-
-    /// Wraps an already-constructed backend (the extension point for
-    /// substrates this crate does not know about, e.g. a real-GPU mapping).
-    ///
-    /// # Panics
-    /// Panics if the backend violates its contract: zero/unrounded length
-    /// or a base pointer misaligned for [`DeviceHeap::BASE_ALIGN`].
-    pub fn with_backend(backend: Box<dyn HeapBackend>) -> Self {
-        let base = backend.base();
-        let len = backend.len();
-        assert!(
-            len > 0 && len.is_multiple_of(128),
-            "backend length {len} violates the heap contract"
-        );
-        assert!(
-            (base as usize).is_multiple_of(Self::BASE_ALIGN),
-            "backend base misaligned for BASE_ALIGN"
-        );
-        DeviceHeap { base, len, backend }
-    }
-
-    /// The backing store this heap lives in.
-    #[inline]
-    pub fn backend(&self) -> &dyn HeapBackend {
-        &*self.backend
+        spec.validate()?;
+        let kind = spec.backend;
+        if !kind.available() {
+            let reason = "the mmap backend requires the Linux mmap surface";
+            return Err(HeapError::Unavailable { backend: kind, reason });
+        }
+        let refused = HeapError::ReserveFailed { len: spec.len, backend: kind };
+        let map = usize::try_from(spec.len)
+            .ok()
+            .and_then(|len| Map::reserve(len, kind == HeapBackendKind::Mmap))
+            .ok_or_else(|| refused.clone())?;
+        let pretouch = spec.pretouch.resolve(kind);
+        if pretouch == Pretouch::Full {
+            map.commit(0, spec.len).map_err(|_| refused)?;
+        }
+        Ok(DeviceHeap { base: map.base(), len: map.len() as u64, kind, pretouch, map })
     }
 
     /// Which backend family backs this heap (for provenance stamps).
     #[inline]
     pub fn backend_kind(&self) -> HeapBackendKind {
-        self.backend.kind()
+        self.kind
     }
 
-    /// Commits every page that holds a byte of `[offset, offset + len)` —
-    /// warm-up for timing-sensitive runs on lazily committed backends. The
-    /// bytes keep their values.
+    /// One-line placement description for provenance stamps:
+    /// `ram(mapped) hugepage=advised pretouch=full`,
+    /// `mmap(noreserve) pretouch=lazy`. `hugepage` says whether the kernel
+    /// took the advice, `ram(slab)` that there was no mapping to advise.
+    pub fn describe(&self) -> String {
+        let pretouch = self.pretouch;
+        if self.kind == HeapBackendKind::Mmap {
+            return format!("mmap(noreserve) pretouch={pretouch}");
+        }
+        let form = if MAPPED { "mapped" } else { "slab" };
+        let hugepage = if self.map.hugepage() { "advised" } else { "refused" };
+        format!("ram({form}) hugepage={hugepage} pretouch={pretouch}")
+    }
+
+    /// Commits every page that holds a byte of `[offset, offset + len)`
+    /// (clamped to the heap) — warm-up for timing-sensitive runs on lazily
+    /// committed heaps. The bytes keep their values.
     pub fn commit(&self, offset: u64, len: u64) {
-        self.backend.commit(offset, len);
+        // A warm-up, not a reservation: pages the kernel cannot back now
+        // fail where they would have without this call, at first use.
+        let _ = self.map.commit(offset, len);
     }
 
     /// Size of the manageable memory in bytes.
@@ -275,10 +284,7 @@ impl DeviceHeap {
 
 impl std::fmt::Debug for DeviceHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceHeap")
-            .field("len", &self.len)
-            .field("backend", &self.backend.kind())
-            .finish()
+        f.debug_struct("DeviceHeap").field("len", &self.len).field("backend", &self.kind).finish()
     }
 }
 
@@ -393,12 +399,22 @@ mod tests {
     }
 
     #[test]
-    fn default_heap_reports_its_backend() {
-        let h = DeviceHeap::new(4096);
-        // `new` follows GMS_HEAP_BACKEND, so only assert coherence.
-        assert_eq!(h.backend_kind(), h.backend().kind());
-        assert!(!h.backend().describe().is_empty());
-        assert!(format!("{h:?}").contains("backend"));
+    fn each_backend_describes_its_placement() {
+        let form = if MAPPED { "mapped" } else { "slab" };
+        for (pretouch, word) in [(Pretouch::Auto, "full"), (Pretouch::Lazy, "lazy")] {
+            let spec = HeapSpec::ram(4096).with_pretouch(pretouch);
+            let d = DeviceHeap::try_new(spec).unwrap().describe();
+            // Whether the kernel takes the huge-page advice is the host's call.
+            let described =
+                ["advised", "refused"].map(|h| format!("ram({form}) hugepage={h} pretouch={word}"));
+            assert!(described.contains(&d), "{d}");
+        }
+        if HeapBackendKind::Mmap.available() {
+            let h = DeviceHeap::try_new(HeapSpec::mmap(4096)).unwrap();
+            assert_eq!(h.describe(), "mmap(noreserve) pretouch=lazy");
+            assert_eq!(h.backend_kind(), HeapBackendKind::Mmap);
+        }
+        assert!(format!("{:?}", DeviceHeap::new(4096)).contains("backend"));
     }
 
     #[test]
@@ -420,6 +436,33 @@ mod tests {
             h.fill(p, 512, 0x7f);
             assert_eq!(h.read_u8(p, 511), 0x7f, "{kind}");
         }
+    }
+
+    #[test]
+    fn commit_is_clamped_to_the_heap() {
+        let h = DeviceHeap::try_new(HeapSpec::ram(4096).with_pretouch(Pretouch::Lazy)).unwrap();
+        h.store_u32(4092, 7);
+        h.commit(0, u64::MAX); // must not walk past the end
+        h.commit(8192, 4096); // fully out of range: no-op
+        assert_eq!(h.load_u32(4092), 7);
+    }
+
+    #[cfg(all(target_os = "linux", not(miri)))]
+    #[test]
+    fn mmap_reserves_beyond_plausible_ram_lazily() {
+        // 64 GiB of address space: MAP_NORESERVE makes this instant and
+        // RSS-free; only the pages the test touches ever commit. Hosts
+        // running strict overcommit (vm.overcommit_memory=2) may refuse —
+        // that is the typed error path, not a failure of this test.
+        let h = match DeviceHeap::try_new(HeapSpec::mmap(64 << 30)) {
+            Ok(h) => h,
+            Err(HeapError::ReserveFailed { .. }) => return,
+            Err(e) => panic!("unexpected error: {e}"),
+        };
+        h.store_u32(0, 1);
+        h.store_u32(32 << 30, 2);
+        h.store_u32((64 << 30) - 4, 3);
+        assert_eq!(h.load_u32(32 << 30), 2);
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //!   host allocation addressed by byte offsets, with *in-heap atomic views*
 //!   so allocators can keep their headers and tables inside the managed
 //!   region, exactly like their CUDA originals.
-//! * [`backend`] — the heap substrate: a [`HeapBackend`] trait with in-RAM
-//!   (hugepage-advised, committed up front) and mmap (`MAP_NORESERVE`, runs
-//!   the paper's full 8 GiB heap on any host) implementations over one
-//!   mapping primitive, selected by [`HeapSpec`] and failing with a typed
-//!   [`HeapError`].
+//! * [`backend`] — the heap substrate: one mapping primitive in two forms,
+//!   in-RAM (hugepage-advised, committed up front) and mmap
+//!   (`MAP_NORESERVE`, runs the paper's full 8 GiB heap on any host),
+//!   selected by [`HeapSpec`] and failing with a typed [`HeapError`].
 //! * [`DevicePtr`] — a byte offset into a [`DeviceHeap`] (the survey's
 //!   device-pointer equivalent).
 //! * [`ThreadCtx`] / [`WarpCtx`] — the identity a simulated GPU thread or
@@ -74,7 +73,7 @@ pub mod trace;
 pub mod traits;
 pub mod util;
 
-pub use backend::{HeapBackend, HeapBackendKind, HeapError, HeapSpec, MappedBackend, Pretouch};
+pub use backend::{HeapBackendKind, HeapError, HeapSpec, Pretouch};
 pub use cache::Cached;
 pub use ctx::{ThreadCtx, WarpCtx, WARP_SIZE};
 pub use error::AllocError;

@@ -18,13 +18,13 @@
 //! Two audited, intentional deviations, asserted as such below:
 //!
 //! * `Sanitized::free_warp` re-implements the lane loop so every lane
-//!   passes shadow-state checks; the inner allocator still sees each real
-//!   free through `free`, never a bypassed pointer.
+//!   passes shadow-state checks; the inner allocator sees each real free
+//!   through `free`, never through its own `free_warp` (counted below).
 //! * `Cached` intercepts thread-level `malloc`/`free` (that is its job);
 //!   its misses, evictions, and warp batches must land on the inner
 //!   overrides.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpumem_core::{
@@ -32,23 +32,27 @@ use gpumem_core::{
     RegisterFootprint, Sanitized, ThreadCtx, TraceRecorder, Traced, WarpCtx,
 };
 
-/// Which of the probe's method bodies actually ran.
+/// How often each of the probe's method bodies ran since it was last read.
 #[derive(Default)]
 struct Reached {
-    malloc: AtomicBool,
-    free: AtomicBool,
-    malloc_warp: AtomicBool,
-    free_warp: AtomicBool,
-    free_warp_all: AtomicBool,
-    grow: AtomicBool,
+    malloc: AtomicU64,
+    free: AtomicU64,
+    malloc_warp: AtomicU64,
+    free_warp: AtomicU64,
+    free_warp_all: AtomicU64,
+    grow: AtomicU64,
 }
 
 impl Reached {
-    fn hit(flag: &AtomicBool) {
-        flag.store(true, Ordering::Relaxed);
+    fn hit(count: &AtomicU64) {
+        count.fetch_add(1, Ordering::Relaxed);
     }
-    fn got(flag: &AtomicBool) -> bool {
-        flag.swap(false, Ordering::Relaxed)
+    /// The calls counted since the last read, resetting the count.
+    fn calls(count: &AtomicU64) -> u64 {
+        count.swap(0, Ordering::Relaxed)
+    }
+    fn got(count: &AtomicU64) -> bool {
+        Self::calls(count) > 0
     }
 }
 
@@ -191,6 +195,26 @@ fn sanitized_forwards_overrides_and_checks_warp_frees_per_lane() {
     s.grow(4096).unwrap();
     assert!(Reached::got(&reached.grow));
 
+    assert!(s.take_report().recorded.is_empty());
+}
+
+/// One 32-lane `Sanitized::free_warp` reaches the inner manager as 32
+/// `free` calls and no `free_warp`. The shadow map has to learn which lanes
+/// the manager accepted, and `free_warp` reports only the first error, so a
+/// forwarded collective call would leave it unable to tell. The price: in
+/// `Sanitized<Cached<M>>` a warp free never reaches `Cached::free_warp`.
+#[test]
+fn sanitized_free_warp_is_one_inner_free_per_lane() {
+    let (probe, reached) = Probe::new();
+    let s = Sanitized::new(probe);
+    let w = warp();
+
+    let mut out = [DevicePtr::NULL; 32];
+    s.malloc_warp(&w, &[64; 32], &mut out).unwrap();
+    assert_eq!(Reached::calls(&reached.malloc_warp), 1);
+    s.free_warp(&w, &out).unwrap();
+    assert_eq!(Reached::calls(&reached.free), 32);
+    assert_eq!(Reached::calls(&reached.free_warp), 0);
     assert!(s.take_report().recorded.is_empty());
 }
 

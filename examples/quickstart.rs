@@ -7,21 +7,21 @@
 //! cargo run --release --example quickstart
 //! cargo run --release --example quickstart -- s        # ScatterAlloc only
 //! cargo run --release --example quickstart -- o+s+h    # artifact selector
-//! cargo run --release --example quickstart -- s@mmap   # mmap-backed heap
+//! GMS_HEAP_BACKEND=mmap cargo run --release --example quickstart -- s  # mmap-backed heap
 //! ```
 
 use std::sync::Arc;
 
-use gpumemsurvey::bench::registry::ManagerSelection;
+use gpumemsurvey::bench::registry::DEFAULT_KINDS;
 use gpumemsurvey::prelude::*;
 
 fn main() {
     // Pick managers with the artifact's selector syntax (default: all);
-    // an `@mmap` suffix swaps the heap substrate too.
-    let sel: ManagerSelection = std::env::args()
+    // GMS_HEAP_BACKEND swaps the heap substrate.
+    let kinds = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("bad selector"))
-        .unwrap_or_else(ManagerSelection::default_set);
+        .map(|s| ManagerKind::parse_selector(&s).expect("bad selector"))
+        .unwrap_or_else(|| DEFAULT_KINDS.to_vec());
 
     // A simulated TITAN V and a small kernel: every thread allocates 64 B,
     // writes to it and (if the manager supports it) frees it again.
@@ -29,14 +29,10 @@ fn main() {
     const N: u32 = 10_000;
 
     println!("{:<16}{:>12}{:>12}{:>10}", "manager", "alloc_ms", "free_ms", "ok");
-    for &kind in sel.kinds() {
+    for kind in kinds {
         // The one declaration you swap:
-        let alloc: Arc<dyn DeviceAllocator> = kind
-            .builder()
-            .heap(256 << 20)
-            .heap_backend(sel.backend)
-            .sms(device.spec().num_sms)
-            .build();
+        let alloc: Arc<dyn DeviceAllocator> =
+            kind.builder().heap(256 << 20).sms(device.spec().num_sms).build();
 
         let ptrs = gpumemsurvey::gpu_sim::PerThread::<DevicePtr>::new(N as usize);
         let heap = alloc.heap();

@@ -116,6 +116,12 @@ test -s target/trace-smoke/trace_scatter.json
 grep -q '"ph"' target/trace-smoke/trace_scatter.json
 grep -q '"cat":"launch"' target/trace-smoke/trace_scatter.json
 grep -q '^ScatterAlloc,malloc,' target/trace-smoke/trace_latency_2048_TITANV.csv
+# A selector names managers only: the retired `@backend`/`@cached` suffix is
+# a usage error (exit 2), not a run that quietly resets the heap backend.
+status=0
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    trace -m scatter -t s@cached --out target/trace-smoke 2> /dev/null || status=$?
+test "$status" -eq 2
 
 # Telemetry smoke: a watched run must produce a schema-versioned JSON
 # time-series with exactly one kernel-boundary window per launch, and a

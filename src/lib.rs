@@ -22,13 +22,13 @@ pub use alloc_xmalloc;
 /// Convenience prelude: the types almost every user touches.
 pub mod prelude {
     pub use gpu_sim::{Device, DeviceSpec, SchedStats};
-    pub use gpumem_bench::registry::{ManagerBuilder, ManagerKind, ManagerSelection};
+    pub use gpumem_bench::registry::{ManagerBuilder, ManagerKind};
     pub use gpumem_core::{
         chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,
         OccupancyTimeline, OpLatencies, Trace, TraceRecorder, Traced,
     };
     pub use gpumem_core::{
-        AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr, HeapBackend,
+        AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr,
         HeapBackendKind, HeapError, HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized,
         SanitizerConfig, SanitizerReport, ThreadCtx, WarpCtx,
     };

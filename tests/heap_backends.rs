@@ -32,6 +32,12 @@ fn heap_on(backend: HeapBackendKind, len: u64) -> Arc<DeviceHeap> {
     Arc::new(DeviceHeap::try_new(spec).unwrap_or_else(|e| panic!("{backend}: {e}")))
 }
 
+/// The heap's base address, read through its first atomic view.
+#[cfg(all(target_os = "linux", not(miri)))]
+fn base_of(heap: &DeviceHeap) -> usize {
+    heap.atomic_u32(0) as *const _ as usize
+}
+
 #[test]
 fn every_backend_meets_the_heap_contract() {
     for backend in available_backends() {
@@ -229,7 +235,7 @@ fn commit_covers_every_page_of_an_unaligned_range() {
     // 200 bytes from offset 4000: 96 of them on page 0, 104 on page 1.
     let spec = HeapSpec::mmap(1 << 20).with_pretouch(Pretouch::Lazy);
     let heap = DeviceHeap::try_new(spec).unwrap();
-    let base = heap.backend().base() as usize;
+    let base = base_of(&heap);
     assert_eq!(procfs::resident_kib(base, 1 << 20), 0, "lazy");
     heap.commit(4000, 200);
     assert_eq!(procfs::resident_kib(base, 4096), 4, "page 0");
@@ -243,15 +249,15 @@ fn lazy_is_lazy_and_full_is_full_on_ram() {
     let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
     let thp_on = thp.is_ok_and(|s| !s.contains("[never]"));
     let check_huge = |heap: &DeviceHeap| {
-        let huge = procfs::vma_kib(heap.backend().base() as usize, "AnonHugePages");
-        println!("{}: AnonHugePages {huge:?} kB", heap.backend().describe());
-        if heap.backend().describe().contains("hugepage=advised") && thp_on {
+        let huge = procfs::vma_kib(base_of(heap), "AnonHugePages");
+        println!("{}: AnonHugePages {huge:?} kB", heap.describe());
+        if heap.describe().contains("hugepage=advised") && thp_on {
             assert_eq!(huge, Some(HEAP >> 10), "an advised heap sits on huge pages");
         }
     };
 
     let lazy = DeviceHeap::try_new(HeapSpec::ram(HEAP).with_pretouch(Pretouch::Lazy)).unwrap();
-    let base = lazy.backend().base() as usize;
+    let base = base_of(&lazy);
     assert!(procfs::resident_kib(base, HEAP) < 1024, "a lazy reserve commits nothing");
     assert_eq!(base % (2 << 20), 0, "a heap of 2 MiB or more starts on a huge page");
     lazy.commit(0, HEAP);
@@ -260,8 +266,8 @@ fn lazy_is_lazy_and_full_is_full_on_ram() {
     drop(lazy);
 
     let full = DeviceHeap::try_new(HeapSpec::ram(HEAP).with_pretouch(Pretouch::Full)).unwrap();
-    assert!(full.backend().describe().ends_with("pretouch=full"));
-    assert_eq!(procfs::resident_kib(full.backend().base() as usize, HEAP), HEAP >> 10);
+    assert!(full.describe().ends_with("pretouch=full"));
+    assert_eq!(procfs::resident_kib(base_of(&full), HEAP), HEAP >> 10);
     check_huge(&full);
 }
 
@@ -317,7 +323,7 @@ fn huge_heap_smoke_mmap_8gib() {
     // resident is what was touched, not 2 MiB around each touch.
     #[cfg(all(target_os = "linux", not(miri)))]
     {
-        let resident = procfs::resident_kib(alloc.heap().backend().base() as usize, EIGHT_GIB);
+        let resident = procfs::resident_kib(base_of(alloc.heap()), EIGHT_GIB);
         assert!(resident < 512 << 10, "8 GiB heap has {resident} kB resident");
     }
 }
