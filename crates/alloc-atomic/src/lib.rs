@@ -18,8 +18,8 @@ use gpumem_core::sync::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gpumem_core::{
-    AllocError, Counter, DeviceAllocator, DeviceHeap, DevicePtr, ManagerInfo, Metrics,
-    RegisterFootprint, ThreadCtx,
+    AllocError, DeviceAllocator, DeviceHeap, DevicePtr, ManagerInfo, Metrics, RegisterFootprint,
+    ThreadCtx,
 };
 
 /// Alignment of returned pointers — 16 B, the framework-wide expectation.
@@ -47,7 +47,9 @@ impl AtomicAlloc {
         AtomicAlloc { heap, offset: AtomicU64::new(0), metrics: Metrics::disabled() }
     }
 
-    /// Attaches a contention-observability handle (builder style).
+    /// Attaches a contention-observability handle (builder style). The
+    /// bump has no contention of its own to count; the handle is where
+    /// [`gpumem_core::metrics::Counted`] counts this manager's calls.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = metrics;
         self
@@ -66,27 +68,21 @@ impl AtomicAlloc {
 
 impl DeviceAllocator for AtomicAlloc {
     fn info(&self) -> ManagerInfo {
-        ManagerInfo::builder("Atomic")
-            .supports_free(false)
-            .alignment(ALIGNMENT)
-            .instrumented(true)
-            .build()
+        ManagerInfo::builder("Atomic").supports_free(false).alignment(ALIGNMENT).build()
     }
 
     fn heap(&self) -> &DeviceHeap {
         &self.heap
     }
 
-    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
+    #[inline]
+    fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         if size == 0 {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(0));
         }
         // Checked rounding: near-`u64::MAX` requests must not wrap to a
         // small aligned size (release builds wrap silently).
         let Some(aligned) = size.checked_next_multiple_of(ALIGNMENT) else {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(size));
         };
         // Reject heap-sized requests before the bump: a `fetch_add` of a
@@ -94,22 +90,19 @@ impl DeviceAllocator for AtomicAlloc {
         // towards zero and resurrect an exhausted heap with overlapping
         // allocations.
         if aligned > self.heap.len() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::OutOfMemory(size));
         }
         let offset = self.offset.fetch_add(aligned, Ordering::Relaxed);
         if offset.checked_add(aligned).is_none_or(|end| end > self.heap.len()) {
             // NOTE: like the original baseline, the offset is not rolled
             // back — once exhausted, the manager stays exhausted.
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::OutOfMemory(size));
         }
         Ok(DevicePtr::new(offset))
     }
 
-    fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        self.metrics.tick(ctx.sm, Counter::FreeFailures);
+    #[inline]
+    fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
         Err(AllocError::Unsupported("Atomic baseline has no deallocation"))
     }
 

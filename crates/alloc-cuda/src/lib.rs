@@ -136,8 +136,9 @@ impl CudaAllocModel {
     }
 
     /// Attaches a contention-observability handle (builder style). Managers
-    /// that embed this model pass a [`Metrics::relay`] clone so the outer
-    /// call is accounted once while inner walk costs still accumulate.
+    /// that embed this model pass it a clone of their own handle, so its
+    /// walk costs land in their counters; their calls are counted once, by
+    /// the layer above them.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
         self.metrics = metrics;
         self
@@ -168,23 +169,21 @@ impl CudaAllocModel {
 
 impl DeviceAllocator for CudaAllocModel {
     fn info(&self) -> ManagerInfo {
-        ManagerInfo::builder("CUDA-Allocator").instrumented(true).build()
+        ManagerInfo::builder("CUDA-Allocator").build()
     }
 
     fn heap(&self) -> &DeviceHeap {
         &self.heap
     }
 
+    #[inline]
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
         if size == 0 {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(0));
         }
         // `checked_add`: a request near `u64::MAX` must fail here, not wrap
         // and sail through as a tiny large-path allocation.
         if size.checked_add(HEADER).is_none_or(|need| need > self.len) {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(size));
         }
         let mut st = self.state.lock().unwrap();
@@ -199,12 +198,8 @@ impl DeviceAllocator for CudaAllocModel {
             let header = match st.pop_class(idx) {
                 Some(h) => h,
                 None => {
-                    match st.carve_unit(idx, Self::class_bytes(idx)) {
-                        Some(()) => {}
-                        None => {
-                            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-                            return Err(AllocError::OutOfMemory(size));
-                        }
+                    if st.carve_unit(idx, Self::class_bytes(idx)).is_none() {
+                        return Err(AllocError::OutOfMemory(size));
                     }
                     st.pop_class(idx).expect("carve_unit populates the class")
                 }
@@ -216,12 +211,8 @@ impl DeviceAllocator for CudaAllocModel {
             let need = align_up(size, 16) + HEADER;
             // The first-fit walk visits at most every free region.
             self.metrics.add(ctx.sm, Counter::ListHops, st.large_free_len() as u64);
-            let header = match st.alloc_large(need) {
-                Some(h) => h,
-                None => {
-                    self.metrics.tick(ctx.sm, Counter::MallocFailures);
-                    return Err(AllocError::OutOfMemory(size));
-                }
+            let Some(header) = st.alloc_large(need) else {
+                return Err(AllocError::OutOfMemory(size));
             };
             self.heap.store_u32(header, MAGIC_LARGE);
             self.heap.store_u64(header + 8, need);
@@ -229,18 +220,14 @@ impl DeviceAllocator for CudaAllocModel {
         }
     }
 
+    #[inline]
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let fail = |e: AllocError| {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
-            Err(e)
-        };
         if ptr.is_null() || ptr.offset() < self.base + HEADER {
-            return fail(AllocError::InvalidPointer);
+            return Err(AllocError::InvalidPointer);
         }
         let header = ptr.offset() - HEADER;
         if header >= self.base + self.len {
-            return fail(AllocError::InvalidPointer);
+            return Err(AllocError::InvalidPointer);
         }
         let magic = self.heap.load_u32(header);
         let mut st = self.state.lock().unwrap();
@@ -248,7 +235,7 @@ impl DeviceAllocator for CudaAllocModel {
             MAGIC_SMALL => {
                 let idx = self.heap.load_u32(header + 4) as usize;
                 if idx >= state::NUM_CLASSES {
-                    return fail(AllocError::InvalidPointer);
+                    return Err(AllocError::InvalidPointer);
                 }
                 // The model's heavyweight-deallocation component: a bounded
                 // double-free validation scan of the class free stack. Every
@@ -256,7 +243,7 @@ impl DeviceAllocator for CudaAllocModel {
                 let scan = st.class_depth(idx).min(VALIDATION_WINDOW) as u64;
                 self.metrics.add(ctx.sm, Counter::ListHops, scan);
                 if st.class_contains(idx, header, VALIDATION_WINDOW) {
-                    return fail(AllocError::InvalidPointer);
+                    return Err(AllocError::InvalidPointer);
                 }
                 self.heap.store_u32(header, MAGIC_FREE);
                 st.push_class(idx, header);
@@ -269,7 +256,7 @@ impl DeviceAllocator for CudaAllocModel {
                 st.free_large(header, need);
                 Ok(())
             }
-            _ => fail(AllocError::InvalidPointer),
+            _ => Err(AllocError::InvalidPointer),
         }
     }
 

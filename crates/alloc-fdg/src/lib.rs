@@ -109,12 +109,11 @@ impl FdgMalloc {
         }
     }
 
-    /// Attaches a contention-observability handle. The embedded
-    /// CUDA-Allocator shares the counters through [`Metrics::relay`], so
-    /// SuperBlock pulls and forwarded requests contribute structural
-    /// counters without double-counting `malloc_calls`/`free_calls`.
+    /// Attaches a contention-observability handle, shared with the embedded
+    /// CUDA-Allocator so SuperBlock pulls and forwarded requests add their
+    /// contention counters to this manager's.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.cuda.set_metrics(metrics.relay());
+        self.cuda.set_metrics(metrics.clone());
         self.metrics = metrics;
         self
     }
@@ -203,8 +202,17 @@ impl FdgMalloc {
     }
 }
 
-impl FdgMalloc {
-    fn malloc_inner(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+impl DeviceAllocator for FdgMalloc {
+    fn info(&self) -> ManagerInfo {
+        ManagerInfo::builder("FDGMalloc").supports_free(false).warp_level_only(true).build()
+    }
+
+    fn heap(&self) -> &DeviceHeap {
+        &self.heap
+    }
+
+    #[inline]
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         if size == 0 {
             return Err(AllocError::UnsupportedSize(0));
         }
@@ -226,35 +234,9 @@ impl FdgMalloc {
         }
         self.bump(ctx, st, rounded)
     }
-}
 
-impl DeviceAllocator for FdgMalloc {
-    fn info(&self) -> ManagerInfo {
-        ManagerInfo::builder("FDGMalloc")
-            .supports_free(false)
-            .warp_level_only(true)
-            .max_native_size(SUPERBLOCK_BYTES)
-            .relays_large_to_cuda(true)
-            .instrumented(true)
-            .build()
-    }
-
-    fn heap(&self) -> &DeviceHeap {
-        &self.heap
-    }
-
-    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
-        let r = self.malloc_inner(ctx, size);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-        }
-        r
-    }
-
-    fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        self.metrics.tick(ctx.sm, Counter::FreeFailures);
+    #[inline]
+    fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
         Err(AllocError::Unsupported(
             "FDGMalloc has no per-allocation free; use free_warp_all (tidyUp)",
         ))
@@ -379,9 +361,12 @@ mod tests {
 
     #[test]
     fn oversize_requests_forward_to_cuda_allocator() {
-        let a = alloc();
+        let a = alloc().with_metrics(Metrics::enabled(1));
         let c = ThreadCtx::host();
+        a.malloc(&c, SUPERBLOCK_BYTES).unwrap();
+        assert_eq!(a.metrics().snapshot().oom_fallbacks(), 0, "a SuperBlock's worth is native");
         let p = a.malloc(&c, SUPERBLOCK_BYTES * 4).unwrap();
+        assert_eq!(a.metrics().snapshot().oom_fallbacks(), 1, "one more byte is forwarded");
         a.heap().fill(p, SUPERBLOCK_BYTES * 4, 0x42);
         // Forwarded allocations are still tidy-up-tracked.
         a.free_warp_all(&warp0()).unwrap();
@@ -450,7 +435,5 @@ mod tests {
         let info = a.info();
         assert!(info.warp_level_only);
         assert!(!info.supports_free);
-        assert!(info.relays_large_to_cuda);
-        assert_eq!(info.max_native_size, SUPERBLOCK_BYTES);
     }
 }

@@ -183,12 +183,11 @@ impl Halloc {
         }
     }
 
-    /// Attaches a contention-observability handle. The embedded
-    /// CUDA-Allocator section shares the counters through
-    /// [`Metrics::relay`], so relayed large requests contribute structural
-    /// counters without double-counting `malloc_calls`/`free_calls`.
+    /// Attaches a contention-observability handle, shared with the embedded
+    /// CUDA-Allocator section so relayed large requests add their
+    /// contention counters to this manager's.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.cuda.set_metrics(metrics.relay());
+        self.cuda.set_metrics(metrics.clone());
         self.metrics = metrics;
         self
     }
@@ -264,7 +263,6 @@ impl Halloc {
         let flush = |probes: u64, retries: u64| {
             self.metrics.add(sm, Counter::ProbeSteps, probes);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(retries);
         };
         for attempt in 0..self.slabs.len() * 2 + 4 {
             if attempt > 0 {
@@ -342,79 +340,14 @@ impl Halloc {
         DevicePtr::new(base + block as u64 * CLASSES[class_idx])
     }
 
-    fn malloc_inner(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        if size == 0 {
-            return Err(AllocError::UnsupportedSize(0));
-        }
-        if size > MAX_BLOCK {
-            // "Allocations larger than 3 KiB are relayed to the
-            // CUDA-Allocator."
-            self.metrics.tick(ctx.sm, Counter::OomFallbacks);
-            return self.cuda.malloc(ctx, size);
-        }
-        let class_idx = Self::class_index(size).expect("size <= MAX_BLOCK");
-        let (slab_idx, _) = self.reserve_blocks(ctx.sm, class_idx, 1)?;
-        let bitmap = &self.classes[class_idx].bitmap;
-        let slab = &self.slabs[slab_idx as usize];
-        let (mut probes, mut lost) = (0u64, 0u64);
-        let claimed = slab.claim_bit_with(bitmap, ctx.scatter_hash(), &mut probes, &mut lost);
-        self.metrics.add(ctx.sm, Counter::ProbeSteps, probes);
-        self.metrics.add(ctx.sm, Counter::CasRetries, lost);
-        self.metrics.record_retries(lost);
-        match claimed {
-            Some(block) => Ok(self.block_ptr(slab_idx, class_idx, block)),
-            None => {
-                slab.unreserve(1);
-                Err(AllocError::Contention("Halloc bitmap probe"))
-            }
-        }
-    }
-
-    fn free_inner(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        if ptr.is_null() || ptr.offset() >= self.heap.len() {
-            return Err(AllocError::InvalidPointer);
-        }
-        if ptr.offset() >= self.cuda_base {
-            return self.cuda.free(ctx, ptr);
-        }
-        let slab_idx = (ptr.offset() >> self.slab_shift) as usize;
-        let slab = &self.slabs[slab_idx];
-        let class = slab.class.load(Ordering::Acquire);
-        if class == CLASS_FREE || class as usize >= CLASSES.len() {
-            return Err(AllocError::InvalidPointer);
-        }
-        let class_idx = class as usize;
-        let delta = ptr.offset() & (self.cfg.slab_bytes - 1);
-        let block = self.classes[class_idx].size_div.div(delta);
-        if delta != block * CLASSES[class_idx] || block >= self.blocks_per_slab(class_idx) as u64 {
-            return Err(AllocError::InvalidPointer);
-        }
-        let block = block as u32;
-        let prev = slab.release_bit(block).map_err(|()| AllocError::InvalidPointer)?;
-        if prev == 1 {
-            // Slab is empty: return it to the free pool (and drop it as a
-            // head if it was one).
-            if slab.try_free() {
-                let _ = self.heads[class_idx].compare_exchange(
-                    slab_idx as u32,
-                    NO_HEAD,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-        }
-        Ok(())
-    }
-
     /// Warp-aggregated allocation body: lanes of the same class share one
-    /// counter update through the leader. `served_total` counts the lanes
-    /// actually served so the trait wrapper can account partial failures.
+    /// counter update through the leader. Fills `out` as groups are served;
+    /// the trait wrapper rolls the granted lanes back on failure.
     fn malloc_warp_inner(
         &self,
         warp: &WarpCtx,
         sizes: &[u64],
         out: &mut [DevicePtr],
-        served_total: &mut u64,
     ) -> Result<(), AllocError> {
         debug_assert_eq!(sizes.len(), out.len());
         debug_assert!(sizes.len() <= WARP_SIZE as usize);
@@ -432,7 +365,6 @@ impl Halloc {
                 // Above MAX_BLOCK: relayed to the CUDA-Allocator.
                 self.metrics.tick(warp.sm, Counter::OomFallbacks);
                 out[first] = self.cuda.malloc(&warp.lane(first as u32), size)?;
-                *served_total += 1;
                 remaining &= remaining - 1;
                 continue;
             };
@@ -472,10 +404,8 @@ impl Halloc {
                 }
                 self.metrics.add(warp.sm, Counter::ProbeSteps, probes);
                 self.metrics.add(warp.sm, Counter::CasRetries, lost);
-                self.metrics.record_retries(lost);
                 // One leader counter update covered all `served` lanes.
                 self.metrics.add(warp.sm, Counter::WarpCoalesced, served as u64);
-                *served_total += served as u64;
                 todo -= served;
                 if served == 0 {
                     return Err(AllocError::Contention("Halloc warp aggregation"));
@@ -491,9 +421,6 @@ impl DeviceAllocator for Halloc {
     fn info(&self) -> ManagerInfo {
         ManagerInfo::builder("Halloc")
             .alignment(8) // class 24 B blocks land on 8-byte boundaries
-            .max_native_size(MAX_BLOCK)
-            .relays_large_to_cuda(true)
-            .instrumented(true)
             .build()
     }
 
@@ -501,22 +428,69 @@ impl DeviceAllocator for Halloc {
         &self.heap
     }
 
+    #[inline]
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
-        let r = self.malloc_inner(ctx, size);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
+        if size == 0 {
+            return Err(AllocError::UnsupportedSize(0));
         }
-        r
+        if size > MAX_BLOCK {
+            // "Allocations larger than 3 KiB are relayed to the
+            // CUDA-Allocator."
+            self.metrics.tick(ctx.sm, Counter::OomFallbacks);
+            return self.cuda.malloc(ctx, size);
+        }
+        let class_idx = Self::class_index(size).expect("size <= MAX_BLOCK");
+        let (slab_idx, _) = self.reserve_blocks(ctx.sm, class_idx, 1)?;
+        let bitmap = &self.classes[class_idx].bitmap;
+        let slab = &self.slabs[slab_idx as usize];
+        let (mut probes, mut lost) = (0u64, 0u64);
+        let claimed = slab.claim_bit_with(bitmap, ctx.scatter_hash(), &mut probes, &mut lost);
+        self.metrics.add(ctx.sm, Counter::ProbeSteps, probes);
+        self.metrics.add(ctx.sm, Counter::CasRetries, lost);
+        match claimed {
+            Some(block) => Ok(self.block_ptr(slab_idx, class_idx, block)),
+            None => {
+                slab.unreserve(1);
+                Err(AllocError::Contention("Halloc bitmap probe"))
+            }
+        }
     }
 
+    #[inline]
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let r = self.free_inner(ctx, ptr);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
+        if ptr.is_null() || ptr.offset() >= self.heap.len() {
+            return Err(AllocError::InvalidPointer);
         }
-        r
+        if ptr.offset() >= self.cuda_base {
+            return self.cuda.free(ctx, ptr);
+        }
+        let slab_idx = (ptr.offset() >> self.slab_shift) as usize;
+        let slab = &self.slabs[slab_idx];
+        let class = slab.class.load(Ordering::Acquire);
+        if class == CLASS_FREE || class as usize >= CLASSES.len() {
+            return Err(AllocError::InvalidPointer);
+        }
+        let class_idx = class as usize;
+        let delta = ptr.offset() & (self.cfg.slab_bytes - 1);
+        let block = self.classes[class_idx].size_div.div(delta);
+        if delta != block * CLASSES[class_idx] || block >= self.blocks_per_slab(class_idx) as u64 {
+            return Err(AllocError::InvalidPointer);
+        }
+        let block = block as u32;
+        let prev = slab.release_bit(block).map_err(|()| AllocError::InvalidPointer)?;
+        if prev == 1 {
+            // Slab is empty: return it to the free pool (and drop it as a
+            // head if it was one).
+            if slab.try_free() {
+                let _ = self.heads[class_idx].compare_exchange(
+                    slab_idx as u32,
+                    NO_HEAD,
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                );
+            }
+        }
+        Ok(())
     }
 
     /// Warp-aggregated allocation: lanes of the same class share one
@@ -527,22 +501,19 @@ impl DeviceAllocator for Halloc {
         sizes: &[u64],
         out: &mut [DevicePtr],
     ) -> Result<(), AllocError> {
-        self.metrics.add(warp.sm, Counter::MallocCalls, sizes.len() as u64);
         // The inner body fills `out` as groups are served; start from a
         // clean slate so a partial failure can tell granted lanes apart
         // from caller residue.
         for slot in out.iter_mut() {
             *slot = DevicePtr::NULL;
         }
-        let mut served = 0u64;
-        let r = self.malloc_warp_inner(warp, sizes, out, &mut served);
+        let r = self.malloc_warp_inner(warp, sizes, out);
         if r.is_err() {
-            self.metrics.add(warp.sm, Counter::MallocFailures, sizes.len() as u64 - served);
             // All-or-nothing like the trait default: free the lanes that
             // were granted before the failure so nothing leaks.
             for (lane, slot) in out.iter_mut().enumerate() {
                 if !slot.is_null() {
-                    let _ = self.free_inner(&warp.lane(lane as u32), *slot);
+                    let _ = self.free(&warp.lane(lane as u32), *slot);
                     *slot = DevicePtr::NULL;
                 }
             }

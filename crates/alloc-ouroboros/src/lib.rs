@@ -172,13 +172,11 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         }
     }
 
-    /// Attaches a contention-observability handle. The embedded
-    /// CUDA-Allocator section shares the counters through
-    /// [`Metrics::relay`], so relayed oversize requests contribute
-    /// structural counters without double-counting
-    /// `malloc_calls`/`free_calls`.
+    /// Attaches a contention-observability handle, shared with the embedded
+    /// CUDA-Allocator section so relayed oversize requests add their
+    /// contention counters to this manager's.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.cuda.set_metrics(metrics.relay());
+        self.cuda.set_metrics(metrics.clone());
         self.metrics = metrics;
         self
     }
@@ -263,7 +261,6 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         let flush = |spins: u64, retries: u64| {
             self.metrics.add(sm, Counter::QueueSpins, spins);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(retries);
         };
         for _ in 0..limit {
             match self.queues[class_idx].dequeue_with(&self.pool, &self.heap, &mut spins) {
@@ -300,7 +297,6 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         let flush = |spins: u64, retries: u64| {
             self.metrics.add(sm, Counter::QueueSpins, spins);
             self.metrics.add(sm, Counter::CasRetries, retries);
-            self.metrics.record_retries(retries);
         };
         for _ in 0..limit {
             let chunk =
@@ -384,7 +380,38 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         Err(AllocError::Contention("Ouroboros chunk queue"))
     }
 
-    fn malloc_inner(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+    /// Chunks the bump frontier has handed out (diagnostics).
+    pub fn allocated_chunks(&self) -> u32 {
+        self.pool.allocated_chunks()
+    }
+
+    fn variant() -> String {
+        format!("{}-{}", Q::tag(), if CHUNKED { "C" } else { "P" })
+    }
+}
+
+impl<Q: IndexQueue, const CHUNKED: bool> DeviceAllocator for Ouroboros<Q, CHUNKED> {
+    fn info(&self) -> ManagerInfo {
+        // Leak the variant string once per instantiation: ManagerInfo wants
+        // &'static str and there are exactly six instantiations.
+        let variant: &'static str = match (Q::tag(), CHUNKED) {
+            ("S", false) => "S-P",
+            ("S", true) => "S-C",
+            ("VA", false) => "VA-P",
+            ("VA", true) => "VA-C",
+            ("VL", false) => "VL-P",
+            ("VL", true) => "VL-C",
+            _ => "?",
+        };
+        debug_assert_eq!(variant, Self::variant());
+        ManagerInfo::builder("Ouroboros").variant(variant).build()
+    }
+
+    fn heap(&self) -> &DeviceHeap {
+        &self.heap
+    }
+
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         if size == 0 {
             return Err(AllocError::UnsupportedSize(0));
         }
@@ -401,7 +428,7 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         }
     }
 
-    fn free_inner(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
         if ptr.is_null() || ptr.offset() >= self.heap.len() {
             return Err(AllocError::InvalidPointer);
         }
@@ -452,61 +479,6 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
         }
         self.metrics.add(ctx.sm, Counter::QueueSpins, spins);
         Ok(())
-    }
-
-    /// Chunks the bump frontier has handed out (diagnostics).
-    pub fn allocated_chunks(&self) -> u32 {
-        self.pool.allocated_chunks()
-    }
-
-    fn variant() -> String {
-        format!("{}-{}", Q::tag(), if CHUNKED { "C" } else { "P" })
-    }
-}
-
-impl<Q: IndexQueue, const CHUNKED: bool> DeviceAllocator for Ouroboros<Q, CHUNKED> {
-    fn info(&self) -> ManagerInfo {
-        // Leak the variant string once per instantiation: ManagerInfo wants
-        // &'static str and there are exactly six instantiations.
-        let variant: &'static str = match (Q::tag(), CHUNKED) {
-            ("S", false) => "S-P",
-            ("S", true) => "S-C",
-            ("VA", false) => "VA-P",
-            ("VA", true) => "VA-C",
-            ("VL", false) => "VL-P",
-            ("VL", true) => "VL-C",
-            _ => "?",
-        };
-        debug_assert_eq!(variant, Self::variant());
-        ManagerInfo::builder("Ouroboros")
-            .variant(variant)
-            .resizable(true)
-            .max_native_size(MAX_PAGE)
-            .relays_large_to_cuda(true)
-            .instrumented(true)
-            .build()
-    }
-
-    fn heap(&self) -> &DeviceHeap {
-        &self.heap
-    }
-
-    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
-        let r = self.malloc_inner(ctx, size);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-        }
-        r
-    }
-
-    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let r = self.free_inner(ctx, ptr);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
-        }
-        r
     }
 
     fn grow(&self, additional: u64) -> Result<(), AllocError> {

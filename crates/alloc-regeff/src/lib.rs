@@ -181,7 +181,6 @@ impl<H: HeaderCodec, const MULTI: bool> RegEff<H, MULTI> {
     fn flush_walk(&self, sm: u32, hops: u64, lost: u64) {
         self.metrics.add(sm, Counter::ListHops, hops);
         self.metrics.add(sm, Counter::CasRetries, lost);
-        self.metrics.record_retries(lost);
     }
 
     fn presplit(base: u64, len: u64, out: &mut Vec<u64>) {
@@ -274,7 +273,6 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
         ManagerInfo::builder("Reg-Eff")
             .variant(Self::variant_name())
             .alignment(if H::FUSED { 4 } else { 8 })
-            .instrumented(true)
             .build()
     }
 
@@ -283,20 +281,16 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
         if size == 0 {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(0));
         }
         // Checked inflation: `size + H::SIZE` (then rounding) must not wrap
         // for near-`u64::MAX` requests and masquerade as a small chunk.
         let Some(need) = size.checked_add(H::SIZE).and_then(|n| n.checked_next_multiple_of(8))
         else {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(size));
         };
         if need > self.region_len {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
             return Err(AllocError::UnsupportedSize(size));
         }
         let slot = if MULTI { (ctx.sm as usize) % self.offsets.len() } else { 0 };
@@ -314,7 +308,6 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
         loop {
             if traversed >= 2 * self.region_len {
                 self.flush_walk(ctx.sm, hops, lost);
-                self.metrics.tick(ctx.sm, Counter::MallocFailures);
                 // Resets that ate half the budget kept the walk from seeing
                 // the heap twice: that is contention, not exhaustion.
                 return Err(if u64::from(strikes) * STRIKE_BYTES >= self.region_len {
@@ -395,22 +388,17 @@ impl<H: HeaderCodec, const MULTI: bool> DeviceAllocator for RegEff<H, MULTI> {
         }
     }
 
-    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let fail = |e: AllocError| {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
-            Err(e)
-        };
+    fn free(&self, _ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
         if ptr.is_null() || ptr.offset() < H::SIZE {
-            return fail(AllocError::InvalidPointer);
+            return Err(AllocError::InvalidPointer);
         }
         let chunk = ptr.offset() - H::SIZE;
         if !self.starts.check(chunk) {
-            return fail(AllocError::InvalidPointer);
+            return Err(AllocError::InvalidPointer);
         }
         let hdr = H::read(&self.heap, chunk);
         if !hdr.allocated {
-            return fail(AllocError::InvalidPointer);
+            return Err(AllocError::InvalidPointer);
         }
         // Merge with the physically-next chunk if it is free.
         self.absorb_next(chunk, hdr.next);

@@ -284,7 +284,6 @@ impl ScatterAlloc {
     fn flush_stats(&self, sm: u32, stats: PageStats) {
         self.metrics.add(sm, Counter::ProbeSteps, stats.probe_steps);
         self.metrics.add(sm, Counter::CasRetries, stats.cas_retries);
-        self.metrics.record_retries(stats.cas_retries);
     }
 
     /// The reserved-area multi-page path for requests larger than a page.
@@ -339,68 +338,27 @@ impl ScatterAlloc {
 
 impl DeviceAllocator for ScatterAlloc {
     fn info(&self) -> ManagerInfo {
-        ManagerInfo::builder("ScatterAlloc").resizable(true).instrumented(true).build()
+        ManagerInfo::builder("ScatterAlloc").build()
     }
 
     fn heap(&self) -> &DeviceHeap {
         &self.heap
     }
 
+    #[inline]
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
-        let r = if size == 0 {
+        if size == 0 {
             Err(AllocError::UnsupportedSize(0))
         } else if size <= self.max_single_page() {
             self.malloc_small(ctx, size)
         } else {
             self.malloc_multi(ctx.sm, size)
-        };
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-        }
-        r
-    }
-
-    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let r = self.free_inner(ptr);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
-        }
-        r
-    }
-
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        let add_sbs = additional.div_ceil(SB_BYTES) as u32;
-        let mut cur = self.small_sbs.load(Ordering::Acquire);
-        loop {
-            if cur >= self.small_sb_capacity {
-                return Err(AllocError::OutOfMemory(additional));
-            }
-            let new = (cur + add_sbs).min(self.small_sb_capacity);
-            match self.small_sbs.compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
-            }
         }
     }
 
-    fn register_footprint(&self) -> RegisterFootprint {
-        RegisterFootprint::from_frames(
-            std::mem::size_of::<MallocFrame>(),
-            std::mem::size_of::<FreeFrame>(),
-        )
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.metrics.clone()
-    }
-}
-
-impl ScatterAlloc {
-    /// Pointer-validated deallocation (call accounting lives in the trait
-    /// wrapper).
-    fn free_inner(&self, ptr: DevicePtr) -> Result<(), AllocError> {
+    /// Pointer-validated deallocation.
+    #[inline]
+    fn free(&self, _ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
         if ptr.is_null() || ptr.offset() >= self.heap.len() {
             return Err(AllocError::InvalidPointer);
         }
@@ -444,6 +402,32 @@ impl ScatterAlloc {
                 Ok(())
             }
         }
+    }
+
+    fn grow(&self, additional: u64) -> Result<(), AllocError> {
+        let add_sbs = additional.div_ceil(SB_BYTES) as u32;
+        let mut cur = self.small_sbs.load(Ordering::Acquire);
+        loop {
+            if cur >= self.small_sb_capacity {
+                return Err(AllocError::OutOfMemory(additional));
+            }
+            let new = (cur + add_sbs).min(self.small_sb_capacity);
+            match self.small_sbs.compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return Ok(()),
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    fn register_footprint(&self) -> RegisterFootprint {
+        RegisterFootprint::from_frames(
+            std::mem::size_of::<MallocFrame>(),
+            std::mem::size_of::<FreeFrame>(),
+        )
+    }
+
+    fn metrics(&self) -> Metrics {
+        self.metrics.clone()
     }
 }
 
@@ -603,7 +587,6 @@ mod tests {
         a.grow(2 << 20).unwrap();
         assert_eq!(a.active_superblocks(), 3);
         assert!(matches!(a.grow(2 << 20), Err(AllocError::OutOfMemory(_))));
-        assert!(a.info().resizable);
     }
 
     #[test]

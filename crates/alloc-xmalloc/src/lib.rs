@@ -263,10 +263,31 @@ impl XMalloc {
             }
         }
     }
+}
 
-    /// The three-level deallocation of Figure 1 (call accounting lives in
-    /// the trait wrapper).
-    fn free_inner(&self, sm: u32, ptr: DevicePtr) -> Result<(), AllocError> {
+impl DeviceAllocator for XMalloc {
+    fn info(&self) -> ManagerInfo {
+        ManagerInfo::builder("XMalloc").build()
+    }
+
+    fn heap(&self) -> &DeviceHeap {
+        &self.heap
+    }
+
+    #[inline]
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+        if size == 0 {
+            Err(AllocError::UnsupportedSize(0))
+        } else if size <= CLASSES[CLASSES.len() - 1] {
+            self.malloc_small(ctx.sm, Self::class_index(size))
+        } else {
+            self.malloc_large(ctx.sm, size)
+        }
+    }
+
+    /// The three-level deallocation of Figure 1.
+    #[inline]
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
         if ptr.is_null() || ptr.offset() < ITEM_HDR || ptr.offset() >= self.heap.len() {
             return Err(AllocError::InvalidPointer);
         }
@@ -281,8 +302,8 @@ impl XMalloc {
                 {
                     return Err(AllocError::InvalidPointer);
                 }
-                if !self.push_counted(sm, &self.first_level[class_idx], item) {
-                    self.return_to_superblock(sm, sb);
+                if !self.push_counted(ctx.sm, &self.first_level[class_idx], item) {
+                    self.return_to_superblock(ctx.sm, sb);
                 }
                 Ok(())
             }
@@ -312,40 +333,6 @@ impl XMalloc {
             _ => Err(AllocError::InvalidPointer),
         }
     }
-}
-
-impl DeviceAllocator for XMalloc {
-    fn info(&self) -> ManagerInfo {
-        ManagerInfo::builder("XMalloc").instrumented(true).build()
-    }
-
-    fn heap(&self) -> &DeviceHeap {
-        &self.heap
-    }
-
-    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.metrics.tick(ctx.sm, Counter::MallocCalls);
-        let r = if size == 0 {
-            Err(AllocError::UnsupportedSize(0))
-        } else if size <= CLASSES[CLASSES.len() - 1] {
-            self.malloc_small(ctx.sm, Self::class_index(size))
-        } else {
-            self.malloc_large(ctx.sm, size)
-        };
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::MallocFailures);
-        }
-        r
-    }
-
-    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.metrics.tick(ctx.sm, Counter::FreeCalls);
-        let r = self.free_inner(ctx.sm, ptr);
-        if r.is_err() {
-            self.metrics.tick(ctx.sm, Counter::FreeFailures);
-        }
-        r
-    }
 
     /// SIMD-width coalescing: all lane requests become one Memoryblock with
     /// a live-lane counter.
@@ -365,14 +352,11 @@ impl DeviceAllocator for XMalloc {
             total.checked_add(s.max(1).checked_next_multiple_of(16)?.checked_add(ITEM_HDR)?)
         }) else {
             out.fill(DevicePtr::NULL);
-            self.metrics.add(warp.sm, Counter::MallocCalls, sizes.len() as u64);
-            self.metrics.add(warp.sm, Counter::MallocFailures, sizes.len() as u64);
             let largest = sizes.iter().copied().max().unwrap_or(0);
             return Err(AllocError::UnsupportedSize(largest));
         };
         match self.mblock_alloc_counted(warp.sm, total) {
             Some(cblock) => {
-                self.metrics.add(warp.sm, Counter::MallocCalls, sizes.len() as u64);
                 self.metrics.add(warp.sm, Counter::WarpCoalesced, sizes.len() as u64);
                 self.heap.store_u32(cblock, MAGIC_CBLK);
                 self.heap.store_u32(cblock + 4, sizes.len() as u32);

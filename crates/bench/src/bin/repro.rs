@@ -21,7 +21,8 @@
 //! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and
 //! `watch` take their counts, iterations and per-cell timeouts from the tier
 //! and refuse `--cached`. `table1`, `trace` and `audit` print each table they
-//! save as CSV, with the same columns.
+//! save as CSV, with the same columns. A closed stdout (`repro … | head`)
+//! drops the printed report; the files and the exit status stay the same.
 
 use std::path::{Path, PathBuf};
 
@@ -37,6 +38,15 @@ use gpumem_core::info::SURVEY_TABLE;
 use gpumem_core::telemetry::TelemetryConfig;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
 use gpumem_core::{HeapBackendKind, Pretouch};
+
+/// `println!` that drops its line once stdout is closed instead of
+/// panicking: no file a command writes depends on its report being read.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
 
 #[derive(Clone)]
 struct Opts {
@@ -74,7 +84,7 @@ impl Default for Opts {
             num: 10_000,
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
-            heap_backend: HeapBackendKind::env_default(),
+            heap_backend: HeapBackendKind::Ram,
             heap_mb: None,
             cached: false,
             out: PathBuf::from("results"),
@@ -88,6 +98,9 @@ impl Default for Opts {
 
 fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     let mut opts = Opts::default();
+    if let Ok(s) = std::env::var("GMS_HEAP_BACKEND") {
+        opts.heap_backend = s.parse().map_err(|e| format!("GMS_HEAP_BACKEND: {e}"))?;
+    }
     let cmd = args.first().cloned().ok_or_else(usage)?;
     let mut i = 1;
     let next = |i: &mut usize| -> Result<String, String> {
@@ -181,7 +194,7 @@ fn main() {
     let (cmd, opts) = or_exit(parse_args(&args), 2);
     // Every report names its worker config so CSV rows stay attributable
     // (the pool size changes contention, and GMS_WORKERS overrides it).
-    println!(
+    outln!(
         "# device={} sms={} workers={}{}",
         opts.device.name,
         opts.device.num_sms,
@@ -270,7 +283,7 @@ fn selected_scenarios(opts: &Opts) -> Vec<&'static matrix::ScenarioSpec> {
 fn matrix_cmd(opts: &Opts) {
     let cfg = matrix_cfg(opts, Tier::Full);
     let specs = selected_scenarios(opts);
-    println!(
+    outln!(
         "# matrix tier={} seed={:#x} backend={} anchors={}",
         cfg.tier.as_str(),
         cfg.seed,
@@ -285,7 +298,7 @@ fn matrix_cmd(opts: &Opts) {
         let secs = started.elapsed().as_secs_f64();
         let path = Anchor::path_for(&opts.anchors, spec.name);
         write_or_exit(&path, &anchor.render());
-        println!(
+        outln!(
             "{:<14} {secs:>6.1}s  wrote {} ({} metrics, tier {})",
             spec.name,
             path.display(),
@@ -329,7 +342,7 @@ fn watch_cmd(opts: &Opts) {
     }
     let s = &outcome.series;
     let boundaries = s.samples.iter().filter(|x| x.boundary).count();
-    println!(
+    outln!(
         "watched {scenario}: {} samples ({} kernel-boundary cuts, {} evicted), \
          {} launches, {} mallocs / {} frees, {} trace events dropped",
         s.samples.len(),
@@ -341,7 +354,7 @@ fn watch_cmd(opts: &Opts) {
         s.dropped_events,
     );
     for p in [&outcome.json_path, &outcome.csv_path] {
-        println!("wrote {}", p.display());
+        outln!("wrote {}", p.display());
     }
 }
 
@@ -367,18 +380,18 @@ fn gate_cmd(opts: &Opts) {
         let report = match report {
             Ok(report) => report,
             Err(e) => {
-                println!("FAIL {}: {e}", spec.name);
+                outln!("FAIL {}: {e}", spec.name);
                 failures += 1;
                 continue;
             }
         };
         for f in &report.findings {
-            println!("  {}: {f}", spec.name);
+            outln!("  {}: {f}", spec.name);
         }
         let n_fail = report.failures().count();
         failures += n_fail;
         exact += report.exact;
-        println!(
+        outln!(
             "{} {} ({} exact, {} info)",
             if n_fail == 0 { "pass" } else { "FAIL" },
             spec.name,
@@ -390,7 +403,7 @@ fn gate_cmd(opts: &Opts) {
         eprintln!("gate: {failures} failure(s)");
         std::process::exit(1);
     }
-    println!("gate: all scenarios pass ({exact} exact metrics equal)");
+    outln!("gate: all scenarios pass ({exact} exact metrics equal)");
 }
 
 /// Source-audit summary: runs memlint over the workspace in-process, prints
@@ -431,12 +444,12 @@ fn audit(opts: &Opts) {
         csv.row([krate.clone(), rule.to_string(), standing.to_string(), allowed.to_string()]);
     }
     if rows.is_empty() {
-        println!("(no diagnostics at all — {} files scanned)", report.files);
+        outln!("(no diagnostics at all — {} files scanned)", report.files);
     }
     save(csv, opts, "audit.csv");
-    println!();
+    outln!();
     for d in report.allowlisted() {
-        println!(
+        outln!(
             "allow {}:{} [{}] — {}",
             d.file.display(),
             d.line,
@@ -446,9 +459,9 @@ fn audit(opts: &Opts) {
     }
     let standing = report.denied().count();
     for d in report.denied() {
-        println!("STANDING {d}");
+        outln!("STANDING {d}");
     }
-    println!(
+    outln!(
         "\naudit: {} files, {} standing, {} allowlisted",
         report.files,
         standing,
@@ -507,7 +520,7 @@ fn trace(opts: &Opts) {
     or_exit(valid, 1);
     let json_path = opts.out.join(format!("trace_{token}.json"));
     write_or_exit(&json_path, &r.json);
-    println!("wrote {} ({} bytes)", json_path.display(), r.json.len());
+    outln!("wrote {} ({} bytes)", json_path.display(), r.json.len());
     let mut csv = Csv::new([
         "manager", "op", "events", "dropped", "p50_ns", "p95_ns", "p99_ns", "max_ns", "mean_ns",
     ]);
@@ -534,7 +547,7 @@ fn trace(opts: &Opts) {
             r.trace.dropped, opts.trace_cap
         );
     }
-    println!(
+    outln!(
         "{} events recorded ({} dropped), span {:.3} ms; occupancy: {} samples, peak {} B in {} allocs, address range {} B",
         r.trace.len(),
         r.trace.dropped,
@@ -565,14 +578,13 @@ fn provenance(opts: &Opts) -> String {
     )
 }
 
-/// Prints `csv` as an aligned table, then stamps it with [`provenance`] and
-/// writes it to `--out/name` — one column list for both.
+/// Stamps `csv` with [`provenance`] and writes it to `--out/name`, then
+/// prints it as an aligned table — one column list for both.
 fn save(mut csv: Csv, opts: &Opts, name: &str) {
-    print!("{}", csv.to_string_text());
     csv.comment(provenance(opts));
     let path = opts.out.join(name);
     write_or_exit(&path, &csv.to_string_csv());
-    println!("wrote {} ({} rows)", path.display(), csv.len());
+    outln!("{}wrote {} ({} rows)", csv.to_string_text(), path.display(), csv.len());
 }
 
 /// Writes one result file, creating its directory, and exits 1 on failure:

@@ -18,6 +18,7 @@ use alloc_ouroboros::{OuroSC, OuroSP, OuroVAC, OuroVAP, OuroVLC, OuroVLP};
 use alloc_regeff::{RegEffC, RegEffCF, RegEffCFM, RegEffCM};
 use alloc_scatter::ScatterAlloc;
 use alloc_xmalloc::XMalloc;
+use gpumem_core::metrics::Counted;
 use gpumem_core::telemetry::{self, TelemetrySink};
 use gpumem_core::trace::{TraceRecorder, Traced, DEFAULT_EVENTS_PER_SM};
 use gpumem_core::{
@@ -198,10 +199,11 @@ enum HeapSource {
 /// ```
 ///
 /// `metrics(true)` attaches a sharded [`Metrics`] handle (one shard per SM)
-/// to the manager — and, for managers that relay oversized requests to an
-/// embedded CUDA-allocator model, a relay handle to that model too — so hot
-/// loops record contention counters. With `metrics(false)` (the default) the
-/// handle is disabled and every recording call is a no-op on a `None` branch.
+/// to the manager, which shares it with any embedded CUDA-allocator model,
+/// so hot loops record contention counters and the [`Counted`] layer every
+/// stack starts with counts the calls. With `metrics(false)` (the default)
+/// the handle is disabled and every recording call is a no-op on a `None`
+/// branch.
 ///
 /// `trace(true)` additionally wraps the manager in the event-tracing layer
 /// (`gpumem_core::trace`): a per-SM ring [`TraceRecorder`] is attached to
@@ -355,11 +357,14 @@ struct Stack {
     tracer: Option<Arc<TraceRecorder>>,
 }
 
-/// Wraps the concrete manager `m` in its decorators — `M`, `Cached<M>`,
-/// `Traced<M>` or `Traced<Cached<M>>` — and erases the whole stack once:
-/// each layer calls the next directly, and only the caller's call crosses
-/// the `dyn` boundary.
+/// Wraps the concrete manager `m` in its decorators — `Counted<M>`,
+/// `Cached<Counted<M>>`, `Traced<Counted<M>>` or
+/// `Traced<Cached<Counted<M>>>` — and erases the whole stack once: each
+/// layer calls the next directly, and only the caller's call crosses the
+/// `dyn` boundary. [`Counted`] is innermost, so every manager's calls are
+/// counted by one rule, and a magazine hit never reaches it.
 fn finish<M: DeviceAllocator + 'static>(m: M, stack: Stack) -> Arc<dyn DeviceAllocator> {
+    let m = Counted::new(m);
     match (stack.tracer, stack.cached) {
         (None, false) => Arc::new(m),
         (None, true) => Arc::new(Cached::new(m, stack.sms)),

@@ -236,8 +236,8 @@ pub struct Cached<A: DeviceAllocator> {
     inner: A,
     shards: Box<[SmShard]>,
     classes: ClassMap,
-    /// Relay of the inner metrics handle: magazine counters land in the
-    /// same block, call accounting stays the inner allocator's own view.
+    /// The inner manager's metrics handle: magazine counters land in the
+    /// same block as the calls counted below this layer.
     metrics: Metrics,
     /// Whether magazines engage (inner has general free support).
     enabled: bool,
@@ -257,7 +257,7 @@ impl<A: DeviceAllocator> Cached<A> {
         let shards =
             (0..n).map(|_| SmShard { mags: std::array::from_fn(|_| Magazine::new(cap)) }).collect();
         let classes = ClassMap::new(if enabled { inner.heap().len() } else { 0 });
-        let metrics = inner.metrics().relay();
+        let metrics = inner.metrics();
         Cached { inner, shards, classes, metrics, enabled }
     }
 
@@ -496,7 +496,8 @@ mod tests {
 
     /// Bump allocator counting its calls, for decorator tests. It frees
     /// unless `supports_free` is cleared, and `m` can be a live metrics
-    /// block, as the registry's managers have.
+    /// block, as the registry's managers have (whose calls `Counted` counts
+    /// into it).
     struct CountingInner {
         heap: Arc<DeviceHeap>,
         top: AtomicU64,
@@ -526,8 +527,7 @@ mod tests {
         fn heap(&self) -> &DeviceHeap {
             &self.heap
         }
-        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.tick(ctx.sm, Counter::MallocCalls);
+        fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
             self.mallocs.fetch_add(1, O::Relaxed);
             let sz = crate::util::align_up(size.max(1), 16);
             let off = self.top.fetch_add(sz, O::Relaxed);
@@ -536,11 +536,10 @@ mod tests {
             }
             Ok(DevicePtr::new(off))
         }
-        fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
+        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
             if !self.supports_free {
                 return Err(AllocError::Unsupported("free"));
             }
-            self.m.tick(ctx.sm, Counter::FreeCalls);
             self.frees.fetch_add(1, O::Relaxed);
             Ok(())
         }
@@ -836,7 +835,8 @@ mod tests {
     #[test]
     fn magazine_counters_flow_into_shared_metrics() {
         let m = Metrics::enabled(4);
-        let c = Cached::new(CountingInner { m: m.clone(), ..CountingInner::new(1 << 20) }, 4);
+        let inner = CountingInner { m: m.clone(), ..CountingInner::new(1 << 20) };
+        let c = Cached::new(crate::metrics::Counted::new(inner), 4);
         let ctx = ThreadCtx::host();
         let p = c.malloc(&ctx, 64).unwrap(); // miss
         c.free(&ctx, p).unwrap(); // park (no inner free call)

@@ -233,27 +233,15 @@ pub struct ManagerInfo {
     pub supports_free: bool,
     /// Whether only whole-warp collective allocation is offered (FDGMalloc).
     pub warp_level_only: bool,
-    /// Whether the manageable memory can grow at runtime (paper §6:
-    /// ScatterAlloc and Ouroboros only).
-    pub resizable: bool,
     /// Guaranteed alignment of returned pointers in bytes. The paper notes
     /// Reg-Eff does *not* return 16-byte-aligned memory; everything else
     /// aligns to ≥16.
     pub alignment: u64,
-    /// Largest single allocation served without falling back to the
-    /// CUDA-Allocator (u64::MAX = unbounded up to heap size).
-    pub max_native_size: u64,
-    /// Whether oversize requests are relayed to the CUDA-Allocator model.
-    pub relays_large_to_cuda: bool,
-    /// Whether the hot paths tick the contention counters of
-    /// [`crate::metrics`] when a recording handle is attached.
-    pub instrumented: bool,
 }
 
 impl ManagerInfo {
     /// Starts building an info record. Defaults: no variant, free
-    /// supported, thread-level, not resizable, 16 B alignment, unbounded
-    /// native size, no CUDA relay, not instrumented.
+    /// supported, thread-level, 16 B alignment.
     pub fn builder(family: &'static str) -> ManagerInfoBuilder {
         ManagerInfoBuilder {
             info: ManagerInfo {
@@ -261,11 +249,7 @@ impl ManagerInfo {
                 variant: "",
                 supports_free: true,
                 warp_level_only: false,
-                resizable: false,
                 alignment: 16,
-                max_native_size: u64::MAX,
-                relays_large_to_cuda: false,
-                instrumented: false,
             },
         }
     }
@@ -307,33 +291,9 @@ impl ManagerInfoBuilder {
         self
     }
 
-    /// Sets whether the manageable memory can grow at runtime.
-    pub fn resizable(mut self, v: bool) -> Self {
-        self.info.resizable = v;
-        self
-    }
-
     /// Sets the guaranteed pointer alignment in bytes.
     pub fn alignment(mut self, bytes: u64) -> Self {
         self.info.alignment = bytes;
-        self
-    }
-
-    /// Sets the largest natively served allocation size.
-    pub fn max_native_size(mut self, bytes: u64) -> Self {
-        self.info.max_native_size = bytes;
-        self
-    }
-
-    /// Sets whether oversize requests are relayed to the CUDA-Allocator.
-    pub fn relays_large_to_cuda(mut self, v: bool) -> Self {
-        self.info.relays_large_to_cuda = v;
-        self
-    }
-
-    /// Sets whether the hot paths tick contention counters.
-    pub fn instrumented(mut self, v: bool) -> Self {
-        self.info.instrumented = v;
         self
     }
 
@@ -388,12 +348,7 @@ mod tests {
 
     #[test]
     fn label_formatting() {
-        let mut info = ManagerInfo::builder("Ouroboros")
-            .variant("VA-P")
-            .resizable(true)
-            .max_native_size(8192)
-            .relays_large_to_cuda(true)
-            .build();
+        let mut info = ManagerInfo::builder("Ouroboros").variant("VA-P").build();
         assert_eq!(info.label(), "Ouroboros-VA-P");
         info.variant = "";
         assert_eq!(info.label(), "Ouroboros");
@@ -406,11 +361,7 @@ mod tests {
         assert_eq!(info.variant, "");
         assert!(info.supports_free);
         assert!(!info.warp_level_only);
-        assert!(!info.resizable);
         assert_eq!(info.alignment, 16);
-        assert_eq!(info.max_native_size, u64::MAX);
-        assert!(!info.relays_large_to_cuda);
-        assert!(!info.instrumented);
     }
 
     #[test]

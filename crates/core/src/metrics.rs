@@ -22,11 +22,19 @@
 //!   [`CounterSnapshot::delta_since`] turns two readings, taken before and
 //!   after a kernel, into that kernel's attribution.
 //!
-//! Per-operation retry counts are not kept here: [`Metrics::record_retries`]
-//! hands them to an attached trace recorder, which stamps them on the
-//! operation's event.
+//! * [`Counted`] — the layer that keeps the four call-accounting counters
+//!   for every manager by one rule; managers record only the contention
+//!   counters they alone can see.
+//!
+//! Per-operation retry counts are not kept here: a `CasRetries` added
+//! through a handle with a tracer is also handed to the traced operation in
+//! flight, which stamps it on the operation's event.
 
+use crate::ctx::{ThreadCtx, WarpCtx};
+use crate::error::AllocError;
+use crate::ptr::DevicePtr;
 use crate::sync::{AtomicU64, Ordering};
+use crate::traits::DeviceAllocator;
 use std::sync::Arc;
 
 /// Named event counters. The discriminant doubles as the slot index inside
@@ -34,13 +42,13 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// `malloc` / `malloc_warp` lane requests issued.
+    /// `malloc` / `malloc_warp` lanes asked ([`Counted`]).
     MallocCalls = 0,
-    /// Allocation requests that returned an error.
+    /// Lanes that got no pointer ([`Counted`]).
     MallocFailures = 1,
-    /// `free` / `free_warp` lane releases issued.
+    /// Pointers the caller freed ([`Counted`]).
     FreeCalls = 2,
-    /// Releases that returned an error.
+    /// Lanes of a free call that returned an error ([`Counted`]).
     FreeFailures = 3,
     /// Failed `compare_exchange` attempts in hot loops (bit claims, count
     /// reservations, ring-buffer slots).
@@ -92,14 +100,6 @@ pub const ALL_COUNTERS: [Counter; NUM_COUNTERS] = [
 ];
 
 impl Counter {
-    /// Whether this counter belongs to per-call accounting (as opposed to
-    /// contention events). Relay handles ([`Metrics::relay`]) drop these so
-    /// an embedded fallback allocator does not double-count its parent's
-    /// calls.
-    pub const fn is_call_accounting(self) -> bool {
-        (self as usize) < 4
-    }
-
     /// Stable snake_case name, used for CSV headers and reports.
     pub const fn name(self) -> &'static str {
         match self {
@@ -176,16 +176,14 @@ impl AllocCounters {
 /// nearly free to call) or an [`Arc`] of a shared [`AllocCounters`] block.
 ///
 /// Cloning shares the underlying counters — a manager hands clones to its
-/// embedded fallback allocator and helper structures so every component
-/// reports into one block.
+/// embedded fallback allocator and helper structures, and [`Counted`] keeps
+/// one, so every component reports into one block.
 #[derive(Clone, Default)]
 pub struct Metrics {
     inner: Option<Arc<AllocCounters>>,
-    /// When false, per-call accounting counters are dropped (relay mode).
-    record_calls: bool,
     /// Attached trace recorder (see [`crate::trace`]). Checked only on
-    /// paths that already found `inner` populated or recorded a non-zero
-    /// retry count, so a disabled handle still costs one branch.
+    /// paths that already found `inner` populated, so a disabled handle
+    /// still costs one branch.
     tracer: Option<Arc<crate::trace::TraceRecorder>>,
 }
 
@@ -193,16 +191,12 @@ impl Metrics {
     /// A handle that records nothing. This is the default state of every
     /// allocator; all record calls reduce to one branch on a `None`.
     pub fn disabled() -> Self {
-        Metrics { inner: None, record_calls: false, tracer: None }
+        Metrics { inner: None, tracer: None }
     }
 
     /// A recording handle with one counter shard per simulated SM.
     pub fn enabled(num_sms: u32) -> Self {
-        Metrics {
-            inner: Some(Arc::new(AllocCounters::new(num_sms))),
-            record_calls: true,
-            tracer: None,
-        }
+        Metrics { inner: Some(Arc::new(AllocCounters::new(num_sms))), tracer: None }
     }
 
     /// True when this handle is the last owner of its counter block —
@@ -212,15 +206,6 @@ impl Metrics {
     /// Trivially true for a disabled handle (there is nothing to read).
     pub fn is_sole_owner(&self) -> bool {
         self.inner.as_ref().is_none_or(|c| Arc::strong_count(c) == 1)
-    }
-
-    /// A clone for an *embedded* fallback allocator: shares the counter
-    /// block but drops [call-accounting](Counter::is_call_accounting)
-    /// events, so one outer request relayed inward is still counted once.
-    /// The tracer (if any) is shared: the fallback's contention belongs to
-    /// the same trace.
-    pub fn relay(&self) -> Self {
-        Metrics { inner: self.inner.clone(), record_calls: false, tracer: self.tracer.clone() }
     }
 
     /// Attaches a trace recorder: `OomFallback` events and per-operation
@@ -245,16 +230,26 @@ impl Metrics {
     /// Adds `n` to `counter` on the shard of `sm`. `n == 0` is a no-op
     /// (hot loops flush per-op tallies unconditionally; a zero tally must
     /// not cost an atomic).
+    ///
+    /// With a tracer attached, two counters also reach the trace: an
+    /// `OomFallbacks` add is an `OomFallback` event, and a `CasRetries` add
+    /// goes to the current thread's in-flight traced operation, so the
+    /// `Traced` wrapper stamps its `MallocEnd`/`FreeEnd` event with the
+    /// retries the inner call burned.
     #[inline]
     pub fn add(&self, sm: u32, counter: Counter, n: u64) {
         if let Some(c) = &self.inner {
-            if n == 0 || (counter.is_call_accounting() && !self.record_calls) {
+            if n == 0 {
                 return;
             }
             c.add(sm, counter, n);
-            if counter == Counter::OomFallbacks {
-                if let Some(rec) = &self.tracer {
-                    rec.emit(sm, crate::trace::EventKind::OomFallback, [n, 0, 0, 0]);
+            if let Some(rec) = &self.tracer {
+                match counter {
+                    Counter::OomFallbacks => {
+                        rec.emit(sm, crate::trace::EventKind::OomFallback, [n, 0, 0, 0])
+                    }
+                    Counter::CasRetries => crate::trace::note_op_retries(n),
+                    _ => {}
                 }
             }
         }
@@ -264,19 +259,6 @@ impl Metrics {
     #[inline]
     pub fn tick(&self, sm: u32, counter: Counter) {
         self.add(sm, counter, 1);
-    }
-
-    /// Hands one operation's retry count to the current thread's in-flight
-    /// traced operation, so the `Traced` wrapper can stamp its
-    /// `MallocEnd`/`FreeEnd` event with the retries the inner call burned.
-    /// Does nothing without an attached tracer or for a zero count; the
-    /// retries themselves are counted by the caller ([`Counter::CasRetries`]
-    /// and friends).
-    #[inline]
-    pub fn record_retries(&self, retries: u64) {
-        if retries != 0 && self.tracer.is_some() {
-            crate::trace::note_op_retries(retries);
-        }
     }
 
     /// Aggregated reading; all-zero for a disabled handle.
@@ -294,6 +276,93 @@ impl std::fmt::Debug for Metrics {
             Some(c) => write!(f, "Metrics(enabled, {} shards)", c.shards.len()),
             None => f.write_str("Metrics(disabled)"),
         }
+    }
+}
+
+/// Call accounting for a manager, by one rule for every manager: the
+/// registry puts this layer innermost in each of its stacks (`Counted<M>`,
+/// `Cached<Counted<M>>`, `Traced<Counted<M>>`, `Traced<Cached<Counted<M>>>`),
+/// so it counts the calls that reach the manager, per caller lane:
+///
+/// * `malloc_calls` — lanes asked;
+/// * `malloc_failures` — lanes that got no pointer, which is every lane of
+///   a refused `malloc_warp`;
+/// * `free_calls` — pointers the caller freed (the non-null lanes of a
+///   `free_warp`); the frees a manager issues itself, such as a refused
+///   warp's rollback, and `free_warp_all` count none;
+/// * `free_failures` — the lanes of a free call that returned an error,
+///   the rule `Traced`'s `FreeEnd.ok` uses.
+///
+/// An embedded fallback (the CUDA-Allocator section inside Halloc,
+/// Ouroboros and FDGMalloc) is called by its manager, never through this
+/// layer, so a relayed request is counted once. The handle is the inner
+/// manager's own ([`DeviceAllocator::metrics`]); when it is disabled each
+/// call costs one branch.
+pub struct Counted<A> {
+    inner: A,
+    metrics: Metrics,
+}
+
+impl<A: DeviceAllocator> Counted<A> {
+    /// Counts the calls that reach `inner` into `inner`'s metrics handle.
+    pub fn new(inner: A) -> Self {
+        Counted { metrics: inner.metrics(), inner }
+    }
+
+    /// Counts `lanes` lanes of one call, each of them failed when `failed`.
+    #[inline]
+    fn count(&self, sm: u32, calls: Counter, failures: Counter, lanes: u64, failed: bool) {
+        if self.metrics.is_enabled() {
+            self.metrics.add(sm, calls, lanes);
+            if failed {
+                self.metrics.add(sm, failures, lanes);
+            }
+        }
+    }
+}
+
+impl<A: DeviceAllocator> crate::traits::Layer for Counted<A> {
+    type Inner = A;
+
+    fn inner(&self) -> &A {
+        &self.inner
+    }
+
+    #[inline]
+    fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
+        let r = self.inner.malloc(ctx, size);
+        self.count(ctx.sm, Counter::MallocCalls, Counter::MallocFailures, 1, r.is_err());
+        r
+    }
+
+    #[inline]
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+        let r = self.inner.free(ctx, ptr);
+        self.count(ctx.sm, Counter::FreeCalls, Counter::FreeFailures, 1, r.is_err());
+        r
+    }
+
+    #[inline]
+    fn malloc_warp(
+        &self,
+        warp: &WarpCtx,
+        sizes: &[u64],
+        out: &mut [DevicePtr],
+    ) -> Result<(), AllocError> {
+        let r = self.inner.malloc_warp(warp, sizes, out);
+        let lanes = sizes.len() as u64;
+        self.count(warp.sm, Counter::MallocCalls, Counter::MallocFailures, lanes, r.is_err());
+        r
+    }
+
+    #[inline]
+    fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
+        let r = self.inner.free_warp(warp, ptrs);
+        if self.metrics.is_enabled() {
+            let lanes = ptrs.iter().filter(|p| !p.is_null()).count() as u64;
+            self.count(warp.sm, Counter::FreeCalls, Counter::FreeFailures, lanes, r.is_err());
+        }
+        r
     }
 }
 
@@ -425,7 +494,6 @@ mod tests {
         let m = Metrics::disabled();
         m.tick(0, Counter::CasRetries);
         m.add(3, Counter::ProbeSteps, 100);
-        m.record_retries(5);
         assert!(!m.is_enabled());
         assert!(m.snapshot().is_zero());
     }
@@ -486,18 +554,6 @@ mod tests {
             assert!(c.name().chars().all(|ch| ch.is_ascii_lowercase() || ch == '_'));
         }
         assert_eq!(Counter::CasRetries.name(), "cas_retries");
-    }
-
-    #[test]
-    fn relay_handles_share_contention_but_not_calls() {
-        let m = Metrics::enabled(2);
-        let inner = m.relay();
-        inner.tick(0, Counter::MallocCalls); // dropped
-        inner.tick(0, Counter::ProbeSteps); // shared
-        let s = m.snapshot();
-        assert_eq!(s.malloc_calls(), 0);
-        assert_eq!(s.probe_steps(), 1);
-        assert!(inner.is_enabled());
     }
 
     #[test]

@@ -814,7 +814,8 @@ mod tests {
         }
     }
 
-    /// A minimal enabled manager the sampler can watch end to end.
+    /// A minimal enabled manager the sampler can watch end to end, once
+    /// wrapped in `Counted`.
     struct Bump {
         heap: Arc<DeviceHeap>,
         next: Mutex<u64>,
@@ -834,15 +835,13 @@ mod tests {
         fn heap(&self) -> &DeviceHeap {
             &self.heap
         }
-        fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, crate::AllocError> {
-            self.m.tick(ctx.sm, Counter::MallocCalls);
+        fn malloc(&self, _ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, crate::AllocError> {
             let mut next = self.next.lock().unwrap();
             let off = *next;
             *next += size;
             Ok(DevicePtr::new(off))
         }
-        fn free(&self, ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), crate::AllocError> {
-            self.m.tick(ctx.sm, Counter::FreeCalls);
+        fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), crate::AllocError> {
             Ok(())
         }
         fn register_footprint(&self) -> crate::RegisterFootprint {
@@ -860,7 +859,7 @@ mod tests {
         sink.attach(&m);
         let tele =
             Telemetry::start(TelemetryConfig::new().interval(Duration::from_millis(2)), sink);
-        let bump = Bump::new(m);
+        let bump = crate::metrics::Counted::new(Bump::new(m));
         let ctx = ThreadCtx::host();
         for _ in 0..100 {
             let p = bump.malloc(&ctx, 64).unwrap();

@@ -574,7 +574,7 @@ impl TraceRecorder {
     }
 }
 
-// Per-thread retry scope bridging `Metrics::record_retries` (called from
+// Per-thread retry scope bridging `Metrics::add(_, CasRetries, n)` (called from
 // inside the managers, which know nothing about tracing) to the `Traced`
 // wrapper timing the enclosing operation on the same thread. Kernel bodies
 // run entirely on one worker thread, so begin/accumulate/end never cross
@@ -593,7 +593,7 @@ thread_local! {
 }
 
 /// Adds `n` CAS retries to the innermost in-flight traced operation on this
-/// thread. Called by `Metrics::record_retries` when a tracer is attached;
+/// thread. Called by `Metrics::add` for `CasRetries` when a tracer is attached;
 /// a no-op when no traced operation is open (nothing to attribute to).
 #[inline]
 pub(crate) fn note_op_retries(n: u64) {
@@ -1233,7 +1233,7 @@ fn all_finite(v: &Json) -> bool {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::{DeviceHeap, ManagerInfo, Metrics, RegisterFootprint};
+    use crate::{Counter, DeviceHeap, ManagerInfo, Metrics, RegisterFootprint};
 
     fn ev(ts: u64, kind: EventKind, sm: u32, args: [u64; 4]) -> TraceEvent {
         TraceEvent { ts_ns: ts, kind, sm, args }
@@ -1670,7 +1670,7 @@ mod tests {
             &self.heap
         }
         fn malloc(&self, _ctx: &ThreadCtx, _size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.record_retries(3);
+            self.m.add(0, Counter::CasRetries, 3);
             Ok(DevicePtr::new(0))
         }
         fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
@@ -1697,7 +1697,7 @@ mod tests {
             &self.inner
         }
         fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-            self.m.record_retries(2);
+            self.m.add(ctx.sm, Counter::CasRetries, 2);
             self.inner.malloc(ctx, size)
         }
         fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
@@ -1723,7 +1723,7 @@ mod tests {
         let m = Metrics::enabled(1).with_tracer(Arc::clone(&rec));
         let inner = Inner { heap: Arc::new(DeviceHeap::new(4096)), m: m.clone() };
         let stack = Traced::new(
-            Middle { inner: Traced::new(inner, Arc::clone(&rec)), m: m.relay() },
+            Middle { inner: Traced::new(inner, Arc::clone(&rec)), m: m.clone() },
             Arc::clone(&rec),
         );
         (stack, rec)

@@ -13,15 +13,41 @@ cargo build --offline --release
 # No integer division on an operation of ScatterAlloc or Halloc: page and
 # probe cursors are masked or stepped, and every divisor an operation needs
 # is a reciprocal computed when the manager is built. Only constructors
-# (`new`, `with_*`) and `grow` may divide.
+# (`new`, `with_*`) and `grow` may divide. An operation's body may be
+# inlined into generic code whose name does not say so (the `Counted`,
+# `Cached` and `Traced` layers demangle as `<L as …>`), so each instruction
+# is attributed by the release profile's line tables: it is the two crates'
+# code when any frame of its inline chain is in their sources.
 echo "==> no div in alloc-scatter / alloc-halloc operations (objdump)"
 cargo build --offline --release -q -p gpumem-bench --bin repro
-divs=$(objdump -d -C --no-show-raw-insn target/release/repro | awk '
-    /^[0-9a-f]+ <.*>:$/ { fn = $0; sub(/^[0-9a-f]+ </, "", fn); sub(/>:$/, "", fn); next }
-    fn ~ /^<?alloc_(scatter|halloc)::/ && fn !~ /::(new|with_[a-z_]+|grow)(::\{\{closure\}\})*$/ \
-        && $2 ~ /^i?div[bwlq]?$/ { print fn ": " $2 " " $3 }')
-if [[ -n "$divs" ]]; then
-    echo "$divs"
+scan=$(objdump -d -C -l --inlines --no-show-raw-insn target/release/repro | awk '
+    /^[0-9a-f]+ <.*>:$/ { sym = $0; sub(/^[0-9a-f]+ </, "", sym); sub(/>:$/, "", sym)
+                          files = ""; names = ""; fn = ""; next }
+    /^\// { files = $0; names = ""; next }
+    /^inlined by / { files = files " " $3; names = names " " $4; next }
+    /^[^ \t].*:$/ { fn = $0; next }
+    /^ +[0-9a-f]+:\t/ {
+        if (files !~ /crates\/alloc-(scatter|halloc)\/src\// && sym !~ /^<?alloc_(scatter|halloc)::/) next
+        seen++
+        if ($2 !~ /^i?div[bwlq]?$/) next
+        if ((sym " " fn " " names) ~ /(^|[^a-z_])(new|with_[a-z_]+|grow)([^a-z_]|$)/) next
+        print sym " [" files "]: " $2 " " $3
+    }
+    END { print "seen " seen + 0 }')
+if grep -v '^seen ' <<<"$scan"; then
+    exit 1
+fi
+if [[ "$scan" == "seen 0" ]]; then
+    echo "no instruction of alloc-scatter / alloc-halloc found: no line tables?"
+    exit 1
+fi
+
+# Call accounting has one home, `gpumem_core::metrics::Counted`: a manager
+# records only the contention counters it alone can see, and retries reach
+# the trace through `Metrics::add(_, CasRetries, n)`.
+echo "==> no call accounting in crates/alloc-*"
+if grep -nE 'Counter::(MallocCalls|MallocFailures|FreeCalls|FreeFailures)|record_retries' \
+    crates/alloc-*/src -r; then
     exit 1
 fi
 
@@ -122,6 +148,16 @@ status=0
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     trace -m scatter -t s@cached --out target/trace-smoke 2> /dev/null || status=$?
 test "$status" -eq 2
+# So is a heap backend nobody knows, named by the environment: one line on
+# stderr and exit 2, not a panic.
+status=0
+GMS_HEAP_BACKEND=bogus cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    table1 --out target/trace-smoke > /dev/null 2> target/trace-smoke/bad-env.err || status=$?
+test "$status" -eq 2
+test "$(wc -l < target/trace-smoke/bad-env.err)" -eq 1
+if grep -q panicked target/trace-smoke/bad-env.err; then
+    exit 1
+fi
 
 # Telemetry smoke: a watched run must produce a schema-versioned JSON
 # time-series with exactly one kernel-boundary window per launch, and a
@@ -167,6 +203,13 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     table1 --out target/table-smoke > /dev/null
 test "$(sed -n 2p target/table-smoke/table1.csv)" = \
     "ref,name,year,availability,build,variants,needs_cuda_alloc,general_purpose,results,stable,evaluated_here"
+# A reader that stops early (`| head -1`) closes stdout: the CSV is still
+# written and nothing lands on stderr.
+rm -rf target/table-smoke
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    table1 --out target/table-smoke 2> target/table-pipe.err | head -1 > /dev/null
+test -s target/table-smoke/table1.csv
+test ! -s target/table-pipe.err
 
 # Loom model checking: the same allocator protocols, compiled against the
 # cooperative-scheduling shim (--cfg loom) and exhaustively interleaved at

@@ -12,6 +12,10 @@
 //! 4. **Reproducible perf-cell counts** — the counted round behind every
 //!    perf cell's contention metrics gives the same delta twice on the
 //!    inline device, and that delta is one round's calls.
+//! 5. **One counting rule** — every kind in every registry stack counts its
+//!    calls per caller lane, the way `gpumem_core::metrics::Counted` states:
+//!    a refused warp is all its lanes failed, a rollback is no caller free,
+//!    and a relayed request is one call.
 
 use gpumemsurvey::bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use gpumemsurvey::bench::runners::{alloc_perf, Bench};
@@ -163,6 +167,85 @@ fn perf_cell_counted_round_reproduces_one_round_of_calls() {
                 let frees = if kind == Atomic { 0 } else { THREADS };
                 assert_eq!(a.free_calls(), frees, "{kind} (cached: {cached})");
             }
+        }
+    }
+}
+
+/// One 32-lane warp `w` asking `sizes`; whether it was served.
+fn serve_warp(a: &dyn DeviceAllocator, w: u32, sizes: &[u64]) -> bool {
+    let mut out = [DevicePtr::NULL; 32];
+    a.malloc_warp(&WarpCtx { warp: w, block: w, sm: w % 80 }, sizes, &mut out).is_ok()
+}
+
+/// Law 5 on all 16 kinds in the registry's four stacks (`Counted<M>` and
+/// `Cached`, `Traced` or both around it), on the inline device: a thread
+/// malloc round, one oversize request, a free of every grant, then
+/// 2 048 B × 32-lane warps on an 8 MiB heap until the first refusal and
+/// four mixed 16 B / 2 048 B warps. A manager that counts a refused warp as
+/// one failure, or its rollback frees as caller frees, fails here.
+#[test]
+fn every_stack_counts_calls_by_one_rule() {
+    use ManagerKind::*;
+    let relays = |k| {
+        matches!(k, Halloc | FDGMalloc | OuroSP | OuroSC | OuroVAP | OuroVAC | OuroVLP | OuroVLC)
+    };
+    let mixed: Vec<u64> = (0..32).map(|lane| if lane < 16 { 16 } else { 2048 }).collect();
+    let d = Device::with_workers(DeviceSpec::titan_v(), 1);
+    for kind in ALL_KINDS {
+        for (cached, traced) in [(false, false), (true, false), (false, true), (true, true)] {
+            let at = format!("{kind} (cached: {cached}, traced: {traced})");
+            let mut b = kind.builder().heap(8 << 20).sms(80).metrics(true).cached(cached);
+            if traced {
+                b = b.trace_capacity(256);
+            }
+            let alloc = b.build();
+            let m = alloc.metrics();
+            let r = round::malloc_threads(alloc.as_ref(), &d, 256, |_| 64);
+            let before = m.snapshot();
+            let big = alloc.malloc(&ThreadCtx::host(), 16 << 10);
+            let one = m.snapshot().delta_since(&before);
+            assert_eq!(one.malloc_calls(), 1, "{at}: one oversize request is one call");
+            if relays(kind) {
+                assert_eq!(one.oom_fallbacks(), 1, "{at}: the oversize request is relayed");
+                assert!(big.is_ok(), "{at}: the fallback section has room");
+            }
+            let grants = r.ptrs.iter().chain(big.as_ref().ok()).filter(|p| !p.is_null());
+            let (mut freed, mut refused_frees) = (0, 0);
+            for (t, &p) in grants.enumerate() {
+                freed += 1;
+                let ctx = ThreadCtx::from_linear(t as u32, 256, 80);
+                refused_frees += u64::from(alloc.free(&ctx, p).is_err());
+            }
+
+            let before = m.snapshot();
+            let (mut warps, mut refused) = (0, 0);
+            while refused == 0 && warps < 1024 {
+                refused += u64::from(!serve_warp(alloc.as_ref(), warps, &[2048; 32]));
+                warps += 1;
+            }
+            assert_eq!(refused, 1, "{at}: an 8 MiB heap refuses a 64 KiB warp within 1 024");
+            for w in warps..warps + 4 {
+                refused += u64::from(!serve_warp(alloc.as_ref(), w, &mixed));
+            }
+            let warps = u64::from(warps) + 4;
+            // The caller's own tally, lane by lane; live is the grants whose
+            // free was refused and the lanes of served warps.
+            let asked = 256 + 1 + 32 * warps;
+            let got_none = r.failures + u64::from(big.is_err()) + 32 * refused;
+            let held = refused_frees + 32 * (warps - refused);
+            let phase = m.snapshot().delta_since(&before);
+            assert_eq!(phase.malloc_failures(), 32 * refused, "{at}: every lane of a refusal");
+            assert_eq!(phase.free_calls(), 0, "{at}: a rollback is no caller free");
+
+            alloc.drain();
+            let s = m.snapshot();
+            // A magazine hit reaches no manager, and so neither does the
+            // free that parked the block it served.
+            assert_eq!(s.malloc_calls() + s.magazine_hits(), asked, "{at}: lanes asked");
+            assert_eq!(s.malloc_failures(), got_none, "{at}: lanes that got no pointer");
+            assert_eq!(s.free_calls() + s.magazine_hits(), freed, "{at}: pointers freed");
+            assert_eq!(s.free_failures(), refused_frees, "{at}: refused frees");
+            assert_eq!(s.live(), held, "{at}: live is what the caller holds");
         }
     }
 }

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use gpumemsurvey::alloc_regeff::{RegEffC, RegEffCF, RegEffCFM, RegEffCM};
+use gpumemsurvey::core::metrics::Counted;
 use gpumemsurvey::gpu_workloads::sizes::thread_size;
 use gpumemsurvey::prelude::*;
 
@@ -46,10 +47,10 @@ fn variants() -> [(&'static str, Box<dyn DeviceAllocator>); 4] {
     let heap = || Arc::new(DeviceHeap::new(HEAP));
     let metrics = || Metrics::enabled(SMS);
     [
-        ("C", Box::new(RegEffC::new(heap(), SMS).with_metrics(metrics()))),
-        ("CF", Box::new(RegEffCF::new(heap(), SMS).with_metrics(metrics()))),
-        ("CM", Box::new(RegEffCM::new(heap(), SMS).with_metrics(metrics()))),
-        ("CFM", Box::new(RegEffCFM::new(heap(), SMS).with_metrics(metrics()))),
+        ("C", Box::new(Counted::new(RegEffC::new(heap(), SMS).with_metrics(metrics())))),
+        ("CF", Box::new(Counted::new(RegEffCF::new(heap(), SMS).with_metrics(metrics())))),
+        ("CM", Box::new(Counted::new(RegEffCM::new(heap(), SMS).with_metrics(metrics())))),
+        ("CFM", Box::new(Counted::new(RegEffCFM::new(heap(), SMS).with_metrics(metrics())))),
     ]
 }
 

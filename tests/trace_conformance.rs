@@ -132,13 +132,12 @@ fn disabled_tracing_adds_no_measurable_record_cost() {
             let t = Instant::now();
             for i in 0..OPS {
                 m.add(i % 8, Counter::CasRetries, 1);
-                m.record_retries(1);
             }
             best = best.min(t.elapsed());
         }
         best.as_nanos() as f64 / f64::from(OPS)
     };
-    // Fully disabled handle: two `Option` checks, nothing else.
+    // Fully disabled handle: one `Option` check, nothing else.
     let disabled = per_op_ns(&Metrics::disabled());
     assert!(disabled < 20.0, "disabled record path costs {disabled:.2} ns/op (want < 20)");
     // Enabled counters without a tracer: the tracer hook must not add
@@ -169,14 +168,14 @@ impl DeviceAllocator for Scripted {
         &self.heap
     }
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        self.m.record_retries(2);
+        self.m.add(ctx.sm, Counter::CasRetries, 2);
         if size > 64 {
             return Err(AllocError::UnsupportedSize(size));
         }
         Ok(DevicePtr::new(u64::from(ctx.thread_id) * 64))
     }
-    fn free(&self, _ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        self.m.record_retries(1);
+    fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
+        self.m.add(ctx.sm, Counter::CasRetries, 1);
         if !ptr.raw().is_multiple_of(64) {
             return Err(AllocError::InvalidPointer);
         }

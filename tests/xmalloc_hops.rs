@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use gpumemsurvey::alloc_xmalloc::XMalloc;
+use gpumemsurvey::core::metrics::Counted;
 use gpumemsurvey::core::WARP_SIZE;
 use gpumemsurvey::gpu_workloads::sizes::thread_size;
 use gpumemsurvey::prelude::*;
@@ -24,13 +25,13 @@ const WARPS: u32 = 512;
 /// Mallocs in the last ten of [`ROUNDS`] rounds, the stretch that is counted.
 const TAIL_MALLOCS: u64 = 10 * THREADS as u64;
 
-fn xmalloc() -> XMalloc {
-    XMalloc::new(Arc::new(DeviceHeap::new(HEAP))).with_metrics(Metrics::enabled(SMS))
+fn xmalloc() -> Counted<XMalloc> {
+    Counted::new(XMalloc::new(Arc::new(DeviceHeap::new(HEAP))).with_metrics(Metrics::enabled(SMS)))
 }
 
 /// `list_hops` of the last ten of [`ROUNDS`] rounds of `round(alloc, index)`,
 /// each of which makes `mallocs_per_round` allocations and frees them all.
-fn tail_hops(mallocs_per_round: u64, round: impl Fn(&XMalloc, u64)) -> u64 {
+fn tail_hops(mallocs_per_round: u64, round: impl Fn(&Counted<XMalloc>, u64)) -> u64 {
     let alloc = xmalloc();
     let mut tail_start = alloc.metrics().snapshot();
     for index in 0..ROUNDS {
