@@ -385,12 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_unsupported_like_the_real_allocator() {
-        let a = model();
-        assert!(matches!(a.grow(1 << 20), Err(AllocError::Unsupported(_))));
-    }
-
-    #[test]
     fn subregion_model_stays_in_bounds() {
         let heap = Arc::new(DeviceHeap::new(1 << 20));
         let a = CudaAllocModel::with_region(Arc::clone(&heap), 1 << 19, 1 << 19);

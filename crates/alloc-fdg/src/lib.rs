@@ -73,6 +73,8 @@ struct WarpState {
     lists: Vec<DevicePtr>,
     /// Entries used in the newest list record.
     newest_len: usize,
+    /// Blocks served to the warp's callers, all of which tidy-up releases.
+    held: u64,
 }
 
 /// Locals live in `malloc` (register proxy).
@@ -150,6 +152,7 @@ impl FdgMalloc {
             current_sb: DevicePtr::NULL,
             lists: Vec::new(),
             newest_len: 0,
+            held: 0,
         })
     }
 
@@ -196,6 +199,16 @@ impl FdgMalloc {
         Ok(ptr)
     }
 
+    /// Takes `lanes` blocks of a refused warp call off what the warp's
+    /// callers hold: tidy-up still releases them, but nobody was given them.
+    #[cold]
+    #[inline(never)]
+    fn disown(&self, warp: &WarpCtx, lanes: u64) {
+        if let Some(st) = self.lock_shard(warp.sm, warp.warp).get_mut(&warp.warp) {
+            st.held -= lanes;
+        }
+    }
+
     /// Number of warps with live state (diagnostics).
     pub fn live_warps(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -223,16 +236,19 @@ impl DeviceAllocator for FdgMalloc {
             e.insert(st);
         }
         let st = shard.get_mut(&ctx.warp).expect("just inserted");
-        if rounded > SUPERBLOCK_BYTES {
+        let ptr = if rounded > SUPERBLOCK_BYTES {
             // "If the total requested size per warp is larger than the
             // maximum SuperBlock size, then the request is forwarded to the
             // CUDA-Allocator."
             self.metrics.tick(ctx.sm, Counter::OomFallbacks);
             let ptr = self.cuda.malloc(ctx, rounded)?;
             self.register(ctx, st, ptr.offset() | FORWARDED_BIT)?;
-            return Ok(ptr);
-        }
-        self.bump(ctx, st, rounded)
+            ptr
+        } else {
+            self.bump(ctx, st, rounded)?
+        };
+        st.held += 1;
+        Ok(ptr)
     }
 
     #[inline]
@@ -259,10 +275,11 @@ impl DeviceAllocator for FdgMalloc {
                     // The lanes already granted stay in this warp's
                     // SuperBlock list and are reclaimed by the next
                     // `free_warp_all` (tidyUp) — but the caller must not
-                    // see a half-filled result.
+                    // see a half-filled result, nor hold them.
                     for slot in out.iter_mut() {
                         *slot = DevicePtr::NULL;
                     }
+                    self.disown(warp, lane as u64);
                     return Err(e);
                 }
             }
@@ -273,8 +290,9 @@ impl DeviceAllocator for FdgMalloc {
     }
 
     /// `tidyUp`: releases every SuperBlock, forwarded allocation, list
-    /// record and the WarpHeader of this warp.
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+    /// record and the WarpHeader of this warp, and with them every block
+    /// the warp's callers hold; returns how many blocks that is.
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
         let mut shard = self.lock_shard(warp.sm, warp.warp);
         let st = shard.remove(&warp.warp).ok_or(AllocError::InvalidPointer)?;
         let ctx = warp.leader();
@@ -294,7 +312,7 @@ impl DeviceAllocator for FdgMalloc {
         self.cuda.free(&ctx, st.header)?;
         // tidyUp walks the whole SuperBlock_List chain.
         self.metrics.add(warp.sm, Counter::ListHops, hops);
-        Ok(())
+        Ok(st.held)
     }
 
     fn register_footprint(&self) -> RegisterFootprint {
@@ -346,11 +364,26 @@ mod tests {
             a.malloc(&c, 256).unwrap();
         }
         assert_eq!(a.live_warps(), 1);
-        a.free_warp_all(&warp0()).unwrap();
+        assert_eq!(a.free_warp_all(&warp0()), Ok(100), "every block the warp held");
         assert_eq!(a.live_warps(), 0);
         // All memory is back: a big forwarded allocation succeeds.
         let p = a.malloc(&c, 1 << 20).unwrap();
         assert!(!p.is_null());
+    }
+
+    /// A refused warp's granted lanes are garbage until tidy-up, not
+    /// blocks a caller holds: tidy-up reports only the served warp's 32.
+    #[test]
+    fn tidy_up_reports_the_blocks_callers_hold() {
+        let a = FdgMalloc::with_capacity(64 << 10);
+        let mut out = [DevicePtr::NULL; 32];
+        a.malloc_warp(&warp0(), &[16; 32], &mut out).unwrap();
+        let cursor = |a: &FdgMalloc| a.shard(0).lock().unwrap()[&0].cursor;
+        let before = cursor(&a);
+        // 4 KiB lanes: the 64 KiB heap runs out partway through the warp.
+        assert!(a.malloc_warp(&warp0(), &[4096; 32], &mut out).is_err());
+        assert_ne!(cursor(&a), before, "lanes were granted before the refusal");
+        assert_eq!(a.free_warp_all(&warp0()), Ok(32));
     }
 
     #[test]

@@ -188,13 +188,23 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
 
     /// Creates the manager with only `initial_chunks` of the chunk area
     /// manageable; the rest becomes available through
-    /// [`DeviceAllocator::grow`] ("multiple instances … can be
+    /// [`Ouroboros::grow`] ("multiple instances … can be
     /// instantiated" — growth covers the simpler same-range case).
     pub fn with_initial_chunks(heap: Arc<DeviceHeap>, initial_chunks: u32) -> Self {
         let a = Self::new(heap);
         let total = a.pool.chunks();
         let pool = ChunkPool::with_initial(total, initial_chunks);
         Ouroboros { pool, ..a }
+    }
+
+    /// Makes `additional` more bytes of the chunk area manageable, in
+    /// whole chunks; `OutOfMemory` once every chunk is.
+    pub fn grow(&self, additional: u64) -> Result<(), AllocError> {
+        let add = additional.div_ceil(CHUNK_BYTES) as u32;
+        if self.pool.grow(add) == 0 {
+            return Err(AllocError::OutOfMemory(additional));
+        }
+        Ok(())
     }
 
     fn class_index(size: u64) -> usize {
@@ -478,14 +488,6 @@ impl<Q: IndexQueue, const CHUNKED: bool> DeviceAllocator for Ouroboros<Q, CHUNKE
             let _ = self.queues[class_idx].enqueue_with(&self.pool, &self.heap, code, &mut spins);
         }
         self.metrics.add(ctx.sm, Counter::QueueSpins, spins);
-        Ok(())
-    }
-
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        let add = additional.div_ceil(CHUNK_BYTES) as u32;
-        if self.pool.grow(add) == 0 {
-            return Err(AllocError::OutOfMemory(additional));
-        }
         Ok(())
     }
 

@@ -172,7 +172,7 @@ impl ScatterAlloc {
 
     /// Creates ScatterAlloc that initially manages only `initial_sbs` Super
     /// Blocks of the heap's small area; the rest becomes available through
-    /// [`DeviceAllocator::grow`] (the paper's "one can also pass additional
+    /// [`ScatterAlloc::grow`] (the paper's "one can also pass additional
     /// memory to ScatterAlloc, which will then be available at the next
     /// kernel launch").
     pub fn with_initial_superblocks(heap: Arc<DeviceHeap>, initial_sbs: u32) -> Self {
@@ -180,6 +180,23 @@ impl ScatterAlloc {
         let initial = initial_sbs.clamp(1, a.small_sb_capacity);
         a.small_sbs.store(initial, Ordering::Release);
         a
+    }
+
+    /// Makes `additional` more bytes of the small area manageable, in
+    /// whole Super Blocks; `OutOfMemory` once every Super Block is.
+    pub fn grow(&self, additional: u64) -> Result<(), AllocError> {
+        let add_sbs = additional.div_ceil(SB_BYTES) as u32;
+        let mut cur = self.small_sbs.load(Ordering::Acquire);
+        loop {
+            if cur >= self.small_sb_capacity {
+                return Err(AllocError::OutOfMemory(additional));
+            }
+            let new = (cur + add_sbs).min(self.small_sb_capacity);
+            match self.small_sbs.compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return Ok(()),
+                Err(actual) => cur = actual,
+            }
+        }
     }
 
     /// Convenience constructor owning its heap.
@@ -400,21 +417,6 @@ impl DeviceAllocator for ScatterAlloc {
                     self.sb_pages[page / PAGES_PER_SB as usize].fetch_sub(1, Ordering::Relaxed);
                 }
                 Ok(())
-            }
-        }
-    }
-
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        let add_sbs = additional.div_ceil(SB_BYTES) as u32;
-        let mut cur = self.small_sbs.load(Ordering::Acquire);
-        loop {
-            if cur >= self.small_sb_capacity {
-                return Err(AllocError::OutOfMemory(additional));
-            }
-            let new = (cur + add_sbs).min(self.small_sb_capacity);
-            match self.small_sbs.compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
             }
         }
     }

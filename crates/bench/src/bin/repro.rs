@@ -37,7 +37,7 @@ use gpumem_bench::watch;
 use gpumem_core::info::SURVEY_TABLE;
 use gpumem_core::telemetry::TelemetryConfig;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{HeapBackendKind, Pretouch};
+use gpumem_core::{EventKind, HeapBackendKind, Pretouch};
 
 /// `println!` that drops its line once stdout is closed instead of
 /// panicking: no file a command writes depends on its report being read.
@@ -524,11 +524,17 @@ fn trace(opts: &Opts) {
     let mut csv = Csv::new([
         "manager", "op", "events", "dropped", "p50_ns", "p95_ns", "p99_ns", "max_ns", "mean_ns",
     ]);
-    for (op, h) in [("malloc", &r.latencies.malloc), ("free", &r.latencies.free)] {
+    // `events` counts every operation; the percentiles come from the one
+    // in `trace::TIMED_ONE_IN` per worker thread that was timed.
+    let ops = [
+        ("malloc", EventKind::MallocEnd, &r.latencies.malloc),
+        ("free", EventKind::FreeEnd, &r.latencies.free),
+    ];
+    for (op, kind, h) in ops {
         csv.row([
             r.manager.to_string(),
             op.to_string(),
-            h.count().to_string(),
+            r.trace.count(kind).to_string(),
             r.trace.dropped.to_string(),
             h.p50().to_string(),
             h.p95().to_string(),

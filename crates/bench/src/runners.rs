@@ -549,7 +549,7 @@ pub struct TraceRun {
     pub num: u32,
     /// The decoded, time-sorted event stream.
     pub trace: Trace,
-    /// Per-op latency histograms (p50/p95/p99 in the CSV).
+    /// Latency histograms of the timed ops (p50/p95/p99 in the CSV).
     pub latencies: OpLatencies,
     /// Heap-occupancy/fragmentation timeline replayed from the trace.
     pub occupancy: OccupancyTimeline,

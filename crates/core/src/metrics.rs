@@ -288,8 +288,9 @@ impl std::fmt::Debug for Metrics {
 /// * `malloc_failures` — lanes that got no pointer, which is every lane of
 ///   a refused `malloc_warp`;
 /// * `free_calls` — pointers the caller freed (the non-null lanes of a
-///   `free_warp`); the frees a manager issues itself, such as a refused
-///   warp's rollback, and `free_warp_all` count none;
+///   `free_warp`) and the blocks a `free_warp_all` reports released; the
+///   frees a manager issues itself, such as a refused warp's rollback,
+///   count none;
 /// * `free_failures` — the lanes of a free call that returned an error,
 ///   the rule `Traced`'s `FreeEnd.ok` uses.
 ///
@@ -361,6 +362,14 @@ impl<A: DeviceAllocator> crate::traits::Layer for Counted<A> {
         if self.metrics.is_enabled() {
             let lanes = ptrs.iter().filter(|p| !p.is_null()).count() as u64;
             self.count(warp.sm, Counter::FreeCalls, Counter::FreeFailures, lanes, r.is_err());
+        }
+        r
+    }
+
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
+        let r = self.inner.free_warp_all(warp);
+        if let Ok(&blocks) = r.as_ref() {
+            self.count(warp.sm, Counter::FreeCalls, Counter::FreeFailures, blocks, false);
         }
         r
     }

@@ -650,7 +650,7 @@ impl<A: DeviceAllocator> crate::traits::Layer for Sanitized<A> {
         }
     }
 
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
         if let Some(warp_live) = &self.warp_live {
             let starts = warp_live[warp.warp as usize & (SHARDS - 1)]
                 .lock()

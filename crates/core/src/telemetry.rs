@@ -31,8 +31,9 @@
 //! appear as that window's delta. Absolute readings would instead need
 //! every consumer to know each source's epoch. The same cursor logic
 //! applies to the trace rings: only events past the last cut's drain are
-//! folded into the new window's latency histogram, so one event is never
-//! counted twice even though ring snapshots are non-destructive.
+//! folded into the new window's `malloc_ops` and, when timed, its latency
+//! histogram, so one event is never counted twice even though ring
+//! snapshots are non-destructive.
 //!
 //! ## Teardown ordering
 //!
@@ -208,9 +209,11 @@ pub struct Sample {
     /// Fragmentation of the live set via [`crate::frag`]: percent by which
     /// the spanned address range exceeds the packed footprint.
     pub frag_percent: f64,
-    /// Malloc completions folded into this window's latency histogram.
+    /// Malloc completions (`MallocEnd` events) in this window, timed or
+    /// not.
     pub malloc_ops: u64,
-    /// Windowed malloc latency percentiles from the log2 histogram (ns).
+    /// Windowed malloc latency percentiles from the log2 histogram of the
+    /// window's timed completions (ns; 0 when none was timed).
     pub malloc_p50_ns: u64,
     /// 95th percentile (ns).
     pub malloc_p95_ns: u64,
@@ -641,6 +644,7 @@ impl Cursor {
         // recorders nobody else holds: the drain just taken was their last
         // (no handle left to emit), so only the dropped total survives.
         let mut hist = LatencyHistogram::new();
+        let mut malloc_ops = 0u64;
         let mut live_changed = false;
         let mut dropped = self.retired_dropped;
         let mut retired_dropped = 0u64;
@@ -654,7 +658,10 @@ impl Cursor {
                 rc.seen += trace.events.len() as u64;
                 for ev in &trace.events {
                     if ev.kind == EventKind::MallocEnd {
-                        hist.record(ev.args[2]);
+                        malloc_ops += 1;
+                        if let Some(ns) = ev.latency() {
+                            hist.record(ns);
+                        }
                     }
                     if let Some((ptr, size)) = ev.grant() {
                         live.insert(ptr, size);
@@ -713,7 +720,7 @@ impl Cursor {
             live_allocs: merged.live(),
             live_bytes,
             frag_percent,
-            malloc_ops: hist.count(),
+            malloc_ops,
             malloc_p50_ns: hist.p50(),
             malloc_p95_ns: hist.p95(),
             malloc_p99_ns: hist.p99(),
@@ -890,12 +897,17 @@ mod tests {
         rec.emit(0, EventKind::MallocEnd, [4096, 128, 1500, 2]);
         rec.emit(1, EventKind::MallocEnd, [8192, 64, 900, 0]);
         rec.emit(1, EventKind::FreeEnd, [8192, 100, 0, 1]);
+        // Two refusals `Traced` did not time: counted, not in the histogram.
+        rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
+        rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
         tele.boundary_marker().mark();
         tele.sample_now();
         let ts = tele.stop();
         let s = ts.samples.iter().find(|s| s.malloc_ops > 0).expect("a window saw the events");
-        assert_eq!(s.malloc_ops, 3);
-        assert!(s.malloc_p50_ns >= 500, "{s:?}");
+        assert_eq!(s.malloc_ops, 5);
+        // The median of 500, 900 and 1 500 ns; with the two zeros it would
+        // be 500's bucket.
+        assert!(s.malloc_p50_ns >= 900, "{s:?}");
         assert!(s.malloc_p99_ns >= 1500, "p99 covers the slowest op: {s:?}");
         assert_eq!(s.live_bytes, 256);
         assert!(s.frag_percent > 100.0, "sparse live set must report fragmentation: {s:?}");

@@ -94,22 +94,15 @@ pub trait DeviceAllocator: Send + Sync {
         }
     }
 
-    /// Releases *everything* a warp ever allocated (FDGMalloc's `tidyUp`).
+    /// Releases *everything* a warp ever allocated (FDGMalloc's `tidyUp`),
+    /// returning how many of the blocks its callers hold that released.
     /// Only warp-level-only managers implement this.
-    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<u64, AllocError> {
         Err(AllocError::Unsupported("free_warp_all"))
     }
 
     /// Register-requirement proxy for §4.1 (see [`RegisterFootprint`]).
     fn register_footprint(&self) -> RegisterFootprint;
-
-    /// Grows the manageable memory at runtime by `additional` bytes.
-    ///
-    /// Per the paper (§6), only ScatterAlloc and Ouroboros support this; the
-    /// default rejects it.
-    fn grow(&self, _additional: u64) -> Result<(), AllocError> {
-        Err(AllocError::Unsupported("grow"))
-    }
 
     /// The contention-observability handle this manager records into
     /// (see [`crate::metrics`]). Cloning is cheap; all clones share one
@@ -160,8 +153,8 @@ pub fn rollback_partial_warp<A: DeviceAllocator + ?Sized>(
 /// `drain` forwarder once left `Cached` magazines parked behind `Arc`).
 ///
 /// The four hot entry points are required, so each layer states what it
-/// does on the paths the benchmarks time. `heap`, `register_footprint`,
-/// `grow` and `metrics` always forward. Implement it by path
+/// does on the paths the benchmarks time. `heap`, `register_footprint` and
+/// `metrics` always forward. Implement it by path
 /// (`impl crate::traits::Layer for X`), and inside such an impl call the
 /// layer's own methods by path too (`Layer::free(self, …)`): with both
 /// traits in scope a layer has two `malloc` methods.
@@ -195,7 +188,7 @@ pub trait Layer: Send + Sync {
     }
 
     /// See [`DeviceAllocator::free_warp_all`].
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
         self.inner().free_warp_all(warp)
     }
 
@@ -229,14 +222,11 @@ impl<L: Layer> DeviceAllocator for L {
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
         Layer::free_warp(self, warp, ptrs)
     }
-    fn free_warp_all(&self, warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
         Layer::free_warp_all(self, warp)
     }
     fn register_footprint(&self) -> RegisterFootprint {
         self.inner().register_footprint()
-    }
-    fn grow(&self, additional: u64) -> Result<(), AllocError> {
-        self.inner().grow(additional)
     }
     fn metrics(&self) -> Metrics {
         self.inner().metrics()
@@ -370,12 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn default_grow_unsupported() {
-        let a = Bump::new(1 << 12);
-        assert_eq!(a.grow(4096), Err(AllocError::Unsupported("grow")));
-    }
-
-    #[test]
     fn checked_malloc_validates_alignment() {
         let a = Bump::new(1 << 12);
         let p = a.checked_malloc(&ThreadCtx::host(), 24).unwrap();
@@ -397,7 +381,6 @@ mod tests {
         assert_eq!(DeviceAllocator::info(&a).family, "Bump");
         let p = DeviceAllocator::malloc(&a, &ThreadCtx::host(), 8).unwrap();
         assert!(!p.is_null());
-        assert_eq!(a.grow(128), Err(AllocError::Unsupported("grow")));
         assert!(!a.metrics().is_enabled());
     }
 
@@ -418,14 +401,11 @@ mod tests {
         fn free(&self, _ctx: &ThreadCtx, _ptr: DevicePtr) -> Result<(), AllocError> {
             Ok(())
         }
-        fn free_warp_all(&self, _warp: &WarpCtx) -> Result<(), AllocError> {
-            Ok(())
+        fn free_warp_all(&self, _warp: &WarpCtx) -> Result<u64, AllocError> {
+            Ok(3)
         }
         fn register_footprint(&self) -> RegisterFootprint {
             RegisterFootprint { malloc: 7, free: 5 }
-        }
-        fn grow(&self, _additional: u64) -> Result<(), AllocError> {
-            Ok(())
         }
         fn metrics(&self) -> Metrics {
             Metrics::enabled(1)
@@ -470,8 +450,7 @@ mod tests {
         assert_eq!(DeviceAllocator::info(&a).family, "Leaf");
         assert_eq!(a.heap().len(), 1 << 12);
         assert_eq!(a.register_footprint(), RegisterFootprint { malloc: 7, free: 5 });
-        assert_eq!(DeviceAllocator::free_warp_all(&a, &warp), Ok(()));
-        assert_eq!(a.grow(4096), Ok(()));
+        assert_eq!(DeviceAllocator::free_warp_all(&a, &warp), Ok(3));
         assert!(a.metrics().is_enabled());
         assert_eq!(DeviceAllocator::drain(&a), 42);
     }

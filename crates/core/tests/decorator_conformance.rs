@@ -1,11 +1,10 @@
 //! Decorator hot-path conformance.
 //!
 //! Every decorator is a `gpumem_core::traits::Layer`, and the one blanket
-//! impl forwards what a layer does not write: `grow` always, and
-//! `free_warp_all` unless the layer overrides it. So no wrapper can fall
-//! back to a `DeviceAllocator` default it forgot to override, and the
-//! `grow` assertions below, with `Cached`'s `free_warp_all`, hold by
-//! construction.
+//! impl forwards what a layer does not write, `free_warp_all` included
+//! unless the layer overrides it. So no wrapper can fall back to a
+//! `DeviceAllocator` default it forgot to override, and the
+//! `free_warp_all` assertion on `Cached` below holds by construction.
 //!
 //! The types cannot prove the hand-written code: each layer's four hot
 //! entry points and the `free_warp_all` overrides of `Traced` and
@@ -40,7 +39,6 @@ struct Reached {
     malloc_warp: AtomicU64,
     free_warp: AtomicU64,
     free_warp_all: AtomicU64,
-    grow: AtomicU64,
 }
 
 impl Reached {
@@ -120,16 +118,12 @@ impl DeviceAllocator for Probe {
         Reached::hit(&self.reached.free_warp);
         Ok(())
     }
-    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<u64, AllocError> {
         Reached::hit(&self.reached.free_warp_all);
-        Ok(())
+        Ok(0)
     }
     fn register_footprint(&self) -> RegisterFootprint {
         RegisterFootprint { malloc: 4, free: 2 }
-    }
-    fn grow(&self, _additional: u64) -> Result<(), AllocError> {
-        Reached::hit(&self.reached.grow);
-        Ok(())
     }
     fn metrics(&self) -> Metrics {
         self.metrics.clone()
@@ -158,9 +152,6 @@ fn traced_forwards_every_override() {
 
     t.free_warp_all(&w).unwrap();
     assert!(Reached::got(&reached.free_warp_all));
-
-    t.grow(4096).unwrap();
-    assert!(Reached::got(&reached.grow));
 
     let p = t.malloc(&ThreadCtx::host(), 32).unwrap();
     assert!(Reached::got(&reached.malloc));
@@ -191,9 +182,6 @@ fn sanitized_forwards_overrides_and_checks_warp_frees_per_lane() {
 
     s.free_warp_all(&w).unwrap();
     assert!(Reached::got(&reached.free_warp_all));
-
-    s.grow(4096).unwrap();
-    assert!(Reached::got(&reached.grow));
 
     assert!(s.take_report().recorded.is_empty());
 }
@@ -242,9 +230,6 @@ fn cached_forwards_overrides_on_miss_and_bypass() {
 
     c.free_warp_all(&w).unwrap();
     assert!(Reached::got(&reached.free_warp_all));
-
-    c.grow(4096).unwrap();
-    assert!(Reached::got(&reached.grow));
 }
 
 #[test]

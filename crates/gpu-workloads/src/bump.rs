@@ -63,10 +63,10 @@ impl DeviceAllocator for Bump {
             Err(AllocError::Unsupported("free"))
         }
     }
-    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<(), AllocError> {
+    fn free_warp_all(&self, _warp: &WarpCtx) -> Result<u64, AllocError> {
         self.warp_frees.fetch_add(1, Ordering::Relaxed);
         if self.info.warp_level_only {
-            Ok(())
+            Ok(0)
         } else {
             Err(AllocError::Unsupported("free_warp_all"))
         }

@@ -179,10 +179,12 @@ fn serve_warp(a: &dyn DeviceAllocator, w: u32, sizes: &[u64]) -> bool {
 
 /// Law 5 on all 16 kinds in the registry's four stacks (`Counted<M>` and
 /// `Cached`, `Traced` or both around it), on the inline device: a thread
-/// malloc round, one oversize request, a free of every grant, then
-/// 2 048 B × 32-lane warps on an 8 MiB heap until the first refusal and
-/// four mixed 16 B / 2 048 B warps. A manager that counts a refused warp as
-/// one failure, or its rollback frees as caller frees, fails here.
+/// malloc round released by `round::free`, which must leave nothing live;
+/// then, on a fresh manager, a thread malloc round, one oversize request, a
+/// free of every grant, 2 048 B × 32-lane warps on an 8 MiB heap until the
+/// first refusal and four mixed 16 B / 2 048 B warps. A manager that counts
+/// a refused warp as one failure, its rollback frees as caller frees, or a
+/// tidy-up (`free_warp_all`) as no free, fails here.
 #[test]
 fn every_stack_counts_calls_by_one_rule() {
     use ManagerKind::*;
@@ -194,11 +196,22 @@ fn every_stack_counts_calls_by_one_rule() {
     for kind in ALL_KINDS {
         for (cached, traced) in [(false, false), (true, false), (false, true), (true, true)] {
             let at = format!("{kind} (cached: {cached}, traced: {traced})");
-            let mut b = kind.builder().heap(8 << 20).sms(80).metrics(true).cached(cached);
-            if traced {
-                b = b.trace_capacity(256);
-            }
-            let alloc = b.build();
+            let build = || {
+                let b = kind.builder().heap(8 << 20).sms(80).metrics(true).cached(cached);
+                if traced { b.trace_capacity(256) } else { b }.build()
+            };
+
+            // However a manager frees a round — one free per grant, or one
+            // tidy-up per warp — nothing is live after it; a manager that
+            // cannot free (Atomic) runs no free round and holds its grants.
+            let alloc = build();
+            let r = round::malloc_threads(alloc.as_ref(), &d, 256, |_| 64);
+            let freed_round = round::free(alloc.as_ref(), &d, &r).is_some();
+            alloc.drain();
+            let left = if freed_round { 0 } else { 256 - r.failures };
+            assert_eq!(alloc.metrics().snapshot().live(), left, "{at}: live after round::free");
+
+            let alloc = build();
             let m = alloc.metrics();
             let r = round::malloc_threads(alloc.as_ref(), &d, 256, |_| 64);
             let before = m.snapshot();

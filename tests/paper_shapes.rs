@@ -235,7 +235,9 @@ fn oom_utilization_ordering() {
 
 /// Shape `fig11c.scatter-vs-baseline`.
 /// §4.4.1 / Fig. 11c: for small per-thread outputs at moderate thread
-/// counts, the recommended managers beat the prefix-sum baseline.
+/// counts, the recommended managers beat the prefix-sum baseline. The claim
+/// is about time — the baseline's two passes against one pass with an
+/// allocation per item — so this stays a timing ratio, run in release.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn workgen_beats_baseline_at_moderate_counts() {
@@ -281,7 +283,8 @@ fn write_coalescing_ordering() {
 /// the CUDA-Allocator model's worst case and ScatterAlloc's best. Asserted
 /// on `adaptive`, the largest stand-in, where the gap is ~2.5× on a 2-vCPU
 /// host; on `rgg_n_2_20_s0` it is ~1.25×, too close to the run-to-run spread
-/// for a test.
+/// for a test. The claim is about time — how long the build launch takes —
+/// so this stays a timing ratio, run in release.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_is_worst_at_graph_init() {
@@ -302,7 +305,8 @@ fn cuda_allocator_is_worst_at_graph_init() {
 
 /// Shape `sec41.cuda-fastest-init`.
 /// §4.1: the CUDA-Allocator has next to nothing to set up, while Ouroboros
-/// pre-fills its queues.
+/// pre-fills its queues. The claim is about time — initialisation as a
+/// launch would pay it — so this stays a timing ratio, run in release.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_initialises_fastest() {
