@@ -208,9 +208,8 @@ mod tests {
 
     #[test]
     fn near_max_request_fails_instead_of_wrapping() {
-        // Regression (memlint unchecked-offset-arithmetic): both the align
-        // rounding and the `offset + aligned` exhaustion check used to wrap
-        // for near-u64::MAX requests.
+        // Regression: both the align rounding and the `offset + aligned`
+        // exhaustion check used to wrap for near-u64::MAX requests.
         let a = alloc();
         let ctx = ThreadCtx::host();
         // `u64::MAX` overflows the aligned rounding; `u64::MAX - 15` is

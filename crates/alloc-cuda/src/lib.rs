@@ -414,9 +414,9 @@ mod tests {
 
     #[test]
     fn near_max_request_fails_instead_of_wrapping() {
-        // Regression (memlint unchecked-offset-arithmetic): `size + HEADER`
-        // used to wrap for near-u64::MAX requests, slipping past the length
-        // guard and carving a tiny large-path block for an absurd request.
+        // Regression: `size + HEADER` used to wrap for near-u64::MAX
+        // requests, slipping past the length guard and carving a tiny
+        // large-path block for an absurd request.
         let a = model();
         let ctx = ThreadCtx::host();
         for size in [u64::MAX, u64::MAX - HEADER + 1, u64::MAX - HEADER] {

@@ -103,7 +103,8 @@ impl State {
             if len >= need {
                 if len - need >= UNIT {
                     // Split, keeping the remainder in place.
-                    // memlint: allow(unchecked-offset-arithmetic) — free-list invariant: need <= len (checked two lines up) and off + len never exceeds the region top, so off + need cannot wrap
+                    // Cannot wrap: need <= len (checked above), and off + len never
+                    // exceeds the region top.
                     self.large_free[i] = (off + need, len - need);
                 } else {
                     self.large_free.remove(i);
@@ -128,7 +129,8 @@ impl State {
         if idx + 1 < self.large_free.len() {
             let (off, l) = self.large_free[idx];
             let (noff, nl) = self.large_free[idx + 1];
-            // memlint: allow(unchecked-offset-arithmetic) — coalesce equality test on in-region list entries: off + l is the block end, bounded by the region top by construction
+            // off + l is the block's end, bounded by the region top like every
+            // free-list entry's.
             if off + l == noff {
                 self.large_free[idx] = (off, l + nl);
                 self.large_free.remove(idx + 1);
@@ -146,7 +148,7 @@ impl State {
         // Fold a block that reaches the frontier back into it.
         if let Some(&(off, l)) = self.large_free.last() {
             if off == self.large_top {
-                // memlint: allow(unchecked-offset-arithmetic) — folding the sorted last block into the frontier: off == large_top and off + l <= region end by the free-list invariant
+                // off == large_top, and off + l <= region end by the free-list invariant.
                 self.large_top = off + l;
                 self.large_free.pop();
                 // The frontier moved up; nothing else can touch it (the list

@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use alloc_cuda::CudaAllocModel;
-use gpumem_core::util::align_up;
 use gpumem_core::{
     AllocError, Counter, DeviceAllocator, DeviceHeap, DevicePtr, ManagerInfo, Metrics,
     RegisterFootprint, ThreadCtx, WarpCtx,
@@ -163,17 +162,17 @@ impl FdgMalloc {
             // "These lists are of fixed size and are replaced once full."
             let list = self.cuda.malloc(ctx, LIST_RECORD_BYTES)?;
             self.heap.store_u32(list.offset(), 0x4644_4701); // list magic
-                                                             // memlint: allow(unchecked-offset-arithmetic) — the +4 SB_Counter slot lies inside the LIST_RECORD_BYTES record allocated two lines up
-            self.heap.store_u32(list.offset() + 4, 0); // SB_Counter
+            self.heap.store_u32(list.offset() + 4, 0); // SB_Counter, inside the record just allocated
             st.lists.push(list);
             st.newest_len = 0;
         }
         let list = *st.lists.last().expect("just ensured");
-        // memlint: allow(unchecked-offset-arithmetic) — slot arithmetic stays inside the list record: newest_len < LIST_CAPACITY is re-established above, and 16 + LIST_CAPACITY*8 == LIST_RECORD_BYTES
+        // Inside the list record: newest_len < LIST_CAPACITY (re-established
+        // above), and 16 + LIST_CAPACITY * 8 == LIST_RECORD_BYTES.
         let slot = list.offset() + 16 + st.newest_len as u64 * 8;
         self.heap.store_u64(slot, entry);
         st.newest_len += 1;
-        // memlint: allow(unchecked-offset-arithmetic) — the +4 SB_Counter slot lies inside the LIST_RECORD_BYTES record the entry was just written to
+        // SB_Counter, at +4 in the same record.
         self.heap.store_u32(list.offset() + 4, st.newest_len as u32);
         Ok(())
     }
@@ -191,7 +190,7 @@ impl FdgMalloc {
             self.register(ctx, st, sb.offset())?;
             st.current_sb = sb;
             st.cursor = sb.offset();
-            // memlint: allow(unchecked-offset-arithmetic) — sb was allocated with exactly SUPERBLOCK_BYTES, so offset + SUPERBLOCK_BYTES is the in-heap end of that superblock
+            // sb was allocated with exactly SUPERBLOCK_BYTES: this is its in-heap end.
             st.sb_end = sb.offset() + SUPERBLOCK_BYTES;
         }
         let ptr = DevicePtr::new(st.cursor);
@@ -229,7 +228,11 @@ impl DeviceAllocator for FdgMalloc {
         if size == 0 {
             return Err(AllocError::UnsupportedSize(0));
         }
-        let rounded = align_up(size, 16);
+        // Checked rounding: `align_up` wraps a near-`u64::MAX` request to a
+        // tiny one, which the bump would then grant.
+        let Some(rounded) = size.checked_next_multiple_of(16) else {
+            return Err(AllocError::UnsupportedSize(size));
+        };
         let mut shard = self.lock_shard(ctx.sm, ctx.warp);
         if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(ctx.warp) {
             let st = self.init_state(ctx)?;
@@ -302,7 +305,7 @@ impl DeviceAllocator for FdgMalloc {
             hops += 1;
             for e in 0..entries {
                 hops += 1;
-                // memlint: allow(unchecked-offset-arithmetic) — free-walk read-back of list slots: e < entries <= LIST_CAPACITY and 16 + LIST_CAPACITY*8 == LIST_RECORD_BYTES keeps the slot inside the record
+                // e < entries <= LIST_CAPACITY keeps the slot inside the record.
                 let raw = self.heap.load_u64(list.offset() + 16 + e as u64 * 8);
                 let ptr = DevicePtr::new(raw & !FORWARDED_BIT);
                 self.cuda.free(&ctx, ptr)?;
@@ -327,6 +330,7 @@ impl DeviceAllocator for FdgMalloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpumem_core::util::align_up;
 
     const HEAP: u64 = 4 << 20;
 

@@ -151,7 +151,8 @@ impl IndexQueue for StandardQueue {
             // docs): the logical sequence is `stored + idx`.
             let seq = self.seq[idx].load(Ordering::Acquire) + idx as u64;
             if seq == tail {
-                // memlint: allow(relaxed-cas-success) — Vyukov ticket ring: the slot seq word carries the Release/Acquire edge; model-checked in loom_tests.
+                // Relaxed success: a Vyukov ticket ring, whose slot seq word carries
+                // the Release/Acquire edge (model-checked in loom_tests).
                 match self.tail.compare_exchange_weak(
                     tail,
                     tail + 1,
@@ -183,7 +184,8 @@ impl IndexQueue for StandardQueue {
             let idx = (head & self.mask) as usize;
             let seq = self.seq[idx].load(Ordering::Acquire) + idx as u64;
             if seq == head + 1 {
-                // memlint: allow(relaxed-cas-success) — ticket claim only; the seq Acquire load above ordered the slot, seq Release below publishes it.
+                // Relaxed success: a ticket claim only. The seq Acquire load above
+                // ordered the slot, and the seq Release below publishes it.
                 match self.head.compare_exchange_weak(
                     head,
                     head + 1,

@@ -618,9 +618,9 @@ mod tests {
 
     #[test]
     fn near_max_request_fails_instead_of_wrapping() {
-        // Regression (memlint unchecked-offset-arithmetic): the header
-        // inflation `align_up(size + H::SIZE, 8)` used to wrap for
-        // near-u64::MAX requests and pass the region-length guard.
+        // Regression: the header inflation `align_up(size + H::SIZE, 8)` used
+        // to wrap for near-u64::MAX requests and pass the region-length
+        // guard.
         each_variant(|a, tag| {
             for size in [u64::MAX, u64::MAX - 8, u64::MAX - 16] {
                 assert!(

@@ -56,7 +56,8 @@ impl FifoArray {
             let seq = self.seq[idx].load(Ordering::Acquire);
             if seq == tail {
                 // Slot ready for this ticket: take the ticket.
-                // memlint: allow(relaxed-cas-success) — Vyukov ticket ring: the slot seq word carries the Release/Acquire edge; model-checked in loom_tests.
+                // Relaxed success: a Vyukov ticket ring, whose slot seq word carries
+                // the Release/Acquire edge (model-checked in loom_tests).
                 match self.tail.compare_exchange_weak(
                     tail,
                     tail + 1,
@@ -97,7 +98,8 @@ impl FifoArray {
             let idx = (head & self.mask) as usize;
             let seq = self.seq[idx].load(Ordering::Acquire);
             if seq == head + 1 {
-                // memlint: allow(relaxed-cas-success) — ticket claim only; the seq Acquire load above ordered the slot, seq Release below publishes it.
+                // Relaxed success: a ticket claim only. The seq Acquire load above
+                // ordered the slot, and the seq Release below publishes it.
                 match self.head.compare_exchange_weak(
                     head,
                     head + 1,

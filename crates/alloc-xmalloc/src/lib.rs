@@ -599,11 +599,11 @@ mod tests {
 
     #[test]
     fn near_max_request_fails_instead_of_wrapping() {
-        // Regression (memlint unchecked-offset-arithmetic): `size + ITEM_HDR`
-        // on the large path, then `align_up(payload, 16) + HDR` in the
-        // Memoryblock heap, used to wrap for near-u64::MAX requests:
-        // `u64::MAX - 47` split a zero-sized block off the list head, was
-        // granted, and the next walk never ended.
+        // Regression: `size + ITEM_HDR` on the large path, then
+        // `align_up(payload, 16) + HDR` in the Memoryblock heap, used to wrap
+        // for near-u64::MAX requests: `u64::MAX - 47` split a zero-sized
+        // block off the list head, was granted, and the next walk never
+        // ended.
         let a = alloc();
         let census = a.mblocks.census(&a.heap);
         for size in u64::MAX - 63..=u64::MAX {

@@ -9,7 +9,6 @@
 //! repro watch --scenario mixed      # one scenario under the telemetry sampler
 //! repro table1                      # survey table (Table 1)
 //! repro trace -m scatter            # Perfetto trace + latency percentiles
-//! repro audit                       # memlint summary
 //! ```
 //!
 //! Per-manager contention counters and sanitizer violations are anchor
@@ -20,7 +19,7 @@
 //! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
 //! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and
 //! `watch` take their counts, iterations and per-cell timeouts from the tier
-//! and refuse `--cached`. `table1`, `trace` and `audit` print each table they
+//! and refuse `--cached`. `table1` and `trace` print each table they
 //! save as CSV, with the same columns. A closed stdout (`repro … | head`)
 //! drops the printed report; the files and the exit status stay the same.
 
@@ -156,7 +155,7 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
 }
 
 fn usage() -> String {
-    "usage: repro <matrix|gate|watch|trace|audit|table1> [options]\n\
+    "usage: repro <matrix|gate|watch|trace|table1> [options]\n\
      (`repro matrix` runs the paper's figures as scenarios and writes one\n\
       BENCH_<scenario>.json anchor each, `repro gate` reruns them and fails\n\
       on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
@@ -206,7 +205,6 @@ fn main() {
         "gate" => gate_cmd(&opts),
         "watch" => watch_cmd(&opts),
         "trace" => trace(&opts),
-        "audit" => audit(&opts),
         "table1" => table1(&opts),
         other => {
             eprintln!("unknown command: {other}\n{}", usage());
@@ -404,72 +402,6 @@ fn gate_cmd(opts: &Opts) {
         std::process::exit(1);
     }
     outln!("gate: all scenarios pass ({exact} exact metrics equal)");
-}
-
-/// Source-audit summary: runs memlint over the workspace in-process, prints
-/// and writes one rollup (`audit.csv`: one row per crate and rule, standing
-/// vs. allowlisted), then every allowlist entry with its written reason.
-/// Exits non-zero if anything stands, so `repro audit` doubles as the CI
-/// gate the same way `cargo run -p memlint -- --deny` does.
-fn audit(opts: &Opts) {
-    // Prefer the checkout we are running in; fall back to the build-time
-    // workspace for out-of-tree invocations.
-    let root = if Path::new("crates").is_dir() {
-        PathBuf::from(".")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-    };
-    let report = memlint::scan_workspace(&root)
-        .map_err(|e| format!("audit: cannot scan {}: {e}", root.display()));
-    let report = or_exit(report, 2);
-
-    let crate_of = |d: &memlint::Diagnostic| -> String {
-        let s = d.file.to_string_lossy().replace('\\', "/");
-        match s.strip_prefix("crates/").and_then(|r| r.split('/').next()) {
-            Some(name) => name.to_string(),
-            None => "workspace-root".to_string(),
-        }
-    };
-    let mut rows = std::collections::BTreeMap::new();
-    for d in &report.diagnostics {
-        let row = rows.entry((crate_of(d), d.rule.name())).or_insert((0u32, 0u32));
-        if d.allowed.is_some() {
-            row.1 += 1;
-        } else {
-            row.0 += 1;
-        }
-    }
-    let mut csv = Csv::new(["crate", "rule", "standing", "allowlisted"]);
-    for ((krate, rule), (standing, allowed)) in &rows {
-        csv.row([krate.clone(), rule.to_string(), standing.to_string(), allowed.to_string()]);
-    }
-    if rows.is_empty() {
-        outln!("(no diagnostics at all — {} files scanned)", report.files);
-    }
-    save(csv, opts, "audit.csv");
-    outln!();
-    for d in report.allowlisted() {
-        outln!(
-            "allow {}:{} [{}] — {}",
-            d.file.display(),
-            d.line,
-            d.rule,
-            d.allowed.as_deref().unwrap_or("")
-        );
-    }
-    let standing = report.denied().count();
-    for d in report.denied() {
-        outln!("STANDING {d}");
-    }
-    outln!(
-        "\naudit: {} files, {} standing, {} allowlisted",
-        report.files,
-        standing,
-        report.allowlisted().count()
-    );
-    if standing > 0 {
-        std::process::exit(2);
-    }
 }
 
 /// Lowercases and strips non-alphanumerics so `"Ouro-S-P"`, `"ouro s p"`,

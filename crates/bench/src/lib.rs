@@ -21,7 +21,7 @@
 //! * [`watch`] — `repro watch`: any matrix scenario under the live
 //!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
 //!   time-series as JSON and per-window CSV.
-//! * [`csv`] — the tables `table1`, `trace` and `audit` print and write,
+//! * [`csv`] — the tables `table1` and `trace` print and write,
 //!   and the per-window CSV `watch` writes.
 //!
 //! The `repro` binary (in `src/bin`) drives everything: `repro matrix`

@@ -112,7 +112,8 @@ impl Magazine {
     /// Parks `offset`; `Err(())` when no slot at or above the hint is empty
     /// (the caller flushes the block to the inner allocator instead).
     pub(crate) fn push(&self, offset: u64) -> Result<(), ()> {
-        // memlint: allow(unchecked-offset-arithmetic) — +1 sentinel encoding distinguishes offset 0 from EMPTY; heap offsets are far below u64::MAX, so the increment cannot wrap
+        // +1 tells offset 0 from EMPTY; heap offsets are far below u64::MAX,
+        // so it cannot wrap.
         let enc = offset + 1;
         let cap = self.slots.len();
         for i in self.hint.load(Ordering::Relaxed).min(cap)..cap {

@@ -594,7 +594,8 @@ impl<A: DeviceAllocator> crate::traits::Layer for Sanitized<A> {
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
         let redzone = self.redzone_for(size);
-        // memlint: allow(unchecked-offset-arithmetic) — redzone_for returns 0 whenever size + redzone would overflow (checked there), so this sum never wraps
+        // Cannot wrap: redzone_for returns 0 whenever size + redzone would
+        // overflow.
         let ptr = self.inner.malloc(ctx, size + redzone)?;
         self.admit(ctx, ptr, size, redzone);
         Ok(ptr)

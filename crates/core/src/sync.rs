@@ -2,7 +2,7 @@
 //!
 //! Every crate in the workspace routes its atomics, fences and spin hints
 //! through this module instead of importing `std::sync::atomic` directly
-//! (the `memlint` `raw-atomic-import` rule enforces this). The payoff: the
+//! (`tests/atomics_discipline.rs` enforces this). The payoff: the
 //! exact same allocator code compiles in two modes —
 //!
 //! * **Normal builds** re-export the `std` types; the facade costs nothing.
@@ -20,9 +20,10 @@
 //!
 //! What the loom mode explores is the space of *sequentially consistent*
 //! interleavings under a preemption bound; it does not model weak-memory
-//! reordering. Ordering discipline (which `Ordering` each site needs) is
-//! audited statically by `memlint`. DESIGN.md §9 spells out this division
-//! of labor.
+//! reordering. Ordering discipline is checked by a source scan instead:
+//! `tests/atomics_discipline.rs` fails on any compare-exchange whose success
+//! ordering is `Relaxed` outside the four ticket rings it lists. DESIGN.md §9
+//! spells out this division of labor.
 
 #[cfg(not(loom))]
 pub use std::sync::atomic::{

@@ -764,7 +764,9 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
                 self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, args);
             }
         } else {
-            let args = [u64::MAX, sizes.iter().sum(), latency, retries];
+            // Saturating: a refused warp may hold a near-max lane.
+            let asked = sizes.iter().fold(0u64, |sum, &s| sum.saturating_add(s));
+            let args = [u64::MAX, asked, latency, retries];
             self.rec.emit_at(t1, warp.sm, EventKind::MallocEnd, args);
         }
         r

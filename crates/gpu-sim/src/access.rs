@@ -41,7 +41,8 @@ pub fn warp_transactions(ptrs: &[DevicePtr], bytes_each: u64) -> u64 {
             if p.is_null() {
                 continue;
             }
-            // memlint: allow(unchecked-offset-arithmetic) — step is bounded by the per-lane access count and offsets are in-heap; the sum models a lane's strided address, far below u64::MAX
+            // A lane's strided address: an in-heap offset plus a step bounded by
+            // the lane's access count, far below u64::MAX.
             let addr = p.offset() + step * ACCESS_BYTES;
             segs[n] = addr / SEGMENT_BYTES;
             n += 1;

@@ -23,8 +23,8 @@
 //!   wrappers over `std` atomics; with one runnable thread at a time and a
 //!   mutex handoff between steps, every interleaving the checker explores is
 //!   sequentially consistent. Weak-memory reorderings are *not* modeled —
-//!   the workspace's `memlint` static pass covers ordering discipline, and
-//!   DESIGN.md §9 documents the division of labor.
+//!   the workspace's `tests/atomics_discipline.rs` source scan covers
+//!   ordering discipline, and DESIGN.md §9 documents the division of labor.
 //!
 //! Bugs surface as panics inside the model closure (assertion failures,
 //! detected deadlocks, livelocks via the per-execution step cap); [`model`]
