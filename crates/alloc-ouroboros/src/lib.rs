@@ -19,7 +19,12 @@
 //! * The **chunk-based** manager queues chunk indices with free pages: a
 //!   "two-stage access design (allocate from chunk in queue)" that "trades
 //!   allocation speed for memory efficiency but can efficiently reuse empty
-//!   chunks for all purposes."
+//!   chunks for all purposes." A `malloc` peeks the chunk at the front of
+//!   its size's queue, reserves a page on the chunk's free count, then
+//!   claims a page bit. The chunk stays queued until a `malloc` takes its
+//!   last page or finds the entry stale; a `free` that gives a full chunk a
+//!   page back enqueues it again. So a page costs one queue read, and a
+//!   chunk one enqueue and one removal each time it fills.
 //! * Queue storage is either **static** (`S`, with the capacity burden the
 //!   paper describes) or **virtualized** onto dynamic chunks (`VA`, `VL`)
 //!   — see [`queues`].
@@ -303,60 +308,62 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
     fn malloc_chunked(&self, sm: u32, class_idx: usize) -> Result<DevicePtr, AllocError> {
         let pages = Self::pages_per_chunk(class_idx);
         let limit = self.pool.chunks() as u64 * 2 + 64;
+        let queue = &self.queues[class_idx];
         let (mut spins, mut retries) = (0u64, 0u64);
         let flush = |spins: u64, retries: u64| {
             self.metrics.add(sm, Counter::QueueSpins, spins);
             self.metrics.add(sm, Counter::CasRetries, retries);
         };
         for _ in 0..limit {
-            let chunk =
-                match self.queues[class_idx].dequeue_with(&self.pool, &self.heap, &mut spins) {
-                    Some(c) => c,
-                    None => {
-                        // As in the paged path: an empty dequeue re-spins
-                        // the queue after the expansion.
-                        spins += 1;
-                        flush(spins, retries);
-                        return self.carve(sm, class_idx);
-                    }
-                };
-            let meta = self.pool.meta(chunk);
-            if meta.class.load(Ordering::Acquire) != class_idx as u32 {
-                retries += 1;
-                continue; // reclaimed & reused elsewhere
-            }
-            // Stage 1: reserve a page on the chunk.
-            let mut c = meta.free_pages.load(Ordering::Acquire);
-            let reserved = loop {
-                if c == 0 || c >= COUNT_LOCK {
-                    break false;
-                }
-                match meta.free_pages.compare_exchange_weak(
-                    c,
-                    c - 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break true,
-                    Err(actual) => {
-                        retries += 1;
-                        c = actual;
-                    }
+            let (ticket, chunk) = match queue.peek_with(&self.pool, &self.heap, &mut spins) {
+                Some(front) => front,
+                None => {
+                    // As in the paged path: an empty queue re-spins after
+                    // the expansion.
+                    spins += 1;
+                    flush(spins, retries);
+                    return self.carve(sm, class_idx);
                 }
             };
-            if !reserved {
+            // Stage 1: reserve a page on the chunk, or find the entry stale.
+            let meta = self.pool.meta(chunk);
+            let reserved = 'reserve: {
+                if meta.class.load(Ordering::Acquire) != class_idx as u32 {
+                    break 'reserve None; // reclaimed & reused elsewhere
+                }
+                let mut c = meta.free_pages.load(Ordering::Acquire);
+                loop {
+                    if c == 0 || c >= COUNT_LOCK {
+                        break 'reserve None;
+                    }
+                    match meta.free_pages.compare_exchange_weak(
+                        c,
+                        c - 1,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    ) {
+                        Ok(_) => break,
+                        Err(actual) => {
+                            retries += 1;
+                            c = actual;
+                        }
+                    }
+                }
+                // Post-reservation validation: the chunk may have been
+                // reclaimed and reassigned between the class check and the
+                // reservation; holding a reservation now pins it (the
+                // reclaim CAS requires a full free count).
+                if meta.class.load(Ordering::Acquire) != class_idx as u32 {
+                    meta.free_pages.fetch_add(1, Ordering::AcqRel);
+                    break 'reserve None;
+                }
+                Some(c)
+            };
+            let Some(c) = reserved else {
                 retries += 1;
+                queue.pop_front(&self.pool, &self.heap, ticket, &mut spins);
                 continue;
-            }
-            // Post-reservation validation: the chunk may have been
-            // reclaimed and reassigned between the class check and the
-            // reservation; holding a reservation now pins it (the reclaim
-            // CAS requires a full free count).
-            if meta.class.load(Ordering::Acquire) != class_idx as u32 {
-                meta.free_pages.fetch_add(1, Ordering::AcqRel);
-                retries += 1;
-                continue;
-            }
+            };
             // Stage 2: claim a concrete page bit.
             let mut slot = None;
             'words: for w in 0..pages.div_ceil(32) {
@@ -378,10 +385,11 @@ impl<Q: IndexQueue, const CHUNKED: bool> Ouroboros<Q, CHUNKED> {
                 }
             }
             let slot = slot.expect("reservation guarantees a free page bit");
-            // Two-stage design: hand the chunk back if it still has room.
-            if c - 1 > 0 {
-                let _ =
-                    self.queues[class_idx].enqueue_with(&self.pool, &self.heap, chunk, &mut spins);
+            // Allocate from the chunk in the queue: it stays at the front
+            // while it has free pages and leaves with its last one. The free
+            // that gives it a page back enqueues it again.
+            if c == 1 {
+                queue.pop_front(&self.pool, &self.heap, ticket, &mut spins);
             }
             flush(spins, retries);
             return Ok(self.page_ptr(chunk, class_idx, slot));
@@ -671,45 +679,51 @@ mod tests {
         });
     }
 
+    /// Four OS threads per variant malloc, fill, read back and free
+    /// blocks of five sizes; a block that another thread was also handed
+    /// shows up as a foreign fill pattern or an overlapping live span.
     #[test]
     fn concurrent_stress_no_overlap() {
-        for chunked in [false, true] {
-            let a: Arc<dyn DeviceAllocator> = if chunked {
-                Arc::new(OuroVAC::with_capacity(8 << 20))
-            } else {
-                Arc::new(OuroVAP::with_capacity(8 << 20))
-            };
-            let mut handles = Vec::new();
-            for t in 0..4u32 {
-                let a = Arc::clone(&a);
-                handles.push(std::thread::spawn(move || {
-                    let mut live = Vec::new();
-                    for i in 0..2000u32 {
-                        let c = ThreadCtx::from_linear(t * 2000 + i, 256, 80);
-                        let size = 16u64 << (i % 5);
-                        let p = a.malloc(&c, size).expect("8 MiB is plenty");
-                        a.heap().fill(p, size, 0x6b);
-                        live.push((p, size));
-                        if i % 2 == 1 {
-                            let (p, _) = live.swap_remove(0);
-                            a.free(&c, p).unwrap();
-                        }
-                    }
-                    live.into_iter().map(|(p, s)| (p.offset(), next_pow2(s))).collect::<Vec<_>>()
-                }));
+        each_variant(|a, v| {
+            let mut live: Vec<(u64, u64)> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..4u32)
+                    .map(|t| {
+                        s.spawn(move || {
+                            let check = |p: DevicePtr, size: u64, fill: u8| {
+                                let mut back = vec![0u8; size as usize];
+                                a.heap().read_bytes(p, &mut back);
+                                assert!(back.iter().all(|&b| b == fill), "{v}: {p:?} overwritten");
+                            };
+                            let mut live = Vec::new();
+                            for i in 0..2000u32 {
+                                let c = ThreadCtx::from_linear(t * 2000 + i, 256, 80);
+                                let size = 16u64 << (i % 5);
+                                let fill = (t * 64 + i % 64) as u8;
+                                let p = a.malloc(&c, size).expect("the heap is plenty");
+                                a.heap().fill(p, size, fill);
+                                live.push((p, size, fill));
+                                if i % 2 == 1 {
+                                    let (p, size, fill) = live.swap_remove(0);
+                                    check(p, size, fill);
+                                    a.free(&c, p).unwrap();
+                                }
+                            }
+                            live.into_iter()
+                                .map(|(p, size, fill)| {
+                                    check(p, size, fill);
+                                    (p.offset(), next_pow2(size))
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            });
+            live.sort_unstable();
+            for w in live.windows(2) {
+                assert!(w[0].0 + w[0].1 <= w[1].0, "{v}: overlap {:?} vs {:?}", w[0], w[1]);
             }
-            let mut all: Vec<(u64, u64)> =
-                handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
-            all.sort_unstable();
-            for w in all.windows(2) {
-                assert!(
-                    w[0].0 + w[0].1 <= w[1].0,
-                    "chunked={chunked}: overlap {:?} vs {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-        }
+        });
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! ordering behaviour and the *two-tier cost* (every operation touches
 //! device memory, occasionally allocating or releasing a storage chunk),
 //! which is what the survey's measurements expose.
+//!
+//! Besides enqueue and dequeue, every queue can peek its front entry and
+//! remove it later by ticket ([`IndexQueue::peek_with`],
+//! [`IndexQueue::pop_front`]): the chunk-based manager allocates from the
+//! chunk at the front and removes it only once it is full or stale. On the
+//! standard ring the peek is a dequeue without its ticket CAS; the
+//! virtualized queues peek and pop under one lock hold each.
 
 use gpumem_core::sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -72,7 +79,23 @@ pub trait IndexQueue: Send + Sync {
     /// [`IndexQueue::enqueue_with`].
     fn dequeue_with(&self, pool: &ChunkPool, heap: &DeviceHeap, spins: &mut u64) -> Option<u32>;
 
-    /// Approximate occupancy.
+    /// Reads the oldest entry without removing it, as `(ticket, value)`.
+    /// The ticket names the entry's position in the queue's history (the
+    /// count of entries removed before it), so it is never reused.
+    ///
+    /// On the standard queue a peek that races a full lap of the ring can
+    /// return a later entry's value under the old ticket; the head has then
+    /// moved, so [`IndexQueue::pop_front`] with that ticket fails. A caller
+    /// must therefore validate what it peeked before it relies on it.
+    fn peek_with(&self, pool: &ChunkPool, heap: &DeviceHeap, spins: &mut u64)
+        -> Option<(u64, u32)>;
+
+    /// Removes the oldest entry only if it is still the one `ticket` names:
+    /// `false` if another operation removed it since the peek.
+    fn pop_front(&self, pool: &ChunkPool, heap: &DeviceHeap, ticket: u64, spins: &mut u64) -> bool;
+
+    /// Occupancy: exact when the queue is quiescent, approximate while
+    /// operations are in flight.
     fn len(&self) -> usize;
 
     /// Whether the queue is (approximately) empty.
@@ -211,6 +234,50 @@ impl IndexQueue for StandardQueue {
         }
     }
 
+    /// [`IndexQueue::dequeue_with`] without the ticket CAS: the slot is
+    /// read, not claimed.
+    fn peek_with(
+        &self,
+        _pool: &ChunkPool,
+        _heap: &DeviceHeap,
+        spins: &mut u64,
+    ) -> Option<(u64, u32)> {
+        let mut head = self.head.load(Ordering::Relaxed);
+        loop {
+            let idx = (head & self.mask) as usize;
+            let seq = self.seq[idx].load(Ordering::Acquire) + idx as u64;
+            if seq == head + 1 {
+                return Some((head, self.val[idx].load(Ordering::Relaxed)));
+            } else if seq <= head {
+                return None;
+            }
+            *spins += 1;
+            head = self.head.load(Ordering::Relaxed);
+        }
+    }
+
+    fn pop_front(
+        &self,
+        _pool: &ChunkPool,
+        _heap: &DeviceHeap,
+        ticket: u64,
+        _spins: &mut u64,
+    ) -> bool {
+        // The head is still `ticket`, so slot `ticket` was published (the
+        // peek saw its seq) and not yet claimed: the CAS claims it, and the
+        // seq Release hands the slot to the enqueuer one lap on.
+        if self
+            .head
+            .compare_exchange(ticket, ticket + 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return false;
+        }
+        let idx = (ticket & self.mask) as usize;
+        self.seq[idx].store(ticket + self.mask + 1 - idx as u64, Ordering::Release);
+        true
+    }
+
     fn len(&self) -> usize {
         let t = self.tail.load(Ordering::Relaxed);
         let h = self.head.load(Ordering::Relaxed);
@@ -278,6 +345,8 @@ struct VaState {
 pub struct VirtArrayQueue {
     lock: Spin,
     state: std::cell::UnsafeCell<VaState>,
+    /// `back - front`, stored (not added to) by each writer under `lock`,
+    /// so a lock-free [`IndexQueue::len`] reads the last operation's value.
     approx_len: AtomicU64,
 }
 
@@ -287,10 +356,39 @@ unsafe impl Send for VirtArrayQueue {}
 // exclusion model-checked in `loom_tests`).
 unsafe impl Sync for VirtArrayQueue {}
 
+impl VaState {
+    /// The pointer-array slot holding virtual position `at`, and the heap
+    /// offset of its entry.
+    fn locate(&self, pool: &ChunkPool, at: u64) -> (usize, u64) {
+        let pos = at % VirtArrayQueue::virtual_capacity();
+        let slot = (pos / VA_ENTRIES_PER_CHUNK) as usize;
+        debug_assert_ne!(self.slots[slot], NO_STORAGE);
+        (slot, pool.chunk_base(self.slots[slot]) + (pos % VA_ENTRIES_PER_CHUNK) * 4)
+    }
+}
+
 impl VirtArrayQueue {
     /// Virtual capacity: the pointer array times one chunk of entries.
     pub const fn virtual_capacity() -> u64 {
         VA_SLOTS as u64 * VA_ENTRIES_PER_CHUNK
+    }
+
+    /// Removes the front entry; the caller holds the lock.
+    fn pop_locked(st: &mut VaState, pool: &ChunkPool, heap: &DeviceHeap) -> Option<u32> {
+        if st.front == st.back {
+            return None;
+        }
+        let (slot, off) = st.locate(pool, st.front);
+        let v = heap.load_u32(off);
+        st.front += 1;
+        // Release the storage chunk once the front leaves it (and the back
+        // is not still writing into it).
+        let back_slot = ((st.back % Self::virtual_capacity()) / VA_ENTRIES_PER_CHUNK) as usize;
+        if st.front.is_multiple_of(VA_ENTRIES_PER_CHUNK) && slot != back_slot {
+            pool.release(st.slots[slot]);
+            st.slots[slot] = NO_STORAGE;
+        }
+        Some(v)
     }
 }
 
@@ -330,7 +428,7 @@ impl IndexQueue for VirtArrayQueue {
         let off = pool.chunk_base(chunk) + (pos % VA_ENTRIES_PER_CHUNK) * 4;
         heap.store_u32(off, v);
         st.back += 1;
-        self.approx_len.fetch_add(1, Ordering::Relaxed);
+        self.approx_len.store(st.back - st.front, Ordering::Relaxed);
         Ok(())
     }
 
@@ -338,27 +436,32 @@ impl IndexQueue for VirtArrayQueue {
         let _g = self.lock.lock_counted(spins);
         // SAFETY: lock held.
         let st = unsafe { &mut *self.state.get() };
-        if st.front == st.back {
-            return None;
-        }
-        let pos = st.front % Self::virtual_capacity();
-        let slot = (pos / VA_ENTRIES_PER_CHUNK) as usize;
-        let chunk = st.slots[slot];
-        debug_assert_ne!(chunk, NO_STORAGE);
-        let v = heap.load_u32(pool.chunk_base(chunk) + (pos % VA_ENTRIES_PER_CHUNK) * 4);
-        st.front += 1;
-        self.approx_len.fetch_sub(1, Ordering::Relaxed);
-        // Release the storage chunk once the front leaves it (and the back
-        // is not still writing into it).
-        if st.front % VA_ENTRIES_PER_CHUNK == 0 || st.front == st.back {
-            let back_slot = ((st.back % Self::virtual_capacity()) / VA_ENTRIES_PER_CHUNK) as usize;
-            let front_done = st.front % VA_ENTRIES_PER_CHUNK == 0;
-            if front_done && slot != back_slot {
-                pool.release(chunk);
-                st.slots[slot] = NO_STORAGE;
-            }
-        }
+        let v = Self::pop_locked(st, pool, heap)?;
+        self.approx_len.store(st.back - st.front, Ordering::Relaxed);
         Some(v)
+    }
+
+    fn peek_with(
+        &self,
+        pool: &ChunkPool,
+        heap: &DeviceHeap,
+        spins: &mut u64,
+    ) -> Option<(u64, u32)> {
+        let _g = self.lock.lock_counted(spins);
+        // SAFETY: lock held.
+        let st = unsafe { &*self.state.get() };
+        (st.front != st.back).then(|| (st.front, heap.load_u32(st.locate(pool, st.front).1)))
+    }
+
+    fn pop_front(&self, pool: &ChunkPool, heap: &DeviceHeap, ticket: u64, spins: &mut u64) -> bool {
+        let _g = self.lock.lock_counted(spins);
+        // SAFETY: lock held.
+        let st = unsafe { &mut *self.state.get() };
+        if st.front != ticket || Self::pop_locked(st, pool, heap).is_none() {
+            return false;
+        }
+        self.approx_len.store(st.back - st.front, Ordering::Relaxed);
+        true
     }
 
     fn len(&self) -> usize {
@@ -381,12 +484,15 @@ struct VlState {
     back_chunk: u32,
     back_idx: u64,
     len: u64,
+    /// Entries removed so far: the front entry's ticket.
+    popped: u64,
 }
 
 /// Virtualized linked-chunk queue: unlimited virtual size, no pointer array.
 pub struct VirtLinkedQueue {
     lock: Spin,
     state: std::cell::UnsafeCell<VlState>,
+    /// `len`, stored by each writer under `lock` as in [`VirtArrayQueue`].
     approx_len: AtomicU64,
 }
 
@@ -400,6 +506,34 @@ impl VirtLinkedQueue {
     fn entry_off(pool: &ChunkPool, chunk: u32, idx: u64) -> u64 {
         pool.chunk_base(chunk) + 8 + idx * 4
     }
+
+    /// Removes the front entry; the caller holds the lock.
+    fn pop_locked(st: &mut VlState, pool: &ChunkPool, heap: &DeviceHeap) -> Option<u32> {
+        if st.len == 0 {
+            return None;
+        }
+        let v = heap.load_u32(Self::entry_off(pool, st.front_chunk, st.front_idx));
+        st.front_idx += 1;
+        st.len -= 1;
+        st.popped += 1;
+        // Front chunk exhausted: follow the link and release it.
+        if st.front_idx == VL_ENTRIES_PER_CHUNK {
+            let next = heap.load_u32(pool.chunk_base(st.front_chunk));
+            pool.release(st.front_chunk);
+            st.front_chunk = next;
+            st.front_idx = 0;
+            if next == NO_STORAGE {
+                st.back_chunk = NO_STORAGE;
+                st.back_idx = 0;
+                debug_assert_eq!(st.len, 0);
+            }
+        } else if st.len == 0 {
+            // Queue drained mid-chunk: keep the chunk, reset the cursors so
+            // the chunk is reused from the top.
+            st.back_idx = st.front_idx;
+        }
+        Some(v)
+    }
 }
 
 impl IndexQueue for VirtLinkedQueue {
@@ -412,6 +546,7 @@ impl IndexQueue for VirtLinkedQueue {
                 back_chunk: NO_STORAGE,
                 back_idx: 0,
                 len: 0,
+                popped: 0,
             }),
             approx_len: AtomicU64::new(0),
         }
@@ -442,7 +577,7 @@ impl IndexQueue for VirtLinkedQueue {
         heap.store_u32(Self::entry_off(pool, st.back_chunk, st.back_idx), v);
         st.back_idx += 1;
         st.len += 1;
-        self.approx_len.fetch_add(1, Ordering::Relaxed);
+        self.approx_len.store(st.len, Ordering::Relaxed);
         Ok(())
     }
 
@@ -450,30 +585,34 @@ impl IndexQueue for VirtLinkedQueue {
         let _g = self.lock.lock_counted(spins);
         // SAFETY: lock held.
         let st = unsafe { &mut *self.state.get() };
-        if st.len == 0 {
-            return None;
-        }
-        let v = heap.load_u32(Self::entry_off(pool, st.front_chunk, st.front_idx));
-        st.front_idx += 1;
-        st.len -= 1;
-        self.approx_len.fetch_sub(1, Ordering::Relaxed);
-        // Front chunk exhausted: follow the link and release it.
-        if st.front_idx == VL_ENTRIES_PER_CHUNK {
-            let next = heap.load_u32(pool.chunk_base(st.front_chunk));
-            pool.release(st.front_chunk);
-            st.front_chunk = next;
-            st.front_idx = 0;
-            if next == NO_STORAGE {
-                st.back_chunk = NO_STORAGE;
-                st.back_idx = 0;
-                debug_assert_eq!(st.len, 0);
-            }
-        } else if st.len == 0 {
-            // Queue drained mid-chunk: keep the chunk, reset the cursors so
-            // the chunk is reused from the top.
-            st.back_idx = st.front_idx;
-        }
+        let v = Self::pop_locked(st, pool, heap)?;
+        self.approx_len.store(st.len, Ordering::Relaxed);
         Some(v)
+    }
+
+    fn peek_with(
+        &self,
+        pool: &ChunkPool,
+        heap: &DeviceHeap,
+        spins: &mut u64,
+    ) -> Option<(u64, u32)> {
+        let _g = self.lock.lock_counted(spins);
+        // SAFETY: lock held.
+        let st = unsafe { &*self.state.get() };
+        (st.len != 0).then(|| {
+            (st.popped, heap.load_u32(Self::entry_off(pool, st.front_chunk, st.front_idx)))
+        })
+    }
+
+    fn pop_front(&self, pool: &ChunkPool, heap: &DeviceHeap, ticket: u64, spins: &mut u64) -> bool {
+        let _g = self.lock.lock_counted(spins);
+        // SAFETY: lock held.
+        let st = unsafe { &mut *self.state.get() };
+        if st.popped != ticket || Self::pop_locked(st, pool, heap).is_none() {
+            return false;
+        }
+        self.approx_len.store(st.len, Ordering::Relaxed);
+        true
     }
 
     fn len(&self) -> usize {
@@ -632,6 +771,68 @@ mod tests {
         assert_eq!(VirtArrayQueue::tag(), "VA");
         assert_eq!(VirtLinkedQueue::tag(), "VL");
     }
+
+    /// Entries a queue has taken in and let out, from its own counters.
+    trait Traffic {
+        fn traffic(&self) -> (u64, u64);
+    }
+
+    impl Traffic for StandardQueue {
+        fn traffic(&self) -> (u64, u64) {
+            (self.tail.load(Ordering::Relaxed), self.head.load(Ordering::Relaxed))
+        }
+    }
+
+    impl Traffic for VirtArrayQueue {
+        fn traffic(&self) -> (u64, u64) {
+            let _g = self.lock.lock_counted(&mut 0);
+            // SAFETY: lock held.
+            let st = unsafe { &*self.state.get() };
+            (st.back, st.front)
+        }
+    }
+
+    impl Traffic for VirtLinkedQueue {
+        fn traffic(&self) -> (u64, u64) {
+            let _g = self.lock.lock_counted(&mut 0);
+            // SAFETY: lock held.
+            let st = unsafe { &*self.state.get() };
+            (st.popped + st.len, st.popped)
+        }
+    }
+
+    /// Chunk-based Ouroboros allocates from the chunk in its queue: filling
+    /// a 16 B chunk's 512 pages costs the 16 B queue one enqueue (by the
+    /// carve) and one removal (with the last page), not one dequeue and one
+    /// enqueue per page. The 513th malloc carves the next chunk.
+    fn a_chunk_costs_one_enqueue_and_one_pop<Q: IndexQueue + Traffic>() {
+        use gpumem_core::{DeviceAllocator, ThreadCtx};
+        let a = crate::Ouroboros::<Q, true>::with_capacity(4 << 20);
+        let ctx = ThreadCtx::host();
+        let chunk_of = |size| a.malloc(&ctx, size).unwrap().offset() / CHUNK_BYTES;
+        let first = chunk_of(16);
+        for _ in 1..512 {
+            assert_eq!(chunk_of(16), first, "{}: the first chunk has 512 pages", Q::tag());
+        }
+        assert_eq!(a.queues[0].traffic(), (1, 1), "{}: (enqueued, removed)", Q::tag());
+        assert_ne!(chunk_of(16), first, "{}: the 513th page is a new chunk's", Q::tag());
+        assert_eq!(a.queues[0].traffic(), (2, 1), "{}: (enqueued, removed)", Q::tag());
+    }
+
+    #[test]
+    fn standard_chunk_costs_one_enqueue_and_one_pop() {
+        a_chunk_costs_one_enqueue_and_one_pop::<StandardQueue>();
+    }
+
+    #[test]
+    fn va_chunk_costs_one_enqueue_and_one_pop() {
+        a_chunk_costs_one_enqueue_and_one_pop::<VirtArrayQueue>();
+    }
+
+    #[test]
+    fn vl_chunk_costs_one_enqueue_and_one_pop() {
+        a_chunk_costs_one_enqueue_and_one_pop::<VirtLinkedQueue>();
+    }
 }
 
 /// Model-checked interleaving suite (built with `RUSTFLAGS="--cfg loom"`).
@@ -712,6 +913,86 @@ mod loom_tests {
                 assert_eq!(q.dequeue_with(&pool, &heap, &mut spins), Some(77));
             }
             assert_eq!(q.dequeue_with(&pool, &heap, &mut spins), None);
+        });
+    }
+
+    /// A fixture queue holding `[1, 2]`.
+    fn holding_two() -> (Arc<ChunkPool>, Arc<DeviceHeap>, Arc<StandardQueue>) {
+        let (pool, heap, q) = fixture();
+        let mut spins = 0;
+        for v in [1, 2] {
+            q.enqueue_with(&pool, &heap, v, &mut spins).unwrap();
+        }
+        (pool, heap, q)
+    }
+
+    /// Peeks, then pops the peeked ticket: `(ticket, value, popped)`.
+    fn peek_then_pop(pool: &ChunkPool, heap: &DeviceHeap, q: &StandardQueue) -> (u64, u32, bool) {
+        let mut spins = 0;
+        let (ticket, v) = q.peek_with(pool, heap, &mut spins).expect("the queue is not empty");
+        (ticket, v, q.pop_front(pool, heap, ticket, &mut spins))
+    }
+
+    /// Peek-then-pop races a dequeue on `[1, 2]`: each value leaves exactly
+    /// once, through the dequeue or through a successful pop of the value
+    /// that was peeked, and a ticket that lost the race pops nothing.
+    #[test]
+    fn standard_queue_peek_pop_vs_dequeue() {
+        model(|| {
+            let (pool, heap, q) = holding_two();
+            let popper = {
+                let (pool, heap, q) = (pool.clone(), heap.clone(), q.clone());
+                thread::spawn(move || peek_then_pop(&pool, &heap, &q))
+            };
+            let deq = {
+                let (pool, heap, q) = (pool.clone(), heap.clone(), q.clone());
+                thread::spawn(move || {
+                    let mut spins = 0;
+                    q.dequeue_with(&pool, &heap, &mut spins).expect("the queue holds two")
+                })
+            };
+            let (ticket, peeked, popped) = popper.join().unwrap();
+            let mut left = vec![deq.join().unwrap()];
+            if popped {
+                left.push(peeked);
+            }
+            let mut spins = 0;
+            assert!(!q.pop_front(&pool, &heap, ticket, &mut spins), "a spent ticket popped");
+            while let Some(v) = q.dequeue_with(&pool, &heap, &mut spins) {
+                left.push(v);
+            }
+            left.sort_unstable();
+            assert_eq!(left, vec![1, 2], "a value left twice or never");
+        });
+    }
+
+    /// Peek-then-pop races an enqueue on `[1, 2]`: nothing else removes, so
+    /// the pop succeeds with the front value and the enqueued value lands
+    /// behind the rest.
+    #[test]
+    fn standard_queue_peek_pop_vs_enqueue() {
+        model(|| {
+            let (pool, heap, q) = holding_two();
+            let popper = {
+                let (pool, heap, q) = (pool.clone(), heap.clone(), q.clone());
+                thread::spawn(move || peek_then_pop(&pool, &heap, &q))
+            };
+            let enq = {
+                let (pool, heap, q) = (pool.clone(), heap.clone(), q.clone());
+                thread::spawn(move || {
+                    let mut spins = 0;
+                    q.enqueue_with(&pool, &heap, 3, &mut spins).unwrap();
+                })
+            };
+            let (_, peeked, popped) = popper.join().unwrap();
+            enq.join().unwrap();
+            assert_eq!((peeked, popped), (1, true), "the front entry must pop");
+            let mut spins = 0;
+            let mut left = Vec::new();
+            while let Some(v) = q.dequeue_with(&pool, &heap, &mut spins) {
+                left.push(v);
+            }
+            assert_eq!(left, vec![2, 3]);
         });
     }
 

@@ -1,7 +1,8 @@
 //! Model-based property tests: every Ouroboros queue implementation must
 //! behave exactly like `VecDeque` under arbitrary operation sequences
 //! (modulo capacity limits, which only cause clean `Full`/`OutOfChunks`
-//! rejections).
+//! rejections). A peek returns the model's front; a pop with the last
+//! peeked ticket succeeds exactly when nothing was removed since that peek.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,6 +19,9 @@ use gpumem_core::DeviceHeap;
 enum Op {
     Enqueue(u32),
     Dequeue,
+    Peek,
+    /// Pops with the ticket of the last successful peek, stale or not.
+    PopFront,
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -25,6 +29,8 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         prop_oneof![
             3 => (0u32..1_000_000).prop_map(Op::Enqueue),
             2 => Just(Op::Dequeue),
+            1 => Just(Op::Peek),
+            1 => Just(Op::PopFront),
         ],
         1..400,
     )
@@ -35,6 +41,11 @@ fn run_against_model<Q: IndexQueue>(ops: &[Op]) -> Result<(), TestCaseError> {
     let pool = ChunkPool::new(32);
     let q = Q::create(256);
     let mut model: VecDeque<u32> = VecDeque::new();
+    // Removals so far, and the last peek's ticket with the removal count
+    // it was taken at.
+    let mut removed = 0u64;
+    let mut peeked: Option<(u64, u64)> = None;
+    let mut spins = 0;
     for op in ops {
         match op {
             Op::Enqueue(v) => match q.enqueue(&pool, &heap, *v) {
@@ -44,7 +55,26 @@ fn run_against_model<Q: IndexQueue>(ops: &[Op]) -> Result<(), TestCaseError> {
                 }
             },
             Op::Dequeue => {
-                prop_assert_eq!(q.dequeue(&pool, &heap), model.pop_front());
+                let got = q.dequeue(&pool, &heap);
+                prop_assert_eq!(got, model.pop_front());
+                removed += u64::from(got.is_some());
+            }
+            Op::Peek => {
+                let got = q.peek_with(&pool, &heap, &mut spins);
+                prop_assert_eq!(got.map(|(_, v)| v), model.front().copied());
+                if let Some((ticket, _)) = got {
+                    peeked = Some((ticket, removed));
+                }
+            }
+            Op::PopFront => {
+                if let Some((ticket, at)) = peeked {
+                    let fresh = at == removed;
+                    prop_assert_eq!(q.pop_front(&pool, &heap, ticket, &mut spins), fresh);
+                    if fresh {
+                        model.pop_front();
+                        removed += 1;
+                    }
+                }
             }
         }
         prop_assert_eq!(q.len(), model.len());
@@ -86,6 +116,13 @@ proptest! {
             match op {
                 Op::Enqueue(v) => { let _ = q.enqueue(&pool, &heap, *v); }
                 Op::Dequeue => { let _ = q.dequeue(&pool, &heap); }
+                Op::Peek => {}
+                Op::PopFront => {
+                    let mut spins = 0;
+                    if let Some((ticket, _)) = q.peek_with(&pool, &heap, &mut spins) {
+                        prop_assert!(q.pop_front(&pool, &heap, ticket, &mut spins));
+                    }
+                }
             }
         }
         while q.dequeue(&pool, &heap).is_some() {}
