@@ -6,7 +6,6 @@
 //! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
 //!                                   # Fig 9 at the paper's full 8 GiB heap
 //! repro gate                        # rerun the smoke tier, compare exact metrics
-//! repro watch --scenario mixed      # one scenario under the telemetry sampler
 //! repro table1                      # survey table (Table 1)
 //! repro trace -m scatter            # Perfetto trace + latency percentiles
 //! ```
@@ -17,9 +16,11 @@
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax),
 //! `--device titanv|2080ti`, `--out DIR`, `--heap-backend ram|mmap`
 //! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
-//! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix`, `gate` and
-//! `watch` take their counts, iterations and per-cell timeouts from the tier
-//! and refuse `--cached`. `table1` and `trace` print each table they
+//! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix` and `gate`
+//! take their counts, iterations and per-cell timeouts from the tier and
+//! refuse `--cached`. The trace is the one per-run export: its Perfetto JSON
+//! carries a `launch window` counter sample per launch and the events the
+//! recorder dropped. `table1` and `trace` print each table they
 //! save as CSV, with the same columns. A closed stdout (`repro … | head`)
 //! drops the printed report; the files and the exit status stay the same.
 
@@ -32,9 +33,7 @@ use gpumem_bench::gate;
 use gpumem_bench::matrix::{self, MatrixCfg, Tier};
 use gpumem_bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use gpumem_bench::runners::{self, Bench};
-use gpumem_bench::watch;
 use gpumem_core::info::SURVEY_TABLE;
-use gpumem_core::telemetry::TelemetryConfig;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
 use gpumem_core::{EventKind, HeapBackendKind, Pretouch};
 
@@ -62,8 +61,8 @@ struct Opts {
     /// `--cached`: wrap every manager in the `Cached` magazine decorator.
     cached: bool,
     out: PathBuf,
-    /// `matrix`/`gate`/`watch` tier: `--smoke` or `--tier tiny|smoke|full`
-    /// (default: full for `matrix`, smoke for `gate` and `watch`).
+    /// `matrix`/`gate` tier: `--smoke` or `--tier tiny|smoke|full`
+    /// (default: full for `matrix`, smoke for `gate`).
     tier: Option<Tier>,
     /// `--seed HEX`: the workload seed of every subcommand (default 0x5eed,
     /// the one `Bench` and `MatrixCfg` start from).
@@ -142,10 +141,10 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             other => return Err(format!("unknown option: {other}\n{}", usage())),
         }
     }
-    // `matrix`, `gate` and `watch` run the cached twins as scenarios, so
-    // anchors of one tier always compare; a flag that cannot take effect is
-    // an error, not a no-op.
-    if opts.cached && matches!(cmd.as_str(), "matrix" | "gate" | "watch") {
+    // `matrix` and `gate` run the cached twins as scenarios, so anchors of
+    // one tier always compare; a flag that cannot take effect is an error,
+    // not a no-op.
+    if opts.cached && matches!(cmd.as_str(), "matrix" | "gate") {
         return Err(format!(
             "--cached does not apply to `{cmd}`: the cached twins \
              (--scenario perf_thread_cached / mixed_cached) are fixed by the tier"
@@ -155,18 +154,17 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
 }
 
 fn usage() -> String {
-    "usage: repro <matrix|gate|watch|trace|table1> [options]\n\
+    "usage: repro <matrix|gate|trace|table1> [options]\n\
      (`repro matrix` runs the paper's figures as scenarios and writes one\n\
       BENCH_<scenario>.json anchor each, `repro gate` reruns them and fails\n\
-      on any change to an exact metric, `repro watch --scenario NAME` runs one\n\
-      scenario under the telemetry sampler and writes\n\
-      telemetry_<scenario>.{json,csv} into --out)\n\
+      on any change to an exact metric, `repro trace` writes one run's\n\
+      Perfetto trace and latency CSV into --out)\n\
      options: -t SELECTOR -m MANAGER --device D --out DIR\n\
      --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
      trace: --num N --cached --trace-cap EVENTS_PER_SM\n\
-     matrix/gate/watch: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
+     matrix/gate: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --scenario NAME (repeatable); -t / -m restrict the managers; matrix\n\
-     defaults to the full tier, gate and watch to the smoke tier"
+     defaults to the full tier, gate to the smoke tier"
         .to_string()
 }
 
@@ -203,7 +201,6 @@ fn main() {
     match cmd.as_str() {
         "matrix" => matrix_cmd(&opts),
         "gate" => gate_cmd(&opts),
-        "watch" => watch_cmd(&opts),
         "trace" => trace(&opts),
         "table1" => table1(&opts),
         other => {
@@ -245,7 +242,7 @@ fn table1(opts: &Opts) {
     save(csv, opts, "table1.csv");
 }
 
-/// Matrix/gate/watch configuration from the command line: tier, seed,
+/// Matrix/gate configuration from the command line: tier, seed,
 /// device, heap (backend, `--heap-mb`) and the `-t`/`-m` manager
 /// restriction. Iteration counts, timeouts and worker counts stay
 /// tier-pinned so anchors of the same tier are always comparable.
@@ -306,7 +303,7 @@ fn matrix_cmd(opts: &Opts) {
     }
 }
 
-/// The manager restriction `matrix`/`gate`/`watch` apply to their scenarios:
+/// The manager restriction `matrix`/`gate` apply to their scenarios:
 /// `-m NAME` pins one manager, an explicit `-t` selector pins a set, and
 /// neither runs each scenario's natural set.
 fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
@@ -314,46 +311,6 @@ fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
         return Some(vec![or_exit(resolve_manager(name), 2)]);
     }
     (opts.kinds != DEFAULT_KINDS).then(|| opts.kinds.clone())
-}
-
-/// `repro watch` — run one matrix scenario under the telemetry sampler
-/// at the default cadence and export the sampled time-series (JSON and
-/// per-window CSV). Defaults to the smoke tier: watch is an interactive
-/// diagnosis tool, not the anchor producer.
-fn watch_cmd(opts: &Opts) {
-    let scenario = match opts.scenarios.as_slice() {
-        [one] => one.clone(),
-        [] => {
-            eprintln!("watch requires --scenario NAME\n{}", usage());
-            std::process::exit(2);
-        }
-        _ => {
-            eprintln!("watch takes exactly one --scenario");
-            std::process::exit(2);
-        }
-    };
-    let cfg = matrix_cfg(opts, Tier::Smoke);
-    let outcome = watch::watch(cfg, &scenario, TelemetryConfig::new(), &opts.out);
-    let outcome = or_exit(outcome.map_err(|e| format!("watch: {e}")), 1);
-    if outcome.anchor.metrics.is_empty() {
-        eprintln!("warning: manager restriction excluded every kind this scenario runs");
-    }
-    let s = &outcome.series;
-    let boundaries = s.samples.iter().filter(|x| x.boundary).count();
-    outln!(
-        "watched {scenario}: {} samples ({} kernel-boundary cuts, {} evicted), \
-         {} launches, {} mallocs / {} frees, {} trace events dropped",
-        s.samples.len(),
-        boundaries,
-        s.evicted,
-        s.launches,
-        s.totals.malloc_calls(),
-        s.totals.free_calls(),
-        s.dropped_events,
-    );
-    for p in [&outcome.json_path, &outcome.csv_path] {
-        outln!("wrote {}", p.display());
-    }
 }
 
 /// `repro gate` — rerun the selected scenarios (at the smoke tier unless

@@ -18,14 +18,11 @@
 //! * [`gate`] — the `repro gate` comparator: committed anchors vs a fresh
 //!   run, `exact` metrics compared bit for bit, `info` metrics recorded
 //!   only.
-//! * [`watch`] — `repro watch`: any matrix scenario under the live
-//!   telemetry sampler (`gpumem_core::telemetry`), exporting the sampled
-//!   time-series as JSON and per-window CSV.
-//! * [`csv`] — the tables `table1` and `trace` print and write,
-//!   and the per-window CSV `watch` writes.
+//! * [`csv`] — the tables `table1` and `trace` print and write.
 //!
 //! The `repro` binary (in `src/bin`) drives everything: `repro matrix`
-//! writes the anchors, `repro gate` checks their numbers, and the paper's
+//! writes the anchors, `repro gate` checks their numbers, `repro trace`
+//! writes the one per-run export (a Perfetto trace), and the paper's
 //! qualitative shapes are asserted over the same runners by
 //! `tests/paper_shapes.rs`.
 
@@ -38,7 +35,6 @@ pub mod gate;
 pub mod matrix;
 pub mod registry;
 pub mod runners;
-pub mod watch;
 
 /// The provenance stamp of the checkout a run came from: the short git
 /// revision, with `-dirty` appended when `git status --porcelain` lists

@@ -26,14 +26,12 @@
 
 use std::fmt;
 use std::ops::RangeInclusive;
-use std::sync::Arc;
 use std::time::Duration;
 
-use gpu_sim::{Device, DeviceSpec, LaunchPhase};
+use gpu_sim::{Device, DeviceSpec};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
 use gpumem_core::sanitize::ALL_VIOLATION_KINDS;
-use gpumem_core::telemetry::{BoundaryMarker, TelemetrySink};
 use gpumem_core::{Counter, CounterSnapshot, HeapBackendKind, Pretouch};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
@@ -176,7 +174,7 @@ impl Tier {
 }
 
 /// Everything a scenario needs to size and seed itself.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct MatrixCfg {
     pub device: DeviceSpec,
     pub tier: Tier,
@@ -192,26 +190,6 @@ pub struct MatrixCfg {
     /// through [`MatrixCfg::restrict`], so the anchors a restricted run
     /// produces are a key-subset of the unrestricted ones.
     pub kinds: Option<Vec<ManagerKind>>,
-    /// The sink and boundary marker of a watched run (`repro watch`):
-    /// [`MatrixCfg::bench`] hands the sink to every [`Bench`] and cuts a
-    /// sample window at the end of every launch on its [`Device`].
-    pub watch: Option<(TelemetrySink, BoundaryMarker)>,
-}
-
-impl fmt::Debug for MatrixCfg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatrixCfg")
-            .field("device", &self.device)
-            .field("tier", &self.tier)
-            .field("seed", &self.seed)
-            .field("iterations", &self.iterations)
-            .field("timeout", &self.timeout)
-            .field("heap_backend", &self.heap_backend)
-            .field("heap_override", &self.heap_override)
-            .field("kinds", &self.kinds)
-            .field("watch", &self.watch.as_ref().map(|_| "<sink>"))
-            .finish()
-    }
 }
 
 impl MatrixCfg {
@@ -230,7 +208,6 @@ impl MatrixCfg {
             heap_backend: HeapBackendKind::env_default(),
             heap_override: None,
             kinds: None,
-            watch: None,
         }
     }
 
@@ -259,25 +236,16 @@ impl MatrixCfg {
     /// device, whose sequential warp order makes every non-timing metric
     /// reproduce bit for bit; `full` runs on the configured pool.
     pub fn bench(&self) -> Bench {
-        let mut dev = match self.tier {
+        let dev = match self.tier {
             Tier::Tiny | Tier::Smoke => Device::with_workers(self.device, 1),
             Tier::Full => Device::new(self.device),
         };
-        if let Some((_, marker)) = &self.watch {
-            let marker = marker.clone();
-            dev.set_launch_hook(Arc::new(move |phase| {
-                if matches!(phase, LaunchPhase::End { .. }) {
-                    marker.mark();
-                }
-            }));
-        }
         let mut b = Bench::new(dev);
         b.iterations = self.iterations;
         b.seed = self.seed;
         b.cell_timeout = self.timeout;
         b.heap_backend = self.heap_backend;
         b.heap_override = self.heap_override;
-        b.telemetry = self.watch.as_ref().map(|(sink, _)| sink.clone());
         b
     }
 

@@ -303,8 +303,7 @@ impl ManagerBuilder {
     /// sampler ([`gpumem_core::telemetry`]) can snapshot its counters and
     /// drain its trace ring. Implies metrics and (if not already chosen) a
     /// modest trace ring sized for sampling rather than post-mortem replay.
-    /// Matrix scenarios reach it through [`crate::runners::Bench::builder`],
-    /// which passes a watched run's sink to every manager it builds.
+    /// The benchmark's `observed` workload builds its managers this way.
     pub fn telemetry(mut self, sink: &TelemetrySink) -> Self {
         self.sink = Some(sink.clone());
         self

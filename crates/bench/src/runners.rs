@@ -14,7 +14,6 @@ use gpu_workloads::round::{self, Round};
 use gpu_workloads::{churn, sizes, workgen, write_test};
 use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
-use gpumem_core::telemetry::TelemetrySink;
 use gpumem_core::trace::{
     chrome_trace_json, occupancy_timeline, EventKind, OccupancyTimeline, OpLatencies, Trace,
 };
@@ -50,9 +49,6 @@ pub struct Bench {
     /// steady-state hot path (magazines populated by the warm-up's frees)
     /// rather than the cold first pass.
     pub warmup: u32,
-    /// The sink of a watched run (`repro watch`): every manager
-    /// [`Bench::builder`] makes registers with it.
-    pub telemetry: Option<TelemetrySink>,
 }
 
 impl Bench {
@@ -67,7 +63,6 @@ impl Bench {
             heap_override: None,
             cached: false,
             warmup: 0,
-            telemetry: None,
         }
     }
 
@@ -76,13 +71,9 @@ impl Bench {
     }
 
     /// The builder every runner starts from: this context's SM count and
-    /// magazine choice, plus its telemetry sink when one is set.
+    /// magazine choice.
     pub fn builder(&self, kind: ManagerKind) -> ManagerBuilder {
-        let b = kind.builder().sms(self.num_sms()).cached(self.cached);
-        match &self.telemetry {
-            Some(sink) => b.telemetry(sink),
-            None => b,
-        }
+        kind.builder().sms(self.num_sms()).cached(self.cached)
     }
 
     /// The heap spec for a cell with a demand of `num × max_size` bytes:

@@ -455,8 +455,6 @@ impl Drop for Map {
 /// the trace ring.
 #[cfg(all(test, target_os = "linux", not(miri)))]
 pub(crate) mod probe {
-    use std::io::{Read, Seek, SeekFrom};
-
     /// Whether `addr` lies inside a mapping of this process.
     pub(crate) fn is_mapped(addr: usize) -> bool {
         let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
@@ -468,8 +466,11 @@ pub(crate) mod probe {
     }
 
     /// Bytes of the pages of `[addr, addr + len)` that are in memory: bit 63
-    /// of each page's `/proc/self/pagemap` entry.
+    /// of each page's `/proc/self/pagemap` entry. Only the trace ring's
+    /// tests read it, and they do not run under loom.
+    #[cfg(not(loom))]
     pub(crate) fn resident_bytes(addr: usize, len: usize) -> usize {
+        use std::io::{Read, Seek, SeekFrom};
         let pages = (addr + len).div_ceil(super::PAGE_SIZE) - addr / super::PAGE_SIZE;
         let mut entries = vec![0u8; pages * 8];
         let mut pagemap = std::fs::File::open("/proc/self/pagemap").unwrap();

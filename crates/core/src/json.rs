@@ -1,8 +1,8 @@
 //! The JSON reader and string escaper of `gpumem-core` and `gpumem-bench`,
 //! hand-rolled since the workspace has no crates.io dependencies: a
 //! recursive-descent parser over a [`Json`] value tree, and [`quote`] for
-//! every string the anchors, the Chrome trace export and the telemetry
-//! exports write. Writers keep their own number formats and layout.
+//! every string the anchors and the Chrome trace export write. Writers
+//! keep their own number formats and layout.
 
 /// A parsed JSON value. Objects keep insertion order (anchors are rendered
 /// and diffed as text, so order stability matters).

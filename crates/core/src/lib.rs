@@ -44,14 +44,13 @@
 //! * [`trace`] — the event-tracing layer: a per-SM ring-buffer
 //!   [`TraceRecorder`] fed by the [`Traced`] wrapper and the executor,
 //!   with latency-histogram, heap-occupancy-timeline and Chrome/Perfetto
-//!   JSON consumers.
+//!   JSON consumers that replay the live set through one [`LiveSet`]. The
+//!   Perfetto JSON is the one per-run export.
 //! * [`telemetry`] — the time-series sampler: folds counter deltas and
 //!   trace-ring drains into a bounded [`Sample`] series, cut by a timer
-//!   thread and at kernel boundaries, with JSON and CSV exports written
-//!   when the run ends.
+//!   thread; it has no export of its own.
 //! * [`json`] — the one JSON reader ([`json::Json`]) and string escaper
-//!   ([`json::quote`]) that anchors, the Chrome trace export and the
-//!   telemetry dump share.
+//!   ([`json::quote`]) that anchors and the Chrome trace export share.
 //!
 //! Everything here is `std`-only; no external dependencies.
 
@@ -84,12 +83,10 @@ pub use metrics::{AllocCounters, Counter, CounterSnapshot, Metrics};
 pub use ptr::DevicePtr;
 pub use regs::RegisterFootprint;
 pub use sanitize::{Sanitized, SanitizerConfig, SanitizerReport, Violation, ViolationKind};
-pub use telemetry::{
-    BoundaryMarker, Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries,
-    TELEMETRY_SCHEMA_VERSION,
-};
+pub use telemetry::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
 pub use trace::{
     chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,
-    OccupancySample, OccupancyTimeline, OpLatencies, Trace, TraceEvent, TraceRecorder, Traced,
+    LiveSet, OccupancySample, OccupancyTimeline, OpLatencies, Trace, TraceEvent, TraceRecorder,
+    Traced,
 };
 pub use traits::DeviceAllocator;

@@ -1,38 +1,30 @@
-//! Telemetry: a time-series sampler over the metrics + trace layers.
+//! Telemetry: the windowed sampler the benchmark's `observed` workload
+//! runs over the metrics + trace layers.
 //!
-//! The paper's figures are end-of-run aggregates; this module adds the
-//! *shape* of a run — throughput, latency percentiles, fragmentation drift
-//! and OOM-fallback rates per window while kernels run. It turns the
-//! snapshot-at-end layers ([`crate::metrics`], [`crate::trace`]) into a
-//! series that is written out when the run ends:
+//! A [`Telemetry`] sampler cuts **windows**. Each cut reads every manager
+//! attached to its [`TelemetrySink`], takes the **delta** of their
+//! [`Metrics`] counters against the previous cut, drains newly committed
+//! trace-ring events past a per-recorder cursor, replays them into one
+//! [`LiveSet`], and folds all of it into one [`Sample`] row. A host thread
+//! cuts one at a configurable cadence (default 10 ms);
+//! [`Telemetry::sample_now`] and [`Telemetry::stop`] cut one on the thread
+//! that calls them, and return once it is in the ring. Any cut restarts the
+//! cadence. Samples land in a bounded ring (drop-oldest, with an eviction
+//! count), so a long run does not grow host memory without limit.
 //!
-//! * A [`Telemetry`] sampler cuts **windows**. Each cut reads every manager
-//!   attached to its [`TelemetrySink`], takes the **delta** of their
-//!   [`Metrics`] counters against the previous cut, drains newly committed
-//!   trace-ring events past a per-recorder cursor, and folds both into one
-//!   [`Sample`] row. A host thread cuts one at a configurable cadence
-//!   (default 10 ms); [`Telemetry::sample_now`], a [`BoundaryMarker`] at
-//!   every kernel boundary and [`Telemetry::stop`] cut one on the thread
-//!   that calls them, and return once it is in the ring. Any cut restarts
-//!   the cadence.
-//! * Samples land in a bounded fixed-capacity ring (drop-oldest, with an
-//!   eviction count) — the same boundedness discipline as the trace ring:
-//!   a long run must not grow host memory without limit.
-//! * One exporter: a schema-versioned JSON time-series dump
-//!   ([`TimeSeries::to_json`]), whose sample objects carry the same columns
-//!   as the CSV rows ([`Sample::csv_row`]).
+//! The sampler has no export of its own: the per-run view is the trace
+//! export ([`crate::trace::chrome_trace_json`]), whose launch windows are
+//! folded from the same events by the same [`LiveSet`].
 //!
 //! ## Why counter deltas, not absolutes
 //!
 //! The shared counter block only ever accumulates ([`CounterSnapshot`] is
 //! monotone), so a rate over a window is `(now − prev) / window` — exact,
-//! and robust to managers *joining* mid-run: a manager built during the
-//! watched scenario registers with the [`TelemetrySink`] and its first ops
-//! appear as that window's delta. Absolute readings would instead need
-//! every consumer to know each source's epoch. The same cursor logic
-//! applies to the trace rings: only events past the last cut's drain are
-//! folded into the new window's `malloc_ops` and, when timed, its latency
-//! histogram, so one event is never counted twice even though ring
+//! and robust to managers *joining* mid-run: a manager built while the
+//! sampler runs registers with the [`TelemetrySink`] and its first ops
+//! appear as that window's delta. The same cursor logic applies to the
+//! trace rings: only events past the last cut's drain are folded into the
+//! new window, so one event is never counted twice even though ring
 //! snapshots are non-destructive.
 //!
 //! ## Teardown ordering
@@ -44,19 +36,12 @@
 //! so the final sample's window sees the flushed frees instead of
 //! under-reporting them (regression-tested in `tests/telemetry.rs`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::frag::{AddressRange, FragmentationStats};
-use crate::json::quote;
 use crate::metrics::{CounterSnapshot, Metrics};
-use crate::ptr::DevicePtr;
-use crate::trace::{EventKind, LatencyHistogram, TraceRecorder};
-
-/// Schema version stamped into every JSON time-series dump. Bump on any
-/// field change so downstream consumers can reject what they cannot parse.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+use crate::trace::{EventKind, LatencyHistogram, LiveSet, TraceRecorder};
 
 /// Default sampler cadence: one sample every 10 ms (100 Hz).
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(10);
@@ -66,11 +51,12 @@ pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(10);
 /// it evicted.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-/// Per-SM trace-ring capacity forced onto managers built with a telemetry
-/// sink and no explicit `.trace(..)`. Smaller than
-/// [`crate::trace::DEFAULT_EVENTS_PER_SM`]: the sampler drains continuously,
-/// so the ring only needs to cover one sampling interval, and a watched
-/// matrix run builds many managers whose rings all stay alive.
+/// Per-SM trace-ring capacity the benchmark registry's
+/// `ManagerBuilder::telemetry` forces onto a manager built with a sink and
+/// no explicit trace capacity (the benchmark's `observed` workload sets its
+/// own). Smaller than [`crate::trace::DEFAULT_EVENTS_PER_SM`]: the sampler
+/// drains continuously, so the ring only needs to cover one sampling
+/// interval.
 pub const WATCH_EVENTS_PER_SM: usize = 2048;
 
 // ---------------------------------------------------------------------------
@@ -133,9 +119,7 @@ impl TelemetryConfig {
 /// cell still produces a single coherent stream.
 ///
 /// Cloning shares the registry. Attach happens in the benchmark registry's
-/// builder (`ManagerBuilder::telemetry`); `repro watch` hands its sink to
-/// the scenario's `Bench`, whose builder passes it to every manager the
-/// scenario constructs.
+/// builder (`ManagerBuilder::telemetry`).
 #[derive(Clone, Default)]
 pub struct TelemetrySink {
     sources: Arc<Mutex<Vec<Source>>>,
@@ -223,62 +207,6 @@ pub struct Sample {
     pub oom_fallback_rate: f64,
     /// Trace events dropped (ring full), cumulative across all recorders.
     pub dropped_events: u64,
-    /// Kernel launches this window ends: 1 for a window cut by
-    /// [`BoundaryMarker::mark`] in the executor's launch hook, else 0.
-    pub launches: u64,
-    /// Whether this window was cut at a kernel boundary (launch hook)
-    /// rather than by the cadence or an explicit cut.
-    pub boundary: bool,
-}
-
-impl Sample {
-    /// The column order [`Sample::csv_row`] renders — shared with the CSV
-    /// writers in the bench crate so headers never drift from rows.
-    pub const CSV_HEADER: &'static [&'static str] = &[
-        "seq",
-        "t_ms",
-        "window_ms",
-        "allocs_per_sec",
-        "frees_per_sec",
-        "cas_retries_per_op",
-        "magazine_hit_rate",
-        "live_allocs",
-        "live_bytes",
-        "frag_percent",
-        "malloc_ops",
-        "malloc_p50_ns",
-        "malloc_p95_ns",
-        "malloc_p99_ns",
-        "oom_fallback_rate",
-        "dropped_events",
-        "launches",
-        "boundary",
-    ];
-
-    /// The row matching [`Sample::CSV_HEADER`]; the JSON dump's sample
-    /// objects are built from the same pairs.
-    pub fn csv_row(&self) -> Vec<String> {
-        vec![
-            self.seq.to_string(),
-            format!("{:.3}", fin(self.t_ms)),
-            format!("{:.3}", fin(self.window_ms)),
-            format!("{:.1}", fin(self.allocs_per_sec)),
-            format!("{:.1}", fin(self.frees_per_sec)),
-            format!("{:.4}", fin(self.cas_retries_per_op)),
-            format!("{:.4}", fin(self.magazine_hit_rate)),
-            self.live_allocs.to_string(),
-            self.live_bytes.to_string(),
-            format!("{:.2}", fin(self.frag_percent)),
-            self.malloc_ops.to_string(),
-            self.malloc_p50_ns.to_string(),
-            self.malloc_p95_ns.to_string(),
-            self.malloc_p99_ns.to_string(),
-            format!("{:.6}", fin(self.oom_fallback_rate)),
-            self.dropped_events.to_string(),
-            self.launches.to_string(),
-            (self.boundary as u8).to_string(),
-        ]
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -293,26 +221,8 @@ pub struct TimeSeries {
     pub samples: Vec<Sample>,
     /// Samples evicted from the ring.
     pub evicted: u64,
-    /// Ring capacity.
-    pub capacity: usize,
-    /// Configured cadence in milliseconds.
-    pub interval_ms: f64,
     /// Cumulative merged counters across all sources at snapshot time.
     pub totals: CounterSnapshot,
-    /// Cumulative dropped trace events across all recorders.
-    pub dropped_events: u64,
-    /// Cumulative observed kernel launches: one per boundary window.
-    pub launches: u64,
-}
-
-/// Finite float for the exports: NaN/inf (impossible by construction,
-/// but a poisoned value must not produce an unparsable export) render as 0.
-fn fin(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
 }
 
 impl TimeSeries {
@@ -320,75 +230,22 @@ impl TimeSeries {
     pub fn last(&self) -> Option<&Sample> {
         self.samples.last()
     }
-
-    /// Schema-versioned JSON dump. `label` names the run (scenario name);
-    /// `provenance` carries the standard stamps (`git`, `device`, seed…).
-    /// Each sample object holds the [`Sample::CSV_HEADER`] keys with the
-    /// [`Sample::csv_row`] values, so the dump and the CSV agree.
-    pub fn to_json(&self, label: &str, provenance: &[(String, String)]) -> String {
-        let mut out = String::with_capacity(256 + self.samples.len() * 256);
-        out.push_str(&format!(
-            "{{\n  \"schema\": {TELEMETRY_SCHEMA_VERSION},\n  \"kind\": \"gms-telemetry\",\n  \
-             \"label\": {},\n",
-            quote(label)
-        ));
-        let prov: Vec<String> =
-            provenance.iter().map(|(k, v)| format!("{}: {}", quote(k), quote(v))).collect();
-        out.push_str(&format!("  \"provenance\": {{{}}},\n", prov.join(", ")));
-        out.push_str(&format!(
-            "  \"interval_ms\": {}, \"capacity\": {}, \"evicted\": {},\n",
-            fin(self.interval_ms),
-            self.capacity,
-            self.evicted
-        ));
-        out.push_str(&format!(
-            "  \"totals\": {{\"malloc_calls\": {}, \"malloc_failures\": {}, \"free_calls\": {}, \
-             \"free_failures\": {}, \"cas_retries\": {}, \"oom_fallbacks\": {}, \
-             \"magazine_hits\": {}, \"magazine_misses\": {}, \"magazine_flushes\": {}}},\n",
-            self.totals.malloc_calls(),
-            self.totals.malloc_failures(),
-            self.totals.free_calls(),
-            self.totals.free_failures(),
-            self.totals.cas_retries(),
-            self.totals.oom_fallbacks(),
-            self.totals.magazine_hits(),
-            self.totals.magazine_misses(),
-            self.totals.magazine_flushes(),
-        ));
-        out.push_str(&format!(
-            "  \"dropped_events\": {}, \"launches\": {},\n",
-            self.dropped_events, self.launches
-        ));
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
-            let fields: Vec<String> = Sample::CSV_HEADER
-                .iter()
-                .zip(s.csv_row())
-                .map(|(k, v)| format!("\"{k}\": {v}"))
-                .collect();
-            let sep = if i + 1 == self.samples.len() { "" } else { "," };
-            out.push_str(&format!("    {{{}}}{sep}\n", fields.join(", ")));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The sampler
 // ---------------------------------------------------------------------------
 
-/// Why a window is cut: by the cadence, by [`Telemetry::sample_now`], by a
-/// [`BoundaryMarker::mark`], or by [`Telemetry::stop`] (the last one).
+/// Why a window is cut: by the cadence, by [`Telemetry::sample_now`], or
+/// by [`Telemetry::stop`] (the last one).
 #[derive(Clone, Copy, PartialEq)]
 enum Cut {
     Tick,
     Now,
-    Boundary,
     Final,
 }
 
-/// What the handle, the markers and the cadence thread share. Every window
+/// What the handle and the cadence thread share. Every window
 /// is folded under the one `cursor` lock on the thread that asks for it;
 /// the `stop` flag and `wake` only end the cadence thread's sleep. All
 /// coordination is Mutex + Condvar — no lock-free cleverness is warranted
@@ -410,7 +267,7 @@ impl Shared {
     /// returns what is left of it; after a cut the answer is a whole
     /// interval, so the cadence thread never takes the lock back to back
     /// ahead of a waiting caller. After the [`Cut::Final`] window every cut
-    /// is a no-op, so a late mark cannot follow `stop`'s window.
+    /// is a no-op.
     fn cut(&self, why: Cut) -> Duration {
         let mut cur = self.cursor.lock().unwrap();
         let now = self.epoch.elapsed();
@@ -419,7 +276,7 @@ impl Shared {
             return due - now;
         }
         if !cur.stopped {
-            cur.fold(&self.sink, now, why == Cut::Boundary);
+            cur.fold(&self.sink, now);
             cur.stopped = why == Cut::Final;
         }
         self.interval
@@ -443,20 +300,16 @@ struct RecorderCursor {
 
 /// Everything the windows have folded so far, and the sample ring they
 /// land in. It lives behind [`Shared`]'s one lock, and whichever thread
-/// asks for a window — the cadence thread, a `sample_now` caller, a
-/// launching thread's boundary mark, or `stop` — folds it there itself, so
-/// each request returns once its own window is in the ring.
+/// asks for a window — the cadence thread, a `sample_now` caller, or
+/// `stop` — folds it there itself, so each request returns once its own
+/// window is in the ring.
 struct Cursor {
     /// Merged counters at the last cut: the next window's delta base, and
     /// the series' cumulative totals.
     prev: CounterSnapshot,
     recorders: Vec<RecorderCursor>,
-    /// Live allocation replay: offset → size, fed by MallocEnd/FreeEnd.
-    live: HashMap<u64, u64>,
-    /// Cached `(live_bytes, frag_percent)` of `live` — rebuilding the
-    /// range is O(live set), so it only happens on windows whose event
-    /// fold actually changed the set; idle ticks reuse the cache.
-    occupancy: (u64, f64),
+    /// Every drained grant and release, replayed.
+    replay: LiveSet,
     /// Folded counters of retired sources: once a manager's last clone is
     /// dropped its block is frozen, so it is snapshotted one final time
     /// into this base and pruned from the sink — long runs churning many
@@ -470,8 +323,6 @@ struct Cursor {
     capacity: usize,
     evicted: u64,
     seq: u64,
-    /// Boundary windows cut so far (one per launch; survives eviction).
-    launches: u64,
     /// `stop` has cut the final window.
     stopped: bool,
 }
@@ -493,8 +344,7 @@ impl Telemetry {
             cursor: Mutex::new(Cursor {
                 prev: CounterSnapshot::default(),
                 recorders: Vec::new(),
-                live: HashMap::new(),
-                occupancy: (0, 0.0),
+                replay: LiveSet::new(),
                 retired: CounterSnapshot::default(),
                 retired_dropped: 0,
                 last_t: Duration::ZERO,
@@ -502,7 +352,6 @@ impl Telemetry {
                 capacity: cfg.capacity,
                 evicted: 0,
                 seq: 0,
-                launches: 0,
                 stopped: false,
             }),
             sink,
@@ -529,14 +378,6 @@ impl Telemetry {
         self.shared.cut(Cut::Now);
     }
 
-    /// A cheap cloneable handle that cuts boundary windows without owning
-    /// the sampler — what a `'static` executor launch hook captures (the
-    /// hook outlives no one, the `Telemetry` value stays with the caller).
-    /// Marks become no-ops once the sampler has stopped.
-    pub fn boundary_marker(&self) -> BoundaryMarker {
-        BoundaryMarker { shared: Arc::clone(&self.shared) }
-    }
-
     /// Stops the sampler: joins the cadence thread, then cuts one final
     /// window (so trailing ops — e.g. magazine drains — are reported) and
     /// returns everything collected.
@@ -550,11 +391,7 @@ impl Telemetry {
         TimeSeries {
             samples: cur.ring.iter().copied().collect(),
             evicted: cur.evicted,
-            capacity: cur.capacity,
-            interval_ms: self.shared.interval.as_secs_f64() * 1e3,
             totals: cur.prev,
-            dropped_events: cur.ring.back().map_or(0, |s| s.dropped_events),
-            launches: cur.launches,
         }
     }
 
@@ -571,22 +408,6 @@ impl Telemetry {
 impl Drop for Telemetry {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Detached kernel-boundary trigger; see [`Telemetry::boundary_marker`].
-#[derive(Clone)]
-pub struct BoundaryMarker {
-    shared: Arc<Shared>,
-}
-
-impl BoundaryMarker {
-    /// Cuts one window flagged [`Sample::boundary`], with `launches == 1`,
-    /// on the calling thread. The executor's launch hook calls it after the
-    /// launch has been measured, so the cut lengthens a watched run without
-    /// entering any reported time. A no-op after the sampler stopped.
-    pub fn mark(&self) {
-        self.shared.cut(Cut::Boundary);
     }
 }
 
@@ -609,7 +430,7 @@ fn cadence_loop(shared: &Shared) {
 impl Cursor {
     /// Folds everything since the last cut into one [`Sample`] ending at
     /// `now` and pushes it into the ring.
-    fn fold(&mut self, sink: &TelemetrySink, now: Duration, boundary: bool) {
+    fn fold(&mut self, sink: &TelemetrySink, now: Duration) {
         // Merge every source's counters; pick up recorders we have not seen.
         // Sources whose last manager-side handle is gone are frozen: fold
         // their final snapshot into the retired base and prune them, so a
@@ -645,10 +466,9 @@ impl Cursor {
         // (no handle left to emit), so only the dropped total survives.
         let mut hist = LatencyHistogram::new();
         let mut malloc_ops = 0u64;
-        let mut live_changed = false;
         let mut dropped = self.retired_dropped;
         let mut retired_dropped = 0u64;
-        let (recorders, live) = (&mut self.recorders, &mut self.live);
+        let (recorders, replay) = (&mut self.recorders, &mut self.replay);
         recorders.retain_mut(|rc| {
             // Sole ownership checked *before* the drain: frozen-at-check
             // means this drain sees every event the recorder will ever hold.
@@ -663,13 +483,7 @@ impl Cursor {
                             hist.record(ns);
                         }
                     }
-                    if let Some((ptr, size)) = ev.grant() {
-                        live.insert(ptr, size);
-                        live_changed = true;
-                    } else if let Some(ptr) = ev.release() {
-                        live.remove(&ptr);
-                        live_changed = true;
-                    }
+                    replay.apply(ev);
                 }
             }
             dropped += rc.recorder.dropped();
@@ -680,31 +494,10 @@ impl Cursor {
         });
         self.retired_dropped += retired_dropped;
 
-        // Fragmentation of the live set, via the paper's frag machinery.
-        // Rebuilding the range walks the whole live map, so only windows
-        // whose events changed the set pay it; idle ticks (the common case
-        // at kHz cadences) reuse the cached pair.
-        if live_changed {
-            let mut range = AddressRange::new();
-            let mut live_bytes = 0u64;
-            for (&off, &size) in &self.live {
-                range.record(DevicePtr::new(off), size);
-                live_bytes += size;
-            }
-            let frag_percent = if range.count() > 0 {
-                FragmentationStats::from_range(&range).percent_over_baseline()
-            } else {
-                0.0
-            };
-            self.occupancy = (live_bytes, frag_percent);
-        }
-        let (live_bytes, frag_percent) = self.occupancy;
-
         let window = now.saturating_sub(self.last_t);
         let win_s = window.as_secs_f64().max(1e-9);
         let ops = delta.malloc_calls() + delta.free_calls();
         let mag_traffic = delta.magazine_hits() + delta.magazine_misses();
-        let launches = u64::from(boundary);
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.evicted += 1;
@@ -718,19 +511,16 @@ impl Cursor {
             cas_retries_per_op: delta.cas_retries() as f64 / ops.max(1) as f64,
             magazine_hit_rate: delta.magazine_hits() as f64 / mag_traffic.max(1) as f64,
             live_allocs: merged.live(),
-            live_bytes,
-            frag_percent,
+            live_bytes: self.replay.bytes(),
+            frag_percent: self.replay.frag_percent(),
             malloc_ops,
             malloc_p50_ns: hist.p50(),
             malloc_p95_ns: hist.p95(),
             malloc_p99_ns: hist.p99(),
             oom_fallback_rate: delta.oom_fallbacks() as f64 / delta.malloc_calls().max(1) as f64,
             dropped_events: dropped,
-            launches,
-            boundary,
         });
         self.seq += 1;
-        self.launches += launches;
         self.prev = merged;
         self.last_t = now;
     }
@@ -741,8 +531,8 @@ mod tests {
     use super::*;
     use crate::ctx::ThreadCtx;
     use crate::heap::DeviceHeap;
-    use crate::json::Json;
     use crate::metrics::Counter;
+    use crate::ptr::DevicePtr;
     use crate::traits::DeviceAllocator;
 
     #[test]
@@ -755,70 +545,6 @@ mod tests {
         assert_eq!(cfg.interval, DEFAULT_INTERVAL, "NaN hz ignored");
         let cfg = TelemetryConfig::new().hz(1_000_000.0);
         assert_eq!(cfg.interval, Duration::from_secs_f64(1.0 / 10_000.0), "clamped to 10 kHz");
-    }
-
-    fn series_fixture() -> TimeSeries {
-        let mut samples = Vec::new();
-        for i in 0..5u64 {
-            samples.push(Sample {
-                seq: i,
-                t_ms: (i + 1) as f64 * 10.0,
-                window_ms: 10.0,
-                allocs_per_sec: 1000.0 + i as f64,
-                frees_per_sec: 900.0,
-                cas_retries_per_op: 0.25,
-                magazine_hit_rate: 0.5,
-                live_allocs: 10,
-                live_bytes: 640,
-                frag_percent: 12.5,
-                malloc_ops: 100,
-                malloc_p50_ns: 128,
-                malloc_p95_ns: 512,
-                malloc_p99_ns: 1024,
-                oom_fallback_rate: 0.0,
-                dropped_events: 0,
-                launches: 1,
-                boundary: i == 4,
-            });
-        }
-        TimeSeries {
-            samples,
-            evicted: 2,
-            capacity: 8,
-            interval_ms: 10.0,
-            totals: CounterSnapshot::default(),
-            dropped_events: 3,
-            launches: 5,
-        }
-    }
-
-    #[test]
-    fn json_dump_is_schema_versioned_and_balanced() {
-        let prov =
-            vec![("git".to_string(), "abc123".to_string()), ("seed".to_string(), "0x5eed".into())];
-        let series = series_fixture();
-        let doc = Json::parse(&series.to_json("mixed", &prov)).expect("dump is strict JSON");
-        let top = doc.as_object().expect("dump is an object");
-        let get = |obj: &[(String, Json)], key: &str| {
-            obj.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-        };
-        assert_eq!(get(top, "schema").and_then(|v| v.as_number()), Some(2.0));
-        assert_eq!(get(top, "kind"), Some(Json::String("gms-telemetry".into())));
-        assert_eq!(get(top, "label"), Some(Json::String("mixed".into())));
-        let prov = get(top, "provenance").expect("provenance");
-        assert_eq!(get(prov.as_object().unwrap(), "git"), Some(Json::String("abc123".into())));
-        assert!(get(top, "slo").is_none(), "schema 2 has no slo key");
-        let samples = get(top, "samples").expect("samples");
-        let samples = samples.as_array().unwrap();
-        assert_eq!(samples.len(), series.samples.len());
-        for (obj, s) in samples.iter().zip(&series.samples) {
-            let obj = obj.as_object().expect("sample is an object");
-            let keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
-            assert_eq!(keys, Sample::CSV_HEADER, "sample keys are the CSV columns");
-            assert!(obj.iter().all(|(_, v)| v.as_number().is_some_and(f64::is_finite)));
-            let boundary = get(obj, "boundary").and_then(|v| v.as_number());
-            assert_eq!(boundary, Some(f64::from(u8::from(s.boundary))));
-        }
     }
 
     /// A minimal enabled manager the sampler can watch end to end, once
@@ -900,7 +626,6 @@ mod tests {
         // Two refusals `Traced` did not time: counted, not in the histogram.
         rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
         rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
-        tele.boundary_marker().mark();
         tele.sample_now();
         let ts = tele.stop();
         let s = ts.samples.iter().find(|s| s.malloc_ops > 0).expect("a window saw the events");
@@ -911,10 +636,6 @@ mod tests {
         assert!(s.malloc_p99_ns >= 1500, "p99 covers the slowest op: {s:?}");
         assert_eq!(s.live_bytes, 256);
         assert!(s.frag_percent > 100.0, "sparse live set must report fragmentation: {s:?}");
-        // Launches come from the boundary mark alone, in whichever window
-        // the mark landed.
-        assert_eq!(ts.samples.iter().map(|s| s.launches).sum::<u64>(), 1);
-        assert_eq!(ts.launches, 1);
     }
 
     #[test]
@@ -962,30 +683,6 @@ mod tests {
         }
         let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
         (sources, Telemetry::start(cfg, sink))
-    }
-
-    /// Each mark is its own window, however the cadence interleaves: no two
-    /// launches share a boundary window and none is folded into a tick.
-    #[test]
-    fn every_boundary_mark_cuts_its_own_window() {
-        let (_sources, tele) = busy_sampler();
-        let marker = tele.boundary_marker();
-        for _ in 0..64 {
-            marker.mark();
-        }
-        let ts = tele.stop();
-        assert_eq!(ts.evicted, 0);
-        let boundary: Vec<&Sample> = ts.samples.iter().filter(|s| s.boundary).collect();
-        assert_eq!(boundary.len(), 64, "one window per mark");
-        assert!(boundary.iter().all(|s| s.launches == 1), "each boundary window is one launch");
-        assert_eq!(ts.samples.iter().map(|s| s.launches).sum::<u64>(), 64);
-        assert_eq!(ts.launches, 64);
-        marker.mark();
-        assert_eq!(
-            marker.shared.cursor.lock().unwrap().seq,
-            ts.samples.len() as u64,
-            "no cut after stop"
-        );
     }
 
     #[test]

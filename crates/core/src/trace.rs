@@ -15,8 +15,12 @@
 //!    [`AddressRange`](crate::AddressRange) deltas over time,
 //! 3. [`chrome_trace_json`]: a Chrome trace-event JSON exporter that loads
 //!    directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`, with
-//!    one track per SM, async spans for allocation lifetimes, and counter
-//!    tracks for heap occupancy and CAS-retry rate.
+//!    one track per SM, async spans for allocation lifetimes, counter
+//!    tracks for heap occupancy and CAS-retry rate, and one counter sample
+//!    per launch window. It is the repo's one per-run export.
+//!
+//! The last two, and the telemetry sampler's windows, replay the live set
+//! through one [`LiveSet`].
 //!
 //! # Recording discipline
 //!
@@ -55,14 +59,14 @@
 use crate::backend::Map;
 use crate::ctx::{ThreadCtx, WarpCtx};
 use crate::error::AllocError;
-use crate::frag::AddressRange;
+use crate::frag::{AddressRange, FragmentationStats};
 use crate::json::{quote, Json};
 use crate::ptr::DevicePtr;
 use crate::sync::{AtomicU64, Ordering};
 use crate::traits::DeviceAllocator;
 use crate::WARP_SIZE;
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -375,6 +379,7 @@ fn ticks_to_ns(ticks: u64, ns_per_tick: u64) -> u64 {
 #[derive(Clone, Copy, Debug)]
 struct Clock {
     /// Whether ticks are TSC reads (else `Instant` nanoseconds).
+    #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
     tsc: bool,
     /// Nanoseconds per tick, 32.32 fixed point.
     ns_per_tick: u64,
@@ -389,6 +394,7 @@ impl Clock {
         #[cfg(not(all(target_arch = "x86_64", not(miri), not(loom))))]
         let ratio = None;
         let mut clock = Clock {
+            #[cfg(all(target_arch = "x86_64", not(miri), not(loom)))]
             tsc: ratio.is_some(),
             ns_per_tick: ratio.unwrap_or(ONE_NS_PER_TICK),
             origin: 0,
@@ -961,6 +967,87 @@ impl OpLatencies {
     }
 }
 
+/// The live set a stream of trace events replays into: every block granted
+/// by a [`TraceEvent::grant`] and not yet retired by a
+/// [`TraceEvent::release`]. The one replay behind [`occupancy_timeline`],
+/// [`chrome_trace_json`] and the telemetry sampler's windows.
+///
+/// A pointer granted again while still live (its `FreeEnd` was lost to a
+/// full shard, or a bulk `free_warp_all` released it without naming it)
+/// takes the new size, and the live bytes change by the difference.
+#[derive(Clone, Debug, Default)]
+pub struct LiveSet {
+    blocks: HashMap<u64, u64>,
+    bytes: u64,
+    unmatched_frees: u64,
+    /// [`LiveSet::frag_percent`] of `blocks`, until they next change.
+    frag: Option<f64>,
+}
+
+impl LiveSet {
+    /// An empty live set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replays `e`. `None` when it is neither a grant nor a release;
+    /// otherwise whether it opened a block that was not live (a grant) or
+    /// closed one that was (a release).
+    pub fn apply(&mut self, e: &TraceEvent) -> Option<bool> {
+        let changed = if let Some((ptr, size)) = e.grant() {
+            // Added before the old size is taken off: `bytes` holds it.
+            self.bytes += size;
+            let old = self.blocks.insert(ptr, size);
+            self.bytes -= old.unwrap_or(0);
+            old.is_none()
+        } else if let Some(ptr) = e.release() {
+            let size = self.blocks.remove(&ptr);
+            self.bytes -= size.unwrap_or(0);
+            self.unmatched_frees += u64::from(size.is_none());
+            size.is_some()
+        } else {
+            return None;
+        };
+        self.frag = None;
+        Some(changed)
+    }
+
+    /// Bytes live.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Allocations live.
+    pub fn allocs(&self) -> u64 {
+        self.blocks.len() as u64
+    }
+
+    /// Releases of a pointer the replay never saw granted (`MallocEnd`
+    /// events lost to ring drops, or frees before the trace began).
+    pub fn unmatched_frees(&self) -> u64 {
+        self.unmatched_frees
+    }
+
+    /// The live set as one point of the occupancy timeline.
+    fn occupancy_at(&self, ts_ns: u64) -> OccupancySample {
+        OccupancySample { ts_ns, live_bytes: self.bytes, live_allocs: self.allocs() }
+    }
+
+    /// Fragmentation of the live set ([`FragmentationStats`]): percent by
+    /// which the address range the live blocks span exceeds their bytes.
+    /// It walks the set, once per change: a second call before the next
+    /// change is a read.
+    pub fn frag_percent(&mut self) -> f64 {
+        *self.frag.get_or_insert_with(|| {
+            let mut range = AddressRange::new();
+            for (&ptr, &size) in &self.blocks {
+                range.record(DevicePtr::new(ptr), size);
+            }
+            FragmentationStats::from_range(&range).percent_over_baseline()
+        })
+    }
+}
+
 /// One point of the heap-occupancy timeline.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OccupancySample {
@@ -993,31 +1080,21 @@ pub struct OccupancyTimeline {
 /// [`AddressRange`](crate::AddressRange) after every event, decimated to at
 /// most `max_samples` points (the final state is always kept).
 pub fn occupancy_timeline(trace: &Trace, max_samples: usize) -> OccupancyTimeline {
-    let mut live: HashMap<u64, u64> = HashMap::new();
-    let mut range = AddressRange::new();
+    let mut live = LiveSet::new();
     let mut out = OccupancyTimeline::default();
-    let mut live_bytes = 0u64;
     let mut raw: Vec<OccupancySample> = Vec::new();
     for e in &trace.events {
-        if let Some((ptr, size)) = e.grant() {
-            if live.insert(ptr, size).is_none() {
-                live_bytes += size;
-            }
-            range.record(DevicePtr::new(ptr), size);
-        } else if let Some(ptr) = e.release() {
-            match live.remove(&ptr) {
-                Some(size) => live_bytes -= size,
-                None => out.unmatched_frees += 1,
-            }
-        } else {
+        if live.apply(e).is_none() {
             continue;
         }
-        let sample = OccupancySample { ts_ns: e.ts_ns, live_bytes, live_allocs: live.len() as u64 };
-        out.peak_live_bytes = out.peak_live_bytes.max(live_bytes);
-        out.peak_live_allocs = out.peak_live_allocs.max(live.len() as u64);
-        raw.push(sample);
+        if let Some((ptr, size)) = e.grant() {
+            out.address_range.record(DevicePtr::new(ptr), size);
+        }
+        out.peak_live_bytes = out.peak_live_bytes.max(live.bytes());
+        out.peak_live_allocs = out.peak_live_allocs.max(live.allocs());
+        raw.push(live.occupancy_at(e.ts_ns));
     }
-    out.address_range = range;
+    out.unmatched_frees = live.unmatched_frees();
     out.samples = decimate(raw, max_samples);
     out
 }
@@ -1062,9 +1139,16 @@ fn us(ns: u64) -> String {
 /// zero-length slice at the instant it returned — a separate track for
 /// launch spans, async (`"b"`/`"e"`) spans tying each successful allocation
 /// to its free, and counter (`"C"`) tracks for live heap bytes, live
-/// allocation count and CAS-retry rate. Instant (`"i"`) events mark OOM
-/// fallbacks and sanitizer violations. Every event carries
+/// allocation count and CAS-retry rate. Every `LaunchEnd` also closes a
+/// `launch window` counter sample: the mallocs, frees and retries since the
+/// previous one, the timed mallocs' p50/p99, and the live set's bytes and
+/// fragmentation at that instant. Instant (`"i"`) events mark OOM
+/// fallbacks and sanitizer violations. The `process_name` metadata carries
+/// the events the recorder dropped. Every event carries
 /// `ph`/`ts`/`pid`/`tid`.
+///
+/// One pass over the events feeds every track; the live set is one
+/// [`LiveSet`] replay.
 pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
     let mut out = String::with_capacity(trace.events.len() * 128 + 1024);
     out.push_str("[\n");
@@ -1082,8 +1166,9 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
 
     push(format!(
         "{{\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":{}}}}}",
-        quote(&format!("gpumemsurvey trace: {label}"))
+         \"args\":{{\"name\":{},\"dropped\":{}}}}}",
+        quote(&format!("gpumemsurvey trace: {label}")),
+        trace.dropped
     ));
 
     let mut sms: Vec<u32> = trace.events.iter().map(|e| e.sm).collect();
@@ -1106,13 +1191,36 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
 
     // Launch-begin events waiting for their close: launch id -> begin ts.
     let mut open_launches: HashMap<u64, u64> = HashMap::new();
-    // Successful allocations still live, for async alloc-lifetime spans.
-    let mut open_allocs: HashSet<u64> = HashSet::new();
+    // Allocation spans open and close with the live set's blocks.
+    let mut live = LiveSet::new();
+    let mut occupancy: Vec<OccupancySample> = Vec::new();
+    // The launch window since the previous `LaunchEnd`.
+    let (mut mallocs, mut frees, mut retries) = (0u64, 0u64, 0u64);
+    let mut malloc_ns = LatencyHistogram::new();
+    // CAS retries binned over the trace span.
+    let t0 = trace.events.first().map_or(0, |e| e.ts_ns);
+    let bin_ns = (trace.span_ns() / EXPORT_RETRY_BINS as u64).max(1);
+    let mut retry_bins = [0u64; EXPORT_RETRY_BINS];
 
     for e in &trace.events {
         let sm = e.sm;
+        let opened = live.apply(e);
+        if opened.is_some() {
+            occupancy.push(live.occupancy_at(e.ts_ns));
+        }
+        let op_retries = match e.kind {
+            EventKind::MallocEnd => e.args[3],
+            EventKind::FreeEnd => e.args[2],
+            _ => 0,
+        };
+        retries += op_retries;
+        retry_bins[(((e.ts_ns - t0) / bin_ns) as usize).min(EXPORT_RETRY_BINS - 1)] += op_retries;
         match e.kind {
             EventKind::MallocEnd => {
+                mallocs += 1;
+                if let Some(ns) = e.latency() {
+                    malloc_ns.record(ns);
+                }
                 let latency = e.args[2];
                 let start = e.ts_ns.saturating_sub(latency);
                 let ok = e.args[0] != u64::MAX;
@@ -1127,17 +1235,19 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
                     e.args[3],
                     e.args[0]
                 ));
-                match e.grant() {
-                    Some((ptr, size)) if open_allocs.insert(ptr) => push(format!(
+                if opened == Some(true) {
+                    push(format!(
                         "{{\"ph\":\"b\",\"ts\":{},\"pid\":0,\"tid\":{sm},\"cat\":\"alloc\",\
-                         \"name\":\"allocation\",\"id\":\"{ptr:#x}\",\
-                         \"args\":{{\"size\":{size}}}}}",
-                        us(e.ts_ns)
-                    )),
-                    _ => {}
+                         \"name\":\"allocation\",\"id\":\"{:#x}\",\
+                         \"args\":{{\"size\":{}}}}}",
+                        us(e.ts_ns),
+                        e.args[0],
+                        e.args[1]
+                    ));
                 }
             }
             EventKind::FreeEnd => {
+                frees += 1;
                 let latency = e.args[1];
                 let start = e.ts_ns.saturating_sub(latency);
                 push(format!(
@@ -1150,30 +1260,43 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
                     e.args[2],
                     e.args[3]
                 ));
-                match e.release() {
-                    Some(ptr) if open_allocs.remove(&ptr) => push(format!(
+                if opened == Some(true) {
+                    push(format!(
                         "{{\"ph\":\"e\",\"ts\":{},\"pid\":0,\"tid\":{sm},\"cat\":\"alloc\",\
-                         \"name\":\"allocation\",\"id\":\"{ptr:#x}\"}}",
-                        us(e.ts_ns)
-                    )),
-                    _ => {}
+                         \"name\":\"allocation\",\"id\":\"{:#x}\"}}",
+                        us(e.ts_ns),
+                        e.args[0]
+                    ));
                 }
             }
             EventKind::LaunchBegin => {
                 open_launches.insert(e.args[0], e.ts_ns);
             }
             EventKind::LaunchEnd => {
-                if let Some(t0) = open_launches.remove(&e.args[0]) {
+                if let Some(begin) = open_launches.remove(&e.args[0]) {
                     push(format!(
                         "{{\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\
                          \"tid\":{LAUNCH_TRACK_TID},\"cat\":\"launch\",\
                          \"name\":\"launch {}\",\"args\":{{\"elapsed_ns\":{}}}}}",
-                        us(t0),
-                        us(e.ts_ns.saturating_sub(t0)),
+                        us(begin),
+                        us(e.ts_ns.saturating_sub(begin)),
                         e.args[0],
                         e.args[1]
                     ));
                 }
+                push(format!(
+                    "{{\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"name\":\"launch window\",\
+                     \"args\":{{\"mallocs\":{mallocs},\"frees\":{frees},\"retries\":{retries},\
+                     \"malloc_p50_ns\":{},\"malloc_p99_ns\":{},\"live_bytes\":{},\
+                     \"frag_percent\":{:.2}}}}}",
+                    us(e.ts_ns),
+                    malloc_ns.p50(),
+                    malloc_ns.p99(),
+                    live.bytes(),
+                    live.frag_percent()
+                ));
+                (mallocs, frees, retries) = (0, 0, 0);
+                malloc_ns = LatencyHistogram::new();
             }
             EventKind::OomFallback => {
                 push(format!(
@@ -1217,9 +1340,8 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
         }
     }
 
-    // Counter track 1+2: heap occupancy replay.
-    let occ = occupancy_timeline(trace, EXPORT_COUNTER_SAMPLES);
-    for s in &occ.samples {
+    // Counter tracks: heap occupancy, then the CAS-retry rate.
+    for s in &decimate(occupancy, EXPORT_COUNTER_SAMPLES) {
         push(format!(
             "{{\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\"name\":\"heap occupancy\",\
              \"args\":{{\"live_bytes\":{},\"live_allocs\":{}}}}}",
@@ -1228,27 +1350,11 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
             s.live_allocs
         ));
     }
-
-    // Counter track 3: CAS-retry rate, binned over the trace span.
     if trace.span_ns() > 0 {
-        let t0 = trace.events.first().expect("span > 0 implies events").ts_ns;
-        let bin_ns = (trace.span_ns() / EXPORT_RETRY_BINS as u64).max(1);
-        let mut bins = [0u64; EXPORT_RETRY_BINS];
-        for e in &trace.events {
-            let retries = match e.kind {
-                EventKind::MallocEnd => e.args[3],
-                EventKind::FreeEnd => e.args[2],
-                _ => 0,
-            };
-            if retries > 0 {
-                let bin = (((e.ts_ns - t0) / bin_ns) as usize).min(EXPORT_RETRY_BINS - 1);
-                bins[bin] += retries;
-            }
-        }
-        for (i, &n) in bins.iter().enumerate() {
+        for (i, &n) in retry_bins.iter().enumerate() {
             // Only emit non-empty bins and their edges to keep files small;
             // Perfetto draws steps between samples.
-            let prev = i.checked_sub(1).map(|p| bins[p]).unwrap_or(0);
+            let prev = i.checked_sub(1).map(|p| retry_bins[p]).unwrap_or(0);
             if n != 0 || prev != 0 {
                 push(format!(
                     "{{\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\
@@ -1301,6 +1407,7 @@ fn all_finite(v: &Json) -> bool {
 mod tests {
     use super::*;
     use crate::{Counter, DeviceHeap, ManagerInfo, Metrics, RegisterFootprint};
+    use std::collections::HashSet;
 
     fn ev(ts: u64, kind: EventKind, sm: u32, args: [u64; 4]) -> TraceEvent {
         TraceEvent { ts_ns: ts, kind, sm, args }
@@ -1608,6 +1715,31 @@ mod tests {
         assert_eq!(occ.address_range.count(), 2);
     }
 
+    /// A pointer granted again while it is still live (its `FreeEnd` lost
+    /// to a full shard, or released by a bulk free that names no pointer)
+    /// takes its new size: the release then leaves nothing live, where
+    /// keeping the old size would underflow the live bytes.
+    #[test]
+    fn occupancy_replay_of_a_regrant_takes_the_new_size() {
+        let t = Trace {
+            events: vec![
+                ev(1, EventKind::MallocEnd, 0, [0, 16, 0, 0]),
+                ev(2, EventKind::MallocEnd, 0, [0, 64, 0, 0]),
+                ev(3, EventKind::FreeEnd, 0, [0, 0, 0, 1]),
+            ],
+            dropped: 0,
+        };
+        let occ = occupancy_timeline(&t, 16);
+        let live: Vec<(u64, u64)> =
+            occ.samples.iter().map(|s| (s.live_bytes, s.live_allocs)).collect();
+        assert_eq!(live, [(16, 1), (64, 1), (0, 0)]);
+        assert_eq!((occ.peak_live_bytes, occ.unmatched_frees), (64, 0));
+        let mut set = LiveSet::new();
+        let opened: Vec<Option<bool>> = t.events.iter().map(|e| set.apply(e)).collect();
+        assert_eq!(opened, [Some(true), Some(false), Some(true)], "the re-grant opens no block");
+        validate_chrome_json(&chrome_trace_json(&t, "regrant")).expect("export must be valid");
+    }
+
     #[test]
     fn occupancy_decimation_keeps_last_sample() {
         let events: Vec<TraceEvent> =
@@ -1650,9 +1782,25 @@ mod tests {
             "test \\\"quoted\\\" label",
             // The untimed malloc: a zero-length slice where it returned.
             "\"ts\":1.400,\"dur\":0.000",
+            // The launch's window: both mallocs and the free with their
+            // retries, the one timed malloc, and the 64 B left live.
+            "\"name\":\"launch window\",\"args\":{\"mallocs\":2,\"frees\":1,\"retries\":8,\
+             \"malloc_p50_ns\":100,\"malloc_p99_ns\":100,\"live_bytes\":64,\"frag_percent\":0.00}",
+            "\"dropped\":0",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
+        assert_eq!(json.matches("launch window").count(), 1, "one window per LaunchEnd");
+
+        // The export reports its own losses: a shard that filled up shows
+        // its drops in the process metadata.
+        let rec = TraceRecorder::new(1, 2);
+        for i in 0..5 {
+            rec.emit_at(i, 0, EventKind::MallocEnd, [i * 64, 64, 0, 0]);
+        }
+        let json = chrome_trace_json(&rec.snapshot(), "full shard");
+        validate_chrome_json(&json).expect("export must be valid");
+        assert!(json.contains("\"name\":\"gpumemsurvey trace: full shard\",\"dropped\":3"));
     }
 
     #[test]

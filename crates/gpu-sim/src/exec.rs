@@ -33,41 +33,6 @@ use gpumem_core::{ThreadCtx, WarpCtx, WARP_SIZE};
 
 use crate::spec::DeviceSpec;
 
-/// A kernel-launch lifecycle notification, delivered to the callback
-/// installed with [`Device::set_launch_hook`].
-///
-/// `Begin` fires once the launch gate is held and the grid is about to
-/// dispatch; `End` fires after the last warp retires and carries the
-/// parallel-section wall clock. `seq` is a per-device launch counter that
-/// pairs the two phases. Every launch fires both, inline or pooled.
-#[derive(Clone, Copy, Debug)]
-pub enum LaunchPhase {
-    /// The grid is about to dispatch onto the pool.
-    Begin {
-        /// Per-device launch sequence number.
-        seq: u64,
-        /// Warps in this grid.
-        n_warps: u32,
-    },
-    /// The last warp of the grid retired.
-    End {
-        /// Per-device launch sequence number (matches the `Begin`).
-        seq: u64,
-        /// Warps in this grid.
-        n_warps: u32,
-        /// Parallel-section duration (the same clock [`Device::launch`]
-        /// returns).
-        elapsed: Duration,
-    },
-}
-
-/// Callback type for [`Device::set_launch_hook`]. Runs on the launching
-/// thread with the launch gate held, so it must not launch on the same
-/// device (that would self-deadlock) and should be quick — its cost lands
-/// between grids, not inside the timed parallel section, but it still
-/// delays back-to-back launches.
-pub type LaunchHook = Arc<dyn Fn(LaunchPhase) + Send + Sync>;
-
 /// Scheduler observability for one launch.
 #[derive(Clone, Debug, Default)]
 pub struct SchedStats {
@@ -364,8 +329,6 @@ impl Drop for WorkerPool {
 pub struct Device {
     spec: DeviceSpec,
     pool: WorkerPool,
-    hook: Option<LaunchHook>,
-    launch_seq: AtomicU64,
 }
 
 impl Device {
@@ -399,7 +362,7 @@ impl Device {
                 }
             });
         }
-        Device { spec, pool: WorkerPool::new(workers), hook: None, launch_seq: AtomicU64::new(0) }
+        Device { spec, pool: WorkerPool::new(workers) }
     }
 
     /// The worker count [`Device::new`] would use right now — the effective
@@ -419,16 +382,7 @@ impl Device {
     pub fn with_workers(spec: DeviceSpec, workers: usize) -> Self {
         check_block_size(&spec);
         assert!((1..=Self::MAX_WORKERS).contains(&workers));
-        Device { spec, pool: WorkerPool::new(workers), hook: None, launch_seq: AtomicU64::new(0) }
-    }
-
-    /// Installs a launch-lifecycle callback, replacing any previous one.
-    /// The hook fires around every launch ([`LaunchPhase::Begin`] /
-    /// [`LaunchPhase::End`]), which is how the telemetry sampler aligns its
-    /// windows to kernel boundaries (`repro watch` cuts a window at each
-    /// `End`). See [`LaunchHook`] for the re-entrancy rule.
-    pub fn set_launch_hook(&mut self, hook: LaunchHook) {
-        self.hook = Some(hook);
+        Device { spec, pool: WorkerPool::new(workers) }
     }
 
     /// The device description.
@@ -499,37 +453,18 @@ impl Device {
     /// Shared scheduling entry: takes the launch gate (launches on one
     /// device are serialised, pooled *and* inline — the gate is taken
     /// before any clock starts, so waiting launches are not charged), then
-    /// dispatches via [`Device::run_warps_locked`].
+    /// dispatches via [`Device::dispatch_warps`].
     fn run_warps<F>(&self, n_warps: u32, body: F) -> (Duration, SchedStats)
     where
         F: Fn(u32) + Sync,
     {
         let _gate = lock_pool(&self.pool.launch_gate);
-        self.run_warps_locked(n_warps, &body)
+        self.dispatch_warps(n_warps, &body)
     }
 
     /// Dispatches `n_warps` warps onto the pool (or runs inline for a
     /// 1-worker device) and reports the parallel section's duration plus
-    /// scheduler stats. Caller must hold the launch gate. Every pooled
-    /// launch funnels through here, so this is also where the
-    /// [`LaunchHook`] fires — `Begin` before dispatch, `End` after the
-    /// grid retires, outside the timed section on both sides.
-    fn run_warps_locked(
-        &self,
-        n_warps: u32,
-        body: &(dyn Fn(u32) + Sync),
-    ) -> (Duration, SchedStats) {
-        let Some(hook) = &self.hook else {
-            return self.dispatch_warps(n_warps, body);
-        };
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        hook(LaunchPhase::Begin { seq, n_warps });
-        let (elapsed, sched) = self.dispatch_warps(n_warps, body);
-        hook(LaunchPhase::End { seq, n_warps, elapsed });
-        (elapsed, sched)
-    }
-
-    /// The hook-free core of [`Device::run_warps_locked`].
+    /// scheduler stats. Caller must hold the launch gate.
     fn dispatch_warps(&self, n_warps: u32, body: &(dyn Fn(u32) + Sync)) -> (Duration, SchedStats) {
         let workers = self.pool.workers;
         if n_warps == 0 {

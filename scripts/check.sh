@@ -148,13 +148,20 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- gate --smoke
 # Event-tracing smoke: a traced run must produce a Perfetto-loadable Chrome
 # trace (the binary validates it before writing) plus a latency-percentile
 # CSV with data rows. Cheap end-to-end coverage of recorder → exporters.
+# The trace is the one per-run export: it holds exactly one `launch window`
+# counter sample per launch slice (the malloc round and the free round,
+# folded from the trace's own launch events, so the count does not depend
+# on the host), and its process metadata carries the recorder's drops.
 echo "==> repro trace smoke"
 rm -rf target/trace-smoke
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     trace -m scatter --num 2048 --out target/trace-smoke
-test -s target/trace-smoke/trace_scatter.json
-grep -q '"ph"' target/trace-smoke/trace_scatter.json
-grep -q '"cat":"launch"' target/trace-smoke/trace_scatter.json
+trace_json=target/trace-smoke/trace_scatter.json
+test -s "$trace_json"
+grep -q '"ph"' "$trace_json"
+test "$(grep -c '"cat":"launch"' "$trace_json")" -eq 2
+test "$(grep -c '"name":"launch window"' "$trace_json")" -eq 2
+grep -q '"name":"process_name","args":{"name":"[^"]*","dropped":[0-9][0-9]*}' "$trace_json"
 # `events` counts every operation, timed or not, and the percentiles come
 # from the timed sample of them: both rows read 2 048 events and a nonzero
 # p50, so a sample count leaking into `events` fails here.
@@ -167,6 +174,11 @@ status=0
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     trace -m scatter -t s@cached --out target/trace-smoke 2> /dev/null || status=$?
 test "$status" -eq 2
+# So is the retired `watch` subcommand: an unknown command.
+status=0
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    watch --scenario mixed --out target/trace-smoke > /dev/null 2>&1 || status=$?
+test "$status" -eq 2
 # So is a heap backend nobody knows, named by the environment: one line on
 # stderr and exit 2, not a panic.
 status=0
@@ -177,23 +189,6 @@ test "$(wc -l < target/trace-smoke/bad-env.err)" -eq 1
 if grep -q panicked target/trace-smoke/bad-env.err; then
     exit 1
 fi
-
-# Telemetry smoke: a watched run must produce a schema-versioned JSON
-# time-series with exactly one kernel-boundary window per launch, and a
-# per-window CSV the summarizer can read (DESIGN.md §15). Each boundary
-# window is cut by the launch itself, so the count does not depend on the
-# wall clock or the host's load.
-echo "==> repro watch smoke"
-rm -rf target/watch-smoke
-cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    watch -m scatter --scenario mixed --out target/watch-smoke
-watch_json=target/watch-smoke/telemetry_mixed.json
-grep -q '"schema": 2' "$watch_json"
-grep -q '"kind": "gms-telemetry"' "$watch_json"
-grep -q '^seq,' target/watch-smoke/telemetry_mixed.csv
-launches=$(sed -n 's/^  "dropped_events": [0-9]*, "launches": \([0-9]*\),$/\1/p' "$watch_json")
-test "${launches:-0}" -gt 0
-test "$(grep -c '"boundary": 1}' "$watch_json")" -eq "$launches"
 
 # Table smoke: `table1` prints its table and writes the same columns as
 # CSV. The printed layout may change; the CSV header line below may not,
@@ -218,12 +213,13 @@ test ! -s target/table-pipe.err
 # Loom model checking: the same allocator protocols, compiled against the
 # cooperative-scheduling shim (--cfg loom) and exhaustively interleaved at
 # small bounds. Separate target dir so the flag flip doesn't thrash the
-# main incremental cache.
+# main incremental cache. `-D warnings`: code the loom build leaves dead is
+# gated to the cfg that reads it, so a new warning fails the stage.
 echo "==> loom model checks (--cfg loom)"
 for crate in loom gpumem-core alloc-atomic alloc-scatter alloc-ouroboros \
     alloc-xmalloc alloc-regeff alloc-halloc gpu-sim; do
     echo "    -> $crate"
-    RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
+    RUSTFLAGS="--cfg loom -D warnings" CARGO_TARGET_DIR=target/loom \
         cargo test --offline --release -q -p "$crate" --lib loom_
 done
 

@@ -1,14 +1,11 @@
-//! Integration battery for the telemetry subsystem: sink attachment
-//! through the builder, the teardown ordering contract (drain magazines
-//! before the final sample), and the full `watch` pipeline from scenario
-//! run to schema-versioned exports.
+//! Integration battery for the telemetry sampler: sink attachment through
+//! the builder, windows that partition the op stream, and the teardown
+//! ordering contract (drain magazines before the final sample).
 
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
-use gpumemsurvey::bench::matrix::{MatrixCfg, Tier};
 use gpumemsurvey::bench::registry::ManagerKind;
-use gpumemsurvey::bench::watch;
 use gpumemsurvey::prelude::*;
 
 const HEAP: u64 = 64 << 20;
@@ -16,13 +13,6 @@ const N: u32 = 512;
 
 fn device() -> Device {
     Device::with_workers(DeviceSpec::titan_v(), 4)
-}
-
-fn tmpdir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("gms_telemetry_{name}"));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
 }
 
 /// Allocates then frees `N` same-class blocks through a `Cached`-wrapped
@@ -128,70 +118,4 @@ fn explicit_cuts_window_the_counter_deltas() {
         assert!(w[1].seq == w[0].seq + 1, "sample seq is dense");
         assert!(w[1].t_ms >= w[0].t_ms, "sample times are monotone");
     }
-}
-
-/// A tiny-tier matrix configuration restricted to ScatterAlloc.
-fn scatter_tiny() -> MatrixCfg {
-    let mut cfg = MatrixCfg::new(Tier::Tiny);
-    cfg.kinds = Some(vec![ManagerKind::ScatterAlloc]);
-    cfg
-}
-
-/// End-to-end `watch` pipeline, from scenario run to the two exports.
-#[test]
-fn watch_run_exports_schema_versioned_series() {
-    let out = tmpdir("watch");
-    let tcfg = TelemetryConfig::new().hz(1000.0);
-    let outcome =
-        watch::watch(scatter_tiny(), "mixed", tcfg, &out).expect("watched mixed scenario");
-
-    let s = &outcome.series;
-    assert_eq!(s.evicted, 0, "the ring held the whole run");
-    assert!(s.totals.malloc_calls() > 0, "the sink captured the scenario's managers");
-    assert!(s.launches > 0, "the launch hook marked every launch");
-    let boundaries = s.samples.iter().filter(|w| w.boundary).count() as u64;
-    assert_eq!(boundaries, s.launches, "one kernel-boundary window per launch");
-    let windowed: u64 = s.samples.iter().map(|w| w.malloc_ops).sum();
-    assert_eq!(windowed, s.totals.malloc_calls(), "the windows fold every traced malloc");
-
-    let json = std::fs::read_to_string(&outcome.json_path).unwrap();
-    assert!(json.contains("\"schema\": 2"), "dump is schema-versioned");
-    assert!(json.contains("\"kind\": \"gms-telemetry\""));
-    assert!(json.contains("\"samples\""));
-
-    let csv = std::fs::read_to_string(&outcome.csv_path).unwrap();
-    let mut lines = csv.lines();
-    assert!(lines.next().unwrap().starts_with('#'), "provenance comment leads");
-    assert!(lines.next().unwrap().starts_with("seq,"), "then the sample header");
-    assert_eq!(csv.lines().count(), s.samples.len() + 2, "one row per window");
-
-    let _ = std::fs::remove_dir_all(&out);
-}
-
-/// Two watches running at once each count exactly the managers their own
-/// scenario builds: the sink travels in the scenario's `Bench`, so neither
-/// sees the other's managers nor loses its own.
-#[test]
-fn concurrent_watches_count_only_their_own_managers() {
-    let run = |name: &str| {
-        let out = tmpdir(name);
-        let outcome = watch::watch(scatter_tiny(), "mixed", TelemetryConfig::new(), &out)
-            .expect("watched mixed scenario");
-        let _ = std::fs::remove_dir_all(&out);
-        outcome.series.totals.malloc_calls()
-    };
-    let solo = run("solo");
-    assert!(solo > 0, "a solo watch counts its managers");
-    let start = Barrier::new(2);
-    let pair: Vec<u64> = std::thread::scope(|scope| {
-        let handles = ["pair_a", "pair_b"].map(|name| {
-            let (start, run) = (&start, &run);
-            scope.spawn(move || {
-                start.wait();
-                run(name)
-            })
-        });
-        handles.into_iter().map(|h| h.join().expect("watch thread")).collect()
-    });
-    assert_eq!(pair, [solo, solo], "each concurrent watch matches the solo run");
 }

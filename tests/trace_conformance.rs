@@ -5,7 +5,8 @@
 //!
 //! 1. **End-to-end export** — a traced run emits Chrome trace-event JSON
 //!    that validates (array of objects, each carrying `ph`/`ts`/`pid`/`tid`)
-//!    and latency histograms with non-zero p50/p95/p99 for malloc and free.
+//!    with one `launch window` counter sample per launch, and latency
+//!    histograms with non-zero p50/p95/p99 for malloc and free.
 //! 2. **Opt-in only** — a manager built without `.trace(...)` has no
 //!    recorder attached and records zero events no matter what runs.
 //! 3. **No cost when disabled** — the tracer hook on the metrics record
@@ -24,6 +25,7 @@ use std::time::{Duration, Instant};
 
 use gpumemsurvey::bench::registry::ManagerKind;
 use gpumemsurvey::bench::runners::{self, Bench};
+use gpumemsurvey::core::json::Json;
 use gpumemsurvey::core::trace::{DEFAULT_EVENTS_PER_SM, TIMED_ONE_IN};
 use gpumemsurvey::core::{validate_chrome_json, EventKind, RegisterFootprint, TraceRecorder};
 use gpumemsurvey::gpu_workloads::round;
@@ -63,6 +65,28 @@ fn traced_run_exports_valid_chrome_json_with_nonzero_percentiles() {
     assert_eq!(r.occupancy.unmatched_frees, 0, "every free matches a traced malloc");
     let last = r.occupancy.samples.last().expect("timeline has samples");
     assert_eq!((last.live_bytes, last.live_allocs), (0, 0), "run ends with an empty heap");
+
+    // One `launch window` counter sample per launch slice, folded from the
+    // same stream: the malloc launch's window holds every malloc, the free
+    // launch's every free, and the run ends with nothing live.
+    let doc = Json::parse(&r.json).expect("strict JSON");
+    let get = |obj: &[(String, Json)], key: &str| {
+        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+    };
+    let windows: Vec<[f64; 3]> = (doc.as_array().unwrap().iter())
+        .filter_map(Json::as_object)
+        .filter(|e| get(e, "name").as_ref().and_then(Json::as_string) == Some("launch window"))
+        .map(|e| {
+            let args = get(e, "args").unwrap();
+            let arg = |k| get(args.as_object().unwrap(), k).unwrap().as_number().unwrap();
+            [arg("mallocs"), arg("frees"), arg("live_bytes")]
+        })
+        .collect();
+    assert_eq!(windows.len(), r.json.matches("\"cat\":\"launch\"").count());
+    let n = f64::from(N);
+    assert_eq!(windows.len(), 2, "{windows:?}");
+    assert_eq!((windows[0][0], windows[0][1]), (n, 0.0), "malloc launch: {windows:?}");
+    assert_eq!(windows[1], [0.0, n, 0.0], "free launch: {windows:?}");
 }
 
 #[test]
