@@ -4,7 +4,9 @@
 //! the scenario's metric vector plus a provenance stamp (git revision,
 //! device, worker config, seed, heap backend, tier). Anchors are committed
 //! to the repository root and compared by `repro gate` (see [`crate::gate`])
-//! so a PR cannot silently change what the matrix reproduces.
+//! so a PR cannot silently change what the matrix reproduces. Every metric
+//! is a count or a model output that reproduces bit for bit, and every one
+//! is compared: an anchor holds no clock reading.
 //!
 //! Anchors are read with [`gpumem_core::json`] and rendered here, metrics in
 //! insertion order so regenerated anchors diff cleanly.
@@ -19,71 +21,26 @@ use gpumem_core::json::{quote, Json};
 /// Current anchor schema version. Version 1 was the ad-hoc
 /// `BENCH_exec.json` layout (no provenance, no metric classes); version 2
 /// was the matrix layout; version 3 added the latency sweep over every
-/// default family and the cached twin scenarios. Version 4 keeps the
-/// document shape but changes the class vocabulary to `exact` and `info`:
-/// a v3 anchor's model values were cut on a multi-worker pool and do not
-/// reproduce bit for bit, so it must not be compared. The gate refuses to
-/// compare across versions.
-pub const SCHEMA_VERSION: u32 = 4;
+/// default family and the cached twin scenarios; version 4 classed each
+/// metric `exact` or `info` (compared, or recorded but never compared).
+/// Version 5 drops the classes: a metric is a key and a value, and every
+/// one is compared, so a v4 document, whose `info` timings do not
+/// reproduce, must not be read as one. The gate refuses to compare across
+/// versions.
+pub const SCHEMA_VERSION: u32 = 5;
 
-/// Whether the gate compares a metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricClass {
-    /// Reproduces bit for bit at a fixed tier and seed (failure and
-    /// register counts, model outputs); any difference fails.
-    Exact,
-    /// A wall-clock or host reading (throughput, latency, worker counts):
-    /// written to the anchor, never compared.
-    Info,
-}
-
-impl MetricClass {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            MetricClass::Exact => "exact",
-            MetricClass::Info => "info",
-        }
-    }
-}
-
-impl std::str::FromStr for MetricClass {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<MetricClass, ()> {
-        match s {
-            "exact" => Ok(MetricClass::Exact),
-            "info" => Ok(MetricClass::Info),
-            _ => Err(()),
-        }
-    }
-}
-
-impl fmt::Display for MetricClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One anchored quantity: a key like `ScatterAlloc/s16/alloc_mops`, its
-/// value, and the class that tells the gate whether to compare it.
+/// One anchored quantity: a key like `ScatterAlloc/s16/failures` and its
+/// value. Every metric is compared bit for bit by the gate, so only a
+/// quantity that reproduces at a fixed tier and seed may become one.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     pub key: String,
     pub value: f64,
-    pub class: MetricClass,
 }
 
 impl Metric {
-    pub fn new(key: impl Into<String>, value: f64, class: MetricClass) -> Metric {
-        Metric { key: key.into(), value, class }
-    }
-
     pub fn exact(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::Exact)
-    }
-
-    pub fn info(key: impl Into<String>, value: f64) -> Metric {
-        Metric::new(key, value, MetricClass::Info)
+        Metric { key: key.into(), value }
     }
 }
 
@@ -164,10 +121,9 @@ impl Anchor {
         for (i, m) in self.metrics.iter().enumerate() {
             let sep = if i + 1 == self.metrics.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{ \"key\": {}, \"value\": {}, \"class\": {} }}{sep}\n",
+                "    {{ \"key\": {}, \"value\": {} }}{sep}\n",
                 quote(&m.key),
                 render_number(m.value),
-                quote(m.class.as_str()),
             ));
         }
         out.push_str("  ]\n}\n");
@@ -216,15 +172,7 @@ impl Anchor {
                 field: "metrics",
                 reason: format!("{key:?} has a non-numeric value"),
             })?;
-            let class_name = string_field(mo, "class").map_err(|_| AnchorError::BadField {
-                field: "metrics",
-                reason: format!("{key:?} lacks a string \"class\""),
-            })?;
-            let class = class_name.parse().map_err(|()| AnchorError::BadField {
-                field: "metrics",
-                reason: format!("{key:?} has unknown class {class_name:?}"),
-            })?;
-            metrics.push(Metric { key, value, class });
+            metrics.push(Metric { key, value });
         }
         Ok(Anchor { schema, scenario, tier, provenance, metrics })
     }
@@ -277,7 +225,7 @@ mod tests {
                 ("seed".into(), "0x5eed".into()),
             ],
             metrics: vec![
-                Metric::info("ScatterAlloc/s16/alloc_mops", 1.25),
+                Metric::exact("ScatterAlloc/s16/cycle_growth", 1.25),
                 Metric::exact("ScatterAlloc/s16/failures", 0.0),
                 Metric::exact("ScatterAlloc/s16/expansion", 1.0),
             ],
@@ -294,14 +242,15 @@ mod tests {
         assert_eq!(b.render(), text);
     }
 
-    /// A v3 document carries the retired tolerance classes, so it is refused
-    /// by version before any of its metrics is read.
+    /// A v4 document classes its metrics and holds `info` timings the gate
+    /// must never compare, so it is refused by version before any of its
+    /// metrics is read.
     #[test]
     fn parse_rejects_schema_drift() {
         let text =
-            sample().render().replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 3");
+            sample().render().replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 4");
         match Anchor::parse(&text) {
-            Err(AnchorError::SchemaMismatch { found: 3, expected }) => {
+            Err(AnchorError::SchemaMismatch { found: 4, expected }) => {
                 assert_eq!(expected, SCHEMA_VERSION)
             }
             other => panic!("expected schema mismatch, got {other:?}"),
@@ -309,15 +258,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_missing_fields_and_bad_classes() {
+    fn parse_rejects_missing_fields_and_bad_values() {
         assert!(matches!(Anchor::parse("{}"), Err(AnchorError::MissingField("schema"))));
-        for retired in ["model_lo", "time_hi", "warp_speed"] {
-            let bad_class = sample().render().replace("\"info\"", &format!("\"{retired}\""));
-            assert!(
-                matches!(Anchor::parse(&bad_class), Err(AnchorError::BadField { .. })),
-                "class {retired:?} must be refused"
-            );
-        }
+        let text = sample().render();
+        let no_value = text.replacen("\"value\": 1.25", "\"v\": 1.25", 1);
+        assert!(matches!(Anchor::parse(&no_value), Err(AnchorError::MissingField("value"))));
+        let bad_value = text.replacen("\"value\": 1.25", "\"value\": \"1.25\"", 1);
+        assert!(matches!(Anchor::parse(&bad_value), Err(AnchorError::BadField { .. })));
         assert!(matches!(Anchor::parse("not json"), Err(AnchorError::Json { .. })));
     }
 
@@ -342,7 +289,7 @@ mod tests {
     #[test]
     fn metric_lookup_by_key() {
         let a = sample();
-        assert_eq!(a.metric("ScatterAlloc/s16/alloc_mops").unwrap().value, 1.25);
+        assert_eq!(a.metric("ScatterAlloc/s16/cycle_growth").unwrap().value, 1.25);
         assert!(a.metric("nope").is_none());
         assert_eq!(a.provenance_value("git"), Some("abc123"));
     }

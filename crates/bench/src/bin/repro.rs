@@ -5,7 +5,7 @@
 //! repro matrix --smoke              # the committed (smoke-tier) anchors
 //! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
 //!                                   # Fig 9 at the paper's full 8 GiB heap
-//! repro gate                        # rerun the smoke tier, compare exact metrics
+//! repro gate                        # rerun the smoke tier, compare every metric
 //! repro table1                      # survey table (Table 1)
 //! repro trace -m scatter            # Perfetto trace + latency percentiles
 //! ```
@@ -17,12 +17,13 @@
 //! `--device titanv|2080ti`, `--out DIR`, `--heap-backend ram|mmap`
 //! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
 //! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix` and `gate`
-//! take their counts, iterations and per-cell timeouts from the tier and
-//! refuse `--cached`. The trace is the one per-run export: its Perfetto JSON
-//! carries a `launch window` counter sample per launch and the events the
-//! recorder dropped. `table1` and `trace` print each table they
-//! save as CSV, with the same columns. A closed stdout (`repro … | head`)
-//! drops the printed report; the files and the exit status stay the same.
+//! take their counts and per-cell timeouts from the tier and refuse
+//! `--cached`. An anchor holds counts and model outputs, no timings. The
+//! trace is the one per-run export: its Perfetto JSON carries a `launch
+//! window` counter sample per launch and the events the recorder dropped.
+//! `table1` and `trace` print each table they save as CSV, with the same
+//! columns. A closed stdout (`repro … | head`) drops the printed report;
+//! the files and the exit status stay the same.
 
 use std::path::{Path, PathBuf};
 
@@ -244,8 +245,8 @@ fn table1(opts: &Opts) {
 
 /// Matrix/gate configuration from the command line: tier, seed,
 /// device, heap (backend, `--heap-mb`) and the `-t`/`-m` manager
-/// restriction. Iteration counts, timeouts and worker counts stay
-/// tier-pinned so anchors of the same tier are always comparable.
+/// restriction. Timeouts and worker counts stay tier-pinned so anchors of
+/// the same tier are always comparable.
 fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
@@ -315,8 +316,8 @@ fn selected_kinds(opts: &Opts) -> Option<Vec<ManagerKind>> {
 
 /// `repro gate` — rerun the selected scenarios (at the smoke tier unless
 /// told otherwise: the only tier with committed anchors) and compare each
-/// against its committed anchor: every `exact` metric must be equal, `info`
-/// metrics are not compared.
+/// against its committed anchor: every metric must be equal. A `-t`/`-m`
+/// run compares the selected managers' part of each anchor.
 fn gate_cmd(opts: &Opts) {
     let cfg = matrix_cfg(opts, Tier::Smoke);
     let mut failures = 0usize;
@@ -330,7 +331,7 @@ fn gate_cmd(opts: &Opts) {
             .and_then(|anchor| {
                 let current =
                     matrix::run_scenario(&cfg, spec).map_err(|e| format!("rerun: {e}"))?;
-                Ok(gate::compare(&anchor, &current))
+                Ok(gate::compare(&cfg.restrict_anchor(&anchor), &current))
             });
         let report = match report {
             Ok(report) => report,
@@ -347,11 +348,10 @@ fn gate_cmd(opts: &Opts) {
         failures += n_fail;
         exact += report.exact;
         outln!(
-            "{} {} ({} exact, {} info)",
+            "{} {} ({} exact)",
             if n_fail == 0 { "pass" } else { "FAIL" },
             spec.name,
-            report.exact,
-            report.info
+            report.exact
         );
     }
     if failures > 0 {
@@ -433,24 +433,24 @@ fn trace(opts: &Opts) {
         ]);
     }
     save(csv, opts, &format!("trace_latency_{}_{}.csv", opts.num, opts.device.name));
-    let occ = &r.occupancy;
     if r.trace.dropped > 0 {
         eprintln!(
             "warning: {} events dropped at ring capacity {} (drop-newest) — \
-             latency percentiles and the occupancy timeline are truncated; \
+             latency percentiles and the live-set peaks are truncated; \
              raise --trace-cap",
             r.trace.dropped, opts.trace_cap
         );
     }
     outln!(
-        "{} events recorded ({} dropped), span {:.3} ms; occupancy: {} samples, peak {} B in {} allocs, address range {} B",
+        "{} events recorded ({} dropped), span {:.3} ms; live set: peak {} B in {} allocs, \
+         address range {} B, {} unmatched frees",
         r.trace.len(),
         r.trace.dropped,
         r.trace.span_ns() as f64 / 1e6,
-        occ.samples.len(),
-        occ.peak_live_bytes,
-        occ.peak_live_allocs,
-        occ.address_range.range()
+        r.peak_live_bytes,
+        r.peak_live_allocs,
+        r.address_range.range(),
+        r.live.unmatched_frees()
     );
 }
 

@@ -1,23 +1,22 @@
 //! The regression gate — compares a fresh matrix run against committed
 //! `BENCH_<scenario>.json` anchors.
 //!
-//! One rule per metric class (see [`MetricClass`]): an `exact` metric must
-//! equal its anchor bit for bit, and an `info` metric — a wall-clock or host
-//! reading — is recorded but never compared. The structural checks apply to
-//! both classes: a scenario or tier mismatch fails, a metric the anchor has
-//! and the run lacks fails, a metric only the run has is informational, and
-//! a non-finite anchor value fails as [`FindingKind::InvalidAnchor`], so a
+//! One rule: every anchored metric must equal the current run's bit for bit
+//! (an anchor holds only values that reproduce; see [`crate::anchor`]). A
+//! scenario or tier mismatch fails, a metric the anchor has and the run
+//! lacks fails, a metric only the run has is informational, and a
+//! non-finite anchor value fails as [`FindingKind::InvalidAnchor`], so a
 //! damaged anchor cannot pass vacuously. The run side needs no such guard:
 //! `matrix::run_scenario` refuses non-finite metrics before they get here.
 
 use std::fmt;
 
-use crate::anchor::{Anchor, MetricClass};
+use crate::anchor::Anchor;
 
 /// Why one comparison failed (or is worth a note).
 #[derive(Clone, Debug, PartialEq)]
 pub enum FindingKind {
-    /// `exact`-class metric differs.
+    /// A metric differs from its anchor.
     ExactMismatch,
     /// Metric present in the anchor but absent from the current run.
     MissingMetric,
@@ -81,10 +80,8 @@ impl fmt::Display for Finding {
 pub struct GateReport {
     pub scenario: String,
     pub findings: Vec<Finding>,
-    /// `exact` metrics compared.
+    /// Metrics compared.
     pub exact: usize,
-    /// `info` metrics present on both sides (recorded, not compared).
-    pub info: usize,
 }
 
 impl GateReport {
@@ -102,7 +99,7 @@ pub fn compare(anchor: &Anchor, current: &Anchor) -> GateReport {
     let finding =
         |kind, key: &str, anchor, current| Finding { kind, key: key.to_string(), anchor, current };
     let mut report =
-        GateReport { scenario: anchor.scenario.clone(), findings: Vec::new(), exact: 0, info: 0 };
+        GateReport { scenario: anchor.scenario.clone(), findings: Vec::new(), exact: 0 };
     if anchor.scenario != current.scenario {
         report.findings.push(finding(
             FindingKind::ScenarioMismatch,
@@ -124,19 +121,9 @@ pub fn compare(anchor: &Anchor, current: &Anchor) -> GateReport {
             report.findings.push(finding(FindingKind::InvalidAnchor, &am.key, am.value, cm.value));
             continue;
         }
-        match am.class {
-            MetricClass::Info => report.info += 1,
-            MetricClass::Exact => {
-                report.exact += 1;
-                if am.value != cm.value {
-                    report.findings.push(finding(
-                        FindingKind::ExactMismatch,
-                        &am.key,
-                        am.value,
-                        cm.value,
-                    ));
-                }
-            }
+        report.exact += 1;
+        if am.value != cm.value {
+            report.findings.push(finding(FindingKind::ExactMismatch, &am.key, am.value, cm.value));
         }
     }
     for cm in &current.metrics {
@@ -173,23 +160,13 @@ mod tests {
         let ulp = f64::from_bits(1.0186f64.to_bits() + 1);
         let r = compare(&a, &anchor_with(vec![Metric::exact("m/expansion", ulp)]));
         assert_eq!(first_failure(&r), Some(FindingKind::ExactMismatch));
-        assert_eq!((r.exact, r.info), (1, 0));
-    }
-
-    #[test]
-    fn info_changes_never_fail() {
-        let a = anchor_with(vec![Metric::info("m/tp", 100.0)]);
-        for v in [0.0, 1e-9, 99.0, 1e12] {
-            let r = compare(&a, &anchor_with(vec![Metric::info("m/tp", v)]));
-            assert!(r.passed(), "info value {v} must not fail: {:?}", r.findings);
-            assert_eq!((r.exact, r.info), (0, 1));
-        }
+        assert_eq!(r.exact, 1);
     }
 
     #[test]
     fn missing_metric_in_current_run_fails() {
-        let a = anchor_with(vec![Metric::info("m/tp", 100.0), Metric::exact("m/extra", 1.0)]);
-        let c = anchor_with(vec![Metric::info("m/tp", 100.0)]);
+        let a = anchor_with(vec![Metric::exact("m/hops", 100.0), Metric::exact("m/extra", 1.0)]);
+        let c = anchor_with(vec![Metric::exact("m/hops", 100.0)]);
         let r = compare(&a, &c);
         assert!(!r.passed());
         assert!(r.failures().any(|f| f.kind == FindingKind::MissingMetric && f.key == "m/extra"));
@@ -207,17 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_anchors_fail_for_both_classes() {
-        for class in [MetricClass::Exact, MetricClass::Info] {
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let a = anchor_with(vec![Metric::new("m/x", bad, class)]);
-                let c = anchor_with(vec![Metric::new("m/x", 1.0, class)]);
-                assert_eq!(
-                    first_failure(&compare(&a, &c)),
-                    Some(FindingKind::InvalidAnchor),
-                    "{class} anchor value {bad} must be rejected"
-                );
-            }
+    fn non_finite_anchors_fail() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let a = anchor_with(vec![Metric::exact("m/x", bad)]);
+            let c = anchor_with(vec![Metric::exact("m/x", 1.0)]);
+            assert_eq!(
+                first_failure(&compare(&a, &c)),
+                Some(FindingKind::InvalidAnchor),
+                "anchor value {bad} must be rejected"
+            );
         }
     }
 

@@ -14,10 +14,10 @@
 //!   the one producer of paper-figure results: every figure's grid at
 //!   tiny/smoke/full tier, one anchor per scenario.
 //! * [`anchor`] — the schema-versioned `BENCH_<scenario>.json` format
-//!   (provenance-stamped, classed metrics) with a dependency-free parser.
+//!   (provenance-stamped counts and model outputs, no timings) with a
+//!   dependency-free parser.
 //! * [`gate`] — the `repro gate` comparator: committed anchors vs a fresh
-//!   run, `exact` metrics compared bit for bit, `info` metrics recorded
-//!   only.
+//!   run, every metric compared bit for bit.
 //! * [`csv`] — the tables `table1` and `trace` print and write.
 //!
 //! The `repro` binary (in `src/bin`) drives everything: `repro matrix`

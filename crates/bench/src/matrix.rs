@@ -16,8 +16,11 @@
 //!   stay fast.
 //!
 //! `tiny` and `smoke` run every scenario on the inline one-worker device, so
-//! every metric that is not a wall-clock or host reading reproduces bit for
-//! bit and is anchored `exact`; timings are anchored `info`.
+//! every metric reproduces bit for bit. A metric is a count (failures,
+//! contention counters, sanitizer violations) or a model output (address
+//! range, utilization, coalescing cost, register footprint); the matrix
+//! reads no clock into an anchor. Timing claims belong to the repo
+//! benchmark (`benchmark/`) and to `tests/paper_shapes.rs`'s ratios.
 //!
 //! Metric keys are `{manager}/{cell}/{measure}` and stable across runs of
 //! the same tier; the gate (`crate::gate`) treats a vanished key as a
@@ -179,7 +182,6 @@ pub struct MatrixCfg {
     pub device: DeviceSpec,
     pub tier: Tier,
     pub seed: u64,
-    pub iterations: u32,
     pub timeout: Duration,
     pub heap_backend: HeapBackendKind,
     /// Pins every cell's heap to this many bytes instead of the
@@ -188,7 +190,8 @@ pub struct MatrixCfg {
     /// Restricts scenarios to these manager kinds (`-t` / `-m`);
     /// `None` runs each scenario's natural set. Scenario bodies apply it
     /// through [`MatrixCfg::restrict`], so the anchors a restricted run
-    /// produces are a key-subset of the unrestricted ones.
+    /// produces are a key-subset of the unrestricted ones
+    /// ([`MatrixCfg::restrict_anchor`]).
     pub kinds: Option<Vec<ManagerKind>>,
 }
 
@@ -199,11 +202,6 @@ impl MatrixCfg {
             device: DeviceSpec::titan_v(),
             tier,
             seed: 0x5eed,
-            iterations: match tier {
-                Tier::Tiny => 1,
-                Tier::Smoke => 2,
-                Tier::Full => 3,
-            },
             timeout: Duration::from_secs(if tier == Tier::Full { 30 } else { 20 }),
             heap_backend: HeapBackendKind::env_default(),
             heap_override: None,
@@ -222,6 +220,22 @@ impl MatrixCfg {
         }
     }
 
+    /// The part of an unrestricted `anchor` a run under this restriction
+    /// produces: every metric key starts with its manager's label, so the
+    /// selected managers' keys are those prefixed `<label>/`. No
+    /// restriction keeps the whole anchor.
+    pub fn restrict_anchor(&self, anchor: &Anchor) -> Anchor {
+        let mut out = anchor.clone();
+        if let Some(sel) = &self.kinds {
+            out.metrics.retain(|m| {
+                sel.iter().any(|k| {
+                    m.key.strip_prefix(k.label()).is_some_and(|rest| rest.starts_with('/'))
+                })
+            });
+        }
+        out
+    }
+
     /// The worker count [`MatrixCfg::bench`] runs this tier on.
     fn workers(&self) -> usize {
         match self.tier {
@@ -231,17 +245,16 @@ impl MatrixCfg {
     }
 
     /// The shared runner context for one scenario. The tier pins the worker
-    /// count for the same reason it pins iterations and timeouts, so that
-    /// anchors compare: `tiny` and `smoke` run on the inline one-worker
-    /// device, whose sequential warp order makes every non-timing metric
-    /// reproduce bit for bit; `full` runs on the configured pool.
+    /// count for the same reason it pins timeouts, so that anchors compare:
+    /// `tiny` and `smoke` run on the inline one-worker device, whose
+    /// sequential warp order makes every metric reproduce bit for bit;
+    /// `full` runs on the configured pool.
     pub fn bench(&self) -> Bench {
         let dev = match self.tier {
             Tier::Tiny | Tier::Smoke => Device::with_workers(self.device, 1),
             Tier::Full => Device::new(self.device),
         };
         let mut b = Bench::new(dev);
-        b.iterations = self.iterations;
         b.seed = self.seed;
         b.cell_timeout = self.timeout;
         b.heap_backend = self.heap_backend;
@@ -250,8 +263,8 @@ impl MatrixCfg {
     }
 
     /// [`MatrixCfg::bench`] with the `Cached` magazine decorator enabled and
-    /// one untimed warm-up pass, so the timed iterations measure the
-    /// steady-state magazine hot path rather than the cold first fill.
+    /// one warm-up round, so the counted round sees the steady-state
+    /// magazines rather than the cold first fill.
     pub fn cached_bench(&self) -> Bench {
         let mut b = self.bench();
         b.cached = true;
@@ -318,13 +331,11 @@ pub struct ScenarioSpec {
 
 /// The paper grid, one anchor per scenario.
 pub const SCENARIOS: &[ScenarioSpec] = &[
-    // First, as in the paper, and while the process is fresh: after the other
-    // scenarios have churned the host allocator, constructing the
-    // static-queue Ouroboros variants reads 15-40x slower.
+    // First, as in the paper.
     ScenarioSpec {
         name: "init",
         family: "Sec. 4.1 initialisation and registers",
-        variant: "construction time over a pre-built heap, register-footprint proxy",
+        variant: "register-footprint proxy of a manager built over a pre-built heap",
         run: init,
     },
     ScenarioSpec {
@@ -360,7 +371,7 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "scaling",
         family: "Fig. 10 scaling sweep",
-        variant: "top of a 2^1..2^N sweep at 16 B; full: every 2^0..2^20 at 16/64/512/8192 B",
+        variant: "failures over a 2^1..2^N sweep at 16 B; full: 2^0..2^20 at 16/64/512/8192 B",
         run: scaling,
     },
     ScenarioSpec {
@@ -378,7 +389,7 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "workgen",
         family: "Fig. 11c/d work generation",
-        variant: "managed vs prefix-sum baseline, 4-64/4-4096 B; full: 2^0..2^20 threads",
+        variant: "failures of managed work generation, 4-64/4-4096 B; full: 2^0..2^20 threads",
         run: workgen,
     },
     ScenarioSpec {
@@ -402,7 +413,7 @@ pub const SCENARIOS: &[ScenarioSpec] = &[
     ScenarioSpec {
         name: "churn",
         family: "Sec. 4.2.1 repeated alloc/free",
-        variant: "10 allocate-all/free-all cycles at 256 B, last over first quarter",
+        variant: "failures of 10 allocate-all/free-all cycles at 256 B",
         run: churn,
     },
     ScenarioSpec {
@@ -454,7 +465,6 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
         ("seed".to_string(), format!("{:#x}", cfg.seed)),
         ("heap_backend".to_string(), cfg.heap_backend.to_string()),
         ("pretouch".to_string(), Pretouch::Auto.resolve(cfg.heap_backend).to_string()),
-        ("iterations".to_string(), cfg.iterations.to_string()),
     ];
     // Only an overridden run names its heap, so default anchors keep the
     // stamp set the committed ones carry.
@@ -462,18 +472,6 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
         stamps.push(("heap_mb".to_string(), (bytes >> 20).to_string()));
     }
     stamps
-}
-
-/// Throughput in million operations per second; the duration is floored to
-/// 1 ns so a sub-tick timer reading cannot mint an infinite metric, which
-/// [`run_scenario`] would refuse.
-fn mops(ops: u32, d: Duration) -> f64 {
-    ops as f64 * 1e3 / d.as_nanos().max(1) as f64
-}
-
-/// Thousand operations per second (work generation runs whole milliseconds).
-fn kops(ops: u32, d: Duration) -> f64 {
-    ops as f64 * 1e6 / d.as_nanos().max(1) as f64
 }
 
 /// The contention counters every perf cell pins, from the counted round of
@@ -537,10 +535,6 @@ fn perf_thread_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, Matrix
         for &size in &ax.sizes {
             let c = runners::alloc_perf(&bench, kind, ax.threads, size, false);
             let k = format!("{}/s{size}", kind.label());
-            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
-            if let Some(free) = c.free {
-                metrics.push(Metric::info(format!("{k}/free_mops"), mops(ax.threads, free)));
-            }
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             push_contention(&mut metrics, &k, &c.counters);
             // A manager past its cliff skips its larger sizes (the
@@ -562,7 +556,6 @@ fn perf_warp(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         for &size in &ax.warp_sizes {
             let c = runners::alloc_perf(&bench, kind, ax.warps, size, true);
             let k = format!("{}/w{size}", kind.label());
-            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.warps, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             push_contention(&mut metrics, &k, &c.counters);
             if c.timed_out {
@@ -580,7 +573,7 @@ fn mixed(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 /// Cached twin of [`mixed`]; see [`perf_thread_cached`] on key identity.
 /// This is the contention scenario the magazines target: mixed sizes land in
 /// a handful of size classes, so the warmed magazines absorb most of the
-/// timed traffic that would otherwise hit shared manager metadata.
+/// counted round's traffic that would otherwise hit shared manager metadata.
 fn mixed_cached(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     mixed_body(cfg, cfg.cached_bench())
 }
@@ -592,7 +585,6 @@ fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError>
         for &upper in &ax.mixed_uppers {
             let c = runners::mixed_perf(&bench, kind, ax.threads, upper);
             let k = format!("{}/u{upper}", kind.label());
-            metrics.push(Metric::info(format!("{k}/alloc_mops"), mops(ax.threads, c.alloc)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             push_contention(&mut metrics, &k, &c.counters);
             if c.timed_out {
@@ -603,12 +595,11 @@ fn mixed_body(cfg: &MatrixCfg, bench: Bench) -> Result<Vec<Metric>, MatrixError>
     Ok(metrics)
 }
 
+/// Fig. 10's sweep, counted: the failures of every thread count up to the
+/// top of the sweep, which a cell that times out cuts short.
 fn scaling(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
     let ax = cfg.tier.axes();
-    // Full reports every exponent, and the free side (Fig. 10e-h) with it;
-    // the reduced tiers report only the top of their sweep.
-    let every = cfg.tier == Tier::Full;
     let mut metrics = Vec::new();
     for kind in cfg.restrict(&CORE_KINDS) {
         for &size in &ax.scaling_sizes {
@@ -617,18 +608,8 @@ fn scaling(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             for e in ax.scaling_exps.clone() {
                 let c = runners::alloc_perf(&bench, kind, 1u32 << e, size, false);
                 failures += c.failures;
-                // A cell that timed out ends the sweep unreported: a manager
-                // that stops scaling earlier than before loses keys, which
-                // the gate reports as missing metrics.
                 if c.timed_out {
                     break;
-                }
-                if every || e == *ax.scaling_exps.end() {
-                    metrics
-                        .push(Metric::info(format!("{k}/e{e}/alloc_mops"), mops(c.num, c.alloc)));
-                }
-                if let Some(free) = c.free.filter(|_| every) {
-                    metrics.push(Metric::info(format!("{k}/e{e}/free_mops"), mops(c.num, free)));
                 }
             }
             metrics.push(Metric::exact(format!("{k}/failures_total"), failures as f64));
@@ -673,18 +654,10 @@ fn workgen(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
     for (lo, hi) in [(4u64, 64u64), (4, 4096)] {
-        let cell =
-            |label: &str, n: u32| cfg.cell(&format!("{label}/r{lo}-{hi}"), format_args!("t{n}"));
-        for &n in &ax.workgen_threads {
-            let base = runners::work_generation_baseline(&bench, n, lo, hi);
-            let k = cell("Baseline", n);
-            metrics.push(Metric::info(format!("{k}/kops"), kops(n, base.elapsed)));
-        }
         for kind in cfg.restrict(&CORE_KINDS) {
             for &n in &ax.workgen_threads {
                 let c = runners::work_generation(&bench, kind, n, lo, hi);
-                let k = cell(kind.label(), n);
-                metrics.push(Metric::info(format!("{k}/kops"), kops(n, c.elapsed)));
+                let k = cfg.cell(&format!("{}/r{lo}-{hi}", kind.label()), format_args!("t{n}"));
                 metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             }
         }
@@ -713,11 +686,9 @@ fn graph_init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let mut metrics = Vec::new();
     for name in ax.graphs {
         let csr = dyn_graph::generate(name, ax.graph_div, bench.seed);
-        let edges = csr.edges() as u32;
         for kind in cfg.restrict(&GRAPH_KINDS) {
             let c = runners::graph_init(&bench, kind, &csr)?;
             let k = format!("{}/{name}", kind.label());
-            metrics.push(Metric::info(format!("{k}/edges_mops"), mops(edges, c.elapsed)));
             metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
         }
     }
@@ -734,10 +705,6 @@ fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             for (mode, focused) in [("focused", true), ("uniform", false)] {
                 let c = runners::graph_update(&bench, kind, &csr, ax.update_edges, focused)?;
                 let k = format!("{}/{mode}", cfg.cell(kind.label(), name));
-                metrics.push(Metric::info(
-                    format!("{k}/edges_mops"),
-                    mops(ax.update_edges, c.elapsed),
-                ));
                 metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
             }
         }
@@ -745,21 +712,15 @@ fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     Ok(metrics)
 }
 
-/// §4.1: manager construction time over a pre-built heap, and the
-/// register-footprint proxy of `malloc`/`free`.
+/// §4.1: the register-footprint proxy of `malloc`/`free`, read off a manager
+/// built over a pre-built heap.
 fn init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     let bench = cfg.bench();
     let ax = cfg.tier.axes();
     let mut metrics = Vec::new();
     for kind in cfg.restrict(&DEFAULT_KINDS) {
-        // Construction is one short run, so the reading is the fastest of
-        // the tier's iterations: the one the host disturbed least.
-        let c = (0..cfg.iterations)
-            .map(|_| runners::init_performance(&bench, kind, ax.heap))
-            .min_by_key(|c| c.init)
-            .expect("every tier runs at least one iteration");
+        let c = runners::init_performance(&bench, kind, ax.heap);
         let k = kind.label();
-        metrics.push(Metric::info(format!("{k}/init_ms"), c.init.as_nanos() as f64 / 1e6));
         metrics.push(Metric::exact(format!("{k}/malloc_regs"), c.malloc_regs as f64));
         metrics.push(Metric::exact(format!("{k}/free_regs"), c.free_regs as f64));
     }
@@ -767,8 +728,8 @@ fn init(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
 }
 
 /// §4.2.1 "slowing down significantly over time": the same allocate-all /
-/// free-all cycle repeated, reported as last-quarter over first-quarter
-/// allocation time. Managers that cannot free have no cycle to repeat.
+/// free-all cycle repeated; the anchor holds its failures. Managers that
+/// cannot free have no cycle to repeat.
 fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
     const SIZE: u64 = 256;
     const CYCLES: u32 = 10;
@@ -790,7 +751,6 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
             CYCLES,
         );
         let k = kind.label();
-        metrics.push(Metric::info(format!("{k}/slowdown"), r.slowdown_factor()));
         metrics.push(Metric::exact(format!("{k}/failures"), r.failures as f64));
     }
     Ok(metrics)
@@ -891,12 +851,6 @@ mod tests {
             ]
         );
         assert_eq!(f.graphs, dyn_graph::GRAPH_NAMES);
-    }
-
-    #[test]
-    fn mops_guards_zero_duration() {
-        assert!(mops(1000, Duration::ZERO).is_finite());
-        assert!(kops(1000, Duration::ZERO).is_finite());
     }
 
     #[test]

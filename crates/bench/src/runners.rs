@@ -14,11 +14,10 @@ use gpu_workloads::round::{self, Round};
 use gpu_workloads::{churn, sizes, workgen, write_test};
 use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
-use gpumem_core::trace::{
-    chrome_trace_json, occupancy_timeline, EventKind, OccupancyTimeline, OpLatencies, Trace,
-};
+use gpumem_core::trace::{chrome_trace_json, EventKind, LiveSet, OpLatencies, Trace};
 use gpumem_core::{
-    AllocError, CounterSnapshot, DeviceAllocator, HeapBackendKind, HeapSpec, WarpCtx, WARP_SIZE,
+    AllocError, CounterSnapshot, DeviceAllocator, DevicePtr, HeapBackendKind, HeapSpec, WarpCtx,
+    WARP_SIZE,
 };
 
 use crate::registry::{ManagerBuilder, ManagerKind};
@@ -27,8 +26,9 @@ use crate::registry::{ManagerBuilder, ManagerKind};
 pub struct Bench {
     /// The simulated device (spec + worker pool).
     pub device: Device,
-    /// Iterations per cell; the mean is reported (the paper uses 100; the
-    /// CPU default is smaller).
+    /// Timed rounds per [`alloc_timing`] cell, whose mean it reports (the
+    /// paper uses 100; the CPU default is smaller). Only timing reads it:
+    /// the counted runners the matrix calls run one round.
     pub iterations: u32,
     /// Workload seed.
     pub seed: u64,
@@ -44,10 +44,10 @@ pub struct Bench {
     pub heap_override: Option<u64>,
     /// Wrap every manager in the `Cached` magazine decorator.
     pub cached: bool,
-    /// Untimed warm-up iterations before the timed loop in the perf
-    /// runners. Cached cells use 1 so the timed iterations measure the
-    /// steady-state hot path (magazines populated by the warm-up's frees)
-    /// rather than the cold first pass.
+    /// Warm-up rounds on a perf cell's manager before the round it counts
+    /// ([`alloc_perf`], [`mixed_perf`]). Cached cells use 1 so that round
+    /// sees the steady-state hot path (magazines populated by the warm-up's
+    /// frees) rather than the cold first pass.
     pub warmup: u32,
 }
 
@@ -151,25 +151,22 @@ pub fn try_heap_for(num: u32, max_size: u64) -> Result<u64, SizingError> {
     Ok(raw.div_ceil(4 << 20) * (4 << 20))
 }
 
-/// One cell of the allocation-performance experiments (Figures 9/10).
+/// One cell of the allocation-performance experiments (Figures 9/10),
+/// counted: one malloc and free round on a manager with metrics on.
 #[derive(Clone, Debug)]
 pub struct AllocPerfCell {
-    pub manager: &'static str,
-    pub size: u64,
-    pub num: u32,
-    pub alloc: Duration,
-    /// `None` when the manager cannot free (Atomic) — plotted as a gap.
-    pub free: Option<Duration>,
+    /// Requests of the round that got no pointer.
     pub failures: u64,
+    /// The round outlived `bench.cell_timeout`: the matrix skips the
+    /// manager's larger sizes (the artifact's per-process timeout).
     pub timed_out: bool,
-    /// Counter delta of one untimed malloc and free round with metrics on
-    /// (see [`perf_cell`]).
+    /// Counter delta of the round.
     pub counters: CounterSnapshot,
 }
 
-/// Runs one (manager, size, num) cell of Fig. 9/10: `num` allocations of
+/// Counts one (manager, size, num) cell of Fig. 9/10: `num` allocations of
 /// `size` bytes (thread-based, or one per warp when `warp`), then the
-/// matching deallocations, averaged over `bench.iterations`.
+/// matching deallocations.
 pub fn alloc_perf(
     bench: &Bench,
     kind: ManagerKind,
@@ -186,7 +183,7 @@ pub fn alloc_perf(
     })
 }
 
-/// Runs one mixed-allocation cell (Fig. 9h): per-thread sizes uniform in
+/// Counts one mixed-allocation cell (Fig. 9h): per-thread sizes uniform in
 /// `[4, upper]`, drawn afresh for every round.
 pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> AllocPerfCell {
     perf_cell(bench, kind, num, upper, |alloc, seed| {
@@ -194,16 +191,17 @@ pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> All
     })
 }
 
-/// The loop behind [`alloc_perf`] and [`mixed_perf`]: a fresh manager
-/// sized for `num × size`, `bench.warmup` untimed rounds, then up to
-/// `bench.iterations` timed malloc and free rounds, cut short once the
-/// cell outlives `bench.cell_timeout`. `malloc` runs one allocation round
-/// for an iteration seed.
+/// The round behind [`alloc_perf`] and [`mixed_perf`]: a fresh manager
+/// sized for `num × size` with metrics on, `bench.warmup` rounds, then one
+/// malloc and free round at `bench.seed`; `malloc` runs one allocation
+/// round for a round seed. The counters are the delta across that round;
+/// on the inline device the delta is deterministic.
 ///
-/// The timed manager keeps metrics off. Once it is dropped, a second one of
-/// the same spec with metrics on runs the same warm-up and then the malloc
-/// and free round of timed iteration 0, untimed; the counters are the delta
-/// across that one round. On the inline device the delta is deterministic.
+/// The warm-up rounds (cached cells) populate the magazine layer with their
+/// frees, so the counted round sees the steady-state hot path instead of
+/// the cold first fill. A distinct seed keeps a warm-up's size stream from
+/// matching the counted round's exactly — the magazines must pay off via
+/// class rounding, not size identity.
 fn perf_cell(
     bench: &Bench,
     kind: ManagerKind,
@@ -211,59 +209,47 @@ fn perf_cell(
     size: u64,
     malloc: impl Fn(&dyn DeviceAllocator, u64) -> Round,
 ) -> AllocPerfCell {
-    let build = |metrics| {
-        bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(metrics).build()
-    };
-    // Untimed warm-up passes (cached cells): the frees populate the
-    // magazine layer, so the timed loop measures the steady-state hot path
-    // instead of the cold first fill. A distinct seed keeps a warm-up's
-    // size stream from matching any timed iteration exactly — the
-    // magazines must pay off via class rounding, not size identity.
-    let warm_up = |alloc: &dyn DeviceAllocator| {
-        for w in 0..bench.warmup {
-            round::free(alloc, &bench.device, &malloc(alloc, bench.seed ^ !(w as u64)));
-        }
-    };
-    let alloc = build(false);
-    warm_up(alloc.as_ref());
-
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(true).build();
+    let (alloc, device) = (alloc.as_ref(), &bench.device);
+    for w in 0..bench.warmup {
+        round::free(alloc, device, &malloc(alloc, bench.seed ^ !(w as u64)));
+    }
+    let before = alloc.metrics().snapshot();
     let started = Instant::now();
-    let mut alloc_total = Duration::ZERO;
-    // `None` when the manager cannot free (Atomic).
-    let mut free_total = Some(Duration::ZERO);
-    let mut failures = 0u64;
-    let mut iters_done = 0u32;
-    for it in 0..bench.iterations {
-        let r = malloc(alloc.as_ref(), bench.seed ^ (it as u64));
-        failures += r.failures;
-        alloc_total += r.elapsed;
-        let freed = round::free(alloc.as_ref(), &bench.device, &r);
-        free_total = free_total.zip(freed).map(|(total, (t, _))| total + t);
-        iters_done += 1;
-        if started.elapsed() > bench.cell_timeout {
-            break;
-        }
-    }
-    let timed_out = started.elapsed() > bench.cell_timeout;
-    drop(alloc);
-
-    let counted = build(true);
-    warm_up(counted.as_ref());
-    let before = counted.metrics().snapshot();
-    round::free(counted.as_ref(), &bench.device, &malloc(counted.as_ref(), bench.seed));
-    let counters = counted.metrics().snapshot().delta_since(&before);
-
-    let n = iters_done.max(1);
+    let r = malloc(alloc, bench.seed);
+    round::free(alloc, device, &r);
     AllocPerfCell {
-        manager: kind.label(),
-        size,
-        num,
-        alloc: alloc_total / n,
-        free: free_total.map(|t| t / n),
-        failures,
-        timed_out,
-        counters,
+        failures: r.failures,
+        timed_out: started.elapsed() > bench.cell_timeout,
+        counters: alloc.metrics().snapshot().delta_since(&before),
     }
+}
+
+/// Mean wall clock of a cell's malloc and free rounds.
+#[derive(Clone, Copy, Debug)]
+pub struct AllocTiming {
+    pub alloc: Duration,
+    /// `None` when the manager cannot free (Atomic).
+    pub free: Option<Duration>,
+}
+
+/// Times a thread-based Fig. 9 cell: on one manager with metrics off,
+/// `bench.iterations` rounds of `num` allocations of `size` bytes and their
+/// frees. The timing-ratio shapes read it; the matrix counts instead
+/// ([`alloc_perf`]).
+pub fn alloc_timing(bench: &Bench, kind: ManagerKind, num: u32, size: u64) -> AllocTiming {
+    let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).build();
+    let (alloc, device) = (alloc.as_ref(), &bench.device);
+    let mut alloc_total = Duration::ZERO;
+    let mut free_total = Some(Duration::ZERO);
+    for _ in 0..bench.iterations {
+        let r = round::malloc_threads(alloc, device, num, |_| size);
+        alloc_total += r.elapsed;
+        let freed = round::free(alloc, device, &r);
+        free_total = free_total.zip(freed).map(|(total, (t, _))| total + t);
+    }
+    let n = bench.iterations.max(1);
+    AllocTiming { alloc: alloc_total / n, free: free_total.map(|t| t / n) }
 }
 
 /// One row of the fragmentation experiment (Fig. 11a).
@@ -533,7 +519,7 @@ pub fn init_performance(bench: &Bench, kind: ManagerKind, heap_bytes: u64) -> In
 }
 
 /// Result of one manager's traced run (`repro trace`): the decoded event
-/// stream plus the three derived views.
+/// stream and what is derived from it.
 #[derive(Clone, Debug)]
 pub struct TraceRun {
     pub manager: &'static str,
@@ -542,8 +528,13 @@ pub struct TraceRun {
     pub trace: Trace,
     /// Latency histograms of the timed ops (p50/p95/p99 in the CSV).
     pub latencies: OpLatencies,
-    /// Heap-occupancy/fragmentation timeline replayed from the trace.
-    pub occupancy: OccupancyTimeline,
+    /// Peak live bytes and live allocations of the trace's live set.
+    pub peak_live_bytes: u64,
+    pub peak_live_allocs: u64,
+    /// Address range every successful allocation of the trace touched.
+    pub address_range: AddressRange,
+    /// The live set at the end of the trace.
+    pub live: LiveSet,
     /// Chrome trace-event JSON export (Perfetto-loadable).
     pub json: String,
     /// Kernel wall-clock across the alloc and free launches.
@@ -551,7 +542,8 @@ pub struct TraceRun {
 }
 
 /// Runs the mixed-size alloc/free workload on `kind` with the event-tracing
-/// layer attached and derives all three trace consumers. A single traced
+/// layer attached, and derives the latency histograms, one [`LiveSet`]
+/// replay's peaks and address range, and the Perfetto export. A single traced
 /// pass (no min-of-N averaging): the product here is the *time axis*, not a
 /// robust scalar. Each round is bracketed by a `LaunchBegin`/`LaunchEnd`
 /// pair on shard 0, which the Perfetto export draws as the launch track; a
@@ -585,9 +577,30 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
     }
     let trace = rec.snapshot();
     let latencies = OpLatencies::from_trace(&trace);
-    let occupancy = occupancy_timeline(&trace, 4096);
+    let mut live = LiveSet::new();
+    let (mut peak_live_bytes, mut peak_live_allocs) = (0, 0);
+    let mut address_range = AddressRange::new();
+    for e in &trace.events {
+        live.apply(e);
+        if let Some((ptr, size)) = e.grant() {
+            address_range.record(DevicePtr::new(ptr), size);
+        }
+        peak_live_bytes = peak_live_bytes.max(live.bytes());
+        peak_live_allocs = peak_live_allocs.max(live.allocs());
+    }
     let json = chrome_trace_json(&trace, kind.label());
-    TraceRun { manager: kind.label(), num, trace, latencies, occupancy, json, elapsed }
+    TraceRun {
+        manager: kind.label(),
+        num,
+        trace,
+        latencies,
+        peak_live_bytes,
+        peak_live_allocs,
+        address_range,
+        live,
+        json,
+        elapsed,
+    }
 }
 
 /// One manager's row of the `sanitize` scenario: violation totals of a
@@ -693,10 +706,10 @@ mod tests {
         for kind in crate::registry::DEFAULT_KINDS {
             let cell = alloc_perf(&b, kind, 2048, 64, false);
             assert_eq!(cell.failures, 0, "{}", kind.label());
-            assert!(cell.alloc.as_nanos() > 0, "{}", kind.label());
-            if kind != ManagerKind::Atomic {
-                assert!(cell.free.is_some(), "{}", kind.label());
-            }
+            assert_eq!(cell.counters.malloc_calls(), 2048, "{}", kind.label());
+            let timing = alloc_timing(&b, kind, 2048, 64);
+            assert!(timing.alloc.as_nanos() > 0, "{}", kind.label());
+            assert_eq!(timing.free.is_some(), kind != ManagerKind::Atomic, "{}", kind.label());
         }
     }
 
@@ -705,7 +718,7 @@ mod tests {
         let b = bench();
         let cell = alloc_perf(&b, ManagerKind::ScatterAlloc, 512, 128, true);
         assert_eq!(cell.failures, 0);
-        assert_eq!(cell.num, 512);
+        assert_eq!(cell.counters.malloc_calls(), 512);
     }
 
     #[test]
@@ -713,7 +726,8 @@ mod tests {
         let b = bench();
         let cell = alloc_perf(&b, ManagerKind::FDGMalloc, 1024, 64, false);
         assert_eq!(cell.failures, 0);
-        assert!(cell.free.is_some(), "tidy-up counts as deallocation");
+        assert_eq!(cell.counters.live(), 0, "tidy-up frees the round");
+        assert!(alloc_timing(&b, ManagerKind::FDGMalloc, 1024, 64).free.is_some());
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //!   structured [`Violation`]s instead of panicking mid-kernel.
 //! * [`trace`] — the event-tracing layer: a per-SM ring-buffer
 //!   [`TraceRecorder`] fed by the [`Traced`] wrapper and the executor,
-//!   with latency-histogram, heap-occupancy-timeline and Chrome/Perfetto
-//!   JSON consumers that replay the live set through one [`LiveSet`]. The
+//!   with a latency-histogram consumer and a Chrome/Perfetto JSON
+//!   consumer that replays the live set through one [`LiveSet`]. The
 //!   Perfetto JSON is the one per-run export.
 //! * [`telemetry`] — the time-series sampler: folds counter deltas and
 //!   trace-ring drains into a bounded [`Sample`] series, cut by a timer
@@ -85,8 +85,7 @@ pub use regs::RegisterFootprint;
 pub use sanitize::{Sanitized, SanitizerConfig, SanitizerReport, Violation, ViolationKind};
 pub use telemetry::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
 pub use trace::{
-    chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,
-    LiveSet, OccupancySample, OccupancyTimeline, OpLatencies, Trace, TraceEvent, TraceRecorder,
-    Traced,
+    chrome_trace_json, validate_chrome_json, EventKind, LatencyHistogram, LiveSet, OpLatencies,
+    Trace, TraceEvent, TraceRecorder, Traced,
 };
 pub use traits::DeviceAllocator;

@@ -10,17 +10,16 @@
 //!
 //! 1. [`OpLatencies`]: per-operation log2-bucketed latency histograms with
 //!    p50/p95/p99 extraction ([`LatencyHistogram`]),
-//! 2. [`occupancy_timeline`]: a heap-occupancy/fragmentation timeline that
-//!    replays alloc/free events into live-byte counts and
-//!    [`AddressRange`](crate::AddressRange) deltas over time,
+//! 2. [`LiveSet`]: the replay of alloc/free events into the blocks live at
+//!    each instant, their bytes and their fragmentation,
 //! 3. [`chrome_trace_json`]: a Chrome trace-event JSON exporter that loads
 //!    directly in Perfetto (`ui.perfetto.dev`) or `chrome://tracing`, with
 //!    one track per SM, async spans for allocation lifetimes, counter
 //!    tracks for heap occupancy and CAS-retry rate, and one counter sample
 //!    per launch window. It is the repo's one per-run export.
 //!
-//! The last two, and the telemetry sampler's windows, replay the live set
-//! through one [`LiveSet`].
+//! The export, `repro trace`'s summary and the telemetry sampler's windows
+//! all replay the live set through one [`LiveSet`].
 //!
 //! # Recording discipline
 //!
@@ -969,8 +968,8 @@ impl OpLatencies {
 
 /// The live set a stream of trace events replays into: every block granted
 /// by a [`TraceEvent::grant`] and not yet retired by a
-/// [`TraceEvent::release`]. The one replay behind [`occupancy_timeline`],
-/// [`chrome_trace_json`] and the telemetry sampler's windows.
+/// [`TraceEvent::release`]. The one replay behind [`chrome_trace_json`],
+/// `repro trace`'s summary and the telemetry sampler's windows.
 ///
 /// A pointer granted again while still live (its `FreeEnd` was lost to a
 /// full shard, or a bulk `free_warp_all` released it without naming it)
@@ -1028,7 +1027,7 @@ impl LiveSet {
         self.unmatched_frees
     }
 
-    /// The live set as one point of the occupancy timeline.
+    /// The live set as one point of the exported occupancy counter track.
     fn occupancy_at(&self, ts_ns: u64) -> OccupancySample {
         OccupancySample { ts_ns, live_bytes: self.bytes, live_allocs: self.allocs() }
     }
@@ -1048,55 +1047,15 @@ impl LiveSet {
     }
 }
 
-/// One point of the heap-occupancy timeline.
+/// One point of the exported heap-occupancy counter track.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OccupancySample {
+struct OccupancySample {
     /// Timestamp of the alloc/free event that produced this sample.
-    pub ts_ns: u64,
+    ts_ns: u64,
     /// Bytes live (allocated, not yet freed) at this instant.
-    pub live_bytes: u64,
+    live_bytes: u64,
     /// Allocations live at this instant.
-    pub live_allocs: u64,
-}
-
-/// The heap-occupancy/fragmentation timeline replayed from a trace.
-#[derive(Clone, Debug, Default)]
-pub struct OccupancyTimeline {
-    /// Samples in time order, decimated to the requested maximum.
-    pub samples: Vec<OccupancySample>,
-    /// Peak live bytes over the run.
-    pub peak_live_bytes: u64,
-    /// Peak live allocation count over the run.
-    pub peak_live_allocs: u64,
-    /// Cumulative address range touched by all successful allocations.
-    pub address_range: AddressRange,
-    /// `FreeEnd` events whose pointer the replay never saw allocated
-    /// (collective bulk frees, or `MallocEnd` events lost to ring drops).
-    pub unmatched_frees: u64,
-}
-
-/// Replays the trace's alloc/free events into a heap-occupancy timeline:
-/// live bytes, live allocation count and the cumulative
-/// [`AddressRange`](crate::AddressRange) after every event, decimated to at
-/// most `max_samples` points (the final state is always kept).
-pub fn occupancy_timeline(trace: &Trace, max_samples: usize) -> OccupancyTimeline {
-    let mut live = LiveSet::new();
-    let mut out = OccupancyTimeline::default();
-    let mut raw: Vec<OccupancySample> = Vec::new();
-    for e in &trace.events {
-        if live.apply(e).is_none() {
-            continue;
-        }
-        if let Some((ptr, size)) = e.grant() {
-            out.address_range.record(DevicePtr::new(ptr), size);
-        }
-        out.peak_live_bytes = out.peak_live_bytes.max(live.bytes());
-        out.peak_live_allocs = out.peak_live_allocs.max(live.allocs());
-        raw.push(live.occupancy_at(e.ts_ns));
-    }
-    out.unmatched_frees = live.unmatched_frees();
-    out.samples = decimate(raw, max_samples);
-    out
+    live_allocs: u64,
 }
 
 /// Keeps at most `max` evenly strided samples, always including the last.
@@ -1687,8 +1646,18 @@ mod tests {
         assert_eq!(lat.free.max_ns(), 50);
     }
 
+    /// `(live bytes, live allocations)` after each grant or release of `t`,
+    /// and the live set they leave.
+    fn replay(t: &Trace) -> (Vec<(u64, u64)>, LiveSet) {
+        let mut set = LiveSet::new();
+        let steps = (t.events.iter())
+            .filter_map(|e| set.apply(e).map(|_| (set.bytes(), set.allocs())))
+            .collect();
+        (steps, set)
+    }
+
     #[test]
-    fn occupancy_replay_tracks_live_bytes_and_range() {
+    fn live_set_replay_tracks_live_bytes() {
         let t = Trace {
             events: vec![
                 ev(10, EventKind::MallocEnd, 0, [0, 100, 5, 0]),
@@ -1703,16 +1672,9 @@ mod tests {
             ],
             dropped: 0,
         };
-        let occ = occupancy_timeline(&t, 1000);
-        assert_eq!(occ.peak_live_bytes, 150);
-        assert_eq!(occ.peak_live_allocs, 2);
-        assert_eq!(occ.unmatched_frees, 1);
-        let last = occ.samples.last().unwrap();
-        assert_eq!(last.live_bytes, 50);
-        assert_eq!(last.live_allocs, 1);
-        // Allocations covered [0,100) and [100,150) -> span 150.
-        assert_eq!(occ.address_range.range(), 150);
-        assert_eq!(occ.address_range.count(), 2);
+        let (steps, set) = replay(&t);
+        assert_eq!(steps, [(100, 1), (150, 2), (50, 1), (50, 1)]);
+        assert_eq!(set.unmatched_frees(), 1);
     }
 
     /// A pointer granted again while it is still live (its `FreeEnd` lost
@@ -1720,7 +1682,7 @@ mod tests {
     /// takes its new size: the release then leaves nothing live, where
     /// keeping the old size would underflow the live bytes.
     #[test]
-    fn occupancy_replay_of_a_regrant_takes_the_new_size() {
+    fn live_set_replay_of_a_regrant_takes_the_new_size() {
         let t = Trace {
             events: vec![
                 ev(1, EventKind::MallocEnd, 0, [0, 16, 0, 0]),
@@ -1729,11 +1691,9 @@ mod tests {
             ],
             dropped: 0,
         };
-        let occ = occupancy_timeline(&t, 16);
-        let live: Vec<(u64, u64)> =
-            occ.samples.iter().map(|s| (s.live_bytes, s.live_allocs)).collect();
-        assert_eq!(live, [(16, 1), (64, 1), (0, 0)]);
-        assert_eq!((occ.peak_live_bytes, occ.unmatched_frees), (64, 0));
+        let (steps, set) = replay(&t);
+        assert_eq!(steps, [(16, 1), (64, 1), (0, 0)]);
+        assert_eq!(set.unmatched_frees(), 0);
         let mut set = LiveSet::new();
         let opened: Vec<Option<bool>> = t.events.iter().map(|e| set.apply(e)).collect();
         assert_eq!(opened, [Some(true), Some(false), Some(true)], "the re-grant opens no block");
@@ -1742,13 +1702,13 @@ mod tests {
 
     #[test]
     fn occupancy_decimation_keeps_last_sample() {
-        let events: Vec<TraceEvent> =
-            (0..100).map(|i| ev(i, EventKind::MallocEnd, 0, [i * 64, 64, 5, 0])).collect();
-        let t = Trace { events, dropped: 0 };
-        let occ = occupancy_timeline(&t, 10);
-        assert!(occ.samples.len() <= 11, "got {}", occ.samples.len());
-        assert_eq!(occ.samples.last().unwrap().live_allocs, 100);
-        assert_eq!(occ.peak_live_bytes, 6400);
+        let raw: Vec<OccupancySample> = (0..100)
+            .map(|i| OccupancySample { ts_ns: i, live_bytes: i * 64, live_allocs: i })
+            .collect();
+        let last = *raw.last().unwrap();
+        let thin = decimate(raw, 10);
+        assert!(thin.len() <= 11, "got {}", thin.len());
+        assert_eq!(thin.last(), Some(&last));
     }
 
     #[test]

@@ -138,12 +138,17 @@ grep -q '"heap_mb": "8192"' target/perf-smoke/BENCH_perf_thread.json
 
 # Repro-matrix smoke gate: rerun every smoke-tier scenario and compare it
 # against the committed BENCH_*.json anchors. The smoke tier runs on the
-# inline one-worker device whatever GMS_WORKERS says, so every exact metric
-# must be bit-equal; info metrics (timings, host readings) are not compared.
-# Exits nonzero on an exact mismatch or a missing/damaged anchor.
+# inline one-worker device whatever GMS_WORKERS says, and an anchor holds
+# only counts and model outputs, no clock reading, so every metric must be
+# bit-equal. Exits nonzero on a mismatch or a missing/damaged anchor.
 # Re-baseline with `repro matrix --smoke` after intentional changes.
 echo "==> repro gate --smoke"
 cargo run --offline --release -q -p gpumem-bench --bin repro -- gate --smoke
+# A gate restricted to one manager compares that manager's keys of each
+# anchor, and passes: the other managers' keys are not missing from it.
+echo "==> repro gate --smoke -m scatter --scenario perf_thread"
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    gate --smoke -m scatter --scenario perf_thread > /dev/null
 
 # Event-tracing smoke: a traced run must produce a Perfetto-loadable Chrome
 # trace (the binary validates it before writing) plus a latency-percentile

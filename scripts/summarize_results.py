@@ -4,8 +4,10 @@
 Usage: python3 scripts/summarize_results.py [anchor_dir]   (default: .)
 Prints one table per scenario to stdout: a row per manager, a column per
 cell/measure — the `manager/cell/measure` convention of the anchors' metric
-keys (`repro matrix`). The tables in EXPERIMENTS.md are regenerated with
-`repro matrix --tier full --anchors DIR` followed by this script.
+keys (`repro matrix`). Anchors hold exact metrics only (failures, contention
+counters, sanitizer violations, model outputs), so these tables are exact
+too. The timed tables in EXPERIMENTS.md (Mops, ms) are not regenerated from
+anchors: no anchor holds a clock reading.
 """
 import json
 import sys

@@ -24,8 +24,8 @@ pub mod prelude {
     pub use gpu_sim::{Device, DeviceSpec, SchedStats};
     pub use gpumem_bench::registry::{ManagerBuilder, ManagerKind};
     pub use gpumem_core::{
-        chrome_trace_json, occupancy_timeline, validate_chrome_json, EventKind, LatencyHistogram,
-        OccupancyTimeline, OpLatencies, Trace, TraceRecorder, Traced,
+        chrome_trace_json, validate_chrome_json, EventKind, LatencyHistogram, OpLatencies, Trace,
+        TraceRecorder, Traced,
     };
     pub use gpumem_core::{
         AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr,

@@ -150,7 +150,6 @@ fn perf_cell_counted_round_reproduces_one_round_of_calls() {
     for cached in [false, true] {
         // The matrix's tiny/smoke context: inline device, cached cells warmed.
         let mut bench = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 1));
-        bench.iterations = 1;
         bench.cached = cached;
         bench.warmup = u32::from(cached);
         for kind in [Atomic, ScatterAlloc, XMalloc, Halloc] {

@@ -44,9 +44,9 @@ fn inline_bench() -> Bench {
 fn cuda_allocator_is_outperformed_for_small_sizes() {
     let b = bench();
     let n = 10_000;
-    let cuda = runners::alloc_perf(&b, ManagerKind::CudaAllocator, n, 64, false);
-    let scatter = runners::alloc_perf(&b, ManagerKind::ScatterAlloc, n, 64, false);
-    let ouro = runners::alloc_perf(&b, ManagerKind::OuroVLP, n, 64, false);
+    let cuda = runners::alloc_timing(&b, ManagerKind::CudaAllocator, n, 64);
+    let scatter = runners::alloc_timing(&b, ManagerKind::ScatterAlloc, n, 64);
+    let ouro = runners::alloc_timing(&b, ManagerKind::OuroVLP, n, 64);
     // Free: CUDA clearly slowest (paper: "only approach with deallocation
     // performance consistently above 1 ms").
     let cuda_free = cuda.free.unwrap();
@@ -70,8 +70,7 @@ fn cuda_allocator_is_outperformed_for_small_sizes() {
 #[test]
 fn cuda_allocator_free_walks_its_class_stack() {
     const N: u32 = 10_000;
-    let mut b = inline_bench();
-    b.iterations = 1;
+    let b = inline_bench();
     let hops_per_free = |kind| {
         let c = runners::alloc_perf(&b, kind, N, 64, false).counters;
         assert_eq!(c.free_calls(), u64::from(N), "{kind}: one counted free per thread");
@@ -96,9 +95,9 @@ fn cuda_allocator_free_walks_its_class_stack() {
 #[test]
 fn cuda_allocator_unit_split_at_2048() {
     let b = bench();
-    let at_2048 = runners::alloc_perf(&b, ManagerKind::CudaAllocator, 10_000, 2048, false);
-    let at_4096 = runners::alloc_perf(&b, ManagerKind::CudaAllocator, 10_000, 4096, false);
-    let at_64 = runners::alloc_perf(&b, ManagerKind::CudaAllocator, 10_000, 64, false);
+    let at_2048 = runners::alloc_timing(&b, ManagerKind::CudaAllocator, 10_000, 2048);
+    let at_4096 = runners::alloc_timing(&b, ManagerKind::CudaAllocator, 10_000, 4096);
+    let at_64 = runners::alloc_timing(&b, ManagerKind::CudaAllocator, 10_000, 64);
     assert!(
         at_2048.alloc > at_64.alloc * 2,
         "staircase: 2048 B ({:?}) must dwarf 64 B ({:?})",
@@ -122,8 +121,7 @@ fn cuda_allocator_unit_split_at_2048() {
 #[test]
 fn cuda_allocator_small_path_walks_its_units_up_to_2048() {
     const N: u32 = 10_000;
-    let mut b = inline_bench();
-    b.iterations = 1;
+    let b = inline_bench();
     let counts =
         |size| runners::alloc_perf(&b, ManagerKind::CudaAllocator, N, size, false).counters;
     let (at_64, at_1k, at_2k, at_4k) = (counts(64), counts(1024), counts(2048), counts(4096));
@@ -150,8 +148,8 @@ fn cuda_allocator_small_path_walks_its_units_up_to_2048() {
 #[test]
 fn scatteralloc_multipage_cliff() {
     let b = bench();
-    let single = runners::alloc_perf(&b, ManagerKind::ScatterAlloc, 10_000, 2048, false);
-    let multi = runners::alloc_perf(&b, ManagerKind::ScatterAlloc, 10_000, 8192, false);
+    let single = runners::alloc_timing(&b, ManagerKind::ScatterAlloc, 10_000, 2048);
+    let multi = runners::alloc_timing(&b, ManagerKind::ScatterAlloc, 10_000, 8192);
     assert!(
         multi.alloc > single.alloc * 3,
         "multipage {:?} must be a cliff vs single-page {:?}",
@@ -160,7 +158,7 @@ fn scatteralloc_multipage_cliff() {
     );
     // While page-based Ouroboros stays flat over the same boundary (paper:
     // "considerably outperform all other approaches for larger sizes").
-    let ouro = runners::alloc_perf(&b, ManagerKind::OuroSP, 10_000, 8192, false);
+    let ouro = runners::alloc_timing(&b, ManagerKind::OuroSP, 10_000, 8192);
     assert!(
         ouro.alloc < multi.alloc / 3,
         "ouroboros {:?} must beat scatter {:?} at 8 KiB",
@@ -178,8 +176,7 @@ fn scatteralloc_multipage_cliff() {
 #[test]
 fn scatteralloc_multipage_search_probes_every_page() {
     const N: u32 = 10_000;
-    let mut b = inline_bench();
-    b.iterations = 1;
+    let b = inline_bench();
     let probes = |kind, size| runners::alloc_perf(&b, kind, N, size, false).counters.probe_steps();
     let scatter = [2048, 4096, 8192].map(|size| probes(ManagerKind::ScatterAlloc, size));
     assert!(

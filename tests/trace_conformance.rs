@@ -27,7 +27,9 @@ use gpumemsurvey::bench::registry::ManagerKind;
 use gpumemsurvey::bench::runners::{self, Bench};
 use gpumemsurvey::core::json::Json;
 use gpumemsurvey::core::trace::{DEFAULT_EVENTS_PER_SM, TIMED_ONE_IN};
-use gpumemsurvey::core::{validate_chrome_json, EventKind, RegisterFootprint, TraceRecorder};
+use gpumemsurvey::core::{
+    validate_chrome_json, EventKind, LiveSet, RegisterFootprint, TraceRecorder,
+};
 use gpumemsurvey::gpu_workloads::round;
 use gpumemsurvey::prelude::*;
 
@@ -57,14 +59,15 @@ fn traced_run_exports_valid_chrome_json_with_nonzero_percentiles() {
         assert!(h.p99() <= h.max_ns(), "{op}: p99 bounded by the observed max");
     }
 
-    // The occupancy timeline replays the same stream into a consistent
-    // heap-usage curve: every thread allocated then freed, so the peak is
-    // positive, bounded by the thread count, and the final sample is empty.
-    assert!(r.occupancy.peak_live_bytes > 0);
-    assert!(r.occupancy.peak_live_allocs > 0 && r.occupancy.peak_live_allocs <= u64::from(N));
-    assert_eq!(r.occupancy.unmatched_frees, 0, "every free matches a traced malloc");
-    let last = r.occupancy.samples.last().expect("timeline has samples");
-    assert_eq!((last.live_bytes, last.live_allocs), (0, 0), "run ends with an empty heap");
+    // The live set replays the same stream into a consistent heap usage:
+    // every thread allocated then freed, so the peak is positive, bounded
+    // by the thread count, and the run ends with nothing live.
+    assert!(r.peak_live_bytes > 0);
+    assert!(r.peak_live_allocs > 0 && r.peak_live_allocs <= u64::from(N));
+    assert_eq!(r.address_range.count(), u64::from(N), "every grant widens the range");
+    assert!(r.address_range.range() >= r.peak_live_bytes);
+    assert_eq!(r.live.unmatched_frees(), 0, "every free matches a traced malloc");
+    assert_eq!((r.live.bytes(), r.live.allocs()), (0, 0), "run ends with an empty heap");
 
     // One `launch window` counter sample per launch slice, folded from the
     // same stream: the malloc launch's window holds every malloc, the free
@@ -433,48 +436,48 @@ fn traced_op_costs_one_clock_read_and_one_record() {
     );
 }
 
-/// Edge case: replaying an empty stream must yield an empty, all-zero
-/// timeline — no phantom sample, no peak, no address range.
+/// `(live bytes, live allocations)` after each event of `rec`'s trace that
+/// grants or releases a block, and the live set they leave.
+fn replay(rec: &TraceRecorder) -> (Vec<(u64, u64)>, LiveSet) {
+    let mut live = LiveSet::new();
+    let steps = (rec.snapshot().events.iter())
+        .filter_map(|e| live.apply(e).map(|_| (live.bytes(), live.allocs())))
+        .collect();
+    (steps, live)
+}
+
+/// Edge case: replaying an empty stream must yield an empty live set — no
+/// phantom step, no live block, no unmatched free.
 #[test]
-fn occupancy_timeline_of_empty_stream_is_empty() {
+fn live_set_of_empty_stream_is_empty() {
     let rec = TraceRecorder::new(4, 16);
-    let tl = occupancy_timeline(&rec.snapshot(), 64);
-    assert!(tl.samples.is_empty(), "no events, no samples");
-    assert_eq!(tl.peak_live_bytes, 0);
-    assert_eq!(tl.peak_live_allocs, 0);
-    assert_eq!(tl.unmatched_frees, 0);
-    assert_eq!(tl.address_range.range(), 0);
+    let (steps, live) = replay(&rec);
+    assert!(steps.is_empty(), "no events, no steps");
+    assert_eq!((live.bytes(), live.allocs(), live.unmatched_frees()), (0, 0, 0));
 }
 
 /// Edge case: a `FreeEnd` whose pointer the replay never saw allocated
 /// (ring drop ate the `MallocEnd`, or a collective bulk free) must count
-/// as unmatched, never underflow the live curve, and must not poison the
+/// as unmatched, never underflow the live bytes, and must not poison the
 /// later matched cycle on the same address.
 #[test]
-fn occupancy_timeline_counts_free_before_malloc_as_unmatched() {
+fn live_set_counts_free_before_malloc_as_unmatched() {
     let rec = TraceRecorder::new(4, 16);
     rec.emit_at(10, 0, EventKind::FreeEnd, [0x40, 5, 0, 1]); // never allocated
     rec.emit_at(20, 0, EventKind::MallocEnd, [0x40, 64, 5, 0]);
     rec.emit_at(30, 0, EventKind::FreeEnd, [0x40, 5, 0, 1]); // matches the malloc
-    let tl = occupancy_timeline(&rec.snapshot(), 64);
-    assert_eq!(tl.unmatched_frees, 1, "only the early free is unmatched");
-    assert_eq!(tl.samples.len(), 3, "every replayed event samples the curve");
-    assert_eq!(
-        (tl.samples[0].live_bytes, tl.samples[0].live_allocs),
-        (0, 0),
-        "unmatched free must not underflow"
-    );
-    assert_eq!(tl.peak_live_bytes, 64);
-    let last = tl.samples.last().unwrap();
-    assert_eq!((last.live_bytes, last.live_allocs), (0, 0), "matched cycle still balances");
+    let (steps, live) = replay(&rec);
+    assert_eq!(live.unmatched_frees(), 1, "only the early free is unmatched");
+    // The unmatched free does not underflow, and the matched cycle balances.
+    assert_eq!(steps, [(0, 0), (64, 1), (0, 0)], "every replayed event is a step");
 }
 
 /// Edge case: a shard filled to *exactly* its capacity records everything
 /// and drops nothing; the next event hits drop-newest backpressure and
 /// must be invisible to the replay (counted in `dropped()`, absent from
-/// the timeline) rather than corrupting it.
+/// the live set) rather than corrupting it.
 #[test]
-fn occupancy_timeline_survives_ring_wrap_at_exact_capacity() {
+fn live_set_survives_ring_fill_at_exact_capacity() {
     let cap = 8usize;
     let rec = TraceRecorder::new(1, cap);
     for i in 0..cap as u64 {
@@ -482,19 +485,14 @@ fn occupancy_timeline_survives_ring_wrap_at_exact_capacity() {
     }
     assert_eq!(rec.recorded(), cap as u64, "exact fill commits every slot");
     assert_eq!(rec.dropped(), 0, "exact fill drops nothing");
-    let tl = occupancy_timeline(&rec.snapshot(), cap * 2);
-    assert_eq!(tl.samples.len(), cap);
-    assert_eq!(tl.peak_live_allocs, cap as u64);
+    let (steps, live) = replay(&rec);
+    assert_eq!(steps.len(), cap);
+    assert_eq!(live.allocs(), cap as u64);
 
     rec.emit_at(99, 0, EventKind::FreeEnd, [0x100, 5, 0, 1]); // one past capacity
     assert_eq!(rec.dropped(), 1, "overflow is drop-newest, and it is counted");
-    let tl2 = occupancy_timeline(&rec.snapshot(), cap * 2);
-    assert_eq!(tl2.samples.len(), cap, "the dropped event never reaches the replay");
-    assert_eq!(tl2.peak_live_allocs, cap as u64, "live curve unchanged by the drop");
-    assert_eq!(tl2.unmatched_frees, 0);
-
-    // Decimation keeps the (strided) shape and always the final state.
-    let thin = occupancy_timeline(&rec.snapshot(), 2);
-    assert!(thin.samples.len() <= 3, "decimated to ~max_samples");
-    assert_eq!(thin.samples.last(), tl.samples.last(), "final state always kept");
+    let (steps2, live2) = replay(&rec);
+    assert_eq!(steps2, steps, "the dropped event never reaches the replay");
+    assert_eq!((live2.allocs(), live2.bytes()), (cap as u64, cap as u64 * 64));
+    assert_eq!(live2.unmatched_frees(), 0);
 }
