@@ -17,8 +17,8 @@
 //! `--device titanv|2080ti`, `--out DIR`, `--heap-backend ram|mmap`
 //! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
 //! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix` and `gate`
-//! take their counts and per-cell timeouts from the tier and refuse
-//! `--cached`. An anchor holds counts and model outputs, no timings. The
+//! take their counts from the tier, cut a cell at `runners::CELL_TIMEOUT`
+//! and refuse `--cached`. An anchor holds counts and model outputs, no timings. The
 //! trace is the one per-run export: its Perfetto JSON carries a `launch
 //! window` counter sample per launch and the events the recorder dropped.
 //! `table1` and `trace` print each table they save as CSV, with the same
@@ -245,8 +245,8 @@ fn table1(opts: &Opts) {
 
 /// Matrix/gate configuration from the command line: tier, seed,
 /// device, heap (backend, `--heap-mb`) and the `-t`/`-m` manager
-/// restriction. Timeouts and worker counts stay tier-pinned so anchors of
-/// the same tier are always comparable.
+/// restriction. Worker counts stay tier-pinned so anchors of the same tier
+/// are always comparable.
 fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
@@ -419,11 +419,11 @@ fn trace(opts: &Opts) {
         ("malloc", EventKind::MallocEnd, &r.latencies.malloc),
         ("free", EventKind::FreeEnd, &r.latencies.free),
     ];
-    for (op, kind, h) in ops {
+    for (op, event, h) in ops {
         csv.row([
-            r.manager.to_string(),
+            kind.label().to_string(),
             op.to_string(),
-            r.trace.count(kind).to_string(),
+            r.trace.count(event).to_string(),
             r.trace.dropped.to_string(),
             h.p50().to_string(),
             h.p95().to_string(),

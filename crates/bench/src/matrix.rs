@@ -29,7 +29,6 @@
 
 use std::fmt;
 use std::ops::RangeInclusive;
-use std::time::Duration;
 
 use gpu_sim::{Device, DeviceSpec};
 use gpu_workloads::sizes;
@@ -182,7 +181,6 @@ pub struct MatrixCfg {
     pub device: DeviceSpec,
     pub tier: Tier,
     pub seed: u64,
-    pub timeout: Duration,
     pub heap_backend: HeapBackendKind,
     /// Pins every cell's heap to this many bytes instead of the
     /// demand-derived sizing (`--heap-mb`: the paper's 8 GiB heap).
@@ -202,7 +200,6 @@ impl MatrixCfg {
             device: DeviceSpec::titan_v(),
             tier,
             seed: 0x5eed,
-            timeout: Duration::from_secs(if tier == Tier::Full { 30 } else { 20 }),
             heap_backend: HeapBackendKind::env_default(),
             heap_override: None,
             kinds: None,
@@ -245,10 +242,10 @@ impl MatrixCfg {
     }
 
     /// The shared runner context for one scenario. The tier pins the worker
-    /// count for the same reason it pins timeouts, so that anchors compare:
-    /// `tiny` and `smoke` run on the inline one-worker device, whose
-    /// sequential warp order makes every metric reproduce bit for bit;
-    /// `full` runs on the configured pool.
+    /// count so that anchors compare: `tiny` and `smoke` run on the inline
+    /// one-worker device, whose sequential warp order makes every metric
+    /// reproduce bit for bit; `full` runs on the configured pool. Every tier
+    /// cuts a cell at the one `runners::CELL_TIMEOUT`.
     pub fn bench(&self) -> Bench {
         let dev = match self.tier {
             Tier::Tiny | Tier::Smoke => Device::with_workers(self.device, 1),
@@ -256,19 +253,17 @@ impl MatrixCfg {
         };
         let mut b = Bench::new(dev);
         b.seed = self.seed;
-        b.cell_timeout = self.timeout;
         b.heap_backend = self.heap_backend;
         b.heap_override = self.heap_override;
         b
     }
 
-    /// [`MatrixCfg::bench`] with the `Cached` magazine decorator enabled and
-    /// one warm-up round, so the counted round sees the steady-state
-    /// magazines rather than the cold first fill.
+    /// [`MatrixCfg::bench`] with the `Cached` magazine decorator enabled, so
+    /// a perf cell warms its magazines with one round before the round it
+    /// counts.
     pub fn cached_bench(&self) -> Bench {
         let mut b = self.bench();
         b.cached = true;
-        b.warmup = 1;
         b
     }
 
@@ -703,9 +698,9 @@ fn graph_update(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         let csr = dyn_graph::generate(name, ax.graph_div, bench.seed);
         for kind in cfg.restrict(&GRAPH_KINDS) {
             for (mode, focused) in [("focused", true), ("uniform", false)] {
-                let c = runners::graph_update(&bench, kind, &csr, ax.update_edges, focused)?;
+                let failures = runners::graph_update(&bench, kind, &csr, ax.update_edges, focused)?;
                 let k = format!("{}/{mode}", cfg.cell(kind.label(), name));
-                metrics.push(Metric::exact(format!("{k}/failures"), c.failures as f64));
+                metrics.push(Metric::exact(format!("{k}/failures"), failures as f64));
             }
         }
     }
@@ -743,15 +738,14 @@ fn churn(cfg: &MatrixCfg) -> Result<Vec<Metric>, MatrixError> {
         if !info.supports_free && !info.warp_level_only {
             continue;
         }
-        let r = gpu_workloads::churn::run(
+        let failures = gpu_workloads::churn::run(
             alloc.as_ref(),
             &bench.device,
             ax.churn_threads,
             SIZE,
             CYCLES,
         );
-        let k = kind.label();
-        metrics.push(Metric::exact(format!("{k}/failures"), r.failures as f64));
+        metrics.push(Metric::exact(format!("{}/failures", kind.label()), failures as f64));
     }
     Ok(metrics)
 }

@@ -2,10 +2,12 @@
 //!
 //! Every runner creates a *fresh* manager per cell (as the artifact's
 //! scripts do between runs), executes the kernel(s) on the simulated
-//! device, and returns plain rows: the matrix scenarios turn them into anchor
-//! metrics, `repro trace` into its latency CSV. The allocate-then-free
-//! runners launch through `gpu_workloads::round`, so how a manager frees is
-//! decided in one place.
+//! device, and returns what its callers read: the matrix scenarios turn it
+//! into anchor metrics, `repro trace` into its latency CSV,
+//! `tests/paper_shapes.rs` into its timing ratios. A result carries no
+//! label of its cell; the caller knows which manager and size it asked
+//! for. The allocate-then-free runners launch through
+//! `gpu_workloads::round`, so how a manager frees is decided in one place.
 
 use std::time::{Duration, Instant};
 
@@ -22,33 +24,32 @@ use gpumem_core::{
 
 use crate::registry::{ManagerBuilder, ManagerKind};
 
+/// Timed rounds per [`alloc_timing`] cell, whose mean it reports (the
+/// paper uses 100; the CPU port uses 2). The counted runners the matrix
+/// calls run one round.
+pub const TIMED_ROUNDS: u32 = 2;
+
+/// The one per-cell timeout (the artifact's per-process cut, Fig. 11b's
+/// hour): a perf cell that outlives it makes the matrix skip the manager's
+/// larger sizes, and an OOM storm stops there.
+pub const CELL_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Shared experiment context.
 pub struct Bench {
     /// The simulated device (spec + worker pool).
     pub device: Device,
-    /// Timed rounds per [`alloc_timing`] cell, whose mean it reports (the
-    /// paper uses 100; the CPU default is smaller). Only timing reads it:
-    /// the counted runners the matrix calls run one round.
-    pub iterations: u32,
     /// Workload seed.
     pub seed: u64,
-    /// Soft per-cell timeout: once a cell exceeds it, larger parameter
-    /// values for the same manager are skipped (mirrors the artifact's
-    /// per-process timeout).
-    pub cell_timeout: Duration,
     /// Heap substrate every runner builds managers over (default: the
     /// `GMS_HEAP_BACKEND` environment default, normally RAM).
     pub heap_backend: HeapBackendKind,
     /// When set, overrides the demand-derived [`heap_for`] size for every
     /// cell — how `--heap-mb 8192` pins the paper's full 8 GiB heap.
     pub heap_override: Option<u64>,
-    /// Wrap every manager in the `Cached` magazine decorator.
+    /// Wrap every manager in the `Cached` magazine decorator. A cached perf
+    /// cell ([`alloc_perf`], [`mixed_perf`]) also runs one warm-up round
+    /// before the round it counts.
     pub cached: bool,
-    /// Warm-up rounds on a perf cell's manager before the round it counts
-    /// ([`alloc_perf`], [`mixed_perf`]). Cached cells use 1 so that round
-    /// sees the steady-state hot path (magazines populated by the warm-up's
-    /// frees) rather than the cold first pass.
-    pub warmup: u32,
 }
 
 impl Bench {
@@ -56,13 +57,10 @@ impl Bench {
     pub fn new(device: Device) -> Self {
         Bench {
             device,
-            iterations: 2,
             seed: 0x5eed,
-            cell_timeout: Duration::from_secs(20),
             heap_backend: HeapBackendKind::env_default(),
             heap_override: None,
             cached: false,
-            warmup: 0,
         }
     }
 
@@ -157,8 +155,8 @@ pub fn try_heap_for(num: u32, max_size: u64) -> Result<u64, SizingError> {
 pub struct AllocPerfCell {
     /// Requests of the round that got no pointer.
     pub failures: u64,
-    /// The round outlived `bench.cell_timeout`: the matrix skips the
-    /// manager's larger sizes (the artifact's per-process timeout).
+    /// The round outlived [`CELL_TIMEOUT`]: the matrix skips the manager's
+    /// larger sizes (the artifact's per-process timeout).
     pub timed_out: bool,
     /// Counter delta of the round.
     pub counters: CounterSnapshot,
@@ -192,16 +190,16 @@ pub fn mixed_perf(bench: &Bench, kind: ManagerKind, num: u32, upper: u64) -> All
 }
 
 /// The round behind [`alloc_perf`] and [`mixed_perf`]: a fresh manager
-/// sized for `num × size` with metrics on, `bench.warmup` rounds, then one
-/// malloc and free round at `bench.seed`; `malloc` runs one allocation
-/// round for a round seed. The counters are the delta across that round;
-/// on the inline device the delta is deterministic.
+/// sized for `num × size` with metrics on, one warm-up round when
+/// `bench.cached`, then one malloc and free round at `bench.seed`; `malloc`
+/// runs one allocation round for a round seed. The counters are the delta
+/// across that round; on the inline device the delta is deterministic.
 ///
-/// The warm-up rounds (cached cells) populate the magazine layer with their
-/// frees, so the counted round sees the steady-state hot path instead of
-/// the cold first fill. A distinct seed keeps a warm-up's size stream from
-/// matching the counted round's exactly — the magazines must pay off via
-/// class rounding, not size identity.
+/// The warm-up round populates the magazine layer with its frees, so the
+/// counted round sees the steady-state hot path instead of the cold first
+/// fill. A distinct seed keeps the warm-up's size stream from matching the
+/// counted round's exactly — the magazines must pay off via class
+/// rounding, not size identity.
 fn perf_cell(
     bench: &Bench,
     kind: ManagerKind,
@@ -211,8 +209,8 @@ fn perf_cell(
 ) -> AllocPerfCell {
     let alloc = bench.builder(kind).heap_spec(bench.heap_spec(num, size)).metrics(true).build();
     let (alloc, device) = (alloc.as_ref(), &bench.device);
-    for w in 0..bench.warmup {
-        round::free(alloc, device, &malloc(alloc, bench.seed ^ !(w as u64)));
+    if bench.cached {
+        round::free(alloc, device, &malloc(alloc, !bench.seed));
     }
     let before = alloc.metrics().snapshot();
     let started = Instant::now();
@@ -220,7 +218,7 @@ fn perf_cell(
     round::free(alloc, device, &r);
     AllocPerfCell {
         failures: r.failures,
-        timed_out: started.elapsed() > bench.cell_timeout,
+        timed_out: started.elapsed() > CELL_TIMEOUT,
         counters: alloc.metrics().snapshot().delta_since(&before),
     }
 }
@@ -234,7 +232,7 @@ pub struct AllocTiming {
 }
 
 /// Times a thread-based Fig. 9 cell: on one manager with metrics off,
-/// `bench.iterations` rounds of `num` allocations of `size` bytes and their
+/// [`TIMED_ROUNDS`] rounds of `num` allocations of `size` bytes and their
 /// frees. The timing-ratio shapes read it; the matrix counts instead
 /// ([`alloc_perf`]).
 pub fn alloc_timing(bench: &Bench, kind: ManagerKind, num: u32, size: u64) -> AllocTiming {
@@ -242,21 +240,18 @@ pub fn alloc_timing(bench: &Bench, kind: ManagerKind, num: u32, size: u64) -> Al
     let (alloc, device) = (alloc.as_ref(), &bench.device);
     let mut alloc_total = Duration::ZERO;
     let mut free_total = Some(Duration::ZERO);
-    for _ in 0..bench.iterations {
+    for _ in 0..TIMED_ROUNDS {
         let r = round::malloc_threads(alloc, device, num, |_| size);
         alloc_total += r.elapsed;
         let freed = round::free(alloc, device, &r);
-        free_total = free_total.zip(freed).map(|(total, (t, _))| total + t);
+        free_total = free_total.zip(freed).map(|(total, t)| total + t);
     }
-    let n = bench.iterations.max(1);
-    AllocTiming { alloc: alloc_total / n, free: free_total.map(|t| t / n) }
+    AllocTiming { alloc: alloc_total / TIMED_ROUNDS, free: free_total.map(|t| t / TIMED_ROUNDS) }
 }
 
-/// One row of the fragmentation experiment (Fig. 11a).
+/// One cell of the fragmentation experiment (Fig. 11a).
 #[derive(Clone, Debug)]
 pub struct FragCell {
-    pub manager: &'static str,
-    pub size: u64,
     /// Address range after the initial `num` allocations.
     pub initial: FragmentationStats,
     /// Maximum address range observed across the alloc/free cycles.
@@ -293,22 +288,23 @@ pub fn fragmentation(
         r = round::malloc_threads(alloc, device, num, |_| size);
         max_range = max_range.max(range_of(&r).range());
     }
-    FragCell { manager: kind.label(), size, initial, max_range_after_cycles: max_range }
+    FragCell { initial, max_range_after_cycles: max_range }
 }
 
-/// One row of the out-of-memory experiment (Fig. 11b).
+/// One cell of the out-of-memory experiment (Fig. 11b).
 #[derive(Clone, Debug)]
 pub struct OomCell {
-    pub manager: &'static str,
-    pub size: u64,
-    pub allocations: u64,
-    /// Achieved demand as a share of the heap (the "% of baseline" axis).
+    /// Achieved demand as a share of the heap the manager was built over
+    /// (the "% of baseline" axis).
     pub utilization: f64,
+    /// The storm outlived [`CELL_TIMEOUT`] before the first denial.
     pub timed_out: bool,
 }
 
-/// Allocates `size` until the manager reports OOM (or the timeout fires,
-/// like the artifact's one-hour kill) and reports heap utilization.
+/// Allocates `size` until the manager reports OOM (or [`CELL_TIMEOUT`]
+/// fires, like the artifact's one-hour kill) and reports heap utilization:
+/// granted bytes over the heap the manager got, which is `heap_bytes`
+/// unless `bench.heap_override` replaced it.
 ///
 /// The storm runs through [`Device::launch`] in waves of four blocks, so
 /// every request carries real launch coordinates (block size from the
@@ -339,28 +335,24 @@ pub fn oom(bench: &Bench, kind: ManagerKind, heap_bytes: u64, size: u64) -> OomC
         if denied.load(Ordering::Relaxed) > 0 {
             break;
         }
-        if start.elapsed() > bench.cell_timeout {
+        if start.elapsed() > CELL_TIMEOUT {
             timed_out = true;
             break;
         }
     }
     OomCell {
-        manager: kind.label(),
-        size,
-        allocations: count,
         // f64 throughout: `count * size` in u64 can overflow once a full-tier
         // storm grants billions of bytes.
-        utilization: count as f64 * size as f64 / heap_bytes as f64,
+        utilization: count as f64 * size as f64 / alloc.heap().len() as f64,
         timed_out,
     }
 }
 
-/// One row of the work-generation experiment (Fig. 11c/d) or of the
+/// One cell of the work-generation experiment (Fig. 11c/d) or of the
 /// baseline series.
 #[derive(Clone, Debug)]
 pub struct WorkGenCell {
-    pub manager: &'static str,
-    pub threads: u32,
+    /// Wall clock of the work-generation kernel.
     pub elapsed: Duration,
     pub failures: u64,
 }
@@ -375,7 +367,7 @@ pub fn work_generation(
 ) -> WorkGenCell {
     let alloc = bench.builder(kind).heap_spec(bench.heap_spec(threads, hi)).build();
     let r = workgen::run_managed(alloc.as_ref(), &bench.device, threads, bench.seed, lo, hi);
-    WorkGenCell { manager: kind.label(), threads, elapsed: r.elapsed, failures: r.failures }
+    WorkGenCell { elapsed: r.elapsed, failures: r.failures }
 }
 
 /// The prefix-sum baseline row for the same workload.
@@ -383,14 +375,12 @@ pub fn work_generation_baseline(bench: &Bench, threads: u32, lo: u64, hi: u64) -
     let heap = gpumem_core::DeviceHeap::try_new(bench.heap_spec(threads, hi))
         .unwrap_or_else(|e| panic!("{e}"));
     let r = workgen::run_baseline(&bench.device, &heap, threads, bench.seed, lo, hi);
-    WorkGenCell { manager: "Baseline", threads, elapsed: r.elapsed, failures: r.failures }
+    WorkGenCell { elapsed: r.elapsed, failures: r.failures }
 }
 
-/// One row of the write/access-performance experiment (Fig. 11e).
+/// One cell of the write/access-performance experiment (Fig. 11e).
 #[derive(Clone, Debug)]
 pub struct WriteCell {
-    pub manager: &'static str,
-    pub pattern: String,
     /// Memory transactions relative to the coalesced baseline (≥ 1.0).
     pub relative_cost: f64,
     pub failures: u64,
@@ -409,19 +399,13 @@ pub fn write_performance(
     };
     let alloc = bench.builder(kind).heap_spec(bench.heap_spec(threads, max)).build();
     let r = write_test::run(alloc.as_ref(), &bench.device, threads, bench.seed, pattern);
-    WriteCell {
-        manager: kind.label(),
-        pattern: format!("{pattern:?}"),
-        relative_cost: r.stats.relative_cost(),
-        failures: r.failures,
-    }
+    WriteCell { relative_cost: r.stats.relative_cost(), failures: r.failures }
 }
 
-/// One row of the graph experiments (Fig. 11f/11g).
+/// One cell of the graph-initialisation experiment (Fig. 11f).
 #[derive(Clone, Debug)]
 pub struct GraphCell {
-    pub manager: &'static str,
-    pub graph: String,
+    /// Wall clock of the build launch.
     pub elapsed: Duration,
     pub failures: u64,
 }
@@ -459,22 +443,19 @@ pub fn graph_init(
     let demand = graph_demand(csr, 0)?;
     let alloc = bench.builder(kind).heap_spec(bench.try_heap_spec(1, demand.max(1 << 20))?).build();
     let (g, elapsed) = dyn_graph::DynGraph::init(alloc.as_ref(), &bench.device, csr);
-    Ok(GraphCell {
-        manager: kind.label(),
-        graph: csr.name.clone(),
-        elapsed,
-        failures: g.failures(),
-    })
+    Ok(GraphCell { elapsed, failures: g.failures() })
 }
 
-/// Graph updates (Fig. 11g): insert `n_edges`, focused or uniform.
+/// Graph updates (Fig. 11g): insert `n_edges`, focused or uniform, into a
+/// freshly built graph; returns the failed allocations of build and
+/// updates.
 pub fn graph_update(
     bench: &Bench,
     kind: ManagerKind,
     csr: &dyn_graph::CsrGraph,
     n_edges: u32,
     focused: bool,
-) -> Result<GraphCell, SizingError> {
+) -> Result<u64, SizingError> {
     // Updates grow a few adjacencies dramatically; generous headroom.
     let demand = graph_demand(csr, n_edges)?;
     let heap = bench.try_heap_spec(1, demand.max(1 << 20))?;
@@ -485,19 +466,14 @@ pub fn graph_update(
     } else {
         dyn_graph::uniform_edges(csr.vertices(), n_edges, bench.seed)
     };
-    let elapsed = g.insert_edges(&bench.device, &edges);
-    Ok(GraphCell {
-        manager: kind.label(),
-        graph: csr.name.clone(),
-        elapsed,
-        failures: g.failures(),
-    })
+    g.insert_edges(&bench.device, &edges);
+    Ok(g.failures())
 }
 
-/// One row of the initialisation & register experiment (§4.1).
+/// One cell of the initialisation & register experiment (§4.1).
 #[derive(Clone, Debug)]
 pub struct InitCell {
-    pub manager: &'static str,
+    /// Wall clock of the manager's construction.
     pub init: Duration,
     pub malloc_regs: u32,
     pub free_regs: u32,
@@ -515,15 +491,13 @@ pub fn init_performance(bench: &Bench, kind: ManagerKind, heap_bytes: u64) -> In
     let alloc = bench.builder(kind).heap_shared(heap).build();
     let init = start.elapsed();
     let regs = alloc.register_footprint();
-    InitCell { manager: kind.label(), init, malloc_regs: regs.malloc, free_regs: regs.free }
+    InitCell { init, malloc_regs: regs.malloc, free_regs: regs.free }
 }
 
 /// Result of one manager's traced run (`repro trace`): the decoded event
 /// stream and what is derived from it.
 #[derive(Clone, Debug)]
 pub struct TraceRun {
-    pub manager: &'static str,
-    pub num: u32,
     /// The decoded, time-sorted event stream.
     pub trace: Trace,
     /// Latency histograms of the timed ops (p50/p95/p99 in the CSV).
@@ -537,8 +511,6 @@ pub struct TraceRun {
     pub live: LiveSet,
     /// Chrome trace-event JSON export (Perfetto-loadable).
     pub json: String,
-    /// Kernel wall-clock across the alloc and free launches.
-    pub elapsed: Duration,
 }
 
 /// Runs the mixed-size alloc/free workload on `kind` with the event-tracing
@@ -569,11 +541,9 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
         sizes::thread_size(bench.seed, t, SIZE_LO, SIZE_HI)
     });
     span(0, t0, r.elapsed);
-    let mut elapsed = r.elapsed;
     let t1 = rec.now_ns();
-    if let Some((free, _)) = round::free(alloc.as_ref(), &bench.device, &r) {
+    if let Some(free) = round::free(alloc.as_ref(), &bench.device, &r) {
         span(1, t1, free);
-        elapsed += free;
     }
     let trace = rec.snapshot();
     let latencies = OpLatencies::from_trace(&trace);
@@ -589,18 +559,7 @@ pub fn trace_profile(bench: &Bench, kind: ManagerKind, num: u32, events_per_sm: 
         peak_live_allocs = peak_live_allocs.max(live.allocs());
     }
     let json = chrome_trace_json(&trace, kind.label());
-    TraceRun {
-        manager: kind.label(),
-        num,
-        trace,
-        latencies,
-        peak_live_bytes,
-        peak_live_allocs,
-        address_range,
-        live,
-        json,
-        elapsed,
-    }
+    TraceRun { trace, latencies, peak_live_bytes, peak_live_allocs, address_range, live, json }
 }
 
 /// One manager's row of the `sanitize` scenario: violation totals of a
@@ -619,8 +578,8 @@ pub struct SanitizeCell {
 }
 
 /// Runs the churn workload plus a mixed-size alloc/free phase on `kind`
-/// wrapped in [`Sanitized`] (default config: 32 B canary redzones,
-/// poison-on-free) and reports the violation totals.
+/// wrapped in [`Sanitized`] (32 B canary redzones, poison-on-free) and
+/// reports the violation totals.
 pub fn sanitize_run(bench: &Bench, kind: ManagerKind, num: u32, cycles: u32) -> SanitizeCell {
     const MIXED_MAX: u64 = 1024;
     let inner = bench.builder(kind).heap_spec(bench.heap_spec(num, MIXED_MAX)).build();
@@ -628,8 +587,7 @@ pub fn sanitize_run(bench: &Bench, kind: ManagerKind, num: u32, cycles: u32) -> 
     let mut failures = 0u64;
 
     // Phase 1: fixed-size churn (the paper's repeated alloc/free cycle).
-    let churn = churn::run(&san, &bench.device, num, 256, cycles);
-    failures += churn.failures;
+    failures += churn::run(&san, &bench.device, num, 256, cycles);
 
     // Phase 2: mixed sizes in [16, 1024] — exercises class boundaries and
     // the redzone across every size class the manager serves.
@@ -664,9 +622,7 @@ mod tests {
     use gpu_sim::DeviceSpec;
 
     fn bench() -> Bench {
-        let mut b = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 2));
-        b.iterations = 1;
-        b
+        Bench::new(Device::with_workers(DeviceSpec::titan_v(), 2))
     }
 
     #[test]
@@ -762,6 +718,16 @@ mod tests {
         }
     }
 
+    /// Utilization is a share of the heap the manager got: with `--heap-mb`
+    /// that is the override, not the tier's heap.
+    #[test]
+    fn oom_utilization_is_a_share_of_the_overridden_heap() {
+        let mut b = bench();
+        b.heap_override = Some(128 << 20);
+        let cell = oom(&b, ManagerKind::ScatterAlloc, 64 << 20, 1024);
+        assert!(cell.utilization > 0.5 && cell.utilization <= 1.0, "{}", cell.utilization);
+    }
+
     #[test]
     fn write_perf_relative_cost_sane() {
         let b = bench();
@@ -781,8 +747,7 @@ mod tests {
         let csr = dyn_graph::generate("fe_body", 256, 3);
         let init = graph_init(&b, ManagerKind::OuroVLP, &csr).unwrap();
         assert_eq!(init.failures, 0);
-        let upd = graph_update(&b, ManagerKind::OuroVLP, &csr, 2000, true).unwrap();
-        assert_eq!(upd.failures, 0);
+        assert_eq!(graph_update(&b, ManagerKind::OuroVLP, &csr, 2000, true), Ok(0));
     }
 
     #[test]

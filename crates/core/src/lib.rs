@@ -82,7 +82,7 @@ pub use info::{Availability, ManagerInfo, ManagerInfoBuilder, SurveyRow, SURVEY_
 pub use metrics::{AllocCounters, Counter, CounterSnapshot, Metrics};
 pub use ptr::DevicePtr;
 pub use regs::RegisterFootprint;
-pub use sanitize::{Sanitized, SanitizerConfig, SanitizerReport, Violation, ViolationKind};
+pub use sanitize::{Sanitized, SanitizerReport, Violation, ViolationKind};
 pub use telemetry::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
 pub use trace::{
     chrome_trace_json, validate_chrome_json, EventKind, LatencyHistogram, LiveSet, OpLatencies,

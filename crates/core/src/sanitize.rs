@@ -14,12 +14,12 @@
 //!   `fetch_or` when a region goes live. A malloc that returns bytes whose
 //!   bits are already set has produced an **overlap** with another live
 //!   allocation, detected without scanning the interval map;
-//! * optional **canary redzones**: every request is inflated by
-//!   [`SanitizerConfig::redzone`] bytes, the tail is filled with a canary
-//!   pattern through [`DeviceHeap`](crate::DeviceHeap), and verified on
-//!   free — catching out-of-bounds writes by workload kernels;
-//! * optional **poison-on-free**: the payload of a freed region is filled
-//!   with a poison byte *before* the inner allocator can recycle it, so
+//! * **canary redzones**: every request is inflated by 32 bytes, the tail
+//!   is filled with a canary pattern through
+//!   [`DeviceHeap`](crate::DeviceHeap), and verified on free — catching
+//!   out-of-bounds writes by workload kernels;
+//! * **poison-on-free**: the payload of a freed region is filled with a
+//!   poison byte *before* the inner allocator can recycle it, so
 //!   use-after-free reads surface as torn data in workload assertions.
 //!
 //! Violations are **collected, not panicked**: a simulated kernel thread
@@ -131,42 +131,15 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Sanitizer knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SanitizerConfig {
-    /// Canary bytes appended to every request (0 disables redzones).
-    pub redzone: u64,
-    /// Whether freed payloads are filled with [`SanitizerConfig::poison_byte`].
-    pub poison_on_free: bool,
-    /// Fill byte for poisoned (freed) payloads.
-    pub poison_byte: u8,
-    /// Fill byte of the canary redzone.
-    pub canary_byte: u8,
-    /// Maximum number of [`Violation`] records kept; further violations are
-    /// still counted (see [`SanitizerReport::dropped`]) but not stored.
-    pub max_recorded: usize,
-}
-
-impl Default for SanitizerConfig {
-    fn default() -> Self {
-        SanitizerConfig {
-            redzone: 32,
-            poison_on_free: true,
-            poison_byte: 0xde,
-            canary_byte: 0xc5,
-            max_recorded: 1024,
-        }
-    }
-}
-
-impl SanitizerConfig {
-    /// A config that changes nothing about the requests it forwards: no
-    /// redzone inflation, no poisoning. Detection of overlap / bounds /
-    /// alignment / free-path violations stays on.
-    pub fn passive() -> Self {
-        SanitizerConfig { redzone: 0, poison_on_free: false, ..SanitizerConfig::default() }
-    }
-}
+/// Canary bytes appended to every request.
+const REDZONE: u64 = 32;
+/// Fill byte of a freed payload.
+const POISON_BYTE: u8 = 0xde;
+/// Fill byte of the canary redzone.
+const CANARY_BYTE: u8 = 0xc5;
+/// [`Violation`] records kept; further violations are still counted (see
+/// [`SanitizerReport::dropped`]) but not stored.
+const MAX_RECORDED: usize = 1024;
 
 /// Shadow metadata of one live allocation.
 #[derive(Clone, Copy, Debug)]
@@ -253,8 +226,7 @@ struct Sink {
 pub struct SanitizerReport {
     /// Per-kind violation totals, indexed by `ViolationKind as usize`.
     pub counts: [u64; VIOLATION_KINDS],
-    /// The recorded violation details (bounded by
-    /// [`SanitizerConfig::max_recorded`]).
+    /// The recorded violation details (the first 1 024).
     pub recorded: Vec<Violation>,
     /// Violations counted but not recorded (sink was full).
     pub dropped: u64,
@@ -306,7 +278,7 @@ impl std::fmt::Display for SanitizerReport {
 /// warp-aggregation overrides on the malloc path) and never changes a
 /// *successful* result: workloads observe the same pointers they would see
 /// without the wrapper. The two exceptions, both deliberate: requests are
-/// inflated by the configured redzone, and a free the shadow map proves
+/// inflated by the redzone, and a free the shadow map proves
 /// invalid (double-free / unknown pointer) is **not** forwarded — feeding a
 /// provably bad pointer into an allocator under test could corrupt its
 /// in-heap metadata and turn one detectable violation into a cascade.
@@ -316,7 +288,6 @@ type WarpLiveShards = Box<[Mutex<HashMap<u32, Vec<u64>>>]>;
 pub struct Sanitized<A: DeviceAllocator> {
     inner: A,
     info: ManagerInfo,
-    cfg: SanitizerConfig,
     shards: Box<[Mutex<Shard>]>,
     occupancy: Occupancy,
     /// Per-warp live starts, maintained only for warp-level-only managers
@@ -326,13 +297,8 @@ pub struct Sanitized<A: DeviceAllocator> {
 }
 
 impl<A: DeviceAllocator> Sanitized<A> {
-    /// Wraps `inner` with the default config (32 B redzones, poison-on-free).
+    /// Wraps `inner`: 32 B canary redzones, poison-on-free.
     pub fn new(inner: A) -> Self {
-        Self::with_config(inner, SanitizerConfig::default())
-    }
-
-    /// Wraps `inner` with an explicit config.
-    pub fn with_config(inner: A, cfg: SanitizerConfig) -> Self {
         let info = inner.info();
         let occupancy = Occupancy::new(inner.heap().len());
         let warp_live =
@@ -340,7 +306,6 @@ impl<A: DeviceAllocator> Sanitized<A> {
         Sanitized {
             inner,
             info,
-            cfg,
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             occupancy,
             warp_live,
@@ -355,11 +320,6 @@ impl<A: DeviceAllocator> Sanitized<A> {
     /// The wrapped manager.
     pub fn inner(&self) -> &A {
         &self.inner
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SanitizerConfig {
-        &self.cfg
     }
 
     /// Allocations currently live in the shadow map.
@@ -410,7 +370,7 @@ impl<A: DeviceAllocator> Sanitized<A> {
             );
         }
         let mut rec = self.sink.recorded.lock().unwrap();
-        if rec.len() < self.cfg.max_recorded {
+        if rec.len() < MAX_RECORDED {
             rec.push(v);
         } else {
             self.sink.dropped.fetch_add(1, Ordering::Relaxed);
@@ -421,8 +381,8 @@ impl<A: DeviceAllocator> Sanitized<A> {
     /// inflated size would overflow).
     #[inline]
     fn redzone_for(&self, size: u64) -> u64 {
-        if size.checked_add(self.cfg.redzone).is_some() {
-            self.cfg.redzone
+        if size.checked_add(REDZONE).is_some() {
+            REDZONE
         } else {
             0
         }
@@ -460,7 +420,7 @@ impl<A: DeviceAllocator> Sanitized<A> {
                 });
             }
             if redzone > 0 {
-                self.inner.heap().fill(ptr.add(requested), redzone, self.cfg.canary_byte);
+                self.inner.heap().fill(ptr.add(requested), redzone, CANARY_BYTE);
             }
         }
         if ptr.is_null() {
@@ -495,8 +455,7 @@ impl<A: DeviceAllocator> Sanitized<A> {
                 self.inner
                     .heap()
                     .read_bytes(ptr.add(live.requested + checked), &mut buf[..n as usize]);
-                if let Some(bad) = buf[..n as usize].iter().position(|&b| b != self.cfg.canary_byte)
-                {
+                if let Some(bad) = buf[..n as usize].iter().position(|&b| b != CANARY_BYTE) {
                     self.record(Violation {
                         kind: ViolationKind::RedzoneCorrupt,
                         thread: ctx.thread_id,
@@ -512,9 +471,7 @@ impl<A: DeviceAllocator> Sanitized<A> {
             }
         }
         if live.tracked {
-            if self.cfg.poison_on_free {
-                self.inner.heap().fill(ptr, live.inflated.max(1), self.cfg.poison_byte);
-            }
+            self.inner.heap().fill(ptr, live.inflated.max(1), POISON_BYTE);
             self.occupancy.unmark(ptr.raw(), live.inflated.max(1));
         }
     }
@@ -527,7 +484,7 @@ impl<A: DeviceAllocator> Sanitized<A> {
             self.occupancy.mark(ptr.raw(), live.inflated.max(1));
             let redzone = live.inflated - live.requested;
             if redzone > 0 {
-                self.inner.heap().fill(ptr.add(live.requested), redzone, self.cfg.canary_byte);
+                self.inner.heap().fill(ptr.add(live.requested), redzone, CANARY_BYTE);
             }
         }
         let mut shard = self.shard_of(ptr.raw()).lock().unwrap();
@@ -853,17 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn passive_config_leaves_requests_untouched() {
-        let a = Sanitized::with_config(GoodAlloc::new(1 << 20), SanitizerConfig::passive());
-        let p = a.malloc(&ctx(), 64).unwrap();
-        a.heap().fill(p, 64, 0x33);
-        a.free(&ctx(), p).unwrap();
-        // No poison: payload bytes survive the free.
-        assert_eq!(a.heap().read_u8(p, 0), 0x33);
-        assert!(a.report().is_clean());
-    }
-
-    #[test]
     fn out_of_heap_and_misaligned_returns_recorded() {
         struct Wild {
             heap: Arc<DeviceHeap>,
@@ -877,7 +823,8 @@ mod tests {
             }
             fn malloc(&self, _c: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
                 // First an out-of-heap grant (aligned, so only one kind
-                // trips), then an in-bounds misaligned one.
+                // trips), then an in-bounds misaligned one. `size` carries
+                // the 32 B redzone.
                 if size < 100 {
                     Ok(DevicePtr::new(self.heap.len()))
                 } else {
@@ -891,10 +838,7 @@ mod tests {
                 RegisterFootprint { malloc: 1, free: 1 }
             }
         }
-        let a = Sanitized::with_config(
-            Wild { heap: Arc::new(DeviceHeap::new(1 << 16)) },
-            SanitizerConfig::passive(),
-        );
+        let a = Sanitized::new(Wild { heap: Arc::new(DeviceHeap::new(1 << 16)) });
         let _ = a.malloc(&ctx(), 64).unwrap();
         let _ = a.malloc(&ctx(), 200).unwrap();
         let rep = a.report();
@@ -942,14 +886,14 @@ mod tests {
 
     #[test]
     fn violation_sink_is_bounded() {
-        let cfg = SanitizerConfig { max_recorded: 3, ..SanitizerConfig::default() };
-        let a = Sanitized::with_config(GoodAlloc::new(1 << 20), cfg);
-        for i in 0..10u64 {
+        let a = Sanitized::new(GoodAlloc::new(1 << 20));
+        let n = MAX_RECORDED as u64 + 7;
+        for i in 0..n {
             let _ = a.free(&ctx(), DevicePtr::new(1024 + i * 64));
         }
         let rep = a.take_report();
-        assert_eq!(rep.by_kind(ViolationKind::UnknownFree), 10);
-        assert_eq!(rep.recorded.len(), 3);
+        assert_eq!(rep.by_kind(ViolationKind::UnknownFree), n);
+        assert_eq!(rep.recorded.len(), MAX_RECORDED);
         assert_eq!(rep.dropped, 7);
     }
 

@@ -128,15 +128,16 @@ impl<'a> DynGraph<'a> {
         Ok(())
     }
 
-    /// Inserts a batch of edges with one device thread per edge; returns
-    /// the kernel time (the Figure 11g metric).
-    pub fn insert_edges(&self, device: &Device, edges: &[(u32, u32)]) -> Duration {
+    /// Inserts a batch of edges with one device thread per edge (the
+    /// Figure 11g launch); a failed insertion counts in
+    /// [`DynGraph::failures`].
+    pub fn insert_edges(&self, device: &Device, edges: &[(u32, u32)]) {
         device.launch(edges.len() as u32, |ctx| {
             let (v, u) = edges[ctx.thread_id as usize];
             if self.insert_edge(ctx, v, u).is_err() {
                 self.failures.fetch_add(1, Ordering::Relaxed);
             }
-        })
+        });
     }
 
     /// Reads back the adjacency of `v` (validation).
@@ -174,8 +175,8 @@ impl<'a> DynGraph<'a> {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// Frees every adjacency (teardown; also a free-heavy benchmark phase).
-    pub fn destroy(self, device: &Device) -> Duration {
+    /// Frees every adjacency in one launch (teardown).
+    pub fn destroy(self, device: &Device) {
         let vertices = &self.vertices;
         let alloc = self.alloc;
         device.launch(vertices.len() as u32, |ctx| {
@@ -185,7 +186,7 @@ impl<'a> DynGraph<'a> {
                 let _ = alloc.free(ctx, st.ptr);
                 st.ptr = DevicePtr::NULL;
             }
-        })
+        });
     }
 }
 
@@ -330,17 +331,14 @@ mod tests {
         let a = TestAlloc::new(32 << 20);
         let csr = generate("fe_body", 64, 3);
         let (g, _) = DynGraph::init(&a, &device(), &csr);
-        let n = csr.vertices();
         // 20 000 edges focused on few sources — maximum lock contention.
         let edges: Vec<(u32, u32)> = (0..20_000u32).map(|i| (i % 16, i)).collect();
-        let d = g.insert_edges(&device(), &edges);
-        assert!(d.as_nanos() > 0);
+        g.insert_edges(&device(), &edges);
         assert_eq!(g.failures(), 0);
         assert_eq!(g.total_edges(), csr.edges() + 20_000);
         for v in 0..16u32 {
             assert_eq!(g.degree(v) as u64, csr.degree(v) + 20_000 / 16);
         }
-        let _ = n;
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //! * [`write_test`] — the memory-access performance test case (Fig. 11e):
 //!   an allocation round, then warp write coalescing priced by the
 //!   `gpu-sim` transaction model.
-//! * [`churn`] — repeated allocation/free rounds, exposing slowdown over
-//!   time (observed for the Multi-Reg-Eff variants and, inverted, the
-//!   reuse speed-up of Ouroboros).
+//! * [`churn`] — repeated allocate-all/free-all rounds (§4.2.1), counting
+//!   the requests that fail over the run.
 
 #[cfg(test)]
 mod bump;

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use gpu_sim::{Device, PerThread, SchedStats};
+use gpu_sim::{Device, PerThread};
 use gpumem_core::{DeviceAllocator, DevicePtr, WARP_SIZE};
 
 /// The outcome of one malloc launch.
@@ -14,15 +14,14 @@ pub struct Round {
     pub failures: u64,
     /// Kernel wall-clock of the launch.
     pub elapsed: Duration,
-    pub sched: SchedStats,
     /// Whether each slot is one warp's `malloc_warp` (else one thread's).
     warps: bool,
 }
 
 impl Round {
-    fn new(ptrs: Vec<DevicePtr>, (elapsed, sched): (Duration, SchedStats), warps: bool) -> Self {
+    fn new(ptrs: Vec<DevicePtr>, elapsed: Duration, warps: bool) -> Self {
         let failures = ptrs.iter().filter(|p| p.is_null()).count() as u64;
-        Round { ptrs, failures, elapsed, sched, warps }
+        Round { ptrs, failures, elapsed, warps }
     }
 }
 
@@ -34,11 +33,11 @@ pub fn malloc_threads(
     size: impl Fn(u32) -> u64 + Sync,
 ) -> Round {
     let out = PerThread::<DevicePtr>::new(n as usize);
-    let launch = device.launch_with_stats(n, |ctx| {
+    let elapsed = device.launch(n, |ctx| {
         let p = alloc.malloc(ctx, size(ctx.thread_id)).unwrap_or(DevicePtr::NULL);
         out.set(ctx.thread_id as usize, p);
     });
-    Round::new(out.into_vec(), launch, false)
+    Round::new(out.into_vec(), elapsed, false)
 }
 
 /// Launches `n_warps` warps; warp `w` makes one one-lane `malloc_warp` of
@@ -50,39 +49,36 @@ pub fn malloc_warps(
     size: impl Fn(u32) -> u64 + Sync,
 ) -> Round {
     let out = PerThread::<DevicePtr>::new(n_warps as usize);
-    let launch = device.launch_warps_with_stats(n_warps, |w| {
+    let elapsed = device.launch_warps(n_warps, |w| {
         let mut p = [DevicePtr::NULL];
         let ok = alloc.malloc_warp(w, &[size(w.warp)], &mut p).is_ok();
         out.set(w.warp as usize, if ok { p[0] } else { DevicePtr::NULL });
     });
-    Round::new(out.into_vec(), launch, true)
+    Round::new(out.into_vec(), elapsed, true)
 }
 
-/// Frees `round` in one launch, or returns `None` without launching when
-/// the manager cannot free. Free errors are ignored.
-pub fn free(
-    alloc: &dyn DeviceAllocator,
-    device: &Device,
-    round: &Round,
-) -> Option<(Duration, SchedStats)> {
+/// Frees `round` in one launch and returns its kernel wall-clock, or
+/// returns `None` without launching when the manager cannot free. Free
+/// errors are ignored.
+pub fn free(alloc: &dyn DeviceAllocator, device: &Device, round: &Round) -> Option<Duration> {
     let info = alloc.info();
     let (ptrs, n) = (&round.ptrs, round.ptrs.len() as u32);
     if info.warp_level_only {
         let warps = if round.warps { n } else { n.div_ceil(WARP_SIZE) };
-        Some(device.launch_warps_with_stats(warps, |w| {
+        Some(device.launch_warps(warps, |w| {
             let _ = alloc.free_warp_all(w);
         }))
     } else if !info.supports_free {
         None
     } else if round.warps {
-        Some(device.launch_warps_with_stats(n, |w| {
+        Some(device.launch_warps(n, |w| {
             let p = ptrs[w.warp as usize];
             if !p.is_null() {
                 let _ = alloc.free(&w.leader(), p);
             }
         }))
     } else {
-        Some(device.launch_with_stats(n, |ctx| {
+        Some(device.launch(n, |ctx| {
             let p = ptrs[ctx.thread_id as usize];
             if !p.is_null() {
                 let _ = alloc.free(ctx, p);

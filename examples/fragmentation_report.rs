@@ -11,8 +11,7 @@ use gpumemsurvey::bench::runners::{fragmentation, oom, Bench};
 use gpumemsurvey::prelude::*;
 
 fn main() {
-    let mut bench = Bench::new(Device::new(DeviceSpec::titan_v()));
-    bench.cell_timeout = std::time::Duration::from_secs(5);
+    let bench = Bench::new(Device::new(DeviceSpec::titan_v()));
     let num = 5_000;
 
     println!("fragmentation: address range after {num} allocations (× packed baseline)");

@@ -136,6 +136,16 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- \
 grep -q '"heap_backend": "mmap"' target/perf-smoke/BENCH_perf_thread.json
 grep -q '"heap_mb": "8192"' target/perf-smoke/BENCH_perf_thread.json
 
+# OOM utilization is a share of the heap the manager got: under --heap-mb
+# that is the override, so no `utilization` of the anchor may exceed 1.
+echo "==> repro matrix --scenario oom --heap-mb 128 (utilization <= 1)"
+rm -rf target/oom-override
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    matrix --tier tiny --scenario oom -t s --heap-mb 128 --anchors target/oom-override \
+    > /dev/null
+awk -F'"value": ' '/\/utilization"/ { n++; if ($2 + 0 > 1) { print "over 1: " $0; bad = 1 } }
+    END { exit n == 0 || bad }' target/oom-override/BENCH_oom.json
+
 # Repro-matrix smoke gate: rerun every smoke-tier scenario and compare it
 # against the committed BENCH_*.json anchors. The smoke tier runs on the
 # inline one-worker device whatever GMS_WORKERS says, and an anchor holds

@@ -30,7 +30,7 @@ pub mod prelude {
     pub use gpumem_core::{
         AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr,
         HeapBackendKind, HeapError, HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized,
-        SanitizerConfig, SanitizerReport, ThreadCtx, WarpCtx,
+        SanitizerReport, ThreadCtx, WarpCtx,
     };
     pub use gpumem_core::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
 }

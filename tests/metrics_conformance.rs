@@ -151,7 +151,6 @@ fn perf_cell_counted_round_reproduces_one_round_of_calls() {
         // The matrix's tiny/smoke context: inline device, cached cells warmed.
         let mut bench = Bench::new(Device::with_workers(DeviceSpec::titan_v(), 1));
         bench.cached = cached;
-        bench.warmup = u32::from(cached);
         for kind in [Atomic, ScatterAlloc, XMalloc, Halloc] {
             let cell = |_| alloc_perf(&bench, kind, THREADS as u32, 16, false).counters;
             let (a, b) = (cell(0), cell(1));
@@ -159,6 +158,10 @@ fn perf_cell_counted_round_reproduces_one_round_of_calls() {
             // A magazine hit is served without a manager call.
             assert_eq!(a.malloc_calls() + a.magazine_hits(), THREADS, "{kind} (cached: {cached})");
             assert_eq!(a.malloc_failures(), 0, "{kind} (cached: {cached})");
+            // A cached cell warms its magazines with one round first.
+            if cached && kind != Atomic {
+                assert!(a.magazine_hits() > 0, "{kind}: the counted round must hit the magazines");
+            }
             // A parked free is not counted either, so the free side is exact
             // only without magazines, and for Atomic, which has no free and
             // which the cache passes through.

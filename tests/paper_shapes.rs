@@ -14,10 +14,7 @@ use gpumemsurvey::prelude::*;
 use gpumemsurvey::{alloc_cuda, alloc_xmalloc};
 
 fn bench_on(workers: usize) -> Bench {
-    let mut b = Bench::new(Device::with_workers(DeviceSpec::titan_v(), workers));
-    b.iterations = 2;
-    b.cell_timeout = Duration::from_secs(30);
-    b
+    Bench::new(Device::with_workers(DeviceSpec::titan_v(), workers))
 }
 
 /// The timing-ratio shapes run on a 4-worker pool, so atomics interleave.
@@ -348,7 +345,7 @@ fn cuda_allocator_is_worst_at_graph_init() {
         // whole scheduler timeslice on an oversubscribed host.
         let run = || runners::graph_init(&b, kind, &csr).unwrap();
         let (first, second) = (run(), run());
-        assert_eq!(first.failures + second.failures, 0, "{}", first.manager);
+        assert_eq!(first.failures + second.failures, 0, "{}", kind.label());
         first.elapsed.min(second.elapsed)
     };
     let cuda = init(ManagerKind::CudaAllocator);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use gpumemsurvey::bench::matrix::{run_scenario, scenario, MatrixCfg, Tier};
 use gpumemsurvey::bench::registry::{ALL_KINDS, DEFAULT_KINDS};
 use gpumemsurvey::core::sanitize::ALL_VIOLATION_KINDS;
-use gpumemsurvey::core::sanitize::{Sanitized, SanitizerConfig, ViolationKind};
+use gpumemsurvey::core::sanitize::{Sanitized, ViolationKind};
 use gpumemsurvey::core::util::align_up;
 use gpumemsurvey::core::RegisterFootprint;
 use gpumemsurvey::gpu_workloads::churn;
@@ -132,9 +132,7 @@ fn double_free_and_unknown_free_are_detected_end_to_end() {
 
 #[test]
 fn redzone_corruption_is_detected_end_to_end() {
-    let cfg = SanitizerConfig::default();
-    assert!(cfg.redzone > 0);
-    let san = Sanitized::with_config(Rigged::new(Bug::None), cfg);
+    let san = Sanitized::new(Rigged::new(Bug::None));
     let p = san.malloc(&ctx(), 64).unwrap();
     // The workload writes one byte past its request, into the canary.
     san.heap().fill(p.add(64), 1, 0xff);
@@ -207,8 +205,8 @@ fn two_workers_sharing_sm_shards_are_clean_under_sanitized_cached_churn() {
     for kind in [ScatterAlloc, Halloc, XMalloc, OuroVAP] {
         let alloc = kind.builder().heap(64 << 20).sms(80).cached(true).build();
         let san = Sanitized::new(alloc);
-        let result = churn::run(&san, &device, 96 * 256, 64, 3);
-        assert_eq!(result.failures, 0, "{}: every allocation must succeed", kind.label());
+        let failures = churn::run(&san, &device, 96 * 256, 64, 3);
+        assert_eq!(failures, 0, "{}: every allocation must succeed", kind.label());
         let report = san.take_report();
         assert!(report.is_clean(), "{} (cached, shared shards): {report}", kind.label());
         assert_eq!(report.live, 0, "{}: churn must drain fully", kind.label());
