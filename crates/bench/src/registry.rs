@@ -19,7 +19,7 @@ use alloc_regeff::{RegEffC, RegEffCF, RegEffCFM, RegEffCM};
 use alloc_scatter::ScatterAlloc;
 use alloc_xmalloc::XMalloc;
 use gpumem_core::metrics::Counted;
-use gpumem_core::telemetry::{self, TelemetrySink};
+use gpumem_core::telemetry::TelemetrySink;
 use gpumem_core::trace::{TraceRecorder, Traced, DEFAULT_EVENTS_PER_SM};
 use gpumem_core::{
     Cached, DeviceAllocator, DeviceHeap, HeapBackendKind, HeapError, HeapSpec, Metrics,
@@ -299,11 +299,10 @@ impl ManagerBuilder {
         self
     }
 
-    /// Registers the built manager with a telemetry sink so the live
-    /// sampler ([`gpumem_core::telemetry`]) can snapshot its counters and
-    /// drain its trace ring. Implies metrics and (if not already chosen) a
-    /// modest trace ring sized for sampling rather than post-mortem replay.
-    /// The benchmark's `observed` workload builds its managers this way.
+    /// Registers the built manager's counter block with a telemetry sink so
+    /// the live sampler ([`gpumem_core::telemetry`]) can window its
+    /// counters. Implies metrics; tracing stays as chosen. The benchmark's
+    /// `observed` workload builds its managers this way.
     pub fn telemetry(mut self, sink: &TelemetrySink) -> Self {
         self.sink = Some(sink.clone());
         self
@@ -325,24 +324,17 @@ impl ManagerBuilder {
             HeapSource::Fresh(spec) => Arc::new(DeviceHeap::try_new(spec)?),
             HeapSource::Shared(heap) => heap,
         };
-        // A sink forces the observability stack on so the sampler has
-        // counters to delta and a ring to drain.
-        let trace = match (&self.sink, self.trace) {
-            (Some(_), None) => Some(telemetry::WATCH_EVENTS_PER_SM),
-            (_, chosen) => chosen,
-        };
-        let (metrics, tracer) = match trace {
+        let (metrics, tracer) = match self.trace {
             Some(events_per_sm) => {
                 let rec = Arc::new(TraceRecorder::new(self.sms, events_per_sm));
-                let metrics = Metrics::enabled(self.sms).with_tracer(Arc::clone(&rec));
-                if let Some(sink) = &self.sink {
-                    sink.attach(&metrics);
-                }
-                (metrics, Some(rec))
+                (Metrics::enabled(self.sms).with_tracer(Arc::clone(&rec)), Some(rec))
             }
-            None if self.metrics => (Metrics::enabled(self.sms), None),
+            None if self.metrics || self.sink.is_some() => (Metrics::enabled(self.sms), None),
             None => (Metrics::disabled(), None),
         };
+        if let Some(sink) = &self.sink {
+            sink.attach(&metrics);
+        }
         let stack = Stack { sms: self.sms, cached: self.cached, tracer };
         Ok(construct(self.kind, heap, metrics, stack))
     }
@@ -552,6 +544,15 @@ mod tests {
             let b = kind.builder().heap(HEAP).metrics(true).build();
             assert!(b.metrics().tracer().is_none(), "{kind}");
         }
+    }
+
+    #[test]
+    fn builder_telemetry_attaches_counters_without_a_ring() {
+        let sink = TelemetrySink::new();
+        let a = ScatterAlloc.builder().heap(HEAP).telemetry(&sink).build();
+        assert!(a.metrics().is_enabled(), "telemetry implies metrics");
+        assert!(a.metrics().tracer().is_none(), "telemetry forces no trace ring");
+        assert_eq!(sink.len(), 1, "the counter block is attached");
     }
 
     #[test]

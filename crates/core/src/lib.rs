@@ -46,9 +46,9 @@
 //!   with a latency-histogram consumer and a Chrome/Perfetto JSON
 //!   consumer that replays the live set through one [`LiveSet`]. The
 //!   Perfetto JSON is the one per-run export.
-//! * [`telemetry`] — the time-series sampler: folds counter deltas and
-//!   trace-ring drains into a bounded [`Sample`] series, cut by a timer
-//!   thread; it has no export of its own.
+//! * [`telemetry`] — the time-series sampler: folds each window's counter
+//!   delta into a bounded [`Sample`] series, cut by a timer thread. It
+//!   reads no trace ring and has no export of its own.
 //! * [`json`] — the one JSON reader ([`json::Json`]) and string escaper
 //!   ([`json::quote`]) that anchors and the Chrome trace export share.
 //!

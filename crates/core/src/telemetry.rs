@@ -1,31 +1,28 @@
 //! Telemetry: the windowed sampler the benchmark's `observed` workload
-//! runs over the metrics + trace layers.
+//! runs over the metrics layer.
 //!
 //! A [`Telemetry`] sampler cuts **windows**. Each cut reads every manager
-//! attached to its [`TelemetrySink`], takes the **delta** of their
-//! [`Metrics`] counters against the previous cut, drains newly committed
-//! trace-ring events past a per-recorder cursor, replays them into one
-//! [`LiveSet`], and folds all of it into one [`Sample`] row. A host thread
-//! cuts one at a configurable cadence (default 10 ms);
+//! attached to its [`TelemetrySink`] and records the **delta** of their
+//! [`Metrics`] counters against the previous cut as one [`Sample`]. A host
+//! thread cuts one at a configurable cadence (default 10 ms);
 //! [`Telemetry::sample_now`] and [`Telemetry::stop`] cut one on the thread
 //! that calls them, and return once it is in the ring. Any cut restarts the
 //! cadence. Samples land in a bounded ring (drop-oldest, with an eviction
 //! count), so a long run does not grow host memory without limit.
 //!
-//! The sampler has no export of its own: the per-run view is the trace
-//! export ([`crate::trace::chrome_trace_json`]), whose launch windows are
-//! folded from the same events by the same [`LiveSet`].
+//! The sampler folds counters only. Every fold of trace events — op
+//! counts, latency percentiles, live bytes, fragmentation — belongs to the
+//! one per-run export ([`crate::trace::chrome_trace_json`]), which replays
+//! the recorded trace once, offline.
 //!
 //! ## Why counter deltas, not absolutes
 //!
 //! The shared counter block only ever accumulates ([`CounterSnapshot`] is
-//! monotone), so a rate over a window is `(now − prev) / window` — exact,
-//! and robust to managers *joining* mid-run: a manager built while the
-//! sampler runs registers with the [`TelemetrySink`] and its first ops
-//! appear as that window's delta. The same cursor logic applies to the
-//! trace rings: only events past the last cut's drain are folded into the
-//! new window, so one event is never counted twice even though ring
-//! snapshots are non-destructive.
+//! monotone), so a window's delta is exact and the windows partition the
+//! run: their deltas sum to the series' `totals`. It is also robust to
+//! managers *joining* mid-run: a manager built while the sampler runs
+//! registers with the [`TelemetrySink`] and its first ops appear as that
+//! window's delta.
 //!
 //! ## Teardown ordering
 //!
@@ -41,47 +38,34 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{CounterSnapshot, Metrics};
-use crate::trace::{EventKind, LatencyHistogram, LiveSet, TraceRecorder};
 
 /// Default sampler cadence: one sample every 10 ms (100 Hz).
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Default sample-ring capacity: at the default cadence this holds ~41 s of
-/// history in ~12 KiB; a soak run keeps the newest window and counts what
-/// it evicted.
+/// Sample-ring capacity: at the default cadence this holds ~41 s of
+/// history; a soak run keeps the newest windows and counts what it evicted.
 pub const DEFAULT_CAPACITY: usize = 4096;
-
-/// Per-SM trace-ring capacity the benchmark registry's
-/// `ManagerBuilder::telemetry` forces onto a manager built with a sink and
-/// no explicit trace capacity (the benchmark's `observed` workload sets its
-/// own). Smaller than [`crate::trace::DEFAULT_EVENTS_PER_SM`]: the sampler
-/// drains continuously, so the ring only needs to cover one sampling
-/// interval.
-pub const WATCH_EVENTS_PER_SM: usize = 2048;
 
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Sampler configuration. Construct with [`TelemetryConfig::new`], then
-/// chain the builder-style setters.
+/// Sampler configuration: the cadence. Construct with
+/// [`TelemetryConfig::new`], then set it with [`TelemetryConfig::hz`].
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Sampling interval (window length under no forced cuts).
-    pub interval: Duration,
-    /// Sample-ring capacity; the oldest row is evicted (and counted) when
-    /// full.
-    pub capacity: usize,
+    interval: Duration,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { interval: DEFAULT_INTERVAL, capacity: DEFAULT_CAPACITY }
+        TelemetryConfig { interval: DEFAULT_INTERVAL }
     }
 }
 
 impl TelemetryConfig {
-    /// Defaults: 10 ms interval, 4096-row ring.
+    /// Defaults: 10 ms interval.
     pub fn new() -> Self {
         Self::default()
     }
@@ -94,40 +78,22 @@ impl TelemetryConfig {
         }
         self
     }
-
-    /// Sets the sampling interval directly.
-    pub fn interval(mut self, d: Duration) -> Self {
-        self.interval = d.max(Duration::from_micros(100));
-        self
-    }
-
-    /// Sets the sample-ring capacity (min 2: one live row plus headroom for
-    /// the final cut).
-    pub fn capacity(mut self, n: usize) -> Self {
-        self.capacity = n.max(2);
-        self
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Sink: where watched managers register
 // ---------------------------------------------------------------------------
 
-/// A registry of telemetry sources (manager [`Metrics`] handles and their
-/// attached trace recorders). The sampler aggregates across every source,
-/// merging counter snapshots, so a scenario that builds one manager per
-/// cell still produces a single coherent stream.
+/// A registry of telemetry sources (manager [`Metrics`] handles). The
+/// sampler aggregates across every source, merging counter snapshots, so a
+/// scenario that builds one manager per cell still produces a single
+/// coherent stream.
 ///
 /// Cloning shares the registry. Attach happens in the benchmark registry's
 /// builder (`ManagerBuilder::telemetry`).
 #[derive(Clone, Default)]
 pub struct TelemetrySink {
-    sources: Arc<Mutex<Vec<Source>>>,
-}
-
-struct Source {
-    metrics: Metrics,
-    recorder: Option<Arc<TraceRecorder>>,
+    sources: Arc<Mutex<Vec<Metrics>>>,
 }
 
 impl TelemetrySink {
@@ -136,18 +102,13 @@ impl TelemetrySink {
         Self::default()
     }
 
-    /// Registers a manager's metrics handle (and, when one is attached, its
-    /// trace recorder). Disabled handles are ignored — they can never
-    /// produce a reading.
+    /// Registers a manager's metrics handle. Disabled handles are ignored —
+    /// they can never produce a reading. Every call adds a source: counter
+    /// blocks are distinct per builder call.
     pub fn attach(&self, metrics: &Metrics) {
-        if !metrics.is_enabled() {
-            return;
+        if metrics.is_enabled() {
+            self.sources.lock().unwrap().push(metrics.clone());
         }
-        let recorder = metrics.tracer().cloned();
-        // Every call adds a source: counter blocks are distinct per builder
-        // call. Recorders shared between sources are folded once, because
-        // `take_sample` keeps one cursor per ring (`Arc::ptr_eq`).
-        self.sources.lock().unwrap().push(Source { metrics: metrics.clone(), recorder });
     }
 
     /// Number of registered sources.
@@ -162,12 +123,11 @@ impl TelemetrySink {
 }
 
 // ---------------------------------------------------------------------------
-// Sample
+// Sample and time series
 // ---------------------------------------------------------------------------
 
-/// One sampling window's reading. Rates are per-window deltas divided by
-/// the window length; `live_*`, `frag_percent` and `dropped_events` are
-/// point-in-time readings at the window's end.
+/// One sampling window: the merged counter delta of every source between
+/// two cuts. Rates follow from `counters` and `window_ms`.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Sample {
     /// Monotone sample index (survives ring eviction).
@@ -176,42 +136,9 @@ pub struct Sample {
     pub t_ms: f64,
     /// Window length in milliseconds (cadence, unless a cut was forced).
     pub window_ms: f64,
-    /// Successful-or-failed malloc calls per second in the window.
-    pub allocs_per_sec: f64,
-    /// Free calls per second in the window.
-    pub frees_per_sec: f64,
-    /// CAS retries per malloc/free call in the window.
-    pub cas_retries_per_op: f64,
-    /// Magazine hits / (hits + misses) in the window; 0 when uncached.
-    pub magazine_hit_rate: f64,
-    /// Live allocations by counter accounting (mallocs − frees, net of
-    /// failures), across all sources, cumulative.
-    pub live_allocs: u64,
-    /// Live bytes by trace replay (0 without a trace ring; approximate if
-    /// the ring dropped events).
-    pub live_bytes: u64,
-    /// Fragmentation of the live set via [`crate::frag`]: percent by which
-    /// the spanned address range exceeds the packed footprint.
-    pub frag_percent: f64,
-    /// Malloc completions (`MallocEnd` events) in this window, timed or
-    /// not.
-    pub malloc_ops: u64,
-    /// Windowed malloc latency percentiles from the log2 histogram of the
-    /// window's timed completions (ns; 0 when none was timed).
-    pub malloc_p50_ns: u64,
-    /// 95th percentile (ns).
-    pub malloc_p95_ns: u64,
-    /// 99th percentile (ns).
-    pub malloc_p99_ns: u64,
-    /// OOM fallbacks per malloc call in the window.
-    pub oom_fallback_rate: f64,
-    /// Trace events dropped (ring full), cumulative across all recorders.
-    pub dropped_events: u64,
+    /// What every source counted in the window.
+    pub counters: CounterSnapshot,
 }
-
-// ---------------------------------------------------------------------------
-// Time series
-// ---------------------------------------------------------------------------
 
 /// A snapshot of everything the sampler has collected.
 #[derive(Clone, Debug)]
@@ -221,15 +148,9 @@ pub struct TimeSeries {
     pub samples: Vec<Sample>,
     /// Samples evicted from the ring.
     pub evicted: u64,
-    /// Cumulative merged counters across all sources at snapshot time.
+    /// Cumulative merged counters across all sources at the last cut: the
+    /// sum of every window's `counters`, evicted ones included.
     pub totals: CounterSnapshot,
-}
-
-impl TimeSeries {
-    /// The newest sample, if any.
-    pub fn last(&self) -> Option<&Sample> {
-        self.samples.last()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,21 +204,6 @@ impl Shared {
     }
 }
 
-/// Per-recorder replay cursor: how far into a ring's event stream the
-/// sampler has folded, keyed by ring identity.
-struct RecorderCursor {
-    recorder: Arc<TraceRecorder>,
-    /// Per-shard consumed-prefix indices for
-    /// [`TraceRecorder::snapshot_since`] — each committed event is folded
-    /// into exactly one window, with no per-tick full-ring re-decode.
-    shard_cursors: Vec<u64>,
-    /// Events folded so far. `recorded()` counts a slot from its claim, so
-    /// equal means nothing is left to drain and the fold skips it; a slot
-    /// caught between claim and publication keeps the two apart until a
-    /// later window folds it.
-    seen: u64,
-}
-
 /// Everything the windows have folded so far, and the sample ring they
 /// land in. It lives behind [`Shared`]'s one lock, and whichever thread
 /// asks for a window — the cadence thread, a `sample_now` caller, or
@@ -307,22 +213,15 @@ struct Cursor {
     /// Merged counters at the last cut: the next window's delta base, and
     /// the series' cumulative totals.
     prev: CounterSnapshot,
-    recorders: Vec<RecorderCursor>,
-    /// Every drained grant and release, replayed.
-    replay: LiveSet,
     /// Folded counters of retired sources: once a manager's last clone is
     /// dropped its block is frozen, so it is snapshotted one final time
     /// into this base and pruned from the sink — long runs churning many
     /// managers would otherwise re-read every dead shard every tick.
     retired: CounterSnapshot,
-    /// `dropped()` totals of retired trace recorders, same idea.
-    retired_dropped: u64,
     /// End of the last window, since [`Shared::epoch`].
     last_t: Duration,
     ring: VecDeque<Sample>,
-    capacity: usize,
     evicted: u64,
-    seq: u64,
     /// `stop` has cut the final window.
     stopped: bool,
 }
@@ -343,15 +242,10 @@ impl Telemetry {
             wake: Condvar::new(),
             cursor: Mutex::new(Cursor {
                 prev: CounterSnapshot::default(),
-                recorders: Vec::new(),
-                replay: LiveSet::new(),
                 retired: CounterSnapshot::default(),
-                retired_dropped: 0,
                 last_t: Duration::ZERO,
-                ring: VecDeque::with_capacity(cfg.capacity.min(65_536)),
-                capacity: cfg.capacity,
+                ring: VecDeque::new(),
                 evicted: 0,
-                seq: 0,
                 stopped: false,
             }),
             sink,
@@ -428,99 +322,35 @@ fn cadence_loop(shared: &Shared) {
 }
 
 impl Cursor {
-    /// Folds everything since the last cut into one [`Sample`] ending at
-    /// `now` and pushes it into the ring.
+    /// Folds the counters counted since the last cut into one [`Sample`]
+    /// ending at `now` and pushes it into the ring.
     fn fold(&mut self, sink: &TelemetrySink, now: Duration) {
-        // Merge every source's counters; pick up recorders we have not seen.
-        // Sources whose last manager-side handle is gone are frozen: fold
-        // their final snapshot into the retired base and prune them, so a
-        // run churning through many managers never re-reads dead shards.
-        // The sole-owner check precedes the snapshot — frozen-at-check means
-        // the snapshot taken after it is the complete final value.
+        // Merge every source's counters. Sources whose last manager-side
+        // handle is gone are frozen: fold their final snapshot into the
+        // retired base and prune them, so a run churning through many
+        // managers never re-reads dead shards. The sole-owner check
+        // precedes the snapshot — frozen-at-check means the snapshot taken
+        // after it is the complete final value.
         let mut merged = self.retired;
-        {
-            let mut sources = sink.sources.lock().unwrap();
-            sources.retain(|src| {
-                let dead = src.metrics.is_sole_owner();
-                let snap = src.metrics.snapshot();
-                merged = merged.merge(&snap);
-                if let Some(rec) = &src.recorder {
-                    if !self.recorders.iter().any(|c| Arc::ptr_eq(&c.recorder, rec)) {
-                        self.recorders.push(RecorderCursor {
-                            recorder: Arc::clone(rec),
-                            shard_cursors: Vec::new(),
-                            seen: 0,
-                        });
-                    }
-                }
-                if dead {
-                    self.retired = self.retired.merge(&snap);
-                }
-                !dead
-            });
-        }
-        let delta = merged.delta_since(&self.prev);
-
-        // Fold newly committed trace events into this window, then retire
-        // recorders nobody else holds: the drain just taken was their last
-        // (no handle left to emit), so only the dropped total survives.
-        let mut hist = LatencyHistogram::new();
-        let mut malloc_ops = 0u64;
-        let mut dropped = self.retired_dropped;
-        let mut retired_dropped = 0u64;
-        let (recorders, replay) = (&mut self.recorders, &mut self.replay);
-        recorders.retain_mut(|rc| {
-            // Sole ownership checked *before* the drain: frozen-at-check
-            // means this drain sees every event the recorder will ever hold.
-            let sole = Arc::strong_count(&rc.recorder) == 1;
-            if rc.recorder.recorded() != rc.seen {
-                let trace = rc.recorder.snapshot_since(&mut rc.shard_cursors);
-                rc.seen += trace.events.len() as u64;
-                for ev in &trace.events {
-                    if ev.kind == EventKind::MallocEnd {
-                        malloc_ops += 1;
-                        if let Some(ns) = ev.latency() {
-                            hist.record(ns);
-                        }
-                    }
-                    replay.apply(ev);
-                }
+        sink.sources.lock().unwrap().retain(|src| {
+            let dead = src.is_sole_owner();
+            let snap = src.snapshot();
+            merged = merged.merge(&snap);
+            if dead {
+                self.retired = self.retired.merge(&snap);
             }
-            dropped += rc.recorder.dropped();
-            if sole {
-                retired_dropped += rc.recorder.dropped();
-            }
-            !sole
+            !dead
         });
-        self.retired_dropped += retired_dropped;
-
-        let window = now.saturating_sub(self.last_t);
-        let win_s = window.as_secs_f64().max(1e-9);
-        let ops = delta.malloc_calls() + delta.free_calls();
-        let mag_traffic = delta.magazine_hits() + delta.magazine_misses();
-        if self.ring.len() == self.capacity {
+        if self.ring.len() == DEFAULT_CAPACITY {
             self.ring.pop_front();
             self.evicted += 1;
         }
         self.ring.push_back(Sample {
-            seq: self.seq,
+            seq: self.evicted + self.ring.len() as u64,
             t_ms: now.as_secs_f64() * 1e3,
-            window_ms: window.as_secs_f64() * 1e3,
-            allocs_per_sec: delta.malloc_calls() as f64 / win_s,
-            frees_per_sec: delta.free_calls() as f64 / win_s,
-            cas_retries_per_op: delta.cas_retries() as f64 / ops.max(1) as f64,
-            magazine_hit_rate: delta.magazine_hits() as f64 / mag_traffic.max(1) as f64,
-            live_allocs: merged.live(),
-            live_bytes: self.replay.bytes(),
-            frag_percent: self.replay.frag_percent(),
-            malloc_ops,
-            malloc_p50_ns: hist.p50(),
-            malloc_p95_ns: hist.p95(),
-            malloc_p99_ns: hist.p99(),
-            oom_fallback_rate: delta.oom_fallbacks() as f64 / delta.malloc_calls().max(1) as f64,
-            dropped_events: dropped,
+            window_ms: now.saturating_sub(self.last_t).as_secs_f64() * 1e3,
+            counters: merged.delta_since(&self.prev),
         });
-        self.seq += 1;
         self.prev = merged;
         self.last_t = now;
     }
@@ -585,13 +415,14 @@ mod tests {
         }
     }
 
+    /// The windows partition the run: a busy cadence cuts many windows
+    /// while the calls land, and their deltas sum exactly to the totals.
     #[test]
     fn sampler_windows_carry_counter_deltas() {
         let sink = TelemetrySink::new();
         let m = Metrics::enabled(4);
         sink.attach(&m);
-        let tele =
-            Telemetry::start(TelemetryConfig::new().interval(Duration::from_millis(2)), sink);
+        let tele = Telemetry::start(TelemetryConfig::new().hz(10_000.0), sink);
         let bump = crate::metrics::Counted::new(Bump::new(m));
         let ctx = ThreadCtx::host();
         for _ in 0..100 {
@@ -600,77 +431,26 @@ mod tests {
         }
         tele.sample_now();
         let ts = tele.stop();
-        assert!(!ts.samples.is_empty());
+        assert_eq!(ts.evicted, 0);
         assert_eq!(ts.totals.malloc_calls(), 100);
         assert_eq!(ts.totals.free_calls(), 100);
-        let windowed: f64 = ts.samples.iter().map(|s| s.allocs_per_sec * s.window_ms / 1e3).sum();
-        assert!(
-            (windowed - 100.0).abs() < 1.0,
-            "window deltas must sum to the cumulative count, got {windowed}"
-        );
-    }
-
-    #[test]
-    fn sampler_folds_trace_latencies_and_live_bytes() {
-        let rec = Arc::new(TraceRecorder::new(2, 64));
-        let m = Metrics::enabled(2).with_tracer(Arc::clone(&rec));
-        let sink = TelemetrySink::new();
-        sink.attach(&m);
-        let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
-        // Two allocations, one freed: 128 live bytes at offsets 0 and 4096
-        // (range 4224 vs packed 256 → heavy fragmentation).
-        rec.emit(0, EventKind::MallocEnd, [0, 128, 500, 0]);
-        rec.emit(0, EventKind::MallocEnd, [4096, 128, 1500, 2]);
-        rec.emit(1, EventKind::MallocEnd, [8192, 64, 900, 0]);
-        rec.emit(1, EventKind::FreeEnd, [8192, 100, 0, 1]);
-        // Two refusals `Traced` did not time: counted, not in the histogram.
-        rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
-        rec.emit(1, EventKind::MallocEnd, [u64::MAX, 64, 0, 0]);
-        tele.sample_now();
-        let ts = tele.stop();
-        let s = ts.samples.iter().find(|s| s.malloc_ops > 0).expect("a window saw the events");
-        assert_eq!(s.malloc_ops, 5);
-        // The median of 500, 900 and 1 500 ns; with the two zeros it would
-        // be 500's bucket.
-        assert!(s.malloc_p50_ns >= 900, "{s:?}");
-        assert!(s.malloc_p99_ns >= 1500, "p99 covers the slowest op: {s:?}");
-        assert_eq!(s.live_bytes, 256);
-        assert!(s.frag_percent > 100.0, "sparse live set must report fragmentation: {s:?}");
-    }
-
-    #[test]
-    fn sampler_never_double_counts_ring_events() {
-        let rec = Arc::new(TraceRecorder::new(1, 64));
-        let m = Metrics::enabled(1).with_tracer(Arc::clone(&rec));
-        let sink = TelemetrySink::new();
-        sink.attach(&m);
-        let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
-        rec.emit(0, EventKind::MallocEnd, [0, 64, 100, 0]);
-        tele.sample_now();
-        tele.sample_now(); // snapshot is non-destructive; watermark must gate
-        rec.emit(0, EventKind::MallocEnd, [64, 64, 100, 0]);
-        tele.sample_now();
-        let ts = tele.stop();
-        let total: u64 = ts.samples.iter().map(|s| s.malloc_ops).sum();
-        assert_eq!(total, 2, "each MallocEnd folds into exactly one window");
+        let windowed =
+            ts.samples.iter().fold(CounterSnapshot::default(), |sum, s| sum.merge(&s.counters));
+        assert_eq!(windowed, ts.totals, "window deltas sum exactly to the totals");
     }
 
     #[test]
     fn sample_ring_is_bounded_and_counts_evictions() {
-        let sink = TelemetrySink::new();
-        let tele = Telemetry::start(
-            TelemetryConfig::new().interval(Duration::from_secs(60)).capacity(2),
-            sink,
-        );
-        for _ in 0..5 {
+        let tele = Telemetry::start(TelemetryConfig::new().hz(0.1), TelemetrySink::new());
+        for _ in 0..DEFAULT_CAPACITY + 3 {
             tele.sample_now();
         }
         let ts = tele.stop();
-        assert!(ts.samples.len() <= 2, "capacity bound holds: {}", ts.samples.len());
-        assert!(ts.evicted >= 3, "evictions counted: {}", ts.evicted);
+        assert_eq!(ts.samples.len(), DEFAULT_CAPACITY, "capacity bound holds");
+        assert!(ts.evicted >= 4, "evictions counted: {}", ts.evicted);
         let seqs: Vec<u64> = ts.samples.iter().map(|s| s.seq).collect();
-        let newest = *seqs.last().unwrap();
-        assert!(seqs.iter().all(|&s| s + 2 > newest), "ring keeps the newest rows: {seqs:?}");
+        assert_eq!(seqs[0], ts.evicted, "the ring keeps the newest rows");
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "retained rows are dense");
     }
 
     /// Many wide sources: every window takes long enough that a busy
@@ -681,8 +461,7 @@ mod tests {
         for m in &sources {
             sink.attach(m);
         }
-        let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
-        (sources, Telemetry::start(cfg, sink))
+        (sources, Telemetry::start(TelemetryConfig::new().hz(10_000.0), sink))
     }
 
     #[test]
@@ -690,7 +469,7 @@ mod tests {
         let sink = TelemetrySink::new();
         let m = Metrics::enabled(2);
         sink.attach(&m);
-        let tele = Telemetry::start(TelemetryConfig::new().interval(Duration::from_secs(60)), sink);
+        let tele = Telemetry::start(TelemetryConfig::new().hz(0.1), sink);
         m.add(0, Counter::MallocCalls, 7);
         tele.sample_now();
         assert_eq!(tele.sink().len(), 1, "live source stays registered");
@@ -702,9 +481,8 @@ mod tests {
 
         let series = tele.stop();
         assert_eq!(series.totals.malloc_calls(), 10, "retired counts survive in totals");
-        let windowed: u64 =
-            series.samples.iter().map(|s| s.allocs_per_sec * s.window_ms / 1e3).sum::<f64>() as u64;
-        assert!(windowed >= 9, "windows saw (almost exactly) all ten calls: {windowed}");
+        let windowed: Vec<u64> = series.samples.iter().map(|s| s.counters.malloc_calls()).collect();
+        assert_eq!(windowed, [7, 3, 0], "each call lands in exactly one window");
     }
 
     /// `sample_now` returns after a window it cut itself: a source whose
@@ -722,8 +500,7 @@ mod tests {
             for m in &wide {
                 sink.attach(m);
             }
-            let cfg = TelemetryConfig::new().interval(Duration::from_micros(100));
-            let tele = Telemetry::start(cfg, sink);
+            let tele = Telemetry::start(TelemetryConfig::new().hz(10_000.0), sink);
             std::thread::sleep(Duration::from_micros(100 + i % 7 * 20));
             drop(doomed);
             tele.sample_now();

@@ -18,8 +18,9 @@
 //!    tracks for heap occupancy and CAS-retry rate, and one counter sample
 //!    per launch window. It is the repo's one per-run export.
 //!
-//! The export, `repro trace`'s summary and the telemetry sampler's windows
-//! all replay the live set through one [`LiveSet`].
+//! The export and `repro trace`'s summary replay the live set through one
+//! [`LiveSet`]. The telemetry sampler (`crate::telemetry`) folds counters
+//! only: every fold of trace events is the export's.
 //!
 //! # Recording discipline
 //!
@@ -246,35 +247,24 @@ struct TraceShard {
 }
 
 impl TraceShard {
-    /// Decodes the claimed ones of the shard's `slots` from `start` on into
-    /// `out`, waiting (bounded, over the whole walk) on the tag of a slot a
-    /// writer has claimed but not yet published. A slot that stays
-    /// unpublished ends the walk when `stop_at_hole`, else it is skipped.
-    /// Returns the index one past the last slot consumed.
-    fn decode_from(
-        &self,
-        slots: &[Slot],
-        start: usize,
-        stop_at_hole: bool,
-        out: &mut Vec<TraceEvent>,
-    ) -> usize {
+    /// Decodes the claimed ones of the shard's `slots` into `out`, waiting
+    /// (bounded, over the whole walk) on the tag of a slot a writer has
+    /// claimed but not yet published. A slot that stays unpublished is
+    /// skipped.
+    fn decode(&self, slots: &[Slot], out: &mut Vec<TraceEvent>) {
         let claims = (self.claimed.load(Ordering::Acquire) as usize).min(slots.len());
         // Loom explores each spin iteration as a branch; keep the bound
         // tight there and generous on real hardware.
         let mut spins: u32 = if cfg!(loom) { 100 } else { 1_000_000 };
-        for (i, slot) in slots.iter().enumerate().take(claims).skip(start) {
+        for slot in &slots[..claims] {
             while slot.decode_into(out).is_none() {
                 if spins == 0 {
-                    if stop_at_hole {
-                        return i;
-                    }
                     break;
                 }
                 spins -= 1;
                 crate::sync::hint::spin_loop();
             }
         }
-        claims
     }
 }
 
@@ -564,36 +554,8 @@ impl TraceRecorder {
     pub fn snapshot(&self) -> Trace {
         let mut events = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            shard.decode_from(self.slots(i), 0, false, &mut events);
+            shard.decode(self.slots(i), &mut events);
         }
-        self.sorted_trace(events)
-    }
-
-    /// Incrementally decodes events published since the last call with the
-    /// same cursor vector, returning each event exactly once across calls.
-    ///
-    /// The rings are drop-newest — a claimed slot is never recycled — so a
-    /// per-shard slot index over the published prefix is an exact cursor,
-    /// not a heuristic. Each call consumes the *contiguous* published
-    /// prefix: a slot still between claim and publication stops this
-    /// shard's walk (after the same bounded spin [`TraceRecorder::snapshot`]
-    /// uses) and is picked up by the next call instead of being skipped or
-    /// re-read.
-    ///
-    /// This is the telemetry sampler's drain path: at kHz cadences a full
-    /// [`TraceRecorder::snapshot`] per window re-decodes the entire ring
-    /// (`capacity × num_sms` slots) every time, which is what dominated
-    /// the sampler's measured overhead before this path existed.
-    pub fn snapshot_since(&self, cursors: &mut Vec<u64>) -> Trace {
-        cursors.resize(self.shards.len(), 0);
-        let mut events = Vec::new();
-        for (i, (shard, cursor)) in self.shards.iter().zip(cursors.iter_mut()).enumerate() {
-            *cursor = shard.decode_from(self.slots(i), *cursor as usize, true, &mut events) as u64;
-        }
-        self.sorted_trace(events)
-    }
-
-    fn sorted_trace(&self, mut events: Vec<TraceEvent>) -> Trace {
         events.sort_by_key(|e| (e.ts_ns, e.sm));
         Trace { events, dropped: self.dropped() }
     }
@@ -968,8 +930,8 @@ impl OpLatencies {
 
 /// The live set a stream of trace events replays into: every block granted
 /// by a [`TraceEvent::grant`] and not yet retired by a
-/// [`TraceEvent::release`]. The one replay behind [`chrome_trace_json`],
-/// `repro trace`'s summary and the telemetry sampler's windows.
+/// [`TraceEvent::release`]. The one replay behind [`chrome_trace_json`]
+/// and `repro trace`'s summary.
 ///
 /// A pointer granted again while still live (its `FreeEnd` was lost to a
 /// full shard, or a bulk `free_warp_all` released it without naming it)
@@ -979,8 +941,6 @@ pub struct LiveSet {
     blocks: HashMap<u64, u64>,
     bytes: u64,
     unmatched_frees: u64,
-    /// [`LiveSet::frag_percent`] of `blocks`, until they next change.
-    frag: Option<f64>,
 }
 
 impl LiveSet {
@@ -993,22 +953,20 @@ impl LiveSet {
     /// otherwise whether it opened a block that was not live (a grant) or
     /// closed one that was (a release).
     pub fn apply(&mut self, e: &TraceEvent) -> Option<bool> {
-        let changed = if let Some((ptr, size)) = e.grant() {
+        if let Some((ptr, size)) = e.grant() {
             // Added before the old size is taken off: `bytes` holds it.
             self.bytes += size;
             let old = self.blocks.insert(ptr, size);
             self.bytes -= old.unwrap_or(0);
-            old.is_none()
+            Some(old.is_none())
         } else if let Some(ptr) = e.release() {
             let size = self.blocks.remove(&ptr);
             self.bytes -= size.unwrap_or(0);
             self.unmatched_frees += u64::from(size.is_none());
-            size.is_some()
+            Some(size.is_some())
         } else {
-            return None;
-        };
-        self.frag = None;
-        Some(changed)
+            None
+        }
     }
 
     /// Bytes live.
@@ -1034,16 +992,13 @@ impl LiveSet {
 
     /// Fragmentation of the live set ([`FragmentationStats`]): percent by
     /// which the address range the live blocks span exceeds their bytes.
-    /// It walks the set, once per change: a second call before the next
-    /// change is a read.
-    pub fn frag_percent(&mut self) -> f64 {
-        *self.frag.get_or_insert_with(|| {
-            let mut range = AddressRange::new();
-            for (&ptr, &size) in &self.blocks {
-                range.record(DevicePtr::new(ptr), size);
-            }
-            FragmentationStats::from_range(&range).percent_over_baseline()
-        })
+    /// It walks the set.
+    pub fn frag_percent(&self) -> f64 {
+        let mut range = AddressRange::new();
+        for (&ptr, &size) in &self.blocks {
+            range.record(DevicePtr::new(ptr), size);
+        }
+        FragmentationStats::from_range(&range).percent_over_baseline()
     }
 }
 
@@ -1387,38 +1342,6 @@ mod tests {
         assert_eq!(t.events[1], ev(10, EventKind::OomFallback, 1, [1, 0, 0, 0]));
         assert_eq!(t.events[2].args, [0x100, 64, 10, 3]);
         assert_eq!(rec.recorded(), 3);
-    }
-
-    #[test]
-    fn snapshot_since_returns_each_event_exactly_once() {
-        let rec = TraceRecorder::new(4, 8);
-        let mut cursors = Vec::new();
-
-        rec.emit_at(10, 0, EventKind::MallocEnd, [0x100, 64, 5, 0]);
-        rec.emit_at(20, 3, EventKind::MallocEnd, [0x200, 64, 5, 0]);
-        let t1 = rec.snapshot_since(&mut cursors);
-        assert_eq!(t1.len(), 2, "first drain sees everything committed so far");
-
-        let t2 = rec.snapshot_since(&mut cursors);
-        assert!(t2.events.is_empty(), "nothing new, nothing returned");
-
-        rec.emit_at(30, 0, EventKind::FreeEnd, [0x100, 5, 0, 1]);
-        let t3 = rec.snapshot_since(&mut cursors);
-        assert_eq!(t3.len(), 1, "incremental drain sees only the new event");
-        assert_eq!(t3.events[0].kind, EventKind::FreeEnd);
-
-        // The incremental drains and a full snapshot agree on the stream.
-        assert_eq!(rec.snapshot().len(), t1.len() + t3.len());
-
-        // Cursors survive shard overflow: drop-newest never recycles slots,
-        // so a full shard simply stops yielding.
-        for i in 0..20 {
-            rec.emit_at(40 + i, 0, EventKind::OomFallback, [1, 0, 0, 0]);
-        }
-        let t4 = rec.snapshot_since(&mut cursors);
-        assert_eq!(t4.len() as u64, rec.recorded() - 3, "drains exactly the committed tail");
-        assert!(rec.snapshot_since(&mut cursors).events.is_empty());
-        assert!(rec.dropped() > 0, "overflow counted, not replayed");
     }
 
     #[test]
@@ -2011,7 +1934,7 @@ mod tests {
 
 // Loom model of the claim/publish protocol: two writers — a `Traced`-shaped
 // `MallocEnd` and a point event — race for the first slot of an empty shard
-// while a reader drains incrementally, so the winner's commit of the shard
+// while a reader takes a snapshot, so the winner's commit of the shard
 // runs between the claims, the loser's stores and the reads. With no
 // shard-wide commit count, the per-slot tag is all that stands between the
 // reader and a half-written slot. The shards are 192 bytes, so shard 1's
@@ -2032,7 +1955,7 @@ mod loom_tests {
             };
             let malloc = writer(7, EventKind::MallocEnd);
             let oom = writer(9, EventKind::OomFallback);
-            // Whatever a drain returns is whole: no word of a slot is torn.
+            // Whatever a snapshot returns is whole: no word of a slot is torn.
             let whole = |t: &Trace| {
                 for ev in &t.events {
                     let ts = match ev.kind {
@@ -2044,14 +1967,12 @@ mod loom_tests {
                     assert_eq!((ev.ts_ns, ev.args), (ts, [ts; 4]));
                 }
             };
-            let mut cursors = Vec::new();
-            let mid = rec.snapshot_since(&mut cursors);
-            whole(&mid);
+            whole(&rec.snapshot());
             malloc.join().unwrap();
             oom.join().unwrap();
-            let rest = rec.snapshot_since(&mut cursors);
-            whole(&rest);
-            assert_eq!(mid.len() + rest.len(), 3, "each event in exactly one drain");
+            let all = rec.snapshot();
+            whole(&all);
+            assert_eq!(all.len(), 3, "every event published once the writers join");
             assert_eq!(rec.recorded(), 3);
         });
     }

@@ -46,9 +46,6 @@ pub struct SchedStats {
     /// Warps each worker executed, indexed by worker id. An inline launch
     /// reports `[n_warps]`.
     pub warps_per_worker: Vec<u32>,
-    /// Extra trips to the shared claim counter beyond each participating
-    /// worker's first — how much rebalancing the launch needed.
-    pub steals: u64,
 }
 
 impl SchedStats {
@@ -102,13 +99,6 @@ struct PoolState {
     shutdown: bool,
 }
 
-/// Per-worker launch statistics (reset by the launcher, written by the
-/// owning worker after it drains).
-struct WorkerSlot {
-    warps: AtomicU32,
-    claims: AtomicU32,
-}
-
 struct Shared {
     state: Mutex<PoolState>,
     /// Wakes parked workers when `gen` advances or `shutdown` is set.
@@ -136,7 +126,9 @@ struct Shared {
     /// spinning only steals the core the awaited thread needs, so the
     /// limit drops to near zero.
     spin_limit: u32,
-    slots: Vec<WorkerSlot>,
+    /// Warps each worker executed this launch (reset by the launcher,
+    /// written by the owning worker after it drains).
+    warps: Vec<AtomicU32>,
 }
 
 /// Locks a pool mutex, shrugging off poisoning: a kernel panic unwinds
@@ -198,25 +190,22 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, workers: usize) {
         let body = unsafe { &*job.0 };
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut warps = 0u32;
-            let mut claims = 0u32;
             loop {
                 let first = shared.next.fetch_add(chunk, Ordering::Relaxed);
                 if first >= n_warps {
                     break;
                 }
                 let last = first.saturating_add(chunk).min(n_warps);
-                claims += 1;
                 for w in first..last {
                     body(w);
                 }
                 warps += last - first;
             }
-            (warps, claims)
+            warps
         }));
         let ran_warps = match outcome {
-            Ok((warps, claims)) => {
-                shared.slots[idx].warps.store(warps, Ordering::Relaxed);
-                shared.slots[idx].claims.store(claims, Ordering::Relaxed);
+            Ok(warps) => {
+                shared.warps[idx].store(warps, Ordering::Relaxed);
                 warps > 0
             }
             Err(payload) => {
@@ -283,9 +272,7 @@ impl WorkerPool {
             } else {
                 16
             },
-            slots: (0..workers)
-                .map(|_| WorkerSlot { warps: AtomicU32::new(0), claims: AtomicU32::new(0) })
-                .collect(),
+            warps: (0..workers).map(|_| AtomicU32::new(0)).collect(),
         });
         // A 1-worker device runs kernels inline on the calling thread (the
         // deterministic `GMS_WORKERS=1` mode) and needs no pool threads.
@@ -409,7 +396,7 @@ impl Device {
     }
 
     /// As [`Device::launch`], additionally returning the scheduler stats of
-    /// the launch (dispatch overhead, per-worker warp counts, steals).
+    /// the launch (dispatch overhead, chunk size, per-worker warp counts).
     pub fn launch_with_stats<F>(&self, n_threads: u32, kernel: F) -> (Duration, SchedStats)
     where
         F: Fn(&ThreadCtx) + Sync,
@@ -482,7 +469,6 @@ impl Device {
                 workers: 1,
                 chunk: n_warps,
                 warps_per_worker: vec![n_warps],
-                steals: 0,
             };
             return (elapsed, sched);
         }
@@ -505,9 +491,8 @@ impl Device {
         shared.staged.store(0, Ordering::Relaxed);
         shared.done.store(0, Ordering::Relaxed);
         shared.end_nanos.store(0, Ordering::Relaxed);
-        for slot in &shared.slots {
-            slot.warps.store(0, Ordering::Relaxed);
-            slot.claims.store(0, Ordering::Relaxed);
+        for warps in &shared.warps {
+            warps.store(0, Ordering::Relaxed);
         }
 
         // SAFETY: lifetime erasure only — the launch protocol guarantees no
@@ -551,16 +536,9 @@ impl Device {
             panic::resume_unwind(p);
         }
         let warps_per_worker: Vec<u32> =
-            shared.slots.iter().map(|s| s.warps.load(Ordering::Relaxed)).collect();
-        let steals: u64 = shared
-            .slots
-            .iter()
-            .map(|s| s.claims.load(Ordering::Relaxed))
-            .filter(|&c| c > 0)
-            .map(|c| u64::from(c - 1))
-            .sum();
+            shared.warps.iter().map(|w| w.load(Ordering::Relaxed)).collect();
         let elapsed = Duration::from_nanos(end_nanos.saturating_sub(start_nanos));
-        (elapsed, SchedStats { dispatch, workers: pool.workers, chunk, warps_per_worker, steals })
+        (elapsed, SchedStats { dispatch, workers: pool.workers, chunk, warps_per_worker })
     }
 }
 

@@ -32,5 +32,5 @@ pub mod prelude {
         HeapBackendKind, HeapError, HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized,
         SanitizerReport, ThreadCtx, WarpCtx,
     };
-    pub use gpumem_core::{Sample, Telemetry, TelemetryConfig, TelemetrySink, TimeSeries};
+    pub use gpumem_core::{Telemetry, TelemetryConfig, TelemetrySink};
 }

@@ -4,6 +4,7 @@
 //! exact measured values. Each test names the shape ids it asserts
 //! (`fig9.*`, `fig11*.*`, `sec41.*`), the ones EXPERIMENTS.md refers to.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use gpumemsurvey::bench::registry::ManagerKind;
@@ -12,6 +13,16 @@ use gpumemsurvey::gpu_sim::PerThread;
 use gpumemsurvey::gpu_workloads::write_test::WritePattern;
 use gpumemsurvey::prelude::*;
 use gpumemsurvey::{alloc_cuda, alloc_xmalloc};
+
+/// One shape at a time: the harness runs tests on parallel threads, and a
+/// timing shape's 4-worker pool must not share the host's cores with
+/// another shape's workload. A failed shape poisons the lock; the shapes
+/// after it take it anyway.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn bench_on(workers: usize) -> Bench {
     Bench::new(Device::with_workers(DeviceSpec::titan_v(), workers))
@@ -39,6 +50,7 @@ fn inline_bench() -> Bench {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_is_outperformed_for_small_sizes() {
+    let _serial = serial();
     let b = bench();
     let n = 10_000;
     let cuda = runners::alloc_timing(&b, ManagerKind::CudaAllocator, n, 64);
@@ -66,6 +78,7 @@ fn cuda_allocator_is_outperformed_for_small_sizes() {
 /// Exact on the inline device, so it holds on any host and in debug.
 #[test]
 fn cuda_allocator_free_walks_its_class_stack() {
+    let _serial = serial();
     const N: u32 = 10_000;
     let b = inline_bench();
     let hops_per_free = |kind| {
@@ -91,6 +104,7 @@ fn cuda_allocator_free_walks_its_class_stack() {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_unit_split_at_2048() {
+    let _serial = serial();
     let b = bench();
     let at_2048 = runners::alloc_timing(&b, ManagerKind::CudaAllocator, 10_000, 2048);
     let at_4096 = runners::alloc_timing(&b, ManagerKind::CudaAllocator, 10_000, 4096);
@@ -117,6 +131,7 @@ fn cuda_allocator_unit_split_at_2048() {
 /// on any host and in debug.
 #[test]
 fn cuda_allocator_small_path_walks_its_units_up_to_2048() {
+    let _serial = serial();
     const N: u32 = 10_000;
     let b = inline_bench();
     let counts =
@@ -144,6 +159,7 @@ fn cuda_allocator_small_path_walks_its_units_up_to_2048() {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn scatteralloc_multipage_cliff() {
+    let _serial = serial();
     let b = bench();
     let single = runners::alloc_timing(&b, ManagerKind::ScatterAlloc, 10_000, 2048);
     let multi = runners::alloc_timing(&b, ManagerKind::ScatterAlloc, 10_000, 8192);
@@ -172,6 +188,7 @@ fn scatteralloc_multipage_cliff() {
 /// in debug.
 #[test]
 fn scatteralloc_multipage_search_probes_every_page() {
+    let _serial = serial();
     const N: u32 = 10_000;
     let b = inline_bench();
     let probes = |kind, size| runners::alloc_perf(&b, kind, N, size, false).counters.probe_steps();
@@ -192,6 +209,7 @@ fn scatteralloc_multipage_search_probes_every_page() {
 /// path reaches the list — and that it is the slower one.
 #[test]
 fn xmalloc_collapses_for_large_sizes() {
+    let _serial = serial();
     // One launch of what a first-level buffer holds, so a warmed-up small
     // round is FIFO pops and pushes only and the count below is exact.
     const NUM: u32 = alloc_xmalloc::FIRST_LEVEL_CAP as u32;
@@ -240,6 +258,7 @@ fn xmalloc_collapses_for_large_sizes() {
 /// the CUDA-Allocator model spans (nearly) its whole region.
 #[test]
 fn fragmentation_ordering() {
+    let _serial = serial();
     let b = inline_bench();
     let ouro = runners::fragmentation(&b, ManagerKind::OuroVAC, 10_000, 256, 2);
     assert!(
@@ -264,6 +283,7 @@ fn fragmentation_ordering() {
 /// back by its CUDA section; the 16 B alignment floor shows below 16 B.
 #[test]
 fn oom_utilization_ordering() {
+    let _serial = serial();
     let b = inline_bench();
     let ouro = runners::oom(&b, ManagerKind::OuroSC, 64 << 20, 1024);
     assert!(ouro.utilization > 0.9, "ouroboros OOM utilization {}", ouro.utilization);
@@ -291,6 +311,7 @@ fn oom_utilization_ordering() {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn workgen_beats_baseline_at_moderate_counts() {
+    let _serial = serial();
     let b = bench();
     let n = 4096;
     // Single-pass wall-clocks on an oversubscribed host can absorb a whole
@@ -314,6 +335,7 @@ fn workgen_beats_baseline_at_moderate_counts() {
 /// baseline; Reg-Eff's unaligned headers cost extra transactions.
 #[test]
 fn write_coalescing_ordering() {
+    let _serial = serial();
     let b = inline_bench();
     let n = 1 << 14;
     let pattern = WritePattern::Uniform { bytes: 32 };
@@ -338,6 +360,7 @@ fn write_coalescing_ordering() {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_is_worst_at_graph_init() {
+    let _serial = serial();
     let b = bench();
     let csr = gpumemsurvey::dyn_graph::generate("adaptive", 64, b.seed);
     let init = |kind| {
@@ -360,6 +383,7 @@ fn cuda_allocator_is_worst_at_graph_init() {
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_initialises_fastest() {
+    let _serial = serial();
     let b = bench();
     let cuda = runners::init_performance(&b, ManagerKind::CudaAllocator, 256 << 20);
     let ouro = runners::init_performance(&b, ManagerKind::OuroSP, 256 << 20);
@@ -372,6 +396,7 @@ fn cuda_allocator_initialises_fastest() {
 /// XMalloc's malloc the outlier, everyone's free modest.
 #[test]
 fn register_footprint_ordering() {
+    let _serial = serial();
     let fp = |k: ManagerKind| k.builder().heap(64 << 20).sms(80).build().register_footprint();
     let regeff = fp(ManagerKind::RegEffCF);
     let cuda = fp(ManagerKind::CudaAllocator);
