@@ -48,7 +48,8 @@
 //! it writes, so a recorder costs memory only for the shards events land on.
 //!
 //! [`Traced`] writes one `MallocEnd`/`FreeEnd` when a `malloc`/`free`
-//! returns, stamped with that instant: one clock read per call. One call in
+//! returns, stamped per warp pass (about 0.28 clock reads per call; see
+//! [`Traced`]), with ties in claim order on one SM's shard. One call in
 //! [`TIMED_ONE_IN`] on each thread also reads the clock when it starts and
 //! carries its latency (at least 1 ns); the others carry latency 0, which
 //! means "not timed". Ordering, the occupancy replay and the Perfetto
@@ -88,7 +89,8 @@ const LATENCY_BUCKETS: usize = 64;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum EventKind {
-    /// An allocation request returned; `ts_ns` is the instant it did.
+    /// An allocation request returned; `ts_ns` is the thread's last clock
+    /// reading when it did (see [`Traced`]).
     /// `args = [ptr_raw (u64::MAX on failure), size_bytes, latency_ns,
     /// cas_retries]`. `latency_ns` is 0 for a call [`Traced`] did not time
     /// (see [`TraceEvent::latency`]). Warp-collective calls emit one
@@ -96,7 +98,7 @@ pub enum EventKind {
     /// are attributed to the first lane only so sums stay correct. A failed
     /// collective emits one `MallocEnd` carrying the warp's total bytes.
     MallocEnd = 0,
-    /// A free request returned; `ts_ns` is the instant it did.
+    /// A free request returned; `ts_ns` as in `MallocEnd`.
     /// `args = [ptr_raw, latency_ns, cas_retries, ok (1 = freed)]`, with
     /// `latency_ns` as in `MallocEnd`.
     /// `ptr_raw == u64::MAX` marks a warp-collective bulk free
@@ -287,6 +289,8 @@ pub struct TraceRecorder {
     capacity: usize,
     /// The clock every timestamp is read on; its origin is construction.
     clock: Clock,
+    /// Nanoseconds one clock read took when the recorder was built.
+    clock_read_ns: u64,
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -409,6 +413,13 @@ impl Clock {
     fn ns(&self, ticks: u64) -> u64 {
         ticks_to_ns(ticks.saturating_sub(self.origin), self.ns_per_tick)
     }
+
+    /// Nanoseconds one read takes: the tightest of 8 back-to-back reads.
+    fn read_ns(&self) -> u64 {
+        let reads: Vec<u64> = (0..9).map(|_| self.ticks()).collect();
+        let fastest = reads.windows(2).map(|w| w[1].saturating_sub(w[0])).min();
+        ticks_to_ns(fastest.expect("8 reads"), self.ns_per_tick)
+    }
 }
 
 impl TraceRecorder {
@@ -430,11 +441,13 @@ impl TraceRecorder {
             .checked_mul(capacity.saturating_mul(std::mem::size_of::<Slot>()))
             .and_then(|bytes| Map::reserve(bytes, false))
             .unwrap_or_else(|| panic!("no room for {shards} trace shards of {capacity} slots"));
+        let clock = Clock::new();
         TraceRecorder {
             shards: (0..shards).map(|_| TraceShard::default()).collect(),
             ring,
             capacity,
-            clock: Clock::new(),
+            clock,
+            clock_read_ns: clock.read_ns(),
         }
     }
 
@@ -454,10 +467,13 @@ impl TraceRecorder {
     }
 
     /// Nanoseconds elapsed since this recorder was constructed. All event
-    /// timestamps share this epoch, [`Traced`]'s included.
+    /// timestamps share this epoch, [`Traced`]'s included. The reading
+    /// becomes the thread's last, which continues a warp pass.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.clock.ns(self.clock.ticks())
+        let ticks = self.clock.ticks();
+        OP_SCOPE.with(|s| s.last.set(ticks));
+        self.clock.ns(ticks)
     }
 
     /// Records an event timestamped now.
@@ -557,7 +573,7 @@ impl TraceRecorder {
             shard.decode(self.slots(i), &mut events);
         }
         events.sort_by_key(|e| (e.ts_ns, e.sm));
-        Trace { events, dropped: self.dropped() }
+        Trace { events, dropped: self.dropped(), clock_read_ns: self.clock_read_ns }
     }
 }
 
@@ -591,14 +607,26 @@ const _: () = assert!(TIMED_ONE_IN.is_power_of_two() && WARP_SIZE.is_multiple_of
 //
 // `calls` numbers the traced calls the thread has begun; it picks the timed
 // ones (`TIMED_ONE_IN`).
+//
+// `last` is the thread's last clock reading in ticks, for any recorder, and
+// `pass` where its last traced call ran: `sm << 32 | warp` and the lane,
+// `u32::MAX` when no lane continues it (see `Traced` for the stamp rule).
 struct OpScope {
     retries: Cell<Option<u64>>,
     calls: Cell<u32>,
+    last: Cell<u64>,
+    pass: Cell<(u64, u32)>,
 }
 
 thread_local! {
-    static OP_SCOPE: OpScope =
-        const { OpScope { retries: Cell::new(None), calls: Cell::new(0) } };
+    static OP_SCOPE: OpScope = const {
+        OpScope {
+            retries: Cell::new(None),
+            calls: Cell::new(0),
+            last: Cell::new(0),
+            pass: Cell::new((0, u32::MAX)),
+        }
+    };
 }
 
 /// Adds `n` CAS retries to the innermost in-flight traced operation on this
@@ -623,10 +651,20 @@ fn begin_op_scope() -> (Option<u64>, bool) {
 }
 
 /// Closes the innermost scope and reopens `enclosing`, returning the retries
-/// noted while it was open (excluding those captured by deeper scopes).
+/// noted while it was open (excluding those captured by deeper scopes) and,
+/// given a `stamp` `(clock, pass, read)`, the call's end stamp in ticks: the
+/// thread's last reading if it continues the warp pass, unless it must `read`.
 #[inline]
-fn end_op_scope(enclosing: Option<u64>) -> u64 {
-    OP_SCOPE.with(|s| s.retries.replace(enclosing).unwrap_or(0))
+fn end_op_scope(enclosing: Option<u64>, stamp: Option<(&Clock, (u64, u32), bool)>) -> (u64, u64) {
+    OP_SCOPE.with(|s| {
+        let retries = s.retries.replace(enclosing).unwrap_or(0);
+        let Some((clock, pass, read)) = stamp else { return (retries, 0) };
+        let (at, lane) = s.pass.replace(pass);
+        if read || at != pass.0 || lane >= pass.1 {
+            s.last.set(clock.ticks());
+        }
+        (retries, s.last.get())
+    })
 }
 
 /// [`DeviceAllocator`] wrapper that records a `MallocEnd` or `FreeEnd`
@@ -634,8 +672,12 @@ fn end_op_scope(enclosing: Option<u64>) -> u64 {
 /// wrapped manager: one event per call, plus one for every further lane of
 /// a collective call (the occupancy replay needs every pointer).
 ///
-/// Every event is stamped with the instant its call returned, one clock
-/// read per call. One call in [`TIMED_ONE_IN`] per thread also reads the
+/// Events are stamped per warp pass, as the paper times launches: a call
+/// reads the clock when it returns if it is timed, collective, or not the
+/// next lane of the warp this thread stamped last (other SM or warp, or a
+/// lane at or below the last); else it takes the thread's last reading. So
+/// stamps on a thread never decrease, and equal ones sit on one SM's shard,
+/// in claim order. One call in [`TIMED_ONE_IN`] per thread also reads the
 /// clock as it starts and records its latency; every other call records
 /// latency 0. A collective call is one call: its lanes share one latency.
 ///
@@ -655,11 +697,11 @@ impl<A: DeviceAllocator> Traced<A> {
         Traced { inner, rec }
     }
 
-    /// Runs `op`, issued on SM `sm`, in a fresh retry scope and reads the
-    /// clock when it returns, converted to nanoseconds then. Returns its
-    /// result, the end timestamp, the latency and the retries noted
-    /// meanwhile. The latency is 0 unless the call is one in
-    /// [`TIMED_ONE_IN`] on this thread, which also reads the clock before
+    /// Runs `op`, issued on SM `sm` by `lane` of `warp` (`None`: all lanes),
+    /// in a fresh retry scope and stamps its end as [`Traced`] says, in
+    /// nanoseconds. Returns its result, the end timestamp, the latency and
+    /// the retries noted meanwhile. The latency is 0 unless the call is one
+    /// in [`TIMED_ONE_IN`] on this thread, which also reads the clock before
     /// `op`; a timed latency is clamped to 1 ns: the operation took nonzero
     /// time even when the clock's granularity says otherwise.
     ///
@@ -669,16 +711,23 @@ impl<A: DeviceAllocator> Traced<A> {
     /// layer's retries. `op` has one call site on purpose: a second one in
     /// an early return for the full case cost the recording path 3–5 ns.
     #[inline]
-    fn timed<R>(&self, sm: u32, op: impl FnOnce() -> R) -> (R, u64, u64, u64) {
+    fn timed<R>(
+        &self,
+        sm: u32,
+        warp: u32,
+        lane: Option<u32>,
+        op: impl FnOnce() -> R,
+    ) -> (R, u64, u64, u64) {
         let clock = &self.rec.clock;
         let stamped = !self.rec.is_full(sm);
         let (enclosing, sampled) = begin_op_scope();
         let timed = stamped && sampled;
         let t0 = if timed { clock.ticks() } else { 0 };
         let r = op();
-        let retries = end_op_scope(enclosing);
+        let pass = (u64::from(sm) << 32 | u64::from(warp), lane.unwrap_or(u32::MAX));
+        let stamp = stamped.then_some((clock, pass, timed || lane.is_none()));
+        let (retries, t1) = end_op_scope(enclosing, stamp);
         let (end, latency) = if stamped {
-            let t1 = clock.ticks();
             let latency = if timed {
                 ticks_to_ns(t1.saturating_sub(t0), clock.ns_per_tick).max(1)
             } else {
@@ -703,14 +752,16 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     }
 
     fn malloc(&self, ctx: &ThreadCtx, size: u64) -> Result<DevicePtr, AllocError> {
-        let (r, t1, latency, retries) = self.timed(ctx.sm, || self.inner.malloc(ctx, size));
+        let (r, t1, latency, retries) =
+            self.timed(ctx.sm, ctx.warp, Some(ctx.lane), || self.inner.malloc(ctx, size));
         let ptr = r.as_ref().map_or(u64::MAX, |p| p.raw());
         self.rec.emit_at(t1, ctx.sm, EventKind::MallocEnd, [ptr, size, latency, retries]);
         r
     }
 
     fn free(&self, ctx: &ThreadCtx, ptr: DevicePtr) -> Result<(), AllocError> {
-        let (r, t1, latency, retries) = self.timed(ctx.sm, || self.inner.free(ctx, ptr));
+        let (r, t1, latency, retries) =
+            self.timed(ctx.sm, ctx.warp, Some(ctx.lane), || self.inner.free(ctx, ptr));
         let args = [ptr.raw(), latency, retries, r.is_ok() as u64];
         self.rec.emit_at(t1, ctx.sm, EventKind::FreeEnd, args);
         r
@@ -723,7 +774,7 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
         out: &mut [DevicePtr],
     ) -> Result<(), AllocError> {
         let (r, t1, latency, mut retries) =
-            self.timed(warp.sm, || self.inner.malloc_warp(warp, sizes, out));
+            self.timed(warp.sm, warp.warp, None, || self.inner.malloc_warp(warp, sizes, out));
         if r.is_ok() {
             // The first lane carries all the collective's retries.
             for (&size, ptr) in sizes.iter().zip(out.iter()) {
@@ -741,7 +792,7 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
 
     fn free_warp(&self, warp: &WarpCtx, ptrs: &[DevicePtr]) -> Result<(), AllocError> {
         let (r, t1, latency, mut retries) =
-            self.timed(warp.sm, || self.inner.free_warp(warp, ptrs));
+            self.timed(warp.sm, warp.warp, None, || self.inner.free_warp(warp, ptrs));
         // `ok` reflects the collective result: `free_warp` reports only the
         // first error, so on Err the occupancy replay conservatively keeps
         // all lanes live. As in `malloc_warp`, the first live lane carries
@@ -755,7 +806,8 @@ impl<A: DeviceAllocator> crate::traits::Layer for Traced<A> {
     }
 
     fn free_warp_all(&self, warp: &WarpCtx) -> Result<u64, AllocError> {
-        let (r, t1, latency, retries) = self.timed(warp.sm, || self.inner.free_warp_all(warp));
+        let (r, t1, latency, retries) =
+            self.timed(warp.sm, warp.warp, None, || self.inner.free_warp_all(warp));
         // Bulk free: the individual pointers are the manager's private
         // state, so the event carries the null sentinel and the occupancy
         // replay leaves these allocations in place (documented limitation
@@ -773,6 +825,8 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events discarded because a shard was full.
     pub dropped: u64,
+    /// Nanoseconds one read of the recorder's clock took (0 when unknown).
+    pub clock_read_ns: u64,
 }
 
 impl Trace {
@@ -1058,7 +1112,8 @@ fn us(ns: u64) -> String {
 /// previous one, the timed mallocs' p50/p99, and the live set's bytes and
 /// fragmentation at that instant. Instant (`"i"`) events mark OOM
 /// fallbacks and sanitizer violations. The `process_name` metadata carries
-/// the events the recorder dropped. Every event carries
+/// the events the recorder dropped and one clock read's cost
+/// (`clock_read_ns`). Every event carries
 /// `ph`/`ts`/`pid`/`tid`.
 ///
 /// One pass over the events feeds every track; the live set is one
@@ -1080,9 +1135,10 @@ pub fn chrome_trace_json(trace: &Trace, label: &str) -> String {
 
     push(format!(
         "{{\"ph\":\"M\",\"ts\":0,\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":{},\"dropped\":{}}}}}",
+         \"args\":{{\"name\":{},\"dropped\":{},\"clock_read_ns\":{}}}}}",
         quote(&format!("gpumemsurvey trace: {label}")),
-        trace.dropped
+        trace.dropped,
+        trace.clock_read_ns
     ));
 
     let mut sms: Vec<u32> = trace.events.iter().map(|e| e.sm).collect();
@@ -1559,6 +1615,7 @@ mod tests {
                 ev(60, EventKind::FreeEnd, 0, [0x80, 0, 0, 1]),
             ],
             dropped: 0,
+            clock_read_ns: 0,
         };
         let lat = OpLatencies::from_trace(&t);
         assert_eq!(lat.malloc.count(), 2);
@@ -1594,6 +1651,7 @@ mod tests {
                 ev(60, EventKind::MallocEnd, 0, [u64::MAX, 64, 5, 0]),
             ],
             dropped: 0,
+            clock_read_ns: 0,
         };
         let (steps, set) = replay(&t);
         assert_eq!(steps, [(100, 1), (150, 2), (50, 1), (50, 1)]);
@@ -1613,6 +1671,7 @@ mod tests {
                 ev(3, EventKind::FreeEnd, 0, [0, 0, 0, 1]),
             ],
             dropped: 0,
+            clock_read_ns: 0,
         };
         let (steps, set) = replay(&t);
         assert_eq!(steps, [(16, 1), (64, 1), (0, 0)]);
@@ -1647,6 +1706,7 @@ mod tests {
                 ev(1700, EventKind::LaunchEnd, 0, [0, 700, 0, 0]),
             ],
             dropped: 0,
+            clock_read_ns: 0,
         };
         let json = chrome_trace_json(&t, "test \"quoted\" label");
         let n = validate_chrome_json(&json).expect("export must be valid");
@@ -1675,15 +1735,26 @@ mod tests {
         }
         assert_eq!(json.matches("launch window").count(), 1, "one window per LaunchEnd");
 
-        // The export reports its own losses: a shard that filled up shows
-        // its drops in the process metadata.
+        // The export reports its own losses and its clock's cost: a shard
+        // that filled up shows its drops in the process metadata, beside
+        // the clock read the recorder measured when it was built.
         let rec = TraceRecorder::new(1, 2);
         for i in 0..5 {
             rec.emit_at(i, 0, EventKind::MallocEnd, [i * 64, 64, 0, 0]);
         }
-        let json = chrome_trace_json(&rec.snapshot(), "full shard");
+        let trace = rec.snapshot();
+        assert_eq!(trace.clock_read_ns, rec.clock_read_ns);
+        let json = chrome_trace_json(&trace, "full shard");
         validate_chrome_json(&json).expect("export must be valid");
         assert!(json.contains("\"name\":\"gpumemsurvey trace: full shard\",\"dropped\":3"));
+        let doc = Json::parse(&json).expect("strict JSON");
+        let field = |obj: &Json, key: &str| {
+            let fields = obj.as_object().expect("an object");
+            fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).expect(key)
+        };
+        let meta = field(&doc.as_array().expect("an array")[0], "args");
+        let read_ns = field(&meta, "clock_read_ns").as_number();
+        assert_eq!(read_ns, Some(rec.clock_read_ns as f64), "{json}");
     }
 
     #[test]
@@ -1739,18 +1810,22 @@ mod tests {
         let h = std::thread::spawn(|| {
             let (enclosing, _) = begin_op_scope();
             note_op_retries(100);
-            end_op_scope(enclosing)
+            end_op_scope(enclosing, None).0
         });
         assert_eq!(h.join().unwrap(), 100);
-        assert_eq!(end_op_scope(enclosing), 7);
-        assert_eq!(end_op_scope(None), 0, "no open scope drains to zero");
+        assert_eq!(end_op_scope(enclosing, None).0, 7);
+        assert_eq!(end_op_scope(None, None).0, 0, "no open scope drains to zero");
     }
 
     #[test]
     fn retries_outside_any_scope_are_dropped() {
         note_op_retries(9);
         let (enclosing, _) = begin_op_scope();
-        assert_eq!(end_op_scope(enclosing), 0, "orphan retries must not leak into the next op");
+        assert_eq!(
+            end_op_scope(enclosing, None).0,
+            0,
+            "orphan retries must not leak into the next op"
+        );
     }
 
     #[test]
@@ -1759,8 +1834,8 @@ mod tests {
         note_op_retries(2); // middle layer's own retries
         let (outer, _) = begin_op_scope(); // inner wrapper's operation
         note_op_retries(3); // innermost manager's retries
-        assert_eq!(end_op_scope(outer), 3, "inner op sees only its own retries");
-        assert_eq!(end_op_scope(none), 2, "outer op keeps the middle layer's retries");
+        assert_eq!(end_op_scope(outer, None).0, 3, "inner op sees only its own retries");
+        assert_eq!(end_op_scope(none, None).0, 2, "outer op keeps the middle layer's retries");
     }
 
     /// A manager that notes 3 retries per `malloc`.
@@ -1925,7 +2000,7 @@ mod tests {
         for round in 1..=3 {
             let (enclosing, _) = begin_op_scope();
             stack.malloc(&ctx, 64).unwrap();
-            assert_eq!(end_op_scope(enclosing), 0, "round {round}: retries leaked outward");
+            assert_eq!(end_op_scope(enclosing, None).0, 0, "round {round}: retries leaked outward");
             assert_eq!((rec.recorded(), rec.dropped()), (1, 1 + 2 * round));
         }
         assert_eq!(rec.snapshot().events[0].args[3], 3, "the recorded event kept its retries");

@@ -65,9 +65,11 @@ cargo test --offline --release -q --test paper_shapes
 echo "==> cargo test --release --test sanitizer"
 cargo test --offline --release -q --test sanitizer
 
-# Trace-layer conformance in release: its two per-op timing guards (the
-# disabled record path; a traced op within 1 + 1/8 clock reads plus one
-# ring record) are ignored in debug builds and would otherwise run nowhere.
+# Trace-layer conformance in release: its three per-op timing guards (the
+# disabled record path; a traced op on one repeated lane within 1 + 1/8
+# clock reads plus one ring record; a traced op over full 32-lane warp
+# passes within 9/32 of a clock read plus the same constant) are ignored in
+# debug builds and would otherwise run nowhere.
 echo "==> cargo test --release --test trace_conformance"
 cargo test --offline --release -q --test trace_conformance
 
@@ -166,7 +168,8 @@ cargo run --offline --release -q -p gpumem-bench --bin repro -- \
 # The trace is the one per-run export: it holds exactly one `launch window`
 # counter sample per launch slice (the malloc round and the free round,
 # folded from the trace's own launch events, so the count does not depend
-# on the host), and its process metadata carries the recorder's drops.
+# on the host), and its process metadata carries the recorder's drops and
+# the cost of one read of its clock.
 echo "==> repro trace smoke"
 rm -rf target/trace-smoke
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
@@ -176,7 +179,7 @@ test -s "$trace_json"
 grep -q '"ph"' "$trace_json"
 test "$(grep -c '"cat":"launch"' "$trace_json")" -eq 2
 test "$(grep -c '"name":"launch window"' "$trace_json")" -eq 2
-grep -q '"name":"process_name","args":{"name":"[^"]*","dropped":[0-9][0-9]*}' "$trace_json"
+grep -q '"name":"process_name","args":{"name":"[^"]*","dropped":[0-9][0-9]*,"clock_read_ns":[0-9][0-9]*}' "$trace_json"
 # `events` counts every operation, timed or not, and the percentiles come
 # from the timed sample of them: both rows read 2 048 events and a nonzero
 # p50, so a sample count leaking into `events` fails here.

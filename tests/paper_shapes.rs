@@ -356,7 +356,9 @@ fn write_coalescing_ordering() {
 /// on `adaptive`, the largest stand-in, where the gap is ~2.5× on a 2-vCPU
 /// host; on `rgg_n_2_20_s0` it is ~1.25×, too close to the run-to-run spread
 /// for a test. The claim is about time — how long the build launch takes —
-/// so this stays a timing ratio, run in release.
+/// so this stays a timing ratio, run in release; the structure behind it is
+/// pinned exactly, in debug too, by
+/// `cuda_allocator_graph_init_walks_its_unit_registry`.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_is_worst_at_graph_init() {
@@ -374,6 +376,38 @@ fn cuda_allocator_is_worst_at_graph_init() {
     let cuda = init(ManagerKind::CudaAllocator);
     let scatter = init(ManagerKind::ScatterAlloc);
     assert!(cuda > scatter, "graph init (adaptive): cuda {cuda:?} vs scatter {scatter:?}");
+}
+
+/// Shape `fig11f.cuda-worst-init`, counted: why building the graph is the
+/// CUDA-Allocator model's worst case. Every adjacency is a small request
+/// (≤ 2048 B), and each small malloc first walks the model's unit registry,
+/// one probe step per unit carved so far, so the walk grows with the build;
+/// the large path's free list is never walked. ScatterAlloc probes a few
+/// pages of its class per malloc. Counted during `adaptive` graph init on
+/// the inline device, so it is exact on any host and holds in debug.
+#[test]
+fn cuda_allocator_graph_init_walks_its_unit_registry() {
+    let _serial = serial();
+    let b = inline_bench();
+    let csr = gpumemsurvey::dyn_graph::generate("adaptive", 64, b.seed);
+    let heap = b.try_heap_spec(1, runners::graph_demand(&csr, 0).unwrap().max(1 << 20)).unwrap();
+    let per_malloc = |kind: ManagerKind| {
+        let alloc = b.builder(kind).heap_spec(heap).metrics(true).build();
+        let (g, _) = gpumemsurvey::dyn_graph::DynGraph::init(alloc.as_ref(), &b.device, &csr);
+        assert_eq!(g.failures(), 0, "{kind}");
+        let c = alloc.metrics().snapshot();
+        assert_eq!(c.malloc_calls(), u64::from(csr.vertices()), "{kind}: one malloc per vertex");
+        let mallocs = c.malloc_calls() as f64;
+        (c.probe_steps() as f64 / mallocs, c.list_hops() as f64 / mallocs)
+    };
+    let (cuda_probes, cuda_hops) = per_malloc(ManagerKind::CudaAllocator);
+    let (scatter_probes, _) = per_malloc(ManagerKind::ScatterAlloc);
+    assert_eq!(cuda_hops, 0.0, "every adjacency takes the small path: no free-list walk");
+    assert!(
+        cuda_probes > 10.0 * scatter_probes,
+        "per malloc: CUDA model walks {cuda_probes:.1} registry units, \
+         ScatterAlloc probes {scatter_probes:.1} pages"
+    );
 }
 
 /// Shape `sec41.cuda-fastest-init`.
