@@ -51,29 +51,3 @@ fn interleaved_warps_do_not_alias() {
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.live, 0);
 }
-
-#[test]
-fn mmap_backed_heap_run_is_clean() {
-    use gpumem_core::{DeviceHeap, HeapBackendKind, HeapSpec};
-    use std::sync::Arc;
-    if !HeapBackendKind::Mmap.available() {
-        return;
-    }
-    // Same warp lifecycle, lazily-committed MAP_NORESERVE substrate: pages
-    // must appear zeroed on first touch exactly like the RAM backend's.
-    let heap = Arc::new(DeviceHeap::try_new(HeapSpec::mmap(32 << 20)).unwrap());
-    let san = Sanitized::new(FdgMalloc::new(heap));
-    for warp in 0..4u32 {
-        let w = WarpCtx { warp, block: 0, sm: warp % 2 };
-        for lane in 0..32u32 {
-            let ctx = w.lane(lane);
-            let size = 16 + (lane as u64 % 8) * 24;
-            let p = san.malloc(&ctx, size).unwrap();
-            san.heap().fill(p, size, lane as u8 | 1);
-            assert_eq!(san.heap().read_u8(p, size - 1), lane as u8 | 1);
-        }
-        san.free_warp_all(&w).unwrap();
-    }
-    let report = san.take_report();
-    assert!(report.is_clean(), "{report}");
-}

@@ -59,31 +59,3 @@ fn wrapped_warp_total_is_refused_cleanly() {
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.live, 0);
 }
-
-#[test]
-fn mmap_backed_heap_run_is_clean() {
-    use gpumem_core::{DeviceHeap, HeapBackendKind, HeapSpec, ThreadCtx};
-    use std::sync::Arc;
-    if !HeapBackendKind::Mmap.available() {
-        return;
-    }
-    // Same manager, lazily-committed MAP_NORESERVE substrate: pages must
-    // appear zeroed on first touch exactly like the RAM backend's.
-    let heap = Arc::new(DeviceHeap::try_new(HeapSpec::mmap(32 << 20)).unwrap());
-    let san = Sanitized::new(XMalloc::new(heap));
-    let ctx = ThreadCtx::host();
-    let ptrs: Vec<_> = (0..128u64)
-        .map(|i| {
-            let size = 16 + (i % 16) * 48;
-            let p = san.malloc(&ctx, size).unwrap();
-            san.heap().fill(p, size, (i % 251) as u8 | 1);
-            assert_eq!(san.heap().read_u8(p, size - 1), (i % 251) as u8 | 1);
-            p
-        })
-        .collect();
-    for p in ptrs {
-        san.free(&ctx, p).unwrap();
-    }
-    let report = san.take_report();
-    assert!(report.is_clean(), "{report}");
-}

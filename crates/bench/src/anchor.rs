@@ -2,7 +2,7 @@
 //!
 //! One anchor per matrix scenario: a schema-versioned JSON document holding
 //! the scenario's metric vector plus a provenance stamp (git revision,
-//! device, worker config, seed, heap backend, tier). Anchors are committed
+//! device, worker config, seed, pre-touch policy, tier). Anchors are committed
 //! to the repository root and compared by `repro gate` (see [`crate::gate`])
 //! so a PR cannot silently change what the matrix reproduces. Every metric
 //! is a count or a model output that reproduces bit for bit, and every one
@@ -53,7 +53,7 @@ pub struct Anchor {
     /// `tiny`, `smoke` or `full`; the gate refuses cross-tier comparisons.
     pub tier: String,
     /// Stamp describing the run: git revision, device, workers, seed,
-    /// heap backend, pre-touch policy. Insertion-ordered.
+    /// pre-touch policy. Insertion-ordered.
     pub provenance: Vec<(String, String)>,
     pub metrics: Vec<Metric>,
 }

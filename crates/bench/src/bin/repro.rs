@@ -3,7 +3,7 @@
 //! ```text
 //! repro matrix --tier full          # every figure at the paper's axes → BENCH_<scenario>.json
 //! repro matrix --smoke              # the committed (smoke-tier) anchors
-//! repro matrix --scenario perf_thread --heap-backend mmap --heap-mb 8192
+//! repro matrix --scenario perf_thread --heap-mb 8192
 //!                                   # Fig 9 at the paper's full 8 GiB heap
 //! repro gate                        # rerun the smoke tier, compare every metric
 //! repro table1                      # survey table (Table 1)
@@ -14,8 +14,8 @@
 //! metrics: every `perf_*`/`mixed*` cell and the `sanitize` scenario.
 //!
 //! Common options: `-t o+s+h+c+r+x+a` (approach selector, artifact syntax),
-//! `--device titanv|2080ti`, `--out DIR`, `--heap-backend ram|mmap`
-//! (default: `GMS_HEAP_BACKEND`, else `ram`), `--heap-mb MB`, `--seed HEX`.
+//! `--device titanv|2080ti`, `--out DIR`, `--heap-mb MB` (a heap of that
+//! size for every cell, reserved sparse), `--seed HEX`.
 //! `--num`, `--trace-cap` and `--cached` size `trace`; `matrix` and `gate`
 //! take their counts from the tier, cut a cell at `runners::CELL_TIMEOUT`
 //! and refuse `--cached`. An anchor holds counts and model outputs, no timings. The
@@ -36,7 +36,7 @@ use gpumem_bench::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
 use gpumem_bench::runners::{self, Bench};
 use gpumem_core::info::SURVEY_TABLE;
 use gpumem_core::trace::DEFAULT_EVENTS_PER_SM;
-use gpumem_core::{EventKind, HeapBackendKind, Pretouch};
+use gpumem_core::EventKind;
 
 /// `println!` that drops its line once stdout is closed instead of
 /// panicking: no file a command writes depends on its report being read.
@@ -54,8 +54,6 @@ struct Opts {
     num: u32,
     manager: Option<String>,
     trace_cap: usize,
-    /// `--heap-backend`; `GMS_HEAP_BACKEND`, else RAM, when not given.
-    heap_backend: HeapBackendKind,
     /// `--heap-mb`: pins every cell's heap to this size instead of the
     /// demand-derived `heap_for` sizing.
     heap_mb: Option<u64>,
@@ -83,7 +81,6 @@ impl Default for Opts {
             num: 10_000,
             manager: None,
             trace_cap: DEFAULT_EVENTS_PER_SM,
-            heap_backend: HeapBackendKind::Ram,
             heap_mb: None,
             cached: false,
             out: PathBuf::from("results"),
@@ -97,9 +94,6 @@ impl Default for Opts {
 
 fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     let mut opts = Opts::default();
-    if let Ok(s) = std::env::var("GMS_HEAP_BACKEND") {
-        opts.heap_backend = s.parse().map_err(|e| format!("GMS_HEAP_BACKEND: {e}"))?;
-    }
     let cmd = args.first().cloned().ok_or_else(usage)?;
     let mut i = 1;
     let next = |i: &mut usize| -> Result<String, String> {
@@ -119,7 +113,6 @@ fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
             "--num" => opts.num = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
             "-m" | "--manager" => opts.manager = Some(next(&mut i)?),
             "--trace-cap" => opts.trace_cap = next(&mut i)?.parse().map_err(|e| format!("{e}"))?,
-            "--heap-backend" => opts.heap_backend = next(&mut i)?.parse()?,
             "--heap-mb" => opts.heap_mb = Some(next(&mut i)?.parse().map_err(|e| format!("{e}"))?),
             "--cached" => opts.cached = true,
             "--out" => opts.out = PathBuf::from(next(&mut i)?),
@@ -161,7 +154,7 @@ fn usage() -> String {
       on any change to an exact metric, `repro trace` writes one run's\n\
       Perfetto trace and latency CSV into --out)\n\
      options: -t SELECTOR -m MANAGER --device D --out DIR\n\
-     --heap-backend ram|mmap --heap-mb MB --seed HEX\n\
+     --heap-mb MB --seed HEX\n\
      trace: --num N --cached --trace-cap EVENTS_PER_SM\n\
      matrix/gate: --smoke | --tier tiny|smoke|full, --anchors DIR,\n\
      --scenario NAME (repeatable); -t / -m restrict the managers; matrix\n\
@@ -172,7 +165,6 @@ fn usage() -> String {
 fn bench_of(opts: &Opts) -> Bench {
     let mut b = Bench::new(Device::new(opts.device));
     b.seed = opts.seed;
-    b.heap_backend = opts.heap_backend;
     b.heap_override = opts.heap_mb.map(|mb| mb << 20);
     b.cached = opts.cached;
     b
@@ -244,14 +236,13 @@ fn table1(opts: &Opts) {
 }
 
 /// Matrix/gate configuration from the command line: tier, seed,
-/// device, heap (backend, `--heap-mb`) and the `-t`/`-m` manager
+/// device, heap (`--heap-mb`) and the `-t`/`-m` manager
 /// restriction. Worker counts stay tier-pinned so anchors of the same tier
 /// are always comparable.
 fn matrix_cfg(opts: &Opts, default_tier: Tier) -> MatrixCfg {
     let mut cfg = MatrixCfg::new(opts.tier.unwrap_or(default_tier));
     cfg.device = opts.device;
     cfg.seed = opts.seed;
-    cfg.heap_backend = opts.heap_backend;
     cfg.heap_override = opts.heap_mb.map(|mb| mb << 20);
     cfg.kinds = selected_kinds(opts);
     cfg
@@ -280,10 +271,10 @@ fn matrix_cmd(opts: &Opts) {
     let cfg = matrix_cfg(opts, Tier::Full);
     let specs = selected_scenarios(opts);
     outln!(
-        "# matrix tier={} seed={:#x} backend={} anchors={}",
+        "# matrix tier={} seed={:#x} pretouch={} anchors={}",
         cfg.tier.as_str(),
         cfg.seed,
-        cfg.heap_backend,
+        runners::pretouch_for(cfg.heap_override),
         opts.anchors.display()
     );
     for spec in specs {
@@ -460,14 +451,13 @@ fn trace(opts: &Opts) {
 /// header; `scripts/summarize_results.py` skips it.
 fn provenance(opts: &Opts) -> String {
     let git = gpumem_bench::git_rev();
-    let backend = opts.heap_backend;
     format!(
-        "git={git} device={} workers={} gms_workers={} heap_backend={backend} pretouch={} \
-         heap_mb={} seed={:#x} schema=1",
+        "git={git} device={} workers={} gms_workers={} pretouch={} heap_mb={} seed={:#x} \
+         schema=1",
         opts.device.name,
         Device::configured_workers(),
         std::env::var("GMS_WORKERS").unwrap_or_else(|_| "-".to_string()),
-        Pretouch::Auto.resolve(backend),
+        runners::pretouch_for(opts.heap_mb.map(|mb| mb << 20)),
         opts.heap_mb.map(|mb| mb.to_string()).unwrap_or_else(|| "-".to_string()),
         opts.seed,
     )

@@ -34,7 +34,7 @@ use gpu_sim::{Device, DeviceSpec};
 use gpu_workloads::sizes;
 use gpu_workloads::write_test::WritePattern;
 use gpumem_core::sanitize::ALL_VIOLATION_KINDS;
-use gpumem_core::{Counter, CounterSnapshot, HeapBackendKind, Pretouch};
+use gpumem_core::{Counter, CounterSnapshot};
 
 use crate::anchor::{Anchor, Metric, SCHEMA_VERSION};
 use crate::registry::{ManagerKind, ALL_KINDS, DEFAULT_KINDS};
@@ -181,9 +181,9 @@ pub struct MatrixCfg {
     pub device: DeviceSpec,
     pub tier: Tier,
     pub seed: u64,
-    pub heap_backend: HeapBackendKind,
     /// Pins every cell's heap to this many bytes instead of the
-    /// demand-derived sizing (`--heap-mb`: the paper's 8 GiB heap).
+    /// demand-derived sizing (`--heap-mb`: the paper's 8 GiB heap), reserved
+    /// sparse.
     pub heap_override: Option<u64>,
     /// Restricts scenarios to these manager kinds (`-t` / `-m`);
     /// `None` runs each scenario's natural set. Scenario bodies apply it
@@ -200,7 +200,6 @@ impl MatrixCfg {
             device: DeviceSpec::titan_v(),
             tier,
             seed: 0x5eed,
-            heap_backend: HeapBackendKind::env_default(),
             heap_override: None,
             kinds: None,
         }
@@ -253,7 +252,6 @@ impl MatrixCfg {
         };
         let mut b = Bench::new(dev);
         b.seed = self.seed;
-        b.heap_backend = self.heap_backend;
         b.heap_override = self.heap_override;
         b
     }
@@ -458,11 +456,9 @@ fn provenance(cfg: &MatrixCfg) -> Vec<(String, String)> {
             std::env::var("GMS_WORKERS").unwrap_or_else(|_| "-".to_string()),
         ),
         ("seed".to_string(), format!("{:#x}", cfg.seed)),
-        ("heap_backend".to_string(), cfg.heap_backend.to_string()),
-        ("pretouch".to_string(), Pretouch::Auto.resolve(cfg.heap_backend).to_string()),
+        ("pretouch".to_string(), runners::pretouch_for(cfg.heap_override).to_string()),
     ];
-    // Only an overridden run names its heap, so default anchors keep the
-    // stamp set the committed ones carry.
+    // Only an overridden run names its heap size.
     if let Some(bytes) = cfg.heap_override {
         stamps.push(("heap_mb".to_string(), (bytes >> 20).to_string()));
     }

@@ -21,9 +21,7 @@ use alloc_xmalloc::XMalloc;
 use gpumem_core::metrics::Counted;
 use gpumem_core::telemetry::TelemetrySink;
 use gpumem_core::trace::{TraceRecorder, Traced, DEFAULT_EVENTS_PER_SM};
-use gpumem_core::{
-    Cached, DeviceAllocator, DeviceHeap, HeapBackendKind, HeapError, HeapSpec, Metrics,
-};
+use gpumem_core::{Cached, DeviceAllocator, DeviceHeap, HeapError, HeapSpec, Metrics};
 
 /// Every manager variant the framework can instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -113,13 +111,12 @@ impl ManagerKind {
 
     /// Starts a [`ManagerBuilder`] for this kind. This is the *single*
     /// construction path of the framework (the former `create`/`create_on`
-    /// shims are gone); defaults are a fresh 64 MiB heap on the
-    /// environment-default backend (`GMS_HEAP_BACKEND`, RAM otherwise),
+    /// shims are gone); defaults are a fresh, fully committed 64 MiB heap,
     /// 80 SMs, and metrics disabled.
     pub fn builder(self) -> ManagerBuilder {
         ManagerBuilder {
             kind: self,
-            heap: HeapSource::Fresh(HeapSpec::new(DEFAULT_HEAP_BYTES)),
+            heap: HeapSource::Fresh(HeapSpec::ram(DEFAULT_HEAP_BYTES)),
             sms: DEFAULT_SMS,
             metrics: false,
             trace: None,
@@ -133,13 +130,13 @@ impl ManagerKind {
     /// `r` Reg-Eff, `x` XMalloc, `f` FDGMalloc, `a` Atomic baseline),
     /// case-insensitive; `o` expands to all six Ouroboros variants and `r`
     /// to all four Reg-Eff variants. A selector names managers only: the
-    /// heap backend is `--heap-backend`/`GMS_HEAP_BACKEND` and the magazine
-    /// cache `--cached`, so an `@` suffix is an error that says so.
+    /// magazine cache is `--cached`, so an `@` suffix is an error that says
+    /// so.
     pub fn parse_selector(s: &str) -> Result<Vec<ManagerKind>, String> {
         if s.contains('@') {
             return Err(format!(
-                "selector {s:?} takes no `@` suffix: pick the heap backend (ram or mmap) \
-                 with --heap-backend or GMS_HEAP_BACKEND, and the magazine cache with --cached"
+                "selector {s:?} takes no `@` suffix: it names managers only; \
+                 pick the magazine cache with --cached"
             ));
         }
         if s.trim().is_empty() {
@@ -226,30 +223,19 @@ pub struct ManagerBuilder {
 
 impl ManagerBuilder {
     /// Sizes the fresh heap the manager is built over (default 64 MiB),
-    /// keeping any backend choice made so far.
+    /// keeping any pre-touch choice made so far.
     pub fn heap(mut self, bytes: u64) -> Self {
         self.heap = match self.heap {
             HeapSource::Fresh(spec) => HeapSource::Fresh(HeapSpec { len: bytes, ..spec }),
-            HeapSource::Shared(_) => HeapSource::Fresh(HeapSpec::new(bytes)),
+            HeapSource::Shared(_) => HeapSource::Fresh(HeapSpec::ram(bytes)),
         };
         self
     }
 
-    /// Replaces the whole fresh-heap spec: size, backend and pre-touch
-    /// policy in one call (the construction currency `Bench` hands around).
+    /// Replaces the whole fresh-heap spec: size and pre-touch policy in one
+    /// call (the construction currency `Bench` hands around).
     pub fn heap_spec(mut self, spec: HeapSpec) -> Self {
         self.heap = HeapSource::Fresh(spec);
-        self
-    }
-
-    /// Selects the backing store of the fresh heap (`ram`, `mmap`).
-    pub fn heap_backend(mut self, backend: HeapBackendKind) -> Self {
-        self.heap = match self.heap {
-            HeapSource::Fresh(spec) => HeapSource::Fresh(spec.with_backend(backend)),
-            HeapSource::Shared(_) => {
-                HeapSource::Fresh(HeapSpec::new(DEFAULT_HEAP_BYTES).with_backend(backend))
-            }
-        };
         self
     }
 
@@ -317,7 +303,7 @@ impl ManagerBuilder {
     }
 
     /// Constructs the manager, surfacing heap-construction failure (bad
-    /// spec, failed mmap reservation, unavailable backend) as a typed
+    /// spec, failed reservation or commit) as a typed
     /// [`HeapError`] instead of aborting.
     pub fn try_build(self) -> Result<Arc<dyn DeviceAllocator>, HeapError> {
         let heap = match self.heap {
@@ -431,14 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_heap_spec_and_backend_thread_through() {
-        let spec = HeapSpec::ram(HEAP).with_pretouch(Pretouch::Full);
-        let a = Atomic.builder().heap_spec(spec).build();
+    fn builder_heap_spec_threads_through() {
+        // heap() after heap_spec() keeps the chosen policy.
+        let spec = HeapSpec::ram(4096).with_pretouch(Pretouch::Lazy);
+        let a = Atomic.builder().heap_spec(spec).heap(HEAP).build();
+        assert_eq!(a.heap().len(), HEAP);
         a.malloc(&ThreadCtx::host(), 64).unwrap();
-
-        // heap() after heap_backend() keeps the chosen backend.
-        let b = Atomic.builder().heap_backend(HeapBackendKind::Ram).heap(HEAP).build();
-        b.malloc(&ThreadCtx::host(), 64).unwrap();
     }
 
     #[test]
@@ -449,22 +433,6 @@ mod tests {
         };
         assert!(matches!(err, HeapError::InvalidLen { .. }), "{err}");
         assert!(err.to_string().contains("multiple of 128"));
-    }
-
-    #[test]
-    fn try_build_succeeds_on_every_available_backend() {
-        for backend in HeapBackendKind::ALL {
-            if !backend.available() {
-                continue;
-            }
-            let a = Atomic
-                .builder()
-                .heap(HEAP)
-                .heap_backend(backend)
-                .try_build()
-                .unwrap_or_else(|e| panic!("{backend}: {e}"));
-            a.malloc(&ThreadCtx::host(), 64).unwrap();
-        }
     }
 
     #[test]
@@ -479,12 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn selector_refuses_backend_and_cached_suffixes() {
-        let e = ManagerKind::parse_selector("s@mmap").unwrap_err();
-        assert!(e.contains("--heap-backend") && e.contains("GMS_HEAP_BACKEND"), "{e}");
-        let e = ManagerKind::parse_selector("s@cached").unwrap_err();
-        assert!(e.contains("--cached"), "{e}");
-        for s in ["o+s@ram", "s@mmap+cached", "@mmap"] {
+    fn selector_refuses_suffixes() {
+        for s in ["s@mmap", "s@cached"] {
+            let e = ManagerKind::parse_selector(s).unwrap_err();
+            assert!(e.contains("managers only") && e.contains("--cached"), "{e}");
+        }
+        for s in ["o+s@ram", "s@mmap+cached", "@mmap", "f@numa"] {
             assert!(ManagerKind::parse_selector(s).is_err(), "{s}");
         }
     }
@@ -493,11 +461,6 @@ mod tests {
     fn selector_rejects_bad_input() {
         for s in ["", "  ", "o+q", "os", "o++s", "o+s@disk"] {
             assert!(ManagerKind::parse_selector(s).is_err(), "{s:?}");
-        }
-        // A retired backend is an error naming what is left, not an alias.
-        for s in ["f@numa", "o@numa+cached"] {
-            let e = ManagerKind::parse_selector(s).unwrap_err();
-            assert!(e.contains("numa") && e.contains("ram or mmap"), "{s}: {e}");
         }
         // Case-insensitive and whitespace-tolerant on valid letters.
         assert_eq!(ManagerKind::parse_selector(" A + S ").unwrap(), vec![Atomic, ScatterAlloc]);

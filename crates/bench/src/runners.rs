@@ -18,8 +18,7 @@ use gpumem_core::frag::{AddressRange, FragmentationStats};
 use gpumem_core::sanitize::{Sanitized, VIOLATION_KINDS};
 use gpumem_core::trace::{chrome_trace_json, EventKind, LiveSet, OpLatencies, Trace};
 use gpumem_core::{
-    AllocError, CounterSnapshot, DeviceAllocator, DevicePtr, HeapBackendKind, HeapSpec, WarpCtx,
-    WARP_SIZE,
+    AllocError, CounterSnapshot, DeviceAllocator, DevicePtr, HeapSpec, Pretouch, WarpCtx, WARP_SIZE,
 };
 
 use crate::registry::{ManagerBuilder, ManagerKind};
@@ -40,11 +39,9 @@ pub struct Bench {
     pub device: Device,
     /// Workload seed.
     pub seed: u64,
-    /// Heap substrate every runner builds managers over (default: the
-    /// `GMS_HEAP_BACKEND` environment default, normally RAM).
-    pub heap_backend: HeapBackendKind,
     /// When set, overrides the demand-derived [`heap_for`] size for every
-    /// cell — how `--heap-mb 8192` pins the paper's full 8 GiB heap.
+    /// cell — how `--heap-mb 8192` pins the paper's full 8 GiB heap — and
+    /// reserves it [`Pretouch::Lazy`] (see [`pretouch_for`]).
     pub heap_override: Option<u64>,
     /// Wrap every manager in the `Cached` magazine decorator. A cached perf
     /// cell ([`alloc_perf`], [`mixed_perf`]) also runs one warm-up round
@@ -55,13 +52,7 @@ pub struct Bench {
 impl Bench {
     /// Context with CPU-scaled defaults on the given device.
     pub fn new(device: Device) -> Self {
-        Bench {
-            device,
-            seed: 0x5eed,
-            heap_backend: HeapBackendKind::env_default(),
-            heap_override: None,
-            cached: false,
-        }
+        Bench { device, seed: 0x5eed, heap_override: None, cached: false }
     }
 
     fn num_sms(&self) -> u32 {
@@ -75,7 +66,7 @@ impl Bench {
     }
 
     /// The heap spec for a cell with a demand of `num × max_size` bytes:
-    /// [`heap_for`] sizing (unless overridden) over the context's backend.
+    /// [`heap_for`] sizing, unless overridden.
     pub fn heap_spec(&self, num: u32, max_size: u64) -> HeapSpec {
         self.heap_spec_bytes(heap_for(num, max_size))
     }
@@ -88,10 +79,23 @@ impl Bench {
         Ok(self.heap_spec_bytes(try_heap_for(num, max_size)?))
     }
 
-    /// A heap spec of exactly `bytes` (unless overridden) over the
-    /// context's backend, with the backend's default pre-touch policy.
+    /// A heap spec of exactly `bytes`, unless overridden, committed as
+    /// [`pretouch_for`] says.
     pub fn heap_spec_bytes(&self, bytes: u64) -> HeapSpec {
-        HeapSpec::new(self.heap_override.unwrap_or(bytes)).with_backend(self.heap_backend)
+        HeapSpec::ram(self.heap_override.unwrap_or(bytes))
+            .with_pretouch(pretouch_for(self.heap_override))
+    }
+}
+
+/// The commit policy of a cell's heap. A demand-sized heap fits memory and
+/// is committed in full, so no timed round takes a first-touch fault. A heap
+/// the caller sized with `--heap-mb` may exceed RAM, as the paper's 8 GiB
+/// heap does, so it is reserved sparse.
+pub fn pretouch_for(heap_override: Option<u64>) -> Pretouch {
+    if heap_override.is_some() {
+        Pretouch::Lazy
+    } else {
+        Pretouch::Full
     }
 }
 
@@ -716,6 +720,18 @@ mod tests {
                 cell.utilization
             );
         }
+    }
+
+    /// A heap is sparse if and only if the caller sized it.
+    #[test]
+    fn only_an_overridden_heap_is_lazy() {
+        let mut b = bench();
+        assert_eq!(b.heap_spec_bytes(64 << 20), HeapSpec::ram(64 << 20));
+        assert_eq!(b.heap_spec(1024, 64).pretouch, Pretouch::Full);
+        b.heap_override = Some(128 << 20);
+        let lazy = HeapSpec::ram(128 << 20).with_pretouch(Pretouch::Lazy);
+        assert_eq!(b.heap_spec_bytes(64 << 20), lazy);
+        assert_eq!(b.heap_spec(1024, 64), lazy);
     }
 
     /// Utilization is a share of the heap the manager got: with `--heap-mb`

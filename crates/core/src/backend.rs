@@ -1,19 +1,23 @@
-//! Heap backends: where the simulated device memory physically lives.
+//! Heap backing: where the simulated device memory physically lives.
 //!
 //! The paper instantiates every manager over the full 8 GiB device heap of a
 //! TITAN V. Committing 8 GiB of RAM per benchmark cell is not something most
 //! hosts can do, and scaled-down heaps bias any experiment that sweeps heap
 //! size. So a [`crate::DeviceHeap`] is one `Map` — an anonymous private
 //! mapping the kernel hands over zeroed, which is also where the trace ring
-//! lives — in one of two forms, named by [`HeapBackendKind`]:
+//! lives — committed as its [`Pretouch`] policy says:
 //!
-//! * `ram` — sized to fit memory, so it asks for transparent huge pages
+//! * `Full` — sized to fit memory, so it asks for transparent huge pages
 //!   (`MADV_HUGEPAGE`) and is committed in full up front. Default.
-//! * `mmap` — the same mapping with `MAP_NORESERVE` and no advice:
+//! * `Lazy` — the same mapping with `MAP_NORESERVE` and no advice:
 //!   address space without physical pages, so the paper's 8 GiB heap (and
 //!   larger) constructs instantly on any host and only touched 4 KiB pages
 //!   ever commit. Huge pages would commit 2 MiB per touched byte of a
-//!   sparse heap, which is why the advice belongs to `ram` alone.
+//!   sparse heap, which is why the advice belongs to `Full` alone.
+//!
+//! Both are zero-filled anonymous mappings; only residency and page size
+//! differ, and no manager can see either. Off Linux and under miri there is
+//! no mapping to make: a heap of either policy is a zeroed slab.
 //!
 //! # Pre-touch policy
 //!
@@ -21,122 +25,38 @@
 //! kernel that takes the first-touch page faults *inside* its timed region
 //! would charge the allocator under test for the host OS's lazy commit —
 //! biasing results against designs that scatter allocations across the heap
-//! (scattering is free on a real device). Every heap therefore carries an
-//! explicit [`Pretouch`] policy, and the resolved policy is recorded in
-//! [`crate::DeviceHeap::describe`] so CSV provenance can expose it. `Full`
+//! (scattering is free on a real device). So `Full` is the default, and it
 //! is one `madvise(MADV_POPULATE_WRITE)`: the kernel commits the range
-//! without a fault per page. The mmap default (`Lazy`) is the one deliberate
-//! exception: it is what makes over-RAM-size reservations possible at all,
-//! and timing-sensitive runs at such sizes should either warm the heap first
+//! without a fault per page. `Lazy` is the one deliberate exception: it is
+//! what makes over-RAM-size reservations possible at all, and
+//! timing-sensitive runs at such sizes should either warm the heap first
 //! ([`crate::DeviceHeap::commit`]) or accept the documented first-touch
 //! cost. DESIGN.md §11 spells this out.
 //!
-//! # Selection
-//!
-//! [`HeapSpec`] names a backend; [`crate::DeviceHeap::try_new`] constructs
-//! it, surfacing OS refusal as a typed [`HeapError`] instead of an abort.
-//! The `GMS_HEAP_BACKEND` environment variable (`ram`, `mmap`) overrides the
-//! default backend workspace-wide, which is how CI runs the whole
-//! conformance battery over the mmap path without code changes.
+//! [`crate::DeviceHeap::try_new`] constructs a [`HeapSpec`], surfacing OS
+//! refusal as a typed [`HeapError`] instead of an abort.
 
 use crate::sync::{AtomicU8, Ordering};
 use std::fmt;
-use std::str::FromStr;
-
-/// Which backing store a heap lives in. Parsed from `--heap-backend
-/// {ram,mmap}` and from the `GMS_HEAP_BACKEND` environment variable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum HeapBackendKind {
-    /// Host RAM: a hugepage-advised mapping, fully pre-touched.
-    #[default]
-    Ram,
-    /// Anonymous `mmap` with `MAP_NORESERVE`; lazily committed by default.
-    Mmap,
-}
-
-impl HeapBackendKind {
-    /// All kinds, in selector order.
-    pub const ALL: [HeapBackendKind; 2] = [HeapBackendKind::Ram, HeapBackendKind::Mmap];
-
-    /// The selector token (`ram`, `mmap`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            HeapBackendKind::Ram => "ram",
-            HeapBackendKind::Mmap => "mmap",
-        }
-    }
-
-    /// Whether this backend can be constructed on the current platform.
-    /// `Ram` always can; `Mmap` needs the Linux mmap surface.
-    pub fn available(&self) -> bool {
-        match self {
-            HeapBackendKind::Ram => true,
-            HeapBackendKind::Mmap => MAPPED,
-        }
-    }
-
-    /// The workspace-wide default: `GMS_HEAP_BACKEND` when set (this is how
-    /// CI reruns whole test batteries over the mmap path), `Ram` otherwise.
-    ///
-    /// # Panics
-    /// Panics on an unparseable `GMS_HEAP_BACKEND` value — a misconfigured
-    /// gate must fail loudly, not silently fall back to RAM.
-    pub fn env_default() -> HeapBackendKind {
-        match std::env::var("GMS_HEAP_BACKEND") {
-            Ok(s) => s.parse().unwrap_or_else(|e| panic!("invalid GMS_HEAP_BACKEND: {e}")),
-            Err(_) => HeapBackendKind::default(),
-        }
-    }
-}
-
-impl fmt::Display for HeapBackendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for HeapBackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ram" => Ok(HeapBackendKind::Ram),
-            "mmap" => Ok(HeapBackendKind::Mmap),
-            other => Err(format!("unknown heap backend: {other:?} (expected ram or mmap)")),
-        }
-    }
-}
 
 /// When the backing pages are physically committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Pretouch {
-    /// Backend default: `Full` for RAM, `Lazy` for mmap.
+    /// A hugepage-advised mapping, every page committed before the
+    /// constructor returns.
     #[default]
-    Auto,
-    /// Commit every page up-front, before the constructor returns.
     Full,
-    /// No up-front commit; pages commit on first access (demand paging).
+    /// A `MAP_NORESERVE` mapping; pages commit on first access (demand
+    /// paging).
     Lazy,
 }
 
 impl Pretouch {
-    /// The selector token (`auto`, `full`, `lazy`).
+    /// The provenance token (`full`, `lazy`).
     pub fn name(&self) -> &'static str {
         match self {
-            Pretouch::Auto => "auto",
             Pretouch::Full => "full",
             Pretouch::Lazy => "lazy",
-        }
-    }
-
-    /// Resolves `Auto` to the concrete policy of `backend`.
-    pub fn resolve(self, backend: HeapBackendKind) -> Pretouch {
-        match self {
-            Pretouch::Auto => match backend {
-                HeapBackendKind::Ram => Pretouch::Full,
-                HeapBackendKind::Mmap => Pretouch::Lazy,
-            },
-            other => other,
         }
     }
 }
@@ -147,40 +67,21 @@ impl fmt::Display for Pretouch {
     }
 }
 
-/// Everything needed to construct a heap: size, backing store, commit
-/// policy. The single construction currency from `ManagerBuilder` down to
+/// Everything needed to construct a heap: size and commit policy. The
+/// single construction currency from `ManagerBuilder` down to
 /// [`crate::DeviceHeap::try_new`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeapSpec {
     /// Size of the manageable memory in bytes (non-zero, multiple of 128).
     pub len: u64,
-    /// Backing store.
-    pub backend: HeapBackendKind,
-    /// Page-commit policy; `Auto` resolves per backend.
+    /// Page-commit policy.
     pub pretouch: Pretouch,
 }
 
 impl HeapSpec {
-    /// A spec of `len` bytes over the environment-default backend
-    /// ([`HeapBackendKind::env_default`]) with `Auto` pre-touch.
-    pub fn new(len: u64) -> Self {
-        HeapSpec { len, backend: HeapBackendKind::env_default(), pretouch: Pretouch::Auto }
-    }
-
-    /// A RAM-backed spec (ignores `GMS_HEAP_BACKEND`).
+    /// A spec of `len` bytes, committed in full.
     pub fn ram(len: u64) -> Self {
-        HeapSpec { len, backend: HeapBackendKind::Ram, pretouch: Pretouch::Auto }
-    }
-
-    /// An mmap-backed spec (ignores `GMS_HEAP_BACKEND`).
-    pub fn mmap(len: u64) -> Self {
-        HeapSpec { len, backend: HeapBackendKind::Mmap, pretouch: Pretouch::Auto }
-    }
-
-    /// Replaces the backend.
-    pub fn with_backend(mut self, backend: HeapBackendKind) -> Self {
-        self.backend = backend;
-        self
+        HeapSpec { len, pretouch: Pretouch::Full }
     }
 
     /// Replaces the pre-touch policy.
@@ -189,7 +90,7 @@ impl HeapSpec {
         self
     }
 
-    /// Validates the size constraints shared by every backend.
+    /// Validates the size constraints of every heap.
     pub fn validate(&self) -> Result<(), HeapError> {
         if self.len == 0 {
             return Err(HeapError::InvalidLen {
@@ -214,9 +115,7 @@ pub enum HeapError {
     /// The requested size is zero or not a multiple of 128 bytes.
     InvalidLen { len: u64, reason: &'static str },
     /// The OS refused the reservation, or could not commit a `Full` one.
-    ReserveFailed { len: u64, backend: HeapBackendKind },
-    /// The backend cannot be constructed on this platform or build.
-    Unavailable { backend: HeapBackendKind, reason: &'static str },
+    ReserveFailed { len: u64 },
 }
 
 impl fmt::Display for HeapError {
@@ -225,11 +124,8 @@ impl fmt::Display for HeapError {
             HeapError::InvalidLen { len, reason } => {
                 write!(f, "invalid heap size {len}: {reason}")
             }
-            HeapError::ReserveFailed { len, backend } => {
-                write!(f, "heap reservation of {len} bytes failed on the {backend} backend")
-            }
-            HeapError::Unavailable { backend, reason } => {
-                write!(f, "heap backend {backend} unavailable: {reason}")
+            HeapError::ReserveFailed { len } => {
+                write!(f, "heap reservation of {len} bytes failed")
             }
         }
     }
@@ -240,10 +136,6 @@ impl std::error::Error for HeapError {}
 /// Host page size assumed by the commit paths. A stale constant only costs
 /// extra touches (64 KiB pages are touched 16×), never correctness.
 pub const PAGE_SIZE: usize = 4096;
-
-/// Whether [`Map`] is a mapping: on Linux, outside miri. Elsewhere there is
-/// no `mmap` to call, it is an `alloc_zeroed` slab and `mmap` is unavailable.
-pub(crate) const MAPPED: bool = cfg!(all(target_os = "linux", not(miri)));
 
 /// Transparent-huge-page size: mappings at least this long start on a
 /// multiple of it, so the kernel can back all of them with huge pages.
@@ -293,7 +185,7 @@ mod sys {
     pub const MAP_PRIVATE: i32 = 0x02;
     pub const MAP_ANONYMOUS: i32 = 0x20;
     /// Reserve address space without charging it against overcommit limits;
-    /// the load-bearing flag of the mmap backend.
+    /// the load-bearing flag of a `Lazy` heap.
     pub const MAP_NORESERVE: i32 = 0x4000;
     pub const MADV_HUGEPAGE: i32 = 14;
     /// Linux 5.14: fault the range in writable, as if every page were
@@ -325,7 +217,7 @@ mod sys {
 /// Ouroboros' `StandardQueue` takes its up to 2 × 2²² entries from
 /// `vec![0; n]`, transmuted to atomics.) Its base is page-aligned, and [`HUGE_PAGE`]-aligned
 /// for a mapping at least that long (the slack that buys the alignment is
-/// address space, never touched). Where not [`MAPPED`] it is an
+/// address space, never touched). Off Linux and under miri it is an
 /// `alloc_zeroed` slab, 128-aligned, instead.
 pub(crate) struct Map {
     base: *mut u8,
@@ -333,7 +225,6 @@ pub(crate) struct Map {
     /// The reservation `drop` returns: `base[..len]` and its alignment slack.
     raw: *mut u8,
     raw_len: usize,
-    hugepage: bool,
 }
 
 // SAFETY: `Map` owns its memory and only hands out the base pointer;
@@ -370,11 +261,12 @@ impl Map {
         // SAFETY: `slack < HUGE_PAGE == raw_len - len`, so `base[..len]`
         // lies inside the reservation.
         let base = unsafe { raw.add(slack) };
-        // SAFETY: advice over pages of the mapping just created. A refusal
-        // (a kernel built without THP) is recorded, not an error.
-        let hugepage =
-            !sparse && unsafe { sys::madvise(base.cast(), len, sys::MADV_HUGEPAGE) } == 0;
-        Some(Map { base, len, raw, raw_len, hugepage })
+        if !sparse {
+            // SAFETY: advice over pages of the mapping just created. A
+            // refusal (a kernel built without THP) only costs page size.
+            unsafe { sys::madvise(base.cast(), len, sys::MADV_HUGEPAGE) };
+        }
+        Some(Map { base, len, raw, raw_len })
     }
 
     /// The slab stand-in: `sparse` has no meaning without demand paging.
@@ -383,7 +275,7 @@ impl Map {
         let layout = Self::slab_layout(len).filter(|l| l.size() > 0)?;
         // SAFETY: `layout` has a non-zero size.
         let base = unsafe { std::alloc::alloc_zeroed(layout) };
-        (!base.is_null()).then_some(Map { base, len, raw: base, raw_len: len, hugepage: false })
+        (!base.is_null()).then_some(Map { base, len, raw: base, raw_len: len })
     }
 
     #[cfg(any(miri, not(target_os = "linux")))]
@@ -397,11 +289,6 @@ impl Map {
 
     pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the kernel accepted the huge-page advice.
-    pub(crate) fn hugepage(&self) -> bool {
-        self.hugepage
     }
 
     /// Commits every page that holds a byte of `[offset, offset + len)`
@@ -485,26 +372,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_round_trips_through_fromstr() {
-        for kind in HeapBackendKind::ALL {
-            assert_eq!(kind.name().parse::<HeapBackendKind>().unwrap(), kind);
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!("RAM".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Ram);
-        assert_eq!(" Mmap ".parse::<HeapBackendKind>().unwrap(), HeapBackendKind::Mmap);
-        assert!("cuda".parse::<HeapBackendKind>().is_err());
-        // A retired backend or alias is an error that names what is left.
-        for retired in ["numa", "malloc"] {
-            let e = retired.parse::<HeapBackendKind>().unwrap_err();
-            assert!(e.contains(retired) && e.contains("ram or mmap"), "{e}");
-        }
-    }
-
-    #[test]
-    fn pretouch_resolves_per_backend() {
-        assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Ram), Pretouch::Full);
-        assert_eq!(Pretouch::Auto.resolve(HeapBackendKind::Mmap), Pretouch::Lazy);
-        assert_eq!(Pretouch::Full.resolve(HeapBackendKind::Mmap), Pretouch::Full);
+    fn spec_defaults_to_full() {
+        assert_eq!(HeapSpec::ram(4096).pretouch, Pretouch::Full);
+        assert_eq!(HeapSpec::ram(4096).with_pretouch(Pretouch::Lazy).pretouch, Pretouch::Lazy);
+        assert_eq!(Pretouch::Lazy.to_string(), "lazy");
     }
 
     #[test]
@@ -522,9 +393,9 @@ mod tests {
             for sparse in [false, true] {
                 let m = Map::reserve(len, sparse).unwrap();
                 assert_eq!(m.len(), len);
-                let align = if len >= HUGE_PAGE && MAPPED { HUGE_PAGE } else { 128 };
+                let mapped = cfg!(all(target_os = "linux", not(miri)));
+                let align = if len >= HUGE_PAGE && mapped { HUGE_PAGE } else { 128 };
                 assert_eq!(m.base() as usize % align, 0, "len {len} sparse {sparse}");
-                assert!(!(sparse && m.hugepage()), "a sparse mapping is never advised");
                 for at in (0..len).step_by(PAGE_SIZE).chain([len - 1]) {
                     // SAFETY: `at < len`, inside the mapping.
                     assert_eq!(unsafe { m.base().add(at).read() }, 0, "len {len} at {at}");
@@ -581,9 +452,7 @@ mod tests {
 
     #[test]
     fn error_display_names_the_failure() {
-        let e = HeapError::ReserveFailed { len: 8 << 30, backend: HeapBackendKind::Mmap };
-        assert!(e.to_string().contains("mmap"), "{e}");
-        let e = HeapError::Unavailable { backend: HeapBackendKind::Mmap, reason: "no linux" };
-        assert!(e.to_string().contains("unavailable: no linux"), "{e}");
+        let e = HeapError::ReserveFailed { len: 8 << 30 };
+        assert!(e.to_string().contains("8589934592 bytes failed"), "{e}");
     }
 }

@@ -17,13 +17,13 @@
 //!   [`DeviceHeap::write_bytes`], …) used by benchmarks that write to the
 //!   memory they allocated (the Fig. 11e access test, the graph test cases).
 //!
-//! # Backends
+//! # Backing
 //!
 //! The bytes live in one mapping (see [`crate::backend`]): a hugepage-advised
-//! one committed up front (`ram`), or an mmap `MAP_NORESERVE` reservation
-//! that runs the paper's full 8 GiB heap on any host (`mmap`).
-//! [`DeviceHeap::try_new`] selects by [`HeapSpec`] and surfaces OS refusal
-//! as a typed [`HeapError`]; [`DeviceHeap::new`] is the thin panicking
+//! one committed up front (`Full`), or a `MAP_NORESERVE` reservation that
+//! runs the paper's full 8 GiB heap on any host (`Lazy`).
+//! [`DeviceHeap::try_new`] builds it from a [`HeapSpec`] and surfaces OS
+//! refusal as a typed [`HeapError`]; [`DeviceHeap::new`] is the thin panicking
 //! wrapper tests use. The base pointer and length are plain fields, so the
 //! hot paths read no more than they would of a slice.
 //!
@@ -37,7 +37,7 @@
 //! volatile-style raw-pointer ops rather than slices so that a *buggy*
 //! allocator under test produces torn data, not Rust UB on references.
 
-use crate::backend::{HeapBackendKind, HeapError, HeapSpec, Map, Pretouch, MAPPED};
+use crate::backend::{HeapError, HeapSpec, Map, Pretouch};
 use crate::sync::{AtomicU32, AtomicU64, Ordering};
 
 use crate::ptr::DevicePtr;
@@ -48,9 +48,6 @@ pub struct DeviceHeap {
     base: *mut u8,
     /// `map.len()`.
     len: u64,
-    kind: HeapBackendKind,
-    /// The spec's policy, resolved for `kind`.
-    pretouch: Pretouch,
     /// Owns the mapping; dropping it releases the memory.
     map: Map,
 }
@@ -68,59 +65,33 @@ impl DeviceHeap {
     /// also valid segment math on simulated physical addresses.
     pub const BASE_ALIGN: usize = 128;
 
-    /// Allocates a zeroed heap of `len` bytes over the default backend
-    /// (RAM, or whatever `GMS_HEAP_BACKEND` selects) — the thin panicking
-    /// wrapper over [`DeviceHeap::try_new`] that tests and examples use.
+    /// Allocates a zeroed heap of `len` bytes, committed in full — the thin
+    /// panicking wrapper over [`DeviceHeap::try_new`] that tests and
+    /// examples use.
     ///
     /// # Panics
     /// Panics if `len` is zero, not a multiple of 128, or the reservation
     /// fails.
     pub fn new(len: u64) -> Self {
-        Self::try_new(HeapSpec::new(len)).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_new(HeapSpec::ram(len)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Constructs a heap as described by `spec`: validates it, refuses a
-    /// backend this platform lacks, maps it and, under `Full` pre-touch,
-    /// commits every page before returning. Failure (zero or unrounded
-    /// size, OS refusing the reservation or the commit, backend unavailable)
-    /// is a typed [`HeapError`].
+    /// Constructs a heap as described by `spec`: validates it, maps it
+    /// (sparse under `Lazy`) and, under `Full`, commits every page before
+    /// returning. Failure (zero or unrounded size, OS refusing the
+    /// reservation or the commit) is a typed [`HeapError`].
     pub fn try_new(spec: HeapSpec) -> Result<Self, HeapError> {
         spec.validate()?;
-        let kind = spec.backend;
-        if !kind.available() {
-            let reason = "the mmap backend requires the Linux mmap surface";
-            return Err(HeapError::Unavailable { backend: kind, reason });
-        }
-        let refused = HeapError::ReserveFailed { len: spec.len, backend: kind };
+        let refused = HeapError::ReserveFailed { len: spec.len };
+        let lazy = spec.pretouch == Pretouch::Lazy;
         let map = usize::try_from(spec.len)
             .ok()
-            .and_then(|len| Map::reserve(len, kind == HeapBackendKind::Mmap))
+            .and_then(|len| Map::reserve(len, lazy))
             .ok_or_else(|| refused.clone())?;
-        let pretouch = spec.pretouch.resolve(kind);
-        if pretouch == Pretouch::Full {
+        if !lazy {
             map.commit(0, spec.len).map_err(|_| refused)?;
         }
-        Ok(DeviceHeap { base: map.base(), len: map.len() as u64, kind, pretouch, map })
-    }
-
-    /// Which backend family backs this heap (for provenance stamps).
-    #[inline]
-    pub fn backend_kind(&self) -> HeapBackendKind {
-        self.kind
-    }
-
-    /// One-line placement description for provenance stamps:
-    /// `ram(mapped) hugepage=advised pretouch=full`,
-    /// `mmap(noreserve) pretouch=lazy`. `hugepage` says whether the kernel
-    /// took the advice, `ram(slab)` that there was no mapping to advise.
-    pub fn describe(&self) -> String {
-        let pretouch = self.pretouch;
-        if self.kind == HeapBackendKind::Mmap {
-            return format!("mmap(noreserve) pretouch={pretouch}");
-        }
-        let form = if MAPPED { "mapped" } else { "slab" };
-        let hugepage = if self.map.hugepage() { "advised" } else { "refused" };
-        format!("ram({form}) hugepage={hugepage} pretouch={pretouch}")
+        Ok(DeviceHeap { base: map.base(), len: map.len() as u64, map })
     }
 
     /// Commits every page that holds a byte of `[offset, offset + len)`
@@ -284,7 +255,7 @@ impl DeviceHeap {
 
 impl std::fmt::Debug for DeviceHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeviceHeap").field("len", &self.len).field("backend", &self.kind).finish()
+        f.debug_struct("DeviceHeap").field("len", &self.len).finish()
     }
 }
 
@@ -399,43 +370,21 @@ mod tests {
     }
 
     #[test]
-    fn each_backend_describes_its_placement() {
-        let form = if MAPPED { "mapped" } else { "slab" };
-        for (pretouch, word) in [(Pretouch::Auto, "full"), (Pretouch::Lazy, "lazy")] {
-            let spec = HeapSpec::ram(4096).with_pretouch(pretouch);
-            let d = DeviceHeap::try_new(spec).unwrap().describe();
-            // Whether the kernel takes the huge-page advice is the host's call.
-            let described =
-                ["advised", "refused"].map(|h| format!("ram({form}) hugepage={h} pretouch={word}"));
-            assert!(described.contains(&d), "{d}");
-        }
-        if HeapBackendKind::Mmap.available() {
-            let h = DeviceHeap::try_new(HeapSpec::mmap(4096)).unwrap();
-            assert_eq!(h.describe(), "mmap(noreserve) pretouch=lazy");
-            assert_eq!(h.backend_kind(), HeapBackendKind::Mmap);
-        }
-        assert!(format!("{:?}", DeviceHeap::new(4096)).contains("backend"));
-    }
-
-    #[test]
-    fn every_available_backend_yields_an_equivalent_heap() {
-        for kind in HeapBackendKind::ALL {
-            if !kind.available() {
-                continue;
-            }
-            let h = DeviceHeap::try_new(HeapSpec::new(1 << 20).with_backend(kind))
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert_eq!(h.backend_kind(), kind);
+    fn either_policy_yields_an_equivalent_heap() {
+        for pretouch in [Pretouch::Full, Pretouch::Lazy] {
+            let h = DeviceHeap::try_new(HeapSpec::ram(1 << 20).with_pretouch(pretouch))
+                .unwrap_or_else(|e| panic!("{pretouch}: {e}"));
             assert_eq!(h.len(), 1 << 20);
-            assert_eq!(h.load_u64(0), 0, "{kind}: not zeroed");
-            assert_eq!(h.read_u8(DevicePtr::new(0), (1 << 20) - 1), 0, "{kind}");
+            assert_eq!(h.load_u64(0), 0, "{pretouch}: not zeroed");
+            assert_eq!(h.read_u8(DevicePtr::new(0), (1 << 20) - 1), 0, "{pretouch}");
             h.atomic_u32(256).store(0x5eed_cafe, Ordering::SeqCst);
-            assert_eq!(h.load_u32(256), 0x5eed_cafe, "{kind}");
+            assert_eq!(h.load_u32(256), 0x5eed_cafe, "{pretouch}");
             h.commit(0, 1 << 20); // idempotent on already-committed pages
             let p = DevicePtr::new(4096);
             h.fill(p, 512, 0x7f);
-            assert_eq!(h.read_u8(p, 511), 0x7f, "{kind}");
+            assert_eq!(h.read_u8(p, 511), 0x7f, "{pretouch}");
         }
+        assert!(format!("{:?}", DeviceHeap::new(4096)).contains("len"));
     }
 
     #[test]
@@ -449,12 +398,12 @@ mod tests {
 
     #[cfg(all(target_os = "linux", not(miri)))]
     #[test]
-    fn mmap_reserves_beyond_plausible_ram_lazily() {
+    fn lazy_reserves_beyond_plausible_ram() {
         // 64 GiB of address space: MAP_NORESERVE makes this instant and
         // RSS-free; only the pages the test touches ever commit. Hosts
         // running strict overcommit (vm.overcommit_memory=2) may refuse —
         // that is the typed error path, not a failure of this test.
-        let h = match DeviceHeap::try_new(HeapSpec::mmap(64 << 30)) {
+        let h = match DeviceHeap::try_new(HeapSpec::ram(64 << 30).with_pretouch(Pretouch::Lazy)) {
             Ok(h) => h,
             Err(HeapError::ReserveFailed { .. }) => return,
             Err(e) => panic!("unexpected error: {e}"),

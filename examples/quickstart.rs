@@ -7,7 +7,6 @@
 //! cargo run --release --example quickstart
 //! cargo run --release --example quickstart -- s        # ScatterAlloc only
 //! cargo run --release --example quickstart -- o+s+h    # artifact selector
-//! GMS_HEAP_BACKEND=mmap cargo run --release --example quickstart -- s  # mmap-backed heap
 //! ```
 
 use std::sync::Arc;
@@ -16,8 +15,7 @@ use gpumemsurvey::bench::registry::DEFAULT_KINDS;
 use gpumemsurvey::prelude::*;
 
 fn main() {
-    // Pick managers with the artifact's selector syntax (default: all);
-    // GMS_HEAP_BACKEND swaps the heap substrate.
+    // Pick managers with the artifact's selector syntax (default: all).
     let kinds = std::env::args()
         .nth(1)
         .map(|s| ManagerKind::parse_selector(&s).expect("bad selector"))

@@ -117,25 +117,22 @@ cargo test --offline --release -q -p gpu-sim
 echo "==> GMS_WORKERS=1 cargo test --release --test conformance"
 GMS_WORKERS=1 cargo test --offline --release -q --test conformance
 
-# Heap-backend conformance: the cross-backend battery (RAM/mmap heap
-# contract, per-manager runs, ram-vs-mmap byte identity, commit/lazy/full
-# residency and reserve/drop cycles read from /proc/self) plus the env-gated
-# 8 GiB MAP_NORESERVE smoke, then the full allocator conformance battery
-# re-run with every heap swapped to the mmap backend via GMS_HEAP_BACKEND.
+# Heap battery: the heap contract under both commit policies, every manager
+# sanitizer-clean over a sparse (Lazy) heap, commit/lazy/full residency and
+# reserve/drop cycles read from /proc/self, plus the env-gated 8 GiB
+# MAP_NORESERVE smoke.
 echo "==> HUGE_HEAP=1 cargo test --release --test heap_backends"
 HUGE_HEAP=1 cargo test --offline --release -q --test heap_backends
-echo "==> GMS_HEAP_BACKEND=mmap cargo test --release --test conformance"
-GMS_HEAP_BACKEND=mmap cargo test --offline --release -q --test conformance
 
-# End-to-end full-scale smoke: a Fig. 9 scenario at the paper's 8 GiB heap
-# over the mmap backend, trimmed to one manager at the tiny tier so the gate
-# stays fast. The anchor's provenance must say what was asked for.
-echo "==> repro matrix --heap-backend mmap --heap-mb 8192 (8 GiB smoke)"
+# End-to-end full-scale smoke: a Fig. 9 scenario at the paper's 8 GiB heap,
+# which --heap-mb reserves sparse, trimmed to one manager at the tiny tier so
+# the gate stays fast. The anchor's provenance must say what was asked for.
+echo "==> repro matrix --heap-mb 8192 (8 GiB smoke)"
 rm -rf target/perf-smoke
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    matrix --tier tiny --scenario perf_thread -t s --heap-backend mmap --heap-mb 8192 \
+    matrix --tier tiny --scenario perf_thread -t s --heap-mb 8192 \
     --anchors target/perf-smoke
-grep -q '"heap_backend": "mmap"' target/perf-smoke/BENCH_perf_thread.json
+grep -q '"pretouch": "lazy"' target/perf-smoke/BENCH_perf_thread.json
 grep -q '"heap_mb": "8192"' target/perf-smoke/BENCH_perf_thread.json
 
 # OOM utilization is a share of the heap the manager got: under --heap-mb
@@ -186,8 +183,8 @@ grep -q '"name":"process_name","args":{"name":"[^"]*","dropped":[0-9][0-9]*,"clo
 awk -F, '$1 == "ScatterAlloc" && ($2 == "malloc" || $2 == "free") {
         rows++; if ($3 != 2048 || $5 <= 0) bad = 1
     } END { exit !(rows == 2 && !bad) }' target/trace-smoke/trace_latency_2048_TITANV.csv
-# A selector names managers only: the retired `@backend`/`@cached` suffix is
-# a usage error (exit 2), not a run that quietly resets the heap backend.
+# A selector names managers only: a retired `@mmap`/`@cached` suffix is a
+# usage error (exit 2), not a run that quietly drops what follows the `@`.
 status=0
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     trace -m scatter -t s@cached --out target/trace-smoke 2> /dev/null || status=$?
@@ -197,14 +194,15 @@ status=0
 cargo run --offline --release -q -p gpumem-bench --bin repro -- \
     watch --scenario mixed --out target/trace-smoke > /dev/null 2>&1 || status=$?
 test "$status" -eq 2
-# So is a heap backend nobody knows, named by the environment: one line on
-# stderr and exit 2, not a panic.
+# So is the retired --heap-backend option: an unknown option, exit 2, not
+# a panic.
 status=0
-GMS_HEAP_BACKEND=bogus cargo run --offline --release -q -p gpumem-bench --bin repro -- \
-    table1 --out target/trace-smoke > /dev/null 2> target/trace-smoke/bad-env.err || status=$?
+cargo run --offline --release -q -p gpumem-bench --bin repro -- \
+    table1 --heap-backend mmap --out target/trace-smoke > /dev/null \
+    2> target/trace-smoke/retired-flag.err || status=$?
 test "$status" -eq 2
-test "$(wc -l < target/trace-smoke/bad-env.err)" -eq 1
-if grep -q panicked target/trace-smoke/bad-env.err; then
+grep -q "unknown option: --heap-backend" target/trace-smoke/retired-flag.err
+if grep -q panicked target/trace-smoke/retired-flag.err; then
     exit 1
 fi
 

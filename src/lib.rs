@@ -28,9 +28,8 @@ pub mod prelude {
         TraceRecorder, Traced,
     };
     pub use gpumem_core::{
-        AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr,
-        HeapBackendKind, HeapError, HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized,
-        SanitizerReport, ThreadCtx, WarpCtx,
+        AllocError, Counter, CounterSnapshot, DeviceAllocator, DeviceHeap, DevicePtr, HeapError,
+        HeapSpec, ManagerInfo, Metrics, Pretouch, Sanitized, SanitizerReport, ThreadCtx, WarpCtx,
     };
     pub use gpumem_core::{Telemetry, TelemetryConfig, TelemetrySink};
 }

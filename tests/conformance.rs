@@ -1,7 +1,8 @@
 //! Conformance battery: one set of behavioural requirements, executed
 //! against every evaluated manager. Complements the per-crate unit tests
 //! (which exercise internals) with black-box checks through the public
-//! trait only.
+//! trait only. Every heap here is the default, committed in full;
+//! `tests/heap_backends.rs` runs every manager over a sparse (`Lazy`) one.
 
 use gpumemsurvey::bench::registry::{ManagerKind, DEFAULT_KINDS};
 use gpumemsurvey::core::sanitize::Sanitized;

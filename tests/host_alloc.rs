@@ -12,12 +12,17 @@
 //! The first round is a warm-up: lazily sized host structures that model
 //! in-heap state (the CUDA-Allocator model's free stacks, FDGMalloc's
 //! per-warp state) may grow there. The second round must not allocate.
+//!
+//! The same counter, summing bytes, is the counted twin of §4.1's
+//! initialisation shape (`tests/paper_shapes.rs`): what a manager's
+//! construction takes from the host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use gpumemsurvey::bench::registry::ALL_KINDS;
+use gpumemsurvey::bench::registry::{ManagerKind, ALL_KINDS};
 use gpumemsurvey::core::WARP_SIZE;
 use gpumemsurvey::gpu_sim::PerThread;
 use gpumemsurvey::prelude::*;
@@ -25,6 +30,10 @@ use gpumemsurvey::prelude::*;
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The counters are process-wide: tests that read them take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -35,11 +44,15 @@ thread_local! {
 // and a static atomic).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -48,8 +61,17 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-// The default `alloc_zeroed` and `realloc` go through `alloc`, so a
-// growing `Vec` counts once per reallocation.
+/// Counts one allocation of `layout` if this thread is counting.
+fn count(layout: Layout) {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+    }
+}
+
+// `alloc_zeroed` is forwarded, so a zeroed table costs no writes here that
+// it would not cost in the product; the default `realloc` goes through
+// `alloc`, so a growing `Vec` counts once per reallocation.
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
@@ -64,6 +86,11 @@ fn counted<R>(f: impl FnOnce() -> R) -> R {
 /// Allocations counted since the last call.
 fn take() -> u64 {
     ALLOCS.swap(0, Ordering::Relaxed)
+}
+
+/// Bytes allocated since the last call.
+fn take_bytes() -> u64 {
+    BYTES.swap(0, Ordering::Relaxed)
 }
 
 const THREADS: u32 = 2048;
@@ -110,6 +137,7 @@ fn round(device: &Device, alloc: &dyn DeviceAllocator, label: &str) -> [u64; 4] 
 
 #[test]
 fn warm_entry_points_make_no_host_allocation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let device = Device::with_workers(DeviceSpec::titan_v(), 1);
     let mut found = Vec::new();
     for kind in ALL_KINDS {
@@ -133,4 +161,28 @@ fn warm_entry_points_make_no_host_allocation() {
         }
     }
     assert!(found.is_empty(), "host allocations on a warm hot path:\n{}", found.join("\n"));
+}
+
+/// Shape `sec41.cuda-fastest-init`, counted: §4.1's CUDA-Allocator has next
+/// to nothing to set up, while standard-queue Ouroboros fills ten static
+/// queues of 2²² entries, the storage §2.10 says virtualized queues remove.
+/// Each manager is built over one shared 256 MiB heap, as the timed shape
+/// builds them, and what its construction takes from the host is summed.
+#[test]
+fn cuda_allocator_initialises_with_the_fewest_host_bytes() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let heap = Arc::new(DeviceHeap::new(256 << 20));
+    let init_bytes = |kind: ManagerKind| {
+        take_bytes();
+        let alloc = counted(|| kind.builder().heap_shared(Arc::clone(&heap)).build());
+        let bytes = take_bytes();
+        drop(alloc);
+        bytes
+    };
+    let cuda = init_bytes(ManagerKind::CudaAllocator);
+    let ouro_sp = init_bytes(ManagerKind::OuroSP);
+    let ouro_vap = init_bytes(ManagerKind::OuroVAP);
+    println!("init host bytes: CUDA {cuda}, Ouro-S-P {ouro_sp}, Ouro-VA-P {ouro_vap}");
+    assert!(cuda * 1000 < ouro_sp, "CUDA model {cuda} B against Ouro-S-P {ouro_sp} B");
+    assert!(ouro_sp > 100 * ouro_vap, "Ouro-S-P {ouro_sp} B against Ouro-VA-P {ouro_vap} B");
 }

@@ -413,7 +413,9 @@ fn cuda_allocator_graph_init_walks_its_unit_registry() {
 /// Shape `sec41.cuda-fastest-init`.
 /// §4.1: the CUDA-Allocator has next to nothing to set up, while Ouroboros
 /// pre-fills its queues. The claim is about time — initialisation as a
-/// launch would pay it — so this stays a timing ratio, run in release.
+/// launch would pay it — so this stays a timing ratio, run in release. Its
+/// counted twin, in debug too, is
+/// `tests/host_alloc.rs::cuda_allocator_initialises_with_the_fewest_host_bytes`.
 #[cfg_attr(debug_assertions, ignore = "timing-ratio shape: run with --release")]
 #[test]
 fn cuda_allocator_initialises_fastest() {
